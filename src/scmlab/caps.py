@@ -7,6 +7,8 @@ reports embed the active snapshot so runs stay reproducible.
 
 import os
 
+from .errors import BadRangeError
+
 _DEFAULTS = {
     # max number of exogenous enumeration points per distribution
     "SCMLAB_SUPPORT_CAP": 2**24,
@@ -22,13 +24,22 @@ _DEFAULTS = {
 
 
 def cap(name: str) -> int:
-    """Return the cap named `name`, honoring an environment override."""
+    """Return the cap named `name`, honoring an environment override.
+
+    An override that is not a nonnegative integer raises BadRangeError.
+    """
     if name not in _DEFAULTS:
         raise KeyError(name)
     raw = os.environ.get(name)
-    if raw is not None:
-        return int(raw)
-    return _DEFAULTS[name]
+    if raw is None:
+        return _DEFAULTS[name]
+    try:
+        value = int(raw)
+    except ValueError:
+        raise BadRangeError(f"{name}={raw!r} is not an integer") from None
+    if value < 0:
+        raise BadRangeError(f"{name}={value} must be nonnegative")
+    return value
 
 
 def all_caps() -> dict[str, int]:

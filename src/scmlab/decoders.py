@@ -56,13 +56,26 @@ def _check_exact_match(oracle: AnswerOracle, scm: Scm, error_cls: type) -> None:
         )
 
 
-def _do_component(oracle: AnswerOracle, var: int, bit: int) -> ExactDist:
-    # INT1 layout: obs first, then (i=0,b=0), (i=0,b=1), (i=1,b=0), ...
-    key, dist = oracle.components[1 + 2 * var + bit]
-    expected = f"do i={var} b={bit}"
+def _component(oracle: AnswerOracle, index: int, expected: str, n_bits: int) -> ExactDist:
+    """The component the layout puts at `index`, checked for its key and
+    outcome length, so a malformed oracle fails with a typed error."""
+    if index >= len(oracle.components):
+        raise KindMismatchError(
+            f"oracle has {len(oracle.components)} components, so no {expected!r}"
+        )
+    key, dist = oracle.components[index]
     if key != expected:
         raise KindMismatchError(f"component {key!r} where {expected!r} was expected")
+    if dist.n_bits != n_bits:
+        raise KindMismatchError(
+            f"component {key!r} has {dist.n_bits}-bit outcomes, expected {n_bits}"
+        )
     return dist
+
+
+def _do_component(oracle: AnswerOracle, var: int, bit: int) -> ExactDist:
+    # INT1 layout: obs first, then (i=0,b=0), (i=0,b=1), (i=1,b=0), ...
+    return _component(oracle, 1 + 2 * var + bit, f"do i={var} b={bit}", oracle.n)
 
 
 def descendants_from_int1(oracle: AnswerOracle) -> DescendantSets:
@@ -165,10 +178,7 @@ def string_from_cf1(oracle: AnswerOracle) -> HiddenString:
     m = n // 2
     bits = []
     for t in range(m):
-        key, dist = oracle.components[2 * t]
-        expected = f"cf i={2 * t}"
-        if key != expected:
-            raise KindMismatchError(f"component {key!r} where {expected!r} was expected")
+        dist = _component(oracle, 2 * t, f"cf i={2 * t}", 3 * n)
         y_world0 = n + 2 * t + 1
         y_world1 = 2 * n + 2 * t + 1
         agree = sum(

@@ -5,7 +5,14 @@ Arity contracts: COPY and NEG take exactly one parent, BERN_SOURCE takes
 none, the rest accept any arity (AND of nothing is 1, OR of nothing is 0,
 PARITY of nothing is 0). XOR_NOISE and BERN_SOURCE are the only schemas
 that read the noise symbol, which must itself be a bit.
+
+Every gate is one row of `TABLE`: a test on its parent bits, an output
+inversion, whether the noise bit is xored in, and a fixed arity. The
+exact kernel in `scm_core` compiles each mechanism from its row into a
+test code plus a parent bitmask; `eval_gate` reads the same row.
 """
+
+from typing import NamedTuple
 
 from .errors import ArityMismatchError
 
@@ -19,61 +26,76 @@ PARITY = "PARITY"
 XOR_NOISE = "XOR_NOISE"
 BERN_SOURCE = "BERN_SOURCE"
 
-ALL_GATES = frozenset(
-    {CONST0, CONST1, COPY, NEG, AND, OR, PARITY, XOR_NOISE, BERN_SOURCE}
-)
+# tests on the parent bits: CONST ignores them, ANY is 1 when some parent
+# is 1, ALL when every parent is 1, XOR when an odd number of them are 1
+CONST, ANY, ALL, XOR = range(4)
+
+
+class GateSpec(NamedTuple):
+    test: int
+    invert: int
+    reads_noise: bool
+    arity: int | None  # None: any arity
+
+
+TABLE = {
+    CONST0: GateSpec(CONST, 0, False, None),
+    CONST1: GateSpec(CONST, 1, False, None),
+    COPY: GateSpec(ANY, 0, False, 1),
+    NEG: GateSpec(ANY, 1, False, 1),
+    AND: GateSpec(ALL, 0, False, None),
+    OR: GateSpec(ANY, 0, False, None),
+    PARITY: GateSpec(XOR, 0, False, None),
+    XOR_NOISE: GateSpec(XOR, 0, True, None),
+    BERN_SOURCE: GateSpec(CONST, 0, True, 0),
+}
+
+ALL_GATES = frozenset(TABLE)
 
 # schemas whose output depends on the noise symbol
-NOISE_READING = frozenset({XOR_NOISE, BERN_SOURCE})
+NOISE_READING = frozenset(g for g, spec in TABLE.items() if spec.reads_noise)
 
-# gate -> required arity; None means any arity is fine
-_FIXED_ARITY = {COPY: 1, NEG: 1, BERN_SOURCE: 0}
+
+def spec(gate: str) -> GateSpec:
+    """The table row of `gate`; ValueError for a gate outside the library."""
+    row = TABLE.get(gate)
+    if row is None:
+        raise ValueError(f"unknown gate {gate!r}")
+    return row
 
 
 def arity_issue(gate: str, k: int) -> str | None:
     """Describe the arity violation for `gate` with k parents, if any."""
-    if gate not in ALL_GATES:
+    if gate not in TABLE:
         return f"unknown gate {gate!r}"
-    want = _FIXED_ARITY.get(gate)
+    want = TABLE[gate].arity
     if want is not None and k != want:
         return f"{gate} takes exactly {want} parent(s), got {k}"
     return None
 
 
+def check_arity(gate: str, row: GateSpec, k: int) -> None:
+    if row.arity is not None and k != row.arity:
+        raise ArityMismatchError(f"{gate} takes {row.arity} parent(s), got {k}")
+
+
+def check_noise_symbol(gate: str, row: GateSpec, noise: int) -> None:
+    if row.reads_noise and noise not in (0, 1):
+        raise ValueError(f"{gate} needs a bit-valued noise symbol, got {noise}")
+
+
 def eval_gate(gate: str, inputs, noise: int) -> int:
     """Evaluate one structural equation; returns 0 or 1."""
-    if gate == COPY:
-        if len(inputs) != 1:
-            raise ArityMismatchError(f"COPY takes 1 parent, got {len(inputs)}")
-        return inputs[0]
-    if gate == AND:
-        return 0 if 0 in inputs else 1
-    if gate == BERN_SOURCE:
-        if len(inputs) != 0:
-            raise ArityMismatchError(f"BERN_SOURCE takes no parents, got {len(inputs)}")
-        if noise not in (0, 1):
-            raise ValueError(f"BERN_SOURCE needs a bit-valued noise symbol, got {noise}")
-        return noise
-    if gate == XOR_NOISE:
-        if noise not in (0, 1):
-            raise ValueError(f"XOR_NOISE needs a bit-valued noise symbol, got {noise}")
-        acc = noise
-        for b in inputs:
-            acc ^= b
-        return acc
-    if gate == CONST0:
-        return 0
-    if gate == CONST1:
-        return 1
-    if gate == OR:
-        return 1 if 1 in inputs else 0
-    if gate == PARITY:
-        acc = 0
-        for b in inputs:
-            acc ^= b
-        return acc
-    if gate == NEG:
-        if len(inputs) != 1:
-            raise ArityMismatchError(f"NEG takes 1 parent, got {len(inputs)}")
-        return 1 - inputs[0]
-    raise ValueError(f"unknown gate {gate!r}")
+    row = spec(gate)
+    check_arity(gate, row, len(inputs))
+    check_noise_symbol(gate, row, noise)
+    if row.test == ANY:
+        out = 1 if 1 in inputs else 0
+    elif row.test == ALL:
+        out = 0 if 0 in inputs else 1
+    elif row.test == XOR:
+        out = sum(inputs) & 1
+    else:
+        out = 0
+    out ^= row.invert
+    return out ^ noise if row.reads_noise else out

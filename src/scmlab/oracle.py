@@ -26,6 +26,7 @@ non-canonical, so serialize(parse(b)) == b.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,9 +43,9 @@ from .scm_core import (
     Intervention,
     Scm,
     all_interventions,
-    counterfactual_triple,
+    cf1,
+    int1,
     int_all,
-    interventional,
     observational,
 )
 
@@ -72,8 +73,9 @@ class AnswerOracle:
 
 def intervention_key(iv: Intervention) -> str:
     """Canonical INT_ALL component key, e.g. "do S=0,2 x=10" or "do S= x="."""
-    targets = ",".join(str(v) for v in iv.variables())
-    return f"do S={targets} x={iv.bits()}"
+    targets = ",".join([str(v) for v, _ in iv.assignments])
+    bits = "".join(["1" if b else "0" for _, b in iv.assignments])
+    return f"do S={targets} x={bits}"
 
 
 def _expected_keys(kind: str, n: int):
@@ -112,15 +114,14 @@ def compute_oracle(
     if kind == OBS:
         components = [("obs", observational(scm, support_cap))]
     elif kind == INT1:
-        components = [("obs", observational(scm, support_cap))]
-        for i in range(scm.n):
-            for b in (0, 1):
-                dist = interventional(scm, Intervention.of({i: b}), support_cap)
-                components.append((f"do i={i} b={b}", dist))
+        (_, obs), *single = int1(scm, support_cap)
+        components = [("obs", obs)]
+        for iv, dist in single:
+            ((v, b),) = iv.assignments
+            components.append((f"do i={v} b={b}", dist))
     elif kind == CF1:
         components = [
-            (f"cf i={i}", counterfactual_triple(scm, i, support_cap))
-            for i in range(scm.n)
+            (f"cf i={i}", dist) for i, dist in enumerate(cf1(scm, support_cap))
         ]
     elif kind == INT_ALL:
         components = [
@@ -142,75 +143,77 @@ def serialize(oracle: AnswerOracle) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-_HEADER_RE = re.compile(r"^(OBS|INT1|CF1|INT_ALL) n=(0|[1-9][0-9]*)$")
-_MASS_RE = re.compile(r"^([01]+)=([0-9]+/[0-9]+)$")
+_HEADER_RE = re.compile(r"(OBS|INT1|CF1|INT_ALL) n=(0|[1-9][0-9]*)")
+# no leading zeros and no zero mass, so each line has one spelling
+_MASS_RE = re.compile(r"([01]+)=([1-9][0-9]*/[1-9][0-9]*)")
 
 
 def parse(data: bytes) -> AnswerOracle:
     """Strict inverse of serialize; raises OracleFormatError on anything
-    that is not the canonical encoding of some oracle."""
+    that is not the canonical encoding of some oracle.
+
+    Every mass is checked in integers: lowest terms once per distinct
+    fraction text, and each component's sum against 1 as one running sum
+    over the lcm of its denominators. The distributions are then built
+    without re-validation.
+    """
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise OracleFormatError(f"not ASCII: {exc}") from None
     if not text.endswith("\n"):
         raise OracleFormatError("missing trailing newline")
-    lines = text[:-1].split("\n")
-    if not lines:
-        raise OracleFormatError("empty input")
-    header = _HEADER_RE.match(lines[0])
+    header_lines, *blocks = text[:-1].split("\n#")
+    header_line, *stray = header_lines.split("\n")
+    header = _HEADER_RE.fullmatch(header_line)
     if not header:
-        raise OracleFormatError(f"bad header line {lines[0]!r}")
+        raise OracleFormatError(f"bad header line {header_line!r}")
+    if stray:
+        raise OracleFormatError(f"mass line {stray[0]!r} before any component header")
     kind, n = header.group(1), int(header.group(2))
     n_bits = component_bits(kind, n)
-
-    raw_components: list[tuple[str, dict[str, Fraction]]] = []
-    current_key: str | None = None
-    current_mass: dict[str, Fraction] = {}
-    previous_outcome: str | None = None
-    for line in lines[1:]:
-        if line.startswith("#"):
-            if current_key is not None:
-                raw_components.append((current_key, current_mass))
-            current_key = line[1:]
-            current_mass = {}
-            previous_outcome = None
-            continue
-        if current_key is None:
-            raise OracleFormatError(f"mass line {line!r} before any component header")
-        mass_line = _MASS_RE.match(line)
-        if not mass_line:
-            raise OracleFormatError(f"bad mass line {line!r}")
-        outcome, frac_text = mass_line.group(1), mass_line.group(2)
-        if len(outcome) != n_bits:
-            raise OracleFormatError(
-                f"outcome {outcome!r} has length {len(outcome)}, expected {n_bits}"
-            )
-        if previous_outcome is not None and not previous_outcome < outcome:
-            raise OracleFormatError(
-                f"outcome {outcome!r} out of order after {previous_outcome!r}"
-            )
-        previous_outcome = outcome
-        weight = frac_parse(frac_text)
-        if weight <= 0:
-            raise OracleFormatError(f"zero mass line {line!r}")
-        current_mass[outcome] = weight
-    if current_key is not None:
-        raw_components.append((current_key, current_mass))
-
-    components = []
     expected = _expected_keys(kind, n)
-    for key, mass in raw_components:
+    mass_line = _MASS_RE.fullmatch
+    fractions: dict[str, Fraction] = {}
+    components = []
+    for block in blocks:
+        key, *lines = block.split("\n")
         want = next(expected, None)
-        if want is None or key != want:
+        if key != want:
+            raise OracleFormatError(f"component key {key!r} where {want!r} was expected")
+        mass: dict[str, Fraction] = {}
+        previous = ""
+        total_num, total_den = 0, 1
+        for line in lines:
+            match = mass_line(line)
+            if not match:
+                raise OracleFormatError(f"bad mass line {line!r}")
+            outcome, frac_text = match.groups()
+            if len(outcome) != n_bits:
+                raise OracleFormatError(
+                    f"outcome {outcome!r} has length {len(outcome)}, expected {n_bits}"
+                )
+            if not previous < outcome:
+                raise OracleFormatError(
+                    f"outcome {outcome!r} out of order after {previous!r}"
+                )
+            previous = outcome
+            weight = fractions.get(frac_text)
+            if weight is None:
+                weight = fractions[frac_text] = frac_parse(frac_text)
+            mass[outcome] = weight
+            den = weight.denominator
+            if den != total_den:
+                common = math.lcm(total_den, den)
+                total_num *= common // total_den
+                total_den = common
+            total_num += weight.numerator * (total_den // den)
+        if total_num != total_den:
             raise OracleFormatError(
-                f"component key {key!r} where {want!r} was expected"
+                f"component {key!r}: masses sum to "
+                f"{Fraction(total_num, total_den)}, expected 1"
             )
-        try:
-            dist = ExactDist(n_bits, mass)
-        except ValueError as exc:
-            raise OracleFormatError(f"component {key!r}: {exc}") from None
-        components.append((key, dist))
+        components.append((key, ExactDist._trusted(n_bits, mass)))
     leftover = next(expected, None)
     if leftover is not None:
         raise OracleFormatError(f"missing component {leftover!r}")

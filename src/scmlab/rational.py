@@ -1,5 +1,7 @@
 """Text form for exact probabilities: always "num/den", even for integers."""
 
+import math
+import re
 from fractions import Fraction
 
 from .errors import OracleFormatError
@@ -14,15 +16,18 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# digits without leading zeros, so every value has exactly one spelling
+_FRACTION_RE = re.compile(r"(0|[1-9][0-9]*)/(0|[1-9][0-9]*)")
+
+
 def frac_parse(text: str) -> Fraction:
-    """Parse "num/den"; reject anything not already in lowest terms."""
-    num_s, sep, den_s = text.partition("/")
-    if not sep or not num_s.isdigit() or not den_s.isdigit():
+    """Parse "num/den"; reject anything but the one canonical spelling."""
+    match = _FRACTION_RE.fullmatch(text)
+    if not match:
         raise OracleFormatError(f"malformed fraction {text!r}")
-    num, den = int(num_s), int(den_s)
+    num, den = int(match.group(1)), int(match.group(2))
     if den == 0:
         raise OracleFormatError(f"zero denominator in {text!r}")
-    value = Fraction(num, den)
-    if (value.numerator, value.denominator) != (num, den):
+    if math.gcd(num, den) != 1:
         raise OracleFormatError(f"fraction {text!r} is not in lowest terms")
-    return value
+    return Fraction(num, den)

@@ -3,9 +3,10 @@
 A model has n binary endogenous variables, one mechanism each: a gate
 schema applied to parent variables plus a local exogenous noise symbol
 drawn from a finite support with rational probabilities. Distributions
-are computed by enumerating the full product of noise supports and
-carrying `fractions.Fraction` weights, so every probability is exact and
-equality claims are bit-exact, never approximate.
+are computed by one forward pass in topological order with integer
+weights over a common denominator (the kernel below), and every
+probability is returned as an exact `fractions.Fraction`, so equality
+claims are bit-exact, never approximate.
 
 Outcomes are '0'/'1' strings with variable 0 leftmost: outcome[k] is the
 value of variable k.
@@ -18,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import gates
 from .caps import cap
@@ -102,12 +104,6 @@ class Intervention:
     def as_dict(self) -> dict[int, int]:
         return dict(self.assignments)
 
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.assignments)
-
-    def bits(self) -> str:
-        return "".join(str(b) for _, b in self.assignments)
-
 
 EMPTY_INTERVENTION = Intervention(())
 
@@ -119,6 +115,8 @@ class ExactDist:
     Only positive-mass outcomes are stored. Construction checks the
     invariants (keys are bit strings of the right length, masses are
     positive and sum to exactly 1), so an ExactDist in hand is trusted.
+    The exact kernel and `oracle.parse` build theirs with `_trusted`,
+    having established the same invariants in integer arithmetic.
     """
 
     n_bits: int
@@ -134,6 +132,14 @@ class ExactDist:
             total += weight
         if total != 1:
             raise ValueError(f"masses sum to {total}, expected 1")
+
+    @classmethod
+    def _trusted(cls, n_bits: int, mass: dict[str, Fraction]) -> "ExactDist":
+        """Wrap masses that are valid by construction, skipping the checks."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "n_bits", n_bits)
+        object.__setattr__(dist, "mass", mass)
+        return dist
 
     def p(self, outcome: str) -> Fraction:
         """Exact probability of one outcome (0 if absent)."""
@@ -220,6 +226,10 @@ def topo_order(scm: Scm) -> list[int]:
     Raises CycleError when the parent graph is not acyclic.
     """
     n = scm.n
+    if len(scm.mechanisms) == n and all(
+        0 <= p < v for v, m in enumerate(scm.mechanisms) for p in m.parents
+    ):
+        return list(range(n))  # every parent precedes its child already
     parents = [set(m.parents) for m in scm.mechanisms]
     children: list[list[int]] = [[] for _ in range(n)]
     indegree = [0] * n
@@ -244,66 +254,226 @@ def topo_order(scm: Scm) -> list[int]:
     return order
 
 
-def _enumerate_exogenous(scm: Scm, support_cap: int):
-    """Yield (symbols, weight) over the product of noise supports.
+# ------------------------------------------------------------ exact kernel
+#
+# One forward pass in topological order serves every query class; it is
+# variable elimination (Zhang & Poole 1994) on a model whose variables are
+# all kept. A state is a partial assignment packed into an int, variable v
+# at bit n-1-v, so an n-bit rendering of the final int is the outcome
+# string (variable 0 leftmost) and integer order is outcome order. Each
+# state carries an integer weight over a denominator shared by the pass.
+# A noise-reading variable branches once per noise bit and multiplies the
+# denominator by the lcm of its probability denominators; any other
+# variable's noise sums out to a single factor, so its states only gain a
+# bit. Noise symbols with the same effect are merged into one branch, and
+# distinct branches set different output bits, so states never collide.
+# Fractions appear only when the final states become an ExactDist.
 
-    `symbols[v]` is the noise symbol for variable v; `weight` is the exact
-    product probability. Single-point supports are fixed up front so the
-    loop only iterates over genuinely random noise.
+
+# A compiled step is the tuple (v, bit, test, mask, invert, branches, den):
+# the variable, its bit in a state, its gates test code, the parent bits
+# the test reads, the output inversion, one (bit xored into the output,
+# weight numerator) pair per noise branch, and the common denominator of
+# those numerators.
+
+
+class _Plan(NamedTuple):
+    n: int
+    steps: tuple[tuple, ...]  # in topological order
+    index_order: bool  # that order is 0, 1, ..., n-1
+    # every noise law read is positive and sums to 1, so the outcome
+    # masses are a distribution by construction
+    exact: bool
+
+
+def _compile(scm: Scm, support_cap: int | None) -> _Plan:
+    """Check what evaluation needs and build the per-variable plan.
+
+    Raises what running the mechanisms raises: CycleError, then
+    SupportTooLargeError before any work, then IndexError (empty noise
+    support, parent or noise index out of range), ValueError (unknown
+    gate, non-bit symbol read as a bit) or ArityMismatchError.
     """
-    sizes = [len(m.noise.support) for m in scm.mechanisms]
-    total = math.prod(sizes)
-    if total > support_cap:
+    limit = cap("SCMLAB_SUPPORT_CAP") if support_cap is None else support_cap
+    n = scm.n
+    order = topo_order(scm)
+    mechanisms = scm.mechanisms
+    total = math.prod([len(m.noise.support) for m in mechanisms])
+    if total > limit:
         raise SupportTooLargeError(
-            f"noise support product {total} exceeds cap {support_cap}"
+            f"noise support product {total} exceeds cap {limit}"
         )
-    base = [m.noise.support[0] for m in scm.mechanisms]
-    varying = [v for v, size in enumerate(sizes) if size > 1]
-    if not varying:
-        yield tuple(base), ONE
-        return
-    supports = [scm.mechanisms[v].noise.support for v in varying]
-    probs = [scm.mechanisms[v].noise.probs for v in varying]
-    for picks in itertools.product(*(range(len(s)) for s in supports)):
-        symbols = list(base)
-        weight = ONE
-        for slot, k in enumerate(picks):
-            symbols[varying[slot]] = supports[slot][k]
-            weight *= probs[slot][k]
-        yield tuple(symbols), weight
-
-
-def _evaluate(mechanisms, order, symbols) -> list[int]:
-    """Run the mechanisms in topological order; return the value vector."""
-    values = [0] * len(mechanisms)
+    if total == 0:
+        raise IndexError("a noise distribution has an empty support")
+    if len(mechanisms) > n:
+        raise ValueError(f"{len(mechanisms)} mechanisms for {n} variables")
+    steps = []
+    exact = True
     for v in order:
         mech = mechanisms[v]
-        values[v] = gates.eval_gate(
-            mech.gate, [values[p] for p in mech.parents], symbols[v]
-        )
-    return values
+        parents = mech.parents
+        mask = 0
+        for p in parents:
+            if not 0 <= p < n:
+                raise IndexError(f"variable {v} lists parent {p} outside [0, {n})")
+        row = gates.spec(mech.gate)
+        test, invert, reads_noise, _ = row
+        gates.check_arity(mech.gate, row, len(parents))
+        if test == gates.XOR:
+            for p in parents:  # a repeated parent cancels in a parity
+                mask ^= 1 << (n - 1 - p)
+        elif test != gates.CONST:
+            for p in parents:
+                mask |= 1 << (n - 1 - p)
+        support = mech.noise.support
+        if len(support) == 1:
+            # a fixed symbol: its probability is never read
+            if reads_noise:
+                gates.check_noise_symbol(mech.gate, row, support[0])
+                branches = ((support[0], 1),)
+            else:
+                branches = ((0, 1),)
+            den = 1
+        else:
+            branches, den, law_ok = _noise_branches(mech, row)
+            exact = exact and law_ok
+        steps.append((v, 1 << (n - 1 - v), test, mask, invert, branches, den))
+    return _Plan(n, tuple(steps), order == list(range(n)), exact)
 
 
-def _bits(values) -> str:
-    return "".join("1" if b else "0" for b in values)
+def _noise_branches(mech: Mechanism, row: gates.GateSpec):
+    """(branches, denominator, whether the law is valid) of a noise law with
+    several symbols, memoized on the NoiseDist (shared by family builds)."""
+    noise = mech.noise
+    memo = "_read_branches" if row.reads_noise else "_summed_branches"
+    found = noise.__dict__.get(memo)
+    if found is not None:
+        return found
+    support, probs = noise.support, noise.probs
+    if len(probs) < len(support):
+        raise IndexError(f"{len(probs)} probs for {len(support)} noise symbols")
+    probs = probs[: len(support)]
+    den = math.lcm(*[p.denominator for p in probs])
+    nums = [p.numerator * (den // p.denominator) for p in probs]
+    law_ok = min(nums) > 0 and sum(nums) == den
+    by_flip: dict[int, int] = {}
+    for symbol, k in zip(support, nums):
+        gates.check_noise_symbol(mech.gate, row, symbol)
+        flip = symbol if row.reads_noise else 0
+        by_flip[flip] = by_flip.get(flip, 0) + k
+    g = math.gcd(den, *by_flip.values())
+    branches = tuple((flip, k // g) for flip, k in sorted(by_flip.items()))
+    found = (branches, den // g, law_ok)
+    object.__setattr__(noise, memo, found)
+    return found
+
+
+def _extend(states: list[int], test: int, mask: int, flip: int, bit: int) -> list[int]:
+    """Set `bit` in every state whose gate output, xored with `flip`, is 1."""
+    if test == gates.CONST:
+        return [s | bit for s in states] if flip else states
+    if test == gates.ANY:
+        if flip:
+            return [s if s & mask else s | bit for s in states]
+        return [s | bit if s & mask else s for s in states]
+    if test == gates.ALL:
+        if flip:
+            return [s if (s & mask) == mask else s | bit for s in states]
+        return [s | bit if (s & mask) == mask else s for s in states]
+    if flip:
+        return [s if (s & mask).bit_count() & 1 else s | bit for s in states]
+    return [s | bit if (s & mask).bit_count() & 1 else s for s in states]
+
+
+def _scaled(weights: list[int], k: int) -> list[int]:
+    return weights if k == 1 else [w * k for w in weights]
+
+
+def _dist(plan: _Plan, n_bits: int, states, weights, den: int) -> ExactDist:
+    """The exact law of the final states, masses inserted in outcome order."""
+    # weights repeat a lot (uniform laws), so build each Fraction once
+    frac = {w: Fraction(w, den) for w in set(weights)}
+    if n_bits == 0:
+        mass = {"": frac[weights[0]]}
+    else:
+        fmt = f"0{n_bits}b"
+        mass = {format(s, fmt): frac[w] for s, w in sorted(zip(states, weights))}
+    return ExactDist._trusted(n_bits, mass) if plan.exact else ExactDist(n_bits, mass)
+
+
+def _hard_do_laws(plan: _Plan, max_forced: int) -> dict[tuple, ExactDist]:
+    """The joint under every hard intervention on at most `max_forced`
+    variables, keyed by its `Intervention.assignments`.
+
+    The interventions form a trie in topological order: at each variable
+    a node branches into its mechanism, do 0 and do 1, so interventions
+    that agree on a prefix share its work. A leaf's states become its
+    ExactDist at once and are dropped.
+    """
+    laws: dict[tuple, ExactDist] = {}
+    _descend(plan, 0, [0], [1], 1, (), max_forced, laws)
+    return laws
+
+
+def _descend(plan, level, states, weights, den, forced, budget, laws) -> None:
+    """Run the mechanisms from `level` on, branching off the do() subtries;
+    `forced` lists the (variable, bit) pairs forced so far."""
+    steps = plan.steps
+    for level in range(level, len(steps)):
+        v, bit, test, mask, invert, branches, step_den = steps[level]
+        if budget:
+            _descend(plan, level + 1, states, weights, den,
+                     forced + ((v, 0),), budget - 1, laws)
+            _descend(plan, level + 1, [s | bit for s in states], weights, den,
+                     forced + ((v, 1),), budget - 1, laws)
+        if len(branches) == 1:
+            ((flip, k),) = branches
+            states = _extend(states, test, mask, invert ^ flip, bit)
+            weights = _scaled(weights, k)
+        else:
+            next_states: list[int] = []
+            next_weights: list[int] = []
+            for flip, k in branches:
+                next_states += _extend(states, test, mask, invert ^ flip, bit)
+                next_weights += _scaled(weights, k)
+            states, weights = next_states, next_weights
+        den *= step_den
+    if not plan.index_order:
+        forced = tuple(sorted(forced))
+    laws[forced] = _dist(plan, plan.n, states, weights, den)
+
+
+def _twin(plan: _Plan, i: int) -> ExactDist:
+    """Twin-network pass (Balke & Pearl 1994) for the CF1 law of variable i.
+
+    A state packs three worlds over the same noise draw: factual in the
+    high n bits, do(X_i=0) in the middle, do(X_i=1) in the low n bits, so
+    its 3n-bit rendering is the outcome string. Every noise branch is
+    taken once and applied to all three worlds.
+    """
+    n = plan.n
+    target = 1 << (n - 1 - i)
+    states, weights, den = [0], [1], 1
+    for _, bit, test, mask, invert, branches, step_den in plan.steps:
+        next_states: list[int] = []
+        next_weights: list[int] = []
+        for flip, k in branches:
+            x = invert ^ flip
+            out = _extend(states, test, mask << 2 * n, x, bit << 2 * n)
+            if bit == target:
+                out = [s | bit for s in out]  # do(X_i=1); do(X_i=0) keeps 0
+            else:
+                out = _extend(out, test, mask << n, x, bit << n)
+                out = _extend(out, test, mask, x, bit)
+            next_states += out
+            next_weights += _scaled(weights, k)
+        states, weights, den = next_states, next_weights, den * step_den
+    return _dist(plan, 3 * n, states, weights, den)
 
 
 def observational(scm: Scm, support_cap: int | None = None) -> ExactDist:
-    """Exact joint distribution of the n variables.
-
-    Enumerates every point of the exogenous product, evaluates the
-    mechanisms in topological order, and merges identical outcomes.
-    """
-    limit = cap("SCMLAB_SUPPORT_CAP") if support_cap is None else support_cap
-    order = topo_order(scm)
-    acc: dict[str, Fraction] = {}
-    for symbols, weight in _enumerate_exogenous(scm, limit):
-        key = _bits(_evaluate(scm.mechanisms, order, symbols))
-        if key in acc:
-            acc[key] += weight
-        else:
-            acc[key] = weight
-    return ExactDist(scm.n, acc)
+    """Exact joint distribution of the n variables."""
+    return _hard_do_laws(_compile(scm, support_cap), 0)[()]
 
 
 def apply_do(scm: Scm, intervention: Intervention) -> Scm:
@@ -340,23 +510,13 @@ def counterfactual_triple(
     """
     if not 0 <= i < scm.n:
         raise BadPositionError(f"variable {i} outside [0, {scm.n})")
-    limit = cap("SCMLAB_SUPPORT_CAP") if support_cap is None else support_cap
-    order = topo_order(scm)
-    scm0 = apply_do(scm, Intervention.of({i: 0}))
-    scm1 = apply_do(scm, Intervention.of({i: 1}))
-    order0 = topo_order(scm0)
-    order1 = topo_order(scm1)
-    acc: dict[str, Fraction] = {}
-    for symbols, weight in _enumerate_exogenous(scm, limit):
-        factual = _evaluate(scm.mechanisms, order, symbols)
-        world0 = _evaluate(scm0.mechanisms, order0, symbols)
-        world1 = _evaluate(scm1.mechanisms, order1, symbols)
-        key = _bits(factual) + _bits(world0) + _bits(world1)
-        if key in acc:
-            acc[key] += weight
-        else:
-            acc[key] = weight
-    return ExactDist(3 * scm.n, acc)
+    return _twin(_compile(scm, support_cap), i)
+
+
+def cf1(scm: Scm, support_cap: int | None = None) -> tuple[ExactDist, ...]:
+    """`counterfactual_triple` for every variable, from one compiled plan."""
+    plan = _compile(scm, support_cap)
+    return tuple(_twin(plan, i) for i in range(scm.n))
 
 
 def all_interventions(n: int):
@@ -371,6 +531,18 @@ def all_interventions(n: int):
                 yield Intervention(tuple(zip(subset, values)))
 
 
+def int1(
+    scm: Scm, support_cap: int | None = None
+) -> tuple[tuple[Intervention, ExactDist], ...]:
+    """The observational law, then do(X_i=b) for every variable i and bit b."""
+    n = scm.n
+    laws = _hard_do_laws(_compile(scm, support_cap), 1)
+    order = [EMPTY_INTERVENTION] + [
+        Intervention(((i, b),)) for i in range(n) for b in (0, 1)
+    ]
+    return tuple((iv, laws[iv.assignments]) for iv in order)
+
+
 def int_all(
     scm: Scm, n_cap: int | None = None, support_cap: int | None = None
 ) -> tuple[tuple[Intervention, ExactDist], ...]:
@@ -378,7 +550,5 @@ def int_all(
     limit = cap("SCMLAB_INTALL_NMAX") if n_cap is None else n_cap
     if scm.n > limit:
         raise NTooLargeError(f"int_all on n={scm.n} exceeds cap {limit}")
-    out = []
-    for iv in all_interventions(scm.n):
-        out.append((iv, interventional(scm, iv, support_cap)))
-    return tuple(out)
+    laws = _hard_do_laws(_compile(scm, support_cap), scm.n)
+    return tuple((iv, laws[iv.assignments]) for iv in all_interventions(scm.n))

@@ -30,6 +30,7 @@ from scmlab import gates
 from scmlab.errors import (
     AmbiguousParentError,
     KindMismatchError,
+    OracleDecodeError,
     NotBipartiteLikeError,
     NotTreeLikeError,
     NotXorLikeError,
@@ -219,3 +220,46 @@ class TestStringDecoder:
         oracle = compute_oracle(build_xor_scm(HiddenString(1, "1")), INT1)
         with pytest.raises(KindMismatchError):
             string_from_cf1(oracle)
+
+
+def truncated(oracle, keep):
+    """The oracle with only its first `keep` components."""
+    return dataclasses.replace(oracle, components=oracle.components[:keep])
+
+
+class TestMalformedOracles:
+    """Hand-built oracles with missing or reshaped components fail with a
+    typed error, never an IndexError."""
+
+    @pytest.mark.parametrize("keep", [0, 1, 2, 5])
+    def test_tree_decoder_on_too_few_components(self, keep):
+        oracle = truncated(int1_of_tree(RootedTree(3, 1, {2: 1, 3: 2})), keep)
+        with pytest.raises(KindMismatchError):
+            tree_from_int1(oracle)
+        with pytest.raises(KindMismatchError):
+            descendants_from_int1(oracle)
+
+    @pytest.mark.parametrize("keep", [0, 1, 3, 6])
+    def test_graph_decoder_on_too_few_components(self, keep):
+        oracle = compute_oracle(
+            Family("bipartite", 2).build(BipartiteGraph(2, frozenset({(0, 1)}))), INT1
+        )
+        # with 6 components every probe is present; the rebuild check rejects
+        with pytest.raises((KindMismatchError, OracleDecodeError)):
+            graph_from_int1(truncated(oracle, keep))
+
+    @pytest.mark.parametrize("keep", [0, 1, 2])
+    def test_string_decoder_on_too_few_components(self, keep):
+        oracle = compute_oracle(build_xor_scm(HiddenString(2, "10")), CF1)
+        with pytest.raises(KindMismatchError):
+            string_from_cf1(truncated(oracle, keep))
+
+    def test_component_of_the_wrong_width(self):
+        oracle = int1_of_tree(RootedTree(2, 1, {2: 1}))
+        narrow = corrupt_component(oracle, 1, ExactDist(1, {"0": Fraction(1)}))
+        with pytest.raises(KindMismatchError):
+            tree_from_int1(narrow)
+        cf = compute_oracle(build_xor_scm(HiddenString(1, "1")), CF1)
+        narrow_cf = corrupt_component(cf, 0, ExactDist(2, {"00": Fraction(1)}))
+        with pytest.raises(KindMismatchError):
+            string_from_cf1(narrow_cf)

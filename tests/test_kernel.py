@@ -1,0 +1,203 @@
+"""The exact kernel against the brute-force reference enumerator.
+
+Every oracle kind must serialize to the same bytes as the reference on
+random DAGs, including DAGs whose topological order is not the index
+order, non-dyadic noise and three-symbol noise; malformed SCMs that skip
+validation must fail with the same exception type; caps must refuse
+before the pass starts.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scmlab import Mechanism, NoiseDist, Scm, gates, scm_core
+from scmlab.errors import SupportTooLargeError
+from scmlab.oracle import CF1, INT1, INT_ALL, KINDS, OBS, compute_oracle, serialize
+from scmlab.scm_core import (
+    Intervention,
+    counterfactual_triple,
+    interventional,
+    observational,
+    topo_order,
+)
+
+from reference_enumerator import reference_oracle
+
+HALF = Fraction(1, 2)
+FAIR = NoiseDist.bernoulli(HALF)
+CONST = NoiseDist.constant()
+
+READ_NOISES = (
+    NoiseDist.constant(0),
+    NoiseDist.constant(1),
+    FAIR,
+    NoiseDist.bernoulli(Fraction(1, 3)),
+    NoiseDist.bernoulli(Fraction(3, 4)),
+)
+OTHER_NOISES = READ_NOISES + (
+    NoiseDist((0, 1, 2), (Fraction(1, 6), Fraction(1, 3), HALF)),
+    NoiseDist((0, 1, 2), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))),
+)
+ANY_ARITY = (gates.AND, gates.OR, gates.PARITY, gates.XOR_NOISE, gates.CONST0, gates.CONST1)
+
+
+@st.composite
+def dag_scms(draw, max_n: int = 5) -> Scm:
+    """Valid SCMs whose variables are built in a random order: position k
+    in build order is variable label[k], so parents need not have smaller
+    indices than their children."""
+    n = draw(st.integers(1, max_n))
+    label = draw(st.permutations(range(n)))
+    mechanisms = [None] * n
+    for pos in range(n):
+        earlier = [label[q] for q in range(pos)]
+        menu = ANY_ARITY + (gates.BERN_SOURCE,) + ((gates.COPY, gates.NEG) if pos else ())
+        gate = draw(st.sampled_from(menu))
+        if gate in (gates.COPY, gates.NEG):
+            parents = (draw(st.sampled_from(earlier)),)
+        elif gate == gates.BERN_SOURCE:
+            parents = ()
+        else:
+            parents = tuple(draw(st.lists(st.sampled_from(earlier), unique=True))) if pos else ()
+        menu = READ_NOISES if gate in gates.NOISE_READING else OTHER_NOISES
+        mechanisms[label[pos]] = Mechanism(gate, parents, draw(st.sampled_from(menu)))
+    return Scm(n, tuple(mechanisms))
+
+
+def outcome(fn):
+    """The bytes `fn` returns, or the type of the exception it raises."""
+    try:
+        return serialize(fn())
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+@given(dag_scms(), st.sampled_from(KINDS))
+@settings(max_examples=150, deadline=None)
+def test_kernel_bytes_match_reference(scm, kind):
+    assert serialize(compute_oracle(scm, kind)) == serialize(reference_oracle(scm, kind))
+
+
+def test_strategy_reaches_non_index_topological_orders():
+    # the differential test is only meaningful if such DAGs occur
+    seen = []
+
+    @given(dag_scms())
+    @settings(max_examples=100, deadline=None, database=None)
+    def collect(scm):
+        seen.append(topo_order(scm) != list(range(scm.n)))
+
+    collect()
+    assert any(seen)
+
+
+REVERSED_CHAIN = Scm(
+    3,
+    (
+        Mechanism(gates.XOR_NOISE, (1,), NoiseDist.bernoulli(Fraction(1, 3))),
+        Mechanism(gates.NEG, (2,), OTHER_NOISES[-2]),
+        Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(3, 4))),
+    ),
+)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_reversed_chain_matches_reference(kind):
+    assert topo_order(REVERSED_CHAIN) == [2, 1, 0]
+    assert serialize(compute_oracle(REVERSED_CHAIN, kind)) == serialize(
+        reference_oracle(REVERSED_CHAIN, kind)
+    )
+
+
+def _one_variable(gate, parents=(), noise=CONST, n=1):
+    """An n-variable SCM whose last variable has the given mechanism and
+    whose other variables are fair sources."""
+    rest = tuple(Mechanism(gates.BERN_SOURCE, (), FAIR) for _ in range(n - 1))
+    return Scm(n, rest + (Mechanism(gate, parents, noise),))
+
+
+MALFORMED = {
+    "unknown gate": _one_variable("NAND", (0,), n=2),
+    "COPY without parent": _one_variable(gates.COPY, ()),
+    "COPY with two parents": _one_variable(gates.COPY, (0, 1), n=3),
+    "NEG with two parents": _one_variable(gates.NEG, (0, 1), n=3),
+    "BERN_SOURCE with a parent": _one_variable(gates.BERN_SOURCE, (0,), FAIR, n=2),
+    "XOR_NOISE reads symbol 2": _one_variable(gates.XOR_NOISE, (0,), NoiseDist((0, 2), (HALF, HALF)), n=2),
+    "BERN_SOURCE fixed symbol 3": _one_variable(gates.BERN_SOURCE, (), NoiseDist((3,), (1,))),
+    "read noise sums to 5/6": _one_variable(
+        gates.BERN_SOURCE, (), NoiseDist((0, 1), (HALF, Fraction(1, 3)))
+    ),
+    "ignored noise sums to 5/6": _one_variable(
+        gates.AND, (0,), NoiseDist((0, 1), (HALF, Fraction(1, 3))), n=2
+    ),
+    "read noise with a zero": _one_variable(gates.BERN_SOURCE, (), NoiseDist((0, 1), (0, 1))),
+    "ignored noise with a zero": _one_variable(gates.OR, (0,), NoiseDist((0, 1), (0, 1)), n=2),
+    "ignored negative noise": _one_variable(
+        gates.PARITY, (0,), NoiseDist((0, 1), (Fraction(3, 2), -HALF)), n=2
+    ),
+    "duplicate read symbols": _one_variable(gates.XOR_NOISE, (0,), NoiseDist((1, 1), (HALF, HALF)), n=2),
+    "fixed symbol with a stray prob": _one_variable(gates.BERN_SOURCE, (), NoiseDist((1,), (HALF,))),
+    "extra probs": _one_variable(gates.BERN_SOURCE, (), NoiseDist((0, 1), (HALF, HALF, HALF))),
+    "missing probs": _one_variable(gates.BERN_SOURCE, (), NoiseDist((0, 1), (1,))),
+    "empty support": _one_variable(gates.AND, (), NoiseDist((), ())),
+    "parent out of range": _one_variable(gates.AND, (4,), n=2),
+    "repeated parity parent": _one_variable(gates.PARITY, (0, 0), n=2),
+    "repeated AND parent": _one_variable(gates.AND, (0, 0), n=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("kind", KINDS)
+def test_unvalidated_scm_fails_like_reference(name, kind):
+    scm = MALFORMED[name]
+    assert outcome(lambda: compute_oracle(scm, kind)) == outcome(
+        lambda: reference_oracle(scm, kind)
+    )
+
+
+@pytest.fixture
+def no_pass(monkeypatch):
+    """Make any step of the forward pass fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pass started before the cap was checked")
+
+    monkeypatch.setattr(scm_core, "_extend", refuse)
+    monkeypatch.setattr(scm_core, "_dist", refuse)
+
+
+WIDE = Scm(30, tuple(Mechanism(gates.BERN_SOURCE, (), FAIR) for _ in range(30)))
+
+
+@pytest.mark.parametrize("kind", (OBS, INT1, CF1))
+def test_support_cap_refuses_before_any_work(no_pass, kind):
+    with pytest.raises(SupportTooLargeError):
+        compute_oracle(WIDE, kind)
+    small = Scm(2, WIDE.mechanisms[:2])
+    with pytest.raises(SupportTooLargeError):
+        compute_oracle(small, kind, support_cap=3)
+
+
+def test_support_cap_refuses_before_any_work_int_all(no_pass):
+    small = Scm(3, WIDE.mechanisms[:3])
+    with pytest.raises(SupportTooLargeError):
+        compute_oracle(small, INT_ALL, support_cap=7)
+
+
+def test_support_cap_refuses_single_laws_before_any_work(no_pass):
+    with pytest.raises(SupportTooLargeError):
+        observational(WIDE)
+    with pytest.raises(SupportTooLargeError):
+        counterfactual_triple(WIDE, 0)
+    with pytest.raises(SupportTooLargeError):
+        interventional(WIDE, Intervention.of({0: 1}))
+
+
+def test_interventional_caps_the_mutilated_support():
+    # forcing a variable drops its noise, as the reference does
+    scm = Scm(2, WIDE.mechanisms[:2])
+    dist = interventional(scm, Intervention.of({0: 1}), support_cap=2)
+    assert dist.p("10") == HALF

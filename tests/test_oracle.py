@@ -2,9 +2,11 @@
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scmlab import (
     CF1,
@@ -37,6 +39,7 @@ from scmlab.errors import (
     OracleFormatError,
 )
 from scmlab.oracle import component_bits, intervention_key
+from scmlab.rational import frac_parse
 from scmlab.scm_core import Intervention
 
 from conftest import exact_dists, small_scms
@@ -185,6 +188,98 @@ class TestParseStrictness:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(OracleFormatError):
             parse(CHAIN2_INT1_BYTES + b"stray\n")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"OBS n=1\n#obs\n0=01/2\n1=1/2\n",
+            b"OBS n=1\n#obs\n0=1/02\n1=1/2\n",
+            b"OBS n=1\n#obs\n0=1/2\n1=001/2\n",
+            b"OBS n=1\n#obs\n0=1/2\n1=1/0002\n",
+            b"OBS n=1\n#obs\n0=01/1\n",
+        ],
+    )
+    def test_leading_zeros_rejected(self, data):
+        # each would re-serialize to different bytes
+        with pytest.raises(OracleFormatError):
+            parse(data)
+
+    def test_empty_component_rejected(self):
+        with pytest.raises(OracleFormatError):
+            parse(b"INT1 n=1\n#obs\n0=1/2\n1=1/2\n#do i=0 b=0\n#do i=0 b=1\n1=1/1\n")
+
+    def test_mass_above_one_rejected(self):
+        with pytest.raises(OracleFormatError):
+            parse(b"OBS n=1\n#obs\n0=3/2\n")
+
+
+class TestFracParse:
+    def test_canonical_spellings_accepted(self):
+        assert frac_parse("0/1") == 0
+        assert frac_parse("1/1") == 1
+        assert frac_parse("10/3") == Fraction(10, 3)
+
+    @pytest.mark.parametrize(
+        "text", ["01/2", "1/02", "00/1", "0/01", "0/5", "2/4", "1/0", "1", "+1/2", "1/-2", " 1/2", "1/2 "]
+    )
+    def test_non_canonical_rejected(self, text):
+        with pytest.raises(OracleFormatError):
+            frac_parse(text)
+
+
+GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.oracle"))
+_GOLDEN_BYTES = [path.read_bytes() for path in GOLDEN]
+_ALPHABET = b"01/=#\n 29ax\r\x00"
+
+
+@st.composite
+def mutated_golden(draw):
+    """A golden oracle after one to three byte or line mutations."""
+    data = draw(st.sampled_from(_GOLDEN_BYTES))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["flip", "insert", "delete", "zero-pad",
+                                   "line-insert", "line-delete", "line-swap"]))
+        if op == "zero-pad":
+            # a leading zero right after an "=" or "/", where numbers start
+            starts = [k + 1 for k, byte in enumerate(data) if byte in b"=/"]
+            at = draw(st.sampled_from(starts)) if starts else 0
+            data = data[:at] + b"0" + data[at:]
+            continue
+        if op in ("flip", "insert", "delete"):
+            at = draw(st.integers(0, max(len(data) - 1, 0)))
+            byte = bytes([draw(st.sampled_from(_ALPHABET + bytes([draw(st.integers(0, 255))])))])
+            if op == "flip":
+                data = data[:at] + byte + data[at + 1:]
+            elif op == "insert":
+                data = data[:at] + byte + data[at:]
+            else:
+                data = data[:at] + data[at + 1:]
+            continue
+        lines = data.split(b"\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        if op == "line-insert":
+            lines.insert(i, lines[j])
+        elif op == "line-delete":
+            del lines[i]
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        data = b"\n".join(lines)
+    return data
+
+
+def test_golden_files_present():
+    assert len(GOLDEN) == 3
+
+
+@given(mutated_golden())
+@settings(max_examples=400, deadline=None)
+def test_mutated_golden_rejected_or_round_trips(data):
+    try:
+        oracle = parse(data)
+    except OracleFormatError:
+        return
+    assert serialize(oracle) == data
 
 
 class TestExtractObs:
