@@ -54,6 +54,7 @@ from .oracle import (
     d_int,
     extract_obs,
     marginal,
+    oracle_index,
     parse,
     serialize,
     tv,

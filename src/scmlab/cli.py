@@ -12,7 +12,11 @@ so their outputs feed straight back in as inputs.
 
 Exit codes: 0 success, 1 a verification or internal consistency check
 failed, 2 invalid input or a decode failure, 3 an enumeration cap was
-exceeded.
+exceeded. A package error exits with its class's ``exit_code``, listed
+in ``errors``: 3 for ``NTooLargeError``, ``MTooLargeError`` and
+``SupportTooLargeError``, 1 for ``ScmLabError`` itself, ``CycleError`` and
+``ArityMismatchError``, 2 for every other error class and for unreadable
+files, bad JSON and malformed numbers.
 """
 
 from __future__ import annotations
@@ -27,22 +31,8 @@ from fractions import Fraction
 
 from . import __version__
 from .caps import all_caps
-from .errors import (
-    BadPositionError,
-    BadRangeError,
-    InvalidScmError,
-    InvalidSequenceError,
-    InvalidTreeError,
-    KindMismatchError,
-    LengthMismatchError,
-    MTooLargeError,
-    NotMemberError,
-    NTooLargeError,
-    OracleDecodeError,
-    OracleFormatError,
-    ScmLabError,
-    SupportTooLargeError,
-)
+from .decoders import DECODERS
+from .errors import ScmLabError
 from .families import BIPARTITE, TREE, XOR, Family
 from .gap import pairwise_separation_check, separation_table
 from .jsonio import param_from_json, param_to_json, scm_to_json
@@ -50,20 +40,6 @@ from .learning import EXACT, MONTE_CARLO, run_nfl
 from .oracle import KINDS, compute_oracle, parse, serialize
 from .rational import frac_str
 from .verify import all_passed, verify_family
-
-_CAP_ERRORS = (NTooLargeError, MTooLargeError, SupportTooLargeError)
-_INPUT_ERRORS = (
-    OracleDecodeError,
-    OracleFormatError,
-    InvalidScmError,
-    InvalidTreeError,
-    InvalidSequenceError,
-    LengthMismatchError,
-    KindMismatchError,
-    BadRangeError,
-    BadPositionError,
-    NotMemberError,
-)
 
 GAP_CSV_COLUMNS = [
     "family",
@@ -185,15 +161,9 @@ def _cmd_sep(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    from .decoders import graph_from_int1, string_from_cf1, tree_from_int1
-
     with open(args.oracle_file, "rb") as fh:
         oracle = parse(fh.read())
-    decoder = {
-        TREE: tree_from_int1,
-        BIPARTITE: graph_from_int1,
-        XOR: string_from_cf1,
-    }[args.family]
+    _, decoder = DECODERS[args.family]
     param = decoder(oracle)
     doc = param_to_json(args.family, param)
     _write(args.out, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii"))
@@ -237,11 +207,11 @@ def _cmd_dump_scm(args) -> int:
     return 0
 
 
-def _add_family_size(parser: argparse.ArgumentParser, families=None) -> None:
+def _add_family_size(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--family",
         required=True,
-        choices=list(families or (TREE, BIPARTITE, XOR)),
+        choices=[TREE, BIPARTITE, XOR],
         help="family kind",
     )
     group = parser.add_mutually_exclusive_group(required=True)
@@ -314,18 +284,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _CAP_ERRORS as exc:
+    except ScmLabError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 3
-    except _INPUT_ERRORS as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
         print(f"error[INPUT]: {exc}", file=sys.stderr)
         return 2
-    except ScmLabError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

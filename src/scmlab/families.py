@@ -40,6 +40,8 @@ XOR = "xor"
 FAMILY_KINDS = (TREE, BIPARTITE, XOR)
 
 FAIR_BIT = NoiseDist.bernoulli(HALF)
+# shared, so the kernel's per-NoiseDist branch memo serves every member
+NO_NOISE = NoiseDist.constant()
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,7 @@ def build_tree_scm(tree: RootedTree) -> Scm:
             mechanisms.append(Mechanism(gates.BERN_SOURCE, (), FAIR_BIT))
         else:
             mechanisms.append(
-                Mechanism(gates.COPY, (tree.parent[v] - 1,), NoiseDist.constant())
+                Mechanism(gates.COPY, (tree.parent[v] - 1,), NO_NOISE)
             )
     return Scm(tree.n, tuple(mechanisms))
 
@@ -159,10 +161,10 @@ def build_bipartite_scm(graph: BipartiteGraph) -> Scm:
     m = graph.m
     mechanisms = [Mechanism(gates.BERN_SOURCE, (), FAIR_BIT)]
     for _ in range(m):
-        mechanisms.append(Mechanism(gates.COPY, (0,), NoiseDist.constant()))
+        mechanisms.append(Mechanism(gates.COPY, (0,), NO_NOISE))
     for j in range(m):
         parents = (0,) + tuple(1 + i for i in graph.neighbors_of_b(j))
-        mechanisms.append(Mechanism(gates.AND, parents, NoiseDist.constant()))
+        mechanisms.append(Mechanism(gates.AND, parents, NO_NOISE))
     return Scm(graph.n_vars(), tuple(mechanisms))
 
 
@@ -212,13 +214,16 @@ def enumerate_graphs(m: int, m_cap: int | None = None):
     if m < 1:
         raise BadRangeError(f"m must be at least 1, got {m}")
     for mask in range(1 << (m * m)):
-        edges = frozenset(
-            (i, j)
-            for i in range(m)
-            for j in range(m)
-            if (mask >> (i * m + j)) & 1
-        )
-        yield BipartiteGraph(m, edges)
+        yield graph_of_mask(m, mask)
+
+
+def graph_of_mask(m: int, mask: int) -> BipartiteGraph:
+    """The layer graph whose adjacency mask has bit i*m+j set for each
+    edge (i, j)."""
+    edges = frozenset(
+        (i, j) for i in range(m) for j in range(m) if (mask >> (i * m + j)) & 1
+    )
+    return BipartiteGraph(m, edges)
 
 
 def enumerate_strings(m: int):

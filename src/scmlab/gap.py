@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .caps import cap
 from .errors import BadRangeError, LengthMismatchError, NotMemberError, ScmLabError
 from .families import (
     BIPARTITE,
@@ -32,9 +31,8 @@ from .families import (
     ClassSpec,
     Family,
     class_membership,
-    enumerate_graphs,
 )
-from .oracle import CF1, INT1, INT_ALL, OBS, KINDS, compute_oracle, d_int, serialize
+from .oracle import CF1, INT1, INT_ALL, OBS, KINDS, d_int, oracle_index, parse
 from .rational import HALF
 from .scm_core import Scm
 
@@ -131,22 +129,15 @@ def _check_kinds(lower_kind: str, higher_kind: str) -> None:
             raise BadRangeError(f"unknown oracle kind {kind!r}")
 
 
-@lru_cache(maxsize=16)
 def _grouped(family: Family, lower_kind: str, higher_kind: str):
     """Group parameters by lower-oracle bytes; count higher-oracle bytes
-    within each group. Returns {lower_bytes: {higher_bytes: count}}.
-
-    Cached: ambiguity counting and entropy share one enumeration pass.
-    Callers must not mutate the result.
-    """
+    within each group. Returns {lower_bytes: Counter(higher_bytes)}."""
     _check_kinds(lower_kind, higher_kind)
-    groups: dict[bytes, dict[bytes, int]] = {}
-    for param in family.parameters():
-        scm = family.build(param)
-        lower = serialize(compute_oracle(scm, lower_kind))
-        higher = serialize(compute_oracle(scm, higher_kind))
-        inner = groups.setdefault(lower, {})
-        inner[higher] = inner.get(higher, 0) + 1
+    groups: dict[bytes, Counter] = {}
+    for lower, higher in zip(
+        oracle_index(family, lower_kind), oracle_index(family, higher_kind)
+    ):
+        groups.setdefault(lower, Counter())[higher] += 1
     return groups
 
 
@@ -354,20 +345,14 @@ class SeparationCheck:
     disjoint: bool
 
 
-def pairwise_separation_check(
-    m: int, epsilon, m_cap: int | None = None
-) -> SeparationCheck:
+def pairwise_separation_check(m: int, epsilon) -> SeparationCheck:
     """Compute every pairwise d_int over the 2^(m*m) graphs and decide
     whether epsilon-balls around the INT1 oracles are disjoint (strictly:
     2*epsilon < min distance)."""
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise BadRangeError(f"epsilon must be nonnegative, got {epsilon}")
-    family = Family(BIPARTITE, m)
-    oracles = [
-        compute_oracle(family.build(graph), INT1)
-        for graph in enumerate_graphs(m, m_cap)
-    ]
+    oracles = [parse(data) for data in oracle_index(Family(BIPARTITE, m), INT1)]
     best: Fraction | None = None
     pair_count = 0
     for i in range(len(oracles)):

@@ -19,14 +19,15 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .caps import cap
 from .errors import BadRangeError, MTooLargeError, ScmLabError
-from .families import BIPARTITE, Family, enumerate_graphs
-from .oracle import INT1, OBS, AnswerOracle, compute_oracle, serialize
+from .families import BIPARTITE, Family, graph_of_mask
+from .oracle import INT1, OBS, AnswerOracle, compute_oracle, oracle_index, serialize
 from .rational import HALF, ONE, ZERO
 from .scm_core import Intervention, NoiseDist, Mechanism, Scm, interventional, observational
 from . import gates
@@ -84,8 +85,7 @@ def sample_obs(scm: Scm, count: int, seed: int, source: str = "scm") -> Dataset:
 @lru_cache(maxsize=None)
 def _graph_oracle(m: int, mask: int) -> AnswerOracle:
     """INT1 oracle for the graph with adjacency mask `mask` (frozen, shared)."""
-    graph = _graph_of_mask(m, mask)
-    return compute_oracle(Family(BIPARTITE, m).build(graph), INT1)
+    return compute_oracle(Family(BIPARTITE, m).build(graph_of_mask(m, mask)), INT1)
 
 
 @lru_cache(maxsize=None)
@@ -93,13 +93,9 @@ def _graph_oracle_bytes(m: int, mask: int) -> bytes:
     return serialize(_graph_oracle(m, mask))
 
 
-def _graph_of_mask(m: int, mask: int):
-    from .families import BipartiteGraph
-
-    edges = frozenset(
-        (i, j) for i in range(m) for j in range(m) if (mask >> (i * m + j)) & 1
-    )
-    return BipartiteGraph(m, edges)
+def _int1_counts(m: int) -> Counter:
+    """How many graphs share each INT1 oracle, keyed by its bytes."""
+    return Counter(oracle_index(Family(BIPARTITE, m), INT1))
 
 
 def _independent_fit_oracle(dataset: Dataset) -> AnswerOracle:
@@ -132,13 +128,9 @@ class UniformGuessLearner:
         return _graph_oracle(m, mask)
 
     def exact_rate(self, m: int, n_samples: int) -> Fraction:
+        # a guess matches a truth exactly when both land in the same class
         count = 1 << (m * m)
-        matches = 0
-        for truth in range(count):
-            truth_bytes = _graph_oracle_bytes(m, truth)
-            for guess in range(count):
-                if _graph_oracle_bytes(m, guess) == truth_bytes:
-                    matches += 1
+        matches = sum(c * c for c in _int1_counts(m).values())
         return Fraction(matches, count * count)
 
 
@@ -153,11 +145,7 @@ class ConstantEmptyLearner:
 
     def exact_rate(self, m: int, n_samples: int) -> Fraction:
         count = 1 << (m * m)
-        prediction = _graph_oracle_bytes(m, 0)
-        matches = sum(
-            1 for truth in range(count) if _graph_oracle_bytes(m, truth) == prediction
-        )
-        return Fraction(matches, count)
+        return Fraction(_int1_counts(m)[_graph_oracle_bytes(m, 0)], count)
 
 
 class EmpiricalIndependentLearner:
@@ -175,13 +163,13 @@ class EmpiricalIndependentLearner:
         # sufficient statistic is k = number of all-ones rows.
         count = 1 << (m * m)
         n = 2 * m + 1
-        truth_bytes = [_graph_oracle_bytes(m, mask) for mask in range(count)]
+        truth_counts = _int1_counts(m)
         rate = ZERO
         for k in range(n_samples + 1):
             rows = ("1" * n,) * k + ("0" * n,) * (n_samples - k)
             dataset = Dataset(n, rows, 0, "sufficient-statistic")
             predicted = serialize(self.predict(dataset, m, random.Random(0)))
-            matches = sum(1 for t in truth_bytes if t == predicted)
+            matches = truth_counts[predicted]
             weight = Fraction(math.comb(n_samples, k), 2**n_samples)
             rate += weight * Fraction(matches, count)
         return rate
@@ -259,7 +247,7 @@ def run_nfl(
         graph_rng = random.Random(derive_seed(seed, "graph", trial))
         mask = graph_rng.randrange(count)
         truth = _graph_oracle_bytes(m, mask)
-        scm = family.build(_graph_of_mask(m, mask))
+        scm = family.build(graph_of_mask(m, mask))
         dataset = sample_obs(
             scm, n_samples, derive_seed(seed, "data", trial), source=f"bipartite m={m}"
         )
@@ -324,7 +312,7 @@ def per_query_error(
         mask = episode_rng.randrange(count)
         i = episode_rng.randrange(m)
         j = episode_rng.randrange(m)
-        scm = family.build(_graph_of_mask(m, mask))
+        scm = family.build(graph_of_mask(m, mask))
         dataset = sample_obs(
             scm, n_samples, derive_seed(seed, "query-data", trial),
             source=f"bipartite m={m}",
@@ -350,14 +338,9 @@ class MutualInfoReport:
     mutual_information_bits: int | None
 
 
-def mutual_information_check(m: int, m_cap: int | None = None) -> MutualInfoReport:
+def mutual_information_check(m: int) -> MutualInfoReport:
     """I(graph; dataset) is exactly 0 iff every graph shares one
     observational law; check that by byte equality over the family."""
-    laws = set()
-    graph_count = 0
-    family = Family(BIPARTITE, m)
-    for graph in enumerate_graphs(m, m_cap):
-        graph_count += 1
-        laws.add(serialize(compute_oracle(family.build(graph), OBS)))
-    identical = len(laws) == 1
-    return MutualInfoReport(m, graph_count, identical, 0 if identical else None)
+    laws = oracle_index(Family(BIPARTITE, m), OBS)
+    identical = len(set(laws)) == 1
+    return MutualInfoReport(m, len(laws), identical, 0 if identical else None)

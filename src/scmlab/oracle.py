@@ -30,13 +30,16 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
+from .caps import all_caps
 from .errors import (
     BadPositionError,
     KindMismatchError,
     LengthMismatchError,
     OracleFormatError,
 )
+from .families import Family
 from .rational import ZERO, frac_parse, frac_str
 from .scm_core import (
     ExactDist,
@@ -131,6 +134,27 @@ def compute_oracle(
     else:
         raise KindMismatchError(f"unknown oracle kind {kind!r}")
     return AnswerOracle(kind, scm.n, tuple(components))
+
+
+def oracle_index(family: Family, kind: str) -> tuple[bytes, ...]:
+    """Serialized `kind` oracle of every member of `family`, in
+    `family.parameters()` order; equal oracles share one bytes object.
+
+    The one place family oracles are computed for grouping. Memoized per
+    snapshot of the active caps, so a lowered cap refuses a cached family
+    just as it refuses a new one.
+    """
+    return _cached_index(family, kind, tuple(all_caps().items()))
+
+
+@lru_cache(maxsize=16)
+def _cached_index(family: Family, kind: str, caps) -> tuple[bytes, ...]:
+    shared: dict[bytes, bytes] = {}
+    oracles = (
+        serialize(compute_oracle(family.build(param), kind))
+        for param in family.parameters()
+    )
+    return tuple(shared.setdefault(data, data) for data in oracles)
 
 
 def serialize(oracle: AnswerOracle) -> bytes:
@@ -248,6 +272,10 @@ def d_int(a: AnswerOracle, b: AnswerOracle) -> Fraction:
         raise KindMismatchError(f"d_int needs INT1 oracles, got {a.kind} and {b.kind}")
     if a.n != b.n:
         raise LengthMismatchError(f"oracle sizes differ: {a.n} vs {b.n}")
+    if len(a.components) != len(b.components):
+        raise LengthMismatchError(
+            f"component counts differ: {len(a.components)} vs {len(b.components)}"
+        )
     best = ZERO
     for (key_a, dist_a), (key_b, dist_b) in zip(a.components, b.components):
         if key_a != key_b:

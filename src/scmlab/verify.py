@@ -7,26 +7,23 @@ space, and the cross-rung consistency properties (counterfactual blocks
 marginalize to the matching interventional laws; the observational
 component embeds verbatim in INT1). A suite passes only if every check
 passes on every parameter.
+
+One table drives every family: its expected observational law, the
+kinds that must be identical beyond the rung pair in
+`gap.DEFAULT_RUNGS`, and (from `decoders.DECODERS`) its decoder. All
+oracle bytes come from `oracle.oracle_index`, so the suite shares its
+enumeration with the gap tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decoders import graph_from_int1, string_from_cf1, tree_from_int1
+from .decoders import DECODERS
 from .errors import BadRangeError
 from .families import BIPARTITE, TREE, XOR, Family
-from .oracle import (
-    CF1,
-    INT1,
-    INT_ALL,
-    OBS,
-    AnswerOracle,
-    compute_oracle,
-    extract_obs,
-    marginal,
-    serialize,
-)
+from .gap import DEFAULT_RUNGS
+from .oracle import CF1, INT1, OBS, AnswerOracle, marginal, oracle_index, parse, serialize
 from .rational import HALF
 from .scm_core import ExactDist
 
@@ -50,9 +47,13 @@ def expected_uniform(n: int) -> ExactDist:
     return ExactDist(n, {format(v, f"0{n}b"): weight for v in range(1 << n)})
 
 
-def obs_bytes(dist: ExactDist) -> bytes:
-    """Canonical bytes of a bare observational law, for equality checks."""
-    return serialize(AnswerOracle(OBS, dist.n_bits, (("obs", dist),)))
+# family -> (name of its observational check, the expected observational
+# law, kinds identical across the family besides the lower rung)
+SUITES = {
+    TREE: ("observational-identical", expected_two_point, ()),
+    BIPARTITE: ("observational-identical", expected_two_point, ()),
+    XOR: ("observational-identical-uniform", expected_uniform, (OBS, INT1)),
+}
 
 
 def _marginal_consistency(n: int, obs_dist, int1, cf1) -> bool:
@@ -69,140 +70,55 @@ def _marginal_consistency(n: int, obs_dist, int1, cf1) -> bool:
     return True
 
 
-def _obs_embedding(obs_oracle, int1) -> bool:
-    """The OBS oracle must be recoverable from INT1 and appear verbatim
-    as its leading serialized block."""
-    if serialize(extract_obs(int1)) != serialize(obs_oracle):
-        return False
-    obs_body = serialize(obs_oracle).split(b"\n", 1)[1]
-    int1_body = serialize(int1).split(b"\n", 1)[1]
-    return int1_body.startswith(obs_body)
+def _obs_embeds(obs: bytes, int1: bytes) -> bool:
+    """The OBS oracle's `#obs` block must be INT1's leading block, verbatim
+    and whole: INT1 continues with its first do() header."""
+    return int1.split(b"\n", 1)[1].startswith(obs.split(b"\n", 1)[1] + b"#")
 
 
 def verify_family(family: Family) -> list[CheckResult]:
     """Run the family's full suite; exhaustive over its parameter space."""
-    if family.kind in (TREE, BIPARTITE):
-        decoder = tree_from_int1 if family.kind == TREE else graph_from_int1
-        return _verify_two_point_family(family, decoder)
-    if family.kind == XOR:
-        return _verify_xor(family)
-    raise BadRangeError(f"unknown family {family.kind!r}")
+    if family.kind not in SUITES:
+        raise BadRangeError(f"unknown family {family.kind!r}")
+    obs_check, obs_law, also_identical = SUITES[family.kind]
+    lower_kind, higher_kind = DEFAULT_RUNGS[family.kind]
+    decoder_kind, decoder = DECODERS[family.kind]
+    n = family.n_vars()
+    obs, int1, cf1 = (oracle_index(family, kind) for kind in (OBS, INT1, CF1))
+    count = len(obs)
+    results = []
 
+    def check(name: str, passed: bool, **details) -> None:
+        results.append(CheckResult(name, passed, {"parameters": count, **details}))
 
-def _verify_two_point_family(family: Family, decoder) -> list[CheckResult]:
-    expected_obs = obs_bytes(expected_two_point(family.n_vars()))
-    obs_set: set[bytes] = set()
-    int1_set: set[bytes] = set()
-    count = 0
+    for kind in (*also_identical, lower_kind):
+        distinct = set(oracle_index(family, kind))
+        if kind == OBS:
+            expected = serialize(AnswerOracle(OBS, n, (("obs", obs_law(n)),)))
+            check(obs_check, distinct == {expected}, distinct_laws=len(distinct))
+        else:
+            name = f"{kind.lower().replace('_', '-')}-identical"
+            check(name, len(distinct) == 1, distinct_oracles=len(distinct))
+    distinct = set(oracle_index(family, higher_kind))
+    name = f"{higher_kind.lower().replace('_', '-')}-all-distinct"
+    check(name, len(distinct) == count, distinct_oracles=len(distinct))
+
+    obs_dists = {data: parse(data).components[0][1] for data in set(obs)}
     round_trips = 0
     marginals_ok = True
     embeddings_ok = True
-    for param in family.parameters():
-        count += 1
-        scm = family.build(param)
-        obs_oracle = compute_oracle(scm, OBS)
-        int1 = compute_oracle(scm, INT1)
-        cf1 = compute_oracle(scm, CF1)
-        obs_set.add(serialize(obs_oracle))
-        int1_set.add(serialize(int1))
-        if decoder(int1) == param:
+    for param, obs_data, int1_data, cf1_data in zip(family.parameters(), obs, int1, cf1):
+        parsed = {INT1: parse(int1_data), CF1: parse(cf1_data)}
+        if decoder(parsed[decoder_kind]) == param:
             round_trips += 1
         marginals_ok &= _marginal_consistency(
-            scm.n, obs_oracle.components[0][1], int1, cf1
+            n, obs_dists[obs_data], parsed[INT1], parsed[CF1]
         )
-        embeddings_ok &= _obs_embedding(obs_oracle, int1)
-    return [
-        CheckResult(
-            "observational-identical",
-            obs_set == {expected_obs},
-            {"parameters": count, "distinct_laws": len(obs_set)},
-        ),
-        CheckResult(
-            "int1-all-distinct",
-            len(int1_set) == count,
-            {"parameters": count, "distinct_oracles": len(int1_set)},
-        ),
-        CheckResult(
-            "decoder-round-trip",
-            round_trips == count,
-            {"parameters": count, "recovered": round_trips},
-        ),
-        CheckResult(
-            "counterfactual-marginal-consistency",
-            marginals_ok,
-            {"parameters": count},
-        ),
-        CheckResult(
-            "observational-component-embeds",
-            embeddings_ok,
-            {"parameters": count},
-        ),
-    ]
-
-
-def _verify_xor(family: Family) -> list[CheckResult]:
-    expected_obs = obs_bytes(expected_uniform(family.n_vars()))
-    obs_set: set[bytes] = set()
-    int1_set: set[bytes] = set()
-    int_all_set: set[bytes] = set()
-    cf1_set: set[bytes] = set()
-    count = 0
-    round_trips = 0
-    marginals_ok = True
-    embeddings_ok = True
-    for hidden in family.parameters():
-        count += 1
-        scm = family.build(hidden)
-        obs_oracle = compute_oracle(scm, OBS)
-        int1 = compute_oracle(scm, INT1)
-        cf1 = compute_oracle(scm, CF1)
-        obs_set.add(serialize(obs_oracle))
-        int1_set.add(serialize(int1))
-        int_all_set.add(serialize(compute_oracle(scm, INT_ALL)))
-        cf1_set.add(serialize(cf1))
-        if string_from_cf1(cf1) == hidden:
-            round_trips += 1
-        marginals_ok &= _marginal_consistency(
-            scm.n, obs_oracle.components[0][1], int1, cf1
-        )
-        embeddings_ok &= _obs_embedding(obs_oracle, int1)
-    return [
-        CheckResult(
-            "observational-identical-uniform",
-            obs_set == {expected_obs},
-            {"parameters": count, "distinct_laws": len(obs_set)},
-        ),
-        CheckResult(
-            "int1-identical",
-            len(int1_set) == 1,
-            {"parameters": count, "distinct_oracles": len(int1_set)},
-        ),
-        CheckResult(
-            "int-all-identical",
-            len(int_all_set) == 1,
-            {"parameters": count, "distinct_oracles": len(int_all_set)},
-        ),
-        CheckResult(
-            "cf1-all-distinct",
-            len(cf1_set) == count,
-            {"parameters": count, "distinct_oracles": len(cf1_set)},
-        ),
-        CheckResult(
-            "decoder-round-trip",
-            round_trips == count,
-            {"parameters": count, "recovered": round_trips},
-        ),
-        CheckResult(
-            "counterfactual-marginal-consistency",
-            marginals_ok,
-            {"parameters": count},
-        ),
-        CheckResult(
-            "observational-component-embeds",
-            embeddings_ok,
-            {"parameters": count},
-        ),
-    ]
+        embeddings_ok &= _obs_embeds(obs_data, int1_data)
+    check("decoder-round-trip", round_trips == count, recovered=round_trips)
+    check("counterfactual-marginal-consistency", marginals_ok)
+    check("observational-component-embeds", embeddings_ok)
+    return results
 
 
 def all_passed(results: list[CheckResult]) -> bool:

@@ -2,9 +2,10 @@
 
 import pytest
 
+from scmlab import Family, separation_table, verify_family
 from scmlab.caps import all_caps, cap
 from scmlab.cli import main
-from scmlab.errors import BadRangeError
+from scmlab.errors import BadRangeError, NTooLargeError
 
 
 def test_default_and_override(monkeypatch):
@@ -32,3 +33,13 @@ def test_cli_exits_2_on_bad_override(monkeypatch, capfd, raw):
     monkeypatch.setenv("SCMLAB_TREE_NMAX", raw)
     assert main(["verify", "--family", "tree", "--n", "3"]) == 2
     assert "error[BAD_RANGE]" in capfd.readouterr().err
+
+
+def test_lowered_cap_refuses_a_cached_family(monkeypatch):
+    family = Family("tree", 3)
+    assert separation_table(family)[0].ambiguity_count == 9
+    monkeypatch.setenv("SCMLAB_TREE_NMAX", "2")
+    with pytest.raises(NTooLargeError):
+        separation_table(family)
+    with pytest.raises(NTooLargeError):
+        verify_family(family)

@@ -1,10 +1,14 @@
 """End-to-end command-line checks: exit codes, formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import scmlab
 
 from scmlab import (
     HiddenString,
@@ -17,6 +21,7 @@ from scmlab import (
     scm_from_json,
     serialize,
 )
+from scmlab import cli, errors
 from scmlab.cli import main
 
 
@@ -304,10 +309,66 @@ class TestParserBasics:
         assert excinfo.value.code == 2
 
     def test_module_entry_point(self):
+        # the child imports the same package as this process, also when
+        # pytest's `pythonpath` setting is what put it on sys.path
+        src = str(Path(scmlab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "scmlab.cli", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert f"scmlab {__version__}" in proc.stdout
+
+
+# the exit code of every package error, written out so that a new error
+# class has to be given its code on purpose
+EXIT_CODES = {
+    "NTooLargeError": 3,
+    "MTooLargeError": 3,
+    "SupportTooLargeError": 3,
+    "OracleDecodeError": 2,
+    "NotTreeLikeError": 2,
+    "AmbiguousParentError": 2,
+    "NotBipartiteLikeError": 2,
+    "NotXorLikeError": 2,
+    "OracleFormatError": 2,
+    "InvalidScmError": 2,
+    "InvalidTreeError": 2,
+    "InvalidSequenceError": 2,
+    "LengthMismatchError": 2,
+    "KindMismatchError": 2,
+    "BadRangeError": 2,
+    "BadPositionError": 2,
+    "NotMemberError": 2,
+    "ScmLabError": 1,
+    "CycleError": 1,
+    "ArityMismatchError": 1,
+}
+
+
+def _error_classes(cls=errors.ScmLabError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+class TestExitCodes:
+    def test_every_error_class_is_mapped(self):
+        assert sorted(cls.__name__ for cls in _error_classes()) == sorted(EXIT_CODES)
+
+    @pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda c: c.__name__)
+    def test_main_returns_the_class_exit_code(self, cls, monkeypatch, capfd):
+        exc = cls(["boom"]) if cls is errors.InvalidScmError else cls("boom")
+
+        def raising(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_verify", raising)
+        code, out, err = run_cli("verify", "--family", "tree", "--n", "2", capfd=capfd)
+        assert cls.exit_code == EXIT_CODES[cls.__name__]
+        assert code == EXIT_CODES[cls.__name__]
+        assert out == ""
+        assert err == f"error[{cls.code}]: boom\n"

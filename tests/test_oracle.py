@@ -1,6 +1,7 @@
 """Oracle computation, the canonical byte grammar, and the metrics."""
 
 import itertools
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,11 +28,15 @@ from scmlab import (
     d_int,
     extract_obs,
     marginal,
+    oracle_index,
     parse,
+    separation_table,
     serialize,
     tv,
+    verify_family,
 )
 from scmlab import gates
+from scmlab import oracle as oracle_module
 from scmlab.errors import (
     BadPositionError,
     KindMismatchError,
@@ -359,6 +364,63 @@ class TestDInt:
         oracles = [compute_oracle(family.build(s), INT1) for s in family.parameters()]
         for a, b in itertools.combinations(oracles, 2):
             assert d_int(a, b) == 0
+
+    def test_component_count_mismatch(self):
+        # cut to its obs component, `other` agrees with `a` on every
+        # component the two share, so only the count tells them apart
+        family = Family("bipartite", 1)
+        a, other = [compute_oracle(family.build(g), INT1) for g in family.parameters()]
+        cut = AnswerOracle(INT1, other.n, other.components[:1])
+        assert d_int(a, other) == HALF
+        with pytest.raises(LengthMismatchError):
+            d_int(a, cut)
+        with pytest.raises(LengthMismatchError):
+            d_int(cut, a)
+
+
+class TestOracleIndex:
+    @pytest.fixture(autouse=True)
+    def cold_index(self):
+        oracle_module._cached_index.cache_clear()
+        yield
+        oracle_module._cached_index.cache_clear()
+
+    @pytest.mark.parametrize(
+        "family",
+        [Family("tree", 3), Family("bipartite", 2), Family("xor", 2)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("kind", [OBS, INT1, CF1, INT_ALL])
+    def test_entries_match_direct_computation(self, family, kind):
+        index = oracle_index(family, kind)
+        params = list(family.parameters())
+        assert len(index) == len(params)
+        for data, param in zip(index, params):
+            assert data == serialize(compute_oracle(family.build(param), kind))
+        for a, b in itertools.combinations(index, 2):
+            if a == b:
+                assert a is b
+
+    def test_memoized(self):
+        family = Family("tree", 3)
+        assert oracle_index(family, INT1) is oracle_index(family, INT1)
+
+    def test_xor_int_all_computed_once_across_verify_and_gaps(self, monkeypatch):
+        calls = []
+
+        def counting(scm, kind, *args, **kwargs):
+            calls.append(kind)
+            return compute_oracle(scm, kind, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("scmlab") and getattr(
+                module, "compute_oracle", None
+            ) is compute_oracle:
+                monkeypatch.setattr(module, "compute_oracle", counting)
+        family = Family("xor", 2)
+        verify_family(family)
+        separation_table(family)
+        assert calls.count(INT_ALL) == 4
 
 
 class TestMarginal:
