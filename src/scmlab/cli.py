@@ -98,25 +98,9 @@ def _gap_rows_csv(rows) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(GAP_CSV_COLUMNS)
     for row in rows:
-        writer.writerow(
-            [
-                row.family,
-                row.size_param,
-                row.n,
-                row.lower_kind,
-                row.higher_kind,
-                row.ambiguity_count,
-                repr(row.log2_ambiguity),
-                row.encoder_bits,
-                repr(row.entropy_bits),
-                "" if row.min_pairwise_d_int is None else frac_str(row.min_pairwise_d_int),
-            ]
-        )
+        values = [getattr(row, column) for column in GAP_CSV_COLUMNS]
+        writer.writerow([frac_str(v) if isinstance(v, Fraction) else v for v in values])
     return buffer.getvalue()
-
-
-def _family_from_args(args) -> Family:
-    return Family(args.family, args.size)
 
 
 def _load_param(args):
@@ -126,7 +110,7 @@ def _load_param(args):
 
 
 def _cmd_verify(args) -> int:
-    family = _family_from_args(args)
+    family = Family(args.family, args.size)
     results = verify_family(family)
     config = {"family": family.kind, "size": family.size, "n": family.n_vars()}
     _write(args.out, _envelope("verify", config, results).encode("ascii"))
@@ -134,7 +118,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gaps(args) -> int:
-    family = _family_from_args(args)
+    family = Family(args.family, args.size)
     rows = separation_table(family, args.lower, args.higher)
     if args.format == "csv":
         _write(args.out, _gap_rows_csv(rows).encode("ascii"))
@@ -171,14 +155,6 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_nfl(args) -> int:
-    report = run_nfl(
-        m=args.size,
-        n_samples=args.n_samples,
-        learner_id=args.learner,
-        mode=args.mode,
-        trials=args.trials,
-        seed=args.seed,
-    )
     config = {
         "m": args.size,
         "n_samples": args.n_samples,
@@ -187,12 +163,14 @@ def _cmd_nfl(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
     }
+    # the config echoes run_nfl's arguments in its parameter order
+    report = run_nfl(*config.values())
     _write(args.out, _envelope("nfl", config, report).encode("ascii"))
     return 0
 
 
 def _cmd_dump_oracle(args) -> int:
-    family = _family_from_args(args)
+    family = Family(args.family, args.size)
     param = _load_param(args)
     oracle = compute_oracle(family.build(param), args.kind)
     _write(args.out, serialize(oracle))
@@ -200,7 +178,7 @@ def _cmd_dump_oracle(args) -> int:
 
 
 def _cmd_dump_scm(args) -> int:
-    family = _family_from_args(args)
+    family = Family(args.family, args.size)
     param = _load_param(args)
     doc = scm_to_json(family.build(param))
     _write(args.out, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii"))

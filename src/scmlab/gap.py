@@ -146,6 +146,12 @@ def ambiguity_classes(
 ) -> AmbiguityReport:
     """Exhaustively measure what the lower rung leaves undetermined."""
     groups = _grouped(family, lower_kind, higher_kind)
+    return _ambiguity_report(family, lower_kind, higher_kind, groups)
+
+
+def _ambiguity_report(
+    family: Family, lower_kind: str, higher_kind: str, groups
+) -> AmbiguityReport:
     classes = []
     total = 0
     for lower_bytes, inner in groups.items():
@@ -171,7 +177,10 @@ def conditional_entropy_uniform(
     a class size is a power of two and its higher values are all distinct
     (every family here), the answer is the exact integer log.
     """
-    groups = _grouped(family, lower_kind, higher_kind)
+    return _entropy(_grouped(family, lower_kind, higher_kind))
+
+
+def _entropy(groups) -> float:
     total = sum(sum(inner.values()) for inner in groups.values())
     entropy = 0.0
     for inner in groups.values():
@@ -305,10 +314,11 @@ def separation_table(
     """
     if lower_kind is None or higher_kind is None:
         lower_kind, higher_kind = DEFAULT_RUNGS[family.kind]
-    report = ambiguity_classes(family, lower_kind, higher_kind)
+    groups = _grouped(family, lower_kind, higher_kind)
+    report = _ambiguity_report(family, lower_kind, higher_kind, groups)
     ambiguity = report.max_distinct_higher()
     encoder_bits = family_encoder_bits(family)
-    entropy = conditional_entropy_uniform(family, lower_kind, higher_kind)
+    entropy = _entropy(groups)
     log2_ambiguity = math.log2(ambiguity)
     slack: float | None = None
     if family.kind == TREE:

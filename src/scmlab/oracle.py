@@ -140,15 +140,24 @@ def oracle_index(family: Family, kind: str) -> tuple[bytes, ...]:
     """Serialized `kind` oracle of every member of `family`, in
     `family.parameters()` order; equal oracles share one bytes object.
 
-    The one place family oracles are computed for grouping. Memoized per
-    snapshot of the active caps, so a lowered cap refuses a cached family
-    just as it refuses a new one.
+    The one place family oracles are computed for grouping. INT_ALL
+    indexes (3^n components per oracle; seconds for xor m=4) are memoized
+    per snapshot of the active caps, so a lowered cap refuses a cached
+    family just as it refuses a new one. The other kinds cost a fraction
+    of a second per family and are computed on every call, so no call's
+    cost depends on which calls came before it.
     """
-    return _cached_index(family, kind, tuple(all_caps().items()))
+    if kind == INT_ALL:
+        return _cached_index(family, kind, tuple(all_caps().items()))
+    return _index(family, kind)
 
 
 @lru_cache(maxsize=16)
 def _cached_index(family: Family, kind: str, caps) -> tuple[bytes, ...]:
+    return _index(family, kind)
+
+
+def _index(family: Family, kind: str) -> tuple[bytes, ...]:
     shared: dict[bytes, bytes] = {}
     oracles = (
         serialize(compute_oracle(family.build(param), kind))

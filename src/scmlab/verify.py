@@ -11,8 +11,8 @@ passes on every parameter.
 One table drives every family: its expected observational law, the
 kinds that must be identical beyond the rung pair in
 `gap.DEFAULT_RUNGS`, and (from `decoders.DECODERS`) its decoder. All
-oracle bytes come from `oracle.oracle_index`, so the suite shares its
-enumeration with the gap tables.
+oracle bytes come from `oracle.oracle_index`, one read per kind, so the
+suite shares its INT_ALL enumeration with the gap tables.
 """
 
 from __future__ import annotations
@@ -84,7 +84,9 @@ def verify_family(family: Family) -> list[CheckResult]:
     lower_kind, higher_kind = DEFAULT_RUNGS[family.kind]
     decoder_kind, decoder = DECODERS[family.kind]
     n = family.n_vars()
-    obs, int1, cf1 = (oracle_index(family, kind) for kind in (OBS, INT1, CF1))
+    kinds = (OBS, INT1, CF1, *also_identical, lower_kind, higher_kind)
+    index = {kind: oracle_index(family, kind) for kind in dict.fromkeys(kinds)}
+    obs, int1, cf1 = index[OBS], index[INT1], index[CF1]
     count = len(obs)
     results = []
 
@@ -92,14 +94,14 @@ def verify_family(family: Family) -> list[CheckResult]:
         results.append(CheckResult(name, passed, {"parameters": count, **details}))
 
     for kind in (*also_identical, lower_kind):
-        distinct = set(oracle_index(family, kind))
+        distinct = set(index[kind])
         if kind == OBS:
             expected = serialize(AnswerOracle(OBS, n, (("obs", obs_law(n)),)))
             check(obs_check, distinct == {expected}, distinct_laws=len(distinct))
         else:
             name = f"{kind.lower().replace('_', '-')}-identical"
             check(name, len(distinct) == 1, distinct_oracles=len(distinct))
-    distinct = set(oracle_index(family, higher_kind))
+    distinct = set(index[higher_kind])
     name = f"{higher_kind.lower().replace('_', '-')}-all-distinct"
     check(name, len(distinct) == count, distinct_oracles=len(distinct))
 

@@ -43,3 +43,13 @@ def test_lowered_cap_refuses_a_cached_family(monkeypatch):
         separation_table(family)
     with pytest.raises(NTooLargeError):
         verify_family(family)
+
+
+def test_lowered_cap_refuses_a_memoized_int_all_index(monkeypatch):
+    family = Family("xor", 2)
+    assert separation_table(family)[0].ambiguity_count == 4
+    monkeypatch.setenv("SCMLAB_INTALL_NMAX", "2")
+    with pytest.raises(NTooLargeError):
+        separation_table(family)
+    with pytest.raises(NTooLargeError):
+        verify_family(family)

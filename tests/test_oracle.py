@@ -401,11 +401,12 @@ class TestOracleIndex:
             if a == b:
                 assert a is b
 
-    def test_memoized(self):
-        family = Family("tree", 3)
-        assert oracle_index(family, INT1) is oracle_index(family, INT1)
+    def test_int_all_memoized(self):
+        family = Family("xor", 2)
+        assert oracle_index(family, INT_ALL) is oracle_index(family, INT_ALL)
 
-    def test_xor_int_all_computed_once_across_verify_and_gaps(self, monkeypatch):
+    @staticmethod
+    def _count_computations(monkeypatch) -> list:
         calls = []
 
         def counting(scm, kind, *args, **kwargs):
@@ -417,10 +418,26 @@ class TestOracleIndex:
                 module, "compute_oracle", None
             ) is compute_oracle:
                 monkeypatch.setattr(module, "compute_oracle", counting)
+        return calls
+
+    def test_xor_int_all_computed_once_across_verify_and_gaps(self, monkeypatch):
+        calls = self._count_computations(monkeypatch)
         family = Family("xor", 2)
         verify_family(family)
         separation_table(family)
         assert calls.count(INT_ALL) == 4
+
+    @pytest.mark.parametrize("family", [Family("tree", 3), Family("bipartite", 2)], ids=str)
+    def test_separation_work_does_not_depend_on_earlier_calls(self, family, monkeypatch):
+        # the gap table computes the same oracles cold and after a verify
+        calls = self._count_computations(monkeypatch)
+        separation_table(family)
+        cold = list(calls)
+        verify_family(family)
+        calls.clear()
+        separation_table(family)
+        members = len(list(family.parameters()))
+        assert calls == cold == [OBS] * members + [INT1] * members
 
 
 class TestMarginal:
