@@ -12,6 +12,9 @@ Randomness discipline: one master seed; every stream is derived as
 sha256(master, stream-label, trial-index), so graph choice, data, and
 learner randomness are independent and each trial is reproducible in
 isolation. The underlying generator is recorded in every report.
+Monte-Carlo episodes read each graph's INT1 oracle, its bytes and the
+integer CDF of its observational law from one memo per graph and cap
+snapshot, so an episode costs its seeded draws and a few lookups.
 """
 
 from __future__ import annotations
@@ -19,17 +22,19 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .caps import cap
+from .caps import all_caps, cap
 from .errors import BadRangeError, MTooLargeError, ScmLabError
 from .families import BIPARTITE, Family, graph_of_mask
-from .oracle import INT1, OBS, AnswerOracle, compute_oracle, oracle_index, serialize
+from .oracle import INT1, OBS, AnswerOracle, compute_oracle, oracle_index, parse, serialize
 from .rational import HALF, ONE, ZERO
-from .scm_core import Intervention, NoiseDist, Mechanism, Scm, interventional, observational
+from .scm_core import ExactDist, NoiseDist, Mechanism, Scm, observational
 from . import gates
 
 PRNG_ID = "mt19937+sha256-stream"
@@ -54,6 +59,38 @@ class Dataset:
     source: str
 
 
+class _Sampler(NamedTuple):
+    """Integer inverse CDF of one exact law: a uniform draw below
+    `denominator` (the lcm of the mass denominators) picks the first
+    outcome whose cumulative numerator exceeds it."""
+
+    outcomes: tuple[str, ...]
+    cumulative: tuple[int, ...]
+    denominator: int
+
+
+def _sampler(dist: ExactDist) -> _Sampler:
+    outcomes = dist.outcomes()
+    masses = [dist.mass[o] for o in outcomes]
+    denominator = math.lcm(*(w.denominator for w in masses))
+    cumulative = []
+    running = 0
+    for w in masses:
+        running += w.numerator * (denominator // w.denominator)
+        cumulative.append(running)
+    return _Sampler(tuple(outcomes), tuple(cumulative), denominator)
+
+
+def _draw(sampler: _Sampler, count: int, seed: int) -> tuple[str, ...]:
+    """`count` rows, one `randrange(denominator)` each from the mt19937
+    stream seeded with `seed`."""
+    outcomes, cumulative, denominator = sampler
+    randrange = random.Random(seed).randrange
+    return tuple(
+        [outcomes[bisect_right(cumulative, randrange(denominator))] for _ in range(count)]
+    )
+
+
 def sample_obs(scm: Scm, count: int, seed: int, source: str = "scm") -> Dataset:
     """Draw `count` i.i.d. rows from the exact observational law.
 
@@ -63,34 +100,29 @@ def sample_obs(scm: Scm, count: int, seed: int, source: str = "scm") -> Dataset:
     """
     if count < 0:
         raise BadRangeError(f"count must be nonnegative, got {count}")
-    dist = observational(scm)
-    outcomes = dist.outcomes()
-    denominator = math.lcm(*(dist.mass[o].denominator for o in outcomes))
-    cumulative = []
-    running = 0
-    for o in outcomes:
-        running += dist.mass[o].numerator * (denominator // dist.mass[o].denominator)
-        cumulative.append(running)
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(count):
-        draw = rng.randrange(denominator)
-        for o, bound in zip(outcomes, cumulative):
-            if draw < bound:
-                rows.append(o)
-                break
-    return Dataset(scm.n, tuple(rows), seed, source)
+    return Dataset(scm.n, _draw(_sampler(observational(scm)), count, seed), seed, source)
 
 
-@lru_cache(maxsize=None)
-def _graph_oracle(m: int, mask: int) -> AnswerOracle:
-    """INT1 oracle for the graph with adjacency mask `mask` (frozen, shared)."""
-    return compute_oracle(Family(BIPARTITE, m).build(graph_of_mask(m, mask)), INT1)
+def _caps() -> tuple:
+    """Snapshot of the active caps, the key every Monte-Carlo memo is
+    read under, so a lowered cap refuses a graph or fit computed before."""
+    return tuple(all_caps().items())
 
 
-@lru_cache(maxsize=None)
-def _graph_oracle_bytes(m: int, mask: int) -> bytes:
-    return serialize(_graph_oracle(m, mask))
+class _Graph(NamedTuple):
+    """What episodes read of one layer graph, computed from its own SCM:
+    its INT1 oracle, the oracle's bytes (the truth a prediction must
+    equal) and a sampler of the oracle's obs component."""
+
+    oracle: AnswerOracle
+    data: bytes
+    sampler: _Sampler
+
+
+@lru_cache(maxsize=1024)  # every graph up to m=3 (2 + 16 + 512)
+def _graph(m: int, mask: int, caps) -> _Graph:
+    oracle = compute_oracle(Family(BIPARTITE, m).build(graph_of_mask(m, mask)), INT1)
+    return _Graph(oracle, serialize(oracle), _sampler(oracle.component("obs")))
 
 
 def _int1_counts(m: int) -> Counter:
@@ -98,34 +130,47 @@ def _int1_counts(m: int) -> Counter:
     return Counter(oracle_index(Family(BIPARTITE, m), INT1))
 
 
-def _independent_fit_oracle(dataset: Dataset) -> AnswerOracle:
-    """INT1 oracle of the independent product model fitted to the rows.
+def _independent_fit_oracle(n: int, count: int, ones: tuple[int, ...]) -> AnswerOracle:
+    """INT1 oracle of the independent product model fitted to `count`
+    rows in which variable i is 1 `ones[i]` times.
 
     Each variable gets a source mechanism at its empirical frequency
     (exactly 1/2 on an empty dataset), so the prediction flows through
     the same oracle pipeline as the truth.
     """
-    n = dataset.n
-    count = len(dataset.rows)
-    mechanisms = []
-    for i in range(n):
-        if count:
-            p = Fraction(sum(1 for row in dataset.rows if row[i] == "1"), count)
-        else:
-            p = HALF
-        mechanisms.append(Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(p)))
-    return compute_oracle(Scm(n, tuple(mechanisms)), INT1)
+    mechanisms = tuple(
+        Mechanism(
+            gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(k, count) if count else HALF)
+        )
+        for k in ones
+    )
+    return compute_oracle(Scm(n, mechanisms), INT1)
 
 
-class UniformGuessLearner:
+@lru_cache(maxsize=256)
+def _independent_fit_bytes(n: int, count: int, ones: tuple[int, ...], caps) -> bytes:
+    """The fit's INT1 bytes by sufficient statistic; episodes and the
+    exact rate both read this memo."""
+    return serialize(_independent_fit_oracle(n, count, ones))
+
+
+class _Learner:
+    """Base of the built-in learners. `predict_bytes` is each learner's
+    one prediction path: the serialized INT1 oracle it predicts, read
+    from memos keyed by the cap snapshot `caps`. `predict` parses it."""
+
+    def predict(self, dataset: Dataset, m: int, rng: random.Random) -> AnswerOracle:
+        return parse(self.predict_bytes(dataset, m, rng, _caps()))
+
+
+class UniformGuessLearner(_Learner):
     """Ignores the data; guesses a graph uniformly from its rng stream."""
 
     id = "uniform-guess"
     stochastic = True
 
-    def predict(self, dataset: Dataset, m: int, rng: random.Random) -> AnswerOracle:
-        mask = rng.randrange(1 << (m * m))
-        return _graph_oracle(m, mask)
+    def predict_bytes(self, dataset: Dataset, m: int, rng: random.Random, caps) -> bytes:
+        return _graph(m, rng.randrange(1 << (m * m)), caps).data
 
     def exact_rate(self, m: int, n_samples: int) -> Fraction:
         # a guess matches a truth exactly when both land in the same class
@@ -134,44 +179,45 @@ class UniformGuessLearner:
         return Fraction(matches, count * count)
 
 
-class ConstantEmptyLearner:
+class ConstantEmptyLearner(_Learner):
     """Always predicts the empty graph."""
 
     id = "constant-empty"
     stochastic = False
 
-    def predict(self, dataset: Dataset, m: int, rng: random.Random) -> AnswerOracle:
-        return _graph_oracle(m, 0)
+    def predict_bytes(self, dataset: Dataset, m: int, rng: random.Random, caps) -> bytes:
+        return _graph(m, 0, caps).data
 
     def exact_rate(self, m: int, n_samples: int) -> Fraction:
         count = 1 << (m * m)
-        return Fraction(_int1_counts(m)[_graph_oracle_bytes(m, 0)], count)
+        return Fraction(_int1_counts(m)[_graph(m, 0, _caps()).data], count)
 
 
-class EmpiricalIndependentLearner:
+class EmpiricalIndependentLearner(_Learner):
     """Fits independent per-variable marginals; predicts that product."""
 
     id = "empirical-independent"
     stochastic = False
 
-    def predict(self, dataset: Dataset, m: int, rng: random.Random) -> AnswerOracle:
-        return _independent_fit_oracle(dataset)
+    def predict_bytes(self, dataset: Dataset, m: int, rng: random.Random, caps) -> bytes:
+        rows = dataset.rows
+        ones = tuple(sum(row[i] == "1" for row in rows) for i in range(dataset.n))
+        return _independent_fit_bytes(dataset.n, len(rows), ones, caps)
 
     def exact_rate(self, m: int, n_samples: int) -> Fraction:
         # Rows are i.i.d. over {all-zeros, all-ones} with probability 1/2
         # each (the one shared observational law), so the dataset's
-        # sufficient statistic is k = number of all-ones rows.
+        # sufficient statistic is k = number of all-ones rows, and each
+        # variable is 1 in exactly k rows.
         count = 1 << (m * m)
         n = 2 * m + 1
         truth_counts = _int1_counts(m)
+        caps = _caps()
         rate = ZERO
         for k in range(n_samples + 1):
-            rows = ("1" * n,) * k + ("0" * n,) * (n_samples - k)
-            dataset = Dataset(n, rows, 0, "sufficient-statistic")
-            predicted = serialize(self.predict(dataset, m, random.Random(0)))
-            matches = truth_counts[predicted]
+            predicted = _independent_fit_bytes(n, n_samples, (k,) * n, caps)
             weight = Fraction(math.comb(n_samples, k), 2**n_samples)
-            rate += weight * Fraction(matches, count)
+            rate += weight * Fraction(truth_counts[predicted], count)
         return rate
 
 
@@ -241,19 +287,17 @@ def run_nfl(
     if seed is None:
         raise BadRangeError("monte-carlo mode needs a seed")
     count = 1 << (m * m)
-    family = Family(BIPARTITE, m)
+    n = 2 * m + 1
+    source = f"bipartite m={m}"
+    caps = _caps()
     successes = 0
     for trial in range(trials):
         graph_rng = random.Random(derive_seed(seed, "graph", trial))
-        mask = graph_rng.randrange(count)
-        truth = _graph_oracle_bytes(m, mask)
-        scm = family.build(graph_of_mask(m, mask))
-        dataset = sample_obs(
-            scm, n_samples, derive_seed(seed, "data", trial), source=f"bipartite m={m}"
-        )
+        graph = _graph(m, graph_rng.randrange(count), caps)
+        data_seed = derive_seed(seed, "data", trial)
+        dataset = Dataset(n, _draw(graph.sampler, n_samples, data_seed), data_seed, source)
         learner_rng = random.Random(derive_seed(seed, "learner", trial))
-        predicted = serialize(learner.predict(dataset, m, learner_rng))
-        if predicted == truth:
+        if learner.predict_bytes(dataset, m, learner_rng, caps) == graph.data:
             successes += 1
     return NflReport(
         m,
@@ -304,22 +348,22 @@ def per_query_error(
         raise BadRangeError(f"unknown mode {mode!r}")
     if trials is None or trials < 1 or seed is None or n_samples is None:
         raise BadRangeError("monte-carlo mode needs n_samples, trials, and a seed")
-    family = Family(BIPARTITE, m)
+    if n_samples < 0:
+        raise BadRangeError(f"count must be nonnegative, got {n_samples}")
     count = 1 << (m * m)
+    n = 2 * m + 1
+    source = f"bipartite m={m}"
+    caps = _caps()
     total = ZERO
     for trial in range(trials):
         episode_rng = random.Random(derive_seed(seed, "query-episode", trial))
-        mask = episode_rng.randrange(count)
+        graph = _graph(m, episode_rng.randrange(count), caps)
         i = episode_rng.randrange(m)
         j = episode_rng.randrange(m)
-        scm = family.build(graph_of_mask(m, mask))
-        dataset = sample_obs(
-            scm, n_samples, derive_seed(seed, "query-data", trial),
-            source=f"bipartite m={m}",
-        )
+        data_seed = derive_seed(seed, "query-data", trial)
+        dataset = Dataset(n, _draw(graph.sampler, n_samples, data_seed), data_seed, source)
         answer = Fraction(predictor(dataset) if callable(predictor) else predictor)
-        truth_dist = interventional(scm, Intervention.of({1 + i: 0}))
-        truth = truth_dist.prob_bit(1 + m + j, 0)
+        truth = graph.oracle.component(f"do i={1 + i} b=0").prob_bit(1 + m + j, 0)
         total += abs(answer - truth)
     return total / trials
 

@@ -1,11 +1,23 @@
 """Cap overrides: a nonnegative integer or a typed refusal."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from scmlab import Family, separation_table, verify_family
+from scmlab import (
+    LEARNERS,
+    MONTE_CARLO,
+    Family,
+    per_query_error,
+    run_nfl,
+    separation_table,
+    verify_family,
+)
 from scmlab.caps import all_caps, cap
 from scmlab.cli import main
-from scmlab.errors import BadRangeError, NTooLargeError
+from scmlab.errors import BadRangeError, NTooLargeError, SupportTooLargeError
+from scmlab.learning import Dataset
 
 
 def test_default_and_override(monkeypatch):
@@ -53,3 +65,23 @@ def test_lowered_cap_refuses_a_memoized_int_all_index(monkeypatch):
         separation_table(family)
     with pytest.raises(NTooLargeError):
         verify_family(family)
+
+
+def test_lowered_cap_refuses_warm_monte_carlo_caches(monkeypatch):
+    def predict():
+        empty = Dataset(3, (), 0, "empty")
+        return LEARNERS["uniform-guess"].predict(empty, 1, random.Random(0))
+
+    def episodes(learner_id):
+        return lambda: run_nfl(1, 2, learner_id, MONTE_CARLO, trials=8, seed=5)
+
+    def query():
+        return per_query_error(1, Fraction(1, 2), MONTE_CARLO, n_samples=2, trials=8, seed=5)
+
+    paths = [predict, query] + [episodes(learner_id) for learner_id in LEARNERS]
+    for path in paths:
+        path()
+    monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "1")
+    for path in paths:
+        with pytest.raises(SupportTooLargeError):
+            path()

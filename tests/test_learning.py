@@ -1,5 +1,7 @@
 """Seeded no-free-lunch measurements and their exact counterparts."""
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -12,20 +14,82 @@ from scmlab import (
     LEARNERS,
     MONTE_CARLO,
     PRNG_ID,
+    INT1,
+    ExactDist,
     Family,
+    Mechanism,
+    NoiseDist,
+    Scm,
     RootedTree,
     build_tree_scm,
+    compute_oracle,
     derive_seed,
     mutual_information_check,
+    observational,
     per_query_error,
     run_nfl,
     sample_obs,
     serialize,
 )
+from scmlab import families, gates, learning, scm_core
+from scmlab.caps import all_caps
 from scmlab.errors import BadRangeError, MTooLargeError
-from scmlab.learning import Dataset, _graph_oracle
+from scmlab.families import graph_of_mask
+from scmlab.learning import Dataset
 
 QUARTER = Fraction(1, 4)
+THIRD = Fraction(1, 3)
+
+# eight outcomes with masses over 36: Bernoulli 1/3 and 3/4 sources, a
+# noisy xor, and an OR whose three-symbol noise the law sums out
+NON_DYADIC = Scm(4, (
+    Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(THIRD)),
+    Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(3, 4))),
+    Mechanism(gates.XOR_NOISE, (0, 1), NoiseDist.bernoulli(THIRD)),
+    Mechanism(gates.OR, (0, 2), NoiseDist((0, 1, 2), (Fraction(1, 6), THIRD, Fraction(1, 2)))),
+))
+
+
+def rows_digest(rows) -> str:
+    return hashlib.sha256("\n".join(rows).encode("ascii")).hexdigest()
+
+
+def scan_rows(dist: ExactDist, count: int, seed: int) -> tuple[str, ...]:
+    """Reference draw: one randrange below the lcm of the denominators per
+    row, then a linear scan for the first cumulative numerator above it."""
+    outcomes = dist.outcomes()
+    denominator = math.lcm(*(dist.mass[o].denominator for o in outcomes))
+    cumulative = []
+    running = 0
+    for o in outcomes:
+        running += dist.mass[o].numerator * (denominator // dist.mass[o].denominator)
+        cumulative.append(running)
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(count):
+        draw = rng.randrange(denominator)
+        for o, bound in zip(outcomes, cumulative):
+            if draw < bound:
+                rows.append(o)
+                break
+    return tuple(rows)
+
+
+@st.composite
+def rational_laws(draw) -> ExactDist:
+    """Positive rational laws on 2 to 8 three-bit outcomes, with weights
+    of unrelated denominators normalised to sum to one."""
+    size = draw(st.integers(2, 8))
+    outcomes = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size, unique=True))
+    weights = [
+        Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 60))) for _ in outcomes
+    ]
+    total = sum(weights)
+    return ExactDist(3, {format(o, "03b"): w / total for o, w in zip(outcomes, weights)})
+
+
+def all_ones_share(dataset: Dataset) -> Fraction:
+    return Fraction(sum(row == "1" * dataset.n for row in dataset.rows), len(dataset.rows))
 
 
 class TestDeriveSeed:
@@ -74,6 +138,33 @@ class TestSampleObs:
         with pytest.raises(BadRangeError):
             sample_obs(self.scm(), -1, seed=0)
 
+    def test_negative_count_is_refused_before_the_law(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the law was computed before the count was checked")
+
+        monkeypatch.setattr(scm_core, "_extend", refuse)
+        monkeypatch.setattr(scm_core, "_dist", refuse)
+        monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "1")
+        with pytest.raises(BadRangeError):
+            sample_obs(NON_DYADIC, -1, seed=0)
+
+    @pytest.mark.parametrize(
+        "seed, count, digest",
+        [
+            (7, 1000, "639ab7fa7ac37f500581e4bc0a795f0415295f8e1c84ff5ddc563b36aa0b4b8c"),
+            (2026, 257, "e6d6be7c37adbf753c349a639c1f459a43a7ca41020b3691b7a99368891d5981"),
+        ],
+    )
+    def test_pinned_rows_on_a_non_dyadic_law(self, seed, count, digest):
+        rows = sample_obs(NON_DYADIC, count, seed).rows
+        assert len(set(rows)) == 8
+        assert rows_digest(rows) == digest
+
+    @given(rational_laws(), st.integers(0, 2**64 - 1), st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_bisect_draw_matches_the_linear_scan(self, law, seed, count):
+        assert learning._draw(learning._sampler(law), count, seed) == scan_rows(law, count, seed)
+
 
 class TestLearnerRegistry:
     def test_ids(self):
@@ -93,7 +184,29 @@ class TestLearnerRegistry:
         learner = LEARNERS["constant-empty"]
         data = Dataset(3, (), 0, "empty")
         oracle = learner.predict(data, 1, random.Random(0))
-        assert serialize(oracle) == serialize(_graph_oracle(1, 0))
+        empty = Family("bipartite", 1).build(graph_of_mask(1, 0))
+        assert serialize(oracle) == serialize(compute_oracle(empty, INT1))
+
+    def test_graph_cache_reads_each_graphs_own_law(self, monkeypatch):
+        # every member shares one law, so give each graph a law of its own
+        # to tell a per-graph computation from one law reused across masks
+        def edge_count_law(graph):
+            source = Mechanism(
+                gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 2 + len(graph.edges)))
+            )
+            return Scm(2 * graph.m + 1, (source,) * (2 * graph.m + 1))
+
+        monkeypatch.setattr(families, "build_bipartite_scm", edge_count_law)
+        caps = tuple(all_caps().items())
+        learning._graph.cache_clear()
+        try:
+            for mask in range(16):
+                scm = edge_count_law(graph_of_mask(2, mask))
+                graph = learning._graph(2, mask, caps)
+                assert graph.data == serialize(compute_oracle(scm, INT1))
+                assert graph.sampler == learning._sampler(observational(scm))
+        finally:
+            learning._graph.cache_clear()
 
 
 class TestExactRates:
@@ -115,6 +228,15 @@ class TestExactRates:
         for learner_id in LEARNERS:
             report = run_nfl(2, 6, learner_id, EXACT)
             assert report.success_rate <= report.bound, learner_id
+
+    def test_exact_rate_and_episodes_share_one_fit_memo(self):
+        fits = learning._independent_fit_bytes
+        fits.cache_clear()
+        run_nfl(2, 4, "empirical-independent", EXACT)
+        assert fits.cache_info().currsize == 5
+        # episode rows are all zeros or all ones, so every fit is one of those five
+        run_nfl(2, 4, "empirical-independent", MONTE_CARLO, trials=30, seed=3)
+        assert fits.cache_info().misses == 5
 
     def test_exact_report_shape(self):
         report = run_nfl(1, 3, "uniform-guess", EXACT)
@@ -157,6 +279,21 @@ class TestMonteCarlo:
             run_nfl(1, -1, "uniform-guess", EXACT)
         with pytest.raises(BadRangeError):
             run_nfl(1, 2, "uniform-guess", "bootstrap")
+
+    @pytest.mark.parametrize(
+        "m, learner_id, trials, successes",
+        [
+            (2, "uniform-guess", 300, 11),
+            (2, "constant-empty", 300, 21),
+            (2, "empirical-independent", 150, 0),
+            (3, "uniform-guess", 3000, 2),
+            (3, "constant-empty", 3000, 4),
+            (3, "empirical-independent", 150, 0),
+        ],
+    )
+    def test_pinned_success_counts(self, m, learner_id, trials, successes):
+        report = run_nfl(m, 3, learner_id, MONTE_CARLO, trials=trials, seed=1018)
+        assert report.successes == successes
 
     def test_m_cap(self):
         with pytest.raises(MTooLargeError):
@@ -204,6 +341,14 @@ class TestPerQueryError:
             seed=11,
         )
         assert error == QUARTER
+
+    @pytest.mark.parametrize(
+        "m, trials, error", [(2, 120, Fraction(17, 48)), (3, 80, Fraction(277, 800))]
+    )
+    def test_mc_pinned_with_a_data_reading_predictor(self, m, trials, error):
+        assert per_query_error(
+            m, all_ones_share, MONTE_CARLO, n_samples=5, trials=trials, seed=31
+        ) == error
 
     def test_exact_rejects_callable(self):
         with pytest.raises(BadRangeError):
