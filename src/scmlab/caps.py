@@ -5,6 +5,7 @@ on one core. Environment variables of the same name override the defaults;
 reports embed the active snapshot so runs stay reproducible.
 """
 
+import math
 import os
 
 from .errors import BadRangeError
@@ -45,3 +46,24 @@ def cap(name: str) -> int:
 def all_caps() -> dict[str, int]:
     """Snapshot of every active cap, for embedding in reports."""
     return {name: cap(name) for name in sorted(_DEFAULTS)}
+
+
+def in_force(name: str, override: int | None, argument: str) -> tuple[int, str]:
+    """The cap in force and how a refusal names it: `argument=value` for an
+    explicit override, else `name=value` from the environment or default."""
+    if override is None:
+        value = cap(name)
+        return value, f"{name}={value}"
+    return override, f"{argument}={override}"
+
+
+def work_text(factors: dict[int, int]) -> str:
+    """A product of powers as a refusal states it: {3: 9} gives
+    "3^9 = 19683" and {2: 5, 3: 2} gives "2^5*3^2 = 288". The value is
+    left out when too long to print."""
+    if not factors:
+        return "1"
+    text = "*".join(f"{base}^{exp}" for base, exp in sorted(factors.items()))
+    if sum(exp * base.bit_length() for base, exp in factors.items()) <= 128:
+        text += f" = {math.prod(base**exp for base, exp in factors.items())}"
+    return text

@@ -18,19 +18,23 @@ equal oracles. The grammar (golden-tested) is
     ...
 
 with component keys "obs", "do i=<i> b=<b>", "cf i=<i>", or
-"do S=<comma list> x=<bits>", mass lines sorted ascending by bit string,
-fractions in lowest terms with an explicit denominator, LF endings, one
-trailing LF, ASCII throughout. parse() is strict and rejects anything
-non-canonical, so serialize(parse(b)) == b.
+"do S=<comma list> x=<bits>", mass lines sorted ascending by bit string
+(empty for a model with no variables), fractions in lowest terms with an
+explicit denominator, LF endings, one trailing LF, ASCII throughout.
+parse() is strict and rejects anything non-canonical, so
+serialize(parse(b)) == b.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NoReturn
 
 from .caps import all_caps
 from .errors import (
@@ -48,7 +52,7 @@ from .scm_core import (
     all_interventions,
     cf1,
     int1,
-    int_all,
+    int_all_laws,
     observational,
 )
 
@@ -81,23 +85,46 @@ def intervention_key(iv: Intervention) -> str:
     return f"do S={targets} x={bits}"
 
 
-def _expected_keys(kind: str, n: int):
-    """Yield the exact component-key sequence the grammar demands."""
+# A table takes about 230 bytes per component (13 MiB at n=10), so one for
+# n=12, the default INT_ALL cap, takes about 120 MiB: only a few are cached.
+@lru_cache(maxsize=4)
+def _int_all_table(n: int) -> tuple[tuple[tuple, str], ...]:
+    """The (`Intervention.assignments`, `intervention_key`) pair of each of
+    the 3^n INT_ALL components on n variables, in `all_interventions`
+    order, built without Intervention objects.
+
+    `compute_oracle` reads the kernel's laws through it and `parse` walks
+    its keys. Each target set's part of the key is rendered once, and the
+    assignments share one (variable, bit) pair object per variable and bit.
+    """
+    pairs = [((v, 0), (v, 1)) for v in range(n)]
+    table = []
+    for k in range(n + 1):
+        for subset in itertools.combinations(range(n), k):
+            head = f"do S={','.join(map(str, subset))} x="
+            for assignments, bits in zip(
+                itertools.product(*[pairs[v] for v in subset]),
+                itertools.product("01", repeat=k),
+            ):
+                table.append((assignments, head + "".join(bits)))
+    return tuple(table)
+
+
+def _expected_keys(kind: str, n: int, count: int):
+    """Iterate the exact component-key sequence the grammar demands of an
+    input with `count` components."""
     if kind == OBS:
-        yield "obs"
-    elif kind == INT1:
-        yield "obs"
-        for i in range(n):
-            for b in (0, 1):
-                yield f"do i={i} b={b}"
-    elif kind == CF1:
-        for i in range(n):
-            yield f"cf i={i}"
-    elif kind == INT_ALL:
-        for iv in all_interventions(n):
-            yield intervention_key(iv)
-    else:
-        raise KindMismatchError(f"unknown oracle kind {kind!r}")
+        return iter(("obs",))
+    if kind == INT1:
+        return iter(["obs"] + [f"do i={i} b={b}" for i in range(n) for b in (0, 1)])
+    if kind == CF1:
+        return iter([f"cf i={i}" for i in range(n)])
+    if kind == INT_ALL:
+        if n < count.bit_length() and 3**n == count:
+            return (key for _, key in _int_all_table(n))
+        # malformed: walk lazily, never building 3^n keys for a large n
+        return map(intervention_key, all_interventions(n))
+    raise KindMismatchError(f"unknown oracle kind {kind!r}")
 
 
 def component_bits(kind: str, n: int) -> int:
@@ -127,10 +154,8 @@ def compute_oracle(
             (f"cf i={i}", dist) for i, dist in enumerate(cf1(scm, support_cap))
         ]
     elif kind == INT_ALL:
-        components = [
-            (intervention_key(iv), dist)
-            for iv, dist in int_all(scm, n_cap, support_cap)
-        ]
+        laws = int_all_laws(scm, n_cap, support_cap)
+        components = [(key, laws[a]) for a, key in _int_all_table(scm.n)]
     else:
         raise KindMismatchError(f"unknown oracle kind {kind!r}")
     return AnswerOracle(kind, scm.n, tuple(components))
@@ -167,28 +192,54 @@ def _index(family: Family, kind: str) -> tuple[bytes, ...]:
 
 
 def serialize(oracle: AnswerOracle) -> bytes:
-    """Canonical bytes; equal oracles give equal bytes and vice versa."""
-    lines = [f"{oracle.kind} n={oracle.n}"]
+    """Canonical bytes; equal oracles give equal bytes and vice versa.
+
+    Each distinct mass object is rendered once. The kernel and `parse`
+    share one Fraction per value, so the memo is keyed by identity
+    (hashing a Fraction costs more than rendering it). It lives only for
+    this call, while the oracle keeps every mass alive, so no id is reused.
+    """
+    tails: dict[int, str] = {}  # id of a mass -> "=num/den\n"
+    parts = [f"{oracle.kind} n={oracle.n}\n"]
+    append = parts.append
     for key, dist in oracle.components:
-        lines.append(f"#{key}")
-        for outcome in sorted(dist.mass):
-            lines.append(f"{outcome}={frac_str(dist.mass[outcome])}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+        append(f"#{key}\n")
+        mass = dist.mass
+        for outcome in sorted(mass):
+            weight = mass[outcome]
+            tail = tails.get(id(weight))
+            if tail is None:
+                tail = tails[id(weight)] = f"={frac_str(weight)}\n"
+            append(outcome)
+            append(tail)
+    return "".join(parts).encode("ascii")
 
 
 _HEADER_RE = re.compile(r"(OBS|INT1|CF1|INT_ALL) n=(0|[1-9][0-9]*)")
-# no leading zeros and no zero mass, so each line has one spelling
-_MASS_RE = re.compile(r"([01]+)=([1-9][0-9]*/[1-9][0-9]*)")
+# no leading zeros and no zero mass, so each line has one spelling; the
+# outcome is empty only in an oracle of n=0
+_MASS = "[1-9][0-9]*/[1-9][0-9]*"
+_MASS_RE = re.compile(f"([01]*)=({_MASS})")
+
+
+@lru_cache(maxsize=32)
+def _block_re(n_bits: int) -> re.Pattern:
+    """One or more mass lines of width `n_bits`, joined by LF."""
+    line = f"[01]{{{n_bits}}}={_MASS}"
+    return re.compile(f"{line}(?:\n{line})*")
 
 
 def parse(data: bytes) -> AnswerOracle:
     """Strict inverse of serialize; raises OracleFormatError on anything
     that is not the canonical encoding of some oracle.
 
-    Every mass is checked in integers: lowest terms once per distinct
-    fraction text, and each component's sum against 1 as one running sum
-    over the lcm of its denominators. The distributions are then built
-    without re-validation.
+    Each component's mass lines are checked as one block by a regex for
+    the oracle's outcome width, then for strictly ascending outcomes.
+    Masses are checked in integers: lowest terms once per distinct
+    fraction text, and each component's sum against 1 over its distinct
+    texts weighted by their counts. Only a block that fails is scanned
+    line by line, so the error names the offending line. The
+    distributions are built without re-validation.
     """
     try:
         text = data.decode("ascii")
@@ -205,52 +256,76 @@ def parse(data: bytes) -> AnswerOracle:
         raise OracleFormatError(f"mass line {stray[0]!r} before any component header")
     kind, n = header.group(1), int(header.group(2))
     n_bits = component_bits(kind, n)
-    expected = _expected_keys(kind, n)
-    mass_line = _MASS_RE.fullmatch
+    expected = _expected_keys(kind, n, len(blocks))
+    # an outcome wider than the whole input fits no line, so capping the
+    # width keeps the regex small under a huge header n
+    block_match = _block_re(min(n_bits, len(text))).fullmatch
     fractions: dict[str, Fraction] = {}
+    # components repeat a few dozen sequences of mass texts, so each
+    # sequence is checked once
+    checked: dict[tuple[str, ...], list[Fraction]] = {}
     components = []
     for block in blocks:
-        key, *lines = block.split("\n")
+        key, _, body = block.partition("\n")
         want = next(expected, None)
         if key != want:
             raise OracleFormatError(f"component key {key!r} where {want!r} was expected")
-        mass: dict[str, Fraction] = {}
-        previous = ""
-        total_num, total_den = 0, 1
-        for line in lines:
-            match = mass_line(line)
-            if not match:
-                raise OracleFormatError(f"bad mass line {line!r}")
-            outcome, frac_text = match.groups()
-            if len(outcome) != n_bits:
-                raise OracleFormatError(
-                    f"outcome {outcome!r} has length {len(outcome)}, expected {n_bits}"
-                )
-            if not previous < outcome:
-                raise OracleFormatError(
-                    f"outcome {outcome!r} out of order after {previous!r}"
-                )
-            previous = outcome
-            weight = fractions.get(frac_text)
-            if weight is None:
-                weight = fractions[frac_text] = frac_parse(frac_text)
-            mass[outcome] = weight
-            den = weight.denominator
-            if den != total_den:
-                common = math.lcm(total_den, den)
-                total_num *= common // total_den
-                total_den = common
-            total_num += weight.numerator * (total_den // den)
-        if total_num != total_den:
-            raise OracleFormatError(
-                f"component {key!r}: masses sum to "
-                f"{Fraction(total_num, total_den)}, expected 1"
-            )
-        components.append((key, ExactDist._trusted(n_bits, mass)))
+        if not block_match(body):
+            _reject_lines(key, block.split("\n")[1:], n_bits)
+        cells = body.replace("\n", "=").split("=")
+        outcomes = cells[::2]
+        if not all(map(str.__lt__, outcomes, outcomes[1:])):
+            _reject_lines(key, block.split("\n")[1:], n_bits)
+        mass_texts = tuple(cells[1::2])
+        values = checked.get(mass_texts)
+        if values is None:
+            values = checked[mass_texts] = _check_masses(key, mass_texts, fractions)
+        components.append((key, ExactDist._trusted(n_bits, dict(zip(outcomes, values)))))
     leftover = next(expected, None)
     if leftover is not None:
         raise OracleFormatError(f"missing component {leftover!r}")
     return AnswerOracle(kind, n, tuple(components))
+
+
+def _check_masses(key: str, mass_texts: tuple[str, ...], fractions: dict) -> list[Fraction]:
+    """The masses of one component's fraction texts, checked in integers:
+    lowest terms once per distinct text (`fractions` memoizes them), and
+    their sum against 1 over the distinct texts weighted by their counts."""
+    total_num, total_den = 0, 1
+    for frac_text, count in Counter(mass_texts).items():
+        weight = fractions.get(frac_text)
+        if weight is None:
+            weight = fractions[frac_text] = frac_parse(frac_text)
+        den = weight.denominator
+        if den != total_den:
+            common = math.lcm(total_den, den)
+            total_num *= common // total_den
+            total_den = common
+        total_num += count * weight.numerator * (total_den // den)
+    if total_num != total_den:
+        raise OracleFormatError(
+            f"component {key!r}: masses sum to "
+            f"{Fraction(total_num, total_den)}, expected 1"
+        )
+    return [fractions[frac_text] for frac_text in mass_texts]
+
+
+def _reject_lines(key: str, lines: list[str], n_bits: int) -> NoReturn:
+    """Raise the error of the first mass line that breaks the grammar."""
+    previous = None
+    for line in lines:
+        match = _MASS_RE.fullmatch(line)
+        if not match:
+            raise OracleFormatError(f"bad mass line {line!r}")
+        outcome = match.group(1)
+        if len(outcome) != n_bits:
+            raise OracleFormatError(
+                f"outcome {outcome!r} has length {len(outcome)}, expected {n_bits}"
+            )
+        if previous is not None and not previous < outcome:
+            raise OracleFormatError(f"outcome {outcome!r} out of order after {previous!r}")
+        previous = outcome
+    raise OracleFormatError(f"component {key!r} has no mass lines")
 
 
 def extract_obs(oracle: AnswerOracle) -> AnswerOracle:

@@ -17,12 +17,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import gates
-from .caps import cap
+from .caps import in_force, work_text
 from .errors import (
     BadPositionError,
     CycleError,
@@ -294,14 +295,17 @@ def _compile(scm: Scm, support_cap: int | None) -> _Plan:
     support, parent or noise index out of range), ValueError (unknown
     gate, non-bit symbol read as a bit) or ArityMismatchError.
     """
-    limit = cap("SCMLAB_SUPPORT_CAP") if support_cap is None else support_cap
+    limit, source = in_force("SCMLAB_SUPPORT_CAP", support_cap, "support_cap")
     n = scm.n
     order = topo_order(scm)
     mechanisms = scm.mechanisms
-    total = math.prod([len(m.noise.support) for m in mechanisms])
+    sizes = [len(m.noise.support) for m in mechanisms]
+    total = math.prod(sizes)
     if total > limit:
+        factors = Counter(size for size in sizes if size > 1)
         raise SupportTooLargeError(
-            f"noise support product {total} exceeds cap {limit}"
+            f"noise support product exceeds {source}: refused "
+            f"{work_text(factors)} noise points"
         )
     if total == 0:
         raise IndexError("a noise distribution has an empty support")
@@ -389,16 +393,45 @@ def _scaled(weights: list[int], k: int) -> list[int]:
     return weights if k == 1 else [w * k for w in weights]
 
 
-def _dist(plan: _Plan, n_bits: int, states, weights, den: int) -> ExactDist:
-    """The exact law of the final states, masses inserted in outcome order."""
-    # weights repeat a lot (uniform laws), so build each Fraction once
-    frac = {w: Fraction(w, den) for w in set(weights)}
-    if n_bits == 0:
-        mass = {"": frac[weights[0]]}
-    else:
+class _Memo(dict):
+    """A dict that fills a missing key with `make(key)` and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _Leaves:
+    """Memos shared by the leaves of one kernel pass, which repeat their
+    values and outcomes: one Fraction per distinct (weight, denominator),
+    one outcome string per packed state."""
+
+    def __init__(self, plan: _Plan, n_bits: int):
+        self.n_bits = n_bits
+        self.trusted = plan.exact
         fmt = f"0{n_bits}b"
-        mass = {format(s, fmt): frac[w] for s, w in sorted(zip(states, weights))}
-    return ExactDist._trusted(n_bits, mass) if plan.exact else ExactDist(n_bits, mass)
+        self.names = _Memo(lambda s: format(s, fmt))
+        if n_bits == 0:
+            self.names[0] = ""
+        self.fractions: dict[int, _Memo] = {}
+
+
+def _dist(leaves: _Leaves, states: list[int], weights: list[int], den: int) -> ExactDist:
+    """The exact law of the final states, masses inserted in outcome order."""
+    fractions = leaves.fractions.get(den)
+    if fractions is None:
+        fractions = leaves.fractions[den] = _Memo(lambda w: Fraction(w, den))
+    names = leaves.names
+    mass = {names[s]: fractions[w] for s, w in sorted(zip(states, weights))}
+    if leaves.trusted:
+        return ExactDist._trusted(leaves.n_bits, mass)
+    return ExactDist(leaves.n_bits, mass)
 
 
 def _hard_do_laws(plan: _Plan, max_forced: int) -> dict[tuple, ExactDist]:
@@ -411,11 +444,11 @@ def _hard_do_laws(plan: _Plan, max_forced: int) -> dict[tuple, ExactDist]:
     ExactDist at once and are dropped.
     """
     laws: dict[tuple, ExactDist] = {}
-    _descend(plan, 0, [0], [1], 1, (), max_forced, laws)
+    _descend(plan, 0, [0], [1], 1, (), max_forced, laws, _Leaves(plan, plan.n))
     return laws
 
 
-def _descend(plan, level, states, weights, den, forced, budget, laws) -> None:
+def _descend(plan, level, states, weights, den, forced, budget, laws, leaves) -> None:
     """Run the mechanisms from `level` on, branching off the do() subtries;
     `forced` lists the (variable, bit) pairs forced so far."""
     steps = plan.steps
@@ -423,9 +456,9 @@ def _descend(plan, level, states, weights, den, forced, budget, laws) -> None:
         v, bit, test, mask, invert, branches, step_den = steps[level]
         if budget:
             _descend(plan, level + 1, states, weights, den,
-                     forced + ((v, 0),), budget - 1, laws)
+                     forced + ((v, 0),), budget - 1, laws, leaves)
             _descend(plan, level + 1, [s | bit for s in states], weights, den,
-                     forced + ((v, 1),), budget - 1, laws)
+                     forced + ((v, 1),), budget - 1, laws, leaves)
         if len(branches) == 1:
             ((flip, k),) = branches
             states = _extend(states, test, mask, invert ^ flip, bit)
@@ -440,10 +473,10 @@ def _descend(plan, level, states, weights, den, forced, budget, laws) -> None:
         den *= step_den
     if not plan.index_order:
         forced = tuple(sorted(forced))
-    laws[forced] = _dist(plan, plan.n, states, weights, den)
+    laws[forced] = _dist(leaves, states, weights, den)
 
 
-def _twin(plan: _Plan, i: int) -> ExactDist:
+def _twin(plan: _Plan, i: int, leaves: _Leaves) -> ExactDist:
     """Twin-network pass (Balke & Pearl 1994) for the CF1 law of variable i.
 
     A state packs three worlds over the same noise draw: factual in the
@@ -468,7 +501,7 @@ def _twin(plan: _Plan, i: int) -> ExactDist:
             next_states += out
             next_weights += _scaled(weights, k)
         states, weights, den = next_states, next_weights, den * step_den
-    return _dist(plan, 3 * n, states, weights, den)
+    return _dist(leaves, states, weights, den)
 
 
 def observational(scm: Scm, support_cap: int | None = None) -> ExactDist:
@@ -510,13 +543,15 @@ def counterfactual_triple(
     """
     if not 0 <= i < scm.n:
         raise BadPositionError(f"variable {i} outside [0, {scm.n})")
-    return _twin(_compile(scm, support_cap), i)
+    plan = _compile(scm, support_cap)
+    return _twin(plan, i, _Leaves(plan, 3 * scm.n))
 
 
 def cf1(scm: Scm, support_cap: int | None = None) -> tuple[ExactDist, ...]:
     """`counterfactual_triple` for every variable, from one compiled plan."""
     plan = _compile(scm, support_cap)
-    return tuple(_twin(plan, i) for i in range(scm.n))
+    leaves = _Leaves(plan, 3 * scm.n)
+    return tuple(_twin(plan, i, leaves) for i in range(scm.n))
 
 
 def all_interventions(n: int):
@@ -543,12 +578,23 @@ def int1(
     return tuple((iv, laws[iv.assignments]) for iv in order)
 
 
+def int_all_laws(
+    scm: Scm, n_cap: int | None = None, support_cap: int | None = None
+) -> dict[tuple, ExactDist]:
+    """The joint under every one of the 3^n hard interventions, keyed by
+    `Intervention.assignments`."""
+    limit, source = in_force("SCMLAB_INTALL_NMAX", n_cap, "n_cap")
+    if scm.n > limit:
+        raise NTooLargeError(
+            f"int_all on n={scm.n} exceeds {source}: refused "
+            f"{work_text({3: scm.n})} interventions"
+        )
+    return _hard_do_laws(_compile(scm, support_cap), scm.n)
+
+
 def int_all(
     scm: Scm, n_cap: int | None = None, support_cap: int | None = None
 ) -> tuple[tuple[Intervention, ExactDist], ...]:
     """Exact joint under every one of the 3^n hard interventions."""
-    limit = cap("SCMLAB_INTALL_NMAX") if n_cap is None else n_cap
-    if scm.n > limit:
-        raise NTooLargeError(f"int_all on n={scm.n} exceeds cap {limit}")
-    laws = _hard_do_laws(_compile(scm, support_cap), scm.n)
+    laws = int_all_laws(scm, n_cap, support_cap)
     return tuple((iv, laws[iv.assignments]) for iv in all_interventions(scm.n))

@@ -1,6 +1,7 @@
 """Shared strategies, helpers, and the acceptance-verdict registry."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -112,3 +113,45 @@ def exact_dists(draw, max_bits: int = 3, max_outcomes: int = 4):
     return ExactDist(
         n_bits, {o: Fraction(w, total) for o, w in zip(outcomes, weights)}
     )
+
+
+GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.oracle"))
+GOLDEN_BYTES = [path.read_bytes() for path in GOLDEN]
+_ALPHABET = b"01/=#\n 29ax\r\x00"
+
+
+@st.composite
+def mutated_golden(draw, seeds=GOLDEN_BYTES):
+    """A golden oracle (or one of `seeds`) after one to three byte or line
+    mutations."""
+    data = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["flip", "insert", "delete", "zero-pad",
+                                   "line-insert", "line-delete", "line-swap"]))
+        if op == "zero-pad":
+            # a leading zero right after an "=" or "/", where numbers start
+            starts = [k + 1 for k, byte in enumerate(data) if byte in b"=/"]
+            at = draw(st.sampled_from(starts)) if starts else 0
+            data = data[:at] + b"0" + data[at:]
+            continue
+        if op in ("flip", "insert", "delete"):
+            at = draw(st.integers(0, max(len(data) - 1, 0)))
+            byte = bytes([draw(st.sampled_from(_ALPHABET + bytes([draw(st.integers(0, 255))])))])
+            if op == "flip":
+                data = data[:at] + byte + data[at + 1:]
+            elif op == "insert":
+                data = data[:at] + byte + data[at:]
+            else:
+                data = data[:at] + data[at + 1:]
+            continue
+        lines = data.split(b"\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        if op == "line-insert":
+            lines.insert(i, lines[j])
+        elif op == "line-delete":
+            del lines[i]
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        data = b"\n".join(lines)
+    return data

@@ -8,15 +8,23 @@ import pytest
 from scmlab import (
     LEARNERS,
     MONTE_CARLO,
+    OBS,
     Family,
+    Mechanism,
+    NoiseDist,
+    Scm,
+    compute_oracle,
+    enumerate_graphs,
+    int_all,
     per_query_error,
     run_nfl,
     separation_table,
     verify_family,
 )
+from scmlab import gates
 from scmlab.caps import all_caps, cap
 from scmlab.cli import main
-from scmlab.errors import BadRangeError, NTooLargeError, SupportTooLargeError
+from scmlab.errors import BadRangeError, MTooLargeError, NTooLargeError, SupportTooLargeError
 from scmlab.learning import Dataset
 
 
@@ -85,3 +93,37 @@ def test_lowered_cap_refuses_warm_monte_carlo_caches(monkeypatch):
     for path in paths:
         with pytest.raises(SupportTooLargeError):
             path()
+
+
+def _sources(n: int) -> Scm:
+    fair = NoiseDist.bernoulli(Fraction(1, 2))
+    return Scm(n, tuple(Mechanism(gates.BERN_SOURCE, (), fair) for _ in range(n)))
+
+
+def test_refusals_name_the_cap_its_value_and_the_work(monkeypatch, capfd):
+    with pytest.raises(SupportTooLargeError, match=(
+            r"exceeds SCMLAB_SUPPORT_CAP=16777216: refused 2\^30 = 1073741824 noise points")):
+        compute_oracle(_sources(30), OBS)
+    with pytest.raises(SupportTooLargeError, match=r"exceeds support_cap=7: refused 2\^3 = 8 noise points"):
+        compute_oracle(_sources(3), OBS, support_cap=7)
+    mixed = Scm(2, (Mechanism(gates.CONST0, (), NoiseDist((0, 1, 2), (Fraction(1, 3),) * 3)),
+                    _sources(1).mechanisms[0]))
+    with pytest.raises(SupportTooLargeError, match=r"refused 2\^1\*3\^1 = 6 noise points"):
+        compute_oracle(mixed, OBS, support_cap=5)
+    with pytest.raises(NTooLargeError, match=r"exceeds n_cap=8: refused 3\^9 = 19683 interventions"):
+        int_all(_sources(9), n_cap=8)
+    with pytest.raises(MTooLargeError, match=r"exceeds m_cap=1: refused 2\^4 = 16 layer graphs"):
+        list(enumerate_graphs(2, m_cap=1))
+    monkeypatch.setenv("SCMLAB_INTALL_NMAX", "8")
+    with pytest.raises(NTooLargeError, match=r"exceeds SCMLAB_INTALL_NMAX=8: refused 3\^9 = 19683"):
+        int_all(_sources(9))
+    # the CLI keeps its exit code and prints the same statement
+    assert main(["verify", "--family", "tree", "--n", "9"]) == 3
+    err = capfd.readouterr().err
+    assert "SCMLAB_TREE_NMAX=7: refused 9^8 = 43046721 rooted trees" in err
+
+
+def test_refusal_of_a_huge_support_product_does_not_print_it():
+    # 2^20000 has more digits than int-to-str conversion allows
+    with pytest.raises(SupportTooLargeError, match=r"refused 2\^20000 noise points$"):
+        compute_oracle(_sources(20000), OBS)

@@ -3,7 +3,6 @@
 import itertools
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +46,7 @@ from scmlab.oracle import component_bits, intervention_key
 from scmlab.rational import frac_parse
 from scmlab.scm_core import Intervention
 
-from conftest import exact_dists, small_scms
+from conftest import GOLDEN, exact_dists, mutated_golden, small_scms
 
 HALF = Fraction(1, 2)
 
@@ -230,47 +229,6 @@ class TestFracParse:
     def test_non_canonical_rejected(self, text):
         with pytest.raises(OracleFormatError):
             frac_parse(text)
-
-
-GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.oracle"))
-_GOLDEN_BYTES = [path.read_bytes() for path in GOLDEN]
-_ALPHABET = b"01/=#\n 29ax\r\x00"
-
-
-@st.composite
-def mutated_golden(draw):
-    """A golden oracle after one to three byte or line mutations."""
-    data = draw(st.sampled_from(_GOLDEN_BYTES))
-    for _ in range(draw(st.integers(1, 3))):
-        op = draw(st.sampled_from(["flip", "insert", "delete", "zero-pad",
-                                   "line-insert", "line-delete", "line-swap"]))
-        if op == "zero-pad":
-            # a leading zero right after an "=" or "/", where numbers start
-            starts = [k + 1 for k, byte in enumerate(data) if byte in b"=/"]
-            at = draw(st.sampled_from(starts)) if starts else 0
-            data = data[:at] + b"0" + data[at:]
-            continue
-        if op in ("flip", "insert", "delete"):
-            at = draw(st.integers(0, max(len(data) - 1, 0)))
-            byte = bytes([draw(st.sampled_from(_ALPHABET + bytes([draw(st.integers(0, 255))])))])
-            if op == "flip":
-                data = data[:at] + byte + data[at + 1:]
-            elif op == "insert":
-                data = data[:at] + byte + data[at:]
-            else:
-                data = data[:at] + data[at + 1:]
-            continue
-        lines = data.split(b"\n")
-        i = draw(st.integers(0, len(lines) - 1))
-        j = draw(st.integers(0, len(lines) - 1))
-        if op == "line-insert":
-            lines.insert(i, lines[j])
-        elif op == "line-delete":
-            del lines[i]
-        else:
-            lines[i], lines[j] = lines[j], lines[i]
-        data = b"\n".join(lines)
-    return data
 
 
 def test_golden_files_present():
