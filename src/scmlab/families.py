@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import gates
-from .caps import in_force, work_text
+from .caps import cap
 from .errors import (
     BadRangeError,
     InvalidTreeError,
@@ -187,12 +187,9 @@ def enumerate_trees(n: int, n_cap: int | None = None):
     Iterates root choices in ascending order and, per root, the length
     n-2 label sequences in lexicographic order.
     """
-    limit, source = in_force("SCMLAB_TREE_NMAX", n_cap, "n_cap")
+    limit = cap("SCMLAB_TREE_NMAX") if n_cap is None else n_cap
     if n > limit:
-        raise NTooLargeError(
-            f"enumerating trees on n={n} exceeds {source}: refused "
-            f"{work_text({n: n - 1})} rooted trees"
-        )
+        raise NTooLargeError(f"enumerating trees on n={n} exceeds cap {limit}")
     if n < 1:
         raise BadRangeError(f"n must be at least 1, got {n}")
     from .prufer import prufer_decode
@@ -211,12 +208,9 @@ def enumerate_graphs(m: int, m_cap: int | None = None):
     Bit i*m+j of the mask is edge (i, j), so the empty graph comes first
     and the complete graph last.
     """
-    limit, source = in_force("SCMLAB_GRAPH_MMAX", m_cap, "m_cap")
+    limit = cap("SCMLAB_GRAPH_MMAX") if m_cap is None else m_cap
     if m > limit:
-        raise MTooLargeError(
-            f"enumerating graphs on m={m} exceeds {source}: refused "
-            f"{work_text({2: m * m})} layer graphs"
-        )
+        raise MTooLargeError(f"enumerating graphs on m={m} exceeds cap {limit}")
     if m < 1:
         raise BadRangeError(f"m must be at least 1, got {m}")
     for mask in range(1 << (m * m)):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .caps import all_caps, in_force, work_text
+from .caps import all_caps, cap
 from .errors import BadRangeError, MTooLargeError, ScmLabError
 from .families import BIPARTITE, Family, graph_of_mask
 from .oracle import INT1, OBS, AnswerOracle, compute_oracle, oracle_index, parse, serialize
@@ -264,12 +264,9 @@ def run_nfl(
     rate. Monte-Carlo mode samples `trials` full episodes: hidden graph,
     observational dataset, prediction, byte-exact comparison.
     """
-    limit, source = in_force("SCMLAB_NFL_MMAX", m_cap, "m_cap")
+    limit = cap("SCMLAB_NFL_MMAX") if m_cap is None else m_cap
     if m > limit:
-        raise MTooLargeError(
-            f"nfl on m={m} exceeds {source}: refused a run over "
-            f"{work_text({2: m * m})} layer graphs"
-        )
+        raise MTooLargeError(f"nfl on m={m} exceeds cap {limit}")
     if m < 1:
         raise BadRangeError(f"m must be at least 1, got {m}")
     if n_samples < 0:
@@ -334,12 +331,9 @@ def per_query_error(
     Monte-Carlo mode accepts a callable predictor(dataset) as well and
     averages the exact per-trial errors over sampled episodes.
     """
-    limit, source = in_force("SCMLAB_NFL_MMAX", m_cap, "m_cap")
+    limit = cap("SCMLAB_NFL_MMAX") if m_cap is None else m_cap
     if m > limit:
-        raise MTooLargeError(
-            f"per-query error on m={m} exceeds {source}: refused a run over "
-            f"{work_text({2: m * m})} layer graphs"
-        )
+        raise MTooLargeError(f"per-query error on m={m} exceeds cap {limit}")
     if m < 1:
         raise BadRangeError(f"m must be at least 1, got {m}")
     if mode == EXACT:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NoReturn
 
-from .caps import all_caps
+from .caps import all_caps, work_text
 from .errors import (
     BadPositionError,
     KindMismatchError,
@@ -49,7 +49,6 @@ from .scm_core import (
     ExactDist,
     Intervention,
     Scm,
-    all_interventions,
     cf1,
     int1,
     int_all_laws,
@@ -85,10 +84,7 @@ def intervention_key(iv: Intervention) -> str:
     return f"do S={targets} x={bits}"
 
 
-# A table takes about 230 bytes per component (13 MiB at n=10), so one for
-# n=12, the default INT_ALL cap, takes about 120 MiB: only a few are cached.
-@lru_cache(maxsize=4)
-def _int_all_table(n: int) -> tuple[tuple[tuple, str], ...]:
+def _build_int_all_table(n: int) -> tuple[tuple[tuple, str], ...]:
     """The (`Intervention.assignments`, `intervention_key`) pair of each of
     the 3^n INT_ALL components on n variables, in `all_interventions`
     order, built without Intervention objects.
@@ -110,21 +106,46 @@ def _int_all_table(n: int) -> tuple[tuple[tuple, str], ...]:
     return tuple(table)
 
 
-def _expected_keys(kind: str, n: int, count: int):
-    """Iterate the exact component-key sequence the grammar demands of an
-    input with `count` components."""
-    if kind == OBS:
-        return iter(("obs",))
-    if kind == INT1:
-        return iter(["obs"] + [f"do i={i} b={b}" for i in range(n) for b in (0, 1)])
-    if kind == CF1:
-        return iter([f"cf i={i}" for i in range(n)])
+# A table holds about 260 bytes of RSS per component: 14 MiB at n=10, 44
+# MiB at n=11 and 135 MiB at n=12, the default INT_ALL cap. Tables up to
+# n=10 are cached, about 21 MiB at most; a larger one is built per call,
+# in under a second against seconds to compute that oracle, and is freed
+# with it.
+_TABLE_CACHE_NMAX = 10
+_table_cache = lru_cache(maxsize=4)(_build_int_all_table)
+
+
+def _int_all_table(n: int) -> tuple[tuple[tuple, str], ...]:
+    if n > _TABLE_CACHE_NMAX:
+        return _build_int_all_table(n)
+    return _table_cache(n)
+
+
+def _component_keys(kind: str, n: int, count: int):
+    """The component keys of a `kind` oracle on n variables, in order.
+
+    The input's component count is checked against the kind's (1, 2n+1, n
+    or 3^n) before any key is built, so a header n that the input's size
+    cannot back builds nothing.
+    """
     if kind == INT_ALL:
-        if n < count.bit_length() and 3**n == count:
-            return (key for _, key in _int_all_table(n))
-        # malformed: walk lazily, never building 3^n keys for a large n
-        return map(intervention_key, all_interventions(n))
-    raise KindMismatchError(f"unknown oracle kind {kind!r}")
+        # 3^n >= 2^n, so a count of at most n bits rules n out before 3**n
+        # is computed
+        if not (n < count.bit_length() and 3**n == count):
+            _wrong_count(kind, n, work_text({3: n}), count)
+        return (key for _, key in _int_all_table(n))
+    want = {OBS: 1, INT1: 2 * n + 1, CF1: n}[kind]
+    if count != want:
+        _wrong_count(kind, n, want, count)
+    if kind == OBS:
+        return ["obs"]
+    if kind == INT1:
+        return ["obs"] + [f"do i={i} b={b}" for i in range(n) for b in (0, 1)]
+    return [f"cf i={i}" for i in range(n)]
+
+
+def _wrong_count(kind: str, n: int, want, count: int) -> NoReturn:
+    raise OracleFormatError(f"{kind} n={n}: {count} components, expected {want}")
 
 
 def component_bits(kind: str, n: int) -> int:
@@ -233,8 +254,9 @@ def parse(data: bytes) -> AnswerOracle:
     """Strict inverse of serialize; raises OracleFormatError on anything
     that is not the canonical encoding of some oracle.
 
-    Each component's mass lines are checked as one block by a regex for
-    the oracle's outcome width, then for strictly ascending outcomes.
+    The component count is checked against the header before any key is
+    built. Each component's mass lines are checked as one block by a regex
+    for the oracle's outcome width, then for strictly ascending outcomes.
     Masses are checked in integers: lowest terms once per distinct
     fraction text, and each component's sum against 1 over its distinct
     texts weighted by their counts. Only a block that fails is scanned
@@ -256,7 +278,7 @@ def parse(data: bytes) -> AnswerOracle:
         raise OracleFormatError(f"mass line {stray[0]!r} before any component header")
     kind, n = header.group(1), int(header.group(2))
     n_bits = component_bits(kind, n)
-    expected = _expected_keys(kind, n, len(blocks))
+    keys = _component_keys(kind, n, len(blocks))
     # an outcome wider than the whole input fits no line, so capping the
     # width keeps the regex small under a huge header n
     block_match = _block_re(min(n_bits, len(text))).fullmatch
@@ -265,9 +287,8 @@ def parse(data: bytes) -> AnswerOracle:
     # sequence is checked once
     checked: dict[tuple[str, ...], list[Fraction]] = {}
     components = []
-    for block in blocks:
+    for block, want in zip(blocks, keys):
         key, _, body = block.partition("\n")
-        want = next(expected, None)
         if key != want:
             raise OracleFormatError(f"component key {key!r} where {want!r} was expected")
         if not block_match(body):
@@ -281,9 +302,6 @@ def parse(data: bytes) -> AnswerOracle:
         if values is None:
             values = checked[mass_texts] = _check_masses(key, mass_texts, fractions)
         components.append((key, ExactDist._trusted(n_bits, dict(zip(outcomes, values)))))
-    leftover = next(expected, None)
-    if leftover is not None:
-        raise OracleFormatError(f"missing component {leftover!r}")
     return AnswerOracle(kind, n, tuple(components))
 
 

@@ -14,7 +14,6 @@ from scmlab import (
     NoiseDist,
     Scm,
     compute_oracle,
-    enumerate_graphs,
     int_all,
     per_query_error,
     run_nfl,
@@ -24,7 +23,7 @@ from scmlab import (
 from scmlab import gates
 from scmlab.caps import all_caps, cap
 from scmlab.cli import main
-from scmlab.errors import BadRangeError, MTooLargeError, NTooLargeError, SupportTooLargeError
+from scmlab.errors import BadRangeError, NTooLargeError, SupportTooLargeError
 from scmlab.learning import Dataset
 
 
@@ -112,15 +111,15 @@ def test_refusals_name_the_cap_its_value_and_the_work(monkeypatch, capfd):
         compute_oracle(mixed, OBS, support_cap=5)
     with pytest.raises(NTooLargeError, match=r"exceeds n_cap=8: refused 3\^9 = 19683 interventions"):
         int_all(_sources(9), n_cap=8)
-    with pytest.raises(MTooLargeError, match=r"exceeds m_cap=1: refused 2\^4 = 16 layer graphs"):
-        list(enumerate_graphs(2, m_cap=1))
     monkeypatch.setenv("SCMLAB_INTALL_NMAX", "8")
     with pytest.raises(NTooLargeError, match=r"exceeds SCMLAB_INTALL_NMAX=8: refused 3\^9 = 19683"):
         int_all(_sources(9))
     # the CLI keeps its exit code and prints the same statement
-    assert main(["verify", "--family", "tree", "--n", "9"]) == 3
+    monkeypatch.setenv("SCMLAB_INTALL_NMAX", "1")
+    args = ["gaps", "--family", "xor", "--m", "1", "--lower", "INT1", "--higher", "INT_ALL"]
+    assert main(args) == 3
     err = capfd.readouterr().err
-    assert "SCMLAB_TREE_NMAX=7: refused 9^8 = 43046721 rooted trees" in err
+    assert "SCMLAB_INTALL_NMAX=1: refused 3^2 = 9 interventions" in err
 
 
 def test_refusal_of_a_huge_support_product_does_not_print_it():

@@ -143,21 +143,57 @@ class TestKeyTable:
         assert keys == [intervention_key(iv) for iv in all_interventions(n)]
 
     def test_cache_is_bounded(self):
-        table = oracle_module._int_all_table
+        cache = oracle_module._table_cache
         for n in range(9):
-            table(n)
-        info = table.cache_info()
+            oracle_module._int_all_table(n)
+        info = cache.cache_info()
         assert info.maxsize is not None
         assert 0 < info.currsize <= info.maxsize < 9
 
-    def test_parse_builds_no_table_for_a_wrong_component_count(self):
-        table = oracle_module._int_all_table
-        table.cache_clear()
-        data = b"INT_ALL n=40\n#do S= x=\n" + b"0" * 40 + b"=1/1\n"
-        with pytest.raises(OracleFormatError, match="missing component"):
-            parse(data)
-        assert table.cache_info().currsize == 0
+    def test_tables_above_the_cache_limit_are_not_kept(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_TABLE_CACHE_NMAX", 2)
+        cache = oracle_module._table_cache
+        cache.cache_clear()
+        table = oracle_module._int_all_table(3)
+        assert [key for _, key in table] == [
+            intervention_key(iv) for iv in all_interventions(3)
+        ]
+        assert cache.cache_info().currsize == 0
+        oracle_module._int_all_table(2)
+        assert cache.cache_info().currsize == 1
 
-    def test_huge_outcome_width_is_rejected(self):
-        with pytest.raises(OracleFormatError, match="has length 1"):
-            parse(b"OBS n=99999999999\n#obs\n0=1/1\n")
+    def test_parse_builds_no_table_for_a_wrong_component_count(self):
+        cache = oracle_module._table_cache
+        cache.cache_clear()
+        data = b"INT_ALL n=9\n#do S= x=\n" + b"0" * 9 + b"=1/1\n"
+        with pytest.raises(OracleFormatError, match=r"1 components, expected 3\^9 = 19683"):
+            parse(data)
+        assert cache.cache_info().currsize == 0
+
+
+class TestComponentCount:
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"OBS n=99999999999\n#obs\n0=1/1\n", "has length 1"),
+            (b"INT1 n=10000000000\n#obs\n0=1/1\n", "1 components, expected 20000000001"),
+            (b"CF1 n=10000000000\n#cf i=0\n0=1/1\n", "1 components, expected 10000000000"),
+            (b"INT_ALL n=10000000000\n#do S= x=\n0=1/1\n", r"1 components, expected 3\^10000000000$"),
+        ],
+    )
+    def test_huge_header_n_is_rejected(self, data, message):
+        # the count check comes before any key is built, so this is quick
+        # and allocates nothing sized by the header's n
+        with pytest.raises(OracleFormatError, match=message):
+            parse(data)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_component_too_many_or_too_few(self, kind):
+        data = serialize(compute_oracle(build_xor_scm(HiddenString(1, "1")), kind))
+        header, *blocks = data[:-1].split(b"\n#")
+        for wrong in (blocks[:-1], blocks + blocks[-1:]):
+            bad = b"\n#".join([header] + wrong) + b"\n"
+            with pytest.raises(OracleFormatError, match="components, expected"):
+                parse(bad)
+            with pytest.raises(OracleFormatError):
+                reference_codec.parse(bad)
