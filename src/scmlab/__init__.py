@@ -33,7 +33,6 @@ from .families import (
     XOR,
     BipartiteGraph,
     ClassSpec,
-    Family,
     HiddenString,
     RootedTree,
     build_bipartite_scm,
@@ -66,22 +65,21 @@ from .decoders import (
     string_from_cf1,
     tree_from_int1,
 )
-from .prufer import prufer_decode, prufer_encode
+from .prufer import BitBudget, ceil_log2, prufer_decode, prufer_encode, tree_bit_budget
+from .jsonio import scm_from_json, scm_to_json
+from .catalog import FAMILIES, Family, FamilySpec, param_from_json, param_to_json
 from .gap import (
     AmbiguityReport,
-    BitBudget,
     GapRow,
     SeparationCheck,
     adjacency_decode,
     adjacency_encode,
     ambiguity_classes,
-    ceil_log2,
     conditional_entropy_uniform,
     degree_bound,
     generic_class_encoding,
     pairwise_separation_check,
     separation_table,
-    tree_bit_budget,
 )
 from .learning import (
     EXACT,
@@ -98,11 +96,5 @@ from .learning import (
     sample_obs,
 )
 from .verify import CheckResult, all_passed, verify_family
-from .jsonio import (
-    param_from_json,
-    param_to_json,
-    scm_from_json,
-    scm_to_json,
-)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,11 +31,11 @@ from fractions import Fraction
 
 from . import __version__
 from .caps import all_caps
-from .decoders import DECODERS
+from .catalog import FAMILIES, Family, param_from_json, param_to_json
 from .errors import ScmLabError
-from .families import BIPARTITE, TREE, XOR, Family
+from .families import BIPARTITE
 from .gap import pairwise_separation_check, separation_table
-from .jsonio import param_from_json, param_to_json, scm_to_json
+from .jsonio import scm_to_json
 from .learning import EXACT, MONTE_CARLO, run_nfl
 from .oracle import KINDS, compute_oracle, parse, serialize
 from .rational import frac_str
@@ -103,10 +103,11 @@ def _gap_rows_csv(rows) -> str:
     return buffer.getvalue()
 
 
-def _load_param(args):
+def _load_scm(args):
+    """The SCM of the family member that `--param-file` describes."""
     with open(args.param_file, "r", encoding="ascii") as fh:
         doc = json.load(fh)
-    return param_from_json(args.family, doc)
+    return Family(args.family, args.size).build(param_from_json(args.family, doc))
 
 
 def _cmd_verify(args) -> int:
@@ -147,8 +148,7 @@ def _cmd_sep(args) -> int:
 def _cmd_decode(args) -> int:
     with open(args.oracle_file, "rb") as fh:
         oracle = parse(fh.read())
-    _, decoder = DECODERS[args.family]
-    param = decoder(oracle)
+    param = FAMILIES[args.family].decode(oracle)
     doc = param_to_json(args.family, param)
     _write(args.out, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii"))
     return 0
@@ -170,17 +170,13 @@ def _cmd_nfl(args) -> int:
 
 
 def _cmd_dump_oracle(args) -> int:
-    family = Family(args.family, args.size)
-    param = _load_param(args)
-    oracle = compute_oracle(family.build(param), args.kind)
+    oracle = compute_oracle(_load_scm(args), args.kind)
     _write(args.out, serialize(oracle))
     return 0
 
 
 def _cmd_dump_scm(args) -> int:
-    family = Family(args.family, args.size)
-    param = _load_param(args)
-    doc = scm_to_json(family.build(param))
+    doc = scm_to_json(_load_scm(args))
     _write(args.out, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii"))
     return 0
 
@@ -189,7 +185,7 @@ def _add_family_size(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--family",
         required=True,
-        choices=[TREE, BIPARTITE, XOR],
+        choices=list(FAMILIES),
         help="family kind",
     )
     group = parser.add_mutually_exclusive_group(required=True)
@@ -226,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sep)
 
     p = sub.add_parser("decode", help="recover a family parameter from an oracle file")
-    p.add_argument("--family", required=True, choices=[TREE, BIPARTITE, XOR])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--oracle-file", required=True)
     p.add_argument("--out", help="write the parameter JSON here instead of stdout")
     p.set_defaults(fn=_cmd_decode)

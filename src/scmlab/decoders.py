@@ -26,9 +26,6 @@ from .errors import (
     NotXorLikeError,
 )
 from .families import (
-    BIPARTITE,
-    TREE,
-    XOR,
     BipartiteGraph,
     HiddenString,
     RootedTree,
@@ -201,11 +198,3 @@ def string_from_cf1(oracle: AnswerOracle) -> HiddenString:
     hidden = HiddenString(m, "".join(bits))
     _check_exact_match(oracle, build_xor_scm(hidden), NotXorLikeError)
     return hidden
-
-
-# family -> (the oracle kind its decoder reads, the decoder)
-DECODERS = {
-    TREE: (INT1, tree_from_int1),
-    BIPARTITE: (INT1, graph_from_int1),
-    XOR: (CF1, string_from_cf1),
-}

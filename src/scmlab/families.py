@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import gates
-from .caps import cap
+from .caps import in_force, work_text
 from .errors import (
     BadRangeError,
     InvalidTreeError,
@@ -37,7 +37,6 @@ from .scm_core import Mechanism, NoiseDist, Scm
 TREE = "tree"
 BIPARTITE = "bipartite"
 XOR = "xor"
-FAMILY_KINDS = (TREE, BIPARTITE, XOR)
 
 FAIR_BIT = NoiseDist.bernoulli(HALF)
 # shared, so the kernel's per-NoiseDist branch memo serves every member
@@ -117,9 +116,6 @@ class BipartiteGraph:
     def neighbors_of_b(self, j: int) -> list[int]:
         return sorted(i for i, jj in self.edges if jj == j)
 
-    def n_vars(self) -> int:
-        return 2 * self.m + 1
-
 
 @dataclass(frozen=True)
 class HiddenString:
@@ -165,7 +161,7 @@ def build_bipartite_scm(graph: BipartiteGraph) -> Scm:
     for j in range(m):
         parents = (0,) + tuple(1 + i for i in graph.neighbors_of_b(j))
         mechanisms.append(Mechanism(gates.AND, parents, NO_NOISE))
-    return Scm(graph.n_vars(), tuple(mechanisms))
+    return Scm(len(mechanisms), tuple(mechanisms))
 
 
 def build_xor_scm(hidden: HiddenString) -> Scm:
@@ -187,11 +183,14 @@ def enumerate_trees(n: int, n_cap: int | None = None):
     Iterates root choices in ascending order and, per root, the length
     n-2 label sequences in lexicographic order.
     """
-    limit = cap("SCMLAB_TREE_NMAX") if n_cap is None else n_cap
-    if n > limit:
-        raise NTooLargeError(f"enumerating trees on n={n} exceeds cap {limit}")
     if n < 1:
         raise BadRangeError(f"n must be at least 1, got {n}")
+    limit, source = in_force("SCMLAB_TREE_NMAX", n_cap, "n_cap")
+    if n > limit:
+        raise NTooLargeError(
+            f"enumerating trees on n={n} exceeds {source}: "
+            f"refused {work_text({n: n - 1})} trees"
+        )
     from .prufer import prufer_decode
 
     if n == 1:
@@ -208,11 +207,14 @@ def enumerate_graphs(m: int, m_cap: int | None = None):
     Bit i*m+j of the mask is edge (i, j), so the empty graph comes first
     and the complete graph last.
     """
-    limit = cap("SCMLAB_GRAPH_MMAX") if m_cap is None else m_cap
-    if m > limit:
-        raise MTooLargeError(f"enumerating graphs on m={m} exceeds cap {limit}")
     if m < 1:
         raise BadRangeError(f"m must be at least 1, got {m}")
+    limit, source = in_force("SCMLAB_GRAPH_MMAX", m_cap, "m_cap")
+    if m > limit:
+        raise MTooLargeError(
+            f"enumerating graphs on m={m} exceeds {source}: "
+            f"refused {work_text({2: m * m})} graphs"
+        )
     for mask in range(1 << (m * m)):
         yield graph_of_mask(m, mask)
 
@@ -232,39 +234,6 @@ def enumerate_strings(m: int):
         raise BadRangeError(f"m must be at least 1, got {m}")
     for value in range(1 << m):
         yield HiddenString(m, format(value, f"0{m}b"))
-
-
-@dataclass(frozen=True)
-class Family:
-    """One family instance: kind plus its size parameter (n or m)."""
-
-    kind: str
-    size: int
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family {self.kind!r}")
-
-    def n_vars(self) -> int:
-        if self.kind == TREE:
-            return self.size
-        if self.kind == BIPARTITE:
-            return 2 * self.size + 1
-        return 2 * self.size
-
-    def parameters(self):
-        if self.kind == TREE:
-            return enumerate_trees(self.size)
-        if self.kind == BIPARTITE:
-            return enumerate_graphs(self.size)
-        return enumerate_strings(self.size)
-
-    def build(self, param) -> Scm:
-        if self.kind == TREE:
-            return build_tree_scm(param)
-        if self.kind == BIPARTITE:
-            return build_bipartite_scm(param)
-        return build_xor_scm(param)
 
 
 @dataclass(frozen=True)

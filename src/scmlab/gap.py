@@ -1,6 +1,7 @@
 """Description-length accounting for the identification gaps.
 
-Three ingredients per family:
+Three ingredients per family (its row in `catalog.FAMILIES` gives the
+default rung pair, the encoder's bits and whether the encoder is tight):
 
 * a constructive encoder (sequence codec, adjacency matrix, or the raw
   string), whose exact bit count upper-bounds what the higher rung needs;
@@ -22,53 +23,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .catalog import Family
 from .errors import BadRangeError, LengthMismatchError, NotMemberError, ScmLabError
-from .families import (
-    BIPARTITE,
-    TREE,
-    XOR,
-    BipartiteGraph,
-    ClassSpec,
-    Family,
-    class_membership,
-)
-from .oracle import CF1, INT1, INT_ALL, OBS, KINDS, d_int, oracle_index, parse
+from .families import BIPARTITE, BipartiteGraph, ClassSpec, class_membership
+from .oracle import INT1, KINDS, d_int, oracle_index, parse
+from .prufer import BitBudget, ceil_log2
 from .rational import HALF
 from .scm_core import Scm
-
-
-def ceil_log2(x: int) -> int:
-    """Smallest k with 2^k >= x; exact integer arithmetic, 0 for x <= 1."""
-    if x < 1:
-        raise BadRangeError(f"ceil_log2 needs a positive integer, got {x}")
-    return (x - 1).bit_length()
-
-
-@dataclass(frozen=True)
-class BitBudget:
-    """Itemized encoder cost: named components and their bit totals."""
-
-    components: tuple[tuple[str, int], ...]
-    total_bits: int
-    idealized_bits: float
-
-
-def _budget(components: list[tuple[str, int]], idealized: float) -> BitBudget:
-    total = sum(bits for _, bits in components)
-    return BitBudget(tuple(components), total, idealized)
-
-
-def tree_bit_budget(n: int) -> BitBudget:
-    """Cost of the sequence codec: ceil(log2 n^(n-2)) sequence bits plus
-    ceil(log2 n) root bits; idealized cost is (n-1) log2 n."""
-    if n < 1:
-        raise BadRangeError(f"n must be at least 1, got {n}")
-    sequence_bits = ceil_log2(n ** (n - 2)) if n >= 2 else 0
-    root_bits = ceil_log2(n)
-    idealized = (n - 1) * math.log2(n) if n > 1 else 0.0
-    return _budget(
-        [("sequence", sequence_bits), ("root", root_bits)], idealized
-    )
 
 
 def adjacency_encode(graph: BipartiteGraph) -> str:
@@ -263,14 +224,7 @@ def generic_class_encoding(scm: Scm, spec: ClassSpec) -> BitBudget:
         + n * math.log2(parent_choices)
         + n * math.log2(pair_count)
     )
-    return _budget(components, idealized)
-
-
-DEFAULT_RUNGS = {
-    TREE: (OBS, INT1),
-    BIPARTITE: (OBS, INT1),
-    XOR: (INT_ALL, CF1),
-}
+    return BitBudget(tuple(components), sum(bits for _, bits in components), idealized)
 
 
 @dataclass(frozen=True)
@@ -290,38 +244,32 @@ class GapRow:
     slack_bits: float | None
 
 
-def family_encoder_bits(family: Family) -> int:
-    """Exact bit count of the family's constructive encoder."""
-    if family.kind == TREE:
-        return tree_bit_budget(family.size).total_bits
-    if family.kind == BIPARTITE:
-        return family.size * family.size
-    return family.size
-
-
 def separation_table(
     family: Family,
     lower_kind: str | None = None,
     higher_kind: str | None = None,
 ) -> list[GapRow]:
     """One row per family instance: ambiguity count, its log, the encoder
-    budget, and the exact conditional entropy.
+    budget, and the exact conditional entropy. The rungs default to the
+    family's row.
 
     The lower-bound surrogate can never exceed the upper-bound surrogate
-    for the bipartite and XOR families (their encoders are tight); that is
-    asserted here in exact integer arithmetic. The sequence codec for
-    trees may carry slack, which is reported instead.
+    when the row marks the encoder tight (the adjacency matrix, the raw
+    string); that is asserted here in exact integer arithmetic. An encoder
+    that is not tight (the tree sequence codec) may carry slack, which is
+    reported instead.
     """
+    spec = family.spec
     if lower_kind is None or higher_kind is None:
-        lower_kind, higher_kind = DEFAULT_RUNGS[family.kind]
+        lower_kind, higher_kind = spec.rungs
     groups = _grouped(family, lower_kind, higher_kind)
     report = _ambiguity_report(family, lower_kind, higher_kind, groups)
     ambiguity = report.max_distinct_higher()
-    encoder_bits = family_encoder_bits(family)
+    encoder_bits = spec.encoder_bits(family.size)
     entropy = _entropy(groups)
     log2_ambiguity = math.log2(ambiguity)
     slack: float | None = None
-    if family.kind == TREE:
+    if not spec.encoder_tight:
         slack = encoder_bits - log2_ambiguity
     elif ambiguity > 2**encoder_bits:
         raise ScmLabError(

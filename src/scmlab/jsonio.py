@@ -12,7 +12,8 @@ Probabilities are "num/den" strings so documents stay exact. Loading
 validates the SCM and raises InvalidScmError with the full issue list.
 Parameter documents: {"n", "root", "parent"} for trees (keys of `parent`
 are strings, a JSON restriction), {"m", "edges"} for layer graphs,
-{"m", "bits"} for hidden strings.
+{"m", "bits"} for hidden strings. `catalog.param_to_json` and
+`catalog.param_from_json` pick the codec from the family's row.
 """
 
 from __future__ import annotations
@@ -106,18 +107,3 @@ def string_from_json(doc: dict) -> HiddenString:
     hidden = HiddenString(int(doc["m"]), str(doc["bits"]))
     hidden.check()
     return hidden
-
-
-_PARAM_CODECS = {
-    "tree": (tree_to_json, tree_from_json),
-    "bipartite": (graph_to_json, graph_from_json),
-    "xor": (string_to_json, string_from_json),
-}
-
-
-def param_to_json(kind: str, param) -> dict:
-    return _PARAM_CODECS[kind][0](param)
-
-
-def param_from_json(kind: str, doc: dict):
-    return _PARAM_CODECS[kind][1](doc)

@@ -29,9 +29,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .caps import all_caps, cap
+from .caps import all_caps, in_force, work_text
+from .catalog import Family
 from .errors import BadRangeError, MTooLargeError, ScmLabError
-from .families import BIPARTITE, Family, graph_of_mask
+from .families import BIPARTITE, graph_of_mask
 from .oracle import INT1, OBS, AnswerOracle, compute_oracle, oracle_index, parse, serialize
 from .rational import HALF, ONE, ZERO
 from .scm_core import ExactDist, NoiseDist, Mechanism, Scm, observational
@@ -125,6 +126,17 @@ def _graph(m: int, mask: int, caps) -> _Graph:
     return _Graph(oracle, serialize(oracle), _sampler(oracle.component("obs")))
 
 
+def _episode(m: int, n_samples: int, seed: int, labels: tuple[str, str], trial: int, caps):
+    """One Monte-Carlo episode: a uniform graph drawn from the stream
+    (seed, labels[0], trial), which is returned for further draws, and
+    `n_samples` rows of its law from the stream (seed, labels[1], trial)."""
+    rng = random.Random(derive_seed(seed, labels[0], trial))
+    graph = _graph(m, rng.randrange(1 << (m * m)), caps)
+    data_seed = derive_seed(seed, labels[1], trial)
+    rows = _draw(graph.sampler, n_samples, data_seed)
+    return rng, graph, Dataset(graph.oracle.n, rows, data_seed, f"bipartite m={m}")
+
+
 def _int1_counts(m: int) -> Counter:
     """How many graphs share each INT1 oracle, keyed by its bytes."""
     return Counter(oracle_index(Family(BIPARTITE, m), INT1))
@@ -167,7 +179,6 @@ class UniformGuessLearner(_Learner):
     """Ignores the data; guesses a graph uniformly from its rng stream."""
 
     id = "uniform-guess"
-    stochastic = True
 
     def predict_bytes(self, dataset: Dataset, m: int, rng: random.Random, caps) -> bytes:
         return _graph(m, rng.randrange(1 << (m * m)), caps).data
@@ -183,7 +194,6 @@ class ConstantEmptyLearner(_Learner):
     """Always predicts the empty graph."""
 
     id = "constant-empty"
-    stochastic = False
 
     def predict_bytes(self, dataset: Dataset, m: int, rng: random.Random, caps) -> bytes:
         return _graph(m, 0, caps).data
@@ -197,7 +207,6 @@ class EmpiricalIndependentLearner(_Learner):
     """Fits independent per-variable marginals; predicts that product."""
 
     id = "empirical-independent"
-    stochastic = False
 
     def predict_bytes(self, dataset: Dataset, m: int, rng: random.Random, caps) -> bytes:
         rows = dataset.rows
@@ -210,7 +219,7 @@ class EmpiricalIndependentLearner(_Learner):
         # sufficient statistic is k = number of all-ones rows, and each
         # variable is 1 in exactly k rows.
         count = 1 << (m * m)
-        n = 2 * m + 1
+        n = Family(BIPARTITE, m).n_vars()
         truth_counts = _int1_counts(m)
         caps = _caps()
         rate = ZERO
@@ -248,6 +257,18 @@ class NflReport:
     per_query_error: Fraction | None = None
 
 
+def _check_m(what: str, m: int, m_cap: int | None) -> None:
+    """Refuse m outside 1..SCMLAB_NFL_MMAX (or `m_cap`) before any work;
+    the refused work is the 2^(m*m) graphs the exact accounting reads."""
+    if m < 1:
+        raise BadRangeError(f"m must be at least 1, got {m}")
+    limit, source = in_force("SCMLAB_NFL_MMAX", m_cap, "m_cap")
+    if m > limit:
+        raise MTooLargeError(
+            f"{what} on m={m} exceeds {source}: refused {work_text({2: m * m})} graphs"
+        )
+
+
 def run_nfl(
     m: int,
     n_samples: int,
@@ -264,11 +285,7 @@ def run_nfl(
     rate. Monte-Carlo mode samples `trials` full episodes: hidden graph,
     observational dataset, prediction, byte-exact comparison.
     """
-    limit = cap("SCMLAB_NFL_MMAX") if m_cap is None else m_cap
-    if m > limit:
-        raise MTooLargeError(f"nfl on m={m} exceeds cap {limit}")
-    if m < 1:
-        raise BadRangeError(f"m must be at least 1, got {m}")
+    _check_m("nfl", m, m_cap)
     if n_samples < 0:
         raise BadRangeError(f"n_samples must be nonnegative, got {n_samples}")
     if learner_id not in LEARNERS:
@@ -286,16 +303,10 @@ def run_nfl(
         raise BadRangeError("monte-carlo mode needs trials >= 1")
     if seed is None:
         raise BadRangeError("monte-carlo mode needs a seed")
-    count = 1 << (m * m)
-    n = 2 * m + 1
-    source = f"bipartite m={m}"
     caps = _caps()
     successes = 0
     for trial in range(trials):
-        graph_rng = random.Random(derive_seed(seed, "graph", trial))
-        graph = _graph(m, graph_rng.randrange(count), caps)
-        data_seed = derive_seed(seed, "data", trial)
-        dataset = Dataset(n, _draw(graph.sampler, n_samples, data_seed), data_seed, source)
+        _, graph, dataset = _episode(m, n_samples, seed, ("graph", "data"), trial, caps)
         learner_rng = random.Random(derive_seed(seed, "learner", trial))
         if learner.predict_bytes(dataset, m, learner_rng, caps) == graph.data:
             successes += 1
@@ -331,11 +342,7 @@ def per_query_error(
     Monte-Carlo mode accepts a callable predictor(dataset) as well and
     averages the exact per-trial errors over sampled episodes.
     """
-    limit = cap("SCMLAB_NFL_MMAX") if m_cap is None else m_cap
-    if m > limit:
-        raise MTooLargeError(f"per-query error on m={m} exceeds cap {limit}")
-    if m < 1:
-        raise BadRangeError(f"m must be at least 1, got {m}")
+    _check_m("per-query error", m, m_cap)
     if mode == EXACT:
         if callable(predictor):
             raise BadRangeError("exact mode needs a constant predictor")
@@ -350,18 +357,13 @@ def per_query_error(
         raise BadRangeError("monte-carlo mode needs n_samples, trials, and a seed")
     if n_samples < 0:
         raise BadRangeError(f"count must be nonnegative, got {n_samples}")
-    count = 1 << (m * m)
-    n = 2 * m + 1
-    source = f"bipartite m={m}"
     caps = _caps()
     total = ZERO
+    labels = ("query-episode", "query-data")
     for trial in range(trials):
-        episode_rng = random.Random(derive_seed(seed, "query-episode", trial))
-        graph = _graph(m, episode_rng.randrange(count), caps)
+        episode_rng, graph, dataset = _episode(m, n_samples, seed, labels, trial, caps)
         i = episode_rng.randrange(m)
         j = episode_rng.randrange(m)
-        data_seed = derive_seed(seed, "query-data", trial)
-        dataset = Dataset(n, _draw(graph.sampler, n_samples, data_seed), data_seed, source)
         answer = Fraction(predictor(dataset) if callable(predictor) else predictor)
         truth = graph.oracle.component(f"do i={1 + i} b=0").prob_bit(1 + m + j, 0)
         total += abs(answer - truth)

@@ -43,17 +43,8 @@ from .errors import (
     LengthMismatchError,
     OracleFormatError,
 )
-from .families import Family
 from .rational import ZERO, frac_parse, frac_str
-from .scm_core import (
-    ExactDist,
-    Intervention,
-    Scm,
-    cf1,
-    int1,
-    int_all_laws,
-    observational,
-)
+from .scm_core import ExactDist, Intervention, Scm, cf1, hard_do_laws, int_all_laws
 
 OBS = "OBS"
 INT1 = "INT1"
@@ -87,10 +78,9 @@ def intervention_key(iv: Intervention) -> str:
 def _build_int_all_table(n: int) -> tuple[tuple[tuple, str], ...]:
     """The (`Intervention.assignments`, `intervention_key`) pair of each of
     the 3^n INT_ALL components on n variables, in `all_interventions`
-    order, built without Intervention objects.
+    order, built without Intervention objects: the INT_ALL `_layout`.
 
-    `compute_oracle` reads the kernel's laws through it and `parse` walks
-    its keys. Each target set's part of the key is rendered once, and the
+    Each target set's part of the key is rendered once, and the
     assignments share one (variable, bit) pair object per variable and bit.
     """
     pairs = [((v, 0), (v, 1)) for v in range(n)]
@@ -121,6 +111,21 @@ def _int_all_table(n: int) -> tuple[tuple[tuple, str], ...]:
     return _table_cache(n)
 
 
+def _layout(kind: str, n: int):
+    """The (law key, component key) pair of each component of a `kind`
+    oracle on n variables, in order. The law key indexes what the kernel
+    returns for the kind: `Intervention.assignments` for OBS, INT1 and
+    INT_ALL, the variable for CF1. `compute_oracle` reads the laws through
+    the layout and `parse` walks its keys."""
+    if kind == INT_ALL:
+        return _int_all_table(n)
+    if kind == CF1:
+        return [(i, f"cf i={i}") for i in range(n)]
+    if kind == OBS:
+        return [((), "obs")]
+    return [((), "obs")] + [(((i, b),), f"do i={i} b={b}") for i in range(n) for b in (0, 1)]
+
+
 def _component_keys(kind: str, n: int, count: int):
     """The component keys of a `kind` oracle on n variables, in order.
 
@@ -131,21 +136,14 @@ def _component_keys(kind: str, n: int, count: int):
     if kind == INT_ALL:
         # 3^n >= 2^n, so a count of at most n bits rules n out before 3**n
         # is computed
-        if not (n < count.bit_length() and 3**n == count):
-            _wrong_count(kind, n, work_text({3: n}), count)
-        return (key for _, key in _int_all_table(n))
-    want = {OBS: 1, INT1: 2 * n + 1, CF1: n}[kind]
-    if count != want:
-        _wrong_count(kind, n, want, count)
-    if kind == OBS:
-        return ["obs"]
-    if kind == INT1:
-        return ["obs"] + [f"do i={i} b={b}" for i in range(n) for b in (0, 1)]
-    return [f"cf i={i}" for i in range(n)]
-
-
-def _wrong_count(kind: str, n: int, want, count: int) -> NoReturn:
-    raise OracleFormatError(f"{kind} n={n}: {count} components, expected {want}")
+        fits = n < count.bit_length() and 3**n == count
+        want = work_text({3: n})
+    else:
+        want = {OBS: 1, INT1: 2 * n + 1, CF1: n}[kind]
+        fits = count == want
+    if not fits:
+        raise OracleFormatError(f"{kind} n={n}: {count} components, expected {want}")
+    return (key for _, key in _layout(kind, n))
 
 
 def component_bits(kind: str, n: int) -> int:
@@ -162,29 +160,24 @@ def compute_oracle(
     n_cap: int | None = None,
 ) -> AnswerOracle:
     """Compute the full exact oracle of `scm` for one query class."""
-    if kind == OBS:
-        components = [("obs", observational(scm, support_cap))]
-    elif kind == INT1:
-        (_, obs), *single = int1(scm, support_cap)
-        components = [("obs", obs)]
-        for iv, dist in single:
-            ((v, b),) = iv.assignments
-            components.append((f"do i={v} b={b}", dist))
-    elif kind == CF1:
-        components = [
-            (f"cf i={i}", dist) for i, dist in enumerate(cf1(scm, support_cap))
-        ]
-    elif kind == INT_ALL:
+    if kind == INT_ALL:
         laws = int_all_laws(scm, n_cap, support_cap)
-        components = [(key, laws[a]) for a, key in _int_all_table(scm.n)]
+    elif kind == CF1:
+        laws = cf1(scm, support_cap)
+    elif kind == INT1:
+        laws = hard_do_laws(scm, 1, support_cap)
+    elif kind == OBS:
+        laws = hard_do_laws(scm, 0, support_cap)
     else:
         raise KindMismatchError(f"unknown oracle kind {kind!r}")
-    return AnswerOracle(kind, scm.n, tuple(components))
+    components = tuple((key, laws[law]) for law, key in _layout(kind, scm.n))
+    return AnswerOracle(kind, scm.n, components)
 
 
-def oracle_index(family: Family, kind: str) -> tuple[bytes, ...]:
-    """Serialized `kind` oracle of every member of `family`, in
-    `family.parameters()` order; equal oracles share one bytes object.
+def oracle_index(family, kind: str) -> tuple[bytes, ...]:
+    """Serialized `kind` oracle of every member of `family` (a
+    `catalog.Family`), in `family.parameters()` order; equal oracles share
+    one bytes object.
 
     The one place family oracles are computed for grouping. INT_ALL
     indexes (3^n components per oracle; seconds for xor m=4) are memoized
@@ -199,11 +192,11 @@ def oracle_index(family: Family, kind: str) -> tuple[bytes, ...]:
 
 
 @lru_cache(maxsize=16)
-def _cached_index(family: Family, kind: str, caps) -> tuple[bytes, ...]:
+def _cached_index(family, kind: str, caps) -> tuple[bytes, ...]:
     return _index(family, kind)
 
 
-def _index(family: Family, kind: str) -> tuple[bytes, ...]:
+def _index(family, kind: str) -> tuple[bytes, ...]:
     shared: dict[bytes, bytes] = {}
     oracles = (
         serialize(compute_oracle(family.build(param), kind))

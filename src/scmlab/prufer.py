@@ -1,18 +1,49 @@
-"""Sequence codec for rooted labeled trees on nodes 1..n.
+"""Sequence codec for rooted labeled trees on nodes 1..n, and its price.
 
 Encoding runs the classic elimination on the underlying unrooted tree:
 repeatedly delete the smallest-labeled leaf and record its neighbor,
 stopping when two nodes remain. The root label travels alongside the
 sequence so rooted trees round-trip exactly. For n <= 2 the sequence is
-empty, which is why decode takes n explicitly.
+empty, which is why decode takes n explicitly. `tree_bit_budget` prices
+the codec in exact bits; it is the tree family's constructive encoder.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from dataclasses import dataclass
 
-from .errors import InvalidSequenceError
+from .errors import BadRangeError, InvalidSequenceError
 from .families import RootedTree
+
+
+def ceil_log2(x: int) -> int:
+    """Smallest k with 2^k >= x; exact integer arithmetic, 0 for x <= 1."""
+    if x < 1:
+        raise BadRangeError(f"ceil_log2 needs a positive integer, got {x}")
+    return (x - 1).bit_length()
+
+
+@dataclass(frozen=True)
+class BitBudget:
+    """Itemized encoder cost: named components and their bit totals."""
+
+    components: tuple[tuple[str, int], ...]
+    total_bits: int
+    idealized_bits: float
+
+
+def tree_bit_budget(n: int) -> BitBudget:
+    """Cost of the sequence codec: ceil(log2 n^(n-2)) sequence bits plus
+    ceil(log2 n) root bits; idealized cost is (n-1) log2 n."""
+    if n < 1:
+        raise BadRangeError(f"n must be at least 1, got {n}")
+    sequence_bits = ceil_log2(n ** (n - 2)) if n >= 2 else 0
+    root_bits = ceil_log2(n)
+    idealized = (n - 1) * math.log2(n) if n > 1 else 0.0
+    components = (("sequence", sequence_bits), ("root", root_bits))
+    return BitBudget(components, sequence_bits + root_bits, idealized)
 
 
 def prufer_encode(tree: RootedTree) -> tuple[tuple[int, ...], int]:

@@ -25,7 +25,10 @@ def frac_parse(text: str) -> Fraction:
     match = _FRACTION_RE.fullmatch(text)
     if not match:
         raise OracleFormatError(f"malformed fraction {text!r}")
-    num, den = int(match.group(1)), int(match.group(2))
+    try:
+        num, den = int(match.group(1)), int(match.group(2))
+    except ValueError:  # past the interpreter's digit limit for int conversion
+        raise OracleFormatError(f"fraction of {len(text)} characters is too long") from None
     if den == 0:
         raise OracleFormatError(f"zero denominator in {text!r}")
     if math.gcd(num, den) != 1:

@@ -504,9 +504,17 @@ def _twin(plan: _Plan, i: int, leaves: _Leaves) -> ExactDist:
     return _dist(leaves, states, weights, den)
 
 
+def hard_do_laws(
+    scm: Scm, max_forced: int, support_cap: int | None = None
+) -> dict[tuple, ExactDist]:
+    """The joint under every hard intervention on at most `max_forced`
+    variables, keyed by `Intervention.assignments`; no intervention cap."""
+    return _hard_do_laws(_compile(scm, support_cap), max_forced)
+
+
 def observational(scm: Scm, support_cap: int | None = None) -> ExactDist:
     """Exact joint distribution of the n variables."""
-    return _hard_do_laws(_compile(scm, support_cap), 0)[()]
+    return hard_do_laws(scm, 0, support_cap)[()]
 
 
 def apply_do(scm: Scm, intervention: Intervention) -> Scm:
@@ -566,18 +574,6 @@ def all_interventions(n: int):
                 yield Intervention(tuple(zip(subset, values)))
 
 
-def int1(
-    scm: Scm, support_cap: int | None = None
-) -> tuple[tuple[Intervention, ExactDist], ...]:
-    """The observational law, then do(X_i=b) for every variable i and bit b."""
-    n = scm.n
-    laws = _hard_do_laws(_compile(scm, support_cap), 1)
-    order = [EMPTY_INTERVENTION] + [
-        Intervention(((i, b),)) for i in range(n) for b in (0, 1)
-    ]
-    return tuple((iv, laws[iv.assignments]) for iv in order)
-
-
 def int_all_laws(
     scm: Scm, n_cap: int | None = None, support_cap: int | None = None
 ) -> dict[tuple, ExactDist]:
@@ -589,7 +585,7 @@ def int_all_laws(
             f"int_all on n={scm.n} exceeds {source}: refused "
             f"{work_text({3: scm.n})} interventions"
         )
-    return _hard_do_laws(_compile(scm, support_cap), scm.n)
+    return hard_do_laws(scm, scm.n, support_cap)
 
 
 def int_all(

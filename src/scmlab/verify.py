@@ -8,24 +8,20 @@ marginalize to the matching interventional laws; the observational
 component embeds verbatim in INT1). A suite passes only if every check
 passes on every parameter.
 
-One table drives every family: its expected observational law, the
-kinds that must be identical beyond the rung pair in
-`gap.DEFAULT_RUNGS`, and (from `decoders.DECODERS`) its decoder. All
-oracle bytes come from `oracle.oracle_index`, one read per kind, so the
-suite shares its INT_ALL enumeration with the gap tables.
+One suite serves every family. The family's row in `catalog.FAMILIES`
+gives its rung pair, the name and expected law of its observational
+check, the kinds that must be identical beyond the lower rung, and its
+decoder with the kind that decoder reads. All oracle bytes come from
+`oracle.oracle_index`, one read per kind, so the suite shares its
+INT_ALL enumeration with the gap tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decoders import DECODERS
-from .errors import BadRangeError
-from .families import BIPARTITE, TREE, XOR, Family
-from .gap import DEFAULT_RUNGS
+from .catalog import Family
 from .oracle import CF1, INT1, OBS, AnswerOracle, marginal, oracle_index, parse, serialize
-from .rational import HALF
-from .scm_core import ExactDist
 
 
 @dataclass(frozen=True)
@@ -35,25 +31,6 @@ class CheckResult:
     name: str
     passed: bool
     details: dict
-
-
-def expected_two_point(n: int) -> ExactDist:
-    """The shared tree/bipartite observational law: all-zeros or all-ones."""
-    return ExactDist(n, {"0" * n: HALF, "1" * n: HALF})
-
-
-def expected_uniform(n: int) -> ExactDist:
-    weight = HALF**n
-    return ExactDist(n, {format(v, f"0{n}b"): weight for v in range(1 << n)})
-
-
-# family -> (name of its observational check, the expected observational
-# law, kinds identical across the family besides the lower rung)
-SUITES = {
-    TREE: ("observational-identical", expected_two_point, ()),
-    BIPARTITE: ("observational-identical", expected_two_point, ()),
-    XOR: ("observational-identical-uniform", expected_uniform, (OBS, INT1)),
-}
 
 
 def _marginal_consistency(n: int, obs_dist, int1, cf1) -> bool:
@@ -78,13 +55,10 @@ def _obs_embeds(obs: bytes, int1: bytes) -> bool:
 
 def verify_family(family: Family) -> list[CheckResult]:
     """Run the family's full suite; exhaustive over its parameter space."""
-    if family.kind not in SUITES:
-        raise BadRangeError(f"unknown family {family.kind!r}")
-    obs_check, obs_law, also_identical = SUITES[family.kind]
-    lower_kind, higher_kind = DEFAULT_RUNGS[family.kind]
-    decoder_kind, decoder = DECODERS[family.kind]
+    spec = family.spec
+    lower_kind, higher_kind = spec.rungs
     n = family.n_vars()
-    kinds = (OBS, INT1, CF1, *also_identical, lower_kind, higher_kind)
+    kinds = (OBS, INT1, CF1, *spec.also_identical, lower_kind, higher_kind)
     index = {kind: oracle_index(family, kind) for kind in dict.fromkeys(kinds)}
     obs, int1, cf1 = index[OBS], index[INT1], index[CF1]
     count = len(obs)
@@ -93,11 +67,11 @@ def verify_family(family: Family) -> list[CheckResult]:
     def check(name: str, passed: bool, **details) -> None:
         results.append(CheckResult(name, passed, {"parameters": count, **details}))
 
-    for kind in (*also_identical, lower_kind):
+    for kind in (*spec.also_identical, lower_kind):
         distinct = set(index[kind])
         if kind == OBS:
-            expected = serialize(AnswerOracle(OBS, n, (("obs", obs_law(n)),)))
-            check(obs_check, distinct == {expected}, distinct_laws=len(distinct))
+            expected = serialize(AnswerOracle(OBS, n, (("obs", spec.obs_law(n)),)))
+            check(spec.obs_check, distinct == {expected}, distinct_laws=len(distinct))
         else:
             name = f"{kind.lower().replace('_', '-')}-identical"
             check(name, len(distinct) == 1, distinct_oracles=len(distinct))
@@ -111,7 +85,7 @@ def verify_family(family: Family) -> list[CheckResult]:
     embeddings_ok = True
     for param, obs_data, int1_data, cf1_data in zip(family.parameters(), obs, int1, cf1):
         parsed = {INT1: parse(int1_data), CF1: parse(cf1_data)}
-        if decoder(parsed[decoder_kind]) == param:
+        if spec.decode(parsed[spec.decoder_kind]) == param:
             round_trips += 1
         marginals_ok &= _marginal_consistency(
             n, obs_dists[obs_data], parsed[INT1], parsed[CF1]

@@ -14,6 +14,8 @@ from scmlab import (
     NoiseDist,
     Scm,
     compute_oracle,
+    enumerate_graphs,
+    enumerate_trees,
     int_all,
     per_query_error,
     run_nfl,
@@ -23,7 +25,7 @@ from scmlab import (
 from scmlab import gates
 from scmlab.caps import all_caps, cap
 from scmlab.cli import main
-from scmlab.errors import BadRangeError, NTooLargeError, SupportTooLargeError
+from scmlab.errors import BadRangeError, MTooLargeError, NTooLargeError, SupportTooLargeError
 from scmlab.learning import Dataset
 
 
@@ -120,6 +122,43 @@ def test_refusals_name_the_cap_its_value_and_the_work(monkeypatch, capfd):
     assert main(args) == 3
     err = capfd.readouterr().err
     assert "SCMLAB_INTALL_NMAX=1: refused 3^2 = 9 interventions" in err
+
+
+@pytest.mark.parametrize(
+    "variable, argument, value, call, error, statement",
+    [
+        ("SCMLAB_TREE_NMAX", "n_cap", 3, lambda **cap: list(enumerate_trees(4, **cap)),
+         NTooLargeError, "enumerating trees on n=4 exceeds {}=3: refused 4^3 = 64 trees"),
+        ("SCMLAB_GRAPH_MMAX", "m_cap", 1, lambda **cap: list(enumerate_graphs(2, **cap)),
+         MTooLargeError, "enumerating graphs on m=2 exceeds {}=1: refused 2^4 = 16 graphs"),
+        ("SCMLAB_NFL_MMAX", "m_cap", 2,
+         lambda **cap: run_nfl(3, 2, "uniform-guess", MONTE_CARLO, 5, 1, **cap),
+         MTooLargeError, "nfl on m=3 exceeds {}=2: refused 2^9 = 512 graphs"),
+        ("SCMLAB_NFL_MMAX", "m_cap", 2, lambda **cap: per_query_error(3, Fraction(1, 2), **cap),
+         MTooLargeError, "per-query error on m=3 exceeds {}=2: refused 2^9 = 512 graphs"),
+    ],
+    ids=["tree-enumerator", "graph-enumerator", "run_nfl", "per_query_error"],
+)
+def test_family_refusals_name_the_cap_its_value_and_the_work(
+    variable, argument, value, call, error, statement, monkeypatch
+):
+    with pytest.raises(error) as excinfo:
+        call(**{argument: value})
+    assert str(excinfo.value) == statement.format(argument)
+    monkeypatch.setenv(variable, str(value))
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == statement.format(variable)
+
+
+def test_cli_tree_refusal_exits_3_and_names_the_default_cap(capfd):
+    assert main(["verify", "--family", "tree", "--n", "8"]) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error[N_TOO_LARGE]: enumerating trees on n=8 exceeds "
+        "SCMLAB_TREE_NMAX=7: refused 8^7 = 2097152 trees\n"
+    )
 
 
 def test_refusal_of_a_huge_support_product_does_not_print_it():

@@ -195,7 +195,7 @@ class TestFamily:
         assert Family("xor", 4).n_vars() == 8
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadRangeError, match="unknown family 'mystery'"):
             Family("mystery", 2)
 
     def test_build_dispatch(self):

@@ -32,7 +32,7 @@ from scmlab import (
 from scmlab import gates
 from scmlab.errors import BadRangeError, LengthMismatchError, NotMemberError
 from scmlab.families import enumerate_graphs
-from scmlab.gap import DEFAULT_RUNGS
+from scmlab.catalog import FAMILIES
 from scmlab.scm_core import NoiseDist
 
 
@@ -223,9 +223,9 @@ class TestGenericClassEncoding:
 
 class TestSeparationTable:
     def test_default_rungs(self):
-        assert DEFAULT_RUNGS["tree"] == (OBS, INT1)
-        assert DEFAULT_RUNGS["bipartite"] == (OBS, INT1)
-        assert DEFAULT_RUNGS["xor"] == (INT_ALL, CF1)
+        assert FAMILIES["tree"].rungs == (OBS, INT1)
+        assert FAMILIES["bipartite"].rungs == (OBS, INT1)
+        assert FAMILIES["xor"].rungs == (INT_ALL, CF1)
 
     def test_tree_row(self):
         (row,) = separation_table(Family("tree", 3))

@@ -114,6 +114,21 @@ class TestScmCodec:
         with pytest.raises(InvalidScmError):
             scm_from_json({"n": 1})
 
+    def test_rejects_prob_past_the_int_conversion_limit(self):
+        doc = {
+            "n": 1,
+            "variables": [
+                {
+                    "id": 0,
+                    "parents": [],
+                    "gate": "BERN_SOURCE",
+                    "noise": {"support": [0, 1], "probs": ["1/1" + "0" * 4400, "1/1"]},
+                }
+            ],
+        }
+        with pytest.raises(InvalidScmError):
+            scm_from_json(doc)
+
     def test_rejects_non_lowest_terms_prob(self):
         doc = {
             "n": 1,
@@ -155,7 +170,7 @@ class TestParamCodec:
         assert param_from_json("xor", doc) == hidden
 
     def test_unknown_kind(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(BadRangeError, match="unknown family 'dag'"):
             param_to_json("dag", RootedTree(1, 1, {}))
 
     def test_tree_checked_on_load(self):

@@ -1,5 +1,6 @@
 """Seeded no-free-lunch measurements and their exact counterparts."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -31,7 +32,7 @@ from scmlab import (
     sample_obs,
     serialize,
 )
-from scmlab import families, gates, learning, scm_core
+from scmlab import catalog, gates, learning, scm_core
 from scmlab.caps import all_caps
 from scmlab.errors import BadRangeError, MTooLargeError
 from scmlab.families import graph_of_mask
@@ -196,7 +197,8 @@ class TestLearnerRegistry:
             )
             return Scm(2 * graph.m + 1, (source,) * (2 * graph.m + 1))
 
-        monkeypatch.setattr(families, "build_bipartite_scm", edge_count_law)
+        row = dataclasses.replace(catalog.FAMILIES["bipartite"], build=edge_count_law)
+        monkeypatch.setitem(catalog.FAMILIES, "bipartite", row)
         caps = tuple(all_caps().items())
         learning._graph.cache_clear()
         try:

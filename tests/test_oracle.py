@@ -216,6 +216,11 @@ class TestParseStrictness:
         with pytest.raises(OracleFormatError):
             parse(b"OBS n=1\n#obs\n0=3/2\n")
 
+    def test_fraction_past_the_int_conversion_limit_rejected(self):
+        # 4401 digits, more than the interpreter converts to an int
+        with pytest.raises(OracleFormatError, match="too long"):
+            parse(b"OBS n=1\n#obs\n0=1/1" + b"0" * 4400 + b"\n")
+
 
 class TestFracParse:
     def test_canonical_spellings_accepted(self):

@@ -1,7 +1,7 @@
 """Family verification suites at desk scale."""
 
 from scmlab import Family, all_passed, verify_family
-from scmlab.verify import expected_two_point, expected_uniform
+from scmlab.catalog import expected_two_point, expected_uniform
 
 TWO_POINT_CHECKS = [
     "observational-identical",
