@@ -1,26 +1,35 @@
-"""Desk-scale enumeration guardrails.
+"""Desk-scale enumeration guardrails, one table row per cap.
 
 Each cap has a default sized so every exhaustive sweep finishes in minutes
-on one core. Environment variables of the same name override the defaults;
-reports embed the active snapshot so runs stay reproducible.
+on one core; the environment variable of the same name is the only way to
+override it. `check` is the one refusal every capped entry point calls,
+`snapshot` the key memos are read under, and reports embed `all_caps` so
+runs stay reproducible.
 """
 
 import math
 import os
+from typing import NamedTuple
 
-from .errors import BadRangeError
+from .errors import BadRangeError, MTooLargeError, NTooLargeError, SupportTooLargeError
 
-_DEFAULTS = {
+
+class Cap(NamedTuple):
+    default: int
+    error: type  # what `check` raises on refusal
+
+
+CAPS = {
     # max number of exogenous enumeration points per distribution
-    "SCMLAB_SUPPORT_CAP": 2**24,
+    "SCMLAB_SUPPORT_CAP": Cap(2**24, SupportTooLargeError),
     # int_all enumerates 3^n mutilations
-    "SCMLAB_INTALL_NMAX": 12,
+    "SCMLAB_INTALL_NMAX": Cap(12, NTooLargeError),
     # n^(n-1) rooted labeled trees
-    "SCMLAB_TREE_NMAX": 7,
+    "SCMLAB_TREE_NMAX": Cap(7, NTooLargeError),
     # 2^(m*m) layer graphs
-    "SCMLAB_GRAPH_MMAX": 3,
+    "SCMLAB_GRAPH_MMAX": Cap(3, MTooLargeError),
     # exhaustive oracle-equality accounting per trial
-    "SCMLAB_NFL_MMAX": 3,
+    "SCMLAB_NFL_MMAX": Cap(3, MTooLargeError),
 }
 
 
@@ -29,11 +38,10 @@ def cap(name: str) -> int:
 
     An override that is not a nonnegative integer raises BadRangeError.
     """
-    if name not in _DEFAULTS:
-        raise KeyError(name)
+    default = CAPS[name].default
     raw = os.environ.get(name)
     if raw is None:
-        return _DEFAULTS[name]
+        return default
     try:
         value = int(raw)
     except ValueError:
@@ -45,16 +53,26 @@ def cap(name: str) -> int:
 
 def all_caps() -> dict[str, int]:
     """Snapshot of every active cap, for embedding in reports."""
-    return {name: cap(name) for name in sorted(_DEFAULTS)}
+    return {name: cap(name) for name in sorted(CAPS)}
 
 
-def in_force(name: str, override: int | None, argument: str) -> tuple[int, str]:
-    """The cap in force and how a refusal names it: `argument=value` for an
-    explicit override, else `name=value` from the environment or default."""
-    if override is None:
-        value = cap(name)
-        return value, f"{name}={value}"
-    return override, f"{argument}={override}"
+def snapshot() -> tuple:
+    """The active caps as a memo key, so a lowered cap refuses work
+    memoized under the caps before it."""
+    return tuple(all_caps().items())
+
+
+def check(name: str, value: int, what: str, work, unit: str) -> None:
+    """Refuse `value` above cap `name` before any work, raising the row's
+    error "<what> exceeds NAME=limit: refused <work> <unit>". `what` is
+    formatted with `value`, and `work()` gives the refused work as
+    {base: exponent}; both are read only on refusal."""
+    limit = cap(name)
+    if value > limit:
+        raise CAPS[name].error(
+            f"{what.format(value)} exceeds {name}={limit}: "
+            f"refused {work_text(work())} {unit}"
+        )
 
 
 def work_text(factors: dict[int, int]) -> str:

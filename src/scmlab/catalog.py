@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import decoders, families, jsonio
-from .errors import BadRangeError
+from .errors import BadRangeError, KindMismatchError
 from .families import BIPARTITE, TREE, XOR
 from .oracle import CF1, INT1, INT_ALL, OBS
 from .prufer import tree_bit_budget
@@ -117,4 +117,9 @@ def param_to_json(kind: str, param) -> dict:
 
 
 def param_from_json(kind: str, doc: dict):
-    return spec_of(kind).from_json(doc)
+    """The member of family `kind` that `doc` describes; a document of
+    another shape raises KindMismatchError naming the family."""
+    try:
+        return spec_of(kind).from_json(doc)
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+        raise KindMismatchError(f"not a parameter document of family {kind}: {exc!r}") from None

@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import __version__
 from .caps import all_caps
 from .catalog import FAMILIES, Family, param_from_json, param_to_json
-from .errors import ScmLabError
+from .errors import LengthMismatchError, ScmLabError
 from .families import BIPARTITE
 from .gap import pairwise_separation_check, separation_table
 from .jsonio import scm_to_json
@@ -104,10 +104,16 @@ def _gap_rows_csv(rows) -> str:
 
 
 def _load_scm(args):
-    """The SCM of the family member that `--param-file` describes."""
+    """The SCM of the family member that `--param-file` describes, which
+    must have the size that `--n`/`--m` gives."""
     with open(args.param_file, "r", encoding="ascii") as fh:
         doc = json.load(fh)
-    return Family(args.family, args.size).build(param_from_json(args.family, doc))
+    family = Family(args.family, args.size)
+    scm = family.build(param_from_json(args.family, doc))
+    if scm.n != family.n_vars():
+        raise LengthMismatchError(f"{family.kind} size {family.size} has n={family.n_vars()}, "
+                                  f"but the parameter file describes n={scm.n}")
+    return scm
 
 
 def _cmd_verify(args) -> int:

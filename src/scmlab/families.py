@@ -23,14 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import gates
-from .caps import in_force, work_text
-from .errors import (
-    BadRangeError,
-    InvalidTreeError,
-    LengthMismatchError,
-    MTooLargeError,
-    NTooLargeError,
-)
+from .caps import check
+from .errors import BadRangeError, InvalidTreeError, LengthMismatchError
 from .rational import HALF
 from .scm_core import Mechanism, NoiseDist, Scm
 
@@ -177,7 +171,7 @@ def build_xor_scm(hidden: HiddenString) -> Scm:
     return Scm(2 * hidden.m, tuple(mechanisms))
 
 
-def enumerate_trees(n: int, n_cap: int | None = None):
+def enumerate_trees(n: int):
     """Yield all n^(n-1) rooted labeled trees, each exactly once.
 
     Iterates root choices in ascending order and, per root, the length
@@ -185,12 +179,7 @@ def enumerate_trees(n: int, n_cap: int | None = None):
     """
     if n < 1:
         raise BadRangeError(f"n must be at least 1, got {n}")
-    limit, source = in_force("SCMLAB_TREE_NMAX", n_cap, "n_cap")
-    if n > limit:
-        raise NTooLargeError(
-            f"enumerating trees on n={n} exceeds {source}: "
-            f"refused {work_text({n: n - 1})} trees"
-        )
+    check("SCMLAB_TREE_NMAX", n, "enumerating trees on n={}", lambda: {n: n - 1}, "trees")
     from .prufer import prufer_decode
 
     if n == 1:
@@ -201,7 +190,7 @@ def enumerate_trees(n: int, n_cap: int | None = None):
             yield prufer_decode(seq, root, n)
 
 
-def enumerate_graphs(m: int, m_cap: int | None = None):
+def enumerate_graphs(m: int):
     """Yield all 2^(m*m) layer graphs in ascending adjacency-mask order.
 
     Bit i*m+j of the mask is edge (i, j), so the empty graph comes first
@@ -209,12 +198,7 @@ def enumerate_graphs(m: int, m_cap: int | None = None):
     """
     if m < 1:
         raise BadRangeError(f"m must be at least 1, got {m}")
-    limit, source = in_force("SCMLAB_GRAPH_MMAX", m_cap, "m_cap")
-    if m > limit:
-        raise MTooLargeError(
-            f"enumerating graphs on m={m} exceeds {source}: "
-            f"refused {work_text({2: m * m})} graphs"
-        )
+    check("SCMLAB_GRAPH_MMAX", m, "enumerating graphs on m={}", lambda: {2: m * m}, "graphs")
     for mask in range(1 << (m * m)):
         yield graph_of_mask(m, mask)
 

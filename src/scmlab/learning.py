@@ -29,9 +29,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .caps import all_caps, in_force, work_text
+from .caps import check, snapshot
 from .catalog import Family
-from .errors import BadRangeError, MTooLargeError, ScmLabError
+from .errors import BadRangeError, ScmLabError
 from .families import BIPARTITE, graph_of_mask
 from .oracle import INT1, OBS, AnswerOracle, compute_oracle, oracle_index, parse, serialize
 from .rational import HALF, ONE, ZERO
@@ -104,12 +104,6 @@ def sample_obs(scm: Scm, count: int, seed: int, source: str = "scm") -> Dataset:
     return Dataset(scm.n, _draw(_sampler(observational(scm)), count, seed), seed, source)
 
 
-def _caps() -> tuple:
-    """Snapshot of the active caps, the key every Monte-Carlo memo is
-    read under, so a lowered cap refuses a graph or fit computed before."""
-    return tuple(all_caps().items())
-
-
 class _Graph(NamedTuple):
     """What episodes read of one layer graph, computed from its own SCM:
     its INT1 oracle, the oracle's bytes (the truth a prediction must
@@ -172,7 +166,7 @@ class _Learner:
     from memos keyed by the cap snapshot `caps`. `predict` parses it."""
 
     def predict(self, dataset: Dataset, m: int, rng: random.Random) -> AnswerOracle:
-        return parse(self.predict_bytes(dataset, m, rng, _caps()))
+        return parse(self.predict_bytes(dataset, m, rng, snapshot()))
 
 
 class UniformGuessLearner(_Learner):
@@ -200,7 +194,7 @@ class ConstantEmptyLearner(_Learner):
 
     def exact_rate(self, m: int, n_samples: int) -> Fraction:
         count = 1 << (m * m)
-        return Fraction(_int1_counts(m)[_graph(m, 0, _caps()).data], count)
+        return Fraction(_int1_counts(m)[_graph(m, 0, snapshot()).data], count)
 
 
 class EmpiricalIndependentLearner(_Learner):
@@ -221,7 +215,7 @@ class EmpiricalIndependentLearner(_Learner):
         count = 1 << (m * m)
         n = Family(BIPARTITE, m).n_vars()
         truth_counts = _int1_counts(m)
-        caps = _caps()
+        caps = snapshot()
         rate = ZERO
         for k in range(n_samples + 1):
             predicted = _independent_fit_bytes(n, n_samples, (k,) * n, caps)
@@ -257,16 +251,13 @@ class NflReport:
     per_query_error: Fraction | None = None
 
 
-def _check_m(what: str, m: int, m_cap: int | None) -> None:
-    """Refuse m outside 1..SCMLAB_NFL_MMAX (or `m_cap`) before any work;
-    the refused work is the 2^(m*m) graphs the exact accounting reads."""
+def _check_m(what: str, m: int) -> None:
+    """Refuse m outside 1..SCMLAB_NFL_MMAX before any work; the refused
+    work is the 2^(m*m) graphs the exact accounting reads. `what` names
+    the call, with {} where m goes."""
     if m < 1:
         raise BadRangeError(f"m must be at least 1, got {m}")
-    limit, source = in_force("SCMLAB_NFL_MMAX", m_cap, "m_cap")
-    if m > limit:
-        raise MTooLargeError(
-            f"{what} on m={m} exceeds {source}: refused {work_text({2: m * m})} graphs"
-        )
+    check("SCMLAB_NFL_MMAX", m, what, lambda: {2: m * m}, "graphs")
 
 
 def run_nfl(
@@ -276,7 +267,6 @@ def run_nfl(
     mode: str = MONTE_CARLO,
     trials: int | None = None,
     seed: int | None = None,
-    m_cap: int | None = None,
 ) -> NflReport:
     """Measure a learner's exact-recovery rate against the 2^-(m*m) bound.
 
@@ -285,7 +275,7 @@ def run_nfl(
     rate. Monte-Carlo mode samples `trials` full episodes: hidden graph,
     observational dataset, prediction, byte-exact comparison.
     """
-    _check_m("nfl", m, m_cap)
+    _check_m("nfl on m={}", m)
     if n_samples < 0:
         raise BadRangeError(f"n_samples must be nonnegative, got {n_samples}")
     if learner_id not in LEARNERS:
@@ -303,7 +293,7 @@ def run_nfl(
         raise BadRangeError("monte-carlo mode needs trials >= 1")
     if seed is None:
         raise BadRangeError("monte-carlo mode needs a seed")
-    caps = _caps()
+    caps = snapshot()
     successes = 0
     for trial in range(trials):
         _, graph, dataset = _episode(m, n_samples, seed, ("graph", "data"), trial, caps)
@@ -331,7 +321,6 @@ def per_query_error(
     n_samples: int | None = None,
     trials: int | None = None,
     seed: int | None = None,
-    m_cap: int | None = None,
 ) -> Fraction:
     """Expected error on the query P(b_j = 0 | do(a_i = 0)).
 
@@ -342,7 +331,7 @@ def per_query_error(
     Monte-Carlo mode accepts a callable predictor(dataset) as well and
     averages the exact per-trial errors over sampled episodes.
     """
-    _check_m("per-query error", m, m_cap)
+    _check_m("per-query error on m={}", m)
     if mode == EXACT:
         if callable(predictor):
             raise BadRangeError("exact mode needs a constant predictor")
@@ -357,7 +346,7 @@ def per_query_error(
         raise BadRangeError("monte-carlo mode needs n_samples, trials, and a seed")
     if n_samples < 0:
         raise BadRangeError(f"count must be nonnegative, got {n_samples}")
-    caps = _caps()
+    caps = snapshot()
     total = ZERO
     labels = ("query-episode", "query-data")
     for trial in range(trials):

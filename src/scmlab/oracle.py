@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NoReturn
 
-from .caps import all_caps, work_text
+from .caps import snapshot, work_text
 from .errors import (
     BadPositionError,
     KindMismatchError,
@@ -153,21 +153,14 @@ def component_bits(kind: str, n: int) -> int:
     return 3 * n if kind == CF1 else n
 
 
-def compute_oracle(
-    scm: Scm,
-    kind: str,
-    support_cap: int | None = None,
-    n_cap: int | None = None,
-) -> AnswerOracle:
+def compute_oracle(scm: Scm, kind: str) -> AnswerOracle:
     """Compute the full exact oracle of `scm` for one query class."""
     if kind == INT_ALL:
-        laws = int_all_laws(scm, n_cap, support_cap)
+        laws = int_all_laws(scm)
     elif kind == CF1:
-        laws = cf1(scm, support_cap)
-    elif kind == INT1:
-        laws = hard_do_laws(scm, 1, support_cap)
-    elif kind == OBS:
-        laws = hard_do_laws(scm, 0, support_cap)
+        laws = cf1(scm)
+    elif kind in (OBS, INT1):
+        laws = hard_do_laws(scm, 1 if kind == INT1 else 0)
     else:
         raise KindMismatchError(f"unknown oracle kind {kind!r}")
     components = tuple((key, laws[law]) for law, key in _layout(kind, scm.n))
@@ -187,7 +180,7 @@ def oracle_index(family, kind: str) -> tuple[bytes, ...]:
     cost depends on which calls came before it.
     """
     if kind == INT_ALL:
-        return _cached_index(family, kind, tuple(all_caps().items()))
+        return _cached_index(family, kind, snapshot())
     return _index(family, kind)
 
 

@@ -23,13 +23,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import gates
-from .caps import in_force, work_text
-from .errors import (
-    BadPositionError,
-    CycleError,
-    NTooLargeError,
-    SupportTooLargeError,
-)
+from .caps import check
+from .errors import BadPositionError, CycleError
 from .rational import ONE, ZERO
 
 
@@ -287,7 +282,7 @@ class _Plan(NamedTuple):
     exact: bool
 
 
-def _compile(scm: Scm, support_cap: int | None) -> _Plan:
+def _compile(scm: Scm) -> _Plan:
     """Check what evaluation needs and build the per-variable plan.
 
     Raises what running the mechanisms raises: CycleError, then
@@ -295,18 +290,13 @@ def _compile(scm: Scm, support_cap: int | None) -> _Plan:
     support, parent or noise index out of range), ValueError (unknown
     gate, non-bit symbol read as a bit) or ArityMismatchError.
     """
-    limit, source = in_force("SCMLAB_SUPPORT_CAP", support_cap, "support_cap")
     n = scm.n
     order = topo_order(scm)
     mechanisms = scm.mechanisms
     sizes = [len(m.noise.support) for m in mechanisms]
     total = math.prod(sizes)
-    if total > limit:
-        factors = Counter(size for size in sizes if size > 1)
-        raise SupportTooLargeError(
-            f"noise support product exceeds {source}: refused "
-            f"{work_text(factors)} noise points"
-        )
+    check("SCMLAB_SUPPORT_CAP", total, "noise support product",
+          lambda: Counter(size for size in sizes if size > 1), "noise points")
     if total == 0:
         raise IndexError("a noise distribution has an empty support")
     if len(mechanisms) > n:
@@ -434,15 +424,16 @@ def _dist(leaves: _Leaves, states: list[int], weights: list[int], den: int) -> E
     return ExactDist(leaves.n_bits, mass)
 
 
-def _hard_do_laws(plan: _Plan, max_forced: int) -> dict[tuple, ExactDist]:
+def hard_do_laws(scm: Scm, max_forced: int) -> dict[tuple, ExactDist]:
     """The joint under every hard intervention on at most `max_forced`
-    variables, keyed by its `Intervention.assignments`.
+    variables, keyed by its `Intervention.assignments`; no intervention cap.
 
     The interventions form a trie in topological order: at each variable
     a node branches into its mechanism, do 0 and do 1, so interventions
     that agree on a prefix share its work. A leaf's states become its
     ExactDist at once and are dropped.
     """
+    plan = _compile(scm)
     laws: dict[tuple, ExactDist] = {}
     _descend(plan, 0, [0], [1], 1, (), max_forced, laws, _Leaves(plan, plan.n))
     return laws
@@ -504,17 +495,9 @@ def _twin(plan: _Plan, i: int, leaves: _Leaves) -> ExactDist:
     return _dist(leaves, states, weights, den)
 
 
-def hard_do_laws(
-    scm: Scm, max_forced: int, support_cap: int | None = None
-) -> dict[tuple, ExactDist]:
-    """The joint under every hard intervention on at most `max_forced`
-    variables, keyed by `Intervention.assignments`; no intervention cap."""
-    return _hard_do_laws(_compile(scm, support_cap), max_forced)
-
-
-def observational(scm: Scm, support_cap: int | None = None) -> ExactDist:
+def observational(scm: Scm) -> ExactDist:
     """Exact joint distribution of the n variables."""
-    return hard_do_laws(scm, 0, support_cap)[()]
+    return hard_do_laws(scm, 0)[()]
 
 
 def apply_do(scm: Scm, intervention: Intervention) -> Scm:
@@ -532,16 +515,12 @@ def apply_do(scm: Scm, intervention: Intervention) -> Scm:
     return Scm(scm.n, tuple(mechanisms))
 
 
-def interventional(
-    scm: Scm, intervention: Intervention, support_cap: int | None = None
-) -> ExactDist:
+def interventional(scm: Scm, intervention: Intervention) -> ExactDist:
     """Exact joint under do(): the observational law of the mutilated SCM."""
-    return observational(apply_do(scm, intervention), support_cap)
+    return observational(apply_do(scm, intervention))
 
 
-def counterfactual_triple(
-    scm: Scm, i: int, support_cap: int | None = None
-) -> ExactDist:
+def counterfactual_triple(scm: Scm, i: int) -> ExactDist:
     """Joint law of (factual, do(X_i=0) world, do(X_i=1) world).
 
     All three worlds share the same exogenous draw, which is what makes
@@ -551,13 +530,13 @@ def counterfactual_triple(
     """
     if not 0 <= i < scm.n:
         raise BadPositionError(f"variable {i} outside [0, {scm.n})")
-    plan = _compile(scm, support_cap)
+    plan = _compile(scm)
     return _twin(plan, i, _Leaves(plan, 3 * scm.n))
 
 
-def cf1(scm: Scm, support_cap: int | None = None) -> tuple[ExactDist, ...]:
+def cf1(scm: Scm) -> tuple[ExactDist, ...]:
     """`counterfactual_triple` for every variable, from one compiled plan."""
-    plan = _compile(scm, support_cap)
+    plan = _compile(scm)
     leaves = _Leaves(plan, 3 * scm.n)
     return tuple(_twin(plan, i, leaves) for i in range(scm.n))
 
@@ -574,23 +553,15 @@ def all_interventions(n: int):
                 yield Intervention(tuple(zip(subset, values)))
 
 
-def int_all_laws(
-    scm: Scm, n_cap: int | None = None, support_cap: int | None = None
-) -> dict[tuple, ExactDist]:
+def int_all_laws(scm: Scm) -> dict[tuple, ExactDist]:
     """The joint under every one of the 3^n hard interventions, keyed by
-    `Intervention.assignments`."""
-    limit, source = in_force("SCMLAB_INTALL_NMAX", n_cap, "n_cap")
-    if scm.n > limit:
-        raise NTooLargeError(
-            f"int_all on n={scm.n} exceeds {source}: refused "
-            f"{work_text({3: scm.n})} interventions"
-        )
-    return hard_do_laws(scm, scm.n, support_cap)
+    `Intervention.assignments`; n above SCMLAB_INTALL_NMAX is refused
+    before any work."""
+    check("SCMLAB_INTALL_NMAX", scm.n, "int_all on n={}", lambda: {3: scm.n}, "interventions")
+    return hard_do_laws(scm, scm.n)
 
 
-def int_all(
-    scm: Scm, n_cap: int | None = None, support_cap: int | None = None
-) -> tuple[tuple[Intervention, ExactDist], ...]:
+def int_all(scm: Scm) -> tuple[tuple[Intervention, ExactDist], ...]:
     """Exact joint under every one of the 3^n hard interventions."""
-    laws = int_all_laws(scm, n_cap, support_cap)
+    laws = int_all_laws(scm)
     return tuple((iv, laws[iv.assignments]) for iv in all_interventions(scm.n))

@@ -58,7 +58,8 @@ def verify_family(family: Family) -> list[CheckResult]:
     spec = family.spec
     lower_kind, higher_kind = spec.rungs
     n = family.n_vars()
-    kinds = (OBS, INT1, CF1, *spec.also_identical, lower_kind, higher_kind)
+    # the rung pair first: a cap on the costliest kind refuses before any work
+    kinds = (lower_kind, higher_kind, *spec.also_identical, OBS, INT1, CF1)
     index = {kind: oracle_index(family, kind) for kind in dict.fromkeys(kinds)}
     obs, int1, cf1 = index[OBS], index[INT1], index[CF1]
     count = len(obs)

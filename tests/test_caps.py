@@ -1,10 +1,14 @@
 """Cap overrides: a nonnegative integer or a typed refusal."""
 
+import inspect
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import scmlab
 from scmlab import (
     LEARNERS,
     MONTE_CARLO,
@@ -22,8 +26,8 @@ from scmlab import (
     separation_table,
     verify_family,
 )
-from scmlab import gates
-from scmlab.caps import all_caps, cap
+from scmlab import gates, scm_core
+from scmlab.caps import CAPS, all_caps, cap
 from scmlab.cli import main
 from scmlab.errors import BadRangeError, MTooLargeError, NTooLargeError, SupportTooLargeError
 from scmlab.learning import Dataset
@@ -47,6 +51,26 @@ def test_bad_override_is_a_range_error(monkeypatch, raw):
 def test_unknown_cap_name():
     with pytest.raises(KeyError):
         cap("SCMLAB_NOT_A_CAP")
+
+
+def test_no_entry_point_takes_a_cap_argument():
+    # the environment is the only source of a cap
+    entry_points = [getattr(scmlab, name) for name in scmlab.__all__]
+    entry_points += [scm_core.hard_do_laws, scm_core.cf1, scm_core.int_all_laws]
+    for fn in filter(callable, entry_points):
+        try:
+            parameters = inspect.signature(fn).parameters
+        except (TypeError, ValueError):
+            continue
+        assert [name for name in parameters if name.endswith("_cap")] == [], fn
+
+
+def test_readme_lists_exactly_the_cap_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scale caps\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (\d+)(?:\^(\d+))? \|", section, re.MULTILINE)
+    listed = {name: int(base) ** int(exp or 1) for name, base, exp in rows}
+    assert listed == {name: row.default for name, row in CAPS.items()}
 
 
 @pytest.mark.parametrize("raw", ["-5", "garbage"])
@@ -105,14 +129,12 @@ def test_refusals_name_the_cap_its_value_and_the_work(monkeypatch, capfd):
     with pytest.raises(SupportTooLargeError, match=(
             r"exceeds SCMLAB_SUPPORT_CAP=16777216: refused 2\^30 = 1073741824 noise points")):
         compute_oracle(_sources(30), OBS)
-    with pytest.raises(SupportTooLargeError, match=r"exceeds support_cap=7: refused 2\^3 = 8 noise points"):
-        compute_oracle(_sources(3), OBS, support_cap=7)
     mixed = Scm(2, (Mechanism(gates.CONST0, (), NoiseDist((0, 1, 2), (Fraction(1, 3),) * 3)),
                     _sources(1).mechanisms[0]))
+    monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "5")
     with pytest.raises(SupportTooLargeError, match=r"refused 2\^1\*3\^1 = 6 noise points"):
-        compute_oracle(mixed, OBS, support_cap=5)
-    with pytest.raises(NTooLargeError, match=r"exceeds n_cap=8: refused 3\^9 = 19683 interventions"):
-        int_all(_sources(9), n_cap=8)
+        compute_oracle(mixed, OBS)
+    monkeypatch.delenv("SCMLAB_SUPPORT_CAP")
     monkeypatch.setenv("SCMLAB_INTALL_NMAX", "8")
     with pytest.raises(NTooLargeError, match=r"exceeds SCMLAB_INTALL_NMAX=8: refused 3\^9 = 19683"):
         int_all(_sources(9))
@@ -125,30 +147,31 @@ def test_refusals_name_the_cap_its_value_and_the_work(monkeypatch, capfd):
 
 
 @pytest.mark.parametrize(
-    "variable, argument, value, call, error, statement",
+    "variable, value, call, error, statement",
     [
-        ("SCMLAB_TREE_NMAX", "n_cap", 3, lambda **cap: list(enumerate_trees(4, **cap)),
-         NTooLargeError, "enumerating trees on n=4 exceeds {}=3: refused 4^3 = 64 trees"),
-        ("SCMLAB_GRAPH_MMAX", "m_cap", 1, lambda **cap: list(enumerate_graphs(2, **cap)),
-         MTooLargeError, "enumerating graphs on m=2 exceeds {}=1: refused 2^4 = 16 graphs"),
-        ("SCMLAB_NFL_MMAX", "m_cap", 2,
-         lambda **cap: run_nfl(3, 2, "uniform-guess", MONTE_CARLO, 5, 1, **cap),
-         MTooLargeError, "nfl on m=3 exceeds {}=2: refused 2^9 = 512 graphs"),
-        ("SCMLAB_NFL_MMAX", "m_cap", 2, lambda **cap: per_query_error(3, Fraction(1, 2), **cap),
-         MTooLargeError, "per-query error on m=3 exceeds {}=2: refused 2^9 = 512 graphs"),
+        ("SCMLAB_SUPPORT_CAP", 7, lambda: compute_oracle(_sources(3), OBS), SupportTooLargeError,
+         "noise support product exceeds SCMLAB_SUPPORT_CAP=7: refused 2^3 = 8 noise points"),
+        ("SCMLAB_INTALL_NMAX", 8, lambda: int_all(_sources(9)), NTooLargeError,
+         "int_all on n=9 exceeds SCMLAB_INTALL_NMAX=8: refused 3^9 = 19683 interventions"),
+        ("SCMLAB_TREE_NMAX", 3, lambda: list(enumerate_trees(4)), NTooLargeError,
+         "enumerating trees on n=4 exceeds SCMLAB_TREE_NMAX=3: refused 4^3 = 64 trees"),
+        ("SCMLAB_GRAPH_MMAX", 1, lambda: list(enumerate_graphs(2)), MTooLargeError,
+         "enumerating graphs on m=2 exceeds SCMLAB_GRAPH_MMAX=1: refused 2^4 = 16 graphs"),
+        ("SCMLAB_NFL_MMAX", 2, lambda: run_nfl(3, 2, "uniform-guess", MONTE_CARLO, 5, 1),
+         MTooLargeError, "nfl on m=3 exceeds SCMLAB_NFL_MMAX=2: refused 2^9 = 512 graphs"),
+        ("SCMLAB_NFL_MMAX", 2, lambda: per_query_error(3, Fraction(1, 2)), MTooLargeError,
+         "per-query error on m=3 exceeds SCMLAB_NFL_MMAX=2: refused 2^9 = 512 graphs"),
     ],
-    ids=["tree-enumerator", "graph-enumerator", "run_nfl", "per_query_error"],
+    ids=["support-cap", "int_all", "tree-enumerator", "graph-enumerator", "run_nfl",
+         "per_query_error"],
 )
 def test_family_refusals_name_the_cap_its_value_and_the_work(
-    variable, argument, value, call, error, statement, monkeypatch
+    variable, value, call, error, statement, monkeypatch
 ):
-    with pytest.raises(error) as excinfo:
-        call(**{argument: value})
-    assert str(excinfo.value) == statement.format(argument)
     monkeypatch.setenv(variable, str(value))
     with pytest.raises(error) as excinfo:
         call()
-    assert str(excinfo.value) == statement.format(variable)
+    assert str(excinfo.value) == statement
 
 
 def test_cli_tree_refusal_exits_3_and_names_the_default_cap(capfd):

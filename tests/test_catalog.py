@@ -21,6 +21,7 @@ from scmlab import (
     verify_family,
 )
 from scmlab.cli import build_parser
+from scmlab.errors import KindMismatchError
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
@@ -34,6 +35,16 @@ def test_every_row_serves_every_reader(kind, size):
         assert family.build(param).n == family.n_vars()
         doc = json.loads(json.dumps(param_to_json(kind, param)))
         assert param_from_json(kind, doc) == param
+
+
+@pytest.mark.parametrize("reader", sorted(FAMILIES))
+def test_a_document_of_another_shape_is_a_typed_error(reader):
+    docs = [param_to_json(kind, list(Family(kind, 2).parameters())[-1])
+            for kind in sorted(FAMILIES) if kind != reader]
+    wording = f"^not a parameter document of family {reader}:"
+    for doc in [*docs, [1, 2, 3]]:
+        with pytest.raises(KindMismatchError, match=wording):
+            param_from_json(reader, json.loads(json.dumps(doc)))
 
 
 def test_cli_family_choices_are_the_table_keys():

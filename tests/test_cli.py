@@ -279,6 +279,49 @@ class TestDumpScm:
         assert scm_from_json(json.loads(out)) == build_xor_scm(HiddenString(2, "10"))
 
 
+class TestParamFile:
+    """dump-oracle and dump-scm refuse a parameter file that does not
+    describe a member of the family at the size given."""
+
+    KIND = {"dump-oracle": ["--kind", "OBS"], "dump-scm": []}
+
+    def run(self, tmp_path, capfd, command, family, flag, size, doc):
+        param_file = tmp_path / "param.json"
+        param_file.write_text(json.dumps(doc))
+        return run_cli(command, "--family", family, flag, str(size),
+                       "--param-file", str(param_file), *self.KIND[command], capfd=capfd)
+
+    @pytest.mark.parametrize("command", ["dump-oracle", "dump-scm"])
+    @pytest.mark.parametrize(
+        "family, flag, doc",
+        [
+            ("tree", "--n", {"m": 3, "bits": "101"}),
+            ("xor", "--m", {"m": 2, "edges": [[0, 1]]}),
+            ("bipartite", "--m", {"n": 2, "root": 1, "parent": {"2": 1}}),
+            ("tree", "--n", [1, 2, 3]),
+        ],
+        ids=["tree-given-xor", "xor-given-bipartite", "bipartite-given-tree", "list"],
+    )
+    def test_wrong_shape_exits_2(self, tmp_path, capfd, command, family, flag, doc):
+        code, out, err = self.run(tmp_path, capfd, command, family, flag, 3, doc)
+        assert (code, out) == (2, "")
+        wording = f"error[KIND_MISMATCH]: not a parameter document of family {family}:"
+        assert err.startswith(wording)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["dump-oracle", "dump-scm"])
+    def test_size_flag_must_match_the_file(self, tmp_path, capfd, command):
+        doc = param_to_json("xor", HiddenString(3, "101"))
+        code, out, err = self.run(tmp_path, capfd, command, "xor", "--m", 1, doc)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error[LENGTH_MISMATCH]: xor size 1 has n=2, "
+            "but the parameter file describes n=6\n"
+        )
+        code, out, err = self.run(tmp_path, capfd, command, "xor", "--m", 3, doc)
+        assert (code, err) == (0, "")
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path, capfd):
         first = tmp_path / "a.json"

@@ -160,11 +160,6 @@ class TestEnumerations:
         with pytest.raises(BadRangeError):
             list(enumerate_trees(0))
 
-    def test_cap_override_via_argument(self):
-        with pytest.raises(NTooLargeError):
-            list(enumerate_trees(3, n_cap=2))
-        assert len(list(enumerate_graphs(1, m_cap=1))) == 2
-
     def test_cap_override_via_env(self, monkeypatch):
         from scmlab.caps import cap
 
@@ -172,6 +167,8 @@ class TestEnumerations:
         assert cap("SCMLAB_TREE_NMAX") == 2
         with pytest.raises(NTooLargeError):
             list(enumerate_trees(3))
+        monkeypatch.setenv("SCMLAB_GRAPH_MMAX", "1")
+        assert len(list(enumerate_graphs(1))) == 2
 
 
 class TestParamChecks:

@@ -173,18 +173,20 @@ WIDE = Scm(30, tuple(Mechanism(gates.BERN_SOURCE, (), FAIR) for _ in range(30)))
 
 
 @pytest.mark.parametrize("kind", (OBS, INT1, CF1))
-def test_support_cap_refuses_before_any_work(no_pass, kind):
+def test_support_cap_refuses_before_any_work(no_pass, kind, monkeypatch):
     with pytest.raises(SupportTooLargeError):
         compute_oracle(WIDE, kind)
     small = Scm(2, WIDE.mechanisms[:2])
+    monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "3")
     with pytest.raises(SupportTooLargeError):
-        compute_oracle(small, kind, support_cap=3)
+        compute_oracle(small, kind)
 
 
-def test_support_cap_refuses_before_any_work_int_all(no_pass):
+def test_support_cap_refuses_before_any_work_int_all(no_pass, monkeypatch):
     small = Scm(3, WIDE.mechanisms[:3])
+    monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "7")
     with pytest.raises(SupportTooLargeError):
-        compute_oracle(small, INT_ALL, support_cap=7)
+        compute_oracle(small, INT_ALL)
 
 
 def test_support_cap_refuses_single_laws_before_any_work(no_pass):
@@ -196,8 +198,9 @@ def test_support_cap_refuses_single_laws_before_any_work(no_pass):
         interventional(WIDE, Intervention.of({0: 1}))
 
 
-def test_interventional_caps_the_mutilated_support():
+def test_interventional_caps_the_mutilated_support(monkeypatch):
     # forcing a variable drops its noise, as the reference does
     scm = Scm(2, WIDE.mechanisms[:2])
-    dist = interventional(scm, Intervention.of({0: 1}), support_cap=2)
+    monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "2")
+    dist = interventional(scm, Intervention.of({0: 1}))
     assert dist.p("10") == HALF

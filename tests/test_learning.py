@@ -297,13 +297,14 @@ class TestMonteCarlo:
         report = run_nfl(m, 3, learner_id, MONTE_CARLO, trials=trials, seed=1018)
         assert report.successes == successes
 
-    def test_m_cap(self):
+    def test_m_cap(self, monkeypatch):
         with pytest.raises(MTooLargeError):
             run_nfl(4, 2, "uniform-guess", EXACT)
-        report = run_nfl(1, 2, "uniform-guess", EXACT, m_cap=1)
+        monkeypatch.setenv("SCMLAB_NFL_MMAX", "1")
+        report = run_nfl(1, 2, "uniform-guess", EXACT)
         assert report.m == 1
         with pytest.raises(MTooLargeError):
-            run_nfl(2, 2, "uniform-guess", EXACT, m_cap=1)
+            run_nfl(2, 2, "uniform-guess", EXACT)
 
 
 class TestPerQueryError:

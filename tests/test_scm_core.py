@@ -256,9 +256,10 @@ class TestObservational:
         )
         assert observational(scm) == ExactDist(2, {"10": Fraction(1)})
 
-    def test_support_cap_enforced(self):
+    def test_support_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "3")
         with pytest.raises(SupportTooLargeError):
-            observational(independent(2), support_cap=3)
+            observational(independent(2))
 
 
 class TestApplyDo:
@@ -369,12 +370,13 @@ class TestIntAll:
     def test_all_interventions_count(self):
         assert sum(1 for _ in all_interventions(3)) == 27
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         with pytest.raises(NTooLargeError):
             int_all(independent(13))
-        # explicit override allows smaller caps too
+        # a lowered environment cap refuses smaller models too
+        monkeypatch.setenv("SCMLAB_INTALL_NMAX", "2")
         with pytest.raises(NTooLargeError):
-            int_all(independent(3), n_cap=2)
+            int_all(independent(3))
 
 
 @given(small_scms())

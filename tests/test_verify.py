@@ -1,7 +1,10 @@
 """Family verification suites at desk scale."""
 
-from scmlab import Family, all_passed, verify_family
+import pytest
+
+from scmlab import Family, all_passed, oracle, scm_core, verify_family
 from scmlab.catalog import expected_two_point, expected_uniform
+from scmlab.errors import NTooLargeError
 
 TWO_POINT_CHECKS = [
     "observational-identical",
@@ -60,3 +63,35 @@ class TestExpectedLaws:
         dist = expected_uniform(2)
         assert len(dist.mass) == 4
         assert len(set(dist.mass.values())) == 1
+
+
+class TestRefusesBeforeWork:
+    """The rung pair's indexes are read first, so a cap on INT_ALL refuses
+    an xor family before any other oracle is computed."""
+
+    @pytest.fixture
+    def no_pass(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel ran before the cap was checked")
+
+        monkeypatch.setattr(scm_core, "_extend", refuse)
+        monkeypatch.setattr(scm_core, "_dist", refuse)
+
+    def test_lowered_int_all_cap_computes_no_oracle(self, monkeypatch):
+        computed = []
+        compute = oracle.compute_oracle
+
+        def counted(scm, kind):
+            result = compute(scm, kind)
+            computed.append(kind)
+            return result
+
+        monkeypatch.setattr(oracle, "compute_oracle", counted)
+        monkeypatch.setenv("SCMLAB_INTALL_NMAX", "3")
+        with pytest.raises(NTooLargeError, match="exceeds SCMLAB_INTALL_NMAX=3"):
+            verify_family(Family("xor", 2))
+        assert computed == []
+
+    def test_default_int_all_cap_refuses_xor_7_at_once(self, no_pass):
+        with pytest.raises(NTooLargeError, match="int_all on n=14 exceeds SCMLAB_INTALL_NMAX=12"):
+            verify_family(Family("xor", 7))
