@@ -160,6 +160,16 @@ class TestEnumerations:
         with pytest.raises(BadRangeError):
             list(enumerate_trees(0))
 
+    def test_cap_override_via_argument(self, monkeypatch):
+        # The per-call n_cap/m_cap arguments are gone; a lowered cap now
+        # reaches the enumerators only through its environment variable,
+        # with the same refusal and the same boundary admission.
+        monkeypatch.setenv("SCMLAB_TREE_NMAX", "2")
+        with pytest.raises(NTooLargeError):
+            list(enumerate_trees(3))
+        monkeypatch.setenv("SCMLAB_GRAPH_MMAX", "1")
+        assert len(list(enumerate_graphs(1))) == 2
+
     def test_cap_override_via_env(self, monkeypatch):
         from scmlab.caps import cap
 
@@ -167,8 +177,6 @@ class TestEnumerations:
         assert cap("SCMLAB_TREE_NMAX") == 2
         with pytest.raises(NTooLargeError):
             list(enumerate_trees(3))
-        monkeypatch.setenv("SCMLAB_GRAPH_MMAX", "1")
-        assert len(list(enumerate_graphs(1))) == 2
 
 
 class TestParamChecks:
