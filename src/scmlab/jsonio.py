@@ -13,7 +13,12 @@ validates the SCM and raises InvalidScmError with the full issue list.
 Parameter documents: {"n", "root", "parent"} for trees (keys of `parent`
 are strings, a JSON restriction), {"m", "edges"} for layer graphs,
 {"m", "bits"} for hidden strings. `catalog.param_to_json` and
-`catalog.param_from_json` pick the codec from the family's row.
+`catalog.param_from_json` pick the codec from the family's row. The
+parameter readers take each field only in its own JSON type, integers
+(not booleans) and strings, and a tree node key only as the decimal
+spelling `tree_to_json` writes, so one member has one document; any
+other value raises TypeError or ValueError, which `param_from_json`
+reports as KindMismatchError.
 """
 
 from __future__ import annotations
@@ -69,6 +74,28 @@ def scm_from_json(doc: dict) -> Scm:
     return scm
 
 
+def _int(value) -> int:
+    """A JSON integer as it is; a float, bool, string or other value is a
+    TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _str(value) -> str:
+    if type(value) is not str:
+        raise TypeError(f"expected a JSON string, got {value!r}")
+    return value
+
+
+def _node_key(key: str) -> int:
+    """A tree node named by an object key, which JSON makes a string."""
+    node = int(key)
+    if str(node) != key:
+        raise ValueError(f"node key {key!r} is not a decimal integer")
+    return node
+
+
 def tree_to_json(tree: RootedTree) -> dict:
     return {
         "n": tree.n,
@@ -79,9 +106,9 @@ def tree_to_json(tree: RootedTree) -> dict:
 
 def tree_from_json(doc: dict) -> RootedTree:
     tree = RootedTree(
-        int(doc["n"]),
-        int(doc["root"]),
-        {int(v): int(p) for v, p in doc["parent"].items()},
+        _int(doc["n"]),
+        _int(doc["root"]),
+        {_node_key(v): _int(p) for v, p in doc["parent"].items()},
     )
     tree.check()
     return tree
@@ -92,9 +119,10 @@ def graph_to_json(graph: BipartiteGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> BipartiteGraph:
-    graph = BipartiteGraph(
-        int(doc["m"]), frozenset((int(i), int(j)) for i, j in doc["edges"])
-    )
+    edges = doc["edges"]
+    if type(edges) is not list or any(type(e) is not list or len(e) != 2 for e in edges):
+        raise TypeError(f"edges must be a list of [i, j] pairs, got {edges!r}")
+    graph = BipartiteGraph(_int(doc["m"]), frozenset((_int(i), _int(j)) for i, j in edges))
     graph.check()
     return graph
 
@@ -104,6 +132,6 @@ def string_to_json(hidden: HiddenString) -> dict:
 
 
 def string_from_json(doc: dict) -> HiddenString:
-    hidden = HiddenString(int(doc["m"]), str(doc["bits"]))
+    hidden = HiddenString(_int(doc["m"]), _str(doc["bits"]))
     hidden.check()
     return hidden

@@ -11,7 +11,10 @@ its sufficient statistic) instead of sampling.
 Randomness discipline: one master seed; every stream is derived as
 sha256(master, stream-label, trial-index), so graph choice, data, and
 learner randomness are independent and each trial is reproducible in
-isolation. The underlying generator is recorded in every report.
+isolation. The underlying generator is recorded in every report. A
+stream that would draw nothing (the data of an empty dataset, the
+learner stream of a learner that does not guess) is never seeded, which
+changes no draw.
 Monte-Carlo episodes read each graph's INT1 oracle, its bytes and the
 integer CDF of its observational law from one memo per graph and cap
 snapshot, so an episode costs its seeded draws and a few lookups.
@@ -84,7 +87,9 @@ def _sampler(dist: ExactDist) -> _Sampler:
 
 def _draw(sampler: _Sampler, count: int, seed: int) -> tuple[str, ...]:
     """`count` rows, one `randrange(denominator)` each from the mt19937
-    stream seeded with `seed`."""
+    stream seeded with `seed`; no stream is seeded for no rows."""
+    if not count:
+        return ()
     outcomes, cumulative, denominator = sampler
     randrange = random.Random(seed).randrange
     return tuple(
@@ -123,7 +128,8 @@ def _graph(m: int, mask: int, caps) -> _Graph:
 def _episode(m: int, n_samples: int, seed: int, labels: tuple[str, str], trial: int, caps):
     """One Monte-Carlo episode: a uniform graph drawn from the stream
     (seed, labels[0], trial), which is returned for further draws, and
-    `n_samples` rows of its law from the stream (seed, labels[1], trial)."""
+    `n_samples` rows of its law from the stream (seed, labels[1], trial),
+    which is seeded only when it draws a row."""
     rng = random.Random(derive_seed(seed, labels[0], trial))
     graph = _graph(m, rng.randrange(1 << (m * m)), caps)
     data_seed = derive_seed(seed, labels[1], trial)
@@ -163,7 +169,11 @@ def _independent_fit_bytes(n: int, count: int, ones: tuple[int, ...], caps) -> b
 class _Learner:
     """Base of the built-in learners. `predict_bytes` is each learner's
     one prediction path: the serialized INT1 oracle it predicts, read
-    from memos keyed by the cap snapshot `caps`. `predict` parses it."""
+    from memos keyed by the cap snapshot `caps`. `predict` parses it.
+    `draws` says whether the prediction reads its rng stream; Monte-Carlo
+    episodes seed no stream for a learner that does not."""
+
+    draws = False
 
     def predict(self, dataset: Dataset, m: int, rng: random.Random) -> AnswerOracle:
         return parse(self.predict_bytes(dataset, m, rng, snapshot()))
@@ -173,6 +183,7 @@ class UniformGuessLearner(_Learner):
     """Ignores the data; guesses a graph uniformly from its rng stream."""
 
     id = "uniform-guess"
+    draws = True
 
     def predict_bytes(self, dataset: Dataset, m: int, rng: random.Random, caps) -> bytes:
         return _graph(m, rng.randrange(1 << (m * m)), caps).data
@@ -297,7 +308,9 @@ def run_nfl(
     successes = 0
     for trial in range(trials):
         _, graph, dataset = _episode(m, n_samples, seed, ("graph", "data"), trial, caps)
-        learner_rng = random.Random(derive_seed(seed, "learner", trial))
+        learner_rng = None
+        if learner.draws:
+            learner_rng = random.Random(derive_seed(seed, "learner", trial))
         if learner.predict_bytes(dataset, m, learner_rng, caps) == graph.data:
             successes += 1
     return NflReport(

@@ -43,7 +43,7 @@ from .errors import (
     LengthMismatchError,
     OracleFormatError,
 )
-from .rational import ZERO, frac_parse, frac_str
+from .rational import ZERO, frac_parse
 from .scm_core import ExactDist, Intervention, Scm, cf1, hard_do_laws, int_all_laws
 
 OBS = "OBS"
@@ -163,7 +163,7 @@ def compute_oracle(scm: Scm, kind: str) -> AnswerOracle:
         laws = hard_do_laws(scm, 1 if kind == INT1 else 0)
     else:
         raise KindMismatchError(f"unknown oracle kind {kind!r}")
-    components = tuple((key, laws[law]) for law, key in _layout(kind, scm.n))
+    components = tuple([(key, laws[law]) for law, key in _layout(kind, scm.n)])
     return AnswerOracle(kind, scm.n, components)
 
 
@@ -201,24 +201,16 @@ def _index(family, kind: str) -> tuple[bytes, ...]:
 def serialize(oracle: AnswerOracle) -> bytes:
     """Canonical bytes; equal oracles give equal bytes and vice versa.
 
-    Each distinct mass object is rendered once. The kernel and `parse`
-    share one Fraction per value, so the memo is keyed by identity
-    (hashing a Fraction costs more than rendering it). It lives only for
-    this call, while the oracle keeps every mass alive, so no id is reused.
+    Each component contributes its canonical body (`ExactDist._text`):
+    the kernel and `parse` hand it over rendered, and a dist built from
+    masses renders it through `rational.mass_line`.
     """
-    tails: dict[int, str] = {}  # id of a mass -> "=num/den\n"
-    parts = [f"{oracle.kind} n={oracle.n}\n"]
+    parts = [f"{oracle.kind} n={oracle.n}"]
     append = parts.append
     for key, dist in oracle.components:
-        append(f"#{key}\n")
-        mass = dist.mass
-        for outcome in sorted(mass):
-            weight = mass[outcome]
-            tail = tails.get(id(weight))
-            if tail is None:
-                tail = tails[id(weight)] = f"={frac_str(weight)}\n"
-            append(outcome)
-            append(tail)
+        append(f"\n#{key}\n")
+        append(dist._text())
+    append("\n")
     return "".join(parts).encode("ascii")
 
 
@@ -246,8 +238,10 @@ def parse(data: bytes) -> AnswerOracle:
     Masses are checked in integers: lowest terms once per distinct
     fraction text, and each component's sum against 1 over its distinct
     texts weighted by their counts. Only a block that fails is scanned
-    line by line, so the error names the offending line. The
-    distributions are built without re-validation.
+    line by line, so the error names the offending line. A body that
+    repeats an earlier one passed the same checks. Each checked body
+    becomes its distribution's canonical body as it is; `mass` is built
+    from it on first read.
     """
     try:
         text = data.decode("ascii")
@@ -268,33 +262,37 @@ def parse(data: bytes) -> AnswerOracle:
     # an outcome wider than the whole input fits no line, so capping the
     # width keeps the regex small under a huge header n
     block_match = _block_re(min(n_bits, len(text))).fullmatch
-    fractions: dict[str, Fraction] = {}
-    # components repeat a few dozen sequences of mass texts, so each
-    # sequence is checked once
-    checked: dict[tuple[str, ...], list[Fraction]] = {}
+    fractions: dict[str, Fraction] = {}  # each dist's `mass` reads this memo
+    # components repeat bodies, and a few dozen sequences of mass texts,
+    # so each is checked once; dists with equal bodies share one string
+    bodies: dict[str, str] = {}
+    checked: set[tuple[str, ...]] = set()
     components = []
     for block, want in zip(blocks, keys):
         key, _, body = block.partition("\n")
         if key != want:
             raise OracleFormatError(f"component key {key!r} where {want!r} was expected")
-        if not block_match(body):
-            _reject_lines(key, block.split("\n")[1:], n_bits)
-        cells = body.replace("\n", "=").split("=")
-        outcomes = cells[::2]
-        if not all(map(str.__lt__, outcomes, outcomes[1:])):
-            _reject_lines(key, block.split("\n")[1:], n_bits)
-        mass_texts = tuple(cells[1::2])
-        values = checked.get(mass_texts)
-        if values is None:
-            values = checked[mass_texts] = _check_masses(key, mass_texts, fractions)
-        components.append((key, ExactDist._trusted(n_bits, dict(zip(outcomes, values)))))
+        shared = bodies.get(body)
+        if shared is None:
+            if not block_match(body):
+                _reject_lines(key, block.split("\n")[1:], n_bits)
+            cells = body.replace("\n", "=").split("=")
+            outcomes = cells[::2]
+            if not all(map(str.__lt__, outcomes, outcomes[1:])):
+                _reject_lines(key, block.split("\n")[1:], n_bits)
+            mass_texts = tuple(cells[1::2])
+            if mass_texts not in checked:
+                _check_masses(key, mass_texts, fractions)
+                checked.add(mass_texts)
+            shared = bodies[body] = body
+        components.append((key, ExactDist._from_body(n_bits, shared, fractions)))
     return AnswerOracle(kind, n, tuple(components))
 
 
-def _check_masses(key: str, mass_texts: tuple[str, ...], fractions: dict) -> list[Fraction]:
-    """The masses of one component's fraction texts, checked in integers:
-    lowest terms once per distinct text (`fractions` memoizes them), and
-    their sum against 1 over the distinct texts weighted by their counts."""
+def _check_masses(key: str, mass_texts: tuple[str, ...], fractions: dict) -> None:
+    """Check one component's fraction texts in integers: lowest terms once
+    per distinct text (`fractions` memoizes their values), and their sum
+    against 1 over the distinct texts weighted by their counts."""
     total_num, total_den = 0, 1
     for frac_text, count in Counter(mass_texts).items():
         weight = fractions.get(frac_text)
@@ -311,7 +309,6 @@ def _check_masses(key: str, mass_texts: tuple[str, ...], fractions: dict) -> lis
             f"component {key!r}: masses sum to "
             f"{Fraction(total_num, total_den)}, expected 1"
         )
-    return [fractions[frac_text] for frac_text in mass_texts]
 
 
 def _reject_lines(key: str, lines: list[str], n_bits: int) -> NoReturn:

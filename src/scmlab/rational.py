@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import OracleFormatError
@@ -14,6 +15,20 @@ HALF = Fraction(1, 2)
 def frac_str(x: Fraction) -> str:
     """Render in lowest terms with an explicit denominator, e.g. "1/1"."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def mass_line(outcome: str, num: int, den: int) -> str:
+    """The one rendering of an oracle mass line, "<outcome>=<num>/<den>",
+    for a mass num/den given in lowest terms. A number past the
+    interpreter's digit limit for int-to-text conversion raises
+    OracleFormatError."""
+    try:
+        return f"{outcome}={num}/{den}"
+    except ValueError:
+        raise OracleFormatError(
+            f"a mass of {max(num, den).bit_length()} bits has more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to write"
+        ) from None
 
 
 # digits without leading zeros, so every value has exactly one spelling

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 from . import gates
 from .caps import check
-from .errors import BadPositionError, CycleError
-from .rational import ONE, ZERO
+from .errors import BadPositionError, CycleError, OracleFormatError
+from .rational import ONE, ZERO, frac_parse, mass_line
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,9 @@ class Intervention:
 EMPTY_INTERVENTION = Intervention(())
 
 
+_new, _set = object.__new__, object.__setattr__  # what a frozen dataclass is built with
+
+
 @dataclass(frozen=True)
 class ExactDist:
     """Sparse exact distribution over length-`n_bits` outcome strings.
@@ -111,12 +114,22 @@ class ExactDist:
     Only positive-mass outcomes are stored. Construction checks the
     invariants (keys are bit strings of the right length, masses are
     positive and sum to exactly 1), so an ExactDist in hand is trusted.
-    The exact kernel and `oracle.parse` build theirs with `_trusted`,
-    having established the same invariants in integer arithmetic.
+    `mass` must not be mutated in place.
+
+    The exact kernel and `oracle.parse` establish the same invariants in
+    integer arithmetic and build theirs with `_from_body`: the product is
+    the canonical component body, its "<bits>=<num>/<den>" lines in
+    ascending order joined by LF, which `serialize` copies out as it is.
+    `mass` is then built from that text when first read, its Fractions
+    taken from the memo `fractions` (text -> Fraction) that the dist was
+    built with.
     """
 
     n_bits: int
     mass: dict[str, Fraction]
+
+    _body = None  # the canonical body, when the dist was built from it
+    _fractions = None
 
     def __post_init__(self):
         total = ZERO
@@ -130,12 +143,35 @@ class ExactDist:
             raise ValueError(f"masses sum to {total}, expected 1")
 
     @classmethod
-    def _trusted(cls, n_bits: int, mass: dict[str, Fraction]) -> "ExactDist":
-        """Wrap masses that are valid by construction, skipping the checks."""
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "n_bits", n_bits)
-        object.__setattr__(dist, "mass", mass)
+    def _from_body(cls, n_bits: int, body: str, fractions) -> "ExactDist":
+        """Wrap a canonical body that is valid by construction; `fractions`
+        maps each of its mass texts to its Fraction."""
+        dist = _new(cls)
+        _set(dist, "n_bits", n_bits)
+        _set(dist, "_body", body)
+        _set(dist, "_fractions", fractions)
         return dist
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: `mass` of a
+        # dist built from its body, before its first read
+        if name != "mass" or self._body is None:
+            raise AttributeError(name)
+        cells = self._body.replace("\n", "=").split("=")
+        mass = dict(zip(cells[::2], map(self._fractions.__getitem__, cells[1::2])))
+        _set(self, "mass", mass)
+        _set(self, "_fractions", None)
+        return mass
+
+    def _text(self) -> str:
+        """The canonical body; a dist built from masses renders it anew."""
+        if self._body is not None:
+            return self._body
+        mass = self.mass
+        return "\n".join([
+            mass_line(outcome, mass[outcome].numerator, mass[outcome].denominator)
+            for outcome in sorted(mass)
+        ])
 
     def p(self, outcome: str) -> Fraction:
         """Exact probability of one outcome (0 if absent)."""
@@ -263,7 +299,8 @@ def topo_order(scm: Scm) -> list[int]:
 # variable's noise sums out to a single factor, so its states only gain a
 # bit. Noise symbols with the same effect are merged into one branch, and
 # distinct branches set different output bits, so states never collide.
-# Fractions appear only when the final states become an ExactDist.
+# A leaf's final states become its canonical body text at once; Fractions
+# appear only when its `mass` is read.
 
 
 # A compiled step is the tuple (v, bit, test, mask, invert, branches, den):
@@ -398,30 +435,80 @@ class _Memo(dict):
 
 
 class _Leaves:
-    """Memos shared by the leaves of one kernel pass, which repeat their
-    values and outcomes: one Fraction per distinct (weight, denominator),
-    one outcome string per packed state."""
+    """What the leaves of one kernel pass share: their outcome width,
+    whether the plan is exact, and one Fraction per mass text, made when
+    a leaf's `mass` is first read."""
 
     def __init__(self, plan: _Plan, n_bits: int):
         self.n_bits = n_bits
         self.trusted = plan.exact
-        fmt = f"0{n_bits}b"
-        self.names = _Memo(lambda s: format(s, fmt))
-        if n_bits == 0:
-            self.names[0] = ""
-        self.fractions: dict[int, _Memo] = {}
+        self.fractions = _Memo(frac_parse)
+
+
+class _Lines(dict):
+    """key -> the canonical mass line of the state with mass weight/den,
+    outcomes `width` bits wide, where key = state * (den + 1) + weight.
+
+    An exact plan's weights lie in 1..den, so the key orders lines by
+    state and decodes back to the pair. The memo is a pure function of
+    (width, den, key), so one memo per (width, den) in `_LINES` serves
+    every kernel pass, where leaves and models repeat their lines. The
+    memos hold at most _LINES_MAX lines between them: the line past that
+    drops them all."""
+
+    __slots__ = ("width", "den")
+    held = 0  # lines in all the memos
+
+    def __init__(self, width: int, den: int):
+        super().__init__()
+        self.width, self.den = width, den
+
+    def __missing__(self, key: int) -> str:
+        if _Lines.held >= _LINES_MAX:
+            _LINES.clear()
+            _Lines.held = 0
+        state, weight = divmod(key, self.den + 1)
+        g = math.gcd(weight, self.den)
+        outcome = format(state, f"0{self.width}b") if self.width else ""
+        line = self[key] = mass_line(outcome, weight // g, self.den // g)
+        _Lines.held += 1
+        return line
+
+
+# about 150 bytes of RSS per line: 10 MiB when full
+_LINES_MAX = 1 << 16
+_LINES: dict[tuple[int, int], _Lines] = {}
+
+
+def _lines(width: int, den: int) -> _Lines:
+    memo = _LINES.get((width, den))
+    if memo is None:
+        memo = _LINES[width, den] = _Lines(width, den)
+    return memo
 
 
 def _dist(leaves: _Leaves, states: list[int], weights: list[int], den: int) -> ExactDist:
-    """The exact law of the final states, masses inserted in outcome order."""
-    fractions = leaves.fractions.get(den)
-    if fractions is None:
-        fractions = leaves.fractions[den] = _Memo(lambda w: Fraction(w, den))
-    names = leaves.names
-    mass = {names[s]: fractions[w] for s, w in sorted(zip(states, weights))}
+    """The exact law of the final states: an exact plan's leaf is its
+    canonical body, its lines sorted by state. The masses of a plan that
+    is not exact, or too long to write, go through the validating
+    constructor."""
     if leaves.trusted:
-        return ExactDist._trusted(leaves.n_bits, mass)
-    return ExactDist(leaves.n_bits, mass)
+        lines = _lines(leaves.n_bits, den)
+        base = den + 1
+        try:
+            body = "\n".join([
+                lines[key] for key in sorted([s * base + w for s, w in zip(states, weights)])
+            ])
+        except OracleFormatError:  # serialize raises it again, when asked for the text
+            pass
+        else:
+            return ExactDist._from_body(leaves.n_bits, body, leaves.fractions)
+    fmt = f"0{leaves.n_bits}b"
+    pairs = sorted(zip(states, weights))
+    return ExactDist(
+        leaves.n_bits,
+        {format(s, fmt) if leaves.n_bits else "": Fraction(w, den) for s, w in pairs},
+    )
 
 
 def hard_do_laws(scm: Scm, max_forced: int) -> dict[tuple, ExactDist]:

@@ -310,6 +310,42 @@ class TestParamFile:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["dump-oracle", "dump-scm"])
+    @pytest.mark.parametrize(
+        "family, flag, size, docs",
+        [
+            ("tree", "--n", 2, [
+                {"n": 2, "root": 1.0, "parent": {"2": 1}},
+                {"n": "2", "root": 1, "parent": {"2": 1}},
+                {"n": 2, "root": 1, "parent": {"02": 1}},
+                {"n": 2, "root": 1, "parent": {"2": True}},
+            ]),
+            ("bipartite", "--m", 1, [
+                {"m": 1.0, "edges": [[0, 0]]},
+                {"m": 1, "edges": [[0, False]]},
+                {"m": 1, "edges": ["00"]},
+                {"m": 1, "edges": [[0, 0, 0]]},
+            ]),
+            ("xor", "--m", 2, [
+                {"m": 2.9, "bits": "10"},
+                {"m": 2, "bits": 10},
+            ]),
+            ("xor", "--m", 1, [{"m": True, "bits": "1"}]),
+        ],
+        ids=["tree", "bipartite", "xor", "xor-bool"],
+    )
+    def test_a_field_of_the_wrong_json_type_exits_2(
+        self, tmp_path, capfd, command, family, flag, size, docs
+    ):
+        # each document would be read as a member by coercing a field
+        for doc in docs:
+            code, out, err = self.run(tmp_path, capfd, command, family, flag, size, doc)
+            assert (code, out) == (2, ""), doc
+            assert err.startswith(
+                f"error[KIND_MISMATCH]: not a parameter document of family {family}:"
+            )
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["dump-oracle", "dump-scm"])
     def test_size_flag_must_match_the_file(self, tmp_path, capfd, command):
         doc = param_to_json("xor", HiddenString(3, "101"))
         code, out, err = self.run(tmp_path, capfd, command, "xor", "--m", 1, doc)

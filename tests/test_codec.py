@@ -1,5 +1,6 @@
-"""The codec against its per-line reference, the n=0 grammar, and the
-INT_ALL key table."""
+"""The codec against its per-line reference, the n=0 grammar, the
+INT_ALL key table, and the lazy canonical product of kernel and parse
+distributions."""
 
 from fractions import Fraction
 
@@ -24,13 +25,14 @@ from scmlab import (
     parse,
     serialize,
 )
-from scmlab import gates
+from scmlab import gates, observational, scm_core
 from scmlab import oracle as oracle_module
-from scmlab.errors import OracleFormatError
+from scmlab.errors import OracleFormatError, ScmLabError
 from scmlab.oracle import intervention_key
 
 import reference_codec
 from conftest import GOLDEN_BYTES, mutated_golden, small_scms
+from reference_enumerator import reference_oracle
 
 KINDS = (OBS, INT1, CF1, INT_ALL)
 EMPTY = Scm(0, ())
@@ -197,3 +199,74 @@ class TestComponentCount:
                 parse(bad)
             with pytest.raises(OracleFormatError):
                 reference_codec.parse(bad)
+
+
+def masses(oracle: AnswerOracle):
+    return [list(dist.mass.items()) for _, dist in oracle.components]
+
+
+class TestLazyProduct:
+    """Kernel and parse dists carry their canonical body and build `mass`
+    on first read; nothing observable may depend on when it is read."""
+
+    @given(small_scms(), st.sampled_from(KINDS))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_do_not_depend_on_when_mass_is_read(self, scm, kind):
+        want = reference_codec.serialize(reference_oracle(scm, kind))
+        for make in (lambda: compute_oracle(scm, kind), lambda: parse(want)):
+            never = make()
+            assert serialize(never) == want
+            before = make()
+            masses(before)
+            assert serialize(before) == want
+            after = make()
+            assert serialize(after) == want
+            masses(after)
+            assert serialize(after) == want
+
+    @given(small_scms(), st.sampled_from(KINDS))
+    @settings(max_examples=100, deadline=None)
+    def test_materialized_mass_matches_the_references(self, scm, kind):
+        oracle = compute_oracle(scm, kind)
+        data = serialize(oracle)
+        reference = reference_oracle(scm, kind)
+        want = [sorted(dist.mass.items()) for _, dist in reference.components]
+        assert masses(oracle) == want
+        assert masses(parse(data)) == want
+        assert masses(reference_codec.parse(data)) == want
+
+    @given(small_scms(), st.sampled_from(KINDS))
+    @settings(max_examples=100, deadline=None)
+    def test_a_lazy_dist_equals_its_eager_twin(self, scm, kind):
+        reference = reference_oracle(scm, kind)
+        eager = [ExactDist(d.n_bits, dict(sorted(d.mass.items())))
+                 for _, d in reference.components]
+        data = serialize(reference)
+        # each check reads fresh dists, so `==` and `repr` meet them unread
+        for make in (lambda: compute_oracle(scm, kind), lambda: parse(data)):
+            assert [dist for _, dist in make().components] == eager
+            assert [repr(dist) for _, dist in make().components] == list(map(repr, eager))
+
+    def test_line_memo_stays_within_its_bound(self, monkeypatch):
+        scm = build_xor_scm(HiddenString(4, "1011"))
+        want = serialize(compute_oracle(scm, INT_ALL))
+        assert sum(map(len, scm_core._LINES.values())) <= scm_core._LINES_MAX
+        # a small bound, from an empty memo: the oracle overflows it many times
+        monkeypatch.setattr(scm_core, "_LINES_MAX", 100)
+        monkeypatch.setattr(scm_core, "_LINES", {})
+        monkeypatch.setattr(scm_core._Lines, "held", 0)
+        assert serialize(compute_oracle(scm, INT_ALL)) == want
+        assert sum(map(len, scm_core._LINES.values())) <= 100
+
+
+TOO_LONG = Scm(1, (Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 10**4400))),))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_mass_too_long_to_write_is_a_typed_error(kind):
+    # past the interpreter's 4300-digit limit for int-to-text conversion
+    oracle = compute_oracle(TOO_LONG, kind)
+    with pytest.raises(OracleFormatError, match="too long to write") as raised:
+        serialize(oracle)
+    assert isinstance(raised.value, ScmLabError)
+    assert observational(TOO_LONG).p("1") == Fraction(1, 10**4400)

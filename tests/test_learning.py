@@ -38,6 +38,7 @@ from scmlab.errors import BadRangeError, MTooLargeError
 from scmlab.families import graph_of_mask
 from scmlab.learning import Dataset
 
+HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 THIRD = Fraction(1, 3)
 
@@ -305,6 +306,64 @@ class TestMonteCarlo:
         assert report.m == 1
         with pytest.raises(MTooLargeError):
             run_nfl(2, 2, "uniform-guess", EXACT)
+
+
+class TestStreamSeeding:
+    """An episode seeds only the streams it draws from, and every seed it
+    derives is the documented one."""
+
+    @pytest.fixture
+    def seeded(self, monkeypatch):
+        seeds = []
+
+        class Counted(random.Random):
+            def __init__(self, seed=None):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(learning.random, "Random", Counted)
+        return seeds
+
+    @pytest.mark.parametrize("n_samples", [0, 3])
+    @pytest.mark.parametrize(
+        "learner_id, guesses",
+        [("uniform-guess", True), ("constant-empty", False), ("empirical-independent", False)],
+    )
+    def test_run_nfl(self, seeded, learner_id, guesses, n_samples):
+        trials, seed = 40, 5
+        run_nfl(2, n_samples, learner_id, MONTE_CARLO, trials=trials, seed=seed)
+        want = []
+        for trial in range(trials):
+            want.append(derive_seed(seed, "graph", trial))
+            if n_samples:
+                want.append(derive_seed(seed, "data", trial))
+            if guesses:
+                want.append(derive_seed(seed, "learner", trial))
+        assert seeded == want
+
+    @pytest.mark.parametrize("n_samples", [0, 3])
+    def test_per_query_error(self, seeded, n_samples):
+        datasets = []
+
+        def predictor(dataset):
+            datasets.append(dataset)
+            return HALF
+
+        per_query_error(2, predictor, MONTE_CARLO, n_samples=n_samples, trials=30, seed=5)
+        want = []
+        for trial in range(30):
+            want.append(derive_seed(5, "query-episode", trial))
+            if n_samples:
+                want.append(derive_seed(5, "query-data", trial))
+        assert seeded == want
+        assert [d.seed for d in datasets] == [derive_seed(5, "query-data", t) for t in range(30)]
+        assert all(len(d.rows) == n_samples for d in datasets)
+
+    def test_counts_without_data_are_unchanged(self):
+        # the unread data stream was seeded before; skipping it moves no draw
+        report = run_nfl(1, 0, "uniform-guess", MONTE_CARLO, trials=200, seed=7)
+        assert report.successes == 97
+        assert sample_obs(NON_DYADIC, 0, 3).rows == ()
 
 
 class TestPerQueryError:
