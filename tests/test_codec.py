@@ -27,7 +27,7 @@ from scmlab import (
 )
 from scmlab import gates, observational, scm_core
 from scmlab import oracle as oracle_module
-from scmlab.errors import OracleFormatError, ScmLabError
+from scmlab.errors import OracleFormatError
 from scmlab.oracle import intervention_key
 
 import reference_codec
@@ -38,6 +38,11 @@ KINDS = (OBS, INT1, CF1, INT_ALL)
 EMPTY = Scm(0, ())
 
 
+def masses(oracle: AnswerOracle):
+    """Each component's masses, in insertion order."""
+    return [list(dist.mass.items()) for _, dist in oracle.components]
+
+
 def verdict(parse_fn, data: bytes):
     """The oracle `parse_fn` returns with its masses in insertion order, or
     OracleFormatError."""
@@ -45,7 +50,7 @@ def verdict(parse_fn, data: bytes):
         oracle = parse_fn(data)
     except OracleFormatError:
         return OracleFormatError
-    return oracle, [list(dist.mass.items()) for _, dist in oracle.components]
+    return oracle, masses(oracle)
 
 
 @given(small_scms(), st.sampled_from(KINDS))
@@ -201,10 +206,6 @@ class TestComponentCount:
                 reference_codec.parse(bad)
 
 
-def masses(oracle: AnswerOracle):
-    return [list(dist.mass.items()) for _, dist in oracle.components]
-
-
 class TestLazyProduct:
     """Kernel and parse dists carry their canonical body and build `mass`
     on first read; nothing observable may depend on when it is read."""
@@ -266,7 +267,6 @@ TOO_LONG = Scm(1, (Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction
 def test_a_mass_too_long_to_write_is_a_typed_error(kind):
     # past the interpreter's 4300-digit limit for int-to-text conversion
     oracle = compute_oracle(TOO_LONG, kind)
-    with pytest.raises(OracleFormatError, match="too long to write") as raised:
+    with pytest.raises(OracleFormatError, match="too long to write"):
         serialize(oracle)
-    assert isinstance(raised.value, ScmLabError)
     assert observational(TOO_LONG).p("1") == Fraction(1, 10**4400)

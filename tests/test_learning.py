@@ -360,7 +360,7 @@ class TestStreamSeeding:
         assert all(len(d.rows) == n_samples for d in datasets)
 
     def test_counts_without_data_are_unchanged(self):
-        # the unread data stream was seeded before; skipping it moves no draw
+        # with no samples the data stream is not seeded, and no other draw moves
         report = run_nfl(1, 0, "uniform-guess", MONTE_CARLO, trials=200, seed=7)
         assert report.successes == 97
         assert sample_obs(NON_DYADIC, 0, 3).rows == ()
