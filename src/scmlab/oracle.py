@@ -44,7 +44,16 @@ from .errors import (
     OracleFormatError,
 )
 from .rational import ZERO, frac_parse
-from .scm_core import ExactDist, Intervention, Scm, cf1, hard_do_laws, int_all_laws
+from .scm_core import (
+    ExactDist,
+    Intervention,
+    Scm,
+    cf1,
+    hard_do_laws,
+    int_all_laws,
+    intervention_code,
+    intervention_codes,
+)
 
 OBS = "OBS"
 INT1 = "INT1"
@@ -75,37 +84,29 @@ def intervention_key(iv: Intervention) -> str:
     return f"do S={targets} x={bits}"
 
 
-def _build_int_all_table(n: int) -> tuple[tuple[tuple, str], ...]:
-    """The (`Intervention.assignments`, `intervention_key`) pair of each of
-    the 3^n INT_ALL components on n variables, in `all_interventions`
-    order, built without Intervention objects: the INT_ALL `_layout`.
-
-    Each target set's part of the key is rendered once, and the
-    assignments share one (variable, bit) pair object per variable and bit.
-    """
-    pairs = [((v, 0), (v, 1)) for v in range(n)]
-    table = []
+def _build_int_all_table(n: int) -> tuple[tuple[int, str], ...]:
+    """The (`intervention_code`, `intervention_key`) pair of each of the
+    3^n INT_ALL components on n variables, in `all_interventions` order,
+    built without Intervention objects: the INT_ALL `_layout`. Each target
+    set's part of the key is rendered once."""
+    keys: list[str] = []
     for k in range(n + 1):
         for subset in itertools.combinations(range(n), k):
             head = f"do S={','.join(map(str, subset))} x="
-            for assignments, bits in zip(
-                itertools.product(*[pairs[v] for v in subset]),
-                itertools.product("01", repeat=k),
-            ):
-                table.append((assignments, head + "".join(bits)))
-    return tuple(table)
+            keys += [head + "".join(bits) for bits in itertools.product("01", repeat=k)]
+    return tuple(zip(intervention_codes(n), keys))
 
 
-# A table holds about 260 bytes of RSS per component: 14 MiB at n=10, 44
-# MiB at n=11 and 135 MiB at n=12, the default INT_ALL cap. Tables up to
-# n=10 are cached, about 21 MiB at most; a larger one is built per call,
+# A table holds about 190 bytes of RSS per component: 10 MiB at n=10, 32
+# MiB at n=11 and 99 MiB at n=12, the default INT_ALL cap. Tables up to
+# n=10 are cached, about 15 MiB at most; a larger one is built per call,
 # in under a second against seconds to compute that oracle, and is freed
 # with it.
 _TABLE_CACHE_NMAX = 10
 _table_cache = lru_cache(maxsize=4)(_build_int_all_table)
 
 
-def _int_all_table(n: int) -> tuple[tuple[tuple, str], ...]:
+def _int_all_table(n: int) -> tuple[tuple[int, str], ...]:
     if n > _TABLE_CACHE_NMAX:
         return _build_int_all_table(n)
     return _table_cache(n)
@@ -114,16 +115,19 @@ def _int_all_table(n: int) -> tuple[tuple[tuple, str], ...]:
 def _layout(kind: str, n: int):
     """The (law key, component key) pair of each component of a `kind`
     oracle on n variables, in order. The law key indexes what the kernel
-    returns for the kind: `Intervention.assignments` for OBS, INT1 and
+    returns for the kind: the `intervention_code` for OBS, INT1 and
     INT_ALL, the variable for CF1. `compute_oracle` reads the laws through
     the layout and `parse` walks its keys."""
     if kind == INT_ALL:
         return _int_all_table(n)
     if kind == CF1:
         return [(i, f"cf i={i}") for i in range(n)]
+    obs = [(0, "obs")]
     if kind == OBS:
-        return [((), "obs")]
-    return [((), "obs")] + [(((i, b),), f"do i={i} b={b}") for i in range(n) for b in (0, 1)]
+        return obs
+    return obs + [
+        (intervention_code(n, ((i, b),)), f"do i={i} b={b}") for i in range(n) for b in (0, 1)
+    ]
 
 
 def _component_keys(kind: str, n: int, count: int):

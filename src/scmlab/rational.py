@@ -13,20 +13,25 @@ HALF = Fraction(1, 2)
 
 
 def frac_str(x: Fraction) -> str:
-    """Render in lowest terms with an explicit denominator, e.g. "1/1"."""
-    return f"{x.numerator}/{x.denominator}"
+    """Render in lowest terms with an explicit denominator, e.g. "1/1". A
+    number past the interpreter's digit limit for int-to-text conversion
+    raises OracleFormatError."""
+    return _fraction_text(x.numerator, x.denominator)
 
 
 def mass_line(outcome: str, num: int, den: int) -> str:
     """The one rendering of an oracle mass line, "<outcome>=<num>/<den>",
-    for a mass num/den given in lowest terms. A number past the
-    interpreter's digit limit for int-to-text conversion raises
-    OracleFormatError."""
+    for a mass num/den given in lowest terms; a number too long to write
+    raises OracleFormatError, as in `frac_str`."""
+    return f"{outcome}={_fraction_text(num, den)}"
+
+
+def _fraction_text(num: int, den: int) -> str:
     try:
-        return f"{outcome}={num}/{den}"
-    except ValueError:
+        return f"{num}/{den}"
+    except ValueError:  # past the interpreter's digit limit for int-to-text conversion
         raise OracleFormatError(
-            f"a mass of {max(num, den).bit_length()} bits has more than "
+            f"a fraction of {max(num, den).bit_length()} bits has more than "
             f"{sys.get_int_max_str_digits()} digits, too long to write"
         ) from None
 

@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import NamedTuple
 
 from . import gates
@@ -301,19 +302,26 @@ def topo_order(scm: Scm) -> list[int]:
 # distinct branches set different output bits, so states never collide.
 # A leaf's final states become its canonical body text at once; Fractions
 # appear only when its `mass` is read.
+#
+# Hard interventions branch off the pass as a trie (`_descend`), each law
+# keyed by its integer intervention code (`intervention_code`). Below a
+# node, every leaf is a pure function of (level, states, weights, den), so
+# where a deterministic mechanism leaves the states as do(0) or do(1)
+# would, and the budget lets both continuations force every remaining
+# variable, the two subtrees are equal leaf for leaf: one is descended and
+# the other copied from it, sharing its ExactDist objects.
 
 
-# A compiled step is the tuple (v, bit, test, mask, invert, branches, den):
-# the variable, its bit in a state, its gates test code, the parent bits
-# the test reads, the output inversion, one (bit xored into the output,
-# weight numerator) pair per noise branch, and the common denominator of
-# those numerators.
+# A compiled step is the tuple (place, bit, test, mask, invert, branches,
+# den): the variable's place 3^(n-1-v) in an intervention code, its bit in
+# a state, its gates test code, the parent bits the test reads, the output
+# inversion, one (bit xored into the output, weight numerator) pair per
+# noise branch, and the common denominator of those numerators.
 
 
 class _Plan(NamedTuple):
     n: int
     steps: tuple[tuple, ...]  # in topological order
-    index_order: bool  # that order is 0, 1, ..., n-1
     # every noise law read is positive and sums to 1, so the outcome
     # masses are a distribution by construction
     exact: bool
@@ -368,8 +376,8 @@ def _compile(scm: Scm) -> _Plan:
         else:
             branches, den, law_ok = _noise_branches(mech, row)
             exact = exact and law_ok
-        steps.append((v, 1 << (n - 1 - v), test, mask, invert, branches, den))
-    return _Plan(n, tuple(steps), order == list(range(n)), exact)
+        steps.append((3 ** (n - 1 - v), 1 << (n - 1 - v), test, mask, invert, branches, den))
+    return _Plan(n, tuple(steps), exact)
 
 
 def _noise_branches(mech: Mechanism, row: gates.GateSpec):
@@ -494,11 +502,9 @@ def _dist(leaves: _Leaves, states: list[int], weights: list[int], den: int) -> E
     constructor."""
     if leaves.trusted:
         lines = _lines(leaves.n_bits, den)
-        base = den + 1
+        keys = sorted(map(add, map(mul, states, itertools.repeat(den + 1)), weights))
         try:
-            body = "\n".join([
-                lines[key] for key in sorted([s * base + w for s, w in zip(states, weights)])
-            ])
+            body = "\n".join(map(lines.__getitem__, keys))
         except OracleFormatError:  # serialize raises it again, when asked for the text
             pass
         else:
@@ -511,35 +517,64 @@ def _dist(leaves: _Leaves, states: list[int], weights: list[int], den: int) -> E
     )
 
 
-def hard_do_laws(scm: Scm, max_forced: int) -> dict[tuple, ExactDist]:
+def hard_do_laws(scm: Scm, max_forced: int) -> dict[int, ExactDist]:
     """The joint under every hard intervention on at most `max_forced`
-    variables, keyed by its `Intervention.assignments`; no intervention cap.
+    variables, keyed by its `intervention_code`; no intervention cap.
 
     The interventions form a trie in topological order: at each variable
     a node branches into its mechanism, do 0 and do 1, so interventions
-    that agree on a prefix share its work. A leaf's states become its
-    ExactDist at once and are dropped.
+    that agree on a prefix share its work, and a do(X_v=b) branch adds
+    (b + 1) * 3^(n-1-v) to the code. A leaf's states become its ExactDist
+    at once and are dropped.
+
+    Some subtrees are equal and are descended once. Below a node, each
+    leaf is a function of the level, states, weights and denominator
+    alone. Take a node whose budget lets every remaining variable be
+    forced, so that its mechanism subtree and its do(b) subtree hold the
+    same interventions on the remaining variables. If its step is
+    deterministic (one noise branch, of weight 1 over 1) and yields the
+    states do(b) yields, both subtrees start from the same (states,
+    weights, den), so their leaves are equal at codes (b + 1) * 3^(n-1-v)
+    apart: the mechanism subtree takes the do(b) subtree's ExactDist
+    objects.
     """
     plan = _compile(scm)
-    laws: dict[tuple, ExactDist] = {}
-    _descend(plan, 0, [0], [1], 1, (), max_forced, laws, _Leaves(plan, plan.n))
-    return laws
+    codes: list[int] = []
+    dists: list[ExactDist] = []
+    _descend(plan, 0, [0], [1], 1, 0, max_forced, codes, dists, _Leaves(plan, plan.n))
+    return dict(zip(codes, dists))
 
 
-def _descend(plan, level, states, weights, den, forced, budget, laws, leaves) -> None:
+def _descend(plan, level, states, weights, den, code, budget, codes, dists, leaves) -> None:
     """Run the mechanisms from `level` on, branching off the do() subtries;
-    `forced` lists the (variable, bit) pairs forced so far."""
+    `code` sums the digits forced so far. Each leaf appends its code to
+    `codes` and its law to `dists`."""
     steps = plan.steps
-    for level in range(level, len(steps)):
-        v, bit, test, mask, invert, branches, step_den = steps[level]
+    last = len(steps)
+    for level in range(level, last):
+        place, bit, test, mask, invert, branches, step_den = steps[level]
         if budget:
+            zeros_at = len(codes)
             _descend(plan, level + 1, states, weights, den,
-                     forced + ((v, 0),), budget - 1, laws, leaves)
-            _descend(plan, level + 1, [s | bit for s in states], weights, den,
-                     forced + ((v, 1),), budget - 1, laws, leaves)
+                     code + place, budget - 1, codes, dists, leaves)
+            ones_at = len(codes)
+            ones = [s | bit for s in states]
+            _descend(plan, level + 1, ones, weights, den,
+                     code + 2 * place, budget - 1, codes, dists, leaves)
         if len(branches) == 1:
             ((flip, k),) = branches
-            states = _extend(states, test, mask, invert ^ flip, bit)
+            out = _extend(states, test, mask, invert ^ flip, bit)
+            if k == step_den == 1 and budget >= last - level and (out == states or out == ones):
+                # this mechanism subtree equals the do(b) one (see
+                # hard_do_laws): its leaves again, the digit off the code
+                start, stop, digit = (
+                    (zeros_at, ones_at, place) if out == states
+                    else (ones_at, len(codes), 2 * place)
+                )
+                codes += map((-digit).__add__, codes[start:stop])
+                dists += dists[start:stop]
+                return
+            states = out
             weights = _scaled(weights, k)
         else:
             next_states: list[int] = []
@@ -549,9 +584,8 @@ def _descend(plan, level, states, weights, den, forced, budget, laws, leaves) ->
                 next_weights += _scaled(weights, k)
             states, weights = next_states, next_weights
         den *= step_den
-    if not plan.index_order:
-        forced = tuple(sorted(forced))
-    laws[forced] = _dist(leaves, states, weights, den)
+    codes.append(code)
+    dists.append(_dist(leaves, states, weights, den))
 
 
 def _twin(plan: _Plan, i: int, leaves: _Leaves) -> ExactDist:
@@ -584,7 +618,7 @@ def _twin(plan: _Plan, i: int, leaves: _Leaves) -> ExactDist:
 
 def observational(scm: Scm) -> ExactDist:
     """Exact joint distribution of the n variables."""
-    return hard_do_laws(scm, 0)[()]
+    return hard_do_laws(scm, 0)[0]
 
 
 def apply_do(scm: Scm, intervention: Intervention) -> Scm:
@@ -640,15 +674,48 @@ def all_interventions(n: int):
                 yield Intervention(tuple(zip(subset, values)))
 
 
-def int_all_laws(scm: Scm) -> dict[tuple, ExactDist]:
+def intervention_code(n: int, assignments) -> int:
+    """The integer key of a hard intervention on n variables, by which the
+    kernel returns its law: in base 3, variable 0 first, a variable left
+    alone is digit 0 and one forced to b is digit b + 1, so the code sums
+    (b + 1) * 3^(n-1-v) over the (v, b) pairs. It does not depend on the
+    order of the pairs or on the model."""
+    return sum((b + 1) * 3 ** (n - 1 - v) for v, b in assignments)
+
+
+def intervention_codes(n: int) -> list[int]:
+    """`intervention_code` of every one of `all_interventions(n)`, in that
+    order, built per target set without Intervention objects."""
+    places = [3 ** (n - 1 - v) for v in range(n)]
+    codes: list[int] = []
+    for k in range(n + 1):
+        for subset in itertools.combinations(places, k):
+            block = [sum(subset)]  # every target forced to 0
+            for place in subset:
+                block = [c + b for c in block for b in (0, place)]
+            codes += block
+    return codes
+
+
+def int_all_laws(scm: Scm) -> dict[int, ExactDist]:
     """The joint under every one of the 3^n hard interventions, keyed by
-    `Intervention.assignments`; n above SCMLAB_INTALL_NMAX is refused
-    before any work."""
+    `intervention_code`; n above SCMLAB_INTALL_NMAX is refused before any
+    work. Interventions whose laws are equal by the rule in
+    `hard_do_laws` share one ExactDist."""
     check("SCMLAB_INTALL_NMAX", scm.n, "int_all on n={}", lambda: {3: scm.n}, "interventions")
     return hard_do_laws(scm, scm.n)
 
 
 def int_all(scm: Scm) -> tuple[tuple[Intervention, ExactDist], ...]:
-    """Exact joint under every one of the 3^n hard interventions."""
+    """Exact joint under every one of the 3^n hard interventions, in
+    `all_interventions` order.
+
+    The kernel keys each law by its `intervention_code` and descends a
+    do() subtree once where a deterministic mechanism already yields the
+    forced bit on every state it reaches (`hard_do_laws`); the
+    interventions of the twin subtree then hold the same ExactDist
+    objects. That is exact: each law below is a function of the states,
+    weights and denominator the two subtrees start from, and those are
+    equal."""
     laws = int_all_laws(scm)
-    return tuple((iv, laws[iv.assignments]) for iv in all_interventions(scm.n))
+    return tuple(zip(all_interventions(scm.n), map(laws.__getitem__, intervention_codes(scm.n))))

@@ -29,6 +29,7 @@ from scmlab import gates, observational, scm_core
 from scmlab import oracle as oracle_module
 from scmlab.errors import OracleFormatError
 from scmlab.oracle import intervention_key
+from scmlab.scm_core import intervention_code
 
 import reference_codec
 from conftest import GOLDEN_BYTES, mutated_golden, small_scms
@@ -131,12 +132,26 @@ class TestEmptyModel:
                 parse_fn(data)
 
 
+def _decode(n: int, code: int) -> tuple:
+    """The (variable, bit) pairs of an intervention code: its base-3
+    digits, variable 0 first, are 0 for no target and bit + 1."""
+    pairs = []
+    for v in reversed(range(n)):
+        code, digit = divmod(code, 3)
+        if digit:
+            pairs.append((v, digit - 1))
+    assert code == 0
+    return tuple(reversed(pairs))
+
+
 class TestKeyTable:
     @pytest.mark.parametrize("n", range(7))
     def test_keys_follow_all_interventions(self, n):
         table = oracle_module._int_all_table(n)
         interventions = list(all_interventions(n))
-        assert [a for a, _ in table] == [iv.assignments for iv in interventions]
+        codes = [code for code, _ in table]
+        assert codes == [intervention_code(n, iv.assignments) for iv in interventions]
+        assert [_decode(n, code) for code in codes] == [iv.assignments for iv in interventions]
         assert [key for _, key in table] == [intervention_key(iv) for iv in interventions]
 
     @pytest.mark.parametrize("n", range(7))

@@ -20,12 +20,13 @@ from scmlab import (
     scm_from_json,
     scm_to_json,
 )
-from scmlab import gates
+from scmlab import cli, gates
 from scmlab.errors import (
     BadRangeError,
     InvalidScmError,
     InvalidTreeError,
     LengthMismatchError,
+    OracleFormatError,
 )
 
 from conftest import small_scms
@@ -128,6 +129,15 @@ class TestScmCodec:
         }
         with pytest.raises(InvalidScmError):
             scm_from_json(doc)
+
+    def test_a_prob_too_long_to_write_is_a_typed_error(self):
+        # past the interpreter's 4300-digit limit for int-to-text conversion
+        tiny = Fraction(1, 10**4400)
+        scm = Scm(1, (Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(tiny)),))
+        with pytest.raises(OracleFormatError, match="too long to write"):
+            scm_to_json(scm)
+        with pytest.raises(OracleFormatError, match="too long to write"):
+            cli._jsonable({"mass": tiny})
 
     def test_rejects_non_lowest_terms_prob(self):
         doc = {

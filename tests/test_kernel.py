@@ -2,9 +2,9 @@
 
 Every oracle kind must serialize to the same bytes as the reference on
 random DAGs, including DAGs whose topological order is not the index
-order, non-dyadic noise and three-symbol noise; malformed SCMs that skip
-validation must fail with the same exception type; caps must refuse
-before the pass starts.
+order, non-dyadic noise, three-symbol noise and INT_ALL tries with
+shared subtrees; malformed SCMs that skip validation must fail with the
+same exception type; caps must refuse before the pass starts.
 """
 
 from fractions import Fraction
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scmlab import Mechanism, NoiseDist, Scm, gates, scm_core
+from scmlab import HiddenString, Mechanism, NoiseDist, Scm, build_xor_scm, gates, scm_core
 from scmlab.errors import SupportTooLargeError
 from scmlab.oracle import CF1, INT1, INT_ALL, KINDS, OBS, compute_oracle, serialize
 from scmlab.scm_core import (
@@ -94,6 +94,58 @@ def test_strategy_reaches_non_index_topological_orders():
     assert any(seen)
 
 
+def distinct_dists(oracle) -> int:
+    return len({id(dist) for _, dist in oracle.components})
+
+
+def test_strategy_reaches_shared_subtrees():
+    # the differential test covers the shared-subtree path of the INT_ALL
+    # trie only if such models occur, also under a non-index order
+    seen = []
+
+    @given(dag_scms())
+    @settings(max_examples=100, deadline=None, database=None)
+    def collect(scm):
+        shared = distinct_dists(compute_oracle(scm, INT_ALL)) < 3**scm.n
+        seen.append((shared, topo_order(scm) != list(range(scm.n))))
+
+    collect()
+    assert (True, False) in seen
+    assert (True, True) in seen
+
+
+# x0 a fair source, x1 = COPY(x0), x2 = AND(x0, x1): below the deterministic
+# steps, 11 of the 27 INT_ALL components take another's dist; below x0's
+# noisy step, none
+COPY_AND = Scm(
+    3,
+    (
+        Mechanism(gates.BERN_SOURCE, (), FAIR),
+        Mechanism(gates.COPY, (0,), CONST),
+        Mechanism(gates.AND, (0, 1), CONST),
+    ),
+)
+
+
+def test_shared_dist_counts():
+    assert distinct_dists(compute_oracle(COPY_AND, INT_ALL)) == 16
+    # every xor step reads noise, so nothing is shared
+    xor = compute_oracle(build_xor_scm(HiddenString(3, "101")), INT_ALL)
+    assert len(xor.components) == distinct_dists(xor) == 729
+
+
+def test_a_shared_dist_reads_the_same_through_both_components():
+    oracle = compute_oracle(COPY_AND, INT_ALL)
+    reference = reference_oracle(COPY_AND, INT_ALL)
+    # do(x0=0) leaves x1 = 0 as do(x1=0) would
+    first = oracle.component("do S=0 x=0")
+    second = oracle.component("do S=0,1 x=00")
+    assert first is second
+    assert first.mass == reference.component("do S=0 x=0").mass
+    assert second.mass == reference.component("do S=0,1 x=00").mass
+    assert serialize(oracle) == serialize(reference)
+
+
 REVERSED_CHAIN = Scm(
     3,
     (
@@ -132,6 +184,9 @@ MALFORMED = {
     ),
     "ignored noise sums to 5/6": _one_variable(
         gates.AND, (0,), NoiseDist((0, 1), (HALF, Fraction(1, 3))), n=2
+    ),
+    "constant gate, noise sums to 5/6": _one_variable(
+        gates.CONST0, (), NoiseDist((0, 1), (HALF, Fraction(1, 3)))
     ),
     "read noise with a zero": _one_variable(gates.BERN_SOURCE, (), NoiseDist((0, 1), (0, 1))),
     "ignored noise with a zero": _one_variable(gates.OR, (0,), NoiseDist((0, 1), (0, 1)), n=2),
