@@ -120,14 +120,21 @@ def _layout(kind: str, n: int):
     the layout and `parse` walks its keys."""
     if kind == INT_ALL:
         return _int_all_table(n)
+    return _small_layout(kind, n)
+
+
+@lru_cache(maxsize=32)
+def _small_layout(kind: str, n: int) -> tuple[tuple, ...]:
+    """The OBS, INT1 or CF1 `_layout`, kept per (kind, n): a family sweep
+    reads the same one for each of its thousands of small oracles."""
     if kind == CF1:
-        return [(i, f"cf i={i}") for i in range(n)]
-    obs = [(0, "obs")]
+        return tuple([(i, f"cf i={i}") for i in range(n)])
+    obs = ((0, "obs"),)
     if kind == OBS:
         return obs
-    return obs + [
+    return obs + tuple([
         (intervention_code(n, ((i, b),)), f"do i={i} b={b}") for i in range(n) for b in (0, 1)
-    ]
+    ])
 
 
 def _component_keys(kind: str, n: int, count: int):

@@ -564,7 +564,7 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists, leav
         if len(branches) == 1:
             ((flip, k),) = branches
             out = _extend(states, test, mask, invert ^ flip, bit)
-            if k == step_den == 1 and budget >= last - level and (out == states or out == ones):
+            if budget >= last - level and k == step_den == 1 and (out == states or out == ones):
                 # this mechanism subtree equals the do(b) one (see
                 # hard_do_laws): its leaves again, the digit off the code
                 start, stop, digit = (
