@@ -26,7 +26,7 @@ from fractions import Fraction
 from .catalog import Family
 from .errors import BadRangeError, LengthMismatchError, NotMemberError, ScmLabError
 from .families import BIPARTITE, BipartiteGraph, ClassSpec, class_membership
-from .oracle import INT1, KINDS, d_int, oracle_index, parse
+from .oracle import INT1, KINDS, d_int, oracle_index, oracle_indexes, parse
 from .prufer import BitBudget, ceil_log2
 from .rational import HALF
 from .scm_core import Scm
@@ -94,10 +94,9 @@ def _grouped(family: Family, lower_kind: str, higher_kind: str):
     """Group parameters by lower-oracle bytes; count higher-oracle bytes
     within each group. Returns {lower_bytes: Counter(higher_bytes)}."""
     _check_kinds(lower_kind, higher_kind)
+    index = oracle_indexes(family, (lower_kind, higher_kind))
     groups: dict[bytes, Counter] = {}
-    for lower, higher in zip(
-        oracle_index(family, lower_kind), oracle_index(family, higher_kind)
-    ):
+    for lower, higher in zip(index[lower_kind], index[higher_kind]):
         groups.setdefault(lower, Counter())[higher] += 1
     return groups
 

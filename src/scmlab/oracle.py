@@ -48,11 +48,10 @@ from .scm_core import (
     ExactDist,
     Intervention,
     Scm,
-    cf1,
-    hard_do_laws,
-    int_all_laws,
+    check_int_all,
     intervention_code,
     intervention_codes,
+    kernel_laws,
 )
 
 OBS = "OBS"
@@ -166,44 +165,78 @@ def component_bits(kind: str, n: int) -> int:
 
 def compute_oracle(scm: Scm, kind: str) -> AnswerOracle:
     """Compute the full exact oracle of `scm` for one query class."""
-    if kind == INT_ALL:
-        laws = int_all_laws(scm)
-    elif kind == CF1:
-        laws = cf1(scm)
-    elif kind in (OBS, INT1):
-        laws = hard_do_laws(scm, 1 if kind == INT1 else 0)
+    return _member_oracles(scm, (kind,))[kind]
+
+
+def _member_oracles(scm: Scm, kinds) -> dict[str, AnswerOracle]:
+    """The oracle of `scm` for each of `kinds`, from one compiled plan.
+
+    OBS, INT1 and INT_ALL come from one trie pass, whose budget is n if
+    INT_ALL is asked for (refused above its cap before any work), else 1
+    if INT1 is, else 0; OBS is its law at code 0. CF1's twin passes read
+    the same plan.
+    """
+    for kind in kinds:
+        if kind not in KINDS:
+            raise KindMismatchError(f"unknown oracle kind {kind!r}")
+    n = scm.n
+    if INT_ALL in kinds:
+        check_int_all(n)
+        budget = n
     else:
-        raise KindMismatchError(f"unknown oracle kind {kind!r}")
-    components = tuple([(key, laws[law]) for law, key in _layout(kind, scm.n)])
-    return AnswerOracle(kind, scm.n, components)
+        budget = 1 if INT1 in kinds else 0 if OBS in kinds else None
+    laws, twins = kernel_laws(scm, budget, CF1 in kinds)
+    oracles = {}
+    for kind in kinds:
+        read = twins if kind == CF1 else laws
+        oracles[kind] = AnswerOracle(
+            kind, n, tuple([(key, read[law]) for law, key in _layout(kind, n)])
+        )
+    return oracles
 
 
 def oracle_index(family, kind: str) -> tuple[bytes, ...]:
     """Serialized `kind` oracle of every member of `family` (a
     `catalog.Family`), in `family.parameters()` order; equal oracles share
-    one bytes object.
+    one bytes object. `oracle_indexes` with one kind."""
+    return oracle_indexes(family, (kind,))[kind]
 
-    The one place family oracles are computed for grouping. INT_ALL
-    indexes (3^n components per oracle; seconds for xor m=4) are memoized
-    per snapshot of the active caps, so a lowered cap refuses a cached
-    family just as it refuses a new one. The other kinds cost a fraction
-    of a second per family and are computed on every call, so no call's
-    cost depends on which calls came before it.
+
+def oracle_indexes(family, kinds) -> dict[str, tuple[bytes, ...]]:
+    """`oracle_index` of `family` for each of `kinds`: the one place family
+    oracles are computed for grouping.
+
+    INT_ALL comes first, from its own index: 3^n components per oracle,
+    seconds for xor m=4, so it is memoized per snapshot of the active
+    caps, and a lowered cap refuses a cached family just as it refuses a
+    new one. The other kinds come from one sweep, computed on every call
+    so that no call's cost depends on which calls came before it: one
+    build, one compiled plan and one kernel pass per member serve all of
+    them (`_member_oracles`).
     """
-    if kind == INT_ALL:
-        return _cached_index(family, kind, snapshot())
-    return _index(family, kind)
+    kinds = tuple(dict.fromkeys(kinds))
+    index = {}
+    if INT_ALL in kinds:
+        index[INT_ALL] = _cached_index(family, snapshot())
+    swept = tuple([kind for kind in kinds if kind != INT_ALL])
+    if swept:
+        shared: dict[bytes, bytes] = {}
+        columns: list[list[bytes]] = [[] for _ in swept]
+        for param in family.parameters():
+            oracles = _member_oracles(family.build(param), swept)
+            for column, kind in zip(columns, swept):
+                data = serialize(oracles[kind])
+                column.append(shared.setdefault(data, data))
+        index.update(zip(swept, map(tuple, columns)))
+    return index
 
 
 @lru_cache(maxsize=16)
-def _cached_index(family, kind: str, caps) -> tuple[bytes, ...]:
-    return _index(family, kind)
-
-
-def _index(family, kind: str) -> tuple[bytes, ...]:
+def _cached_index(family, caps) -> tuple[bytes, ...]:
+    """The INT_ALL index of `family` under the caps snapshot `caps`."""
     shared: dict[bytes, bytes] = {}
     oracles = (
-        serialize(compute_oracle(family.build(param), kind))
+        serialize(compute_oracle(family.build(param), INT_ALL))
         for param in family.parameters()
     )
     return tuple(shared.setdefault(data, data) for data in oracles)
@@ -250,9 +283,9 @@ def parse(data: bytes) -> AnswerOracle:
     fraction text, and each component's sum against 1 over its distinct
     texts weighted by their counts. Only a block that fails is scanned
     line by line, so the error names the offending line. A body that
-    repeats an earlier one passed the same checks. Each checked body
-    becomes its distribution's canonical body as it is; `mass` is built
-    from it on first read.
+    repeats an earlier one passed the same checks, and its components
+    share one distribution. Each checked body becomes its distribution's
+    canonical body as it is; `mass` is built from it on first read.
     """
     try:
         text = data.decode("ascii")
@@ -275,16 +308,16 @@ def parse(data: bytes) -> AnswerOracle:
     block_match = _block_re(min(n_bits, len(text))).fullmatch
     fractions: dict[str, Fraction] = {}  # each dist's `mass` reads this memo
     # components repeat bodies, and a few dozen sequences of mass texts,
-    # so each is checked once; dists with equal bodies share one string
-    bodies: dict[str, str] = {}
+    # so each is checked once; components with equal bodies share one dist
+    dists: dict[str, ExactDist] = {}
     checked: set[tuple[str, ...]] = set()
     components = []
     for block, want in zip(blocks, keys):
         key, _, body = block.partition("\n")
         if key != want:
             raise OracleFormatError(f"component key {key!r} where {want!r} was expected")
-        shared = bodies.get(body)
-        if shared is None:
+        dist = dists.get(body)
+        if dist is None:
             if not block_match(body):
                 _reject_lines(key, block.split("\n")[1:], n_bits)
             cells = body.replace("\n", "=").split("=")
@@ -295,8 +328,8 @@ def parse(data: bytes) -> AnswerOracle:
             if mass_texts not in checked:
                 _check_masses(key, mass_texts, fractions)
                 checked.add(mass_texts)
-            shared = bodies[body] = body
-        components.append((key, ExactDist._from_body(n_bits, shared, fractions)))
+            dist = dists[body] = ExactDist._from_body(n_bits, body, fractions)
+        components.append((key, dist))
     return AnswerOracle(kind, n, tuple(components))
 
 
@@ -351,15 +384,19 @@ def extract_obs(oracle: AnswerOracle) -> AnswerOracle:
 
 
 def tv(p: ExactDist, q: ExactDist) -> Fraction:
-    """Exact total variation distance between two same-length distributions."""
+    """Exact total variation distance between two same-length
+    distributions, summed in integers over the two integer views."""
     if p.n_bits != q.n_bits:
         raise LengthMismatchError(
             f"cannot compare {p.n_bits}-bit and {q.n_bits}-bit distributions"
         )
-    total = ZERO
-    for outcome in p.mass.keys() | q.mass.keys():
-        total += abs(p.p(outcome) - q.p(outcome))
-    return total / 2
+    p_outcomes, p_weights, p_den = p._int_view()
+    q_outcomes, q_weights, q_den = q._int_view()
+    # each mass over the common denominator p_den * q_den
+    diff = dict(zip(p_outcomes, [w * q_den for w in p_weights]))
+    for outcome, w in zip(q_outcomes, q_weights):
+        diff[outcome] = diff.get(outcome, 0) - w * p_den
+    return Fraction(sum(map(abs, diff.values())), 2 * p_den * q_den)
 
 
 def d_int(a: AnswerOracle, b: AnswerOracle) -> Fraction:
@@ -381,16 +418,20 @@ def d_int(a: AnswerOracle, b: AnswerOracle) -> Fraction:
 
 
 def marginal(dist: ExactDist, positions) -> ExactDist:
-    """Exact marginal onto `positions`, keeping the given order."""
+    """Exact marginal onto `positions`, keeping the given order, summed in
+    integers over the dist's integer view; the result carries its
+    canonical body."""
     positions = tuple(int(p) for p in positions)
     for p in positions:
         if not 0 <= p < dist.n_bits:
             raise BadPositionError(f"position {p} outside [0, {dist.n_bits})")
-    acc: dict[str, Fraction] = {}
-    for outcome, weight in dist.mass.items():
-        key = "".join(outcome[p] for p in positions)
-        if key in acc:
-            acc[key] += weight
-        else:
-            acc[key] = weight
-    return ExactDist(len(positions), acc)
+    outcomes, weights, den = dist._int_view()
+    start = positions[0] if positions else 0
+    if positions == tuple(range(start, start + len(positions))):
+        keys = [outcome[start:start + len(positions)] for outcome in outcomes]
+    else:
+        keys = ["".join(map(outcome.__getitem__, positions)) for outcome in outcomes]
+    acc: dict[str, int] = {}
+    for key, w in zip(keys, weights):
+        acc[key] = acc.get(key, 0) + w
+    return ExactDist._from_weights(len(positions), acc, den)

@@ -117,13 +117,19 @@ class ExactDist:
     positive and sum to exactly 1), so an ExactDist in hand is trusted.
     `mass` must not be mutated in place.
 
-    The exact kernel and `oracle.parse` establish the same invariants in
-    integer arithmetic and build theirs with `_from_body`: the product is
-    the canonical component body, its "<bits>=<num>/<den>" lines in
-    ascending order joined by LF, which `serialize` copies out as it is.
-    `mass` is then built from that text when first read, its Fractions
-    taken from the memo `fractions` (text -> Fraction) that the dist was
-    built with.
+    The exact kernel, `oracle.parse` and `oracle.marginal` establish the
+    same invariants in integer arithmetic and build theirs with
+    `_from_body`: the product is the canonical component body, its
+    "<bits>=<num>/<den>" lines in ascending order joined by LF, which
+    `serialize` copies out as it is. `mass` is then built from that text
+    when first read, its Fractions taken from the memo `fractions` (text
+    -> Fraction) that the dist was built with, or parsed anew without one.
+
+    Probes read one integer view (`_int_view`), built on the first probe
+    from the body, or from `mass` for a dist without one: the outcomes in
+    ascending order, one integer weight each, and a common denominator.
+    Two dists that both have a body are equal exactly when their bodies
+    are, since the text is canonical; otherwise `==` compares masses.
     """
 
     n_bits: int
@@ -131,6 +137,7 @@ class ExactDist:
 
     _body = None  # the canonical body, when the dist was built from it
     _fractions = None
+    _ints = None  # the integer view, once a probe has built it
 
     def __post_init__(self):
         total = ZERO
@@ -144,13 +151,33 @@ class ExactDist:
             raise ValueError(f"masses sum to {total}, expected 1")
 
     @classmethod
-    def _from_body(cls, n_bits: int, body: str, fractions) -> "ExactDist":
-        """Wrap a canonical body that is valid by construction; `fractions`
-        maps each of its mass texts to its Fraction."""
+    def _from_body(cls, n_bits: int, body: str, fractions=None) -> "ExactDist":
+        """Wrap a canonical body that is valid by construction; `fractions`,
+        when given, maps each of its mass texts to its Fraction."""
         dist = _new(cls)
         _set(dist, "n_bits", n_bits)
         _set(dist, "_body", body)
         _set(dist, "_fractions", fractions)
+        return dist
+
+    @classmethod
+    def _from_weights(cls, n_bits: int, weights: dict[str, int], den: int) -> "ExactDist":
+        """The law with mass weights[o] / den at each outcome o, for positive
+        weights summing to den, built from its canonical body: lines in
+        ascending order, each in lowest terms. A mass too long to write
+        leaves the dist without a body, as in the kernel."""
+        outcomes = sorted(weights)
+        ints = list(map(weights.__getitem__, outcomes))
+        lines = []
+        try:
+            for outcome, w in zip(outcomes, ints):
+                g = math.gcd(w, den)
+                lines.append(mass_line(outcome, w // g, den // g))
+        except OracleFormatError:  # serialize raises it again, when asked for the text
+            dist = cls(n_bits, {o: Fraction(w, den) for o, w in zip(outcomes, ints)})
+        else:
+            dist = cls._from_body(n_bits, "\n".join(lines))
+        _set(dist, "_ints", (outcomes, ints, den))
         return dist
 
     def __getattr__(self, name):
@@ -159,10 +186,41 @@ class ExactDist:
         if name != "mass" or self._body is None:
             raise AttributeError(name)
         cells = self._body.replace("\n", "=").split("=")
-        mass = dict(zip(cells[::2], map(self._fractions.__getitem__, cells[1::2])))
+        fractions = frac_parse if self._fractions is None else self._fractions.__getitem__
+        mass = dict(zip(cells[::2], map(fractions, cells[1::2])))
         _set(self, "mass", mass)
         _set(self, "_fractions", None)
         return mass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.n_bits != other.n_bits:
+            return False
+        if self._body is not None and other._body is not None:
+            return self._body == other._body
+        return self.mass == other.mass
+
+    def _int_view(self) -> tuple[list[str], list[int], int]:
+        """(outcomes, weights, den): the positive-mass outcomes in ascending
+        order and integers with mass[outcome] == weight / den, built once."""
+        view = self._ints
+        if view is None:
+            if self._body is not None:
+                cells = self._body.replace("\n", "=").split("=")
+                outcomes, texts = cells[::2], cells[1::2]
+                pairs = {text: tuple(map(int, text.split("/"))) for text in set(texts)}
+                den = math.lcm(*[d for _, d in pairs.values()])
+                scaled = {text: num * (den // d) for text, (num, d) in pairs.items()}
+                weights = list(map(scaled.__getitem__, texts))
+            else:
+                outcomes = sorted(self.mass)
+                masses = list(map(self.mass.__getitem__, outcomes))
+                den = math.lcm(*[m.denominator for m in masses])
+                weights = [m.numerator * (den // m.denominator) for m in masses]
+            view = (outcomes, weights, den)
+            _set(self, "_ints", view)
+        return view
 
     def _text(self) -> str:
         """The canonical body; a dist built from masses renders it anew."""
@@ -183,9 +241,8 @@ class ExactDist:
         if not 0 <= position < self.n_bits:
             raise BadPositionError(f"position {position} outside [0, {self.n_bits})")
         want = "1" if bit else "0"
-        return sum(
-            (w for k, w in self.mass.items() if k[position] == want), ZERO
-        )
+        outcomes, weights, den = self._int_view()
+        return Fraction(sum([w for o, w in zip(outcomes, weights) if o[position] == want]), den)
 
     def outcomes(self) -> list[str]:
         """Positive-mass outcomes in ascending order."""
@@ -538,11 +595,24 @@ def hard_do_laws(scm: Scm, max_forced: int) -> dict[int, ExactDist]:
     apart: the mechanism subtree takes the do(b) subtree's ExactDist
     objects.
     """
+    return kernel_laws(scm, max_forced, False)[0]
+
+
+def kernel_laws(scm: Scm, max_forced: int | None, twins: bool):
+    """(`hard_do_laws`, `cf1`) of `scm` from one compiled plan: the trie
+    pass with budget `max_forced`, or None when that is None, and the CF1
+    twin passes when `twins` is set, else None."""
     plan = _compile(scm)
-    codes: list[int] = []
-    dists: list[ExactDist] = []
-    _descend(plan, 0, [0], [1], 1, 0, max_forced, codes, dists, _Leaves(plan, plan.n))
-    return dict(zip(codes, dists))
+    laws = cf = None
+    if max_forced is not None:
+        codes: list[int] = []
+        dists: list[ExactDist] = []
+        _descend(plan, 0, [0], [1], 1, 0, max_forced, codes, dists, _Leaves(plan, plan.n))
+        laws = dict(zip(codes, dists))
+    if twins:
+        leaves = _Leaves(plan, 3 * plan.n)
+        cf = tuple([_twin(plan, i, leaves) for i in range(plan.n)])
+    return laws, cf
 
 
 def _descend(plan, level, states, weights, den, code, budget, codes, dists, leaves) -> None:
@@ -657,9 +727,7 @@ def counterfactual_triple(scm: Scm, i: int) -> ExactDist:
 
 def cf1(scm: Scm) -> tuple[ExactDist, ...]:
     """`counterfactual_triple` for every variable, from one compiled plan."""
-    plan = _compile(scm)
-    leaves = _Leaves(plan, 3 * scm.n)
-    return tuple(_twin(plan, i, leaves) for i in range(scm.n))
+    return kernel_laws(scm, None, True)[1]
 
 
 def all_interventions(n: int):
@@ -697,12 +765,17 @@ def intervention_codes(n: int) -> list[int]:
     return codes
 
 
+def check_int_all(n: int) -> None:
+    """Refuse INT_ALL on n variables above SCMLAB_INTALL_NMAX."""
+    check("SCMLAB_INTALL_NMAX", n, "int_all on n={}", lambda: {3: n}, "interventions")
+
+
 def int_all_laws(scm: Scm) -> dict[int, ExactDist]:
     """The joint under every one of the 3^n hard interventions, keyed by
     `intervention_code`; n above SCMLAB_INTALL_NMAX is refused before any
     work. Interventions whose laws are equal by the rule in
     `hard_do_laws` share one ExactDist."""
-    check("SCMLAB_INTALL_NMAX", scm.n, "int_all on n={}", lambda: {3: scm.n}, "interventions")
+    check_int_all(scm.n)
     return hard_do_laws(scm, scm.n)
 
 

@@ -12,8 +12,10 @@ One suite serves every family. The family's row in `catalog.FAMILIES`
 gives its rung pair, the name and expected law of its observational
 check, the kinds that must be identical beyond the lower rung, and its
 decoder with the kind that decoder reads. All oracle bytes come from
-`oracle.oracle_index`, one read per kind, so the suite shares its
-INT_ALL enumeration with the gap tables.
+one `oracle.oracle_indexes` call: the INT_ALL index, shared with the gap
+tables, and one sweep that builds, compiles and runs the kernel once per
+member for every other kind. The cross-rung checks read each dist's
+integer view, not Fractions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import Family
-from .oracle import CF1, INT1, OBS, AnswerOracle, marginal, oracle_index, parse, serialize
+from .oracle import CF1, INT1, OBS, AnswerOracle, marginal, oracle_indexes, parse, serialize
 
 
 @dataclass(frozen=True)
@@ -58,9 +60,8 @@ def verify_family(family: Family) -> list[CheckResult]:
     spec = family.spec
     lower_kind, higher_kind = spec.rungs
     n = family.n_vars()
-    # the rung pair first: a cap on the costliest kind refuses before any work
-    kinds = (lower_kind, higher_kind, *spec.also_identical, OBS, INT1, CF1)
-    index = {kind: oracle_index(family, kind) for kind in dict.fromkeys(kinds)}
+    # INT_ALL, the costliest kind, is read first, so its cap refuses before any work
+    index = oracle_indexes(family, (lower_kind, higher_kind, *spec.also_identical, OBS, INT1, CF1))
     obs, int1, cf1 = index[OBS], index[INT1], index[CF1]
     count = len(obs)
     results = []

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from scmlab import HiddenString, Mechanism, NoiseDist, Scm, build_xor_scm, gates, scm_core
 from scmlab.errors import SupportTooLargeError
-from scmlab.oracle import CF1, INT1, INT_ALL, KINDS, OBS, compute_oracle, serialize
+from scmlab.oracle import CF1, INT1, INT_ALL, KINDS, OBS, compute_oracle, parse, serialize
 from scmlab.scm_core import (
     Intervention,
     counterfactual_triple,
@@ -144,6 +144,34 @@ def test_a_shared_dist_reads_the_same_through_both_components():
     assert first.mass == reference.component("do S=0 x=0").mass
     assert second.mass == reference.component("do S=0,1 x=00").mass
     assert serialize(oracle) == serialize(reference)
+
+
+def bodies(data: bytes) -> list[str]:
+    return [block.partition("\n")[2] for block in data.decode("ascii")[:-1].split("\n#")[1:]]
+
+
+@given(dag_scms())
+@settings(max_examples=40, deadline=None)
+def test_parse_shares_one_dist_per_distinct_body(scm):
+    data = serialize(compute_oracle(scm, INT_ALL))
+    parsed = parse(data)
+    assert distinct_dists(parsed) == len(set(bodies(data)))
+    by_body = {}
+    for (key, dist), body in zip(parsed.components, bodies(data)):
+        assert by_body.setdefault(body, dist) is dist
+
+
+def test_a_shared_parsed_dist_reads_the_same_through_both_components():
+    data = serialize(compute_oracle(COPY_AND, INT_ALL))
+    parsed = parse(data)
+    assert distinct_dists(parsed) == len(set(bodies(data))) == 16
+    reference = reference_oracle(COPY_AND, INT_ALL)
+    first = parsed.component("do S=0 x=0")
+    second = parsed.component("do S=0,1 x=00")
+    assert first is second
+    assert first.mass == reference.component("do S=0 x=0").mass
+    assert second.mass == reference.component("do S=0,1 x=00").mass
+    assert serialize(parsed) == data
 
 
 REVERSED_CHAIN = Scm(

@@ -392,15 +392,23 @@ class TestOracleIndex:
 
     @pytest.mark.parametrize("family", [Family("tree", 3), Family("bipartite", 2)], ids=str)
     def test_separation_work_does_not_depend_on_earlier_calls(self, family, monkeypatch):
-        # the gap table computes the same oracles cold and after a verify
-        calls = self._count_computations(monkeypatch)
+        # the gap table computes the same oracles cold and after a verify:
+        # one (OBS, INT1) pass per member, in member order
+        calls = []
+        member_oracles = oracle_module._member_oracles
+
+        def counting(scm, kinds):
+            calls.append((tuple(kinds), scm))
+            return member_oracles(scm, kinds)
+
+        monkeypatch.setattr(oracle_module, "_member_oracles", counting)
         separation_table(family)
         cold = list(calls)
         verify_family(family)
         calls.clear()
         separation_table(family)
-        members = len(list(family.parameters()))
-        assert calls == cold == [OBS] * members + [INT1] * members
+        members = [family.build(param) for param in family.parameters()]
+        assert calls == cold == [((OBS, INT1), scm) for scm in members]
 
 
 class TestMarginal:

@@ -1,8 +1,10 @@
 """Family verification suites at desk scale."""
 
+from collections import Counter
+
 import pytest
 
-from scmlab import Family, all_passed, oracle, scm_core, verify_family
+from scmlab import Family, all_passed, oracle, scm_core, separation_table, verify_family
 from scmlab.catalog import expected_two_point, expected_uniform
 from scmlab.errors import NTooLargeError
 
@@ -95,3 +97,46 @@ class TestRefusesBeforeWork:
     def test_default_int_all_cap_refuses_xor_7_at_once(self, no_pass):
         with pytest.raises(NTooLargeError, match="int_all on n=14 exceeds SCMLAB_INTALL_NMAX=12"):
             verify_family(Family("xor", 7))
+
+
+class TestOnePassPerMember:
+    """One sweep computes every kind a call needs: each member is built
+    once and compiled once for all of them."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        builds: Counter = Counter()
+        compiles: Counter = Counter()
+        build, compile_plan = Family.build, scm_core._compile
+
+        def counted_build(family, param):
+            scm = build(family, param)
+            builds[scm] += 1
+            return scm
+
+        def counted_compile(scm):
+            compiles[scm] += 1
+            return compile_plan(scm)
+
+        monkeypatch.setattr(Family, "build", counted_build)
+        monkeypatch.setattr(scm_core, "_compile", counted_compile)
+        return builds, compiles
+
+    FAMILIES = [Family("tree", 3), Family("bipartite", 2)]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=str)
+    def test_separation_table(self, family, counts):
+        members = [family.spec.build(param) for param in family.parameters()]
+        separation_table(family)
+        builds, compiles = counts
+        assert builds == compiles == Counter(members)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=str)
+    def test_verify_family(self, family, counts):
+        members = [family.spec.build(param) for param in family.parameters()]
+        assert all_passed(verify_family(family))
+        builds, compiles = counts
+        assert builds == Counter(members)
+        # once in the sweep for OBS, INT1 and CF1, and once more in the
+        # decoder's rebuild check of the member it recovers
+        assert compiles == Counter(members * 2)
