@@ -157,7 +157,7 @@ def test_parse_shares_one_dist_per_distinct_body(scm):
     parsed = parse(data)
     assert distinct_dists(parsed) == len(set(bodies(data)))
     by_body = {}
-    for (key, dist), body in zip(parsed.components, bodies(data)):
+    for (_, dist), body in zip(parsed.components, bodies(data)):
         assert by_body.setdefault(body, dist) is dist
 
 

@@ -15,7 +15,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scmlab import (
@@ -33,9 +33,15 @@ from scmlab import (
     marginal,
     parse,
     serialize,
+    string_from_cf1,
     tv,
 )
-from scmlab.errors import BadPositionError, LengthMismatchError, OracleFormatError
+from scmlab.errors import (
+    BadPositionError,
+    LengthMismatchError,
+    NotXorLikeError,
+    OracleFormatError,
+)
 
 import reference_codec
 import reference_probes as ref
@@ -153,7 +159,7 @@ POSITIONS = [(), (0,), (2,), (0, 1, 2), (2, 1, 0), (0, 2), (1, 1), (2, 0, 2, 1),
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("scm", [MIXED, TOO_LONG], ids=["mixed-denominators", "too-long"])
 def test_probes_match_the_reference_on_fixed_positions(scm, kind):
-    def every_position_tuple(n_bits):
+    def first_fitting(n_bits):
         return next(p for p in POSITIONS if all(k < n_bits for k in p))
 
     def all_pairs(dists):
@@ -164,7 +170,7 @@ def test_probes_match_the_reference_on_fixed_positions(scm, kind):
         for positions in POSITIONS:
             if all(k < dist.n_bits for k in positions):
                 check_marginal(dist, positions)
-    check_oracle(scm, kind, every_position_tuple, all_pairs)
+    check_oracle(scm, kind, first_fitting, all_pairs)
 
 
 def test_a_body_less_law_answers_every_probe():
@@ -207,3 +213,28 @@ def test_the_public_api_does_not_depend_on_the_view(probe_first):
         assert dataclasses.replace(dist, n_bits=3).mass == eager.mass
         assert dist.p("000") == eager.p("000") and dist.outcomes() == eager.outcomes()
         assert written(serialize, pickle.loads(pickle.dumps(dist))) == written(serialize, eager)
+
+
+@given(small_scms())
+@settings(max_examples=100, deadline=None)
+def test_cf1_agreement_sum_matches_the_reference(scm):
+    # string_from_cf1 reads module t's Y agreement across the two
+    # intervened worlds; it must see the reference's Fraction sum
+    assume(scm.n % 2 == 0)
+    n = scm.n
+    oracle = compute_oracle(scm, CF1)
+    bits = []
+    for t in range(n // 2):
+        mass = oracle.components[2 * t][1].mass
+        agree = sum((w for o, w in mass.items() if o[n + 2 * t + 1] == o[2 * n + 2 * t + 1]), ref.ZERO)
+        if agree not in (0, 1):
+            with pytest.raises(NotXorLikeError, match=f"module {t}: .* probability {agree},"):
+                string_from_cf1(oracle)
+            return
+        bits.append("0" if agree == 1 else "1")
+    try:
+        decoded = string_from_cf1(oracle)
+    except NotXorLikeError as exc:
+        assert "unprobed components" in str(exc)
+    else:
+        assert decoded.bits == "".join(bits)
