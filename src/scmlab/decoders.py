@@ -16,7 +16,6 @@ oracle equals the input byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     AmbiguousParentError,
@@ -34,8 +33,8 @@ from .families import (
     build_tree_scm,
     build_xor_scm,
 )
-from .oracle import CF1, INT1, AnswerOracle, compute_oracle, serialize
-from .rational import HALF, ONE
+from .oracle import CF1, INT1, AnswerOracle, agreement, compute_oracle, serialize
+from .rational import HALF, ONE, ZERO
 from .scm_core import ExactDist, Scm
 
 
@@ -182,16 +181,14 @@ def string_from_cf1(oracle: AnswerOracle) -> HiddenString:
         dist = _component(oracle, 2 * t, f"cf i={2 * t}", 3 * n)
         y_world0 = n + 2 * t + 1
         y_world1 = 2 * n + 2 * t + 1
-        outcomes, weights, den = dist._int_view()
-        agree = sum([w for outcome, w in zip(outcomes, weights)
-                     if outcome[y_world0] == outcome[y_world1]])
-        if agree == den:
+        agree = agreement(dist, y_world0, y_world1)
+        if agree == ONE:
             bits.append("0")
-        elif agree == 0:
+        elif agree == ZERO:
             bits.append("1")
         else:
             raise NotXorLikeError(
-                f"module {t}: worlds agree on Y with probability {Fraction(agree, den)}, "
+                f"module {t}: worlds agree on Y with probability {agree}, "
                 f"expected 0 or 1"
             )
     hidden = HiddenString(m, "".join(bits))

@@ -48,7 +48,7 @@ from .scm_core import (
     ExactDist,
     Intervention,
     Scm,
-    check_int_all,
+    int_all_laws,
     intervention_code,
     intervention_codes,
     kernel_laws,
@@ -165,34 +165,33 @@ def component_bits(kind: str, n: int) -> int:
 
 def compute_oracle(scm: Scm, kind: str) -> AnswerOracle:
     """Compute the full exact oracle of `scm` for one query class."""
+    if kind == INT_ALL:
+        return _assemble(INT_ALL, scm.n, int_all_laws(scm))
     return _member_oracles(scm, (kind,))[kind]
 
 
 def _member_oracles(scm: Scm, kinds) -> dict[str, AnswerOracle]:
-    """The oracle of `scm` for each of `kinds`, from one compiled plan.
+    """The oracle of `scm` for each of `kinds` (OBS, INT1 or CF1), from one
+    compiled plan.
 
-    OBS, INT1 and INT_ALL come from one trie pass, whose budget is n if
-    INT_ALL is asked for (refused above its cap before any work), else 1
-    if INT1 is, else 0; OBS is its law at code 0. CF1's twin passes read
+    OBS and INT1 come from one trie pass, whose budget is 1 if INT1 is
+    asked for, else 0; OBS is its law at code 0. CF1's twin passes read
     the same plan.
     """
     for kind in kinds:
-        if kind not in KINDS:
+        if kind not in (OBS, INT1, CF1):
             raise KindMismatchError(f"unknown oracle kind {kind!r}")
-    n = scm.n
-    if INT_ALL in kinds:
-        check_int_all(n)
-        budget = n
-    else:
-        budget = 1 if INT1 in kinds else 0 if OBS in kinds else None
+    budget = 1 if INT1 in kinds else 0 if OBS in kinds else None
     laws, twins = kernel_laws(scm, budget, CF1 in kinds)
-    oracles = {}
-    for kind in kinds:
-        read = twins if kind == CF1 else laws
-        oracles[kind] = AnswerOracle(
-            kind, n, tuple([(key, read[law]) for law, key in _layout(kind, n)])
-        )
-    return oracles
+    return {
+        kind: _assemble(kind, scm.n, twins if kind == CF1 else laws)
+        for kind in kinds
+    }
+
+
+def _assemble(kind: str, n: int, laws) -> AnswerOracle:
+    """The `kind` oracle whose component at each layout slot is laws[law]."""
+    return AnswerOracle(kind, n, tuple([(key, laws[law]) for law, key in _layout(kind, n)]))
 
 
 def oracle_index(family, kind: str) -> tuple[bytes, ...]:
@@ -426,12 +425,18 @@ def marginal(dist: ExactDist, positions) -> ExactDist:
         if not 0 <= p < dist.n_bits:
             raise BadPositionError(f"position {p} outside [0, {dist.n_bits})")
     outcomes, weights, den = dist._int_view()
-    start = positions[0] if positions else 0
-    if positions == tuple(range(start, start + len(positions))):
-        keys = [outcome[start:start + len(positions)] for outcome in outcomes]
-    else:
-        keys = ["".join(map(outcome.__getitem__, positions)) for outcome in outcomes]
     acc: dict[str, int] = {}
-    for key, w in zip(keys, weights):
+    for outcome, w in zip(outcomes, weights):
+        key = "".join(map(outcome.__getitem__, positions))
         acc[key] = acc.get(key, 0) + w
     return ExactDist._from_weights(len(positions), acc, den)
+
+
+def agreement(dist: ExactDist, i: int, j: int) -> Fraction:
+    """Exact probability that positions `i` and `j` of `dist` hold the same
+    bit, summed in integers over the dist's integer view."""
+    for p in (i, j):
+        if not 0 <= p < dist.n_bits:
+            raise BadPositionError(f"position {p} outside [0, {dist.n_bits})")
+    outcomes, weights, den = dist._int_view()
+    return Fraction(sum([w for o, w in zip(outcomes, weights) if o[i] == o[j]]), den)

@@ -765,17 +765,12 @@ def intervention_codes(n: int) -> list[int]:
     return codes
 
 
-def check_int_all(n: int) -> None:
-    """Refuse INT_ALL on n variables above SCMLAB_INTALL_NMAX."""
-    check("SCMLAB_INTALL_NMAX", n, "int_all on n={}", lambda: {3: n}, "interventions")
-
-
 def int_all_laws(scm: Scm) -> dict[int, ExactDist]:
     """The joint under every one of the 3^n hard interventions, keyed by
     `intervention_code`; n above SCMLAB_INTALL_NMAX is refused before any
     work. Interventions whose laws are equal by the rule in
     `hard_do_laws` share one ExactDist."""
-    check_int_all(scm.n)
+    check("SCMLAB_INTALL_NMAX", scm.n, "int_all on n={}", lambda: {3: scm.n}, "interventions")
     return hard_do_laws(scm, scm.n)
 
 

@@ -1,4 +1,5 @@
-"""Reference probes: `prob_bit`, `marginal`, `tv` and `==` in Fractions.
+"""Reference probes: `prob_bit`, `marginal`, `agreement`, `tv` and `==` in
+Fractions.
 
 These are the probes `scmlab` used before they read each distribution's
 integer view: each one walks `mass`, a dict of Fractions, and sums in
@@ -34,6 +35,14 @@ def marginal(dist: ExactDist, positions) -> ExactDist:
         else:
             acc[key] = weight
     return ExactDist(len(positions), acc)
+
+
+def agreement(dist: ExactDist, i: int, j: int) -> Fraction:
+    """The CF1 decoder's sum: the mass where positions i and j agree."""
+    for p in (i, j):
+        if not 0 <= p < dist.n_bits:
+            raise BadPositionError(f"position {p} outside [0, {dist.n_bits})")
+    return sum((w for k, w in dist.mass.items() if k[i] == k[j]), ZERO)
 
 
 def tv(p: ExactDist, q: ExactDist) -> Fraction:

@@ -1,7 +1,7 @@
 """The integer probes against their Fraction reference.
 
-`prob_bit`, `marginal`, `tv`, `==` and the CF1 decoder's agreement sum
-read each distribution's integer view; `reference_probes.py` keeps the
+`prob_bit`, `marginal`, `agreement` (the CF1 decoder's probe), `tv` and
+`==` read each distribution's integer view; `reference_probes.py` keeps the
 Fraction implementations they replaced. Both must agree on kernel,
 parsed and constructor-built dists, and on a law whose mass is too long
 to write, which has no canonical body. A marginal carries its canonical
@@ -42,6 +42,7 @@ from scmlab.errors import (
     NotXorLikeError,
     OracleFormatError,
 )
+from scmlab.oracle import agreement
 
 import reference_codec
 import reference_probes as ref
@@ -107,6 +108,13 @@ def check_prob_bits(dist: ExactDist) -> None:
     for probe in (dist.prob_bit, lambda p, b: ref.prob_bit(dist, p, b)):
         with pytest.raises(BadPositionError):
             probe(dist.n_bits, 0)
+    for i, j in itertools.combinations_with_replacement(range(dist.n_bits), 2):
+        got = agreement(dist, i, j)
+        assert type(got) is Fraction
+        assert got == ref.agreement(dist, i, j) == agreement(dist, j, i)
+    for probe in (agreement, ref.agreement):
+        with pytest.raises(BadPositionError):
+            probe(dist, 0, dist.n_bits)
 
 
 def check_pair(p: ExactDist, q: ExactDist) -> None:
