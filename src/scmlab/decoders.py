@@ -5,12 +5,17 @@ probability test is an exact comparison (against 1, 1/2, or 0), so a
 decoder either recovers the parameter or fails with a typed error; there
 is no "close enough".
 
-The dichotomy probes alone are not a membership test: an oracle from
-outside the family can satisfy every probed probability while disagreeing
-on components the probes never read. Each decoder therefore finishes by
-rebuilding the recovered parameter's oracle and comparing serialized
-bytes, so a returned parameter is always the unique family member whose
-oracle equals the input byte for byte.
+Each decoder is two steps. Its probe (`tree_probe`, `graph_probe`,
+`string_probe`) reads the dichotomy probabilities and returns the
+parameter they name, or raises a typed error. The probes alone are not a
+membership test: an oracle from outside the family can satisfy every
+probed probability while disagreeing on components the probes never
+read. So the public decoder follows its probe with the rebuild check: it
+rebuilds the named parameter's oracle and compares serialized bytes, and
+a returned parameter is always the unique family member whose oracle
+equals the input byte for byte. A caller that already knows the input is
+the oracle of some member `p` can run the probe alone: when it returns
+`p`, the rebuild would recompute that very oracle and could not fail.
 """
 
 from __future__ import annotations
@@ -106,8 +111,15 @@ def descendants_from_int1(oracle: AnswerOracle) -> DescendantSets:
 
 
 def tree_from_int1(oracle: AnswerOracle) -> RootedTree:
-    """Recover the rooted tree: the parent of v is its ancestor with the
-    smallest descendant set."""
+    """Recover the rooted tree: `tree_probe`, then the rebuild check."""
+    tree = tree_probe(oracle)
+    _check_exact_match(oracle, build_tree_scm(tree), NotTreeLikeError)
+    return tree
+
+
+def tree_probe(oracle: AnswerOracle) -> RootedTree:
+    """The tree the descendant sets name: the parent of v is its ancestor
+    with the smallest descendant set."""
     ds = descendants_from_int1(oracle)
     n = ds.n
     everything = frozenset(range(1, n + 1))
@@ -134,13 +146,19 @@ def tree_from_int1(oracle: AnswerOracle) -> RootedTree:
         tree.check()
     except InvalidTreeError as exc:
         raise NotTreeLikeError(f"recovered parent map is not a tree: {exc}") from None
-    _check_exact_match(oracle, build_tree_scm(tree), NotTreeLikeError)
     return tree
 
 
 def graph_from_int1(oracle: AnswerOracle) -> BipartiteGraph:
-    """Recover the layer graph: do(a_i=0) pins b_j to 0 with probability 1
-    exactly when (i, j) is an edge, else 1/2."""
+    """Recover the layer graph: `graph_probe`, then the rebuild check."""
+    graph = graph_probe(oracle)
+    _check_exact_match(oracle, build_bipartite_scm(graph), NotBipartiteLikeError)
+    return graph
+
+
+def graph_probe(oracle: AnswerOracle) -> BipartiteGraph:
+    """The layer graph the do(a_i=0) laws name: they pin b_j to 0 with
+    probability 1 exactly when (i, j) is an edge, else 1/2."""
     if oracle.kind != INT1:
         raise KindMismatchError(f"need an INT1 oracle, got {oracle.kind}")
     n = oracle.n
@@ -158,13 +176,18 @@ def graph_from_int1(oracle: AnswerOracle) -> BipartiteGraph:
                 raise NotBipartiteLikeError(
                     f"do(a_{i}=0) gives P(b_{j}=0) = {p_zero}, expected 1 or 1/2"
                 )
-    graph = BipartiteGraph(m, frozenset(edges))
-    _check_exact_match(oracle, build_bipartite_scm(graph), NotBipartiteLikeError)
-    return graph
+    return BipartiteGraph(m, frozenset(edges))
 
 
 def string_from_cf1(oracle: AnswerOracle) -> HiddenString:
-    """Recover the hidden string from counterfactual agreement.
+    """Recover the hidden string: `string_probe`, then the rebuild check."""
+    hidden = string_probe(oracle)
+    _check_exact_match(oracle, build_xor_scm(hidden), NotXorLikeError)
+    return hidden
+
+
+def string_probe(oracle: AnswerOracle) -> HiddenString:
+    """The hidden string that counterfactual agreement names.
 
     In module t, compare Y_t across the do(X_t=0) and do(X_t=1) worlds of
     the component for X_t: they agree with probability 1 when s_t = 0 and
@@ -191,6 +214,4 @@ def string_from_cf1(oracle: AnswerOracle) -> HiddenString:
                 f"module {t}: worlds agree on Y with probability {agree}, "
                 f"expected 0 or 1"
             )
-    hidden = HiddenString(m, "".join(bits))
-    _check_exact_match(oracle, build_xor_scm(hidden), NotXorLikeError)
-    return hidden
+    return HiddenString(m, "".join(bits))

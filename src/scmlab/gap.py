@@ -26,7 +26,7 @@ from fractions import Fraction
 from .catalog import Family
 from .errors import BadRangeError, LengthMismatchError, NotMemberError, ScmLabError
 from .families import BIPARTITE, BipartiteGraph, ClassSpec, class_membership
-from .oracle import INT1, KINDS, d_int, oracle_index, oracle_indexes, parse
+from .oracle import INT1, KINDS, d_int, family_sweep, oracle_indexes
 from .prufer import BitBudget, ceil_log2
 from .rational import HALF
 from .scm_core import Scm
@@ -309,7 +309,7 @@ def pairwise_separation_check(m: int, epsilon) -> SeparationCheck:
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise BadRangeError(f"epsilon must be nonnegative, got {epsilon}")
-    oracles = [parse(data) for data in oracle_index(Family(BIPARTITE, m), INT1)]
+    oracles = [member[INT1] for _, member, _ in family_sweep(Family(BIPARTITE, m), (INT1,))]
     best: Fraction | None = None
     pair_count = 0
     for i in range(len(oracles)):

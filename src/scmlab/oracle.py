@@ -208,10 +208,9 @@ def oracle_indexes(family, kinds) -> dict[str, tuple[bytes, ...]]:
     INT_ALL comes first, from its own index: 3^n components per oracle,
     seconds for xor m=4, so it is memoized per snapshot of the active
     caps, and a lowered cap refuses a cached family just as it refuses a
-    new one. The other kinds come from one sweep, computed on every call
-    so that no call's cost depends on which calls came before it: one
-    build, one compiled plan and one kernel pass per member serve all of
-    them (`_member_oracles`).
+    new one. The other kinds are collected from one `family_sweep`,
+    computed on every call so that no call's cost depends on which calls
+    came before it.
     """
     kinds = tuple(dict.fromkeys(kinds))
     index = {}
@@ -219,15 +218,29 @@ def oracle_indexes(family, kinds) -> dict[str, tuple[bytes, ...]]:
         index[INT_ALL] = _cached_index(family, snapshot())
     swept = tuple([kind for kind in kinds if kind != INT_ALL])
     if swept:
-        shared: dict[bytes, bytes] = {}
         columns: list[list[bytes]] = [[] for _ in swept]
-        for param in family.parameters():
-            oracles = _member_oracles(family.build(param), swept)
+        for _, _, data in family_sweep(family, swept):
             for column, kind in zip(columns, swept):
-                data = serialize(oracles[kind])
-                column.append(shared.setdefault(data, data))
+                column.append(data[kind])
         index.update(zip(swept, map(tuple, columns)))
     return index
+
+
+def family_sweep(family, kinds):
+    """Yield (param, oracles, data) for each member of `family`, in
+    `family.parameters()` order: its oracle and its serialized oracle for
+    each of `kinds` (OBS, INT1 or CF1), both keyed by kind. One build,
+    one compiled plan and one kernel pass per member serve all the kinds
+    (`_member_oracles`), and equal bytes across the sweep share one bytes
+    object."""
+    shared: dict[bytes, bytes] = {}
+    for param in family.parameters():
+        oracles = _member_oracles(family.build(param), kinds)
+        data = {}
+        for kind in kinds:
+            text = serialize(oracles[kind])
+            data[kind] = shared.setdefault(text, text)
+        yield param, oracles, data
 
 
 @lru_cache(maxsize=16)
@@ -440,3 +453,34 @@ def agreement(dist: ExactDist, i: int, j: int) -> Fraction:
             raise BadPositionError(f"position {p} outside [0, {dist.n_bits})")
     outcomes, weights, den = dist._int_view()
     return Fraction(sum([w for o, w in zip(outcomes, weights) if o[i] == o[j]]), den)
+
+
+def blocks_match(dist: ExactDist, laws) -> bool:
+    """Whether the marginal of `dist` on each block of its positions is the
+    matching law of `laws`: the blocks lie left to right from position 0,
+    each as wide as its law, so `blocks_match(triple, (p, q))` is
+    `marginal(triple, range(k)) == p and marginal(triple, range(k, k + l))
+    == q` for k-bit p and l-bit q.
+
+    One walk of the dist's integer view sums every block at once, and each
+    sum is compared with its law's integer view: the same support, and at
+    each outcome acc * law_den == weight * den. Nothing is rendered.
+    """
+    bounds = list(itertools.accumulate([law.n_bits for law in laws], initial=0))
+    if bounds[-1] > dist.n_bits:
+        raise BadPositionError(f"position {bounds[-1] - 1} outside [0, {dist.n_bits})")
+    blocks = list(zip(bounds, bounds[1:]))
+    sums: list[dict[str, int]] = [{} for _ in blocks]
+    outcomes, weights, den = dist._int_view()
+    for outcome, w in zip(outcomes, weights):
+        for acc, (start, stop) in zip(sums, blocks):
+            key = outcome[start:stop]
+            acc[key] = acc.get(key, 0) + w
+    for acc, law in zip(sums, laws):
+        law_outcomes, law_weights, law_den = law._int_view()
+        if len(acc) != len(law_outcomes):
+            return False
+        for outcome, w in zip(law_outcomes, law_weights):
+            if acc.get(outcome, 0) * law_den != w * den:
+                return False
+    return True

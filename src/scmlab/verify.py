@@ -11,11 +11,21 @@ passes on every parameter.
 One suite serves every family. The family's row in `catalog.FAMILIES`
 gives its rung pair, the name and expected law of its observational
 check, the kinds that must be identical beyond the lower rung, and its
-decoder with the kind that decoder reads. All oracle bytes come from
-one `oracle.oracle_indexes` call: the INT_ALL index, shared with the gap
-tables, and one sweep that builds, compiles and runs the kernel once per
-member for every other kind. The cross-rung checks read each dist's
-integer view, not Fractions.
+decoder, split into its probe and the full decoder, with the kind they
+read.
+
+The suite walks the family once. INT_ALL, when the rung pair asks for
+it, is read first from its memoized index (shared with the gap tables),
+so its cap refuses before any other work. Then one `oracle.family_sweep`
+builds, compiles and runs the kernel once per member for OBS, INT1 and
+CF1, and every per-member check reads that member's in-memory oracles
+as the sweep yields them; only the bytes that the distinctness checks
+group are kept, and nothing is parsed back. The decoder's probe runs on
+the in-memory oracle: when it names the member itself, the rebuild check
+would recompute that same oracle, so the round trip counts without it.
+Anything else goes through the public decoder on the same oracle, so a
+wrong member or a typed error comes out exactly as from the decoder. The
+cross-rung check is one integer pass per CF1 triple (`blocks_match`).
 """
 
 from __future__ import annotations
@@ -23,7 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import Family
-from .oracle import CF1, INT1, OBS, AnswerOracle, marginal, oracle_indexes, parse, serialize
+from .oracle import (
+    CF1, INT1, INT_ALL, OBS, AnswerOracle, blocks_match, family_sweep, oracle_index, serialize,
+)
 
 
 @dataclass(frozen=True)
@@ -35,18 +47,18 @@ class CheckResult:
     details: dict
 
 
-def _marginal_consistency(n: int, obs_dist, int1, cf1) -> bool:
+def _marginal_consistency(
+    n: int, obs: AnswerOracle, int1: AnswerOracle, cf1: AnswerOracle
+) -> bool:
     """Factual block must be the observational law; each world block must
     be the matching single-variable interventional law."""
-    for i in range(n):
-        triple = cf1.component(f"cf i={i}")
-        if marginal(triple, range(n)) != obs_dist:
-            return False
-        if marginal(triple, range(n, 2 * n)) != int1.component(f"do i={i} b=0"):
-            return False
-        if marginal(triple, range(2 * n, 3 * n)) != int1.component(f"do i={i} b=1"):
-            return False
-    return True
+    obs_dist = obs.component("obs")
+    return all(
+        blocks_match(cf1.component(f"cf i={i}"), (
+            obs_dist, int1.component(f"do i={i} b=0"), int1.component(f"do i={i} b=1"),
+        ))
+        for i in range(n)
+    )
 
 
 def _obs_embeds(obs: bytes, int1: bytes) -> bool:
@@ -60,10 +72,24 @@ def verify_family(family: Family) -> list[CheckResult]:
     spec = family.spec
     lower_kind, higher_kind = spec.rungs
     n = family.n_vars()
+    grouped = (*spec.also_identical, lower_kind, higher_kind)
     # INT_ALL, the costliest kind, is read first, so its cap refuses before any work
-    index = oracle_indexes(family, (lower_kind, higher_kind, *spec.also_identical, OBS, INT1, CF1))
-    obs, int1, cf1 = index[OBS], index[INT1], index[CF1]
-    count = len(obs)
+    index = {INT_ALL: oracle_index(family, INT_ALL)} if INT_ALL in grouped else {}
+    swept = (OBS, INT1, CF1)
+    columns: dict[str, list[bytes]] = {kind: [] for kind in swept}
+    round_trips = 0
+    marginals_ok = True
+    embeddings_ok = True
+    for param, oracles, data in family_sweep(family, swept):
+        for kind in swept:
+            columns[kind].append(data[kind])
+        oracle = oracles[spec.decoder_kind]
+        if spec.probe(oracle) == param or spec.decode(oracle) == param:
+            round_trips += 1
+        marginals_ok &= _marginal_consistency(n, oracles[OBS], oracles[INT1], oracles[CF1])
+        embeddings_ok &= _obs_embeds(data[OBS], data[INT1])
+    index.update(columns)
+    count = len(columns[OBS])
     results = []
 
     def check(name: str, passed: bool, **details) -> None:
@@ -80,19 +106,6 @@ def verify_family(family: Family) -> list[CheckResult]:
     distinct = set(index[higher_kind])
     name = f"{higher_kind.lower().replace('_', '-')}-all-distinct"
     check(name, len(distinct) == count, distinct_oracles=len(distinct))
-
-    obs_dists = {data: parse(data).components[0][1] for data in set(obs)}
-    round_trips = 0
-    marginals_ok = True
-    embeddings_ok = True
-    for param, obs_data, int1_data, cf1_data in zip(family.parameters(), obs, int1, cf1):
-        parsed = {INT1: parse(int1_data), CF1: parse(cf1_data)}
-        if spec.decode(parsed[spec.decoder_kind]) == param:
-            round_trips += 1
-        marginals_ok &= _marginal_consistency(
-            n, obs_dists[obs_data], parsed[INT1], parsed[CF1]
-        )
-        embeddings_ok &= _obs_embeds(obs_data, int1_data)
     check("decoder-round-trip", round_trips == count, recovered=round_trips)
     check("counterfactual-marginal-consistency", marginals_ok)
     check("observational-component-embeds", embeddings_ok)

@@ -1,7 +1,8 @@
 """The integer probes against their Fraction reference.
 
-`prob_bit`, `marginal`, `agreement` (the CF1 decoder's probe), `tv` and
-`==` read each distribution's integer view; `reference_probes.py` keeps the
+`prob_bit`, `marginal`, `agreement` (the CF1 decoder's probe), `tv`,
+`blocks_match` (verify's cross-rung check) and `==` read each
+distribution's integer view; `reference_probes.py` keeps the
 Fraction implementations they replaced. Both must agree on kernel,
 parsed and constructor-built dists, and on a law whose mass is too long
 to write, which has no canonical body. A marginal carries its canonical
@@ -42,7 +43,7 @@ from scmlab.errors import (
     NotXorLikeError,
     OracleFormatError,
 )
-from scmlab.oracle import agreement
+from scmlab.oracle import agreement, blocks_match
 
 import reference_codec
 import reference_probes as ref
@@ -246,3 +247,52 @@ def test_cf1_agreement_sum_matches_the_reference(scm):
         assert "unprobed components" in str(exc)
     else:
         assert decoded.bits == "".join(bits)
+
+
+def check_blocks(triple: ExactDist, laws) -> None:
+    """`blocks_match` decides what `marginal(...) ==` decides block by
+    block, or raises what `marginal` raises."""
+    bounds = list(itertools.accumulate([law.n_bits for law in laws], initial=0))
+    try:
+        want = all(
+            marginal(triple, range(start, stop)) == law
+            for (start, stop), law in zip(zip(bounds, bounds[1:]), laws)
+        )
+    except BadPositionError:
+        with pytest.raises(BadPositionError):
+            blocks_match(triple, laws)
+    else:
+        assert blocks_match(triple, laws) == want
+
+
+@given(small_scms(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_blocks_match_agrees_with_marginals(scm, data):
+    n = scm.n
+    triples, int1s = sources(scm, CF1), sources(scm, INT1)
+    for i in range(n):
+        # each dist drawn from the kernel, the constructor (no body) or parse
+        triple = data.draw(st.sampled_from(triples))[i]
+        obs, do0, do1 = (
+            data.draw(st.sampled_from(int1s))[index] for index in (0, 1 + 2 * i, 2 + 2 * i)
+        )
+        assert blocks_match(triple, (obs, do0, do1))
+        for laws in [
+            (obs, do0, do1), (obs, do1, do0), (do0, obs, do1), (do1, do0, obs),
+            (obs,), (obs, do1), (marginal(obs, (0,)),),
+            (obs, do0, do1, obs), (triple, obs), (obs, triple),
+        ]:
+            check_blocks(triple, laws)
+
+
+@pytest.mark.parametrize("scm", [MIXED, TOO_LONG], ids=["mixed", "too-long"])
+def test_blocks_match_on_unwritable_and_mixed_laws(scm):
+    n = scm.n
+    int1 = compute_oracle(scm, INT1)
+    for i, (_, triple) in enumerate(compute_oracle(scm, CF1).components):
+        do0, do1 = int1.component(f"do i={i} b=0"), int1.component(f"do i={i} b=1")
+        assert blocks_match(triple, (int1.component("obs"), do0, do1))
+        check_blocks(triple, (int1.component("obs"), do1, do0))
+        check_blocks(triple, (do0, do0, do1))
+    with pytest.raises(BadPositionError):
+        blocks_match(triple, (triple, marginal(triple, range(n))))

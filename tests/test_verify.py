@@ -1,12 +1,16 @@
 """Family verification suites at desk scale."""
 
+import dataclasses
+import sys
 from collections import Counter
 
 import pytest
 
-from scmlab import Family, all_passed, oracle, scm_core, separation_table, verify_family
+from scmlab import Family, all_passed, catalog, oracle, scm_core, separation_table, verify_family
 from scmlab.catalog import expected_two_point, expected_uniform
-from scmlab.errors import NTooLargeError
+from scmlab.errors import NotTreeLikeError, NTooLargeError
+
+from reference_verify import reference_verify
 
 TWO_POINT_CHECKS = [
     "observational-identical",
@@ -136,7 +140,88 @@ class TestOnePassPerMember:
         members = [family.spec.build(param) for param in family.parameters()]
         assert all_passed(verify_family(family))
         builds, compiles = counts
-        assert builds == Counter(members)
-        # once in the sweep for OBS, INT1 and CF1, and once more in the
-        # decoder's rebuild check of the member it recovers
-        assert compiles == Counter(members * 2)
+        # once in the sweep for OBS, INT1 and CF1; the decoder's probe
+        # names each member itself, so no rebuild check runs
+        assert builds == compiles == Counter(members)
+
+    @pytest.mark.parametrize("family", [*FAMILIES, Family("xor", 2)], ids=str)
+    def test_verify_family_parses_nothing(self, family, monkeypatch):
+        parsed = []
+        parse = oracle.parse
+
+        def counted(data):
+            parsed.append(data)
+            return parse(data)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("scmlab") and getattr(module, "parse", None) is parse:
+                monkeypatch.setattr(module, "parse", counted)
+        assert all_passed(verify_family(family))
+        assert parsed == []
+
+
+class TestAgainstReference:
+    """The one-pass suite returns what the reference returns: the
+    reference parses every index oracle back, runs the public decoder on
+    it, and compares whole marginals."""
+
+    FAMILIES = [
+        *[Family("tree", n) for n in (1, 2, 3, 4)],
+        *[Family("bipartite", m) for m in (1, 2)],
+        *[Family("xor", m) for m in (1, 2, 3)],
+    ]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=str)
+    def test_same_results(self, family):
+        results = verify_family(family)
+        assert all_passed(results)
+        assert results == reference_verify(family)
+
+    @pytest.fixture
+    def tree3(self, monkeypatch):
+        """Tree n=3 with a row whose probe names the first member for every
+        oracle; `set_decode` swaps the row's public decoder, `decoded`
+        lists the oracles that decoder was called on."""
+        family = Family("tree", 3)
+        first = next(iter(family.parameters()))
+        spec = family.spec
+        decoded = []
+
+        def set_decode(decode):
+            def counted(oracle):
+                decoded.append(oracle)
+                return decode(oracle)
+
+            row = dataclasses.replace(spec, probe=lambda oracle: first, decode=counted)
+            monkeypatch.setitem(catalog.FAMILIES, "tree", row)
+
+        set_decode(spec.decode)
+        return family, first, set_decode, decoded
+
+    def test_wrong_probe_falls_back_to_the_decoder(self, tree3):
+        family, first, _, decoded = tree3
+        results = verify_family(family)
+        # every member but the first goes through the public decoder
+        assert len(decoded) == 8
+        assert all_passed(results)
+        assert results == reference_verify(family)
+
+    def test_wrong_member_from_the_decoder_fails_the_round_trip(self, tree3):
+        family, first, set_decode, _ = tree3
+        set_decode(lambda oracle: first)
+        results = verify_family(family)
+        by_name = {r.name: r for r in results}
+        assert not by_name["decoder-round-trip"].passed
+        assert by_name["decoder-round-trip"].details["recovered"] == 1
+        assert results == reference_verify(family)
+
+    def test_typed_error_from_the_decoder_surfaces(self, tree3):
+        family, _, set_decode, _ = tree3
+
+        def refuse(oracle):
+            raise NotTreeLikeError("refused")
+
+        set_decode(refuse)
+        for suite in (verify_family, reference_verify):
+            with pytest.raises(NotTreeLikeError, match="refused"):
+                suite(family)
