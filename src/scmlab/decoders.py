@@ -21,6 +21,7 @@ the oracle of some member `p` can run the probe alone: when it returns
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     AmbiguousParentError,
@@ -38,8 +39,8 @@ from .families import (
     build_tree_scm,
     build_xor_scm,
 )
-from .oracle import CF1, INT1, AnswerOracle, agreement, compute_oracle, serialize
-from .rational import HALF, ONE, ZERO
+from .oracle import CF1, INT1, AnswerOracle, agreement, compute_oracle, serialize, zero_weights
+from .rational import ONE, ZERO
 from .scm_core import ExactDist, Scm
 
 
@@ -96,15 +97,15 @@ def descendants_from_int1(oracle: AnswerOracle) -> DescendantSets:
     n = oracle.n
     sets: dict[int, frozenset[int]] = {}
     for i in range(1, n + 1):
-        dist = _do_component(oracle, i - 1, 0)
+        zeros, den = zero_weights(_do_component(oracle, i - 1, 0))
         members = set()
         for j in range(1, n + 1):
-            p_zero = dist.prob_bit(j - 1, 0)
-            if p_zero == ONE:
+            z = zeros[j - 1]
+            if z == den:
                 members.add(j)
-            elif p_zero != HALF:
+            elif 2 * z != den:
                 raise NotTreeLikeError(
-                    f"do(X_{i}=0) gives P(X_{j}=0) = {p_zero}, expected 1 or 1/2"
+                    f"do(X_{i}=0) gives P(X_{j}=0) = {Fraction(z, den)}, expected 1 or 1/2"
                 )
         sets[i] = frozenset(members)
     return DescendantSets(n, sets)
@@ -167,14 +168,14 @@ def graph_probe(oracle: AnswerOracle) -> BipartiteGraph:
     m = (n - 1) // 2
     edges = set()
     for i in range(m):
-        dist = _do_component(oracle, 1 + i, 0)
+        zeros, den = zero_weights(_do_component(oracle, 1 + i, 0))
         for j in range(m):
-            p_zero = dist.prob_bit(1 + m + j, 0)
-            if p_zero == ONE:
+            z = zeros[1 + m + j]
+            if z == den:
                 edges.add((i, j))
-            elif p_zero != HALF:
+            elif 2 * z != den:
                 raise NotBipartiteLikeError(
-                    f"do(a_{i}=0) gives P(b_{j}=0) = {p_zero}, expected 1 or 1/2"
+                    f"do(a_{i}=0) gives P(b_{j}=0) = {Fraction(z, den)}, expected 1 or 1/2"
                 )
     return BipartiteGraph(m, frozenset(edges))
 

@@ -175,16 +175,16 @@ def _member_oracles(scm: Scm, kinds) -> dict[str, AnswerOracle]:
     compiled plan.
 
     OBS and INT1 come from one trie pass, whose budget is 1 if INT1 is
-    asked for, else 0; OBS is its law at code 0. CF1's twin passes read
-    the same plan.
+    asked for, else 0; OBS is its law at code 0. CF1's parallel-worlds
+    pass reads the same plan.
     """
     for kind in kinds:
         if kind not in (OBS, INT1, CF1):
             raise KindMismatchError(f"unknown oracle kind {kind!r}")
     budget = 1 if INT1 in kinds else 0 if OBS in kinds else None
-    laws, twins = kernel_laws(scm, budget, CF1 in kinds)
+    laws, triples = kernel_laws(scm, budget, CF1 in kinds)
     return {
-        kind: _assemble(kind, scm.n, twins if kind == CF1 else laws)
+        kind: _assemble(kind, scm.n, triples if kind == CF1 else laws)
         for kind in kinds
     }
 
@@ -453,6 +453,19 @@ def agreement(dist: ExactDist, i: int, j: int) -> Fraction:
             raise BadPositionError(f"position {p} outside [0, {dist.n_bits})")
     outcomes, weights, den = dist._int_view()
     return Fraction(sum([w for o, w in zip(outcomes, weights) if o[i] == o[j]]), den)
+
+
+def zero_weights(dist: ExactDist) -> tuple[list[int], int]:
+    """(zeros, den): zeros[p] / den is the exact probability that position
+    p of `dist` holds 0, every position from one walk of the dist's
+    integer view."""
+    outcomes, weights, den = dist._int_view()
+    zeros = [0] * dist.n_bits
+    for outcome, w in zip(outcomes, weights):
+        for position, bit in enumerate(outcome):
+            if bit == "0":
+                zeros[position] += w
+    return zeros, den
 
 
 def blocks_match(dist: ExactDist, laws) -> bool:

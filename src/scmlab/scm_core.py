@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add, and_, mul, or_, xor
 from typing import NamedTuple
 
 from . import gates
@@ -367,6 +367,14 @@ def topo_order(scm: Scm) -> list[int]:
 # would, and the budget lets both continuations force every remaining
 # variable, the two subtrees are equal leaf for leaf: one is descended and
 # the other copied from it, sharing its ExactDist objects.
+#
+# CF1 takes one more pass, over parallel worlds (Avin, Shpitser & Pearl
+# 2005; `_worlds`): a state packs 2n+1 worlds of n bits each, the factual
+# world and do(X_v=b) for every v and b, all on one noise draw. Each step
+# evaluates its gate in every world at once with shifts and bit
+# operations on the packed state, then sets the variable in the world
+# that forces it to 1 and leaves it 0 in the one that forces 0. Variable
+# i's triple (factual, do(X_i=0), do(X_i=1)) is read off the final states.
 
 
 # A compiled step is the tuple (place, bit, test, mask, invert, branches,
@@ -598,10 +606,11 @@ def hard_do_laws(scm: Scm, max_forced: int) -> dict[int, ExactDist]:
     return kernel_laws(scm, max_forced, False)[0]
 
 
-def kernel_laws(scm: Scm, max_forced: int | None, twins: bool):
+def kernel_laws(scm: Scm, max_forced: int | None, worlds: bool):
     """(`hard_do_laws`, `cf1`) of `scm` from one compiled plan: the trie
-    pass with budget `max_forced`, or None when that is None, and the CF1
-    twin passes when `twins` is set, else None."""
+    pass with budget `max_forced`, or None when that is None, and every
+    CF1 triple from one parallel-worlds pass when `worlds` is set, else
+    None."""
     plan = _compile(scm)
     laws = cf = None
     if max_forced is not None:
@@ -609,9 +618,8 @@ def kernel_laws(scm: Scm, max_forced: int | None, twins: bool):
         dists: list[ExactDist] = []
         _descend(plan, 0, [0], [1], 1, 0, max_forced, codes, dists, _Leaves(plan, plan.n))
         laws = dict(zip(codes, dists))
-    if twins:
-        leaves = _Leaves(plan, 3 * plan.n)
-        cf = tuple([_twin(plan, i, leaves) for i in range(plan.n)])
+    if worlds:
+        cf = tuple(_worlds(plan, range(plan.n)))
     return laws, cf
 
 
@@ -658,32 +666,79 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists, leav
     dists.append(_dist(leaves, states, weights, den))
 
 
-def _twin(plan: _Plan, i: int, leaves: _Leaves) -> ExactDist:
-    """Twin-network pass (Balke & Pearl 1994) for the CF1 law of variable i.
+def _worlds(plan: _Plan, targets) -> list[ExactDist]:
+    """Parallel-worlds pass (Avin, Shpitser & Pearl 2005): the CF1 law of
+    each variable in `targets`, in that order, from one forward pass.
 
-    A state packs three worlds over the same noise draw: factual in the
-    high n bits, do(X_i=0) in the middle, do(X_i=1) in the low n bits, so
-    its 3n-bit rendering is the outcome string. Every noise branch is
-    taken once and applied to all three worlds.
+    A state packs 2k+1 worlds over one noise draw, k = len(targets), each
+    n bits wide with variable v at bit n-1-v: the factual world in the
+    highest n bits, then do(X_t=0) and do(X_t=1) for each target t in
+    turn. Target t's triple is the factual world followed by its two
+    do() worlds, a 3n-bit outcome. Distinct noise branches set different
+    factual bits, so states never collide, in the pass or in a triple.
     """
     n = plan.n
-    target = 1 << (n - 1 - i)
+    k = len(targets)
+    repunit = sum(1 << (w * n) for w in range(2 * k + 1))
+    # a forced variable's bit -> the offset of its do(X_t=1) world
+    forced = {1 << (n - 1 - t): 2 * (k - 1 - j) * n for j, t in enumerate(targets)}
     states, weights, den = [0], [1], 1
     for _, bit, test, mask, invert, branches, step_den in plan.steps:
-        next_states: list[int] = []
-        next_weights: list[int] = []
-        for flip, k in branches:
-            x = invert ^ flip
-            out = _extend(states, test, mask << 2 * n, x, bit << 2 * n)
-            if bit == target:
-                out = [s | bit for s in out]  # do(X_i=1); do(X_i=0) keeps 0
-            else:
-                out = _extend(out, test, mask << n, x, bit << n)
-                out = _extend(out, test, mask, x, bit)
-            next_states += out
-            next_weights += _scaled(weights, k)
-        states, weights, den = next_states, next_weights, den * step_den
-    return _dist(leaves, states, weights, den)
+        column = bit * repunit
+        one = 0
+        at = forced.get(bit)
+        if at is not None:
+            one = bit << at
+            column ^= one | one << n  # the worlds that force the variable
+        states = _world_step(states, test, mask, bit, column, one, invert, branches)
+        if len(branches) == 1:
+            weights = _scaled(weights, branches[0][1])
+        else:
+            weights = [w for _, num in branches for w in _scaled(weights, num)]
+        den *= step_den
+    leaves = _Leaves(plan, 3 * n)
+    top, pair = 2 * k * n, (1 << 2 * n) - 1
+    facts = [(s >> top) << 2 * n for s in states]
+    return [
+        _dist(leaves, [f | ((s >> 2 * (k - 1 - j) * n) & pair) for f, s in zip(facts, states)],
+              weights, den)
+        for j in range(k)
+    ]
+
+
+def _world_step(states, test, mask, bit, column, one, invert, branches) -> list[int]:
+    """One mechanism in every world at once: the states that each noise
+    branch yields, in branch order. `column` holds the variable's bit in
+    each world its mechanism sets; `one` its bit in the world that forces
+    it to 1.
+
+    Each parent's column is shifted onto the variable's and combined by
+    the test (OR for ANY, AND for ALL, XOR for XOR); the parents are the
+    bits of the compiled `mask`, where a repeated PARITY parent has
+    already cancelled. No state has the variable's bit set yet, so xor
+    sets bits as or would, and xoring `column` in complements the output
+    in every world it computes."""
+    shifts = []
+    at = bit.bit_length()
+    while mask:
+        low = mask & -mask
+        shifts.append(low.bit_length() - at)  # > 0: the parent bit is higher
+        mask ^= low
+    if not shifts:  # a CONST gate, or a test of no parents
+        fixed = column if test == gates.ALL else 0  # AND of nothing is 1
+        out = [s ^ fixed for s in states] if fixed else states
+    else:
+        combine = {gates.ANY: or_, gates.ALL: and_, gates.XOR: xor}[test]
+        acc = None
+        for d in shifts:
+            moved = [s >> d for s in states] if d >= 0 else [s << -d for s in states]
+            acc = moved if acc is None else list(map(combine, acc, moved))
+        out = [s ^ (a & column) for s, a in zip(states, acc)]
+    next_states: list[int] = []
+    for flip, _ in branches:
+        toggle = one ^ column if invert ^ flip else one
+        next_states += [s ^ toggle for s in out] if toggle else out
+    return next_states
 
 
 def observational(scm: Scm) -> ExactDist:
@@ -717,16 +772,18 @@ def counterfactual_triple(scm: Scm, i: int) -> ExactDist:
     All three worlds share the same exogenous draw, which is what makes
     this a counterfactual rather than three independent runs. The result
     is one distribution over 3n-bit outcomes: factual block first, then
-    the do(X_i=0) world, then the do(X_i=1) world.
+    the do(X_i=0) world, then the do(X_i=1) world. It is the parallel-
+    worlds pass of `cf1` with the three worlds of variable i alone.
     """
     if not 0 <= i < scm.n:
         raise BadPositionError(f"variable {i} outside [0, {scm.n})")
-    plan = _compile(scm)
-    return _twin(plan, i, _Leaves(plan, 3 * scm.n))
+    return _worlds(_compile(scm), (i,))[0]
 
 
 def cf1(scm: Scm) -> tuple[ExactDist, ...]:
-    """`counterfactual_triple` for every variable, from one compiled plan."""
+    """`counterfactual_triple` for every variable, from one compiled plan
+    and one parallel-worlds pass over 2n+1 worlds: the factual world and
+    do(X_v=b) for every v and b, all on the same noise draw."""
     return kernel_laws(scm, None, True)[1]
 
 

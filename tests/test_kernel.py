@@ -15,15 +15,27 @@ from hypothesis import strategies as st
 
 from scmlab import HiddenString, Mechanism, NoiseDist, Scm, build_xor_scm, gates, scm_core
 from scmlab.errors import SupportTooLargeError
-from scmlab.oracle import CF1, INT1, INT_ALL, KINDS, OBS, compute_oracle, parse, serialize
+from scmlab.oracle import (
+    CF1,
+    INT1,
+    INT_ALL,
+    KINDS,
+    OBS,
+    AnswerOracle,
+    compute_oracle,
+    parse,
+    serialize,
+)
 from scmlab.scm_core import (
     Intervention,
+    cf1,
     counterfactual_triple,
     interventional,
     observational,
     topo_order,
 )
 
+import reference_enumerator
 from reference_enumerator import reference_oracle
 
 HALF = Fraction(1, 2)
@@ -241,6 +253,69 @@ def test_unvalidated_scm_fails_like_reference(name, kind):
     )
 
 
+SOURCE = Mechanism(gates.BERN_SOURCE, (), FAIR)
+THIRD = Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 3)))
+FIVE_SIXTHS = NoiseDist((0, 1), (HALF, Fraction(1, 3)))
+
+
+def _gate(gate, parents, noise=CONST):
+    return Mechanism(gate, parents, noise)
+
+
+def _scm(*mechanisms):
+    return Scm(len(mechanisms), mechanisms)
+
+
+# the parallel-worlds pass shifts each parent's column onto its child's
+# and combines them by the gate's test: every test with several parents,
+# a parity whose repeated parent cancels, parents above their child (a
+# left shift), the smallest models, and noise laws that are not exact
+WORLDS_MODELS = {
+    "PARITY of 2": _scm(SOURCE, THIRD, _gate(gates.PARITY, (0, 1))),
+    "PARITY of 3": _scm(SOURCE, THIRD, SOURCE, _gate(gates.PARITY, (0, 1, 2), OTHER_NOISES[-1])),
+    "PARITY with a repeated parent": _scm(SOURCE, THIRD, _gate(gates.PARITY, (0, 1, 0))),
+    "PARITY of one parent twice": _scm(SOURCE, _gate(gates.PARITY, (0, 0))),
+    "XOR_NOISE with a repeated parent": _scm(
+        SOURCE, SOURCE, _gate(gates.XOR_NOISE, (1, 0, 1), READ_NOISES[3])
+    ),
+    "AND of 3": _scm(SOURCE, THIRD, SOURCE, _gate(gates.AND, (0, 1, 2), OTHER_NOISES[-2])),
+    "OR of 3": _scm(SOURCE, THIRD, SOURCE, _gate(gates.OR, (2, 0, 1))),
+    "AND and OR of nothing": _scm(
+        _gate(gates.AND, ()), _gate(gates.OR, (), FAIR), _gate(gates.AND, (0, 1))
+    ),
+    "NEG": _scm(THIRD, _gate(gates.NEG, (0,))),
+    "parents above their child": _scm(
+        _gate(gates.OR, (2, 3)), _gate(gates.NEG, (3,)), _gate(gates.PARITY, (3, 1)), THIRD
+    ),
+    "n=1": _scm(THIRD),
+    "n=1, constant": _scm(_gate(gates.CONST1, ())),
+    "n=0": _scm(),
+    "read noise sums to 5/6": _scm(
+        _gate(gates.BERN_SOURCE, (), FIVE_SIXTHS), _gate(gates.COPY, (0,))
+    ),
+    "ignored noise sums to 5/6": _scm(
+        SOURCE, SOURCE, SOURCE, _gate(gates.AND, (0, 1, 2), FIVE_SIXTHS)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORLDS_MODELS))
+def test_every_counterfactual_triple_matches_reference(name):
+    scm = WORLDS_MODELS[name]
+
+    def as_oracle(dists):
+        return AnswerOracle(CF1, scm.n, tuple((f"cf i={i}", d) for i, d in enumerate(dists)))
+
+    got = outcome(lambda: as_oracle(cf1(scm)))
+    assert got == outcome(lambda: reference_oracle(scm, CF1))
+    assert (got is ValueError) == name.endswith("5/6")
+    # one past the last variable too: both raise BadPositionError
+    for i in range(scm.n + 1):
+        assert outcome(lambda: as_oracle([counterfactual_triple(scm, i)])) == outcome(
+            lambda: as_oracle([reference_enumerator.counterfactual_triple(scm, i)])
+        )
+
+
 @pytest.fixture
 def no_pass(monkeypatch):
     """Make any step of the forward pass fail the test."""
@@ -249,6 +324,7 @@ def no_pass(monkeypatch):
         raise AssertionError("the pass started before the cap was checked")
 
     monkeypatch.setattr(scm_core, "_extend", refuse)
+    monkeypatch.setattr(scm_core, "_world_step", refuse)
     monkeypatch.setattr(scm_core, "_dist", refuse)
 
 

@@ -145,6 +145,7 @@ class TestSampleObs:
             raise AssertionError("the law was computed before the count was checked")
 
         monkeypatch.setattr(scm_core, "_extend", refuse)
+        monkeypatch.setattr(scm_core, "_world_step", refuse)
         monkeypatch.setattr(scm_core, "_dist", refuse)
         monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "1")
         with pytest.raises(BadRangeError):

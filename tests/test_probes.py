@@ -1,8 +1,9 @@
 """The integer probes against their Fraction reference.
 
-`prob_bit`, `marginal`, `agreement` (the CF1 decoder's probe), `tv`,
-`blocks_match` (verify's cross-rung check) and `==` read each
-distribution's integer view; `reference_probes.py` keeps the
+`prob_bit`, `marginal`, `agreement` (the CF1 decoder's probe),
+`zero_weights` (the INT1 decoders' probe), `tv`, `blocks_match`
+(verify's cross-rung check) and `==` read each distribution's integer
+view; `reference_probes.py` keeps the
 Fraction implementations they replaced. Both must agree on kernel,
 parsed and constructor-built dists, and on a law whose mass is too long
 to write, which has no canonical body. A marginal carries its canonical
@@ -41,9 +42,12 @@ from scmlab.errors import (
     BadPositionError,
     LengthMismatchError,
     NotXorLikeError,
+    OracleDecodeError,
     OracleFormatError,
 )
-from scmlab.oracle import agreement, blocks_match
+from scmlab.catalog import Family
+from scmlab.decoders import descendants_from_int1, graph_probe
+from scmlab.oracle import agreement, blocks_match, zero_weights
 
 import reference_codec
 import reference_probes as ref
@@ -109,6 +113,11 @@ def check_prob_bits(dist: ExactDist) -> None:
     for probe in (dist.prob_bit, lambda p, b: ref.prob_bit(dist, p, b)):
         with pytest.raises(BadPositionError):
             probe(dist.n_bits, 0)
+    zeros, den = zero_weights(dist)
+    assert len(zeros) == dist.n_bits
+    assert [Fraction(z, den) for z in zeros] == [
+        ref.prob_bit(dist, position, 0) for position in range(dist.n_bits)
+    ]
     for i, j in itertools.combinations_with_replacement(range(dist.n_bits), 2):
         got = agreement(dist, i, j)
         assert type(got) is Fraction
@@ -296,3 +305,33 @@ def test_blocks_match_on_unwritable_and_mixed_laws(scm):
         check_blocks(triple, (do0, do0, do1))
     with pytest.raises(BadPositionError):
         blocks_match(triple, (triple, marginal(triple, range(n))))
+
+
+# every tree member up to n=4 and bipartite member up to m=2
+FAMILY_MEMBERS = [
+    family.build(param)
+    for family in [*(Family("tree", n) for n in (1, 2, 3, 4)), *(Family("bipartite", m) for m in (1, 2))]
+    for param in family.parameters()
+]
+
+
+def probe_outcome(probe, oracle):
+    """What `probe` returns on `oracle`, or its error type and text."""
+    try:
+        return probe(oracle)
+    except OracleDecodeError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.one_of(st.sampled_from(FAMILY_MEMBERS), small_scms(max_n=5)))
+@settings(max_examples=150, deadline=None)
+def test_int1_probes_match_the_reference(scm):
+    # one walk per do(.=0) component must name what n^2 prob_bit reads
+    # name, and fail with the same error and text
+    oracle = compute_oracle(scm, INT1)
+    for _, dist in oracle.components:
+        zeros, den = zero_weights(dist)
+        assert [Fraction(z, den) for z in zeros] == [ref.prob_bit(dist, p, 0) for p in range(scm.n)]
+    got = probe_outcome(lambda o: descendants_from_int1(o).sets, oracle)
+    assert got == probe_outcome(ref.descendants_from_int1, oracle)
+    assert probe_outcome(graph_probe, oracle) == probe_outcome(ref.graph_probe, oracle)

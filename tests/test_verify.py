@@ -81,6 +81,7 @@ class TestRefusesBeforeWork:
             raise AssertionError("the kernel ran before the cap was checked")
 
         monkeypatch.setattr(scm_core, "_extend", refuse)
+        monkeypatch.setattr(scm_core, "_world_step", refuse)
         monkeypatch.setattr(scm_core, "_dist", refuse)
 
     def test_lowered_int_all_cap_computes_no_oracle(self, monkeypatch):
@@ -143,6 +144,22 @@ class TestOnePassPerMember:
         # once in the sweep for OBS, INT1 and CF1; the decoder's probe
         # names each member itself, so no rebuild check runs
         assert builds == compiles == Counter(members)
+
+    @pytest.mark.parametrize("family", [*FAMILIES, Family("xor", 2)], ids=str)
+    def test_verify_family_runs_one_worlds_pass_per_member(self, family, monkeypatch):
+        # every CF1 triple of a member comes from one parallel-worlds pass
+        # over all of its variables, not one pass per variable
+        passes = []
+        worlds = scm_core._worlds
+
+        def counted(plan, targets):
+            passes.append((plan.n, tuple(targets)))
+            return worlds(plan, targets)
+
+        monkeypatch.setattr(scm_core, "_worlds", counted)
+        assert all_passed(verify_family(family))
+        n = family.spec.build(next(iter(family.parameters()))).n
+        assert passes == [(n, tuple(range(n)))] * len(list(family.parameters()))
 
     @pytest.mark.parametrize("family", [*FAMILIES, Family("xor", 2)], ids=str)
     def test_verify_family_parses_nothing(self, family, monkeypatch):
