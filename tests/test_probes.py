@@ -3,12 +3,12 @@
 `prob_bit`, `marginal`, `agreement` (the CF1 decoder's probe),
 `zero_weights` (the INT1 decoders' probe), `tv`, `blocks_match`
 (verify's cross-rung check) and `==` read each distribution's integer
-view; `reference_probes.py` keeps the
-Fraction implementations they replaced. Both must agree on kernel,
-parsed and constructor-built dists, and on a law whose mass is too long
-to write, which has no canonical body. A marginal carries its canonical
-body, so an OBS oracle holding one serializes as the reference codec
-writes it.
+view; `reference_probes.py` keeps the Fraction implementations they
+replaced, and the INT1 probes built on its `prob_bit`. Both must agree
+on kernel, parsed and constructor-built dists, and on a law whose mass
+is too long to write, which has no canonical body. A marginal carries
+its canonical body, so an OBS oracle holding one serializes as the
+reference codec writes it.
 """
 
 import dataclasses
@@ -308,11 +308,8 @@ def test_blocks_match_on_unwritable_and_mixed_laws(scm):
 
 
 # every tree member up to n=4 and bipartite member up to m=2
-FAMILY_MEMBERS = [
-    family.build(param)
-    for family in [*(Family("tree", n) for n in (1, 2, 3, 4)), *(Family("bipartite", m) for m in (1, 2))]
-    for param in family.parameters()
-]
+FAMILIES = [*(Family("tree", n) for n in (1, 2, 3, 4)), *(Family("bipartite", m) for m in (1, 2))]
+FAMILY_MEMBERS = [family.build(param) for family in FAMILIES for param in family.parameters()]
 
 
 def probe_outcome(probe, oracle):
