@@ -24,6 +24,8 @@ CAPS = {
     "SCMLAB_SUPPORT_CAP": Cap(2**24, SupportTooLargeError),
     # int_all enumerates 3^n mutilations
     "SCMLAB_INTALL_NMAX": Cap(12, NTooLargeError),
+    # mass lines of one int_all oracle, over all of its components
+    "SCMLAB_INTALL_LINE_CAP": Cap(2**22, SupportTooLargeError),
     # n^(n-1) rooted labeled trees
     "SCMLAB_TREE_NMAX": Cap(7, NTooLargeError),
     # 2^(m*m) layer graphs

@@ -34,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import lt
 from typing import NoReturn
 
 from .caps import snapshot, work_text
@@ -278,10 +279,14 @@ _MASS_RE = re.compile(f"([01]*)=({_MASS})")
 
 
 @lru_cache(maxsize=32)
-def _block_re(n_bits: int) -> re.Pattern:
-    """One or more mass lines of width `n_bits`, joined by LF."""
-    line = f"[01]{{{n_bits}}}={_MASS}"
-    return re.compile(f"{line}(?:\n{line})*")
+def _block_res(n_bits: int) -> tuple[re.Pattern, re.Pattern]:
+    """Two patterns of one or more mass lines of width `n_bits`, joined by
+    LF: lines that all repeat the first line's mass text, its one group,
+    and lines of any masses."""
+    outcome = f"[01]{{{n_bits}}}="
+    line = outcome + _MASS
+    return (re.compile(f"{outcome}({_MASS})(?:\n{outcome}\\1)*"),
+            re.compile(f"{line}(?:\n{line})*"))
 
 
 def parse(data: bytes) -> AnswerOracle:
@@ -290,14 +295,20 @@ def parse(data: bytes) -> AnswerOracle:
 
     The component count is checked against the header before any key is
     built. Each component's mass lines are checked as one block by a regex
-    for the oracle's outcome width, then for strictly ascending outcomes.
-    Masses are checked in integers: lowest terms once per distinct
-    fraction text, and each component's sum against 1 over its distinct
-    texts weighted by their counts. Only a block that fails is scanned
-    line by line, so the error names the offending line. A body that
-    repeats an earlier one passed the same checks, and its components
-    share one distribution. Each checked body becomes its distribution's
-    canonical body as it is; `mass` is built from it on first read.
+    for the oracle's outcome width. A uniform body, whose lines all repeat
+    one mass text, matches a regex that requires it; its lines have one
+    length and one suffix, so whole lines order as their outcomes do and
+    are checked strictly ascending as they stand, and its sum is that
+    mass times the line count. Any other body, or a uniform one out of
+    order, goes through the general checks: strictly ascending outcomes,
+    then masses in integers, lowest terms once per distinct fraction text
+    and the sum against 1 over the distinct texts weighted by their
+    counts. Only a block that fails is scanned line by line, so the error
+    names the offending line; a uniform body that fails its sum gets the
+    error the general checks give. A body that repeats an earlier one
+    passed the same checks, and its components share one distribution.
+    Each checked body becomes its distribution's canonical body as it is;
+    `mass` is built from it on first read.
     """
     try:
         text = data.decode("ascii")
@@ -316,13 +327,15 @@ def parse(data: bytes) -> AnswerOracle:
     n_bits = component_bits(kind, n)
     keys = _component_keys(kind, n, len(blocks))
     # an outcome wider than the whole input fits no line, so capping the
-    # width keeps the regex small under a huge header n
-    block_match = _block_re(min(n_bits, len(text))).fullmatch
+    # width keeps the regexes small under a huge header n
+    uniform_re, block_re = _block_res(min(n_bits, len(text)))
+    uniform_match, block_match = uniform_re.fullmatch, block_re.fullmatch
     fractions: dict[str, Fraction] = {}  # each dist's `mass` reads this memo
-    # components repeat bodies, and a few dozen sequences of mass texts,
-    # so each is checked once; components with equal bodies share one dist
+    # components repeat bodies, and a few dozen sequences of mass texts or
+    # (text, count) pairs of uniform bodies, so each is checked once;
+    # components with equal bodies share one dist
     dists: dict[str, ExactDist] = {}
-    checked: set[tuple[str, ...]] = set()
+    checked: set[tuple] = set()
     components = []
     for block, want in zip(blocks, keys):
         key, _, body = block.partition("\n")
@@ -330,27 +343,36 @@ def parse(data: bytes) -> AnswerOracle:
             raise OracleFormatError(f"component key {key!r} where {want!r} was expected")
         dist = dists.get(body)
         if dist is None:
-            if not block_match(body):
-                _reject_lines(key, block.split("\n")[1:], n_bits)
-            cells = body.replace("\n", "=").split("=")
-            outcomes = cells[::2]
-            if not all(map(str.__lt__, outcomes, outcomes[1:])):
-                _reject_lines(key, block.split("\n")[1:], n_bits)
-            mass_texts = tuple(cells[1::2])
-            if mass_texts not in checked:
-                _check_masses(key, mass_texts, fractions)
-                checked.add(mass_texts)
+            uniform = uniform_match(body)
+            lines = body.split("\n") if uniform else ()
+            if uniform and all(map(lt, lines, lines[1:])):
+                copies = (uniform[1], len(lines))  # one mass text, on every line
+                if copies not in checked:
+                    _check_masses(key, (copies,), fractions)
+                    checked.add(copies)
+            else:
+                if not block_match(body):
+                    _reject_lines(key, block.split("\n")[1:], n_bits)
+                cells = body.replace("\n", "=").split("=")
+                outcomes = cells[::2]
+                if not all(map(lt, outcomes, outcomes[1:])):
+                    _reject_lines(key, block.split("\n")[1:], n_bits)
+                mass_texts = tuple(cells[1::2])
+                if mass_texts not in checked:
+                    _check_masses(key, Counter(mass_texts).items(), fractions)
+                    checked.add(mass_texts)
             dist = dists[body] = ExactDist._from_body(n_bits, body, fractions)
         components.append((key, dist))
     return AnswerOracle(kind, n, tuple(components))
 
 
-def _check_masses(key: str, mass_texts: tuple[str, ...], fractions: dict) -> None:
-    """Check one component's fraction texts in integers: lowest terms once
-    per distinct text (`fractions` memoizes their values), and their sum
-    against 1 over the distinct texts weighted by their counts."""
+def _check_masses(key: str, counts, fractions: dict) -> None:
+    """Check one component's fraction texts in integers, given as (text,
+    count) pairs of distinct texts: lowest terms once per text
+    (`fractions` memoizes their values), and their sum against 1 weighted
+    by their counts."""
     total_num, total_den = 0, 1
-    for frac_text, count in Counter(mass_texts).items():
+    for frac_text, count in counts:
         weight = fractions.get(frac_text)
         if weight is None:
             weight = fractions[frac_text] = frac_parse(frac_text)

@@ -155,9 +155,10 @@ class ExactDist:
         """Wrap a canonical body that is valid by construction; `fractions`,
         when given, maps each of its mass texts to its Fraction."""
         dist = _new(cls)
-        _set(dist, "n_bits", n_bits)
-        _set(dist, "_body", body)
-        _set(dist, "_fractions", fractions)
+        fields = dist.__dict__  # what the frozen dataclass's setter writes, at less cost
+        fields["n_bits"] = n_bits
+        fields["_body"] = body
+        fields["_fractions"] = fractions
         return dist
 
     @classmethod
@@ -357,11 +358,16 @@ def topo_order(scm: Scm) -> list[int]:
 # variable's noise sums out to a single factor, so its states only gain a
 # bit. Noise symbols with the same effect are merged into one branch, and
 # distinct branches set different output bits, so states never collide.
-# A leaf's final states become its canonical body text at once; Fractions
-# appear only when its `mass` is read.
+# A leaf's final states become its canonical body text at once, its lines
+# read from memos shared by every pass (`_Lines`); Fractions appear only
+# when its `mass` is read. A uniform leaf, whose states all carry one
+# weight (every leaf of a model whose noisy steps are all fair), sorts
+# its states alone and reads a memo keyed by state for that weight; any
+# other leaf sorts integer keys that carry each state's weight.
 #
 # Hard interventions branch off the pass as a trie (`_descend`), each law
-# keyed by its integer intervention code (`intervention_code`). Below a
+# keyed by its integer intervention code (`intervention_code`); the last
+# variable's do(0) and do(1) leaves are rendered by its node. Below a
 # node, every leaf is a pure function of (level, states, weights, den), so
 # where a deterministic mechanism leaves the states as do(0) or do(1)
 # would, and the budget lets both continuations force every remaining
@@ -519,28 +525,34 @@ class _Leaves:
 
 
 class _Lines(dict):
-    """key -> the canonical mass line of the state with mass weight/den,
-    outcomes `width` bits wide, where key = state * (den + 1) + weight.
+    """The canonical mass lines of states whose outcomes are `width` bits
+    wide, each with mass weight/den. Without a `weight`, a line is keyed
+    by state * (den + 1) + weight: an exact plan's weights lie in 1..den,
+    so the key orders lines by state and decodes back to the pair. A memo
+    for one `weight`, which serves the leaves whose states all carry it,
+    is keyed by the state alone.
 
-    An exact plan's weights lie in 1..den, so the key orders lines by
-    state and decodes back to the pair. The memo is a pure function of
-    (width, den, key), so one memo per (width, den) in `_LINES` serves
-    every kernel pass, where leaves and models repeat their lines. The
-    memos hold at most _LINES_MAX lines between them: the line past that
-    drops them all."""
+    Each memo is a pure function of its (width, den, weight) and its key,
+    so one memo per (width, den) or (width, den, weight) in `_LINES`
+    serves every kernel pass, where leaves and models repeat their lines.
+    The memos of both kinds hold at most _LINES_MAX lines between them:
+    the line past that drops them all."""
 
-    __slots__ = ("width", "den")
+    __slots__ = ("width", "den", "weight")
     held = 0  # lines in all the memos
 
-    def __init__(self, width: int, den: int):
+    def __init__(self, width: int, den: int, weight: int | None = None):
         super().__init__()
-        self.width, self.den = width, den
+        self.width, self.den, self.weight = width, den, weight
 
     def __missing__(self, key: int) -> str:
         if _Lines.held >= _LINES_MAX:
             _LINES.clear()
             _Lines.held = 0
-        state, weight = divmod(key, self.den + 1)
+        if self.weight is None:
+            state, weight = divmod(key, self.den + 1)
+        else:
+            state, weight = key, self.weight
         g = math.gcd(weight, self.den)
         outcome = format(state, f"0{self.width}b") if self.width else ""
         line = self[key] = mass_line(outcome, weight // g, self.den // g)
@@ -550,24 +562,33 @@ class _Lines(dict):
 
 # about 150 bytes of RSS per line: 10 MiB when full
 _LINES_MAX = 1 << 16
-_LINES: dict[tuple[int, int], _Lines] = {}
+_LINES: dict[tuple[int, ...], _Lines] = {}
 
 
-def _lines(width: int, den: int) -> _Lines:
-    memo = _LINES.get((width, den))
+def _lines(*key: int) -> _Lines:
+    """The memo of (width, den), or of (width, den, weight)."""
+    memo = _LINES.get(key)
     if memo is None:
-        memo = _LINES[width, den] = _Lines(width, den)
+        memo = _LINES[key] = _Lines(*key)
     return memo
 
 
 def _dist(leaves: _Leaves, states: list[int], weights: list[int], den: int) -> ExactDist:
     """The exact law of the final states: an exact plan's leaf is its
-    canonical body, its lines sorted by state. The masses of a plan that
-    is not exact, or too long to write, go through the validating
-    constructor."""
+    canonical body, its lines in state order. A uniform leaf, whose states
+    all carry one weight, sorts its states alone and reads each line from
+    that weight's memo; any other leaf sorts one integer key per state,
+    which orders the lines by state and carries the weight. The masses of
+    a plan that is not exact, or too long to write, go through the
+    validating constructor."""
     if leaves.trusted:
-        lines = _lines(leaves.n_bits, den)
-        keys = sorted(map(add, map(mul, states, itertools.repeat(den + 1)), weights))
+        weight = weights[0]
+        if weights.count(weight) == len(weights):
+            lines = _lines(leaves.n_bits, den, weight)
+            keys = sorted(states)
+        else:
+            lines = _lines(leaves.n_bits, den)
+            keys = sorted(map(add, map(mul, states, itertools.repeat(den + 1)), weights))
         try:
             body = "\n".join(map(lines.__getitem__, keys))
         except OracleFormatError:  # serialize raises it again, when asked for the text
@@ -603,7 +624,7 @@ def hard_do_laws(scm: Scm, max_forced: int) -> dict[int, ExactDist]:
     apart: the mechanism subtree takes the do(b) subtree's ExactDist
     objects.
     """
-    return kernel_laws(scm, max_forced, False)[0]
+    return _laws(_compile(scm), max_forced)
 
 
 def kernel_laws(scm: Scm, max_forced: int | None, worlds: bool):
@@ -612,33 +633,41 @@ def kernel_laws(scm: Scm, max_forced: int | None, worlds: bool):
     CF1 triple from one parallel-worlds pass when `worlds` is set, else
     None."""
     plan = _compile(scm)
-    laws = cf = None
-    if max_forced is not None:
-        codes: list[int] = []
-        dists: list[ExactDist] = []
-        _descend(plan, 0, [0], [1], 1, 0, max_forced, codes, dists, _Leaves(plan, plan.n))
-        laws = dict(zip(codes, dists))
-    if worlds:
-        cf = tuple(_worlds(plan, range(plan.n)))
+    laws = None if max_forced is None else _laws(plan, max_forced)
+    cf = tuple(_worlds(plan, range(plan.n))) if worlds else None
     return laws, cf
+
+
+def _laws(plan: _Plan, max_forced: int) -> dict[int, ExactDist]:
+    """The trie pass of `hard_do_laws` over a compiled plan."""
+    codes: list[int] = []
+    dists: list[ExactDist] = []
+    _descend(plan, 0, [0], [1], 1, 0, max_forced, codes, dists, _Leaves(plan, plan.n))
+    return dict(zip(codes, dists))
 
 
 def _descend(plan, level, states, weights, den, code, budget, codes, dists, leaves) -> None:
     """Run the mechanisms from `level` on, branching off the do() subtries;
     `code` sums the digits forced so far. Each leaf appends its code to
-    `codes` and its law to `dists`."""
+    `codes` and its law to `dists`; the do() leaves of the last level are
+    appended here, not from a call of their own."""
     steps = plan.steps
     last = len(steps)
     for level in range(level, last):
         place, bit, test, mask, invert, branches, step_den = steps[level]
         if budget:
             zeros_at = len(codes)
-            _descend(plan, level + 1, states, weights, den,
-                     code + place, budget - 1, codes, dists, leaves)
-            ones_at = len(codes)
             ones = [s | bit for s in states]
-            _descend(plan, level + 1, ones, weights, den,
-                     code + 2 * place, budget - 1, codes, dists, leaves)
+            if level + 1 == last:
+                codes += (code + place, code + 2 * place)
+                dists += (_dist(leaves, states, weights, den), _dist(leaves, ones, weights, den))
+                ones_at = zeros_at + 1
+            else:
+                _descend(plan, level + 1, states, weights, den,
+                         code + place, budget - 1, codes, dists, leaves)
+                ones_at = len(codes)
+                _descend(plan, level + 1, ones, weights, den,
+                         code + 2 * place, budget - 1, codes, dists, leaves)
         if len(branches) == 1:
             ((flip, k),) = branches
             out = _extend(states, test, mask, invert ^ flip, bit)
@@ -824,11 +853,19 @@ def intervention_codes(n: int) -> list[int]:
 
 def int_all_laws(scm: Scm) -> dict[int, ExactDist]:
     """The joint under every one of the 3^n hard interventions, keyed by
-    `intervention_code`; n above SCMLAB_INTALL_NMAX is refused before any
-    work. Interventions whose laws are equal by the rule in
+    `intervention_code`. Before the pass starts, n above
+    SCMLAB_INTALL_NMAX is refused, and so is an oracle of more mass lines
+    than SCMLAB_INTALL_LINE_CAP: the product over the variables of their
+    noise branches plus the two forced values, since distinct branches
+    never meet a state. Interventions whose laws are equal by the rule in
     `hard_do_laws` share one ExactDist."""
     check("SCMLAB_INTALL_NMAX", scm.n, "int_all on n={}", lambda: {3: scm.n}, "interventions")
-    return hard_do_laws(scm, scm.n)
+    plan = _compile(scm)
+    # each variable is left to its noise branches or forced to 0 or 1
+    factors = Counter(len(step[5]) + 2 for step in plan.steps)
+    lines = math.prod(base**exp for base, exp in factors.items())
+    check("SCMLAB_INTALL_LINE_CAP", lines, "int_all output", lambda: factors, "mass lines")
+    return _laws(plan, plan.n)
 
 
 def int_all(scm: Scm) -> tuple[tuple[Intervention, ExactDist], ...]:

@@ -153,6 +153,8 @@ def test_refusals_name_the_cap_its_value_and_the_work(monkeypatch, capfd):
          "noise support product exceeds SCMLAB_SUPPORT_CAP=7: refused 2^3 = 8 noise points"),
         ("SCMLAB_INTALL_NMAX", 8, lambda: int_all(_sources(9)), NTooLargeError,
          "int_all on n=9 exceeds SCMLAB_INTALL_NMAX=8: refused 3^9 = 19683 interventions"),
+        ("SCMLAB_INTALL_LINE_CAP", 255, lambda: int_all(_sources(4)), SupportTooLargeError,
+         "int_all output exceeds SCMLAB_INTALL_LINE_CAP=255: refused 4^4 = 256 mass lines"),
         ("SCMLAB_TREE_NMAX", 3, lambda: list(enumerate_trees(4)), NTooLargeError,
          "enumerating trees on n=4 exceeds SCMLAB_TREE_NMAX=3: refused 4^3 = 64 trees"),
         ("SCMLAB_GRAPH_MMAX", 1, lambda: list(enumerate_graphs(2)), MTooLargeError,
@@ -162,7 +164,7 @@ def test_refusals_name_the_cap_its_value_and_the_work(monkeypatch, capfd):
         ("SCMLAB_NFL_MMAX", 2, lambda: per_query_error(3, Fraction(1, 2)), MTooLargeError,
          "per-query error on m=3 exceeds SCMLAB_NFL_MMAX=2: refused 2^9 = 512 graphs"),
     ],
-    ids=["support-cap", "int_all", "tree-enumerator", "graph-enumerator", "run_nfl",
+    ids=["support-cap", "int_all", "int_all-lines", "tree-enumerator", "graph-enumerator", "run_nfl",
          "per_query_error"],
 )
 def test_family_refusals_name_the_cap_its_value_and_the_work(

@@ -66,9 +66,11 @@ def test_codec_matches_reference(scm, kind):
     assert serialize(parsed) == data
 
 
-# golden files (OBS, INT1, CF1) plus the kinds and sizes they lack
+# golden files (OBS, INT1, CF1) plus the kinds and sizes they lack; every
+# body of an xor INT_ALL oracle is uniform, all its lines one mass text
 SEEDS = GOLDEN_BYTES + [
     serialize(compute_oracle(build_xor_scm(HiddenString(1, "1")), INT_ALL)),
+    serialize(compute_oracle(build_xor_scm(HiddenString(2, "10")), INT_ALL)),
     serialize(compute_oracle(EMPTY, OBS)),
     serialize(compute_oracle(EMPTY, INT_ALL)),
 ]
@@ -78,6 +80,52 @@ SEEDS = GOLDEN_BYTES + [
 @settings(max_examples=400, deadline=None)
 def test_parse_agrees_with_reference_on_mutants(data):
     assert verdict(parse, data) == verdict(reference_codec.parse, data)
+
+
+# arbitrary bytes, alone or as the body of a component whose header and
+# key are valid, so that they reach the mass-line checks
+HEADS = [b"", b"OBS n=0\n#obs\n", b"OBS n=1\n#obs\n", b"OBS n=2\n#obs\n", b"OBS n=2\n#obs\n00="]
+
+
+@given(st.sampled_from(HEADS), st.binary(max_size=64))
+@settings(max_examples=400, deadline=None)
+def test_parse_agrees_with_reference_on_arbitrary_bytes(head, tail):
+    data = head + tail
+    assert verdict(parse, data) == verdict(reference_codec.parse, data)
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("00=1/4\n01=1/4\n10=1/4\n11=1/4", None),
+        ("00=1/2\n11=1/2", None),
+        ("00=1/3\n01=1/3\n11=1/3", None),
+        ("00=1/2\n00=1/2", "outcome '00' out of order after '00'"),
+        ("00=1/4\n01=1/4\n10=1/4", "component 'obs': masses sum to 3/4, expected 1"),
+        ("00=1/2\n01=1/2\n10=1/2", "component 'obs': masses sum to 3/2, expected 1"),
+        ("01=2/4\n10=2/4", "fraction '2/4' is not in lowest terms"),
+        ("00=1/2\n01=1/23", "component 'obs': masses sum to 25/46, expected 1"),
+        ("11=1/4\n10=1/4\n01=1/4\n00=1/4", "outcome '10' out of order after '11'"),
+        ("01=1/2\n00=1/2", "outcome '00' out of order after '01'"),
+        ("00=1/2\n1=1/2", "outcome '1' has length 1, expected 2"),
+        ("00=1/2\n100=1/2", "outcome '100' has length 3, expected 2"),
+    ],
+    ids=["uniform", "uniform-gap", "uniform-thirds", "duplicate-outcome", "sum-3/4", "sum-3/2",
+         "not-lowest-terms", "mass-extends-the-first", "descending", "swapped",
+         "outcome-too-short", "outcome-too-long"],
+)
+def test_hand_built_uniform_bodies(body, error):
+    # every line but the malformed ones repeats one mass text, so the
+    # uniform path sees each body first; a rejection keeps the text of the
+    # general checks
+    data = f"OBS n=2\n#obs\n{body}\n".encode()
+    assert verdict(parse, data) == verdict(reference_codec.parse, data)
+    if error is None:
+        assert serialize(parse(data)) == data
+    else:
+        with pytest.raises(OracleFormatError) as excinfo:
+            parse(data)
+        assert str(excinfo.value) == error
 
 
 def test_hand_built_oracle_out_of_order_with_distinct_equal_masses():
@@ -264,14 +312,27 @@ class TestLazyProduct:
             assert [repr(dist) for _, dist in make().components] == list(map(repr, eager))
 
     def test_line_memo_stays_within_its_bound(self, monkeypatch):
-        scm = build_xor_scm(HiddenString(4, "1011"))
-        want = serialize(compute_oracle(scm, INT_ALL))
-        assert sum(map(len, scm_core._LINES.values())) <= scm_core._LINES_MAX
-        # a small bound, from an empty memo: the oracle overflows it many times
-        monkeypatch.setattr(scm_core, "_LINES_MAX", 100)
+        # every xor leaf is uniform, read from a memo keyed by state for its
+        # (width, den, weight); the mixed sources' leaves are uniform only
+        # where every third-weighted source is forced, and read the
+        # (width, den) memo elsewhere
+        third, half = NoiseDist.bernoulli(Fraction(1, 3)), NoiseDist.bernoulli(Fraction(1, 2))
+        mixed = Scm(5, tuple(Mechanism(gates.BERN_SOURCE, (), noise)
+                             for noise in (third, half, third, half, half)))
+        scms = (build_xor_scm(HiddenString(4, "1011")), mixed)
+        want = [serialize(compute_oracle(scm, INT_ALL)) for scm in scms]
+
+        # from an empty memo, both memo kinds: (width, den) and (width, den, weight)
         monkeypatch.setattr(scm_core, "_LINES", {})
         monkeypatch.setattr(scm_core._Lines, "held", 0)
-        assert serialize(compute_oracle(scm, INT_ALL)) == want
+        assert [serialize(compute_oracle(scm, INT_ALL)) for scm in scms] == want
+        assert {len(key) for key in scm_core._LINES} == {2, 3}
+        assert sum(map(len, scm_core._LINES.values())) <= scm_core._LINES_MAX
+        # a small bound, from an empty memo: each oracle overflows it many times
+        monkeypatch.setattr(scm_core, "_LINES_MAX", 100)
+        scm_core._LINES.clear()
+        scm_core._Lines.held = 0
+        assert [serialize(compute_oracle(scm, INT_ALL)) for scm in scms] == want
         assert sum(map(len, scm_core._LINES.values())) <= 100
 
 

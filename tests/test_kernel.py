@@ -186,6 +186,96 @@ def test_a_shared_parsed_dist_reads_the_same_through_both_components():
     assert serialize(parsed) == data
 
 
+# x0 a fair source, x1 = XOR_NOISE(x0) with noise 1/3, x2 = AND(x0, x1):
+# one INT_ALL pass yields uniform leaves (x1 forced, or a single state) and
+# leaves whose states carry weights 1 and 2 over 3 or 6
+MIXED_LEAVES = Scm(
+    3,
+    (
+        Mechanism(gates.BERN_SOURCE, (), FAIR),
+        Mechanism(gates.XOR_NOISE, (0,), NoiseDist.bernoulli(Fraction(1, 3))),
+        Mechanism(gates.AND, (0, 1), CONST),
+    ),
+)
+
+
+@pytest.fixture
+def leaf_weights(monkeypatch):
+    """The (weights, den) of every leaf the kernel renders, in order."""
+    seen = []
+    render = scm_core._dist
+
+    def spy(leaves, states, weights, den):
+        seen.append((list(weights), den))
+        return render(leaves, states, weights, den)
+
+    monkeypatch.setattr(scm_core, "_dist", spy)
+    return seen
+
+
+def uniform(weights) -> bool:
+    return len(set(weights)) == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_pass_with_uniform_and_other_leaves_matches_reference(leaf_weights, kind):
+    assert serialize(compute_oracle(MIXED_LEAVES, kind)) == serialize(
+        reference_oracle(MIXED_LEAVES, kind)
+    )
+    kinds = {uniform(weights) for weights, _ in leaf_weights}
+    # OBS has one leaf, and CF1's triples all carry the weights of one pass
+    assert kinds == ({True, False} if kind in (INT1, INT_ALL) else {False})
+
+
+def _unreduced(compile_plan, factor):
+    """`_compile`, with each step of several noise branches scaled by
+    `factor`: its weight numerators and denominator both, the same law."""
+
+    def compile_unreduced(scm):
+        plan = compile_plan(scm)
+        steps = tuple(
+            step[:5] + (tuple((flip, k * factor) for flip, k in step[5]), step[6] * factor)
+            if len(step[5]) > 1 else step
+            for step in plan.steps
+        )
+        return plan._replace(steps=steps)
+
+    return compile_unreduced
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", ["xor m=2", "mixed leaves"])
+def test_a_uniform_weight_not_in_lowest_terms_matches_reference(
+    leaf_weights, monkeypatch, name, kind
+):
+    # every fair step weighs 3/6 per branch, so an xor leaf's states all
+    # carry 3^k over 6^k, and its lines must reduce that to 1/2^k
+    scm = {"xor m=2": build_xor_scm(HiddenString(2, "10")), "mixed leaves": MIXED_LEAVES}[name]
+    monkeypatch.setattr(scm_core, "_compile", _unreduced(scm_core._compile, 3))
+    assert serialize(compute_oracle(scm, kind)) == serialize(reference_oracle(scm, kind))
+    # the mixed model's OBS and CF1 leaves are not uniform (see above)
+    assert any(uniform(weights) and weights[0] > 1 for weights, _ in leaf_weights) == (
+        name == "xor m=2" or kind in (INT1, INT_ALL)
+    )
+
+
+def test_int_all_descends_once_per_node_above_the_last_level(monkeypatch):
+    # the last level's do(0) and do(1) leaves are appended by their node,
+    # so xor m=2 (n=4) takes 3^3 calls where one per leaf took 3^4 = 81
+    calls = []
+    descend = scm_core._descend
+
+    def count(*args):
+        calls.append(args[1])
+        return descend(*args)
+
+    monkeypatch.setattr(scm_core, "_descend", count)
+    scm = build_xor_scm(HiddenString(2, "10"))
+    assert serialize(compute_oracle(scm, INT_ALL)) == serialize(reference_oracle(scm, INT_ALL))
+    assert len(calls) == 27
+    assert max(calls) == scm.n - 1
+
+
 REVERSED_CHAIN = Scm(
     3,
     (
@@ -355,6 +445,34 @@ def test_support_cap_refuses_single_laws_before_any_work(no_pass):
         counterfactual_triple(WIDE, 0)
     with pytest.raises(SupportTooLargeError):
         interventional(WIDE, Intervention.of({0: 1}))
+
+
+def test_int_all_line_cap_refuses_twelve_fair_sources_before_any_work(no_pass):
+    # 12 <= SCMLAB_INTALL_NMAX and 2^12 noise points <= SCMLAB_SUPPORT_CAP,
+    # but each variable has two noise branches and two forced values
+    twelve = Scm(12, WIDE.mechanisms[:12])
+    with pytest.raises(SupportTooLargeError) as excinfo:
+        compute_oracle(twelve, INT_ALL)
+    assert str(excinfo.value) == (
+        "int_all output exceeds SCMLAB_INTALL_LINE_CAP=4194304: "
+        "refused 4^12 = 16777216 mass lines"
+    )
+
+
+def mass_lines(data: bytes) -> int:
+    return sum(1 for line in data.split(b"\n")[1:] if line and not line.startswith(b"#"))
+
+
+@given(dag_scms())
+@settings(max_examples=40, deadline=None)
+def test_int_all_line_cap_counts_the_lines_exactly(scm):
+    lines = mass_lines(serialize(compute_oracle(scm, INT_ALL)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("SCMLAB_INTALL_LINE_CAP", str(lines))
+        compute_oracle(scm, INT_ALL)
+        patch.setenv("SCMLAB_INTALL_LINE_CAP", str(lines - 1))
+        with pytest.raises(SupportTooLargeError, match=f" = {lines} mass lines$"):
+            compute_oracle(scm, INT_ALL)
 
 
 def test_interventional_caps_the_mutilated_support(monkeypatch):
