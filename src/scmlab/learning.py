@@ -30,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from .caps import check, snapshot
@@ -74,15 +75,8 @@ class _Sampler(NamedTuple):
 
 
 def _sampler(dist: ExactDist) -> _Sampler:
-    outcomes = dist.outcomes()
-    masses = [dist.mass[o] for o in outcomes]
-    denominator = math.lcm(*(w.denominator for w in masses))
-    cumulative = []
-    running = 0
-    for w in masses:
-        running += w.numerator * (denominator // w.denominator)
-        cumulative.append(running)
-    return _Sampler(tuple(outcomes), tuple(cumulative), denominator)
+    outcomes, weights, den = dist._int_view()
+    return _Sampler(tuple(outcomes), tuple(accumulate(weights)), den)
 
 
 def _draw(sampler: _Sampler, count: int, seed: int) -> tuple[str, ...]:

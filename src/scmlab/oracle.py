@@ -44,11 +44,13 @@ from .errors import (
     LengthMismatchError,
     OracleFormatError,
 )
-from .rational import ZERO, frac_parse
+from .rational import ZERO
 from .scm_core import (
     ExactDist,
     Intervention,
     Scm,
+    _dist,
+    _fraction,
     int_all_laws,
     intervention_code,
     intervention_codes,
@@ -330,7 +332,6 @@ def parse(data: bytes) -> AnswerOracle:
     # width keeps the regexes small under a huge header n
     uniform_re, block_re = _block_res(min(n_bits, len(text)))
     uniform_match, block_match = uniform_re.fullmatch, block_re.fullmatch
-    fractions: dict[str, Fraction] = {}  # each dist's `mass` reads this memo
     # components repeat bodies, and a few dozen sequences of mass texts or
     # (text, count) pairs of uniform bodies, so each is checked once;
     # components with equal bodies share one dist
@@ -348,7 +349,7 @@ def parse(data: bytes) -> AnswerOracle:
             if uniform and all(map(lt, lines, lines[1:])):
                 copies = (uniform[1], len(lines))  # one mass text, on every line
                 if copies not in checked:
-                    _check_masses(key, (copies,), fractions)
+                    _check_masses(key, (copies,))
                     checked.add(copies)
             else:
                 if not block_match(body):
@@ -359,23 +360,21 @@ def parse(data: bytes) -> AnswerOracle:
                     _reject_lines(key, block.split("\n")[1:], n_bits)
                 mass_texts = tuple(cells[1::2])
                 if mass_texts not in checked:
-                    _check_masses(key, Counter(mass_texts).items(), fractions)
+                    _check_masses(key, Counter(mass_texts).items())
                     checked.add(mass_texts)
-            dist = dists[body] = ExactDist._from_body(n_bits, body, fractions)
+            dist = dists[body] = ExactDist._from_body(n_bits, body)
         components.append((key, dist))
     return AnswerOracle(kind, n, tuple(components))
 
 
-def _check_masses(key: str, counts, fractions: dict) -> None:
+def _check_masses(key: str, counts) -> None:
     """Check one component's fraction texts in integers, given as (text,
-    count) pairs of distinct texts: lowest terms once per text
-    (`fractions` memoizes their values), and their sum against 1 weighted
-    by their counts."""
+    count) pairs of distinct texts: lowest terms once per text (read
+    through the memo `mass` reads, `scm_core._fraction`), and their sum
+    against 1 weighted by their counts."""
     total_num, total_den = 0, 1
     for frac_text, count in counts:
-        weight = fractions.get(frac_text)
-        if weight is None:
-            weight = fractions[frac_text] = frac_parse(frac_text)
+        weight = _fraction(frac_text)
         den = weight.denominator
         if den != total_den:
             common = math.lcm(total_den, den)
@@ -454,7 +453,7 @@ def d_int(a: AnswerOracle, b: AnswerOracle) -> Fraction:
 def marginal(dist: ExactDist, positions) -> ExactDist:
     """Exact marginal onto `positions`, keeping the given order, summed in
     integers over the dist's integer view; the result carries its
-    canonical body."""
+    canonical body, as a kernel leaf does."""
     positions = tuple(int(p) for p in positions)
     for p in positions:
         if not 0 <= p < dist.n_bits:
@@ -464,7 +463,8 @@ def marginal(dist: ExactDist, positions) -> ExactDist:
     for outcome, w in zip(outcomes, weights):
         key = "".join(map(outcome.__getitem__, positions))
         acc[key] = acc.get(key, 0) + w
-    return ExactDist._from_weights(len(positions), acc, den)
+    states = [int(key, 2) if key else 0 for key in acc]  # no positions: the one state 0
+    return _dist(True, len(positions), states, list(acc.values()), den)
 
 
 def agreement(dist: ExactDist, i: int, j: int) -> Fraction:

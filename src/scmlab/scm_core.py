@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, and_, mul, or_, xor
 from typing import NamedTuple
 
@@ -106,6 +107,8 @@ EMPTY_INTERVENTION = Intervention(())
 
 
 _new, _set = object.__new__, object.__setattr__  # what a frozen dataclass is built with
+# the Fraction of a mass text; bodies repeat a few texts, across passes too
+_fraction = lru_cache(maxsize=256)(frac_parse)
 
 
 @dataclass(frozen=True)
@@ -119,24 +122,25 @@ class ExactDist:
 
     The exact kernel, `oracle.parse` and `oracle.marginal` establish the
     same invariants in integer arithmetic and build theirs with
-    `_from_body`: the product is the canonical component body, its
+    `_from_body`: the dist holds only the canonical component body, its
     "<bits>=<num>/<den>" lines in ascending order joined by LF, which
-    `serialize` copies out as it is. `mass` is then built from that text
-    when first read, its Fractions taken from the memo `fractions` (text
-    -> Fraction) that the dist was built with, or parsed anew without one.
+    `serialize` copies out as it is. `mass` is built from that text on
+    first read, each mass text's Fraction from the bounded memo
+    `_fraction`; a uniform body, whose lines all repeat one text, reads
+    it once.
 
     Probes read one integer view (`_int_view`), built on the first probe
     from the body, or from `mass` for a dist without one: the outcomes in
-    ascending order, one integer weight each, and a common denominator.
-    Two dists that both have a body are equal exactly when their bodies
-    are, since the text is canonical; otherwise `==` compares masses.
+    ascending order, one integer weight each, and the least common
+    denominator. Two dists that both have a body are equal exactly when
+    their bodies are, since the text is canonical; otherwise `==`
+    compares masses.
     """
 
     n_bits: int
     mass: dict[str, Fraction]
 
     _body = None  # the canonical body, when the dist was built from it
-    _fractions = None
     _ints = None  # the integer view, once a probe has built it
 
     def __post_init__(self):
@@ -151,34 +155,12 @@ class ExactDist:
             raise ValueError(f"masses sum to {total}, expected 1")
 
     @classmethod
-    def _from_body(cls, n_bits: int, body: str, fractions=None) -> "ExactDist":
-        """Wrap a canonical body that is valid by construction; `fractions`,
-        when given, maps each of its mass texts to its Fraction."""
+    def _from_body(cls, n_bits: int, body: str) -> "ExactDist":
+        """Wrap a canonical body that is valid by construction."""
         dist = _new(cls)
         fields = dist.__dict__  # what the frozen dataclass's setter writes, at less cost
         fields["n_bits"] = n_bits
         fields["_body"] = body
-        fields["_fractions"] = fractions
-        return dist
-
-    @classmethod
-    def _from_weights(cls, n_bits: int, weights: dict[str, int], den: int) -> "ExactDist":
-        """The law with mass weights[o] / den at each outcome o, for positive
-        weights summing to den, built from its canonical body: lines in
-        ascending order, each in lowest terms. A mass too long to write
-        leaves the dist without a body, as in the kernel."""
-        outcomes = sorted(weights)
-        ints = list(map(weights.__getitem__, outcomes))
-        lines = []
-        try:
-            for outcome, w in zip(outcomes, ints):
-                g = math.gcd(w, den)
-                lines.append(mass_line(outcome, w // g, den // g))
-        except OracleFormatError:  # serialize raises it again, when asked for the text
-            dist = cls(n_bits, {o: Fraction(w, den) for o, w in zip(outcomes, ints)})
-        else:
-            dist = cls._from_body(n_bits, "\n".join(lines))
-        _set(dist, "_ints", (outcomes, ints, den))
         return dist
 
     def __getattr__(self, name):
@@ -187,10 +169,12 @@ class ExactDist:
         if name != "mass" or self._body is None:
             raise AttributeError(name)
         cells = self._body.replace("\n", "=").split("=")
-        fractions = frac_parse if self._fractions is None else self._fractions.__getitem__
-        mass = dict(zip(cells[::2], map(fractions, cells[1::2])))
+        texts = cells[1::2]
+        if texts.count(texts[0]) == len(texts):  # a uniform body: one mass
+            mass = dict.fromkeys(cells[::2], _fraction(texts[0]))
+        else:
+            mass = dict(zip(cells[::2], map(_fraction, texts)))
         _set(self, "mass", mass)
-        _set(self, "_fractions", None)
         return mass
 
     def __eq__(self, other):
@@ -204,7 +188,8 @@ class ExactDist:
 
     def _int_view(self) -> tuple[list[str], list[int], int]:
         """(outcomes, weights, den): the positive-mass outcomes in ascending
-        order and integers with mass[outcome] == weight / den, built once."""
+        order and integers with mass[outcome] == weight / den, built once;
+        den is the least common one: a body, like `mass`, is in lowest terms."""
         view = self._ints
         if view is None:
             if self._body is not None:
@@ -499,31 +484,6 @@ def _scaled(weights: list[int], k: int) -> list[int]:
     return weights if k == 1 else [w * k for w in weights]
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with `make(key)` and keeps it."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-class _Leaves:
-    """What the leaves of one kernel pass share: their outcome width,
-    whether the plan is exact, and one Fraction per mass text, made when
-    a leaf's `mass` is first read."""
-
-    def __init__(self, plan: _Plan, n_bits: int):
-        self.n_bits = n_bits
-        self.trusted = plan.exact
-        self.fractions = _Memo(frac_parse)
-
-
 class _Lines(dict):
     """The canonical mass lines of states whose outcomes are `width` bits
     wide, each with mass weight/den. Without a `weight`, a line is keyed
@@ -573,39 +533,48 @@ def _lines(*key: int) -> _Lines:
     return memo
 
 
-def _dist(leaves: _Leaves, states: list[int], weights: list[int], den: int) -> ExactDist:
-    """The exact law of the final states: an exact plan's leaf is its
-    canonical body, its lines in state order. A uniform leaf, whose states
-    all carry one weight, sorts its states alone and reads each line from
-    that weight's memo; any other leaf sorts one integer key per state,
-    which orders the lines by state and carries the weight. The masses of
-    a plan that is not exact, or too long to write, go through the
-    validating constructor."""
-    if leaves.trusted:
+def _dist(exact: bool, n_bits: int, states: list[int], weights: list[int], den: int) -> ExactDist:
+    """The law of `states`, `n_bits`-bit outcomes of mass weight/den: when
+    `exact` (positive weights summing to den), its canonical body alone,
+    lines in state order. A uniform law sorts its states alone and reads
+    each line from its weight's memo; any other sorts integer keys that
+    order the states and carry their weights. A law that is not exact,
+    or too long to write, goes through the validating constructor."""
+    if exact:
         weight = weights[0]
         if weights.count(weight) == len(weights):
-            lines = _lines(leaves.n_bits, den, weight)
+            lines = _lines(n_bits, den, weight)
             keys = sorted(states)
         else:
-            lines = _lines(leaves.n_bits, den)
+            lines = _lines(n_bits, den)
             keys = sorted(map(add, map(mul, states, itertools.repeat(den + 1)), weights))
         try:
             body = "\n".join(map(lines.__getitem__, keys))
         except OracleFormatError:  # serialize raises it again, when asked for the text
             pass
         else:
-            return ExactDist._from_body(leaves.n_bits, body, leaves.fractions)
-    fmt = f"0{leaves.n_bits}b"
+            return ExactDist._from_body(n_bits, body)
+    fmt = f"0{n_bits}b"
     pairs = sorted(zip(states, weights))
     return ExactDist(
-        leaves.n_bits,
-        {format(s, fmt) if leaves.n_bits else "": Fraction(w, den) for s, w in pairs},
+        n_bits, {format(s, fmt) if n_bits else "": Fraction(w, den) for s, w in pairs}
     )
 
 
-def hard_do_laws(scm: Scm, max_forced: int) -> dict[int, ExactDist]:
+def kernel_laws(scm: Scm, max_forced: int | None, worlds: bool):
+    """(laws, `cf1`) of `scm` from one compiled plan: the trie pass `_laws`
+    with budget `max_forced` (no intervention cap), or None when that is
+    None, and every CF1 triple from one parallel-worlds pass when `worlds`
+    is set, else None."""
+    plan = _compile(scm)
+    laws = None if max_forced is None else _laws(plan, max_forced)
+    cf = tuple(_worlds(plan, range(plan.n))) if worlds else None
+    return laws, cf
+
+
+def _laws(plan: _Plan, max_forced: int) -> dict[int, ExactDist]:
     """The joint under every hard intervention on at most `max_forced`
-    variables, keyed by its `intervention_code`; no intervention cap.
+    variables, keyed by its `intervention_code`.
 
     The interventions form a trie in topological order: at each variable
     a node branches into its mechanism, do 0 and do 1, so interventions
@@ -624,34 +593,18 @@ def hard_do_laws(scm: Scm, max_forced: int) -> dict[int, ExactDist]:
     apart: the mechanism subtree takes the do(b) subtree's ExactDist
     objects.
     """
-    return _laws(_compile(scm), max_forced)
-
-
-def kernel_laws(scm: Scm, max_forced: int | None, worlds: bool):
-    """(`hard_do_laws`, `cf1`) of `scm` from one compiled plan: the trie
-    pass with budget `max_forced`, or None when that is None, and every
-    CF1 triple from one parallel-worlds pass when `worlds` is set, else
-    None."""
-    plan = _compile(scm)
-    laws = None if max_forced is None else _laws(plan, max_forced)
-    cf = tuple(_worlds(plan, range(plan.n))) if worlds else None
-    return laws, cf
-
-
-def _laws(plan: _Plan, max_forced: int) -> dict[int, ExactDist]:
-    """The trie pass of `hard_do_laws` over a compiled plan."""
     codes: list[int] = []
     dists: list[ExactDist] = []
-    _descend(plan, 0, [0], [1], 1, 0, max_forced, codes, dists, _Leaves(plan, plan.n))
+    _descend(plan, 0, [0], [1], 1, 0, max_forced, codes, dists)
     return dict(zip(codes, dists))
 
 
-def _descend(plan, level, states, weights, den, code, budget, codes, dists, leaves) -> None:
+def _descend(plan, level, states, weights, den, code, budget, codes, dists) -> None:
     """Run the mechanisms from `level` on, branching off the do() subtries;
     `code` sums the digits forced so far. Each leaf appends its code to
     `codes` and its law to `dists`; the do() leaves of the last level are
     appended here, not from a call of their own."""
-    steps = plan.steps
+    steps, exact, n = plan.steps, plan.exact, plan.n
     last = len(steps)
     for level in range(level, last):
         place, bit, test, mask, invert, branches, step_den = steps[level]
@@ -660,20 +613,21 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists, leav
             ones = [s | bit for s in states]
             if level + 1 == last:
                 codes += (code + place, code + 2 * place)
-                dists += (_dist(leaves, states, weights, den), _dist(leaves, ones, weights, den))
+                dists += (_dist(exact, n, states, weights, den),
+                          _dist(exact, n, ones, weights, den))
                 ones_at = zeros_at + 1
             else:
                 _descend(plan, level + 1, states, weights, den,
-                         code + place, budget - 1, codes, dists, leaves)
+                         code + place, budget - 1, codes, dists)
                 ones_at = len(codes)
                 _descend(plan, level + 1, ones, weights, den,
-                         code + 2 * place, budget - 1, codes, dists, leaves)
+                         code + 2 * place, budget - 1, codes, dists)
         if len(branches) == 1:
             ((flip, k),) = branches
             out = _extend(states, test, mask, invert ^ flip, bit)
             if budget >= last - level and k == step_den == 1 and (out == states or out == ones):
-                # this mechanism subtree equals the do(b) one (see
-                # hard_do_laws): its leaves again, the digit off the code
+                # this mechanism subtree equals the do(b) one (see _laws):
+                # its leaves again, the digit off the code
                 start, stop, digit = (
                     (zeros_at, ones_at, place) if out == states
                     else (ones_at, len(codes), 2 * place)
@@ -692,7 +646,7 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists, leav
             states, weights = next_states, next_weights
         den *= step_den
     codes.append(code)
-    dists.append(_dist(leaves, states, weights, den))
+    dists.append(_dist(exact, n, states, weights, den))
 
 
 def _worlds(plan: _Plan, targets) -> list[ExactDist]:
@@ -725,11 +679,11 @@ def _worlds(plan: _Plan, targets) -> list[ExactDist]:
         else:
             weights = [w for _, num in branches for w in _scaled(weights, num)]
         den *= step_den
-    leaves = _Leaves(plan, 3 * n)
     top, pair = 2 * k * n, (1 << 2 * n) - 1
     facts = [(s >> top) << 2 * n for s in states]
     return [
-        _dist(leaves, [f | ((s >> 2 * (k - 1 - j) * n) & pair) for f, s in zip(facts, states)],
+        _dist(plan.exact, 3 * n,
+              [f | ((s >> 2 * (k - 1 - j) * n) & pair) for f, s in zip(facts, states)],
               weights, den)
         for j in range(k)
     ]
@@ -772,7 +726,7 @@ def _world_step(states, test, mask, bit, column, one, invert, branches) -> list[
 
 def observational(scm: Scm) -> ExactDist:
     """Exact joint distribution of the n variables."""
-    return hard_do_laws(scm, 0)[0]
+    return kernel_laws(scm, 0, False)[0][0]
 
 
 def apply_do(scm: Scm, intervention: Intervention) -> Scm:
@@ -858,7 +812,7 @@ def int_all_laws(scm: Scm) -> dict[int, ExactDist]:
     than SCMLAB_INTALL_LINE_CAP: the product over the variables of their
     noise branches plus the two forced values, since distinct branches
     never meet a state. Interventions whose laws are equal by the rule in
-    `hard_do_laws` share one ExactDist."""
+    `_laws` share one ExactDist."""
     check("SCMLAB_INTALL_NMAX", scm.n, "int_all on n={}", lambda: {3: scm.n}, "interventions")
     plan = _compile(scm)
     # each variable is left to its noise branches or forced to 0 or 1
@@ -874,10 +828,11 @@ def int_all(scm: Scm) -> tuple[tuple[Intervention, ExactDist], ...]:
 
     The kernel keys each law by its `intervention_code` and descends a
     do() subtree once where a deterministic mechanism already yields the
-    forced bit on every state it reaches (`hard_do_laws`); the
-    interventions of the twin subtree then hold the same ExactDist
-    objects. That is exact: each law below is a function of the states,
-    weights and denominator the two subtrees start from, and those are
-    equal."""
+    forced bit on every state it reaches (`_laws`); the interventions of
+    the twin subtree then hold the same ExactDist objects. That is exact:
+    each law below is a function of the states, weights and denominator
+    the two subtrees start from, and those are equal. Each law of an
+    exact model holds its canonical body alone, and its `mass` is built
+    from that text on first read."""
     laws = int_all_laws(scm)
     return tuple(zip(all_interventions(scm.n), map(laws.__getitem__, intervention_codes(scm.n))))

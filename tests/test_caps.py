@@ -56,7 +56,7 @@ def test_unknown_cap_name():
 def test_no_entry_point_takes_a_cap_argument():
     # the environment is the only source of a cap
     entry_points = [getattr(scmlab, name) for name in scmlab.__all__]
-    entry_points += [scm_core.hard_do_laws, scm_core.cf1, scm_core.int_all_laws]
+    entry_points += [scm_core.kernel_laws, scm_core.cf1, scm_core.int_all_laws]
     for fn in filter(callable, entry_points):
         try:
             parameters = inspect.signature(fn).parameters

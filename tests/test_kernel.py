@@ -205,9 +205,9 @@ def leaf_weights(monkeypatch):
     seen = []
     render = scm_core._dist
 
-    def spy(leaves, states, weights, den):
+    def spy(exact, n_bits, states, weights, den):
         seen.append((list(weights), den))
-        return render(leaves, states, weights, den)
+        return render(exact, n_bits, states, weights, den)
 
     monkeypatch.setattr(scm_core, "_dist", spy)
     return seen
