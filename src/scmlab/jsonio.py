@@ -9,7 +9,10 @@ SCM document shape:
         ...]}
 
 Probabilities are "num/den" strings so documents stay exact. Loading
-validates the SCM and raises InvalidScmError with the full issue list.
+reads each field only in its own JSON type and each object only with
+exactly its keys, so an accepted document is the one `scm_to_json`
+writes, up to the order of its variables; it then validates the SCM and
+raises InvalidScmError with the full issue list.
 Parameter documents: {"n", "root", "parent"} for trees (keys of `parent`
 are strings, a JSON restriction), {"m", "edges"} for layer graphs,
 {"m", "bits"} for hidden strings. `catalog.param_to_json` and
@@ -47,23 +50,31 @@ def scm_to_json(scm: Scm) -> dict:
 
 
 def scm_from_json(doc: dict) -> Scm:
+    """The SCM of a document in the shape `scm_to_json` writes. Each field
+    is read only in its own JSON type, every object has exactly its keys,
+    and the variable count is checked against n before any range is
+    built; anything else raises InvalidScmError."""
     try:
-        n = int(doc["n"])
-        raw_variables = doc["variables"]
-        by_id = {int(v["id"]): v for v in raw_variables}
-        if sorted(by_id) != list(range(n)) or len(raw_variables) != n:
+        n = _int(_object(doc, "n", "variables")["n"])
+        raw_variables = _list(doc["variables"])
+        if len(raw_variables) != n:
+            raise InvalidScmError([f"BAD_SHAPE: {len(raw_variables)} variables for n={n}"])
+        by_id = {_int(_object(v, "id", "parents", "gate", "noise")["id"]): v
+                 for v in raw_variables}
+        if sorted(by_id) != list(range(n)):
             raise InvalidScmError(
                 [f"BAD_SHAPE: variable ids {sorted(by_id)} are not 0..{n - 1}"]
             )
         mechanisms = []
         for i in range(n):
             v = by_id[i]
+            law = _object(v["noise"], "support", "probs")
             noise = NoiseDist(
-                tuple(int(s) for s in v["noise"]["support"]),
-                tuple(frac_parse(p) for p in v["noise"]["probs"]),
+                tuple(map(_int, _list(law["support"]))),
+                tuple(frac_parse(_str(p)) for p in _list(law["probs"])),
             )
             mechanisms.append(
-                Mechanism(str(v["gate"]), tuple(int(p) for p in v["parents"]), noise)
+                Mechanism(_str(v["gate"]), tuple(map(_int, _list(v["parents"]))), noise)
             )
     except (KeyError, TypeError, ValueError, OracleFormatError) as exc:
         raise InvalidScmError([f"BAD_SHAPE: malformed document: {exc}"]) from None
@@ -85,6 +96,19 @@ def _int(value) -> int:
 def _str(value) -> str:
     if type(value) is not str:
         raise TypeError(f"expected a JSON string, got {value!r}")
+    return value
+
+
+def _list(value) -> list:
+    if type(value) is not list:
+        raise TypeError(f"expected a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _object(value, *keys: str) -> dict:
+    """A JSON object with exactly `keys`; any other value is a TypeError."""
+    if type(value) is not dict or value.keys() != set(keys):
+        raise TypeError(f"expected a JSON object with the keys {', '.join(keys)}")
     return value
 
 

@@ -1,10 +1,12 @@
 """JSON codecs must round-trip exactly and reject invalid documents."""
 
+import copy
 import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scmlab import (
     BipartiteGraph,
@@ -153,6 +155,127 @@ class TestScmCodec:
         }
         with pytest.raises(InvalidScmError):
             scm_from_json(doc)
+
+
+def _one_variable_doc(**fields) -> dict:
+    """The document of one fair source, with `fields` replacing its own."""
+    fair = Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 2)))
+    doc = scm_to_json(Scm(1, (fair,)))
+    variable = doc["variables"][0]
+    for name, value in fields.items():
+        if name in variable:
+            variable[name] = value
+        elif name in variable["noise"]:
+            variable["noise"][name] = value
+        else:
+            doc[name] = value
+    return doc
+
+
+class TestScmReaderTypes:
+    """Each field is read in its own JSON type, so a value of another type,
+    one too large for a float (JSON 1e400 is inf) or a variable count the
+    document cannot back is a typed error."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            _one_variable_doc(n=1.9),
+            _one_variable_doc(id=False),
+            _one_variable_doc(support=[False, True]),
+            _one_variable_doc(support=["0", "1"]),
+            _one_variable_doc(n=json.loads("1e400")),
+            _one_variable_doc(id=json.loads("1e400")),
+            _one_variable_doc(support=[json.loads("1e400"), 1]),
+            {"n": 10**18, "variables": []},
+        ],
+        ids=["n float", "id bool", "support bools", "support strings",
+             "n inf", "id inf", "support inf", "n past the variables"],
+    )
+    def test_rejected_as_invalid_scm(self, doc):
+        with pytest.raises(InvalidScmError):
+            scm_from_json(doc)
+
+    def test_the_valid_document_is_accepted(self):
+        assert scm_from_json(_one_variable_doc()).n == 1
+
+
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([0, 1, 2, -1, 1.0, "1/2", "1/1", "n", "id", gates.COPY, gates.BERN_SOURCE])
+)
+json_values = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "variables", "id", "x"]) | st.text(max_size=4),
+                      inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _slots(value):
+    """(container, key) of every value inside `value`, at any depth."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    else:
+        items = list(enumerate(value)) if isinstance(value, list) else []
+    for key, child in items:
+        yield value, key
+        yield from _slots(child)
+
+
+@st.composite
+def mutated_scm_docs(draw):
+    """`scm_to_json` of a small SCM after one to three edits: a value
+    replaced by any JSON value, removed, or a value inserted beside it."""
+    doc = scm_to_json(draw(small_scms(max_n=3)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:  # every key deleted
+            break
+        container, key = draw(st.sampled_from(slots))
+        op = draw(st.sampled_from(["replace", "delete", "insert", "copy"]))
+        if op == "replace":
+            container[key] = draw(json_values)
+        elif op == "delete":
+            del container[key]
+        elif isinstance(container, list):
+            value = copy.deepcopy(container[key]) if op == "copy" else draw(json_values)
+            container.insert(key, value)
+        else:
+            name = draw(st.sampled_from(["n", "id", "gate", "noise", "probs", "x"]))
+            container[name] = draw(json_values)
+    return doc
+
+
+def check_scm_document(doc) -> None:
+    """`doc` is rejected with InvalidScmError, or it is the document of the
+    model it gives, once its variables are sorted by id; compared as JSON
+    text, so a bool or a float never passes for an integer."""
+    try:
+        scm = scm_from_json(doc)
+    except InvalidScmError:
+        return
+    ordered = dict(doc, variables=sorted(doc["variables"], key=lambda v: v["id"]))
+    assert json.dumps(ordered, sort_keys=True) == json.dumps(scm_to_json(scm), sort_keys=True)
+
+
+class TestScmReaderFuzz:
+    @given(json_values)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_value(self, doc):
+        check_scm_document(doc)
+
+    @given(mutated_scm_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_documents(self, doc):
+        check_scm_document(doc)
+
+    @given(small_scms(max_n=3))
+    @settings(max_examples=30, deadline=None)
+    def test_valid_documents_are_accepted(self, scm):
+        check_scm_document(scm_to_json(scm))
+        assert scm_from_json(scm_to_json(scm)) == scm
 
 
 class TestParamCodec:
