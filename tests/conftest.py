@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from scmlab import Mechanism, NoiseDist, Scm
-from scmlab import gates
+from scmlab import gates, scm_core
 
 # one "PASS <name>: ..." or "FAIL <name>: ..." line per acceptance
 # criterion, echoed into the terminal summary so a plain pytest run
@@ -34,6 +34,19 @@ class AcceptanceLog:
 @pytest.fixture(scope="session")
 def acceptance() -> AcceptanceLog:
     return AcceptanceLog()
+
+
+@pytest.fixture
+def no_pass(monkeypatch):
+    """Make any step of a kernel pass fail the test, for the checks that
+    must refuse before the pass starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel pass started before the check")
+
+    monkeypatch.setattr(scm_core, "_extend", refuse)
+    monkeypatch.setattr(scm_core, "_world_step", refuse)
+    monkeypatch.setattr(scm_core, "_dist", refuse)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

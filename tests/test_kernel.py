@@ -7,13 +7,26 @@ shared subtrees; malformed SCMs that skip validation must fail with the
 same exception type; caps must refuse before the pass starts.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scmlab import HiddenString, Mechanism, NoiseDist, Scm, build_xor_scm, gates, scm_core
+from scmlab import (
+    BipartiteGraph,
+    HiddenString,
+    Mechanism,
+    NoiseDist,
+    RootedTree,
+    Scm,
+    build_bipartite_scm,
+    build_tree_scm,
+    build_xor_scm,
+    gates,
+    scm_core,
+)
 from scmlab.errors import SupportTooLargeError
 from scmlab.oracle import (
     CF1,
@@ -23,6 +36,7 @@ from scmlab.oracle import (
     OBS,
     AnswerOracle,
     compute_oracle,
+    marginal,
     parse,
     serialize,
 )
@@ -36,6 +50,7 @@ from scmlab.scm_core import (
 )
 
 import reference_enumerator
+import reference_probes
 from reference_enumerator import reference_oracle
 
 HALF = Fraction(1, 2)
@@ -276,6 +291,58 @@ def test_int_all_descends_once_per_node_above_the_last_level(monkeypatch):
     assert max(calls) == scm.n - 1
 
 
+# the models of the golden files, and one whose leaves are of both kinds
+TEXT_MODELS = {
+    "tree chain3": build_tree_scm(RootedTree(3, 1, {2: 1, 3: 2})),
+    "bipartite edge00": build_bipartite_scm(BipartiteGraph(2, frozenset({(0, 0)}))),
+    "xor m=2": build_xor_scm(HiddenString(2, "10")),
+    "mixed leaves": MIXED_LEAVES,
+}
+
+
+def least_den(mass) -> int:
+    return math.lcm(*[m.denominator for m in mass.values()])
+
+
+@pytest.mark.parametrize("factor", [1, 3])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", TEXT_MODELS)
+def test_masses_and_integer_views_match_reference(monkeypatch, name, kind, factor):
+    # kernel dists, parsed dists and marginals hold text and integers; their
+    # `mass` and least denominators are the reference's, also when every
+    # noisy step's weights are not in lowest terms (factor 3)
+    scm = TEXT_MODELS[name]
+    want = reference_oracle(scm, kind).components
+    if factor > 1:
+        monkeypatch.setattr(scm_core, "_compile", _unreduced(scm_core._compile, factor))
+    computed = compute_oracle(scm, kind)
+    for oracle in (computed, parse(serialize(computed))):
+        for (key, dist), (_, ref) in zip(oracle.components, want):
+            assert dist.mass == ref.mass, key
+            assert dist._int_view()[2] == least_den(ref.mass), key
+            k = dist.n_bits
+            for positions in (tuple(reversed(range(k))), (k - 1,), ()):
+                got, expected = marginal(dist, positions), reference_probes.marginal(ref, positions)
+                assert got.mass == expected.mass, (key, positions)
+                assert got._int_view()[2] == least_den(expected.mass), (key, positions)
+
+
+@pytest.mark.parametrize("factor", [1, 3])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", TEXT_MODELS)
+def test_the_kernel_builds_no_fraction(monkeypatch, name, kind, factor):
+    scm = TEXT_MODELS[name]
+    want = serialize(reference_oracle(scm, kind))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel built a Fraction")
+
+    monkeypatch.setattr(scm_core, "Fraction", refuse)
+    if factor > 1:
+        monkeypatch.setattr(scm_core, "_compile", _unreduced(scm_core._compile, factor))
+    assert serialize(compute_oracle(scm, kind)) == want
+
+
 REVERSED_CHAIN = Scm(
     3,
     (
@@ -404,18 +471,6 @@ def test_every_counterfactual_triple_matches_reference(name):
         assert outcome(lambda: as_oracle([counterfactual_triple(scm, i)])) == outcome(
             lambda: as_oracle([reference_enumerator.counterfactual_triple(scm, i)])
         )
-
-
-@pytest.fixture
-def no_pass(monkeypatch):
-    """Make any step of the forward pass fail the test."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the pass started before the cap was checked")
-
-    monkeypatch.setattr(scm_core, "_extend", refuse)
-    monkeypatch.setattr(scm_core, "_world_step", refuse)
-    monkeypatch.setattr(scm_core, "_dist", refuse)
 
 
 WIDE = Scm(30, tuple(Mechanism(gates.BERN_SOURCE, (), FAIR) for _ in range(30)))

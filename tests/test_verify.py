@@ -75,15 +75,6 @@ class TestRefusesBeforeWork:
     """The rung pair's indexes are read first, so a cap on INT_ALL refuses
     an xor family before any other oracle is computed."""
 
-    @pytest.fixture
-    def no_pass(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the kernel ran before the cap was checked")
-
-        monkeypatch.setattr(scm_core, "_extend", refuse)
-        monkeypatch.setattr(scm_core, "_world_step", refuse)
-        monkeypatch.setattr(scm_core, "_dist", refuse)
-
     def test_lowered_int_all_cap_computes_no_oracle(self, monkeypatch):
         computed = []
         compute = oracle.compute_oracle
