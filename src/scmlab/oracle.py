@@ -310,7 +310,7 @@ def parse(data: bytes) -> AnswerOracle:
     error the general checks give. A body that repeats an earlier one
     passed the same checks, and its components share one distribution.
     Each checked body becomes its distribution's canonical body as it is;
-    `mass` is built from it on first read.
+    the dist holds nothing else until a probe or a read of `mass` needs it.
     """
     try:
         text = data.decode("ascii")
