@@ -107,7 +107,9 @@ EMPTY_INTERVENTION = Intervention(())
 
 
 _new, _set = object.__new__, object.__setattr__  # what a frozen dataclass is built with
-# the Fraction of a mass text; bodies repeat a few texts, across passes too
+# the Fraction of a mass text, for `oracle.parse`'s checks and for `mass`:
+# an INT_ALL oracle of the intall benchmark holds 7 to 24 distinct texts, and
+# the 45 oracles of three of its rounds 39 to 44 together, so none is evicted
 _fraction = lru_cache(maxsize=256)(frac_parse)
 
 
@@ -126,8 +128,8 @@ class ExactDist:
     "<bits>=<num>/<den>" lines in ascending order joined by LF, which
     `serialize` copies out as it is. `mass` is built from that text on
     first read, each mass text's Fraction from the bounded memo
-    `_fraction`; a uniform body, whose lines all repeat one text, reads
-    it once.
+    `_fraction`; a uniform body, whose lines all repeat one text, gives
+    every outcome that one Fraction without a lookup per line.
 
     Probes read one integer view (`_int_view`), built on the first probe
     from the body, or from `mass` for a dist without one: the outcomes in
@@ -170,7 +172,10 @@ class ExactDist:
             raise AttributeError(name)
         cells = self._body.replace("\n", "=").split("=")
         texts = cells[1::2]
-        if texts.count(texts[0]) == len(texts):  # a uniform body: one mass
+        # a uniform body (every xor component) skips the lookup per line,
+        # which reads `mass` of xor m=4 INT_ALL in 45 ms rather than 58
+        # (BENCH_14.json, mass_read_paths_ms)
+        if texts.count(texts[0]) == len(texts):
             mass = dict.fromkeys(cells[::2], _fraction(texts[0]))
         else:
             mass = dict(zip(cells[::2], map(_fraction, texts)))

@@ -214,6 +214,27 @@ MIXED_LEAVES = Scm(
 )
 
 
+# the models of the golden files, and one whose leaves are of both kinds
+TEXT_MODELS = {
+    "tree chain3": build_tree_scm(RootedTree(3, 1, {2: 1, 3: 2})),
+    "bipartite edge00": build_bipartite_scm(BipartiteGraph(2, frozenset({(0, 0)}))),
+    "xor m=2": build_xor_scm(HiddenString(2, "10")),
+    "mixed leaves": MIXED_LEAVES,
+}
+
+
+def refuse_fractions(monkeypatch):
+    """Make building a Fraction in `scm_core` fail from here on, so what
+    the kernel then renders must come from text and integers. Call it
+    after the reference is built: its validating ExactDist checks masses
+    with `scm_core.Fraction`."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel built a Fraction")
+
+    monkeypatch.setattr(scm_core, "Fraction", refuse)
+
+
 @pytest.fixture
 def leaf_weights(monkeypatch):
     """The (weights, den) of every leaf the kernel renders, in order."""
@@ -233,10 +254,12 @@ def uniform(weights) -> bool:
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_one_pass_with_uniform_and_other_leaves_matches_reference(leaf_weights, kind):
-    assert serialize(compute_oracle(MIXED_LEAVES, kind)) == serialize(
-        reference_oracle(MIXED_LEAVES, kind)
-    )
+def test_one_pass_with_uniform_and_other_leaves_matches_reference(
+    leaf_weights, monkeypatch, kind
+):
+    want = serialize(reference_oracle(MIXED_LEAVES, kind))
+    refuse_fractions(monkeypatch)
+    assert serialize(compute_oracle(MIXED_LEAVES, kind)) == want
     kinds = {uniform(weights) for weights, _ in leaf_weights}
     # OBS has one leaf, and CF1's triples all carry the weights of one pass
     assert kinds == ({True, False} if kind in (INT1, INT_ALL) else {False})
@@ -259,18 +282,21 @@ def _unreduced(compile_plan, factor):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("name", ["xor m=2", "mixed leaves"])
+@pytest.mark.parametrize("name", TEXT_MODELS)
 def test_a_uniform_weight_not_in_lowest_terms_matches_reference(
     leaf_weights, monkeypatch, name, kind
 ):
-    # every fair step weighs 3/6 per branch, so an xor leaf's states all
-    # carry 3^k over 6^k, and its lines must reduce that to 1/2^k
-    scm = {"xor m=2": build_xor_scm(HiddenString(2, "10")), "mixed leaves": MIXED_LEAVES}[name]
+    # every fair step weighs 3/6 per branch, so a leaf of fair steps only
+    # (every leaf of a golden model) carries 3^k over 6^k on each state,
+    # and its lines must reduce that to 1/2^k
+    scm = TEXT_MODELS[name]
+    want = serialize(reference_oracle(scm, kind))
+    refuse_fractions(monkeypatch)
     monkeypatch.setattr(scm_core, "_compile", _unreduced(scm_core._compile, 3))
-    assert serialize(compute_oracle(scm, kind)) == serialize(reference_oracle(scm, kind))
+    assert serialize(compute_oracle(scm, kind)) == want
     # the mixed model's OBS and CF1 leaves are not uniform (see above)
     assert any(uniform(weights) and weights[0] > 1 for weights, _ in leaf_weights) == (
-        name == "xor m=2" or kind in (INT1, INT_ALL)
+        name != "mixed leaves" or kind in (INT1, INT_ALL)
     )
 
 
@@ -289,15 +315,6 @@ def test_int_all_descends_once_per_node_above_the_last_level(monkeypatch):
     assert serialize(compute_oracle(scm, INT_ALL)) == serialize(reference_oracle(scm, INT_ALL))
     assert len(calls) == 27
     assert max(calls) == scm.n - 1
-
-
-# the models of the golden files, and one whose leaves are of both kinds
-TEXT_MODELS = {
-    "tree chain3": build_tree_scm(RootedTree(3, 1, {2: 1, 3: 2})),
-    "bipartite edge00": build_bipartite_scm(BipartiteGraph(2, frozenset({(0, 0)}))),
-    "xor m=2": build_xor_scm(HiddenString(2, "10")),
-    "mixed leaves": MIXED_LEAVES,
-}
 
 
 def least_den(mass) -> int:
@@ -325,22 +342,6 @@ def test_masses_and_integer_views_match_reference(monkeypatch, name, kind, facto
                 got, expected = marginal(dist, positions), reference_probes.marginal(ref, positions)
                 assert got.mass == expected.mass, (key, positions)
                 assert got._int_view()[2] == least_den(expected.mass), (key, positions)
-
-
-@pytest.mark.parametrize("factor", [1, 3])
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("name", TEXT_MODELS)
-def test_the_kernel_builds_no_fraction(monkeypatch, name, kind, factor):
-    scm = TEXT_MODELS[name]
-    want = serialize(reference_oracle(scm, kind))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the kernel built a Fraction")
-
-    monkeypatch.setattr(scm_core, "Fraction", refuse)
-    if factor > 1:
-        monkeypatch.setattr(scm_core, "_compile", _unreduced(scm_core._compile, factor))
-    assert serialize(compute_oracle(scm, kind)) == want
 
 
 REVERSED_CHAIN = Scm(
