@@ -12,9 +12,10 @@ Randomness discipline: one master seed; every stream is derived as
 sha256(master, stream-label, trial-index), so graph choice, data, and
 learner randomness are independent and each trial is reproducible in
 isolation. The underlying generator is recorded in every report. A
-stream that would draw nothing (the data of an empty dataset, the
-learner stream of a learner that does not guess) is never seeded, which
-changes no draw.
+stream whose draws nothing reads is never seeded, which changes no draw
+that is read: not the data of an empty dataset, not the learner stream
+of a learner that does not guess, and not the data stream of a learner
+or a constant predictor that ignores the dataset.
 Monte-Carlo episodes read each graph's INT1 oracle, its bytes and the
 integer CDF of its observational law from one memo per graph and cap
 snapshot, so an episode costs its seeded draws and a few lookups.
@@ -119,13 +120,22 @@ def _graph(m: int, mask: int, caps) -> _Graph:
     return _Graph(oracle, serialize(oracle), _sampler(oracle.component("obs")))
 
 
-def _episode(m: int, n_samples: int, seed: int, labels: tuple[str, str], trial: int, caps):
+def _episode(
+    m: int, n_samples: int, seed: int, labels: tuple[str, str], trial: int, caps, reads: bool
+):
     """One Monte-Carlo episode: a uniform graph drawn from the stream
     (seed, labels[0], trial), which is returned for further draws, and
-    `n_samples` rows of its law from the stream (seed, labels[1], trial),
-    which is seeded only when it draws a row."""
+    `n_samples` rows of its law from the stream (seed, labels[1], trial).
+
+    A stream whose draws nothing reads is never seeded. Unless `reads`
+    says the caller reads the dataset, the dataset is None and its seed
+    is not even derived; otherwise its stream is seeded only when it
+    draws a row.
+    """
     rng = random.Random(derive_seed(seed, labels[0], trial))
     graph = _graph(m, rng.randrange(1 << (m * m)), caps)
+    if not reads:
+        return rng, graph, None
     data_seed = derive_seed(seed, labels[1], trial)
     rows = _draw(graph.sampler, n_samples, data_seed)
     return rng, graph, Dataset(graph.oracle.n, rows, data_seed, f"bipartite m={m}")
@@ -164,10 +174,13 @@ class _Learner:
     """Base of the built-in learners. `predict_bytes` is each learner's
     one prediction path: the serialized INT1 oracle it predicts, read
     from memos keyed by the cap snapshot `caps`. `predict` parses it.
-    `draws` says whether the prediction reads its rng stream; Monte-Carlo
-    episodes seed no stream for a learner that does not."""
+    `draws` says whether the prediction reads its rng stream and
+    `reads_data` whether it reads the dataset; Monte-Carlo episodes seed
+    no stream the learner does not read, and hand it no dataset (None)
+    when it reads none."""
 
     draws = False
+    reads_data = False
 
     def predict(self, dataset: Dataset, m: int, rng: random.Random) -> AnswerOracle:
         return parse(self.predict_bytes(dataset, m, rng, snapshot()))
@@ -206,11 +219,14 @@ class EmpiricalIndependentLearner(_Learner):
     """Fits independent per-variable marginals; predicts that product."""
 
     id = "empirical-independent"
+    reads_data = True
 
     def predict_bytes(self, dataset: Dataset, m: int, rng: random.Random, caps) -> bytes:
-        rows = dataset.rows
-        ones = tuple(sum(row[i] == "1" for row in rows) for i in range(dataset.n))
-        return _independent_fit_bytes(dataset.n, len(rows), ones, caps)
+        rows = Counter(dataset.rows)
+        ones = tuple(
+            sum(k for row, k in rows.items() if row[i] == "1") for i in range(dataset.n)
+        )
+        return _independent_fit_bytes(dataset.n, len(dataset.rows), ones, caps)
 
     def exact_rate(self, m: int, n_samples: int) -> Fraction:
         # Rows are i.i.d. over {all-zeros, all-ones} with probability 1/2
@@ -301,7 +317,9 @@ def run_nfl(
     caps = snapshot()
     successes = 0
     for trial in range(trials):
-        _, graph, dataset = _episode(m, n_samples, seed, ("graph", "data"), trial, caps)
+        _, graph, dataset = _episode(
+            m, n_samples, seed, ("graph", "data"), trial, caps, learner.reads_data
+        )
         learner_rng = None
         if learner.draws:
             learner_rng = random.Random(derive_seed(seed, "learner", trial))
@@ -336,7 +354,8 @@ def per_query_error(
     answer a errs by (1/2)|a - 1| + (1/2)|a - 1/2| >= 1/4. Exact mode
     takes a constant predictor (a Fraction) and returns that closed form.
     Monte-Carlo mode accepts a callable predictor(dataset) as well and
-    averages the exact per-trial errors over sampled episodes.
+    averages the exact per-trial errors over sampled episodes; only a
+    callable predictor gets a dataset, so only its episodes draw data.
     """
     _check_m("per-query error on m={}", m)
     if mode == EXACT:
@@ -356,11 +375,13 @@ def per_query_error(
     caps = snapshot()
     total = ZERO
     labels = ("query-episode", "query-data")
+    reads = callable(predictor)
+    constant = None if reads else Fraction(predictor)
     for trial in range(trials):
-        episode_rng, graph, dataset = _episode(m, n_samples, seed, labels, trial, caps)
+        episode_rng, graph, dataset = _episode(m, n_samples, seed, labels, trial, caps, reads)
         i = episode_rng.randrange(m)
         j = episode_rng.randrange(m)
-        answer = Fraction(predictor(dataset) if callable(predictor) else predictor)
+        answer = Fraction(predictor(dataset)) if reads else constant
         truth = graph.oracle.component(f"do i={1 + i} b=0").prob_bit(1 + m + j, 0)
         total += abs(answer - truth)
     return total / trials

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import math
 import random
 from fractions import Fraction
 
@@ -38,6 +37,9 @@ from scmlab.errors import BadRangeError, MTooLargeError
 from scmlab.families import graph_of_mask
 from scmlab.learning import Dataset
 
+import reference_learning
+from reference_learning import scan_rows
+
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 THIRD = Fraction(1, 3)
@@ -54,27 +56,6 @@ NON_DYADIC = Scm(4, (
 
 def rows_digest(rows) -> str:
     return hashlib.sha256("\n".join(rows).encode("ascii")).hexdigest()
-
-
-def scan_rows(dist: ExactDist, count: int, seed: int) -> tuple[str, ...]:
-    """Reference draw: one randrange below the lcm of the denominators per
-    row, then a linear scan for the first cumulative numerator above it."""
-    outcomes = dist.outcomes()
-    denominator = math.lcm(*(dist.mass[o].denominator for o in outcomes))
-    cumulative = []
-    running = 0
-    for o in outcomes:
-        running += dist.mass[o].numerator * (denominator // dist.mass[o].denominator)
-        cumulative.append(running)
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(count):
-        draw = rng.randrange(denominator)
-        for o, bound in zip(outcomes, cumulative):
-            if draw < bound:
-                rows.append(o)
-                break
-    return tuple(rows)
 
 
 @st.composite
@@ -176,6 +157,22 @@ class TestLearnerRegistry:
         data = Dataset(3, ("000",) * 4, 0, "fixed")
         oracle = learner.predict(data, 1, random.Random(0))
         assert oracle.component("obs").mass == {"000": Fraction(1)}
+
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.text("01", min_size=n, max_size=n), max_size=12)
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_empirical_fit_counts_each_variables_ones(self, rows):
+        # the fit reads one count of ones per variable, however it tallies
+        # the rows, so it predicts the oracle of those per-variable counts
+        n = len(rows[0]) if rows else 2
+        ones = tuple(sum(row[i] == "1" for row in rows) for i in range(n))
+        oracle = LEARNERS["empirical-independent"].predict(
+            Dataset(n, tuple(rows), 0, "drawn"), 1, None
+        )
+        assert serialize(oracle) == serialize(
+            learning._independent_fit_oracle(n, len(rows), ones)
+        )
 
     def test_constant_empty_predicts_empty_graph(self):
         learner = LEARNERS["constant-empty"]
@@ -327,10 +324,13 @@ class TestStreamSeeding:
     def test_run_nfl(self, seeded, learner_id, guesses, n_samples):
         trials, seed = 40, 5
         run_nfl(2, n_samples, learner_id, MONTE_CARLO, trials=trials, seed=seed)
+        # only the empirical learner reads the dataset, so only its
+        # episodes seed a data stream
+        reads = learner_id == "empirical-independent"
         want = []
         for trial in range(trials):
             want.append(derive_seed(seed, "graph", trial))
-            if n_samples:
+            if n_samples and reads:
                 want.append(derive_seed(seed, "data", trial))
             if guesses:
                 want.append(derive_seed(seed, "learner", trial))
@@ -354,11 +354,74 @@ class TestStreamSeeding:
         assert [d.seed for d in datasets] == [derive_seed(5, "query-data", t) for t in range(30)]
         assert all(len(d.rows) == n_samples for d in datasets)
 
+    @pytest.mark.parametrize("n_samples", [0, 3])
+    def test_per_query_error_with_a_constant(self, seeded, n_samples):
+        # a constant answer reads no dataset, so no data stream is seeded
+        per_query_error(2, HALF, MONTE_CARLO, n_samples=n_samples, trials=30, seed=5)
+        assert seeded == [derive_seed(5, "query-episode", t) for t in range(30)]
+
     def test_counts_without_data_are_unchanged(self):
         # with no samples the data stream is not seeded, and no other draw moves
         report = run_nfl(1, 0, "uniform-guess", MONTE_CARLO, trials=200, seed=7)
         assert report.successes == 97
         assert sample_obs(NON_DYADIC, 0, 3).rows == ()
+
+
+class TestAgainstReference:
+    """Monte-Carlo episodes against `reference_learning`, which draws
+    every stream and computes every oracle afresh in every episode."""
+
+    @given(
+        m=st.integers(1, 2),
+        n_samples=st.integers(0, 5),
+        trials=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+        learner_id=st.sampled_from(sorted(LEARNERS)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_run_nfl(self, m, n_samples, trials, seed, learner_id):
+        report = run_nfl(m, n_samples, learner_id, MONTE_CARLO, trials=trials, seed=seed)
+        assert report == reference_learning.run_nfl(m, n_samples, learner_id, trials, seed)
+
+    @given(
+        m=st.integers(1, 2),
+        n_samples=st.integers(0, 5),
+        trials=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+        answer=st.fractions(min_value=0, max_value=1, max_denominator=16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_per_query_error(self, m, n_samples, trials, seed, answer):
+        assert per_query_error(
+            m, answer, MONTE_CARLO, n_samples=n_samples, trials=trials, seed=seed
+        ) == reference_learning.per_query_error(m, answer, n_samples, trials, seed)
+        # a predictor that reads the data sees the reference's datasets
+        fast, slow = [], []
+
+        def recorder(seen):
+            def predictor(dataset):
+                seen.append(dataset)
+                ones = sum(row.count("1") for row in dataset.rows)
+                return Fraction(ones + 1, dataset.n * len(dataset.rows) + 2)
+            return predictor
+
+        error = per_query_error(
+            m, recorder(fast), MONTE_CARLO, n_samples=n_samples, trials=trials, seed=seed
+        )
+        assert error == reference_learning.per_query_error(
+            m, recorder(slow), n_samples, trials, seed
+        )
+        assert fast == slow
+
+    @pytest.mark.parametrize(
+        "learner_id, successes", [("uniform-guess", 18), ("constant-empty", 13)]
+    )
+    def test_a_data_blind_count_does_not_depend_on_the_sample_size(self, learner_id, successes):
+        counts = [
+            run_nfl(2, n_samples, learner_id, MONTE_CARLO, trials=250, seed=15).successes
+            for n_samples in (0, 100)
+        ]
+        assert counts == [successes, successes]
 
 
 class TestPerQueryError:
