@@ -260,6 +260,13 @@ class TestMonteCarlo:
         small = run_nfl(1, 2, "uniform-guess", MONTE_CARLO, trials=200, seed=7)
         large = run_nfl(1, 5, "uniform-guess", MONTE_CARLO, trials=200, seed=7)
         assert small.successes == large.successes == 97
+        # nor, for either data-blind learner, a hundred rows against none
+        for learner_id, successes in (("uniform-guess", 18), ("constant-empty", 13)):
+            counts = [
+                run_nfl(2, n, learner_id, MONTE_CARLO, trials=250, seed=15).successes
+                for n in (0, 100)
+            ]
+            assert counts == [successes, successes]
 
     def test_argument_validation(self):
         with pytest.raises(BadRangeError):
@@ -412,16 +419,6 @@ class TestAgainstReference:
             m, recorder(slow), n_samples, trials, seed
         )
         assert fast == slow
-
-    @pytest.mark.parametrize(
-        "learner_id, successes", [("uniform-guess", 18), ("constant-empty", 13)]
-    )
-    def test_a_data_blind_count_does_not_depend_on_the_sample_size(self, learner_id, successes):
-        counts = [
-            run_nfl(2, n_samples, learner_id, MONTE_CARLO, trials=250, seed=15).successes
-            for n_samples in (0, 100)
-        ]
-        assert counts == [successes, successes]
 
 
 class TestPerQueryError:
