@@ -59,6 +59,9 @@ class RootedTree:
             raise InvalidTreeError(f"root {root} outside 1..{n}")
         if root in self.parent:
             raise InvalidTreeError(f"root {root} must not have a parent")
+        # counted first, so the set of all n nodes is no larger than the map
+        if len(self.parent) != n - 1:
+            raise InvalidTreeError(f"parent map has {len(self.parent)} nodes, expected {n - 1}")
         expected = set(range(1, n + 1)) - {root}
         if set(self.parent) != expected:
             raise InvalidTreeError(

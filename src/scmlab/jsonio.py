@@ -17,11 +17,12 @@ Parameter documents: {"n", "root", "parent"} for trees (keys of `parent`
 are strings, a JSON restriction), {"m", "edges"} for layer graphs,
 {"m", "bits"} for hidden strings. `catalog.param_to_json` and
 `catalog.param_from_json` pick the codec from the family's row. The
-parameter readers take each field only in its own JSON type, integers
-(not booleans) and strings, and a tree node key only as the decimal
-spelling `tree_to_json` writes, so one member has one document; any
-other value raises TypeError or ValueError, which `param_from_json`
-reports as KindMismatchError.
+parameter readers take each document only with exactly its keys, each
+field only in its own JSON type, integers (not booleans) and strings, a
+tree node key only as the decimal spelling `tree_to_json` writes, and
+each edge once, so one member has one document, up to the order of its
+edges; any other value raises TypeError or ValueError, which
+`param_from_json` reports as KindMismatchError.
 """
 
 from __future__ import annotations
@@ -129,6 +130,7 @@ def tree_to_json(tree: RootedTree) -> dict:
 
 
 def tree_from_json(doc: dict) -> RootedTree:
+    doc = _object(doc, "n", "root", "parent")
     tree = RootedTree(
         _int(doc["n"]),
         _int(doc["root"]),
@@ -143,10 +145,12 @@ def graph_to_json(graph: BipartiteGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> BipartiteGraph:
-    edges = doc["edges"]
+    edges = _object(doc, "m", "edges")["edges"]
     if type(edges) is not list or any(type(e) is not list or len(e) != 2 for e in edges):
         raise TypeError(f"edges must be a list of [i, j] pairs, got {edges!r}")
     graph = BipartiteGraph(_int(doc["m"]), frozenset((_int(i), _int(j)) for i, j in edges))
+    if len(graph.edges) != len(edges):
+        raise ValueError(f"edges {edges!r} repeat an edge")
     graph.check()
     return graph
 
@@ -156,6 +160,7 @@ def string_to_json(hidden: HiddenString) -> dict:
 
 
 def string_from_json(doc: dict) -> HiddenString:
+    doc = _object(doc, "m", "bits")
     hidden = HiddenString(_int(doc["m"]), _str(doc["bits"]))
     hidden.check()
     return hidden

@@ -371,7 +371,7 @@ def per_query_error(
     if trials is None or trials < 1 or seed is None or n_samples is None:
         raise BadRangeError("monte-carlo mode needs n_samples, trials, and a seed")
     if n_samples < 0:
-        raise BadRangeError(f"count must be nonnegative, got {n_samples}")
+        raise BadRangeError(f"n_samples must be nonnegative, got {n_samples}")
     caps = snapshot()
     total = ZERO
     labels = ("query-episode", "query-data")

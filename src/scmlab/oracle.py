@@ -53,7 +53,6 @@ from .scm_core import (
     _fraction,
     int_all_laws,
     intervention_code,
-    intervention_codes,
     kernel_laws,
 )
 
@@ -90,13 +89,21 @@ def _build_int_all_table(n: int) -> tuple[tuple[int, str], ...]:
     """The (`intervention_code`, `intervention_key`) pair of each of the
     3^n INT_ALL components on n variables, in `all_interventions` order,
     built without Intervention objects: the INT_ALL `_layout`. Each target
-    set's part of the key is rendered once."""
+    set is walked beside its variables' places 3^(n-1-v), and its part of
+    the key and its block of codes are built once."""
+    places = [3 ** (n - 1 - v) for v in range(n)]
+    codes: list[int] = []
     keys: list[str] = []
     for k in range(n + 1):
-        for subset in itertools.combinations(range(n), k):
+        subsets = zip(itertools.combinations(range(n), k), itertools.combinations(places, k))
+        for subset, subset_places in subsets:
+            block = [sum(subset_places)]  # every target forced to 0
+            for place in subset_places:
+                block = [c + b for c in block for b in (0, place)]
+            codes += block
             head = f"do S={','.join(map(str, subset))} x="
             keys += [head + "".join(bits) for bits in itertools.product("01", repeat=k)]
-    return tuple(zip(intervention_codes(n), keys))
+    return tuple(zip(codes, keys))
 
 
 # A table holds about 190 bytes of RSS per component: 10 MiB at n=10, 32

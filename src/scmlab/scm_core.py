@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import gates
 from .caps import check
-from .errors import BadPositionError, CycleError, OracleFormatError
+from .errors import BadPositionError, BadRangeError, CycleError, OracleFormatError
 from .rational import ONE, ZERO, frac_parse, mass_line
 
 
@@ -128,8 +128,7 @@ class ExactDist:
     "<bits>=<num>/<den>" lines in ascending order joined by LF, which
     `serialize` copies out as it is. `mass` is built from that text on
     first read, each mass text's Fraction from the bounded memo
-    `_fraction`; a uniform body, whose lines all repeat one text, gives
-    every outcome that one Fraction without a lookup per line.
+    `_fraction`, so the outcomes that repeat a text share its one Fraction.
 
     Probes read one integer view (`_int_view`), built on the first probe
     from the body, or from `mass` for a dist without one: the outcomes in
@@ -171,14 +170,7 @@ class ExactDist:
         if name != "mass" or self._body is None:
             raise AttributeError(name)
         cells = self._body.replace("\n", "=").split("=")
-        texts = cells[1::2]
-        # a uniform body (every xor component) skips the lookup per line,
-        # which reads `mass` of xor m=4 INT_ALL in 45 ms rather than 58
-        # (BENCH_14.json, mass_read_paths_ms)
-        if texts.count(texts[0]) == len(texts):
-            mass = dict.fromkeys(cells[::2], _fraction(texts[0]))
-        else:
-            mass = dict(zip(cells[::2], map(_fraction, texts)))
+        mass = dict(zip(cells[::2], map(_fraction, cells[1::2])))
         _set(self, "mass", mass)
         return mass
 
@@ -228,9 +220,11 @@ class ExactDist:
         return self.mass.get(outcome, ZERO)
 
     def prob_bit(self, position: int, bit: int) -> Fraction:
-        """Exact marginal probability that `position` carries `bit`."""
+        """Exact marginal probability that `position` carries `bit` (0 or 1)."""
         if not 0 <= position < self.n_bits:
             raise BadPositionError(f"position {position} outside [0, {self.n_bits})")
+        if bit not in (0, 1):
+            raise BadRangeError(f"bit must be 0 or 1, got {bit!r}")
         want = "1" if bit else "0"
         outcomes, weights, den = self._int_view()
         return Fraction(sum([w for o, w in zip(outcomes, weights) if o[position] == want]), den)
@@ -350,10 +344,11 @@ def topo_order(scm: Scm) -> list[int]:
 # distinct branches set different output bits, so states never collide.
 # A leaf's final states become its canonical body text at once, its lines
 # read from memos shared by every pass (`_Lines`); Fractions appear only
-# when its `mass` is read. A uniform leaf, whose states all carry one
-# weight (every leaf of a model whose noisy steps are all fair), sorts
-# its states alone and reads a memo keyed by state for that weight; any
-# other leaf sorts integer keys that carry each state's weight.
+# when its `mass` is read, one per mass text (`_fraction`). A uniform
+# leaf, whose states all carry one weight (every leaf of a model whose
+# noisy steps are all fair), sorts its states alone and reads a memo
+# keyed by state for that weight; any other leaf sorts integer keys that
+# carry each state's weight.
 #
 # Hard interventions branch off the pass as a trie (`_descend`), each law
 # keyed by its integer intervention code (`intervention_code`); the last
@@ -370,7 +365,8 @@ def topo_order(scm: Scm) -> list[int]:
 # evaluates its gate in every world at once with shifts and bit
 # operations on the packed state, then sets the variable in the world
 # that forces it to 1 and leaves it 0 in the one that forces 0. Variable
-# i's triple (factual, do(X_i=0), do(X_i=1)) is read off the final states.
+# i's triple (factual, do(X_i=0), do(X_i=1)) is read off the final states;
+# `cf1` returns every triple and `counterfactual_triple` the i-th.
 
 
 # A compiled step is the tuple (place, bit, test, mask, invert, branches,
@@ -573,7 +569,7 @@ def kernel_laws(scm: Scm, max_forced: int | None, worlds: bool):
     is set, else None."""
     plan = _compile(scm)
     laws = None if max_forced is None else _laws(plan, max_forced)
-    cf = tuple(_worlds(plan, range(plan.n))) if worlds else None
+    cf = tuple(_worlds(plan)) if worlds else None
     return laws, cf
 
 
@@ -654,43 +650,37 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists) -> N
     dists.append(_dist(exact, n, states, weights, den))
 
 
-def _worlds(plan: _Plan, targets) -> list[ExactDist]:
+def _worlds(plan: _Plan) -> list[ExactDist]:
     """Parallel-worlds pass (Avin, Shpitser & Pearl 2005): the CF1 law of
-    each variable in `targets`, in that order, from one forward pass.
+    every variable, in index order, from one forward pass.
 
-    A state packs 2k+1 worlds over one noise draw, k = len(targets), each
-    n bits wide with variable v at bit n-1-v: the factual world in the
-    highest n bits, then do(X_t=0) and do(X_t=1) for each target t in
-    turn. Target t's triple is the factual world followed by its two
-    do() worlds, a 3n-bit outcome. Distinct noise branches set different
-    factual bits, so states never collide, in the pass or in a triple.
+    A state packs 2n+1 worlds over one noise draw, each n bits wide with
+    variable v at bit n-1-v: the factual world in the highest n bits, then
+    do(X_v=0) and do(X_v=1) for each variable v in turn. Variable v's
+    triple is the factual world followed by its two do() worlds, a 3n-bit
+    outcome. Distinct noise branches set different factual bits, so
+    states never collide, in the pass or in a triple.
     """
     n = plan.n
-    k = len(targets)
-    repunit = sum(1 << (w * n) for w in range(2 * k + 1))
-    # a forced variable's bit -> the offset of its do(X_t=1) world
-    forced = {1 << (n - 1 - t): 2 * (k - 1 - j) * n for j, t in enumerate(targets)}
+    repunit = sum(1 << (w * n) for w in range(2 * n + 1))
     states, weights, den = [0], [1], 1
     for _, bit, test, mask, invert, branches, step_den in plan.steps:
-        column = bit * repunit
-        one = 0
-        at = forced.get(bit)
-        if at is not None:
-            one = bit << at
-            column ^= one | one << n  # the worlds that force the variable
+        # the variable's bit in its do(X_v=1) world, 2(n-1-v) worlds up
+        one = bit << 2 * n * (bit.bit_length() - 1)
+        column = bit * repunit ^ (one | one << n)  # the worlds its mechanism sets
         states = _world_step(states, test, mask, bit, column, one, invert, branches)
         if len(branches) == 1:
             weights = _scaled(weights, branches[0][1])
         else:
             weights = [w for _, num in branches for w in _scaled(weights, num)]
         den *= step_den
-    top, pair = 2 * k * n, (1 << 2 * n) - 1
+    top, pair = 2 * n * n, (1 << 2 * n) - 1
     facts = [(s >> top) << 2 * n for s in states]
     return [
         _dist(plan.exact, 3 * n,
-              [f | ((s >> 2 * (k - 1 - j) * n) & pair) for f, s in zip(facts, states)],
+              [f | ((s >> 2 * (n - 1 - v) * n) & pair) for f, s in zip(facts, states)],
               weights, den)
-        for j in range(k)
+        for v in range(n)
     ]
 
 
@@ -725,7 +715,7 @@ def _world_step(states, test, mask, bit, column, one, invert, branches) -> list[
     next_states: list[int] = []
     for flip, _ in branches:
         toggle = one ^ column if invert ^ flip else one
-        next_states += [s ^ toggle for s in out] if toggle else out
+        next_states += [s ^ toggle for s in out]
     return next_states
 
 
@@ -760,12 +750,12 @@ def counterfactual_triple(scm: Scm, i: int) -> ExactDist:
     All three worlds share the same exogenous draw, which is what makes
     this a counterfactual rather than three independent runs. The result
     is one distribution over 3n-bit outcomes: factual block first, then
-    the do(X_i=0) world, then the do(X_i=1) world. It is the parallel-
-    worlds pass of `cf1` with the three worlds of variable i alone.
+    the do(X_i=0) world, then the do(X_i=1) world. It is component i of
+    `cf1`, read off the one parallel-worlds pass over every variable.
     """
     if not 0 <= i < scm.n:
         raise BadPositionError(f"variable {i} outside [0, {scm.n})")
-    return _worlds(_compile(scm), (i,))[0]
+    return cf1(scm)[i]
 
 
 def cf1(scm: Scm) -> tuple[ExactDist, ...]:
@@ -794,20 +784,6 @@ def intervention_code(n: int, assignments) -> int:
     (b + 1) * 3^(n-1-v) over the (v, b) pairs. It does not depend on the
     order of the pairs or on the model."""
     return sum((b + 1) * 3 ** (n - 1 - v) for v, b in assignments)
-
-
-def intervention_codes(n: int) -> list[int]:
-    """`intervention_code` of every one of `all_interventions(n)`, in that
-    order, built per target set without Intervention objects."""
-    places = [3 ** (n - 1 - v) for v in range(n)]
-    codes: list[int] = []
-    for k in range(n + 1):
-        for subset in itertools.combinations(places, k):
-            block = [sum(subset)]  # every target forced to 0
-            for place in subset:
-                block = [c + b for c in block for b in (0, place)]
-            codes += block
-    return codes
 
 
 def int_all_laws(scm: Scm) -> dict[int, ExactDist]:
@@ -839,5 +815,5 @@ def int_all(scm: Scm) -> tuple[tuple[Intervention, ExactDist], ...]:
     the two subtrees start from, and those are equal. Each law of an
     exact model holds its canonical body alone, and its `mass` is built
     from that text on first read."""
-    laws = int_all_laws(scm)
-    return tuple(zip(all_interventions(scm.n), map(laws.__getitem__, intervention_codes(scm.n))))
+    laws, n = int_all_laws(scm), scm.n
+    return tuple([(iv, laws[intervention_code(n, iv.assignments)]) for iv in all_interventions(n)])

@@ -318,16 +318,20 @@ class TestParamFile:
                 {"n": "2", "root": 1, "parent": {"2": 1}},
                 {"n": 2, "root": 1, "parent": {"02": 1}},
                 {"n": 2, "root": 1, "parent": {"2": True}},
+                {"n": 2, "root": 1, "parent": {"2": 1}, "m": 2},
             ]),
             ("bipartite", "--m", 1, [
                 {"m": 1.0, "edges": [[0, 0]]},
                 {"m": 1, "edges": [[0, False]]},
                 {"m": 1, "edges": ["00"]},
                 {"m": 1, "edges": [[0, 0, 0]]},
+                {"m": 1, "edges": [[0, 0]], "bits": "1"},
+                {"m": 1, "edges": [[0, 0], [0, 0]]},
             ]),
             ("xor", "--m", 2, [
                 {"m": 2.9, "bits": "10"},
                 {"m": 2, "bits": 10},
+                {"m": 2, "bits": "10", "edges": []},
             ]),
             ("xor", "--m", 1, [{"m": True, "bits": "1"}]),
         ],
@@ -336,7 +340,8 @@ class TestParamFile:
     def test_a_field_of_the_wrong_json_type_exits_2(
         self, tmp_path, capfd, command, family, flag, size, docs
     ):
-        # each document would be read as a member by coercing a field
+        # each document would be read as a member by coercing a field,
+        # dropping an extra key or merging a repeated edge
         for doc in docs:
             code, out, err = self.run(tmp_path, capfd, command, family, flag, size, doc)
             assert (code, out) == (2, ""), doc

@@ -56,6 +56,13 @@ class TestRootedTree:
             RootedTree(3, 1, {2: 1}).check()
         with pytest.raises(InvalidTreeError):
             RootedTree(2, 1, {2: 5}).check()
+        with pytest.raises(InvalidTreeError, match="covers"):
+            RootedTree(3, 1, {2: 1, 5: 1}).check()
+
+    def test_check_refuses_a_huge_n_without_building_its_nodes(self):
+        # the map is counted before any set of n nodes is built
+        with pytest.raises(InvalidTreeError, match=f"has 0 nodes, expected {10**18 - 1}"):
+            RootedTree(10**18, 1, {}).check()
 
     def test_check_rejects_parent_cycle(self):
         with pytest.raises(InvalidTreeError):

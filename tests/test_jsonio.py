@@ -23,10 +23,12 @@ from scmlab import (
     scm_to_json,
 )
 from scmlab import cli, gates
+from scmlab.catalog import Family
 from scmlab.errors import (
     BadRangeError,
     InvalidScmError,
     InvalidTreeError,
+    KindMismatchError,
     LengthMismatchError,
     OracleFormatError,
 )
@@ -226,9 +228,15 @@ def _slots(value):
 
 @st.composite
 def mutated_scm_docs(draw):
-    """`scm_to_json` of a small SCM after one to three edits: a value
-    replaced by any JSON value, removed, or a value inserted beside it."""
-    doc = scm_to_json(draw(small_scms(max_n=3)))
+    """`scm_to_json` of a small SCM after one to three `_mutate` edits."""
+    return _mutate(draw, scm_to_json(draw(small_scms(max_n=3))),
+                   ["n", "id", "gate", "noise", "probs", "x"])
+
+
+def _mutate(draw, doc, names):
+    """`doc` after one to three edits: a value replaced by any JSON value,
+    removed, or a value inserted beside it, under one of `names` in an
+    object."""
     for _ in range(draw(st.integers(1, 3))):
         slots = list(_slots(doc))
         if not slots:  # every key deleted
@@ -243,8 +251,7 @@ def mutated_scm_docs(draw):
             value = copy.deepcopy(container[key]) if op == "copy" else draw(json_values)
             container.insert(key, value)
         else:
-            name = draw(st.sampled_from(["n", "id", "gate", "noise", "probs", "x"]))
-            container[name] = draw(json_values)
+            container[draw(st.sampled_from(names))] = draw(json_values)
     return doc
 
 
@@ -278,6 +285,52 @@ class TestScmReaderFuzz:
         assert scm_from_json(scm_to_json(scm)) == scm
 
 
+PARAM_SIZES = {"tree": 4, "bipartite": 2, "xor": 3}
+
+
+@st.composite
+def mutated_param_docs(draw):
+    """(family, `param_to_json` of one of its small members after one to
+    three `_mutate` edits)."""
+    kind = draw(st.sampled_from(sorted(PARAM_SIZES)))
+    param = draw(st.sampled_from(list(Family(kind, PARAM_SIZES[kind]).parameters())))
+    names = ["n", "root", "parent", "m", "edges", "bits", "1", "2", "x"]
+    return kind, _mutate(draw, param_to_json(kind, param), names)
+
+
+def check_param_document(kind, doc) -> None:
+    """`doc` is refused with a typed error, or it is the `param_to_json`
+    document of the member it gives, its edges compared as a sorted list;
+    compared as JSON text, so a bool or a float never passes for an
+    integer."""
+    try:
+        param = param_from_json(kind, doc)
+    except (KindMismatchError, InvalidTreeError, BadRangeError, LengthMismatchError):
+        return
+    if kind == "bipartite":
+        doc = dict(doc, edges=sorted(doc["edges"]))
+    assert json.dumps(doc, sort_keys=True) == json.dumps(param_to_json(kind, param), sort_keys=True)
+
+
+class TestParamReaderFuzz:
+    @given(st.sampled_from(sorted(PARAM_SIZES)), json_values)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_value(self, kind, doc):
+        check_param_document(kind, doc)
+
+    @given(mutated_param_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_documents(self, kind_doc):
+        check_param_document(*kind_doc)
+
+    @pytest.mark.parametrize("kind", sorted(PARAM_SIZES))
+    def test_every_small_member_is_accepted(self, kind):
+        for param in Family(kind, PARAM_SIZES[kind]).parameters():
+            doc = json.loads(json.dumps(param_to_json(kind, param)))
+            check_param_document(kind, doc)
+            assert param_from_json(kind, doc) == param
+
+
 class TestParamCodec:
     def test_tree_round_trip(self):
         tree = RootedTree(4, 3, {1: 3, 2: 1, 4: 1})
@@ -296,6 +349,12 @@ class TestParamCodec:
     def test_graph_document_shape(self):
         doc = param_to_json("bipartite", BipartiteGraph(2, frozenset({(1, 0), (0, 0)})))
         assert doc == {"m": 2, "edges": [[0, 0], [1, 0]]}
+
+    def test_graph_edges_in_any_order_but_each_once(self):
+        graph = BipartiteGraph(2, frozenset({(1, 0), (0, 0)}))
+        assert param_from_json("bipartite", {"m": 2, "edges": [[1, 0], [0, 0]]}) == graph
+        with pytest.raises(KindMismatchError, match="repeat an edge"):
+            param_from_json("bipartite", {"m": 2, "edges": [[1, 0], [0, 0], [1, 0]]})
 
     def test_string_round_trip(self):
         hidden = HiddenString(3, "101")

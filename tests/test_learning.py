@@ -479,6 +479,21 @@ class TestPerQueryError:
         with pytest.raises(BadRangeError):
             per_query_error(1, Fraction(1, 2), MONTE_CARLO, n_samples=2, trials=5)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: run_nfl(1, -1, "uniform-guess", EXACT),
+            lambda: per_query_error(
+                1, Fraction(1, 2), MONTE_CARLO, n_samples=-1, trials=5, seed=1
+            ),
+        ],
+        ids=["run_nfl", "per_query_error"],
+    )
+    def test_a_negative_sample_count_is_named(self, call):
+        with pytest.raises(BadRangeError) as refused:
+            call()
+        assert str(refused.value) == "n_samples must be nonnegative, got -1"
+
     def test_m_cap(self):
         with pytest.raises(MTooLargeError):
             per_query_error(4, Fraction(1, 2))

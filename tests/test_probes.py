@@ -40,6 +40,7 @@ from scmlab import (
 )
 from scmlab.errors import (
     BadPositionError,
+    BadRangeError,
     LengthMismatchError,
     NotXorLikeError,
     OracleDecodeError,
@@ -113,6 +114,9 @@ def check_prob_bits(dist: ExactDist) -> None:
     for probe in (dist.prob_bit, lambda p, b: ref.prob_bit(dist, p, b)):
         with pytest.raises(BadPositionError):
             probe(dist.n_bits, 0)
+    for position, bit in itertools.product(range(dist.n_bits), (2, -1, None)):
+        with pytest.raises(BadRangeError):
+            dist.prob_bit(position, bit)
     zeros, den = zero_weights(dist)
     assert len(zeros) == dist.n_bits
     assert [Fraction(z, den) for z in zeros] == [

@@ -143,14 +143,15 @@ class TestOnePassPerMember:
         passes = []
         worlds = scm_core._worlds
 
-        def counted(plan, targets):
-            passes.append((plan.n, tuple(targets)))
-            return worlds(plan, targets)
+        def counted(plan):
+            triples = worlds(plan)
+            passes.append((plan.n, len(triples)))
+            return triples
 
         monkeypatch.setattr(scm_core, "_worlds", counted)
         assert all_passed(verify_family(family))
         n = family.n_vars()
-        assert passes == [(n, tuple(range(n)))] * len(list(family.parameters()))
+        assert passes == [(n, n)] * len(list(family.parameters()))
 
     @pytest.mark.parametrize("family", [*FAMILIES, Family("xor", 2)], ids=str)
     def test_verify_family_parses_nothing(self, family, monkeypatch):
