@@ -16,9 +16,9 @@ stream whose draws nothing reads is never seeded, which changes no draw
 that is read: not the data of an empty dataset, not the learner stream
 of a learner that does not guess, and not the data stream of a learner
 or a constant predictor that ignores the dataset.
-Monte-Carlo episodes read each graph's INT1 oracle, its bytes and the
-integer CDF of its observational law from one memo per graph and cap
-snapshot, so an episode costs its seeded draws and a few lookups.
+Monte-Carlo episodes read each graph's INT1 oracle, its bytes and, once
+an episode reads its data, its observational law's integer CDF from one
+memo per graph and caps snapshot: an episode costs its draws and lookups.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -76,8 +76,8 @@ class _Sampler(NamedTuple):
 
 
 def _sampler(dist: ExactDist) -> _Sampler:
-    outcomes, weights, den = dist._int_view()
-    return _Sampler(tuple(outcomes), tuple(accumulate(weights)), den)
+    _, weights, den = dist._int_view()
+    return _Sampler(tuple(dist.outcomes()), tuple(accumulate(weights)), den)
 
 
 def _draw(sampler: _Sampler, count: int, seed: int) -> tuple[str, ...]:
@@ -104,20 +104,22 @@ def sample_obs(scm: Scm, count: int, seed: int, source: str = "scm") -> Dataset:
     return Dataset(scm.n, _draw(_sampler(observational(scm)), count, seed), seed, source)
 
 
-class _Graph(NamedTuple):
+class _Graph:
     """What episodes read of one layer graph, computed from its own SCM:
     its INT1 oracle, the oracle's bytes (the truth a prediction must
-    equal) and a sampler of the oracle's obs component."""
+    equal) and a sampler of its obs law, built when data is first read."""
 
-    oracle: AnswerOracle
-    data: bytes
-    sampler: _Sampler
+    def __init__(self, oracle: AnswerOracle):
+        self.oracle, self.data = oracle, serialize(oracle)
+
+    @cached_property
+    def sampler(self) -> _Sampler:
+        return _sampler(self.oracle.component("obs"))
 
 
 @lru_cache(maxsize=1024)  # every graph up to m=3 (2 + 16 + 512)
 def _graph(m: int, mask: int, caps) -> _Graph:
-    oracle = compute_oracle(Family(BIPARTITE, m).build(graph_of_mask(m, mask)), INT1)
-    return _Graph(oracle, serialize(oracle), _sampler(oracle.component("obs")))
+    return _Graph(compute_oracle(Family(BIPARTITE, m).build(graph_of_mask(m, mask)), INT1))
 
 
 def _episode(

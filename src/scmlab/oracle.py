@@ -430,12 +430,12 @@ def tv(p: ExactDist, q: ExactDist) -> Fraction:
         raise LengthMismatchError(
             f"cannot compare {p.n_bits}-bit and {q.n_bits}-bit distributions"
         )
-    p_outcomes, p_weights, p_den = p._int_view()
-    q_outcomes, q_weights, q_den = q._int_view()
+    p_states, p_weights, p_den = p._int_view()
+    q_states, q_weights, q_den = q._int_view()
     # each mass over the common denominator p_den * q_den
-    diff = dict(zip(p_outcomes, [w * q_den for w in p_weights]))
-    for outcome, w in zip(q_outcomes, q_weights):
-        diff[outcome] = diff.get(outcome, 0) - w * p_den
+    diff = dict(zip(p_states, [w * q_den for w in p_weights]))
+    for state, w in zip(q_states, q_weights):
+        diff[state] = diff.get(state, 0) - w * p_den
     return Fraction(sum(map(abs, diff.values())), 2 * p_den * q_den)
 
 
@@ -459,19 +459,19 @@ def d_int(a: AnswerOracle, b: AnswerOracle) -> Fraction:
 
 def marginal(dist: ExactDist, positions) -> ExactDist:
     """Exact marginal onto `positions`, keeping the given order, summed in
-    integers over the dist's integer view; the result carries its
-    canonical body, as a kernel leaf does."""
+    integers over the dist's integer view, each position's bit moved to its
+    place in the key; the result carries its body and keys, as a leaf does."""
     positions = tuple(int(p) for p in positions)
     for p in positions:
         if not 0 <= p < dist.n_bits:
             raise BadPositionError(f"position {p} outside [0, {dist.n_bits})")
-    outcomes, weights, den = dist._int_view()
-    acc: dict[str, int] = {}
-    for outcome, w in zip(outcomes, weights):
-        key = "".join(map(outcome.__getitem__, positions))
+    moves = [(dist.n_bits - 1 - p, len(positions) - 1 - k) for k, p in enumerate(positions)]
+    states, weights, den = dist._int_view()
+    acc: dict[int, int] = {}
+    for state, w in zip(states, weights):
+        key = sum([(state >> source & 1) << target for source, target in moves])
         acc[key] = acc.get(key, 0) + w
-    states = [int(key, 2) if key else 0 for key in acc]  # no positions: the one state 0
-    return _dist(True, len(positions), states, list(acc.values()), den)
+    return _dist(True, len(positions), list(acc), list(acc.values()), den, True)
 
 
 def agreement(dist: ExactDist, i: int, j: int) -> Fraction:
@@ -480,21 +480,22 @@ def agreement(dist: ExactDist, i: int, j: int) -> Fraction:
     for p in (i, j):
         if not 0 <= p < dist.n_bits:
             raise BadPositionError(f"position {p} outside [0, {dist.n_bits})")
-    outcomes, weights, den = dist._int_view()
-    return Fraction(sum([w for o, w in zip(outcomes, weights) if o[i] == o[j]]), den)
+    i, j = dist.n_bits - 1 - i, dist.n_bits - 1 - j  # the positions' bits in a state
+    states, weights, den = dist._int_view()
+    return Fraction(sum([w for s, w in zip(states, weights) if not (s >> i ^ s >> j) & 1]), den)
 
 
 def zero_weights(dist: ExactDist) -> tuple[list[int], int]:
     """(zeros, den): zeros[p] / den is the exact probability that position
-    p of `dist` holds 0, every position from one walk of the dist's
-    integer view."""
-    outcomes, weights, den = dist._int_view()
-    zeros = [0] * dist.n_bits
-    for outcome, w in zip(outcomes, weights):
-        for position, bit in enumerate(outcome):
-            if bit == "0":
-                zeros[position] += w
-    return zeros, den
+    p of `dist` holds 0, den less the weight of p's ones, every position
+    from one walk of the set bits of the dist's integer view."""
+    states, weights, den = dist._int_view()
+    ones = [0] * dist.n_bits
+    for state, w in zip(states, weights):
+        while state:  # position p is bit n_bits-1-p, so ones[-(bit + 1)]
+            ones[-(state & -state).bit_length()] += w
+            state &= state - 1
+    return [den - k for k in ones], den
 
 
 def blocks_match(dist: ExactDist, laws) -> bool:
@@ -504,25 +505,24 @@ def blocks_match(dist: ExactDist, laws) -> bool:
     `marginal(triple, range(k)) == p and marginal(triple, range(k, k + l))
     == q` for k-bit p and l-bit q.
 
-    One walk of the dist's integer view sums every block at once, and each
-    sum is compared with its law's integer view: the same support, and at
-    each outcome acc * law_den == weight * den. Nothing is rendered.
+    One walk of the dist's integer view per block sums its shifted and
+    masked states, compared with its law's view: the same support, and at
+    each state acc * law_den == weight * den. Nothing is rendered.
     """
     bounds = list(itertools.accumulate([law.n_bits for law in laws], initial=0))
     if bounds[-1] > dist.n_bits:
         raise BadPositionError(f"position {bounds[-1] - 1} outside [0, {dist.n_bits})")
-    blocks = list(zip(bounds, bounds[1:]))
-    sums: list[dict[str, int]] = [{} for _ in blocks]
-    outcomes, weights, den = dist._int_view()
-    for outcome, w in zip(outcomes, weights):
-        for acc, (start, stop) in zip(sums, blocks):
-            key = outcome[start:stop]
+    states, weights, den = dist._int_view()
+    for start, stop, law in zip(bounds, bounds[1:], laws):
+        shift, mask = dist.n_bits - stop, (1 << (stop - start)) - 1
+        acc: dict[int, int] = {}
+        for state, w in zip(states, weights):
+            key = state >> shift & mask
             acc[key] = acc.get(key, 0) + w
-    for acc, law in zip(sums, laws):
-        law_outcomes, law_weights, law_den = law._int_view()
-        if len(acc) != len(law_outcomes):
+        law_states, law_weights, law_den = law._int_view()
+        if len(acc) != len(law_states):
             return False
-        for outcome, w in zip(law_outcomes, law_weights):
-            if acc.get(outcome, 0) * law_den != w * den:
+        for state, w in zip(law_states, law_weights):
+            if acc.get(state, 0) * law_den != w * den:
                 return False
     return True

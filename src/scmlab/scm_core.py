@@ -130,18 +130,20 @@ class ExactDist:
     first read, each mass text's Fraction from the bounded memo
     `_fraction`, so the outcomes that repeat a text share its one Fraction.
 
-    Probes read one integer view (`_int_view`), built on the first probe
-    from the body, or from `mass` for a dist without one: the outcomes in
-    ascending order, one integer weight each, and the least common
-    denominator. Two dists that both have a body are equal exactly when
-    their bodies are, since the text is canonical; otherwise `==`
-    compares masses.
+    Probes read one integer view (`_int_view`), built on the first probe:
+    the outcomes as ascending states in the kernel's packing, one integer
+    weight each, and the least common denominator. OBS, INT1, CF1 and
+    `marginal` dists decode it from the sorted keys `_dist` kept (INT_ALL
+    leaves keep none), any other from its body or `mass`. Two dists that
+    both have a body are equal exactly when their bodies are, since the
+    text is canonical; otherwise `==` compares masses.
     """
 
     n_bits: int
     mass: dict[str, Fraction]
 
     _body = None  # the canonical body, when the dist was built from it
+    _keys = None  # (sorted keys, uniform weight or None, den), when the kernel kept them
     _ints = None  # the integer view, once a probe has built it
 
     def __post_init__(self):
@@ -156,12 +158,14 @@ class ExactDist:
             raise ValueError(f"masses sum to {total}, expected 1")
 
     @classmethod
-    def _from_body(cls, n_bits: int, body: str) -> "ExactDist":
-        """Wrap a canonical body that is valid by construction."""
+    def _from_body(cls, n_bits: int, body: str, keys: tuple | None = None) -> "ExactDist":
+        """Wrap a canonical body that is valid by construction (and keys)."""
         dist = _new(cls)
         fields = dist.__dict__  # what the frozen dataclass's setter writes, at less cost
         fields["n_bits"] = n_bits
         fields["_body"] = body
+        if keys is not None:  # a None entry would cost every INT_ALL leaf 8 bytes
+            fields["_keys"] = keys
         return dist
 
     def __getattr__(self, name):
@@ -183,25 +187,31 @@ class ExactDist:
             return self._body == other._body
         return self.mass == other.mass
 
-    def _int_view(self) -> tuple[list[str], list[int], int]:
-        """(outcomes, weights, den): the positive-mass outcomes in ascending
-        order and integers with mass[outcome] == weight / den, built once;
-        den is the least common one: a body, like `mass`, is in lowest terms."""
+    def _int_view(self) -> tuple[list[int], list[int], int]:
+        """(states, weights, den): the positive-mass outcomes as ascending
+        states, variable p at bit n_bits-1-p, and integers with mass ==
+        weight / den, built once; den is the least common one."""
         view = self._ints
         if view is None:
-            if self._body is not None:
-                cells = self._body.replace("\n", "=").split("=")
-                outcomes, texts = cells[::2], cells[1::2]
-                pairs = {text: tuple(map(int, text.split("/"))) for text in set(texts)}
-                den = math.lcm(*[d for _, d in pairs.values()])
-                scaled = {text: num * (den // d) for text, (num, d) in pairs.items()}
-                weights = list(map(scaled.__getitem__, texts))
+            if self._keys is not None:
+                keys, weight, den = self._keys
+                if weight is None:  # each key is state * (den + 1) + weight
+                    states, weights = map(list, zip(*map(divmod, keys, itertools.repeat(den + 1))))
+                else:
+                    states, weights = keys, [weight] * len(keys)
+                g = math.gcd(den, *weights)  # to the least den, as a body in lowest terms has
+                weights, den = [w // g for w in weights], den // g
             else:
-                outcomes = sorted(self.mass)
-                masses = list(map(self.mass.__getitem__, outcomes))
+                if self._body is not None:
+                    cells = self._body.replace("\n", "=").split("=")
+                    outcomes, masses = cells[::2], list(map(_fraction, cells[1::2]))
+                else:
+                    outcomes = sorted(self.mass)
+                    masses = list(map(self.mass.__getitem__, outcomes))
                 den = math.lcm(*[m.denominator for m in masses])
                 weights = [m.numerator * (den // m.denominator) for m in masses]
-            view = (outcomes, weights, den)
+                states = [int(o, 2) for o in outcomes] if self.n_bits else [0]
+            view = (states, weights, den)
             _set(self, "_ints", view)
         return view
 
@@ -225,13 +235,13 @@ class ExactDist:
             raise BadPositionError(f"position {position} outside [0, {self.n_bits})")
         if bit not in (0, 1):
             raise BadRangeError(f"bit must be 0 or 1, got {bit!r}")
-        want = "1" if bit else "0"
-        outcomes, weights, den = self._int_view()
-        return Fraction(sum([w for o, w in zip(outcomes, weights) if o[position] == want]), den)
+        shift = self.n_bits - 1 - position
+        states, weights, den = self._int_view()
+        return Fraction(sum([w for s, w in zip(states, weights) if (s >> shift & 1) == bit]), den)
 
     def outcomes(self) -> list[str]:
-        """Positive-mass outcomes in ascending order."""
-        return sorted(self.mass)
+        """Positive-mass outcomes in ascending order, from the integer view."""
+        return [format(1 << self.n_bits | s, "b")[1:] for s in self._int_view()[0]]
 
 
 def validate(scm: Scm) -> list[str]:
@@ -345,10 +355,10 @@ def topo_order(scm: Scm) -> list[int]:
 # A leaf's final states become its canonical body text at once, its lines
 # read from memos shared by every pass (`_Lines`); Fractions appear only
 # when its `mass` is read, one per mass text (`_fraction`). A uniform
-# leaf, whose states all carry one weight (every leaf of a model whose
-# noisy steps are all fair), sorts its states alone and reads a memo
-# keyed by state for that weight; any other leaf sorts integer keys that
-# carry each state's weight.
+# leaf, whose states all carry one weight, sorts its states alone and
+# reads a memo keyed by state for that weight; any other leaf sorts
+# integer keys that carry each state's weight. OBS, INT1 and CF1 leaves
+# keep those keys for their integer view; INT_ALL leaves keep none.
 #
 # Hard interventions branch off the pass as a trie (`_descend`), each law
 # keyed by its integer intervention code (`intervention_code`); the last
@@ -534,13 +544,13 @@ def _lines(*key: int) -> _Lines:
     return memo
 
 
-def _dist(exact: bool, n_bits: int, states: list[int], weights: list[int], den: int) -> ExactDist:
+def _dist(exact: bool, n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
     """The law of `states`, `n_bits`-bit outcomes of mass weight/den: when
-    `exact` (positive weights summing to den), its canonical body alone,
-    lines in state order. A uniform law sorts its states alone and reads
-    each line from its weight's memo; any other sorts integer keys that
-    order the states and carry their weights. A law that is not exact,
-    or too long to write, goes through the validating constructor."""
+    `exact` (positive weights summing to den), its canonical body, lines in
+    state order, and its sorted keys if `keep`. A uniform law sorts its
+    states alone and reads each line from its weight's memo; any other
+    sorts integer keys that order the states and carry their weights. A
+    law not exact, or too long to write, goes through the constructor."""
     if exact:
         weight = weights[0]
         if weights.count(weight) == len(weights):
@@ -554,12 +564,10 @@ def _dist(exact: bool, n_bits: int, states: list[int], weights: list[int], den: 
         except OracleFormatError:  # serialize raises it again, when asked for the text
             pass
         else:
-            return ExactDist._from_body(n_bits, body)
-    fmt = f"0{n_bits}b"
+            return ExactDist._from_body(n_bits, body, (keys, lines.weight, den) if keep else None)
     pairs = sorted(zip(states, weights))
-    return ExactDist(
-        n_bits, {format(s, fmt) if n_bits else "": Fraction(w, den) for s, w in pairs}
-    )
+    top = 1 << n_bits  # keeps each state's leading zeros
+    return ExactDist(n_bits, {format(top | s, "b")[1:]: Fraction(w, den) for s, w in pairs})
 
 
 def kernel_laws(scm: Scm, max_forced: int | None, worlds: bool):
@@ -596,15 +604,15 @@ def _laws(plan: _Plan, max_forced: int) -> dict[int, ExactDist]:
     """
     codes: list[int] = []
     dists: list[ExactDist] = []
-    _descend(plan, 0, [0], [1], 1, 0, max_forced, codes, dists)
+    _descend(plan, 0, [0], [1], 1, 0, max_forced, codes, dists, max_forced <= 1)
     return dict(zip(codes, dists))
 
 
-def _descend(plan, level, states, weights, den, code, budget, codes, dists) -> None:
+def _descend(plan, level, states, weights, den, code, budget, codes, dists, keep) -> None:
     """Run the mechanisms from `level` on, branching off the do() subtries;
     `code` sums the digits forced so far. Each leaf appends its code to
-    `codes` and its law to `dists`; the do() leaves of the last level are
-    appended here, not from a call of their own."""
+    `codes` and its law (with its keys if `keep`) to `dists`; the last
+    level's do() leaves are appended here, not from a call of their own."""
     steps, exact, n = plan.steps, plan.exact, plan.n
     last = len(steps)
     for level in range(level, last):
@@ -614,15 +622,15 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists) -> N
             ones = [s | bit for s in states]
             if level + 1 == last:
                 codes += (code + place, code + 2 * place)
-                dists += (_dist(exact, n, states, weights, den),
-                          _dist(exact, n, ones, weights, den))
+                dists += (_dist(exact, n, states, weights, den, keep),
+                          _dist(exact, n, ones, weights, den, keep))
                 ones_at = zeros_at + 1
             else:
                 _descend(plan, level + 1, states, weights, den,
-                         code + place, budget - 1, codes, dists)
+                         code + place, budget - 1, codes, dists, keep)
                 ones_at = len(codes)
                 _descend(plan, level + 1, ones, weights, den,
-                         code + 2 * place, budget - 1, codes, dists)
+                         code + 2 * place, budget - 1, codes, dists, keep)
         if len(branches) == 1:
             ((flip, k),) = branches
             out = _extend(states, test, mask, invert ^ flip, bit)
@@ -647,7 +655,7 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists) -> N
             states, weights = next_states, next_weights
         den *= step_den
     codes.append(code)
-    dists.append(_dist(exact, n, states, weights, den))
+    dists.append(_dist(exact, n, states, weights, den, keep))
 
 
 def _worlds(plan: _Plan) -> list[ExactDist]:
@@ -679,7 +687,7 @@ def _worlds(plan: _Plan) -> list[ExactDist]:
     return [
         _dist(plan.exact, 3 * n,
               [f | ((s >> 2 * (n - 1 - v) * n) & pair) for f, s in zip(facts, states)],
-              weights, den)
+              weights, den, True)
         for v in range(n)
     ]
 

@@ -71,6 +71,18 @@ ANY_NOISES = BIT_NOISES + (
     NoiseDist((0, 1, 2), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))),
 )
 
+# x0 a fair source, x1 = XOR_NOISE(x0) with noise 1/3, x2 = AND(x0, x1):
+# one INT_ALL pass yields uniform leaves (x1 forced, or a single state) and
+# leaves whose states carry weights 1 and 2 over 3 or 6
+MIXED_LEAVES = Scm(
+    3,
+    (
+        Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 2))),
+        Mechanism(gates.XOR_NOISE, (0,), NoiseDist.bernoulli(Fraction(1, 3))),
+        Mechanism(gates.AND, (0, 1), NoiseDist.constant()),
+    ),
+)
+
 _SOURCE_GATES = (gates.BERN_SOURCE, gates.CONST0, gates.CONST1)
 _ANY_ARITY_GATES = (gates.AND, gates.OR, gates.PARITY, gates.XOR_NOISE)
 _UNARY_GATES = (gates.COPY, gates.NEG)

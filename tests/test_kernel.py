@@ -51,6 +51,7 @@ from scmlab.scm_core import (
 
 import reference_enumerator
 import reference_probes
+from conftest import MIXED_LEAVES
 from reference_enumerator import reference_oracle
 
 HALF = Fraction(1, 2)
@@ -201,19 +202,6 @@ def test_a_shared_parsed_dist_reads_the_same_through_both_components():
     assert serialize(parsed) == data
 
 
-# x0 a fair source, x1 = XOR_NOISE(x0) with noise 1/3, x2 = AND(x0, x1):
-# one INT_ALL pass yields uniform leaves (x1 forced, or a single state) and
-# leaves whose states carry weights 1 and 2 over 3 or 6
-MIXED_LEAVES = Scm(
-    3,
-    (
-        Mechanism(gates.BERN_SOURCE, (), FAIR),
-        Mechanism(gates.XOR_NOISE, (0,), NoiseDist.bernoulli(Fraction(1, 3))),
-        Mechanism(gates.AND, (0, 1), CONST),
-    ),
-)
-
-
 # the models of the golden files, and one whose leaves are of both kinds
 TEXT_MODELS = {
     "tree chain3": build_tree_scm(RootedTree(3, 1, {2: 1, 3: 2})),
@@ -241,9 +229,9 @@ def leaf_weights(monkeypatch):
     seen = []
     render = scm_core._dist
 
-    def spy(exact, n_bits, states, weights, den):
+    def spy(exact, n_bits, states, weights, den, keep):
         seen.append((list(weights), den))
-        return render(exact, n_bits, states, weights, den)
+        return render(exact, n_bits, states, weights, den, keep)
 
     monkeypatch.setattr(scm_core, "_dist", spy)
     return seen
@@ -321,27 +309,39 @@ def least_den(mass) -> int:
     return math.lcm(*[m.denominator for m in mass.values()])
 
 
+def check_view(dist, mass, label) -> None:
+    """The integer view of `dist`: the states of `mass`'s outcomes in
+    ascending order, and their least common denominator."""
+    states, _, den = dist._int_view()
+    assert states == [int(o, 2) if o else 0 for o in sorted(mass)], label
+    assert den == least_den(mass), label
+
+
 @pytest.mark.parametrize("factor", [1, 3])
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", TEXT_MODELS)
 def test_masses_and_integer_views_match_reference(monkeypatch, name, kind, factor):
     # kernel dists, parsed dists and marginals hold text and integers; their
-    # `mass` and least denominators are the reference's, also when every
-    # noisy step's weights are not in lowest terms (factor 3)
+    # `mass`, states and least denominators are the reference's, also when
+    # every noisy step's weights are not in lowest terms (factor 3), which
+    # the view of the keys the kernel kept must reduce by their gcd
     scm = TEXT_MODELS[name]
     want = reference_oracle(scm, kind).components
     if factor > 1:
         monkeypatch.setattr(scm_core, "_compile", _unreduced(scm_core._compile, factor))
     computed = compute_oracle(scm, kind)
+    # OBS, INT1 and CF1 leaves keep their keys; INT_ALL leaves keep none
+    assert {dist._keys is None for _, dist in computed.components} == {kind == INT_ALL}
     for oracle in (computed, parse(serialize(computed))):
         for (key, dist), (_, ref) in zip(oracle.components, want):
             assert dist.mass == ref.mass, key
-            assert dist._int_view()[2] == least_den(ref.mass), key
+            check_view(dist, ref.mass, key)
             k = dist.n_bits
             for positions in (tuple(reversed(range(k))), (k - 1,), ()):
                 got, expected = marginal(dist, positions), reference_probes.marginal(ref, positions)
+                assert got._keys is not None
                 assert got.mass == expected.mass, (key, positions)
-                assert got._int_view()[2] == least_den(expected.mass), (key, positions)
+                check_view(got, expected.mass, (key, positions))
 
 
 REVERSED_CHAIN = Scm(

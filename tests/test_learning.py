@@ -199,7 +199,24 @@ class TestLearnerRegistry:
                 scm = edge_count_law(graph_of_mask(2, mask))
                 graph = learning._graph(2, mask, caps)
                 assert graph.data == serialize(compute_oracle(scm, INT1))
+                # the sampler is built on the graph's first draw, once
+                assert "sampler" not in vars(graph)
                 assert graph.sampler == learning._sampler(observational(scm))
+                assert learning._graph(2, mask, caps).sampler is graph.sampler
+        finally:
+            learning._graph.cache_clear()
+
+    def test_learners_that_read_no_data_build_no_sampler(self):
+        learning._graph.cache_clear()
+        try:
+            for learner_id in ("uniform-guess", "constant-empty"):
+                run_nfl(2, 4, learner_id, MONTE_CARLO, trials=40, seed=7)
+            caps = tuple(all_caps().items())
+            graphs = [learning._graph(2, mask, caps) for mask in range(16)]
+            assert learning._graph.cache_info().currsize == 16
+            assert not any("sampler" in vars(graph) for graph in graphs)
+            run_nfl(2, 4, "empirical-independent", MONTE_CARLO, trials=40, seed=7)
+            assert any("sampler" in vars(graph) for graph in graphs)
         finally:
             learning._graph.cache_clear()
 

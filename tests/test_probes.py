@@ -2,13 +2,16 @@
 
 `prob_bit`, `marginal`, `agreement` (the CF1 decoder's probe),
 `zero_weights` (the INT1 decoders' probe), `tv`, `blocks_match`
-(verify's cross-rung check) and `==` read each distribution's integer
-view; `reference_probes.py` keeps the Fraction implementations they
-replaced, and the INT1 probes built on its `prob_bit`. Both must agree
-on kernel, parsed and constructor-built dists, and on a law whose mass
-is too long to write, which has no canonical body. A marginal carries
-its canonical body, so an OBS oracle holding one serializes as the
-reference codec writes it.
+(verify's cross-rung check), `outcomes` and `==` read each
+distribution's integer view; `reference_probes.py` keeps the Fraction
+implementations they replaced, and the INT1 probes built on its
+`prob_bit`. Both must agree on kernel dists, which decode the view from
+the sorted keys the kernel kept (INT_ALL leaves keep none and read their
+body), on parsed and constructor-built dists, on a law whose mass is too
+long to write, which has no canonical body, on dists of no positions,
+and on leaves of unequal weights. A marginal carries its canonical body
+and keys, so an OBS oracle holding one serializes as the reference codec
+writes it.
 """
 
 import dataclasses
@@ -52,7 +55,7 @@ from scmlab.oracle import agreement, blocks_match, zero_weights
 
 import reference_codec
 import reference_probes as ref
-from conftest import small_scms
+from conftest import MIXED_LEAVES, small_scms
 
 KINDS = (OBS, INT1, CF1, INT_ALL)
 # past the interpreter's 4300-digit limit: the kernel builds this law
@@ -69,13 +72,22 @@ MIXED = Scm(
         Mechanism(gates.XOR_NOISE, (0, 1), NoiseDist.bernoulli(Fraction(1, 4))),
     ),
 )
+# no variables: every dist has the one outcome "" of mass 1
+NO_VARIABLES = Scm(0, ())
+FIXED_MODELS = [MIXED, TOO_LONG, MIXED_LEAVES, NO_VARIABLES]
+FIXED_IDS = ["mixed-denominators", "too-long", "mixed-leaves", "no-variables"]
 
 
 def sources(scm: Scm, kind: str) -> list[list[ExactDist]]:
     """The components of the `kind` oracle of `scm`, unread: from the
     kernel, rebuilt by the public constructor, and parsed from the
-    oracle's bytes where they can be written."""
-    groups = [[dist for _, dist in compute_oracle(scm, kind).components]]
+    oracle's bytes where they can be written. A kernel dist with a body
+    holds the sorted keys it was rendered from, unless it is an INT_ALL
+    leaf of a trie pass that forces two or more variables."""
+    kernel = [dist for _, dist in compute_oracle(scm, kind).components]
+    keeps = kind != INT_ALL or scm.n < 2
+    assert all((d._keys is not None) == (keeps and d._body is not None) for d in kernel)
+    groups = [kernel]
     groups.append([ExactDist(d.n_bits, dict(d.mass)) for _, d in compute_oracle(scm, kind).components])
     try:
         data = serialize(compute_oracle(scm, kind))
@@ -106,6 +118,7 @@ def check_marginal(dist: ExactDist, positions) -> ExactDist:
 
 
 def check_prob_bits(dist: ExactDist) -> None:
+    assert dist.outcomes() == sorted(dist.mass)
     for position in range(dist.n_bits):
         for bit in (0, 1):
             got = dist.prob_bit(position, bit)
@@ -155,6 +168,8 @@ def check_oracle(scm: Scm, kind: str, draw_positions, draw_pairs) -> None:
     for dist in flat:
         check_prob_bits(dist)
         marginals.append(check_marginal(dist, draw_positions(dist.n_bits)))
+    for dist in marginals:  # their keys' views, some of no positions
+        check_prob_bits(dist)
     for p, q in draw_pairs(flat + marginals):
         check_pair(p, q)
 
@@ -179,7 +194,7 @@ POSITIONS = [(), (0,), (2,), (0, 1, 2), (2, 1, 0), (0, 2), (1, 1), (2, 0, 2, 1),
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("scm", [MIXED, TOO_LONG], ids=["mixed-denominators", "too-long"])
+@pytest.mark.parametrize("scm", FIXED_MODELS, ids=FIXED_IDS)
 def test_probes_match_the_reference_on_fixed_positions(scm, kind):
     def first_fitting(n_bits):
         return next(p for p in POSITIONS if all(k < n_bits for k in p))
@@ -202,6 +217,17 @@ def test_a_body_less_law_answers_every_probe():
     assert marginal(dist, (0, 0)).mass == {"00": 1 - Fraction(1, 10**4400), "11": Fraction(1, 10**4400)}
     assert tv(dist, ExactDist(1, {"0": Fraction(1)})) == Fraction(1, 10**4400)
     assert dist == ExactDist(1, dict(dist.mass))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("scm", FIXED_MODELS, ids=FIXED_IDS)
+def test_outcomes_build_no_masses(scm, kind):
+    # a dist with a body lists its outcomes from its integer view, without
+    # building a Fraction for each of them
+    dists = [dist for _, dist in compute_oracle(scm, kind).components]
+    listed = [dist.outcomes() for dist in dists]  # INT_ALL components share dists
+    assert [("mass" in dist.__dict__) for dist in dists] == [dist._body is None for dist in dists]
+    assert listed == [sorted(dist.mass) for dist in dists]
 
 
 def test_marginal_bodies_are_in_lowest_terms():
@@ -298,7 +324,9 @@ def test_blocks_match_agrees_with_marginals(scm, data):
             check_blocks(triple, laws)
 
 
-@pytest.mark.parametrize("scm", [MIXED, TOO_LONG], ids=["mixed", "too-long"])
+@pytest.mark.parametrize(
+    "scm", [MIXED, TOO_LONG, MIXED_LEAVES], ids=["mixed", "too-long", "mixed-leaves"]
+)
 def test_blocks_match_on_unwritable_and_mixed_laws(scm):
     n = scm.n
     int1 = compute_oracle(scm, INT1)

@@ -3,10 +3,28 @@
 import dataclasses
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from scmlab import Family, all_passed, catalog, oracle, scm_core, separation_table, verify_family
+from scmlab import (
+    ExactDist,
+    Family,
+    HiddenString,
+    Mechanism,
+    NoiseDist,
+    Scm,
+    all_passed,
+    build_xor_scm,
+    catalog,
+    compute_oracle,
+    gates,
+    marginal,
+    oracle,
+    scm_core,
+    separation_table,
+    verify_family,
+)
 from scmlab.catalog import expected_two_point, expected_uniform
 from scmlab.errors import NotTreeLikeError, NTooLargeError
 
@@ -167,6 +185,66 @@ class TestOnePassPerMember:
                 monkeypatch.setattr(module, "parse", counted)
         assert all_passed(verify_family(family))
         assert parsed == []
+
+
+# non-dyadic noise, a three-symbol law and a topological order that is not
+# the index order
+HALF = Fraction(1, 2)
+MIXED_DAG = Scm(
+    4,
+    (
+        Mechanism(gates.XOR_NOISE, (3,), NoiseDist.bernoulli(Fraction(1, 3))),
+        Mechanism(gates.OR, (0, 3), NoiseDist((0, 1, 2), (Fraction(1, 6), Fraction(1, 3), HALF))),
+        Mechanism(gates.AND, (0, 1), NoiseDist.constant()),
+        Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(3, 4))),
+    ),
+)
+
+
+class TestProbesReadKernelKeys:
+    """The kernel's OBS, INT1 and CF1 leaves keep the sorted keys they were
+    rendered from, and a probe decodes its integer view from them, so
+    verify parses no body back; INT_ALL leaves, never probed, keep none."""
+
+    @pytest.mark.parametrize("family", [Family("tree", 5), Family("bipartite", 3)], ids=str)
+    def test_verify_family_parses_no_kernel_body(self, family, monkeypatch):
+        probed, parsed = [], []
+        view, read = ExactDist._int_view, ExactDist.__getattr__
+
+        def counted_view(dist):
+            probed.append(dist)
+            if dist._ints is None and dist._keys is None:  # a view from the body
+                parsed.append(dist)
+            return view(dist)
+
+        def counted_read(dist, name):
+            if name == "mass":  # masses from the body
+                parsed.append(dist)
+            return read(dist, name)
+
+        monkeypatch.setattr(ExactDist, "_int_view", counted_view)
+        monkeypatch.setattr(ExactDist, "__getattr__", counted_read)
+        assert all_passed(verify_family(family))
+        # each member's n CF1 triples and the 3n laws they are checked against
+        assert len(probed) >= 4 * family.n_vars() * len(list(family.parameters()))
+        assert parsed == []
+
+    @pytest.mark.parametrize(
+        "scm", [build_xor_scm(HiddenString(3, "101")), MIXED_DAG], ids=["xor m=3", "mixed dag"]
+    )
+    def test_only_probed_kinds_keep_keys(self, scm):
+        for _, dist in compute_oracle(scm, oracle.INT_ALL).components:
+            assert dist._keys is None and dist._ints is None
+        kernel = [dist for kind in (oracle.OBS, oracle.INT1, oracle.CF1)
+                  for _, dist in compute_oracle(scm, kind).components]
+        assert all(dist._keys is not None and dist._ints is None for dist in kernel)
+        # a marginal probes its dist, and keeps its own keys unprobed
+        marginals = [marginal(dist, range(dist.n_bits - 1, -1, -2)) for dist in kernel]
+        assert all(dist._ints is not None for dist in kernel)
+        assert all(dist._keys is not None and dist._ints is None for dist in marginals)
+        for dist in marginals:
+            dist.prob_bit(0, 1)
+            assert dist._ints is not None
 
 
 class TestAgainstReference:
