@@ -189,7 +189,7 @@ class ExactDist:
 
     def _int_view(self) -> tuple[list[int], list[int], int]:
         """(states, weights, den): the positive-mass outcomes as ascending
-        states, variable p at bit n_bits-1-p, and integers with mass ==
+        states, position p at bit n_bits-1-p, and integers with mass ==
         weight / den, built once; den is the least common one."""
         view = self._ints
         if view is None:
