@@ -68,10 +68,6 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, bytes):
-        return value.decode("ascii")
     return value
 
 

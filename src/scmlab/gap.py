@@ -18,6 +18,7 @@ the final log2 of exact counts.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -106,12 +107,6 @@ def ambiguity_classes(
 ) -> AmbiguityReport:
     """Exhaustively measure what the lower rung leaves undetermined."""
     groups = _grouped(family, lower_kind, higher_kind)
-    return _ambiguity_report(family, lower_kind, higher_kind, groups)
-
-
-def _ambiguity_report(
-    family: Family, lower_kind: str, higher_kind: str, groups
-) -> AmbiguityReport:
     classes = []
     total = 0
     for lower_bytes, inner in groups.items():
@@ -135,7 +130,8 @@ def conditional_entropy_uniform(
 
     All counts are exact integers; the only float is the final log2. When
     a class size is a power of two and its higher values are all distinct
-    (every family here), the answer is the exact integer log.
+    (every family here), the answer is the exact integer log: each of the
+    2^k terms k * 2^-k, and each partial sum, is exact in binary floats.
     """
     return _entropy(_grouped(family, lower_kind, higher_kind))
 
@@ -146,10 +142,6 @@ def _entropy(groups) -> float:
     for inner in groups.values():
         class_size = sum(inner.values())
         class_weight = Fraction(class_size, total)
-        if len(inner) == class_size and class_size & (class_size - 1) == 0:
-            # uniform over distinct values, power-of-two size: exact log
-            entropy += float(class_weight) * ceil_log2(class_size)
-            continue
         inner_entropy = 0.0
         for count in inner.values():
             p = Fraction(count, class_size)
@@ -262,8 +254,7 @@ def separation_table(
     if lower_kind is None or higher_kind is None:
         lower_kind, higher_kind = spec.rungs
     groups = _grouped(family, lower_kind, higher_kind)
-    report = _ambiguity_report(family, lower_kind, higher_kind, groups)
-    ambiguity = report.max_distinct_higher()
+    ambiguity = max(map(len, groups.values()))
     encoder_bits = spec.encoder_bits(family.size)
     entropy = _entropy(groups)
     log2_ambiguity = math.log2(ambiguity)
@@ -310,16 +301,8 @@ def pairwise_separation_check(m: int, epsilon) -> SeparationCheck:
     if epsilon < 0:
         raise BadRangeError(f"epsilon must be nonnegative, got {epsilon}")
     oracles = [member[INT1] for _, member, _ in family_sweep(Family(BIPARTITE, m), (INT1,))]
-    best: Fraction | None = None
-    pair_count = 0
-    for i in range(len(oracles)):
-        for j in range(i + 1, len(oracles)):
-            pair_count += 1
-            distance = d_int(oracles[i], oracles[j])
-            if best is None or distance < best:
-                best = distance
-    if best is None:
-        raise BadRangeError(f"m={m} yields fewer than two graphs")
+    pair_count = math.comb(len(oracles), 2)
+    best = min(itertools.starmap(d_int, itertools.combinations(oracles, 2)))
     if best < HALF:
         raise ScmLabError(
             f"minimum pairwise d_int {best} fell below 1/2; oracle or family bug"

@@ -9,7 +9,7 @@ that read the noise symbol, which must itself be a bit.
 Every gate is one row of `TABLE`: a test on its parent bits, an output
 inversion, whether the noise bit is xored in, and a fixed arity. The
 exact kernel in `scm_core` compiles each mechanism from its row into a
-test code plus a parent bitmask; `eval_gate` reads the same row.
+test code plus a parent bitmask.
 """
 
 from typing import NamedTuple
@@ -50,8 +50,6 @@ TABLE = {
     BERN_SOURCE: GateSpec(CONST, 0, True, 0),
 }
 
-ALL_GATES = frozenset(TABLE)
-
 # schemas whose output depends on the noise symbol
 NOISE_READING = frozenset(g for g, spec in TABLE.items() if spec.reads_noise)
 
@@ -82,20 +80,3 @@ def check_arity(gate: str, row: GateSpec, k: int) -> None:
 def check_noise_symbol(gate: str, row: GateSpec, noise: int) -> None:
     if row.reads_noise and noise not in (0, 1):
         raise ValueError(f"{gate} needs a bit-valued noise symbol, got {noise}")
-
-
-def eval_gate(gate: str, inputs, noise: int) -> int:
-    """Evaluate one structural equation; returns 0 or 1."""
-    row = spec(gate)
-    check_arity(gate, row, len(inputs))
-    check_noise_symbol(gate, row, noise)
-    if row.test == ANY:
-        out = 1 if 1 in inputs else 0
-    elif row.test == ALL:
-        out = 0 if 0 in inputs else 1
-    elif row.test == XOR:
-        out = sum(inputs) & 1
-    else:
-        out = 0
-    out ^= row.invert
-    return out ^ noise if row.reads_noise else out

@@ -101,6 +101,8 @@ def sample_obs(scm: Scm, count: int, seed: int, source: str = "scm") -> Dataset:
     """
     if count < 0:
         raise BadRangeError(f"count must be nonnegative, got {count}")
+    if type(seed) is not int:  # None would seed from OS entropy; a bool is no seed
+        raise BadRangeError(f"seed must be an integer, got {seed!r}")
     return Dataset(scm.n, _draw(_sampler(observational(scm)), count, seed), seed, source)
 
 
@@ -314,8 +316,8 @@ def run_nfl(
         raise BadRangeError(f"unknown mode {mode!r}")
     if trials is None or trials < 1:
         raise BadRangeError("monte-carlo mode needs trials >= 1")
-    if seed is None:
-        raise BadRangeError("monte-carlo mode needs a seed")
+    if type(seed) is not int:  # derive_seed would run 1.5 as seed 1
+        raise BadRangeError(f"monte-carlo mode needs an integer seed, got {seed!r}")
     caps = snapshot()
     successes = 0
     for trial in range(trials):
@@ -370,8 +372,8 @@ def per_query_error(
         return error
     if mode != MONTE_CARLO:
         raise BadRangeError(f"unknown mode {mode!r}")
-    if trials is None or trials < 1 or seed is None or n_samples is None:
-        raise BadRangeError("monte-carlo mode needs n_samples, trials, and a seed")
+    if trials is None or trials < 1 or type(seed) is not int or n_samples is None:
+        raise BadRangeError("monte-carlo mode needs n_samples, trials, and an integer seed")
     if n_samples < 0:
         raise BadRangeError(f"n_samples must be nonnegative, got {n_samples}")
     caps = snapshot()

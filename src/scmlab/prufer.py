@@ -116,6 +116,4 @@ def prufer_decode(sequence, root: int, n: int) -> RootedTree:
                 seen.add(neighbor)
                 parent[neighbor] = node
                 stack.append(neighbor)
-    tree = RootedTree(n, root, parent)
-    tree.check()
-    return tree
+    return RootedTree(n, root, parent)  # a tree by construction from the checked inputs

@@ -735,6 +735,8 @@ def observational(scm: Scm) -> ExactDist:
 def apply_do(scm: Scm, intervention: Intervention) -> Scm:
     """Mutilate: replace each intervened mechanism with a parentless constant."""
     forced = intervention.as_dict()
+    if len(forced) != len(intervention.assignments):
+        raise ValueError(f"intervention {intervention.assignments} lists a variable twice")
     for v, b in forced.items():
         if not 0 <= v < scm.n:
             raise BadPositionError(f"intervened variable {v} outside [0, {scm.n})")

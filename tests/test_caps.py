@@ -27,7 +27,7 @@ from scmlab import (
     verify_family,
 )
 from scmlab import gates, scm_core
-from scmlab.caps import CAPS, all_caps, cap
+from scmlab.caps import CAPS, all_caps, cap, work_text
 from scmlab.cli import main
 from scmlab.errors import BadRangeError, MTooLargeError, NTooLargeError, SupportTooLargeError
 from scmlab.learning import Dataset
@@ -46,6 +46,13 @@ def test_bad_override_is_a_range_error(monkeypatch, raw):
         cap("SCMLAB_SUPPORT_CAP")
     with pytest.raises(BadRangeError):
         all_caps()
+
+
+@pytest.mark.parametrize(
+    "factors, text", [({}, "1"), ({3: 9}, "3^9 = 19683"), ({2: 5, 3: 2}, "2^5*3^2 = 288")]
+)
+def test_work_text(factors, text):
+    assert work_text(factors) == text
 
 
 def test_unknown_cap_name():

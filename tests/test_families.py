@@ -200,6 +200,21 @@ class TestParamChecks:
             HiddenString(2, "0x").check()
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: RootedTree(0, 1, {}).check(), InvalidTreeError),
+        (lambda: HiddenString(0, "").check(), BadRangeError),
+        (lambda: list(enumerate_graphs(0)), BadRangeError),
+        (lambda: list(enumerate_strings(0)), BadRangeError),
+    ],
+    ids=["tree", "string", "graphs", "strings"],
+)
+def test_a_size_below_one_is_refused(call, error):
+    with pytest.raises(error, match="must be at least 1, got 0"):
+        call()
+
+
 class TestFamily:
     def test_n_vars(self):
         assert Family("tree", 5).n_vars() == 5

@@ -144,6 +144,23 @@ class TestSampleObs:
         assert learning._draw(learning._sampler(law), count, seed) == scan_rows(law, count, seed)
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, True, "7"], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: sample_obs(NON_DYADIC, 3, seed),
+        lambda seed: sample_obs(NON_DYADIC, 0, seed),
+        lambda seed: run_nfl(1, 2, "uniform-guess", MONTE_CARLO, trials=4, seed=seed),
+        lambda seed: per_query_error(1, HALF, MONTE_CARLO, n_samples=2, trials=4, seed=seed),
+    ],
+    ids=["sample_obs", "sample_obs-no-rows", "run_nfl", "per_query_error"],
+)
+def test_a_seed_that_is_not_an_int_is_refused(call, seed, no_pass):
+    # None would seed from OS entropy, and 1.5 would run seed 1's streams
+    with pytest.raises(BadRangeError):
+        call(seed)
+
+
 class TestLearnerRegistry:
     def test_ids(self):
         assert set(LEARNERS) == {
@@ -495,6 +512,8 @@ class TestPerQueryError:
             per_query_error(1, Fraction(1, 2), MONTE_CARLO, n_samples=2, seed=1)
         with pytest.raises(BadRangeError):
             per_query_error(1, Fraction(1, 2), MONTE_CARLO, n_samples=2, trials=5)
+        with pytest.raises(BadRangeError, match="unknown mode 'bootstrap'"):
+            per_query_error(1, Fraction(1, 2), "bootstrap", n_samples=2, trials=5, seed=1)
 
     @pytest.mark.parametrize(
         "call",

@@ -259,6 +259,18 @@ class TestExtractObs:
         with pytest.raises(KindMismatchError):
             extract_obs(compute_oracle(CHAIN2, OBS))
 
+    def test_requires_obs_first(self):
+        int1 = compute_oracle(CHAIN2, INT1)
+        shifted = AnswerOracle(INT1, int1.n, int1.components[1:])
+        with pytest.raises(OracleFormatError, match="first INT1 component is 'do i=0 b=0'"):
+            extract_obs(shifted)
+
+    def test_component_lookup(self):
+        oracle = compute_oracle(CHAIN2, OBS)
+        assert oracle.component("obs") is oracle.components[0][1]
+        with pytest.raises(KeyError):
+            oracle.component("do i=0 b=0")
+
 
 class TestTv:
     def test_identical_is_zero(self):
@@ -339,6 +351,13 @@ class TestDInt:
             d_int(a, cut)
         with pytest.raises(LengthMismatchError):
             d_int(cut, a)
+
+    def test_component_keys_must_match(self):
+        a = compute_oracle(CHAIN2, INT1)
+        (key, dist), *rest = a.components
+        renamed = AnswerOracle(INT1, a.n, (("observational", dist), *rest))
+        with pytest.raises(OracleFormatError, match="component keys diverge"):
+            d_int(a, renamed)
 
 
 class TestOracleIndex:

@@ -148,6 +148,8 @@ class TestValidate:
         assert any(i.startswith("BAD_NOISE") for i in validate(non_bit_for_xor))
         empty_support = Scm(1, (Mechanism(gates.CONST0, (), NoiseDist((), ())),))
         assert any(i.startswith("BAD_NOISE") for i in validate(empty_support))
+        zero_probability = Scm(1, (Mechanism(gates.BERN_SOURCE, (), NoiseDist((0, 1), (0, 1))),))
+        assert "BAD_NOISE: variable 0: probabilities must be positive" in validate(zero_probability)
 
     def test_bad_gate_flagged(self):
         unknown = Scm(1, (Mechanism("NAND", (), CONST),))
@@ -164,6 +166,7 @@ class TestValidate:
     def test_shape_mismatch_flagged(self):
         scm = Scm(2, (Mechanism(gates.BERN_SOURCE, (), FAIR),))
         assert any(i.startswith("BAD_SHAPE") for i in validate(scm))
+        assert validate(Scm(0, ())) == ["BAD_SHAPE: n must be at least 1, got 0"]
 
 
 class TestTopoOrder:
@@ -279,6 +282,13 @@ class TestApplyDo:
     def test_non_bit_value_rejected(self):
         with pytest.raises(ValueError):
             apply_do(chain(2), Intervention.of({0: 2}))
+
+    def test_a_variable_listed_twice_is_rejected(self):
+        # a dict of the pairs would keep the last one and answer do(X0=0)
+        with pytest.raises(ValueError, match="lists a variable twice"):
+            interventional(chain(2), Intervention(((0, 1), (0, 0))))
+        with pytest.raises(ValueError, match="lists a variable twice"):
+            apply_do(chain(2), Intervention(((1, 0), (1, 0))))
 
 
 class TestInterventional:
