@@ -11,11 +11,12 @@ parameter they name, or raises a typed error. The probes alone are not a
 membership test: an oracle from outside the family can satisfy every
 probed probability while disagreeing on components the probes never
 read. So the public decoder follows its probe with the rebuild check: it
-rebuilds the named parameter's oracle and compares serialized bytes, and
-a returned parameter is always the unique family member whose oracle
-equals the input byte for byte. A caller that already knows the input is
-the oracle of some member `p` can run the probe alone: when it returns
-`p`, the rebuild would recompute that very oracle and could not fail.
+rebuilds the named parameter's oracle and compares it with the input,
+which compares their serialized bytes, and a returned parameter is
+always the unique family member whose oracle equals the input byte for
+byte. A caller that already knows the input is the oracle of some member
+`p` can run the probe alone: when it returns `p`, the rebuild would
+recompute that very oracle and could not fail.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .families import (
     build_tree_scm,
     build_xor_scm,
 )
-from .oracle import CF1, INT1, AnswerOracle, agreement, compute_oracle, serialize, zero_weights
+from .oracle import CF1, INT1, AnswerOracle, agreement, compute_oracle, zero_weights
 from .rational import ONE, ZERO
 from .scm_core import ExactDist, Scm
 
@@ -53,9 +54,12 @@ class DescendantSets:
 
 
 def _check_exact_match(oracle: AnswerOracle, scm: Scm, error_cls: type) -> None:
-    """Reject inputs that pass every probe but are not a member's oracle."""
-    rebuilt = compute_oracle(scm, oracle.kind)
-    if serialize(rebuilt) != serialize(oracle):
+    """Reject inputs that pass every probe but are not a member's oracle.
+
+    Oracle equality is byte equality: the kinds, sizes and keys match, and
+    `ExactDist.__eq__` compares canonical bodies (masses for a dist built
+    from masses), so nothing is serialized."""
+    if compute_oracle(scm, oracle.kind) != oracle:
         raise error_cls(
             "oracle satisfies the probed dichotomies but differs from the "
             "recovered parameter's oracle on unprobed components"

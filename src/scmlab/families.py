@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import gates
 from .caps import check
@@ -33,8 +34,21 @@ BIPARTITE = "bipartite"
 XOR = "xor"
 
 FAIR_BIT = NoiseDist.bernoulli(HALF)
-# shared, so the kernel's per-NoiseDist branch memo serves every member
 NO_NOISE = NoiseDist.constant()
+# the noise each family gate draws
+_NOISE = {gates.BERN_SOURCE: FAIR_BIT, gates.XOR_NOISE: FAIR_BIT,
+          gates.COPY: NO_NOISE, gates.AND: NO_NOISE}
+
+
+@lru_cache(maxsize=256)
+def _mechanism(gate: str, parents: tuple[int, ...]) -> Mechanism:
+    """The one Mechanism of `gate` on `parents` with that gate's family
+    noise, shared by every member that has it, so the kernel's
+    per-mechanism step memo (`scm_core._step`) serves them all. Tree n=5
+    members draw on 6 and bipartite m=3 members on 10; every member the
+    default caps let the kernel compile (tree n <= 7, bipartite m <= 3,
+    xor m <= 12) draws on 28 between them."""
+    return Mechanism(gate, parents, _NOISE[gate])
 
 
 @dataclass(frozen=True)
@@ -136,11 +150,9 @@ def build_tree_scm(tree: RootedTree) -> Scm:
     mechanisms = []
     for v in range(1, tree.n + 1):
         if v == tree.root:
-            mechanisms.append(Mechanism(gates.BERN_SOURCE, (), FAIR_BIT))
+            mechanisms.append(_mechanism(gates.BERN_SOURCE, ()))
         else:
-            mechanisms.append(
-                Mechanism(gates.COPY, (tree.parent[v] - 1,), NO_NOISE)
-            )
+            mechanisms.append(_mechanism(gates.COPY, (tree.parent[v] - 1,)))
     return Scm(tree.n, tuple(mechanisms))
 
 
@@ -152,12 +164,11 @@ def build_bipartite_scm(graph: BipartiteGraph) -> Scm:
     """
     graph.check()
     m = graph.m
-    mechanisms = [Mechanism(gates.BERN_SOURCE, (), FAIR_BIT)]
-    for _ in range(m):
-        mechanisms.append(Mechanism(gates.COPY, (0,), NO_NOISE))
+    mechanisms = [_mechanism(gates.BERN_SOURCE, ())]
+    mechanisms += [_mechanism(gates.COPY, (0,))] * m
     for j in range(m):
         parents = (0,) + tuple(1 + i for i in graph.neighbors_of_b(j))
-        mechanisms.append(Mechanism(gates.AND, parents, NO_NOISE))
+        mechanisms.append(_mechanism(gates.AND, parents))
     return Scm(len(mechanisms), tuple(mechanisms))
 
 
@@ -165,12 +176,13 @@ def build_xor_scm(hidden: HiddenString) -> Scm:
     """Module t: X_t fair; Y_t fresh-fair (s_t=0) or X_t xor fresh-fair (s_t=1)."""
     hidden.check()
     mechanisms = []
+    source = _mechanism(gates.BERN_SOURCE, ())
     for t in range(hidden.m):
-        mechanisms.append(Mechanism(gates.BERN_SOURCE, (), FAIR_BIT))
+        mechanisms.append(source)
         if hidden.bits[t] == "0":
-            mechanisms.append(Mechanism(gates.BERN_SOURCE, (), FAIR_BIT))
+            mechanisms.append(source)
         else:
-            mechanisms.append(Mechanism(gates.XOR_NOISE, (2 * t,), FAIR_BIT))
+            mechanisms.append(_mechanism(gates.XOR_NOISE, (2 * t,)))
     return Scm(2 * hidden.m, tuple(mechanisms))
 
 

@@ -377,6 +377,19 @@ def topo_order(scm: Scm) -> list[int]:
 # that forces it to 1 and leaves it 0 in the one that forces 0. Variable
 # i's triple (factual, do(X_i=0), do(X_i=1)) is read off the final states;
 # `cf1` returns every triple and `counterfactual_triple` the i-th.
+#
+# Family members share almost all their mechanisms, and a decode round
+# trip rebuilds and re-reads them, so two memos keep the shared parts.
+# The family builders hand out one Mechanism object per distinct (gate,
+# parents) (`families._mechanism`: 6 for the 625 tree n=5 members, 10 for
+# the 512 bipartite m=3 members), and `_compile` keeps each mechanism's
+# compiled step per (n, v) on that object (`_step`, at most _STEPS_MAX =
+# 64; the sweep benchmark's fair source is compiled at 12 places). The
+# model checks (cycle, support cap, mechanism count) run on every call,
+# and a step whose checks raise is never kept. `oracle.parse` keeps each
+# checked body with its dist, up to 65,536 characters of text
+# (`oracle._Bodies`): a sweep round's decode requests parse 14,603
+# components with 108 distinct bodies of 15,796 characters.
 
 
 # A compiled step is the tuple (place, bit, test, mask, invert, branches,
@@ -400,7 +413,9 @@ def _compile(scm: Scm) -> _Plan:
     Raises what running the mechanisms raises: CycleError, then
     SupportTooLargeError before any work, then IndexError (empty noise
     support, parent or noise index out of range), ValueError (unknown
-    gate, non-bit symbol read as a bit) or ArityMismatchError.
+    gate, non-bit symbol read as a bit) or ArityMismatchError. The model
+    checks run on every call; each step comes from its mechanism's memo
+    (`_step`), which holds only steps whose checks passed.
     """
     n = scm.n
     order = topo_order(scm)
@@ -416,46 +431,64 @@ def _compile(scm: Scm) -> _Plan:
     steps = []
     exact = True
     for v in order:
-        mech = mechanisms[v]
-        parents = mech.parents
-        mask = 0
-        for p in parents:
-            if not 0 <= p < n:
-                raise IndexError(f"variable {v} lists parent {p} outside [0, {n})")
-        row = gates.spec(mech.gate)
-        test, invert, reads_noise, _ = row
-        gates.check_arity(mech.gate, row, len(parents))
-        if test == gates.XOR:
-            for p in parents:  # a repeated parent cancels in a parity
-                mask ^= 1 << (n - 1 - p)
-        elif test != gates.CONST:
-            for p in parents:
-                mask |= 1 << (n - 1 - p)
-        support = mech.noise.support
-        if len(support) == 1:
-            # a fixed symbol: its probability is never read
-            if reads_noise:
-                gates.check_noise_symbol(mech.gate, row, support[0])
-                branches = ((support[0], 1),)
-            else:
-                branches = ((0, 1),)
-            den = 1
-        else:
-            branches, den, law_ok = _noise_branches(mech, row)
-            exact = exact and law_ok
-        steps.append((3 ** (n - 1 - v), 1 << (n - 1 - v), test, mask, invert, branches, den))
+        step, law_ok = _step(mechanisms[v], n, v)
+        steps.append(step)
+        exact = exact and law_ok
     return _Plan(n, tuple(steps), exact)
+
+
+# compiled steps a mechanism keeps, one per (n, v) it was compiled at; the
+# step past that drops them all (see the kernel comment above)
+_STEPS_MAX = 64
+
+
+def _step(mech: Mechanism, n: int, v: int) -> tuple[tuple, bool]:
+    """(step, whether its noise law is valid) of `mech` as variable v of n,
+    memoized on the mechanism: a pure function of the frozen mechanism and
+    (n, v)."""
+    memo = mech.__dict__.get("_steps")
+    if memo is None:
+        memo = mech.__dict__["_steps"] = {}
+    found = memo.get((n, v))
+    if found is not None:
+        return found
+    parents = mech.parents
+    mask = 0
+    for p in parents:
+        if not 0 <= p < n:
+            raise IndexError(f"variable {v} lists parent {p} outside [0, {n})")
+    row = gates.spec(mech.gate)
+    test, invert, reads_noise, _ = row
+    gates.check_arity(mech.gate, row, len(parents))
+    if test == gates.XOR:
+        for p in parents:  # a repeated parent cancels in a parity
+            mask ^= 1 << (n - 1 - p)
+    elif test != gates.CONST:
+        for p in parents:
+            mask |= 1 << (n - 1 - p)
+    support = mech.noise.support
+    law_ok = True
+    if len(support) == 1:
+        # a fixed symbol: its probability is never read
+        if reads_noise:
+            gates.check_noise_symbol(mech.gate, row, support[0])
+            branches = ((support[0], 1),)
+        else:
+            branches = ((0, 1),)
+        den = 1
+    else:
+        branches, den, law_ok = _noise_branches(mech, row)
+    if len(memo) >= _STEPS_MAX:
+        memo.clear()
+    step = (3 ** (n - 1 - v), 1 << (n - 1 - v), test, mask, invert, branches, den)
+    found = memo[n, v] = (step, law_ok)
+    return found
 
 
 def _noise_branches(mech: Mechanism, row: gates.GateSpec):
     """(branches, denominator, whether the law is valid) of a noise law with
-    several symbols, memoized on the NoiseDist (shared by family builds)."""
-    noise = mech.noise
-    memo = "_read_branches" if row.reads_noise else "_summed_branches"
-    found = noise.__dict__.get(memo)
-    if found is not None:
-        return found
-    support, probs = noise.support, noise.probs
+    several symbols."""
+    support, probs = mech.noise.support, mech.noise.probs
     if len(probs) < len(support):
         raise IndexError(f"{len(probs)} probs for {len(support)} noise symbols")
     probs = probs[: len(support)]
@@ -469,9 +502,7 @@ def _noise_branches(mech: Mechanism, row: gates.GateSpec):
         by_flip[flip] = by_flip.get(flip, 0) + k
     g = math.gcd(den, *by_flip.values())
     branches = tuple((flip, k // g) for flip, k in sorted(by_flip.items()))
-    found = (branches, den // g, law_ok)
-    object.__setattr__(noise, memo, found)
-    return found
+    return branches, den // g, law_ok
 
 
 def _extend(states: list[int], test: int, mask: int, flip: int, bit: int) -> list[int]:

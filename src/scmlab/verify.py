@@ -47,17 +47,16 @@ class CheckResult:
     details: dict
 
 
-def _marginal_consistency(
-    n: int, obs: AnswerOracle, int1: AnswerOracle, cf1: AnswerOracle
-) -> bool:
+def _marginal_consistency(obs: AnswerOracle, int1: AnswerOracle, cf1: AnswerOracle) -> bool:
     """Factual block must be the observational law; each world block must
-    be the matching single-variable interventional law."""
-    obs_dist = obs.component("obs")
+    be the matching single-variable interventional law. Each law is read
+    by its layout position: CF1 triple i, and INT1's do(X_i=0) and
+    do(X_i=1) at 1 + 2i and 2 + 2i, after obs."""
+    obs_dist = obs.components[0][1]
+    int1_laws = [dist for _, dist in int1.components]
     return all(
-        blocks_match(cf1.component(f"cf i={i}"), (
-            obs_dist, int1.component(f"do i={i} b=0"), int1.component(f"do i={i} b=1"),
-        ))
-        for i in range(n)
+        blocks_match(triple, (obs_dist, int1_laws[1 + 2 * i], int1_laws[2 + 2 * i]))
+        for i, (_, triple) in enumerate(cf1.components)
     )
 
 
@@ -86,7 +85,7 @@ def verify_family(family: Family) -> list[CheckResult]:
         oracle = oracles[spec.decoder_kind]
         if spec.probe(oracle) == param or spec.decode(oracle) == param:
             round_trips += 1
-        marginals_ok &= _marginal_consistency(n, oracles[OBS], oracles[INT1], oracles[CF1])
+        marginals_ok &= _marginal_consistency(oracles[OBS], oracles[INT1], oracles[CF1])
         embeddings_ok &= _obs_embeds(data[OBS], data[INT1])
     index.update(columns)
     count = len(columns[OBS])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from scmlab import Mechanism, NoiseDist, Scm
-from scmlab import gates, scm_core
+from scmlab import gates, oracle, scm_core
 
 # one "PASS <name>: ..." or "FAIL <name>: ..." line per acceptance
 # criterion, echoed into the terminal summary so a plain pytest run
@@ -34,6 +34,14 @@ class AcceptanceLog:
 @pytest.fixture(scope="session")
 def acceptance() -> AcceptanceLog:
     return AcceptanceLog()
+
+
+@pytest.fixture(autouse=True)
+def cold_body_memo():
+    """Empty `parse`'s process-wide body memo before every test, so what a
+    test sees of a parsed dist (no `mass` or integer view until it reads
+    one) does not depend on the tests that ran before it."""
+    oracle._BODIES.clear()
 
 
 @pytest.fixture

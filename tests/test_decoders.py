@@ -5,6 +5,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scmlab import (
     CF1,
@@ -22,11 +24,14 @@ from scmlab import (
     build_xor_scm,
     compute_oracle,
     descendants_from_int1,
+    parse,
+    serialize,
     graph_from_int1,
     string_from_cf1,
     tree_from_int1,
 )
 from scmlab import gates
+from scmlab.decoders import _check_exact_match
 from scmlab.errors import (
     AmbiguousParentError,
     KindMismatchError,
@@ -35,6 +40,8 @@ from scmlab.errors import (
     NotTreeLikeError,
     NotXorLikeError,
 )
+
+from conftest import small_scms
 
 HALF = Fraction(1, 2)
 FAIR = NoiseDist.bernoulli(HALF)
@@ -263,3 +270,54 @@ class TestMalformedOracles:
         narrow_cf = corrupt_component(cf, 0, ExactDist(2, {"00": Fraction(1)}))
         with pytest.raises(KindMismatchError):
             string_from_cf1(narrow_cf)
+
+
+def rebuild_matches(oracle, scm) -> bool:
+    """The rebuild check's verdict on `oracle` against `scm`'s own oracle."""
+    try:
+        _check_exact_match(oracle, scm, OracleDecodeError)
+    except OracleDecodeError:
+        return False
+    return True
+
+
+def byte_verdict(oracle, scm) -> bool:
+    return serialize(compute_oracle(scm, oracle.kind)) == serialize(oracle)
+
+
+TREE2 = build_tree_scm(RootedTree(2, 1, {2: 1}))
+XOR1 = build_xor_scm(HiddenString(1, "0"))
+XOR1_1 = build_xor_scm(HiddenString(1, "1"))
+
+
+class TestRebuildVerdict:
+    """The rebuild check compares oracles, not their bytes; its verdict is
+    the byte comparison's."""
+
+    @pytest.mark.parametrize("oracle, scm", [
+        # the corrupted components of the decoder tests above
+        (corrupt_component(compute_oracle(TREE2, INT1), 2, ExactDist(2, {"10": Fraction(1)})), TREE2),
+        (corrupt_component(compute_oracle(XOR1, CF1), 1, ExactDist(6, {"000000": Fraction(1)})), XOR1),
+        (corrupt_component(compute_oracle(TREE2, INT1), 1, ExactDist(1, {"0": Fraction(1)})), TREE2),
+        (corrupt_component(compute_oracle(XOR1_1, CF1), 0, ExactDist(2, {"00": Fraction(1)})), XOR1_1),
+        # a component swapped for an equal law built from masses matches
+        (corrupt_component(compute_oracle(TREE2, INT1), 0,
+                           ExactDist(2, {"00": Fraction(1, 2), "11": Fraction(1, 2)})), TREE2),
+        # the right laws under the wrong keys, or in the wrong order
+        (dataclasses.replace(compute_oracle(TREE2, INT1), components=tuple(
+            ("obs" if key == "do i=0 b=0" else key, dist)
+            for key, dist in compute_oracle(TREE2, INT1).components)), TREE2),
+        (dataclasses.replace(compute_oracle(XOR1, CF1), components=tuple(
+            reversed(compute_oracle(XOR1, CF1).components))), XOR1),
+        (truncated(compute_oracle(TREE2, INT1), 4), TREE2),
+        (dataclasses.replace(compute_oracle(TREE2, INT1), n=3), TREE2),
+    ])
+    def test_on_corrupted_components(self, oracle, scm):
+        assert rebuild_matches(oracle, scm) == byte_verdict(oracle, scm)
+
+    @given(small_scms(max_n=3), small_scms(max_n=3), st.sampled_from([OBS, INT1, CF1]))
+    @settings(max_examples=200, deadline=None)
+    def test_on_small_models(self, a, b, kind):
+        oracle = parse(serialize(compute_oracle(a, kind)))  # as a decoder is given it
+        assert rebuild_matches(oracle, a)
+        assert rebuild_matches(oracle, b) == byte_verdict(oracle, b)
