@@ -39,7 +39,7 @@ class FamilySpec:
     parameter (n for trees, m otherwise); `build`, `probe`, `decode` and
     the JSON codec take or return one member.
 
-    `decode` is the public decoder of a `decoder_kind` oracle: `probe`,
+    `decode` is the public decoder of a `rungs[1]` oracle: `probe`,
     the step that reads the oracle's probabilities and names a member or
     raises a typed error, followed by the rebuild check that the named
     member's oracle is the input."""
@@ -54,7 +54,6 @@ class FamilySpec:
     obs_check: str  # the verify suite's name for the shared-law check
     obs_law: Callable[[int], ExactDist]
     also_identical: tuple[str, ...]  # kinds shared by all members besides rungs[0]
-    decoder_kind: str
     probe: Callable
     decode: Callable
     to_json: Callable[..., dict]
@@ -66,7 +65,7 @@ FAMILIES: dict[str, FamilySpec] = {
         n_vars=lambda n: n, members=families.enumerate_trees, build=families.build_tree_scm,
         rungs=(OBS, INT1), encoder_bits=lambda n: tree_bit_budget(n).total_bits,
         encoder_tight=False, obs_check="observational-identical", obs_law=expected_two_point,
-        also_identical=(), decoder_kind=INT1, probe=decoders.tree_probe,
+        also_identical=(), probe=decoders.tree_probe,
         decode=decoders.tree_from_int1,
         to_json=jsonio.tree_to_json, from_json=jsonio.tree_from_json,
     ),
@@ -74,7 +73,7 @@ FAMILIES: dict[str, FamilySpec] = {
         n_vars=lambda m: 2 * m + 1, members=families.enumerate_graphs,
         build=families.build_bipartite_scm, rungs=(OBS, INT1), encoder_bits=lambda m: m * m,
         encoder_tight=True, obs_check="observational-identical", obs_law=expected_two_point,
-        also_identical=(), decoder_kind=INT1, probe=decoders.graph_probe,
+        also_identical=(), probe=decoders.graph_probe,
         decode=decoders.graph_from_int1,
         to_json=jsonio.graph_to_json, from_json=jsonio.graph_from_json,
     ),
@@ -82,7 +81,7 @@ FAMILIES: dict[str, FamilySpec] = {
         n_vars=lambda m: 2 * m, members=families.enumerate_strings, build=families.build_xor_scm,
         rungs=(INT_ALL, CF1), encoder_bits=lambda m: m,
         encoder_tight=True, obs_check="observational-identical-uniform", obs_law=expected_uniform,
-        also_identical=(OBS, INT1), decoder_kind=CF1, probe=decoders.string_probe,
+        also_identical=(OBS, INT1), probe=decoders.string_probe,
         decode=decoders.string_from_cf1,
         to_json=jsonio.string_to_json, from_json=jsonio.string_from_json,
     ),

@@ -12,11 +12,8 @@ so their outputs feed straight back in as inputs.
 
 Exit codes: 0 success, 1 a verification or internal consistency check
 failed, 2 invalid input or a decode failure, 3 an enumeration cap was
-exceeded. A package error exits with its class's ``exit_code``, listed
-in ``errors``: 3 for ``NTooLargeError``, ``MTooLargeError`` and
-``SupportTooLargeError``, 1 for ``ScmLabError`` itself, ``CycleError`` and
-``ArityMismatchError``, 2 for every other error class and for unreadable
-files, bad JSON and malformed numbers.
+exceeded. A package error exits with its class's ``exit_code`` (``errors``
+lists each class's); unreadable files, bad JSON and malformed numbers exit 2.
 """
 
 from __future__ import annotations

@@ -136,9 +136,8 @@ def tree_probe(oracle: AnswerOracle) -> RootedTree:
     for v in range(1, n + 1):
         if v == root:
             continue
+        # the root's set holds every node, so every v has an ancestor
         ancestors = [u for u in range(1, n + 1) if u != v and v in ds.sets[u]]
-        if not ancestors:
-            raise NotTreeLikeError(f"node {v} has no ancestor")
         smallest = min(len(ds.sets[u]) for u in ancestors)
         candidates = [u for u in ancestors if len(ds.sets[u]) == smallest]
         if len(candidates) != 1:

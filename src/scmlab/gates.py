@@ -14,8 +14,6 @@ test code plus a parent bitmask.
 
 from typing import NamedTuple
 
-from .errors import ArityMismatchError
-
 CONST0 = "CONST0"
 CONST1 = "CONST1"
 COPY = "COPY"
@@ -70,11 +68,6 @@ def arity_issue(gate: str, k: int) -> str | None:
     if want is not None and k != want:
         return f"{gate} takes exactly {want} parent(s), got {k}"
     return None
-
-
-def check_arity(gate: str, row: GateSpec, k: int) -> None:
-    if row.arity is not None and k != row.arity:
-        raise ArityMismatchError(f"{gate} takes {row.arity} parent(s), got {k}")
 
 
 def check_noise_symbol(gate: str, row: GateSpec, noise: int) -> None:

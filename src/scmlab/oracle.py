@@ -49,6 +49,7 @@ from .scm_core import (
     ExactDist,
     Intervention,
     Scm,
+    _Bounded,
     _dist,
     _fraction,
     int_all_laws,
@@ -300,39 +301,11 @@ def _block_res(n_bits: int) -> tuple[re.Pattern, re.Pattern]:
             re.compile(f"{line}(?:\n{line})*"))
 
 
-class _Bodies(dict):
-    """Each component body `parse` has checked, mapped to the ExactDist it
-    built from that text. Whether a body is valid depends only on its text
-    and the oracle's outcome width, and a valid body's outcomes fix that
-    width, so a dist is served only at the width it was checked at; a
-    rejected body is never stored. A served dist keeps the integer view
-    and `mass` a probe or a read built on it.
-
-    The memo holds at most _BODIES_MAX characters of body text; the body
-    past that drops them all, and a longer body is not kept."""
-
-    __slots__ = ("held",)
-
-    def __init__(self):
-        super().__init__()
-        self.held = 0  # characters of the bodies held
-
-    def clear(self) -> None:
-        super().clear()
-        self.held = 0
-
-    def remember(self, body: str, dist: ExactDist) -> None:
-        size = len(body)
-        if self.held + size > _BODIES_MAX:
-            self.clear()
-            if size > _BODIES_MAX:
-                return
-        self[body] = dist
-        self.held += size
-
-
-_BODIES_MAX = 1 << 16
-_BODIES = _Bodies()
+# each component body `parse` has checked, mapped to the ExactDist it built
+# from that text, bounded in characters of body text: a sweep round's decode
+# requests parse 108 distinct bodies of 15,796 characters (`BENCH_19.json`
+# memo_traffic), which the bound holds four times over
+_BODIES = _Bounded(1 << 16)
 
 
 def parse(data: bytes) -> AnswerOracle:
@@ -356,15 +329,13 @@ def parse(data: bytes) -> AnswerOracle:
     Each checked body becomes its distribution's canonical body as it is;
     the dist holds nothing else until a probe or a read of `mass` needs it.
 
-    Checked bodies outlive the call in a process-wide memo (`_Bodies`, at
-    most 65,536 characters of text), which serves a later body of the same
-    text at the same outcome width its dist without any check, with the
-    integer view or `mass` a probe or read has built on it. Validity
-    depends on nothing else, so every input is accepted or rejected, with
-    the same error text, as under an empty memo. A round of the sweep
-    benchmark parses 14,603 components in its decode requests, 108
-    distinct bodies of 15,796 characters in all, so all but 108 are
-    served; intall's INT_ALL oracles share few bodies, and mostly miss.
+    Checked bodies outlive the call in a process-wide memo (`_BODIES`,
+    where its bound is stated), which serves a later body of the same text
+    at the same outcome width its dist without any check, with the integer
+    view or `mass` a probe or read has built on it. Validity depends only
+    on the text and the width, and a valid body's outcomes fix the width,
+    so every input is accepted or rejected, with the same error text, as
+    under an empty memo; a rejected body is never kept.
     """
     try:
         text = data.decode("ascii")
@@ -418,8 +389,7 @@ def parse(data: bytes) -> AnswerOracle:
                     if mass_texts not in checked:
                         _check_masses(key, Counter(mass_texts).items())
                         checked.add(mass_texts)
-                dist = ExactDist._from_body(n_bits, body)
-                _BODIES.remember(body, dist)
+                dist = _BODIES.keep(body, ExactDist._from_body(n_bits, body), len(body))
             dists[body] = dist
         components.append((key, dist))
     return AnswerOracle(kind, n, tuple(components))

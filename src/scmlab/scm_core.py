@@ -26,7 +26,13 @@ from typing import NamedTuple
 
 from . import gates
 from .caps import check
-from .errors import BadPositionError, BadRangeError, CycleError, OracleFormatError
+from .errors import (
+    ArityMismatchError,
+    BadPositionError,
+    BadRangeError,
+    CycleError,
+    OracleFormatError,
+)
 from .rational import ONE, ZERO, frac_parse, mass_line
 
 
@@ -107,6 +113,36 @@ EMPTY_INTERVENTION = Intervention(())
 
 
 _new, _set = object.__new__, object.__setattr__  # what a frozen dataclass is built with
+
+
+class _Bounded(dict):
+    """A memo of at most `limit` units, `held` counting the units of its
+    entries in whatever unit its owner measures: the entry that would
+    pass the limit drops every entry first, and an entry larger than the
+    limit is not kept. Each instance states its bound and the counts
+    behind it."""
+
+    __slots__ = ("limit", "held")
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit, self.held = limit, 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
+
+    def keep(self, key, value, size: int = 1):
+        """Store `value` at `key` as `size` units, and return it."""
+        if self.held + size > self.limit:
+            self.clear()
+            if size > self.limit:
+                return value
+        self[key] = value
+        self.held += size
+        return value
+
+
 # the Fraction of a mass text, for `oracle.parse`'s checks and for `mass`:
 # an INT_ALL oracle of the intall benchmark holds 7 to 24 distinct texts, and
 # the 45 oracles of three of its rounds 39 to 44 together, so none is evicted
@@ -308,14 +344,16 @@ def _noise_issues(i: int, mech: Mechanism) -> list[str]:
 def topo_order(scm: Scm) -> list[int]:
     """Parents-first evaluation order, ties broken by ascending index.
 
-    Raises CycleError when the parent graph is not acyclic.
+    Raises CycleError when the parent graph is not acyclic. Only the n
+    variables are ordered; a mechanism past them is left to the callers'
+    count checks.
     """
     n = scm.n
     if len(scm.mechanisms) == n and all(
         0 <= p < v for v, m in enumerate(scm.mechanisms) for p in m.parents
     ):
         return list(range(n))  # every parent precedes its child already
-    parents = [set(m.parents) for m in scm.mechanisms]
+    parents = [set(m.parents) for m in scm.mechanisms[:n]]
     children: list[list[int]] = [[] for _ in range(n)]
     indegree = [0] * n
     for v, ps in enumerate(parents):
@@ -383,13 +421,11 @@ def topo_order(scm: Scm) -> list[int]:
 # The family builders hand out one Mechanism object per distinct (gate,
 # parents) (`families._mechanism`: 6 for the 625 tree n=5 members, 10 for
 # the 512 bipartite m=3 members), and `_compile` keeps each mechanism's
-# compiled step per (n, v) on that object (`_step`, at most _STEPS_MAX =
-# 64; the sweep benchmark's fair source is compiled at 12 places). The
-# model checks (cycle, support cap, mechanism count) run on every call,
-# and a step whose checks raise is never kept. `oracle.parse` keeps each
-# checked body with its dist, up to 65,536 characters of text
-# (`oracle._Bodies`): a sweep round's decode requests parse 14,603
-# components with 108 distinct bodies of 15,796 characters.
+# compiled step per (n, v) on that object (`_step`). The model checks
+# (cycle, support cap, mechanism count) run on every call, and a step
+# whose checks raise is never kept. `oracle.parse` keeps each checked
+# body with its dist (`oracle._BODIES`). Every memo here that is not an
+# lru_cache is a `_Bounded`, whose instance states its bound.
 
 
 # A compiled step is the tuple (place, bit, test, mask, invert, branches,
@@ -437,8 +473,9 @@ def _compile(scm: Scm) -> _Plan:
     return _Plan(n, tuple(steps), exact)
 
 
-# compiled steps a mechanism keeps, one per (n, v) it was compiled at; the
-# step past that drops them all (see the kernel comment above)
+# the bound of each mechanism's `_Bounded` step memo, in steps, one per
+# (n, v) it was compiled at: no mechanism of a sweep, intall or nfl_mc
+# round holds more than 13 (`BENCH_19.json` memo_traffic)
 _STEPS_MAX = 64
 
 
@@ -448,7 +485,7 @@ def _step(mech: Mechanism, n: int, v: int) -> tuple[tuple, bool]:
     (n, v)."""
     memo = mech.__dict__.get("_steps")
     if memo is None:
-        memo = mech.__dict__["_steps"] = {}
+        memo = mech.__dict__["_steps"] = _Bounded(_STEPS_MAX)
     found = memo.get((n, v))
     if found is not None:
         return found
@@ -459,7 +496,9 @@ def _step(mech: Mechanism, n: int, v: int) -> tuple[tuple, bool]:
             raise IndexError(f"variable {v} lists parent {p} outside [0, {n})")
     row = gates.spec(mech.gate)
     test, invert, reads_noise, _ = row
-    gates.check_arity(mech.gate, row, len(parents))
+    arity = gates.arity_issue(mech.gate, len(parents))
+    if arity:
+        raise ArityMismatchError(arity)
     if test == gates.XOR:
         for p in parents:  # a repeated parent cancels in a parity
             mask ^= 1 << (n - 1 - p)
@@ -478,11 +517,8 @@ def _step(mech: Mechanism, n: int, v: int) -> tuple[tuple, bool]:
         den = 1
     else:
         branches, den, law_ok = _noise_branches(mech, row)
-    if len(memo) >= _STEPS_MAX:
-        memo.clear()
     step = (3 ** (n - 1 - v), 1 << (n - 1 - v), test, mask, invert, branches, den)
-    found = memo[n, v] = (step, law_ok)
-    return found
+    return memo.keep((n, v), (step, law_ok))
 
 
 def _noise_branches(mech: Mechanism, row: gates.GateSpec):
@@ -537,42 +573,40 @@ class _Lines(dict):
     Each memo is a pure function of its (width, den, weight) and its key,
     so one memo per (width, den) or (width, den, weight) in `_LINES`
     serves every kernel pass, where leaves and models repeat their lines.
-    The memos of both kinds hold at most _LINES_MAX lines between them:
-    the line past that drops them all."""
+    A memo joins `_LINES` with its first line, and each line it adds
+    counts one there."""
 
-    __slots__ = ("width", "den", "weight")
-    held = 0  # lines in all the memos
+    __slots__ = ("key", "width", "den", "weight")
 
     def __init__(self, width: int, den: int, weight: int | None = None):
         super().__init__()
+        self.key = (width, den) if weight is None else (width, den, weight)
         self.width, self.den, self.weight = width, den, weight
 
     def __missing__(self, key: int) -> str:
-        if _Lines.held >= _LINES_MAX:
-            _LINES.clear()
-            _Lines.held = 0
         if self.weight is None:
             state, weight = divmod(key, self.den + 1)
         else:
             state, weight = key, self.weight
         g = math.gcd(weight, self.den)
         outcome = format(state, f"0{self.width}b") if self.width else ""
-        line = self[key] = mass_line(outcome, weight // g, self.den // g)
-        _Lines.held += 1
+        line = mass_line(outcome, weight // g, self.den // g)
+        _LINES.keep(self.key, self)
+        if _LINES.held == 1:  # the line dropped every memo: this one starts again
+            self.clear()
+        self[key] = line
         return line
 
 
-# about 150 bytes of RSS per line: 10 MiB when full
-_LINES_MAX = 1 << 16
-_LINES: dict[tuple[int, ...], _Lines] = {}
+# the line memos by (width, den) or (width, den, weight), bounded in lines
+# between them: about 150 B of RSS a line, so 10 MiB when full
+_LINES = _Bounded(1 << 16)
 
 
 def _lines(*key: int) -> _Lines:
     """The memo of (width, den), or of (width, den, weight)."""
     memo = _LINES.get(key)
-    if memo is None:
-        memo = _LINES[key] = _Lines(*key)
-    return memo
+    return _Lines(*key) if memo is None else memo
 
 
 def _dist(exact: bool, n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:

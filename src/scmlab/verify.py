@@ -82,7 +82,7 @@ def verify_family(family: Family) -> list[CheckResult]:
     for param, oracles, data in family_sweep(family, swept):
         for kind in swept:
             columns[kind].append(data[kind])
-        oracle = oracles[spec.decoder_kind]
+        oracle = oracles[higher_kind]
         if spec.probe(oracle) == param or spec.decode(oracle) == param:
             round_trips += 1
         marginals_ok &= _marginal_consistency(oracles[OBS], oracles[INT1], oracles[CF1])

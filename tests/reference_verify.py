@@ -58,7 +58,7 @@ def reference_verify(family: Family) -> list[CheckResult]:
     embeddings_ok = True
     for param, obs_data, int1_data, cf1_data in zip(family.parameters(), obs, int1, cf1):
         parsed = {INT1: parse(int1_data), CF1: parse(cf1_data)}
-        if spec.decode(parsed[spec.decoder_kind]) == param:
+        if spec.decode(parsed[spec.rungs[1]]) == param:
             round_trips += 1
         obs_dist = parse(obs_data).components[0][1]
         marginals_ok &= _marginal_consistency(n, obs_dist, parsed[INT1], parsed[CF1])

@@ -1,9 +1,11 @@
 """End-to-end command-line checks: exit codes, formats, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 import scmlab
 
 from scmlab import (
+    ExactDist,
     HiddenString,
     RootedTree,
     __version__,
@@ -197,6 +200,27 @@ class TestDecodeCommand:
             capfd=capfd,
         )
         assert code == 2
+
+    def test_decoder_refusals_exit_2(self, tmp_path, capfd):
+        chain = compute_oracle(build_tree_scm(RootedTree(3, 1, {2: 1, 3: 2})), "INT1")
+        components = list(chain.components)
+        # do(X_3=0) pins X_2 too: nodes 2 and 3 name each other as parent
+        half = Fraction(1, 2)
+        crossed = components[:5] + [("do i=2 b=0", ExactDist(3, {"000": half, "100": half}))]
+        # the do(X_1=0) and do(X_1=1) components under each other's keys
+        swapped = [components[0], (components[2][0], components[1][1]),
+                   (components[1][0], components[2][1])]
+        for parts, code_text in [
+            (crossed + components[6:], "error[NOT_TREE_LIKE]: recovered parent map is not a tree"),
+            (swapped + components[3:], "error[BAD_ORACLE]: component key 'do i=0 b=1'"),
+        ]:
+            oracle_file = tmp_path / "refused.bin"
+            oracle_file.write_bytes(serialize(dataclasses.replace(chain, components=tuple(parts))))
+            code, _, err = run_cli(
+                "decode", "--family", "tree", "--oracle-file", str(oracle_file), capfd=capfd
+            )
+            assert code == 2
+            assert err.startswith(code_text)
 
     def test_missing_file_exits_2(self, capfd):
         code, _, _ = run_cli(

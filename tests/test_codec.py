@@ -323,17 +323,15 @@ class TestLazyProduct:
         want = [serialize(compute_oracle(scm, INT_ALL)) for scm in scms]
 
         # from an empty memo, both memo kinds: (width, den) and (width, den, weight)
-        monkeypatch.setattr(scm_core, "_LINES", {})
-        monkeypatch.setattr(scm_core._Lines, "held", 0)
+        monkeypatch.setattr(scm_core, "_LINES", scm_core._Bounded(scm_core._LINES.limit))
         assert [serialize(compute_oracle(scm, INT_ALL)) for scm in scms] == want
         assert {len(key) for key in scm_core._LINES} == {2, 3}
-        assert sum(map(len, scm_core._LINES.values())) <= scm_core._LINES_MAX
+        assert sum(map(len, scm_core._LINES.values())) <= scm_core._LINES.limit
         # a small bound, from an empty memo: each oracle overflows it many times
-        monkeypatch.setattr(scm_core, "_LINES_MAX", 100)
+        monkeypatch.setattr(scm_core._LINES, "limit", 100)
         scm_core._LINES.clear()
-        scm_core._Lines.held = 0
         assert [serialize(compute_oracle(scm, INT_ALL)) for scm in scms] == want
-        assert sum(map(len, scm_core._LINES.values())) <= 100
+        assert scm_core._LINES.held == sum(map(len, scm_core._LINES.values())) <= 100
 
 
 TOO_LONG = Scm(1, (Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 10**4400))),))

@@ -51,6 +51,24 @@ def int1_of_tree(tree: RootedTree):
     return compute_oracle(build_tree_scm(tree), INT1)
 
 
+def swap_keys(oracle, a, b):
+    """Swap the keys of components `a` and `b`, each keeping its dist."""
+    components = list(oracle.components)
+    (key_a, dist_a), (key_b, dist_b) = components[a], components[b]
+    components[a], components[b] = (key_b, dist_a), (key_a, dist_b)
+    return dataclasses.replace(oracle, components=tuple(components))
+
+
+def crossed_parents_int1():
+    """An n=3 INT1 oracle on the 1-or-1/2 dichotomy with one root, node 1,
+    whose do(X=0) sets put nodes 2 and 3 each in the other's set, so each
+    names the other as its parent: the chain 1 -> 2 -> 3 with do(X_3=0)
+    pinning X_2 to 0 as well."""
+    oracle = int1_of_tree(RootedTree(3, 1, {2: 1, 3: 2}))
+    assert oracle.components[5][0] == "do i=2 b=0"
+    return corrupt_component(oracle, 5, ExactDist(3, {"000": HALF, "100": HALF}))
+
+
 def corrupt_component(oracle, index, dist):
     """Swap one component's distribution, keeping the oracle well formed."""
     components = list(oracle.components)
@@ -137,6 +155,13 @@ class TestTreeDecoder:
         )
         with pytest.raises(AmbiguousParentError):
             tree_from_int1(compute_oracle(scm, INT1))
+
+    def test_rejects_a_parent_map_that_is_not_a_tree(self):
+        oracle = crossed_parents_int1()
+        sets = descendants_from_int1(oracle).sets
+        assert sets == {1: {1, 2, 3}, 2: {2, 3}, 3: {2, 3}}
+        with pytest.raises(NotTreeLikeError, match="^recovered parent map is not a tree: "):
+            tree_from_int1(oracle)
 
     def test_requires_int1(self):
         oracle = compute_oracle(build_tree_scm(RootedTree(2, 1, {2: 1})), CF1)
@@ -260,6 +285,17 @@ class TestMalformedOracles:
         oracle = compute_oracle(build_xor_scm(HiddenString(2, "10")), CF1)
         with pytest.raises(KindMismatchError):
             string_from_cf1(truncated(oracle, keep))
+
+    def test_swapped_component_keys(self):
+        oracle = swap_keys(int1_of_tree(RootedTree(3, 1, {2: 1, 3: 2})), 1, 2)
+        message = "^component 'do i=0 b=1' where 'do i=0 b=0' was expected$"
+        with pytest.raises(KindMismatchError, match=message):
+            tree_from_int1(oracle)
+        with pytest.raises(KindMismatchError, match=message):
+            descendants_from_int1(oracle)
+        cf = swap_keys(compute_oracle(build_xor_scm(HiddenString(2, "10")), CF1), 0, 1)
+        with pytest.raises(KindMismatchError, match="^component 'cf i=1' where 'cf i=0' was expected$"):
+            string_from_cf1(cf)
 
     def test_component_of_the_wrong_width(self):
         oracle = int1_of_tree(RootedTree(2, 1, {2: 1}))

@@ -33,7 +33,7 @@ from scmlab import gates
 from scmlab.errors import BadRangeError, LengthMismatchError, NotMemberError
 from scmlab.families import enumerate_graphs
 from scmlab.catalog import FAMILIES
-from scmlab.scm_core import NoiseDist
+from scmlab.scm_core import Mechanism, NoiseDist, Scm
 
 
 class TestCeilLog2:
@@ -209,6 +209,13 @@ class TestGenericClassEncoding:
             "gates-and-noise": 6,
         }
         assert budget.total_bits == 15
+
+    def test_single_variable_budget(self):
+        # one variable has no parent to choose: one parent set, 0 bits
+        scm = Scm(1, (Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 2))),))
+        budget = generic_class_encoding(scm, self.tree_spec())
+        assert dict(budget.components) == {"order": 0, "parents": 0, "gates-and-noise": 2}
+        assert budget.total_bits == 2 and budget.idealized_bits == 2
 
     def test_non_member_rejected(self):
         scm = build_tree_scm(RootedTree(2, 1, {2: 1}))

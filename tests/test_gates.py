@@ -84,6 +84,10 @@ def test_arity_contract_violations():
     refused(gates.COPY, [0, 1], 0, ArityMismatchError)
     refused(gates.NEG, [], 0, ArityMismatchError)
     refused(gates.BERN_SOURCE, [1], 0, ArityMismatchError)
+    # the kernel's error carries the text `validate` reports
+    with pytest.raises(ArityMismatchError) as info:
+        observational(gated(gates.NEG, [], 0))
+    assert str(info.value) == gates.arity_issue(gates.NEG, 0) == "NEG takes exactly 1 parent(s), got 0"
 
 
 def test_non_bit_noise_rejected():

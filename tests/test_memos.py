@@ -38,7 +38,7 @@ from scmlab import (
     serialize,
 )
 from scmlab import gates, oracle, scm_core
-from scmlab.errors import OracleFormatError
+from scmlab.errors import ArityMismatchError, OracleFormatError
 
 import reference_codec
 from conftest import GOLDEN, GOLDEN_BYTES, MIXED_LEAVES, mutated_golden, small_scms
@@ -65,7 +65,7 @@ def assert_memo_sound():
     for body, dist in oracle._BODIES.items():
         reference_codec.parse(f"OBS n={dist.n_bits}\n#obs\n{body}\n".encode())
         assert dist._body == body
-    assert oracle._BODIES.held == sum(map(len, oracle._BODIES)) <= oracle._BODIES_MAX
+    assert oracle._BODIES.held == sum(map(len, oracle._BODIES)) <= oracle._BODIES.limit
 
 
 def read_everything(parsed):
@@ -176,10 +176,16 @@ def distinct_bodies():
 @pytest.mark.parametrize("bound", [300, 2_000, None], ids=["300", "2000", "default"])
 def test_the_memo_stays_within_its_bound(bound, monkeypatch):
     if bound is not None:
-        monkeypatch.setattr(oracle, "_BODIES_MAX", bound)
+        monkeypatch.setattr(oracle._BODIES, "limit", bound)
     drops = []
-    clear = oracle._Bodies.clear
-    monkeypatch.setattr(oracle._Bodies, "clear", lambda memo: drops.append(memo.held) or clear(memo))
+    clear = scm_core._Bounded.clear
+
+    def counted(memo):
+        if memo is oracle._BODIES:
+            drops.append(memo.held)
+        clear(memo)
+
+    monkeypatch.setattr(scm_core._Bounded, "clear", counted)
     for data in distinct_bodies():
         assert parse(data) == reference_codec.parse(data)
         assert_memo_sound()
@@ -188,12 +194,12 @@ def test_the_memo_stays_within_its_bound(bound, monkeypatch):
 
 
 def test_a_body_longer_than_the_bound_is_not_kept(monkeypatch):
-    monkeypatch.setattr(oracle, "_BODIES_MAX", 12)
+    monkeypatch.setattr(oracle._BODIES, "limit", 12)
     data = b"INT1 n=1\n#obs\n0=1/2\n1=1/2\n#do i=0 b=0\n0=1/1\n#do i=0 b=1\n1=1/1\n"
     assert serialize(parse(data)) == data
     # "0=1/2\n1=1/2" (11 characters) was kept, then dropped for "0=1/1" and "1=1/1"
     assert list(oracle._BODIES) == ["0=1/1", "1=1/1"]
-    monkeypatch.setattr(oracle, "_BODIES_MAX", 10)
+    monkeypatch.setattr(oracle._BODIES, "limit", 10)
     oracle._BODIES.clear()
     assert serialize(parse(data)) == data
     assert "0=1/2\n1=1/2" not in oracle._BODIES
@@ -314,6 +320,10 @@ def test_errors_keep_their_order_with_a_warm_memo(monkeypatch):
     ]
     for scm in bad + bad:
         assert error_of(scm) == error_of(fresh(scm))
+    assert error_of(Scm(1, (source, copy0))) == (ValueError, "2 mechanisms for 1 variables")
+    assert error_of(Scm(3, (source, copy0, wide))) == (
+        ArityMismatchError, "COPY takes exactly 1 parent(s), got 2"
+    )
     for mech in (empty, far, wide, unknown, symbol, short):  # no failed step was kept
         assert not mech.__dict__.get("_steps")
     # the support cap refuses a model whose every step is memoized

@@ -97,6 +97,8 @@ class TestComputeOracle:
     def test_component_bits(self):
         assert component_bits(OBS, 4) == 4
         assert component_bits(CF1, 4) == 12
+        with pytest.raises(KindMismatchError, match="unknown oracle kind 'INT2'"):
+            component_bits("INT2", 4)
 
 
 class TestSerialization:

@@ -92,6 +92,14 @@ class TestExactDist:
             ExactDist(1, {"0": Fraction(0), "1": Fraction(1)})
 
 
+class TestEquality:
+    def test_a_dist_is_not_equal_to_a_non_dist(self):
+        dist = ExactDist(1, {"1": Fraction(1)})
+        assert dist.__eq__(1) is NotImplemented
+        assert (dist == 1) is False and (dist != "1=1/1") is True
+        assert dist == observational(Scm(1, (Mechanism(gates.CONST1, (), CONST),)))
+
+
 class TestValidate:
     def test_families_are_valid(self):
         assert validate(chain(3)) == []
@@ -168,6 +176,24 @@ class TestValidate:
         assert any(i.startswith("BAD_SHAPE") for i in validate(scm))
         assert validate(Scm(0, ())) == ["BAD_SHAPE: n must be at least 1, got 0"]
 
+    def test_more_mechanisms_than_variables(self):
+        # the extra mechanism lists an earlier parent: reported, not indexed
+        extra = Scm(1, (Mechanism(gates.BERN_SOURCE, (), FAIR), Mechanism(gates.COPY, (0,), CONST)))
+        assert validate(extra) == ["BAD_SHAPE: 2 mechanisms for 1 variables"]
+        with pytest.raises(ValueError, match="^2 mechanisms for 1 variables$"):
+            observational(extra)
+        longer = Scm(2, chain(3).mechanisms)
+        assert validate(longer) == ["BAD_SHAPE: 3 mechanisms for 2 variables"]
+        with pytest.raises(ValueError, match="^3 mechanisms for 2 variables$"):
+            observational(longer)
+
+    def test_fewer_mechanisms_than_variables(self):
+        short = Scm(2, (Mechanism(gates.BERN_SOURCE, (), FAIR),))
+        assert validate(short) == ["BAD_SHAPE: 1 mechanisms for 2 variables"]
+        assert topo_order(short) == [0, 1]
+        with pytest.raises(IndexError):
+            observational(short)
+
 
 class TestTopoOrder:
     def test_chain(self):
@@ -197,6 +223,13 @@ class TestTopoOrder:
                 Mechanism(gates.BERN_SOURCE, (), FAIR),
             ),
         )
+        assert topo_order(scm) == [1, 0]
+
+    def test_orders_only_the_n_variables(self):
+        scm = Scm(2, (*chain(2).mechanisms, Mechanism(gates.COPY, (1,), CONST)))
+        assert topo_order(scm) == [0, 1]
+        scm = Scm(2, (Mechanism(gates.COPY, (1,), CONST), Mechanism(gates.BERN_SOURCE, (), FAIR),
+                      Mechanism(gates.COPY, (0,), CONST)))
         assert topo_order(scm) == [1, 0]
 
     def test_cycle_raises(self):
