@@ -492,7 +492,7 @@ def marginal(dist: ExactDist, positions) -> ExactDist:
     for state, w in zip(states, weights):
         key = sum([(state >> source & 1) << target for source, target in moves])
         acc[key] = acc.get(key, 0) + w
-    return _dist(True, len(positions), list(acc), list(acc.values()), den, True)
+    return _dist(len(positions), list(acc), list(acc.values()), den, True)
 
 
 def agreement(dist: ExactDist, i: int, j: int) -> Fraction:

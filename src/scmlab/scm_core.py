@@ -387,9 +387,12 @@ def topo_order(scm: Scm) -> list[int]:
 # state carries an integer weight over a denominator shared by the pass.
 # A noise-reading variable branches once per noise bit and multiplies the
 # denominator by the lcm of its probability denominators; any other
-# variable's noise sums out to a single factor, so its states only gain a
-# bit. Noise symbols with the same effect are merged into one branch, and
-# distinct branches set different output bits, so states never collide.
+# variable's noise sums out to one branch of weight 1 over 1, so its
+# states only gain a bit. Noise symbols with the same effect are merged
+# into one branch, and distinct branches set different output bits, so
+# states never collide. A step whose merged branches are not a
+# distribution does not compile, so every pass's weights are positive and
+# sum to its denominator, and every leaf is a law by construction.
 # A leaf's final states become its canonical body text at once, its lines
 # read from memos shared by every pass (`_Lines`); Fractions appear only
 # when its `mass` is read, one per mass text (`_fraction`). A uniform
@@ -422,36 +425,39 @@ def topo_order(scm: Scm) -> list[int]:
 # parents) (`families._mechanism`: 6 for the 625 tree n=5 members, 10 for
 # the 512 bipartite m=3 members), and `_compile` keeps each mechanism's
 # compiled step per (n, v) on that object (`_step`). The model checks
-# (cycle, support cap, mechanism count) run on every call, and a step
-# whose checks raise is never kept. `oracle.parse` keeps each checked
-# body with its dist (`oracle._BODIES`). Every memo here that is not an
-# lru_cache is a `_Bounded`, whose instance states its bound.
+# (cycle, support cap, mechanism count) run on every call, the step
+# checks (parents, gate, arity, noise symbols, noise law) when a step is
+# first compiled, and a step whose checks raise is never kept.
+# `oracle.parse` keeps each checked body with its dist (`oracle._BODIES`).
+# Every memo here that is not an lru_cache is a `_Bounded`, whose instance
+# states its bound.
 
 
 # A compiled step is the tuple (place, bit, test, mask, invert, branches,
 # den): the variable's place 3^(n-1-v) in an intervention code, its bit in
 # a state, its gates test code, the parent bits the test reads, the output
 # inversion, one (bit xored into the output, weight numerator) pair per
-# noise branch, and the common denominator of those numerators.
+# noise branch, and the common denominator of those numerators: positive
+# numerators summing to it, so a step of one branch is (flip, 1) over 1.
 
 
 class _Plan(NamedTuple):
     n: int
     steps: tuple[tuple, ...]  # in topological order
-    # every noise law read is positive and sums to 1, so the outcome
-    # masses are a distribution by construction
-    exact: bool
 
 
 def _compile(scm: Scm) -> _Plan:
     """Check what evaluation needs and build the per-variable plan.
 
     Raises what running the mechanisms raises: CycleError, then
-    SupportTooLargeError before any work, then IndexError (empty noise
-    support, parent or noise index out of range), ValueError (unknown
-    gate, non-bit symbol read as a bit) or ArityMismatchError. The model
-    checks run on every call; each step comes from its mechanism's memo
-    (`_step`), which holds only steps whose checks passed.
+    SupportTooLargeError before any work, then IndexError for an empty
+    noise support, then ValueError for a mechanism count other than n.
+    Then each step, in topological order, raises its first error:
+    IndexError (parent or noise index out of range), ValueError (unknown
+    gate, non-bit symbol read as a bit, a noise law that is not a
+    distribution) or ArityMismatchError. The model checks run on every
+    call; each step comes from its mechanism's memo (`_step`), which holds
+    only steps whose checks passed.
     """
     n = scm.n
     order = topo_order(scm)
@@ -462,15 +468,9 @@ def _compile(scm: Scm) -> _Plan:
           lambda: Counter(size for size in sizes if size > 1), "noise points")
     if total == 0:
         raise IndexError("a noise distribution has an empty support")
-    if len(mechanisms) > n:
+    if len(mechanisms) != n:
         raise ValueError(f"{len(mechanisms)} mechanisms for {n} variables")
-    steps = []
-    exact = True
-    for v in order:
-        step, law_ok = _step(mechanisms[v], n, v)
-        steps.append(step)
-        exact = exact and law_ok
-    return _Plan(n, tuple(steps), exact)
+    return _Plan(n, tuple([_step(mechanisms[v], n, v) for v in order]))
 
 
 # the bound of each mechanism's `_Bounded` step memo, in steps, one per
@@ -479,10 +479,9 @@ def _compile(scm: Scm) -> _Plan:
 _STEPS_MAX = 64
 
 
-def _step(mech: Mechanism, n: int, v: int) -> tuple[tuple, bool]:
-    """(step, whether its noise law is valid) of `mech` as variable v of n,
-    memoized on the mechanism: a pure function of the frozen mechanism and
-    (n, v)."""
+def _step(mech: Mechanism, n: int, v: int) -> tuple:
+    """The step of `mech` as variable v of n, memoized on the mechanism: a
+    pure function of the frozen mechanism and (n, v)."""
     memo = mech.__dict__.get("_steps")
     if memo is None:
         memo = mech.__dict__["_steps"] = _Bounded(_STEPS_MAX)
@@ -506,7 +505,6 @@ def _step(mech: Mechanism, n: int, v: int) -> tuple[tuple, bool]:
         for p in parents:
             mask |= 1 << (n - 1 - p)
     support = mech.noise.support
-    law_ok = True
     if len(support) == 1:
         # a fixed symbol: its probability is never read
         if reads_noise:
@@ -516,29 +514,35 @@ def _step(mech: Mechanism, n: int, v: int) -> tuple[tuple, bool]:
             branches = ((0, 1),)
         den = 1
     else:
-        branches, den, law_ok = _noise_branches(mech, row)
+        branches, den = _noise_branches(mech, row, v)
     step = (3 ** (n - 1 - v), 1 << (n - 1 - v), test, mask, invert, branches, den)
-    return memo.keep((n, v), (step, law_ok))
+    return memo.keep((n, v), step)
 
 
-def _noise_branches(mech: Mechanism, row: gates.GateSpec):
-    """(branches, denominator, whether the law is valid) of a noise law with
-    several symbols."""
+def _noise_branches(mech: Mechanism, row: gates.GateSpec, v: int):
+    """(branches, denominator) of a noise law with several symbols, in
+    lowest terms, the symbols with the same effect merged. Raises
+    ValueError unless the merged branches are positive weights summing to
+    the denominator: a gate that ignores its noise merges every symbol
+    into one branch, whose weight is then the sum of the law."""
     support, probs = mech.noise.support, mech.noise.probs
     if len(probs) < len(support):
         raise IndexError(f"{len(probs)} probs for {len(support)} noise symbols")
     probs = probs[: len(support)]
     den = math.lcm(*[p.denominator for p in probs])
-    nums = [p.numerator * (den // p.denominator) for p in probs]
-    law_ok = min(nums) > 0 and sum(nums) == den
     by_flip: dict[int, int] = {}
-    for symbol, k in zip(support, nums):
+    for symbol, p in zip(support, probs):
         gates.check_noise_symbol(mech.gate, row, symbol)
         flip = symbol if row.reads_noise else 0
-        by_flip[flip] = by_flip.get(flip, 0) + k
-    g = math.gcd(den, *by_flip.values())
-    branches = tuple((flip, k // g) for flip, k in sorted(by_flip.items()))
-    return branches, den // g, law_ok
+        by_flip[flip] = by_flip.get(flip, 0) + p.numerator * (den // p.denominator)
+    flips = sorted(by_flip)
+    nums = [by_flip[flip] for flip in flips]
+    if min(nums) <= 0 or sum(nums) != den:
+        masses = ", ".join(str(Fraction(k, den)) for k in nums)
+        raise ValueError(f"variable {v}: noise law is not a distribution: "
+                         f"branch masses {masses} sum to {Fraction(sum(nums), den)}")
+    g = math.gcd(den, *nums)
+    return tuple(zip(flips, [k // g for k in nums])), den // g
 
 
 def _extend(states: list[int], test: int, mask: int, flip: int, bit: int) -> list[int]:
@@ -565,8 +569,8 @@ def _scaled(weights: list[int], k: int) -> list[int]:
 class _Lines(dict):
     """The canonical mass lines of states whose outcomes are `width` bits
     wide, each with mass weight/den. Without a `weight`, a line is keyed
-    by state * (den + 1) + weight: an exact plan's weights lie in 1..den,
-    so the key orders lines by state and decodes back to the pair. A memo
+    by state * (den + 1) + weight: the weights of a law lie in 1..den, so
+    the key orders lines by state and decodes back to the pair. A memo
     for one `weight`, which serves the leaves whose states all carry it,
     is keyed by the state alone.
 
@@ -609,30 +613,27 @@ def _lines(*key: int) -> _Lines:
     return _Lines(*key) if memo is None else memo
 
 
-def _dist(exact: bool, n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
-    """The law of `states`, `n_bits`-bit outcomes of mass weight/den: when
-    `exact` (positive weights summing to den), its canonical body, lines in
-    state order, and its sorted keys if `keep`. A uniform law sorts its
-    states alone and reads each line from its weight's memo; any other
-    sorts integer keys that order the states and carry their weights. A
-    law not exact, or too long to write, goes through the constructor."""
-    if exact:
-        weight = weights[0]
-        if weights.count(weight) == len(weights):
-            lines = _lines(n_bits, den, weight)
-            keys = sorted(states)
-        else:
-            lines = _lines(n_bits, den)
-            keys = sorted(map(add, map(mul, states, itertools.repeat(den + 1)), weights))
-        try:
-            body = "\n".join(map(lines.__getitem__, keys))
-        except OracleFormatError:  # serialize raises it again, when asked for the text
-            pass
-        else:
-            return ExactDist._from_body(n_bits, body, (keys, lines.weight, den) if keep else None)
-    pairs = sorted(zip(states, weights))
-    top = 1 << n_bits  # keeps each state's leading zeros
-    return ExactDist(n_bits, {format(top | s, "b")[1:]: Fraction(w, den) for s, w in pairs})
+def _dist(n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
+    """The law of `states`, `n_bits`-bit outcomes of mass weight/den, whose
+    positive weights sum to den: its canonical body, lines in state order,
+    and its sorted keys if `keep`. A uniform law sorts its states alone
+    and reads each line from its weight's memo; any other sorts integer
+    keys that order the states and carry their weights. A law too long to
+    write goes through the constructor."""
+    weight = weights[0]
+    if weights.count(weight) == len(weights):
+        lines = _lines(n_bits, den, weight)
+        keys = sorted(states)
+    else:
+        lines = _lines(n_bits, den)
+        keys = sorted(map(add, map(mul, states, itertools.repeat(den + 1)), weights))
+    try:
+        body = "\n".join(map(lines.__getitem__, keys))
+    except OracleFormatError:  # serialize raises it again, when asked for the text
+        pairs = sorted(zip(states, weights))
+        top = 1 << n_bits  # keeps each state's leading zeros
+        return ExactDist(n_bits, {format(top | s, "b")[1:]: Fraction(w, den) for s, w in pairs})
+    return ExactDist._from_body(n_bits, body, (keys, lines.weight, den) if keep else None)
 
 
 def kernel_laws(scm: Scm, max_forced: int | None, worlds: bool):
@@ -661,11 +662,11 @@ def _laws(plan: _Plan, max_forced: int) -> dict[int, ExactDist]:
     alone. Take a node whose budget lets every remaining variable be
     forced, so that its mechanism subtree and its do(b) subtree hold the
     same interventions on the remaining variables. If its step is
-    deterministic (one noise branch, of weight 1 over 1) and yields the
-    states do(b) yields, both subtrees start from the same (states,
-    weights, den), so their leaves are equal at codes (b + 1) * 3^(n-1-v)
-    apart: the mechanism subtree takes the do(b) subtree's ExactDist
-    objects.
+    deterministic (one noise branch, which compiles to weight 1 over 1)
+    and yields the states do(b) yields, both subtrees start from the same
+    (states, weights, den), so their leaves are equal at codes
+    (b + 1) * 3^(n-1-v) apart: the mechanism subtree takes the do(b)
+    subtree's ExactDist objects.
     """
     codes: list[int] = []
     dists: list[ExactDist] = []
@@ -678,7 +679,7 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists, keep
     `code` sums the digits forced so far. Each leaf appends its code to
     `codes` and its law (with its keys if `keep`) to `dists`; the last
     level's do() leaves are appended here, not from a call of their own."""
-    steps, exact, n = plan.steps, plan.exact, plan.n
+    steps, n = plan.steps, plan.n
     last = len(steps)
     for level in range(level, last):
         place, bit, test, mask, invert, branches, step_den = steps[level]
@@ -687,8 +688,8 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists, keep
             ones = [s | bit for s in states]
             if level + 1 == last:
                 codes += (code + place, code + 2 * place)
-                dists += (_dist(exact, n, states, weights, den, keep),
-                          _dist(exact, n, ones, weights, den, keep))
+                dists += (_dist(n, states, weights, den, keep),
+                          _dist(n, ones, weights, den, keep))
                 ones_at = zeros_at + 1
             else:
                 _descend(plan, level + 1, states, weights, den,
@@ -696,10 +697,9 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists, keep
                 ones_at = len(codes)
                 _descend(plan, level + 1, ones, weights, den,
                          code + 2 * place, budget - 1, codes, dists, keep)
-        if len(branches) == 1:
-            ((flip, k),) = branches
-            out = _extend(states, test, mask, invert ^ flip, bit)
-            if budget >= last - level and k == step_den == 1 and (out == states or out == ones):
+        if len(branches) == 1:  # (flip, 1) over 1: the weights stay as they are
+            out = _extend(states, test, mask, invert ^ branches[0][0], bit)
+            if budget >= last - level and (out == states or out == ones):
                 # this mechanism subtree equals the do(b) one (see _laws):
                 # its leaves again, the digit off the code
                 start, stop, digit = (
@@ -710,7 +710,6 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists, keep
                 dists += dists[start:stop]
                 return
             states = out
-            weights = _scaled(weights, k)
         else:
             next_states: list[int] = []
             next_weights: list[int] = []
@@ -718,9 +717,9 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists, keep
                 next_states += _extend(states, test, mask, invert ^ flip, bit)
                 next_weights += _scaled(weights, k)
             states, weights = next_states, next_weights
-        den *= step_den
+            den *= step_den
     codes.append(code)
-    dists.append(_dist(exact, n, states, weights, den, keep))
+    dists.append(_dist(n, states, weights, den, keep))
 
 
 def _worlds(plan: _Plan) -> list[ExactDist]:
@@ -742,15 +741,13 @@ def _worlds(plan: _Plan) -> list[ExactDist]:
         one = bit << 2 * n * (bit.bit_length() - 1)
         column = bit * repunit ^ (one | one << n)  # the worlds its mechanism sets
         states = _world_step(states, test, mask, bit, column, one, invert, branches)
-        if len(branches) == 1:
-            weights = _scaled(weights, branches[0][1])
-        else:
+        if len(branches) > 1:  # one branch is (flip, 1) over 1
             weights = [w for _, num in branches for w in _scaled(weights, num)]
-        den *= step_den
+            den *= step_den
     top, pair = 2 * n * n, (1 << 2 * n) - 1
     facts = [(s >> top) << 2 * n for s in states]
     return [
-        _dist(plan.exact, 3 * n,
+        _dist(3 * n,
               [f | ((s >> 2 * (n - 1 - v) * n) & pair) for f, s in zip(facts, states)],
               weights, den, True)
         for v in range(n)
@@ -887,8 +884,8 @@ def int_all(scm: Scm) -> tuple[tuple[Intervention, ExactDist], ...]:
     forced bit on every state it reaches (`_laws`); the interventions of
     the twin subtree then hold the same ExactDist objects. That is exact:
     each law below is a function of the states, weights and denominator
-    the two subtrees start from, and those are equal. Each law of an
-    exact model holds its canonical body alone, and its `mass` is built
-    from that text on first read."""
+    the two subtrees start from, and those are equal. Each law holds its
+    canonical body alone, and its `mass` is built from that text on first
+    read."""
     laws, n = int_all_laws(scm), scm.n
     return tuple([(iv, laws[intervention_code(n, iv.assignments)]) for iv in all_interventions(n)])

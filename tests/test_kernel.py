@@ -229,9 +229,9 @@ def leaf_weights(monkeypatch):
     seen = []
     render = scm_core._dist
 
-    def spy(exact, n_bits, states, weights, den, keep):
+    def spy(n_bits, states, weights, den, keep):
         seen.append((list(weights), den))
-        return render(exact, n_bits, states, weights, den, keep)
+        return render(n_bits, states, weights, den, keep)
 
     monkeypatch.setattr(scm_core, "_dist", spy)
     return seen
@@ -513,6 +513,41 @@ def test_int_all_line_cap_refuses_twelve_fair_sources_before_any_work(no_pass):
         "int_all output exceeds SCMLAB_INTALL_LINE_CAP=4194304: "
         "refused 4^12 = 16777216 mass lines"
     )
+
+
+# a noise law that is not a distribution, read by its gate or summed out
+LAWLESS = {
+    "read noise sums to 5/6": (
+        _one_variable(gates.BERN_SOURCE, (), FIVE_SIXTHS, n=2),
+        "variable 1: noise law is not a distribution: branch masses 1/2, 1/3 sum to 5/6",
+    ),
+    "ignored noise sums to 5/6": (
+        _one_variable(gates.AND, (0,), FIVE_SIXTHS, n=2),
+        "variable 1: noise law is not a distribution: branch masses 5/6 sum to 5/6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAWLESS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_noise_law_that_is_not_a_distribution_is_refused_before_any_work(no_pass, name, kind):
+    scm, text = LAWLESS[name]
+    with pytest.raises(ValueError) as excinfo:
+        compute_oracle(scm, kind)
+    assert str(excinfo.value) == text
+
+
+@given(dag_scms())
+@settings(max_examples=150, deadline=None)
+def test_a_step_of_one_noise_branch_is_weight_one_over_one(scm):
+    # the twin-subtree rule and the passes' unscaled one-branch steps rely
+    # on it; a step of several branches is a distribution in lowest terms
+    for step in scm_core._compile(scm).steps:
+        branches, den = step[5], step[6]
+        nums = [k for _, k in branches]
+        if len(branches) == 1:
+            assert branches == ((branches[0][0], 1),) and den == 1
+        assert min(nums) > 0 and sum(nums) == den and math.gcd(den, *nums) == 1
 
 
 def mass_lines(data: bytes) -> int:

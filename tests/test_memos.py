@@ -304,6 +304,10 @@ def test_errors_keep_their_order_with_a_warm_memo(monkeypatch):
     unknown = Mechanism("MAJORITY", (0,), NoiseDist.constant())
     symbol = Mechanism(gates.XOR_NOISE, (0,), NoiseDist((0, 2), (HALF, HALF)))
     short = Mechanism(gates.XOR_NOISE, (0,), NoiseDist((0, 1), (HALF,)))
+    # noise laws that sum to 5/6, one read by its gate, one summed out
+    lawless = Mechanism(gates.BERN_SOURCE, (), NoiseDist((0, 1), (HALF, Fraction(1, 3))))
+    ignored = Mechanism(gates.AND, (0,), NoiseDist((0, 1), (HALF, Fraction(1, 3))))
+    late = Mechanism(gates.COPY, (1, 2), NoiseDist.constant())  # an arity error after its parents
     for scm in (Scm(2, (source, copy0)), Scm(3, (source, copy0, copy1))):
         scm_core._compile(scm)  # warm
     bad = [
@@ -311,20 +315,33 @@ def test_errors_keep_their_order_with_a_warm_memo(monkeypatch):
         Scm(3, (copy1, copy0, far)),  # a cycle before a parent out of range
         Scm(2, (source, empty)),  # an empty support
         Scm(1, (source, copy0)),  # more mechanisms than variables
+        Scm(2, (source,)),  # fewer mechanisms than variables
         Scm(3, (source, copy0, far)),  # a parent out of range after warm steps
         Scm(3, (source, copy0, wide)),
         Scm(3, (source, copy0, unknown)),
         Scm(3, (source, copy0, symbol)),
         Scm(3, (source, copy0, short)),
         Scm(3, (source, far, unknown)),  # the first failing step in order
+        Scm(2, (source, ignored)),  # a deterministic step whose law is bad
+        Scm(3, (late, source, lawless)),  # a bad law before an arity error in order
+        Scm(4, (source, copy0, wide, ignored)),  # a bad law after an arity error
     ]
     for scm in bad + bad:
         assert error_of(scm) == error_of(fresh(scm))
     assert error_of(Scm(1, (source, copy0))) == (ValueError, "2 mechanisms for 1 variables")
+    assert error_of(Scm(2, (source,))) == (ValueError, "1 mechanisms for 2 variables")
     assert error_of(Scm(3, (source, copy0, wide))) == (
         ArityMismatchError, "COPY takes exactly 1 parent(s), got 2"
     )
-    for mech in (empty, far, wide, unknown, symbol, short):  # no failed step was kept
+    assert error_of(Scm(3, (late, source, lawless))) == (
+        ValueError,
+        "variable 2: noise law is not a distribution: branch masses 1/2, 1/3 sum to 5/6",
+    )
+    assert error_of(Scm(4, (source, copy0, wide, ignored))) == error_of(
+        Scm(3, (source, copy0, wide))
+    )
+    # no failed step was kept
+    for mech in (empty, far, wide, unknown, symbol, short, lawless, ignored):
         assert not mech.__dict__.get("_steps")
     # the support cap refuses a model whose every step is memoized
     monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "1")

@@ -191,7 +191,7 @@ class TestValidate:
         short = Scm(2, (Mechanism(gates.BERN_SOURCE, (), FAIR),))
         assert validate(short) == ["BAD_SHAPE: 1 mechanisms for 2 variables"]
         assert topo_order(short) == [0, 1]
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="^1 mechanisms for 2 variables$"):
             observational(short)
 
 
@@ -226,6 +226,8 @@ class TestTopoOrder:
         assert topo_order(scm) == [1, 0]
 
     def test_orders_only_the_n_variables(self):
+        scm = Scm(2, (*chain(2).mechanisms, Mechanism(gates.COPY, (1,), CONST)))
+        assert topo_order(scm) == [0, 1]
         scm = Scm(2, (Mechanism(gates.COPY, (1,), CONST), Mechanism(gates.BERN_SOURCE, (), FAIR),
                       Mechanism(gates.COPY, (0,), CONST)))
         assert topo_order(scm) == [1, 0]
