@@ -88,6 +88,30 @@ def _do_component(oracle: AnswerOracle, var: int, bit: int) -> ExactDist:
     return _component(oracle, 1 + 2 * var + bit, f"do i={var} b={bit}", oracle.n)
 
 
+def _check_int1(oracle: AnswerOracle) -> None:
+    if oracle.kind != INT1:
+        raise KindMismatchError(f"need an INT1 oracle, got {oracle.kind}")
+
+
+def _pinned(oracle: AnswerOracle, variables, targets, error_cls: type, query) -> list:
+    """For each of `variables`, the keys of `targets`, (key, position)
+    pairs, that its do(=0) law pins to 0: each such P(position = 0) must
+    be 1 (pinned) or 1/2, and any other value raises `error_cls` naming
+    the query `query(var, key)`."""
+    rows = []
+    for var in variables:
+        zeros, den = zero_weights(_do_component(oracle, var, 0))
+        pinned = set()
+        for key, p in targets:
+            z = zeros[p]
+            if z == den:
+                pinned.add(key)
+            elif 2 * z != den:
+                raise error_cls(f"{query(var, key)} = {Fraction(z, den)}, expected 1 or 1/2")
+        rows.append(pinned)
+    return rows
+
+
 def descendants_from_int1(oracle: AnswerOracle) -> DescendantSets:
     """Read descendant sets off the do(X_i=0) dichotomy.
 
@@ -96,22 +120,11 @@ def descendants_from_int1(oracle: AnswerOracle) -> DescendantSets:
     (everything else). Any other value means the oracle is not from the
     family.
     """
-    if oracle.kind != INT1:
-        raise KindMismatchError(f"need an INT1 oracle, got {oracle.kind}")
+    _check_int1(oracle)
     n = oracle.n
-    sets: dict[int, frozenset[int]] = {}
-    for i in range(1, n + 1):
-        zeros, den = zero_weights(_do_component(oracle, i - 1, 0))
-        members = set()
-        for j in range(1, n + 1):
-            z = zeros[j - 1]
-            if z == den:
-                members.add(j)
-            elif 2 * z != den:
-                raise NotTreeLikeError(
-                    f"do(X_{i}=0) gives P(X_{j}=0) = {Fraction(z, den)}, expected 1 or 1/2"
-                )
-        sets[i] = frozenset(members)
+    rows = _pinned(oracle, range(n), list(enumerate(range(n), 1)), NotTreeLikeError,
+                   lambda v, j: f"do(X_{v + 1}=0) gives P(X_{j}=0)")
+    sets = {v + 1: frozenset(row) for v, row in enumerate(rows)}
     return DescendantSets(n, sets)
 
 
@@ -163,24 +176,14 @@ def graph_from_int1(oracle: AnswerOracle) -> BipartiteGraph:
 def graph_probe(oracle: AnswerOracle) -> BipartiteGraph:
     """The layer graph the do(a_i=0) laws name: they pin b_j to 0 with
     probability 1 exactly when (i, j) is an edge, else 1/2."""
-    if oracle.kind != INT1:
-        raise KindMismatchError(f"need an INT1 oracle, got {oracle.kind}")
+    _check_int1(oracle)
     n = oracle.n
     if n < 3 or n % 2 == 0:
         raise NotBipartiteLikeError(f"n={n} is not 2m+1 for any m >= 1")
     m = (n - 1) // 2
-    edges = set()
-    for i in range(m):
-        zeros, den = zero_weights(_do_component(oracle, 1 + i, 0))
-        for j in range(m):
-            z = zeros[1 + m + j]
-            if z == den:
-                edges.add((i, j))
-            elif 2 * z != den:
-                raise NotBipartiteLikeError(
-                    f"do(a_{i}=0) gives P(b_{j}=0) = {Fraction(z, den)}, expected 1 or 1/2"
-                )
-    return BipartiteGraph(m, frozenset(edges))
+    rows = _pinned(oracle, range(1, m + 1), list(enumerate(range(1 + m, n))), NotBipartiteLikeError,
+                   lambda v, j: f"do(a_{v - 1}=0) gives P(b_{j}=0)")
+    return BipartiteGraph(m, frozenset((i, j) for i, row in enumerate(rows) for j in row))
 
 
 def string_from_cf1(oracle: AnswerOracle) -> HiddenString:

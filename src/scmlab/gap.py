@@ -168,6 +168,11 @@ class DegreeBoundReport:
 _E_LOWER = Fraction(2718281828459045, 10**15)
 
 
+def _parent_choices(n: int, d: int) -> int:
+    """Parent sets of size <= d among n - 1 variables: sum_{k<=d} C(n-1, k)."""
+    return sum(math.comb(n - 1, k) for k in range(d + 1))
+
+
 def degree_bound(
     n: int, d: int, gamma_size: int = 1, pi_size: int = 1
 ) -> DegreeBoundReport:
@@ -177,7 +182,7 @@ def degree_bound(
         raise BadRangeError(f"need n >= 2 and 1 <= d <= n-1, got n={n}, d={d}")
     if gamma_size < 1 or pi_size < 1:
         raise BadRangeError("library sizes must be at least 1")
-    parent_choices = sum(math.comb(n - 1, k) for k in range(d + 1))
+    parent_choices = _parent_choices(n, d)
     rhs = (d + 1) * (_E_LOWER * (n - 1) / d) ** d
     return DegreeBoundReport(
         n=n,
@@ -199,11 +204,7 @@ def generic_class_encoding(scm: Scm, spec: ClassSpec) -> BitBudget:
     if not membership.member:
         raise NotMemberError("; ".join(membership.violations))
     n = scm.n
-    if n >= 2:
-        d = min(spec.d, n - 1)
-        parent_choices = sum(math.comb(n - 1, k) for k in range(d + 1))
-    else:
-        parent_choices = 1
+    parent_choices = _parent_choices(n, min(spec.d, n - 1)) if n >= 2 else 1
     pair_count = len(spec.gamma) * len(spec.pi)
     components = [
         ("order", ceil_log2(math.factorial(n))),
@@ -241,8 +242,8 @@ def separation_table(
     higher_kind: str | None = None,
 ) -> list[GapRow]:
     """One row per family instance: ambiguity count, its log, the encoder
-    budget, and the exact conditional entropy. The rungs default to the
-    family's row.
+    budget, and the exact conditional entropy. Each rung left None
+    defaults, on its own, to the family row's.
 
     The lower-bound surrogate can never exceed the upper-bound surrogate
     when the row marks the encoder tight (the adjacency matrix, the raw
@@ -251,8 +252,8 @@ def separation_table(
     reported instead.
     """
     spec = family.spec
-    if lower_kind is None or higher_kind is None:
-        lower_kind, higher_kind = spec.rungs
+    lower_kind = spec.rungs[0] if lower_kind is None else lower_kind
+    higher_kind = spec.rungs[1] if higher_kind is None else higher_kind
     groups = _grouped(family, lower_kind, higher_kind)
     ambiguity = max(map(len, groups.values()))
     encoder_bits = spec.encoder_bits(family.size)

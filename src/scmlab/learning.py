@@ -16,9 +16,11 @@ stream whose draws nothing reads is never seeded, which changes no draw
 that is read: not the data of an empty dataset, not the learner stream
 of a learner that does not guess, and not the data stream of a learner
 or a constant predictor that ignores the dataset.
-Monte-Carlo episodes read each graph's INT1 oracle, its bytes and, once
-an episode reads its data, its observational law's integer CDF from one
-memo per graph and caps snapshot: an episode costs its draws and lookups.
+One generator, `_episodes`, drives the Monte-Carlo loops of `run_nfl`
+and `per_query_error`: it refuses a bad `trials`, `seed` or `n_samples`
+before any graph is computed, takes one caps snapshot, and reads each
+graph's INT1 oracle, its bytes and, once an episode reads its data, its
+observational law's integer CDF from one memo per graph and snapshot.
 """
 
 from __future__ import annotations
@@ -92,6 +94,16 @@ def _draw(sampler: _Sampler, count: int, seed: int) -> tuple[str, ...]:
     )
 
 
+def _check_count(name: str, count) -> None:
+    if type(count) is not int or count < 0:  # a bool is no count
+        raise BadRangeError(f"{name} must be nonnegative, got {count!r}")
+
+
+def _check_seed(seed) -> None:
+    if type(seed) is not int:  # None seeds from OS entropy, 1.5 runs seed 1; a bool is none
+        raise BadRangeError(f"seed must be an integer, got {seed!r}")
+
+
 def sample_obs(scm: Scm, count: int, seed: int, source: str = "scm") -> Dataset:
     """Draw `count` i.i.d. rows from the exact observational law.
 
@@ -99,10 +111,8 @@ def sample_obs(scm: Scm, count: int, seed: int, source: str = "scm") -> Dataset:
     denominators is compared against cumulative numerators, so no float
     ever enters.
     """
-    if count < 0:
-        raise BadRangeError(f"count must be nonnegative, got {count}")
-    if type(seed) is not int:  # None would seed from OS entropy; a bool is no seed
-        raise BadRangeError(f"seed must be an integer, got {seed!r}")
+    _check_count("count", count)
+    _check_seed(seed)
     return Dataset(scm.n, _draw(_sampler(observational(scm)), count, seed), seed, source)
 
 
@@ -124,25 +134,33 @@ def _graph(m: int, mask: int, caps) -> _Graph:
     return _Graph(compute_oracle(Family(BIPARTITE, m).build(graph_of_mask(m, mask)), INT1))
 
 
-def _episode(
-    m: int, n_samples: int, seed: int, labels: tuple[str, str], trial: int, caps, reads: bool
-):
-    """One Monte-Carlo episode: a uniform graph drawn from the stream
-    (seed, labels[0], trial), which is returned for further draws, and
-    `n_samples` rows of its law from the stream (seed, labels[1], trial).
+def _episodes(m: int, n_samples: int, trials: int, seed: int, labels, reads: bool):
+    """Yield (trial, rng, graph, dataset, caps) per Monte-Carlo episode,
+    once `trials` is an int >= 1, `seed` an int and `n_samples` an int
+    >= 0 (a bool is none of them). The hidden graph is drawn uniformly
+    from the stream rng (seed, labels[0], trial), and its `n_samples`
+    rows from the stream (seed, labels[1], trial).
 
     A stream whose draws nothing reads is never seeded. Unless `reads`
     says the caller reads the dataset, the dataset is None and its seed
     is not even derived; otherwise its stream is seeded only when it
     draws a row.
     """
-    rng = random.Random(derive_seed(seed, labels[0], trial))
-    graph = _graph(m, rng.randrange(1 << (m * m)), caps)
-    if not reads:
-        return rng, graph, None
-    data_seed = derive_seed(seed, labels[1], trial)
-    rows = _draw(graph.sampler, n_samples, data_seed)
-    return rng, graph, Dataset(graph.oracle.n, rows, data_seed, f"bipartite m={m}")
+    if type(trials) is not int or trials < 1:
+        raise BadRangeError(f"monte-carlo mode needs trials >= 1, got {trials!r}")
+    _check_seed(seed)
+    _check_count("n_samples", n_samples)
+    caps = snapshot()
+    graph_label, data_label = labels
+    dataset = None
+    for trial in range(trials):
+        rng = random.Random(derive_seed(seed, graph_label, trial))
+        graph = _graph(m, rng.randrange(1 << (m * m)), caps)
+        if reads:
+            data_seed = derive_seed(seed, data_label, trial)
+            rows = _draw(graph.sampler, n_samples, data_seed)
+            dataset = Dataset(graph.oracle.n, rows, data_seed, f"bipartite m={m}")
+        yield trial, rng, graph, dataset, caps
 
 
 def _int1_counts(m: int) -> Counter:
@@ -279,9 +297,9 @@ class NflReport:
 def _check_m(what: str, m: int) -> None:
     """Refuse m outside 1..SCMLAB_NFL_MMAX before any work; the refused
     work is the 2^(m*m) graphs the exact accounting reads. `what` names
-    the call, with {} where m goes."""
-    if m < 1:
-        raise BadRangeError(f"m must be at least 1, got {m}")
+    the call, with {} where m goes. A bool is no m."""
+    if type(m) is not int or m < 1:
+        raise BadRangeError(f"m must be at least 1, got {m!r}")
     check("SCMLAB_NFL_MMAX", m, what, lambda: {2: m * m}, "graphs")
 
 
@@ -301,46 +319,28 @@ def run_nfl(
     observational dataset, prediction, byte-exact comparison.
     """
     _check_m("nfl on m={}", m)
-    if n_samples < 0:
-        raise BadRangeError(f"n_samples must be nonnegative, got {n_samples}")
+    _check_count("n_samples", n_samples)
     if learner_id not in LEARNERS:
         raise BadRangeError(f"unknown learner {learner_id!r}")
     learner = LEARNERS[learner_id]
-    bound = Fraction(1, 1 << (m * m))
     if mode == EXACT:
+        trials = successes = seed = None
         rate = learner.exact_rate(m, n_samples)
-        return NflReport(
-            m, n_samples, learner_id, EXACT, None, None, rate, bound, None, PRNG_ID
-        )
-    if mode != MONTE_CARLO:
+    elif mode == MONTE_CARLO:
+        successes = 0
+        for trial, _, graph, dataset, caps in _episodes(
+            m, n_samples, trials, seed, ("graph", "data"), learner.reads_data
+        ):
+            learner_rng = None
+            if learner.draws:
+                learner_rng = random.Random(derive_seed(seed, "learner", trial))
+            if learner.predict_bytes(dataset, m, learner_rng, caps) == graph.data:
+                successes += 1
+        rate = Fraction(successes, trials)
+    else:
         raise BadRangeError(f"unknown mode {mode!r}")
-    if trials is None or trials < 1:
-        raise BadRangeError("monte-carlo mode needs trials >= 1")
-    if type(seed) is not int:  # derive_seed would run 1.5 as seed 1
-        raise BadRangeError(f"monte-carlo mode needs an integer seed, got {seed!r}")
-    caps = snapshot()
-    successes = 0
-    for trial in range(trials):
-        _, graph, dataset = _episode(
-            m, n_samples, seed, ("graph", "data"), trial, caps, learner.reads_data
-        )
-        learner_rng = None
-        if learner.draws:
-            learner_rng = random.Random(derive_seed(seed, "learner", trial))
-        if learner.predict_bytes(dataset, m, learner_rng, caps) == graph.data:
-            successes += 1
-    return NflReport(
-        m,
-        n_samples,
-        learner_id,
-        MONTE_CARLO,
-        trials,
-        successes,
-        Fraction(successes, trials),
-        bound,
-        seed,
-        PRNG_ID,
-    )
+    bound = Fraction(1, 1 << (m * m))
+    return NflReport(m, n_samples, learner_id, mode, trials, successes, rate, bound, seed, PRNG_ID)
 
 
 def per_query_error(
@@ -372,19 +372,13 @@ def per_query_error(
         return error
     if mode != MONTE_CARLO:
         raise BadRangeError(f"unknown mode {mode!r}")
-    if trials is None or trials < 1 or type(seed) is not int or n_samples is None:
-        raise BadRangeError("monte-carlo mode needs n_samples, trials, and an integer seed")
-    if n_samples < 0:
-        raise BadRangeError(f"n_samples must be nonnegative, got {n_samples}")
-    caps = snapshot()
     total = ZERO
-    labels = ("query-episode", "query-data")
     reads = callable(predictor)
     constant = None if reads else Fraction(predictor)
-    for trial in range(trials):
-        episode_rng, graph, dataset = _episode(m, n_samples, seed, labels, trial, caps, reads)
-        i = episode_rng.randrange(m)
-        j = episode_rng.randrange(m)
+    labels = ("query-episode", "query-data")
+    for _, rng, graph, dataset, _ in _episodes(m, n_samples, trials, seed, labels, reads):
+        i = rng.randrange(m)
+        j = rng.randrange(m)
         answer = Fraction(predictor(dataset)) if reads else constant
         truth = graph.oracle.component(f"do i={1 + i} b=0").prob_bit(1 + m + j, 0)
         total += abs(answer - truth)

@@ -39,7 +39,6 @@ from typing import NoReturn
 
 from .caps import snapshot, work_text
 from .errors import (
-    BadPositionError,
     KindMismatchError,
     LengthMismatchError,
     OracleFormatError,
@@ -484,8 +483,7 @@ def marginal(dist: ExactDist, positions) -> ExactDist:
     place in the key; the result carries its body and keys, as a leaf does."""
     positions = tuple(int(p) for p in positions)
     for p in positions:
-        if not 0 <= p < dist.n_bits:
-            raise BadPositionError(f"position {p} outside [0, {dist.n_bits})")
+        dist._check_position(p)
     moves = [(dist.n_bits - 1 - p, len(positions) - 1 - k) for k, p in enumerate(positions)]
     states, weights, den = dist._int_view()
     acc: dict[int, int] = {}
@@ -498,9 +496,8 @@ def marginal(dist: ExactDist, positions) -> ExactDist:
 def agreement(dist: ExactDist, i: int, j: int) -> Fraction:
     """Exact probability that positions `i` and `j` of `dist` hold the same
     bit, summed in integers over the dist's integer view."""
-    for p in (i, j):
-        if not 0 <= p < dist.n_bits:
-            raise BadPositionError(f"position {p} outside [0, {dist.n_bits})")
+    dist._check_position(i)
+    dist._check_position(j)
     i, j = dist.n_bits - 1 - i, dist.n_bits - 1 - j  # the positions' bits in a state
     states, weights, den = dist._int_view()
     return Fraction(sum([w for s, w in zip(states, weights) if not (s >> i ^ s >> j) & 1]), den)
@@ -532,7 +529,7 @@ def blocks_match(dist: ExactDist, laws) -> bool:
     """
     bounds = list(itertools.accumulate([law.n_bits for law in laws], initial=0))
     if bounds[-1] > dist.n_bits:
-        raise BadPositionError(f"position {bounds[-1] - 1} outside [0, {dist.n_bits})")
+        dist._check_position(bounds[-1] - 1)
     states, weights, den = dist._int_view()
     for start, stop, law in zip(bounds, bounds[1:], laws):
         shift, mask = dist.n_bits - stop, (1 << (stop - start)) - 1

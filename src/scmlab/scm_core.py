@@ -265,10 +265,13 @@ class ExactDist:
         """Exact probability of one outcome (0 if absent)."""
         return self.mass.get(outcome, ZERO)
 
-    def prob_bit(self, position: int, bit: int) -> Fraction:
-        """Exact marginal probability that `position` carries `bit` (0 or 1)."""
+    def _check_position(self, position: int) -> None:
         if not 0 <= position < self.n_bits:
             raise BadPositionError(f"position {position} outside [0, {self.n_bits})")
+
+    def prob_bit(self, position: int, bit: int) -> Fraction:
+        """Exact marginal probability that `position` carries `bit` (0 or 1)."""
+        self._check_position(position)
         if bit not in (0, 1):
             raise BadRangeError(f"bit must be 0 or 1, got {bit!r}")
         shift = self.n_bits - 1 - position

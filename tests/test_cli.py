@@ -108,6 +108,21 @@ class TestGapsCommand:
         (row,) = json.loads(out)["results"]
         assert (row["lower_kind"], row["higher_kind"]) == ("INT1", "CF1")
 
+    @pytest.mark.parametrize(
+        "flag, kind, line",
+        [
+            ("--lower", "INT_ALL", "tree,3,3,INT_ALL,INT1,1,0.0,4,0.0,"),
+            ("--higher", "CF1", "tree,3,3,OBS,CF1,9,3.169925001442312,4,3.169925001442312,"),
+        ],
+        ids=["lower", "higher"],
+    )
+    def test_a_lone_rung_keeps_the_rows_other(self, flag, kind, line, capfd):
+        code, out, _ = run_cli(
+            "gaps", "--family", "tree", "--n", "3", flag, kind, "--format", "csv", capfd=capfd
+        )
+        assert code == 0
+        assert out.splitlines()[1] == line
+
 
 class TestSepCommand:
     def test_json_report(self, capfd):

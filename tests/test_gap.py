@@ -272,6 +272,17 @@ class TestSeparationTable:
         assert (row.lower_kind, row.higher_kind) == (INT1, CF1)
         assert row.ambiguity_count == 4
 
+    def test_a_lone_lower_rung_keeps_the_rows_higher(self):
+        (row,) = separation_table(Family("tree", 3), INT_ALL, None)
+        assert (row.lower_kind, row.higher_kind) == (INT_ALL, INT1)
+        # INT_ALL names every tree, so no class holds two INT1 oracles
+        assert (row.ambiguity_count, row.entropy_bits) == (1, 0.0)
+
+    def test_a_lone_higher_rung_keeps_the_rows_lower(self):
+        (row,) = separation_table(Family("tree", 3), higher_kind=CF1)
+        assert (row.lower_kind, row.higher_kind) == (OBS, CF1)
+        assert row.ambiguity_count == 9
+
 
 class TestPairwiseSeparation:
     def test_single_edge_family(self):

@@ -161,6 +161,53 @@ def test_a_seed_that_is_not_an_int_is_refused(call, seed, no_pass):
         call(seed)
 
 
+# each call takes (m, n_samples, trials, seed) and names the ones it reads
+HARNESS_CALLS = {
+    "run_nfl-exact": (
+        lambda m, n, trials, seed: run_nfl(m, n, "constant-empty", EXACT),
+        ("m", "n_samples"),
+    ),
+    "run_nfl-mc": (
+        lambda m, n, trials, seed: run_nfl(
+            m, n, "empirical-independent", MONTE_CARLO, trials, seed
+        ),
+        ("m", "n_samples", "trials", "seed"),
+    ),
+    "per_query_error-mc": (
+        lambda m, n, trials, seed: per_query_error(
+            m, all_ones_share, MONTE_CARLO, n, trials, seed
+        ),
+        ("m", "n_samples", "trials", "seed"),
+    ),
+    "sample_obs": (
+        lambda m, n, trials, seed: sample_obs(NON_DYADIC, n, seed),
+        ("n_samples", "seed"),
+    ),
+}
+REFUSALS = [
+    pytest.param(name, arg, bad, id=f"{name}-{arg}={bad!r}")
+    for name, (_, args) in HARNESS_CALLS.items()
+    for arg in args
+    for bad in (1.5, True, None, -1)
+    if (arg, bad) != ("seed", -1)  # a negative int is a seed
+]
+
+
+@pytest.mark.parametrize("name, arg, bad", REFUSALS)
+def test_the_harness_refuses_a_bad_argument_before_any_graph(
+    name, arg, bad, no_pass, monkeypatch
+):
+    def spy(*args):
+        raise AssertionError("a graph was computed before the check")
+
+    monkeypatch.setattr(learning, "_graph", spy)
+    call, _ = HARNESS_CALLS[name]
+    args = {"m": 1, "n_samples": 2, "trials": 4, "seed": 7, arg: bad}
+    with pytest.raises(BadRangeError) as refused:
+        call(args["m"], args["n_samples"], args["trials"], args["seed"])
+    assert str(refused.value).endswith(f"got {bad!r}")
+
+
 class TestLearnerRegistry:
     def test_ids(self):
         assert set(LEARNERS) == {
@@ -266,6 +313,17 @@ class TestExactRates:
         # episode rows are all zeros or all ones, so every fit is one of those five
         run_nfl(2, 4, "empirical-independent", MONTE_CARLO, trials=30, seed=3)
         assert fits.cache_info().misses == 5
+
+    def test_pinned_reports(self):
+        # exact mode reads neither trials nor seed, and reports neither
+        assert run_nfl(2, 3, "constant-empty", EXACT, trials=5, seed=9) == learning.NflReport(
+            2, 3, "constant-empty", EXACT, None, None, Fraction(1, 16), Fraction(1, 16),
+            None, PRNG_ID,
+        )
+        assert run_nfl(2, 3, "constant-empty", MONTE_CARLO, 64, 11) == learning.NflReport(
+            2, 3, "constant-empty", MONTE_CARLO, 64, 7, Fraction(7, 64), Fraction(1, 16),
+            11, PRNG_ID,
+        )
 
     def test_exact_report_shape(self):
         report = run_nfl(1, 3, "uniform-guess", EXACT)
