@@ -100,7 +100,7 @@ def _check_count(name: str, count) -> None:
 
 
 def _check_seed(seed) -> None:
-    if type(seed) is not int:  # None seeds from OS entropy, 1.5 runs seed 1; a bool is none
+    if type(seed) is not int:  # None seeds from OS entropy, derive_seed runs 1.5 as 1
         raise BadRangeError(f"seed must be an integer, got {seed!r}")
 
 
