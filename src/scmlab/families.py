@@ -27,7 +27,7 @@ from . import gates
 from .caps import check
 from .errors import BadRangeError, InvalidTreeError, LengthMismatchError
 from .rational import HALF
-from .scm_core import Mechanism, NoiseDist, Scm
+from .scm_core import Mechanism, NoiseDist, Scm, validate
 
 TREE = "tree"
 BIPARTITE = "bipartite"
@@ -256,8 +256,10 @@ class ClassMembership:
 
 
 def class_membership(scm: Scm, spec: ClassSpec) -> ClassMembership:
-    """Check every mechanism against the class; list each violation."""
-    violations = []
+    """Check every mechanism against the class; list each violation,
+    after `validate`'s issues: a model that is not a valid SCM is no
+    member."""
+    violations = validate(scm)
     max_indegree = 0
     for i, mech in enumerate(scm.mechanisms):
         max_indegree = max(max_indegree, len(mech.parents))

@@ -204,7 +204,7 @@ def generic_class_encoding(scm: Scm, spec: ClassSpec) -> BitBudget:
     if not membership.member:
         raise NotMemberError("; ".join(membership.violations))
     n = scm.n
-    parent_choices = _parent_choices(n, min(spec.d, n - 1)) if n >= 2 else 1
+    parent_choices = _parent_choices(n, min(spec.d, n - 1))
     pair_count = len(spec.gamma) * len(spec.pi)
     components = [
         ("order", ceil_log2(math.factorial(n))),

@@ -9,6 +9,11 @@ An oracle is the complete exact answer set for one query class:
 * INT_ALL: the joint under every one of the 3^n hard interventions,
   empty set included, so OBS is literally a component.
 
+Every oracle of every kind is computed in one place, `_member_oracles`:
+`compute_oracle`, the family sweeps, the INT_ALL index and the decoders'
+rebuild check all call it. Each component sits at the slot its kind's
+layout (`_layout`) gives it, one memo of layouts serving every kind.
+
 Serialization is canonical: one byte string per oracle, equal bytes iff
 equal oracles. The grammar (golden-tested) is
 
@@ -85,12 +90,19 @@ def intervention_key(iv: Intervention) -> str:
     return f"do S={targets} x={bits}"
 
 
-def _build_int_all_table(n: int) -> tuple[tuple[int, str], ...]:
-    """The (`intervention_code`, `intervention_key`) pair of each of the
-    3^n INT_ALL components on n variables, in `all_interventions` order,
-    built without Intervention objects: the INT_ALL `_layout`. Each target
-    set is walked beside its variables' places 3^(n-1-v), and its part of
-    the key and its block of codes are built once."""
+def _build_layout(kind: str, n: int) -> tuple[tuple, ...]:
+    """The `_layout` of `kind` on n variables, built. INT_ALL's walks each
+    target set beside its variables' places 3^(n-1-v), in
+    `all_interventions` order without Intervention objects, and builds the
+    set's part of the key and its block of codes once."""
+    if kind == CF1:
+        return tuple([(i, f"cf i={i}") for i in range(n)])
+    if kind == OBS:
+        return ((0, "obs"),)
+    if kind == INT1:
+        return ((0, "obs"), *[
+            (intervention_code(n, ((i, b),)), f"do i={i} b={b}") for i in range(n) for b in (0, 1)
+        ])
     places = [3 ** (n - 1 - v) for v in range(n)]
     codes: list[int] = []
     keys: list[str] = []
@@ -106,44 +118,28 @@ def _build_int_all_table(n: int) -> tuple[tuple[int, str], ...]:
     return tuple(zip(codes, keys))
 
 
-# A table holds about 190 bytes of RSS per component: 10 MiB at n=10, 32
-# MiB at n=11 and 99 MiB at n=12, the default INT_ALL cap. Tables up to
-# n=10 are cached, about 15 MiB at most; a larger one is built per call,
-# in under a second against seconds to compute that oracle, and is freed
-# with it.
+# An INT_ALL layout holds about 190 bytes of RSS per component: 10 MiB at
+# n=10, 32 MiB at n=11 and 99 MiB at n=12, the default INT_ALL cap. The
+# cache keeps one layout per (kind, n), so the INT_ALL tables it holds, up
+# to n=10, take about 15 MiB at most; a larger one is built per call, in
+# under a second against seconds to compute that oracle, and is freed with
+# it. A family sweep reads the same small layout for each of its thousands
+# of oracles.
 _TABLE_CACHE_NMAX = 10
-_table_cache = lru_cache(maxsize=4)(_build_int_all_table)
+_layouts = lru_cache(maxsize=32)(_build_layout)
 
 
-def _int_all_table(n: int) -> tuple[tuple[int, str], ...]:
-    if n > _TABLE_CACHE_NMAX:
-        return _build_int_all_table(n)
-    return _table_cache(n)
-
-
-def _layout(kind: str, n: int):
+def _layout(kind: str, n: int) -> tuple[tuple, ...]:
     """The (law key, component key) pair of each component of a `kind`
     oracle on n variables, in order. The law key indexes what the kernel
     returns for the kind: the `intervention_code` for OBS, INT1 and
-    INT_ALL, the variable for CF1. `compute_oracle` reads the laws through
-    the layout and `parse` walks its keys."""
-    if kind == INT_ALL:
-        return _int_all_table(n)
-    return _small_layout(kind, n)
-
-
-@lru_cache(maxsize=32)
-def _small_layout(kind: str, n: int) -> tuple[tuple, ...]:
-    """The OBS, INT1 or CF1 `_layout`, kept per (kind, n): a family sweep
-    reads the same one for each of its thousands of small oracles."""
-    if kind == CF1:
-        return tuple([(i, f"cf i={i}") for i in range(n)])
-    obs = ((0, "obs"),)
-    if kind == OBS:
-        return obs
-    return obs + tuple([
-        (intervention_code(n, ((i, b),)), f"do i={i} b={b}") for i in range(n) for b in (0, 1)
-    ])
+    INT_ALL, the variable for CF1. `_member_oracles` reads the laws
+    through the layout and `parse` walks its keys. Every layout comes from
+    one memo (`_layouts`) except an INT_ALL table above
+    `_TABLE_CACHE_NMAX`, which is built per call."""
+    if kind == INT_ALL and n > _TABLE_CACHE_NMAX:
+        return _build_layout(kind, n)
+    return _layouts(kind, n)
 
 
 def _component_keys(kind: str, n: int, count: int):
@@ -166,37 +162,42 @@ def _component_keys(kind: str, n: int, count: int):
     return (key for _, key in _layout(kind, n))
 
 
-def component_bits(kind: str, n: int) -> int:
-    """Outcome length of each component distribution."""
+def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise KindMismatchError(f"unknown oracle kind {kind!r}")
+
+
+def component_bits(kind: str, n: int) -> int:
+    """Outcome length of each component distribution."""
+    _check_kind(kind)
     return 3 * n if kind == CF1 else n
 
 
 def compute_oracle(scm: Scm, kind: str) -> AnswerOracle:
     """Compute the full exact oracle of `scm` for one query class."""
-    if kind == INT_ALL:
-        return _assemble(INT_ALL, scm.n, int_all_laws(scm))
     return _member_oracles(scm, (kind,))[kind]
 
 
 def _member_oracles(scm: Scm, kinds) -> dict[str, AnswerOracle]:
-    """The oracle of `scm` for each of `kinds` (OBS, INT1 or CF1), from one
-    compiled plan.
+    """The oracle of `scm` for each of `kinds`: the one place an oracle of
+    any kind is computed.
 
-    OBS and INT1 come from one trie pass, whose budget is 1 if INT1 is
-    asked for, else 0; OBS is its law at code 0. CF1's parallel-worlds
-    pass reads the same plan.
+    INT_ALL comes first, from `int_all_laws`, so its caps refuse before
+    any other pass. OBS and INT1 come from one trie pass, whose budget is
+    1 if INT1 is asked for, else 0; OBS is its law at code 0. CF1's
+    parallel-worlds pass reads the same compiled plan. A call for INT_ALL
+    alone runs neither of those.
     """
     for kind in kinds:
-        if kind not in (OBS, INT1, CF1):
-            raise KindMismatchError(f"unknown oracle kind {kind!r}")
+        _check_kind(kind)
+    laws = {}
+    if INT_ALL in kinds:
+        laws[INT_ALL] = int_all_laws(scm)
     budget = 1 if INT1 in kinds else 0 if OBS in kinds else None
-    laws, triples = kernel_laws(scm, budget, CF1 in kinds)
-    return {
-        kind: _assemble(kind, scm.n, triples if kind == CF1 else laws)
-        for kind in kinds
-    }
+    if budget is not None or CF1 in kinds:
+        laws[OBS], laws[CF1] = kernel_laws(scm, budget, CF1 in kinds)
+        laws[INT1] = laws[OBS]
+    return {kind: _assemble(kind, scm.n, laws[kind]) for kind in kinds}
 
 
 def _assemble(kind: str, n: int, laws) -> AnswerOracle:
@@ -215,12 +216,14 @@ def oracle_indexes(family, kinds) -> dict[str, tuple[bytes, ...]]:
     """`oracle_index` of `family` for each of `kinds`: the one place family
     oracles are computed for grouping.
 
-    INT_ALL comes first, from its own index: 3^n components per oracle,
-    seconds for xor m=4, so it is memoized per snapshot of the active
-    caps, and a lowered cap refuses a cached family just as it refuses a
-    new one. The other kinds are collected from one `family_sweep`,
-    computed on every call, so no call reads an oracle an earlier call
-    computed. Earlier calls still make a call cheaper through the bounded
+    Every oracle comes from `_member_oracles`. INT_ALL comes first, so its
+    caps refuse before any other work: 3^n components per oracle, seconds
+    for xor m=4, so its index is memoized per snapshot of the active caps,
+    and a lowered cap refuses a cached family just as it refuses a new
+    one. The index holds bytes alone: each member's oracle is serialized
+    and dropped before the next member is computed. The other kinds are
+    collected from one `family_sweep`, computed on every call, so no call
+    reads an oracle an earlier call computed. Earlier calls still make a call cheaper through the bounded
     memos below the oracles (each mechanism's compiled steps, the kernel's
     mass lines, mass-text Fractions), which change no result.
     """
@@ -257,7 +260,8 @@ def family_sweep(family, kinds):
 
 @lru_cache(maxsize=16)
 def _cached_index(family, caps) -> tuple[bytes, ...]:
-    """The INT_ALL index of `family` under the caps snapshot `caps`."""
+    """The INT_ALL index of `family` under the caps snapshot `caps`, one
+    member's oracle alive at a time."""
     shared: dict[bytes, bytes] = {}
     oracles = (
         serialize(compute_oracle(family.build(param), INT_ALL))

@@ -394,8 +394,9 @@ def topo_order(scm: Scm) -> list[int]:
 # states only gain a bit. Noise symbols with the same effect are merged
 # into one branch, and distinct branches set different output bits, so
 # states never collide. A step whose merged branches are not a
-# distribution does not compile, so every pass's weights are positive and
-# sum to its denominator, and every leaf is a law by construction.
+# distribution does not compile, a law of one fixed symbol included, so
+# every pass's weights are positive and sum to its denominator, and every
+# leaf is a law by construction.
 # A leaf's final states become its canonical body text at once, its lines
 # read from memos shared by every pass (`_Lines`); Fractions appear only
 # when its `mass` is read, one per mass text (`_fraction`). A uniform
@@ -497,7 +498,7 @@ def _step(mech: Mechanism, n: int, v: int) -> tuple:
         if not 0 <= p < n:
             raise IndexError(f"variable {v} lists parent {p} outside [0, {n})")
     row = gates.spec(mech.gate)
-    test, invert, reads_noise, _ = row
+    test, invert, _, _ = row
     arity = gates.arity_issue(mech.gate, len(parents))
     if arity:
         raise ArityMismatchError(arity)
@@ -507,27 +508,18 @@ def _step(mech: Mechanism, n: int, v: int) -> tuple:
     elif test != gates.CONST:
         for p in parents:
             mask |= 1 << (n - 1 - p)
-    support = mech.noise.support
-    if len(support) == 1:
-        # a fixed symbol: its probability is never read
-        if reads_noise:
-            gates.check_noise_symbol(mech.gate, row, support[0])
-            branches = ((support[0], 1),)
-        else:
-            branches = ((0, 1),)
-        den = 1
-    else:
-        branches, den = _noise_branches(mech, row, v)
+    branches, den = _noise_branches(mech, row, v)
     step = (3 ** (n - 1 - v), 1 << (n - 1 - v), test, mask, invert, branches, den)
     return memo.keep((n, v), step)
 
 
 def _noise_branches(mech: Mechanism, row: gates.GateSpec, v: int):
-    """(branches, denominator) of a noise law with several symbols, in
-    lowest terms, the symbols with the same effect merged. Raises
-    ValueError unless the merged branches are positive weights summing to
-    the denominator: a gate that ignores its noise merges every symbol
-    into one branch, whose weight is then the sum of the law."""
+    """(branches, denominator) of a noise law, in lowest terms, the
+    symbols with the same effect merged. Raises ValueError unless the
+    merged branches are positive weights summing to the denominator: a
+    gate that ignores its noise merges every symbol into one branch, whose
+    weight is then the sum of the law, and a fixed symbol is one branch
+    weighing its probability."""
     support, probs = mech.noise.support, mech.noise.probs
     if len(probs) < len(support):
         raise IndexError(f"{len(probs)} probs for {len(support)} noise symbols")

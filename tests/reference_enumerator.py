@@ -64,21 +64,20 @@ def eval_gate(gate, inputs, noise):
 
 
 def enumerate_exogenous(scm, support_cap=SUPPORT_CAP):
-    """Yield (symbols, weight) over the product of noise supports."""
-    sizes = [len(m.noise.support) for m in scm.mechanisms]
-    total = math.prod(sizes)
+    """Yield (symbols, weight) over the product of noise supports; every
+    symbol's probability is multiplied in, a fixed symbol's too."""
+    supports = [m.noise.support for m in scm.mechanisms]
+    probs = [m.noise.probs for m in scm.mechanisms]
+    total = math.prod(map(len, supports))
     if total > support_cap:
         raise SupportTooLargeError(f"noise support product {total} exceeds cap {support_cap}")
-    base = [m.noise.support[0] for m in scm.mechanisms]
-    varying = [v for v, size in enumerate(sizes) if size > 1]
-    supports = [scm.mechanisms[v].noise.support for v in varying]
-    probs = [scm.mechanisms[v].noise.probs for v in varying]
+    if total == 0:
+        raise IndexError("a noise distribution has an empty support")
     for picks in itertools.product(*(range(len(s)) for s in supports)):
-        symbols = list(base)
+        symbols = [support[k] for support, k in zip(supports, picks)]
         weight = Fraction(1)
-        for slot, k in enumerate(picks):
-            symbols[varying[slot]] = supports[slot][k]
-            weight *= probs[slot][k]
+        for p, k in zip(probs, picks):
+            weight *= p[k]
         yield symbols, weight
 
 

@@ -195,7 +195,7 @@ def _decode(n: int, code: int) -> tuple:
 class TestKeyTable:
     @pytest.mark.parametrize("n", range(7))
     def test_keys_follow_all_interventions(self, n):
-        table = oracle_module._int_all_table(n)
+        table = oracle_module._layout(INT_ALL, n)
         interventions = list(all_interventions(n))
         codes = [code for code, _ in table]
         assert codes == [intervention_code(n, iv.assignments) for iv in interventions]
@@ -213,27 +213,32 @@ class TestKeyTable:
         assert keys == [intervention_key(iv) for iv in all_interventions(n)]
 
     def test_cache_is_bounded(self):
-        cache = oracle_module._table_cache
-        for n in range(9):
-            oracle_module._int_all_table(n)
+        # one memo holds every kind's layouts; more are asked for than it keeps
+        cache = oracle_module._layouts
+        asked = [(kind, n) for kind in KINDS for n in range(9)]
+        for kind, n in asked:
+            oracle_module._layout(kind, n)
         info = cache.cache_info()
         assert info.maxsize is not None
-        assert 0 < info.currsize <= info.maxsize < 9
+        assert 0 < info.currsize <= info.maxsize < len(asked)
 
     def test_tables_above_the_cache_limit_are_not_kept(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "_TABLE_CACHE_NMAX", 2)
-        cache = oracle_module._table_cache
+        cache = oracle_module._layouts
         cache.cache_clear()
-        table = oracle_module._int_all_table(3)
+        table = oracle_module._layout(INT_ALL, 3)
         assert [key for _, key in table] == [
             intervention_key(iv) for iv in all_interventions(3)
         ]
         assert cache.cache_info().currsize == 0
-        oracle_module._int_all_table(2)
+        oracle_module._layout(INT_ALL, 2)
         assert cache.cache_info().currsize == 1
+        # the limit is INT_ALL's alone
+        oracle_module._layout(INT1, 3)
+        assert cache.cache_info().currsize == 2
 
     def test_parse_builds_no_table_for_a_wrong_component_count(self):
-        cache = oracle_module._table_cache
+        cache = oracle_module._layouts
         cache.cache_clear()
         data = b"INT_ALL n=9\n#do S= x=\n" + b"0" * 9 + b"=1/1\n"
         with pytest.raises(OracleFormatError, match=r"1 components, expected 3\^9 = 19683"):

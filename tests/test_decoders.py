@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scmlab import (
@@ -20,6 +20,7 @@ from scmlab import (
     NoiseDist,
     RootedTree,
     Scm,
+    build_bipartite_scm,
     build_tree_scm,
     build_xor_scm,
     compute_oracle,
@@ -39,6 +40,7 @@ from scmlab.errors import (
     NotBipartiteLikeError,
     NotTreeLikeError,
     NotXorLikeError,
+    ScmLabError,
 )
 
 from conftest import small_scms
@@ -357,3 +359,28 @@ class TestRebuildVerdict:
         oracle = parse(serialize(compute_oracle(a, kind)))  # as a decoder is given it
         assert rebuild_matches(oracle, a)
         assert rebuild_matches(oracle, b) == byte_verdict(oracle, b)
+
+
+# each public decoder with the kind it reads and the builder of what it returns
+DECODERS = {
+    "tree": (INT1, tree_from_int1, build_tree_scm),
+    "bipartite": (INT1, graph_from_int1, build_bipartite_scm),
+    "xor": (CF1, string_from_cf1, build_xor_scm),
+}
+
+
+@given(small_scms(max_n=7), st.sampled_from(sorted(DECODERS)))
+@example(build_tree_scm(RootedTree(3, 2, {1: 2, 3: 2})), "tree")
+@example(build_bipartite_scm(BipartiteGraph(2, frozenset({(0, 1)}))), "bipartite")
+@example(build_xor_scm(HiddenString(3, "101")), "xor")
+@settings(max_examples=200, deadline=None)
+def test_decode_returns_the_member_or_a_typed_error(scm, family):
+    # on an arbitrary model's oracle, as a decoder is given it; the probe
+    # alone may name a wrong member, so the public decoder is what is pinned
+    kind, decode, build = DECODERS[family]
+    data = serialize(compute_oracle(scm, kind))
+    try:
+        param = decode(parse(data))
+    except ScmLabError:
+        return
+    assert serialize(compute_oracle(build(param), kind)) == data

@@ -12,6 +12,7 @@ from scmlab import (
     Mechanism,
     NoiseDist,
     RootedTree,
+    Scm,
     build_bipartite_scm,
     build_tree_scm,
     build_xor_scm,
@@ -265,6 +266,13 @@ class TestClassMembership:
             4,
         )
         assert class_membership(build_bipartite_scm(graph), spec).member
+
+    def test_validate_issues_come_first(self):
+        spec = ClassSpec(frozenset({gates.COPY}), frozenset({CONST}), 1)
+        scm = Scm(2, (Mechanism(gates.COPY, (1,), CONST), Mechanism(gates.COPY, (0,), CONST)))
+        report = class_membership(scm, spec)
+        assert not report.member
+        assert report.violations == tuple(validate(scm)) == ("CYCLE: variables [0, 1] form a cycle",)
 
     def test_gate_and_noise_violations_reported(self):
         spec = ClassSpec(frozenset({gates.COPY}), frozenset({CONST}), 1)

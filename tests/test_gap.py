@@ -217,6 +217,15 @@ class TestGenericClassEncoding:
         assert dict(budget.components) == {"order": 0, "parents": 0, "gates-and-noise": 2}
         assert budget.total_bits == 2 and budget.idealized_bits == 2
 
+    @pytest.mark.parametrize("scm, issue", [
+        (Scm(0, ()), "BAD_SHAPE: n must be at least 1, got 0"),
+        (Scm(3, (Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 2))),)),
+         "BAD_SHAPE: 1 mechanisms for 3 variables"),
+    ], ids=["no variables", "too few mechanisms"])
+    def test_invalid_model_is_no_member(self, scm, issue):
+        with pytest.raises(NotMemberError, match=issue):
+            generic_class_encoding(scm, self.tree_spec())
+
     def test_non_member_rejected(self):
         scm = build_tree_scm(RootedTree(2, 1, {2: 1}))
         narrow = ClassSpec(

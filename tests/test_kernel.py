@@ -393,6 +393,7 @@ MALFORMED = {
     ),
     "duplicate read symbols": _one_variable(gates.XOR_NOISE, (0,), NoiseDist((1, 1), (HALF, HALF)), n=2),
     "fixed symbol with a stray prob": _one_variable(gates.BERN_SOURCE, (), NoiseDist((1,), (HALF,))),
+    "fixed symbol with no prob": _one_variable(gates.BERN_SOURCE, (), NoiseDist((1,), ())),
     "extra probs": _one_variable(gates.BERN_SOURCE, (), NoiseDist((0, 1), (HALF, HALF, HALF))),
     "missing probs": _one_variable(gates.BERN_SOURCE, (), NoiseDist((0, 1), (1,))),
     "empty support": _one_variable(gates.AND, (), NoiseDist((), ())),
@@ -524,6 +525,10 @@ LAWLESS = {
     "ignored noise sums to 5/6": (
         _one_variable(gates.AND, (0,), FIVE_SIXTHS, n=2),
         "variable 1: noise law is not a distribution: branch masses 5/6 sum to 5/6",
+    ),
+    "fixed symbol weighing 1/2": (
+        _one_variable(gates.BERN_SOURCE, (), NoiseDist((1,), (HALF,)), n=2),
+        "variable 1: noise law is not a distribution: branch masses 1/2 sum to 1/2",
     ),
 }
 

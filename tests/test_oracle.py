@@ -26,15 +26,18 @@ from scmlab import (
     compute_oracle,
     d_int,
     extract_obs,
+    graph_from_int1,
     marginal,
     oracle_index,
     parse,
     separation_table,
     serialize,
+    string_from_cf1,
+    tree_from_int1,
     tv,
     verify_family,
 )
-from scmlab import gates
+from scmlab import gates, scm_core
 from scmlab import oracle as oracle_module
 from scmlab.errors import (
     BadPositionError,
@@ -42,7 +45,7 @@ from scmlab.errors import (
     LengthMismatchError,
     OracleFormatError,
 )
-from scmlab.oracle import component_bits, intervention_key
+from scmlab.oracle import component_bits, family_sweep, intervention_key
 from scmlab.rational import frac_parse
 from scmlab.scm_core import Intervention
 
@@ -430,6 +433,75 @@ class TestOracleIndex:
         separation_table(family)
         members = [family.build(param) for param in family.parameters()]
         assert calls == cold == [((OBS, INT1), scm) for scm in members]
+
+
+class TestOneOraclePath:
+    """Every oracle of every kind is computed by one call of
+    `_member_oracles`, whoever asks for it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        member_oracles = oracle_module._member_oracles
+
+        def counting(scm, kinds):
+            calls.append((tuple(kinds), scm))
+            return member_oracles(scm, kinds)
+
+        monkeypatch.setattr(oracle_module, "_member_oracles", counting)
+        oracle_module._cached_index.cache_clear()
+        yield calls
+        oracle_module._cached_index.cache_clear()
+
+    @pytest.mark.parametrize("kind", [OBS, INT1, CF1, INT_ALL])
+    def test_compute_oracle(self, calls, kind):
+        compute_oracle(CHAIN2, kind)
+        assert calls == [((kind,), CHAIN2)]
+
+    def test_int_all_index(self, calls):
+        family = Family("xor", 2)
+        oracle_index(family, INT_ALL)
+        assert calls == [((INT_ALL,), family.build(param)) for param in family.parameters()]
+
+    def test_family_sweep(self, calls):
+        family = Family("tree", 3)
+        list(family_sweep(family, (OBS, CF1)))
+        assert calls == [((OBS, CF1), family.build(param)) for param in family.parameters()]
+
+    @pytest.mark.parametrize("family, kind, decode", [
+        (Family("tree", 3), INT1, tree_from_int1),
+        (Family("bipartite", 1), INT1, graph_from_int1),
+        (Family("xor", 2), CF1, string_from_cf1),
+    ], ids=str)
+    def test_rebuild_check(self, calls, family, kind, decode):
+        for param in family.parameters():
+            scm = family.build(param)
+            oracle = parse(serialize(compute_oracle(scm, kind)))
+            calls.clear()
+            assert decode(oracle) == param
+            assert calls == [((kind,), scm)]
+
+    def test_every_kind_from_one_call(self):
+        scm = build_xor_scm(HiddenString(2, "01"))
+        together = oracle_module._member_oracles(scm, (INT_ALL, OBS, INT1, CF1))
+        for kind in (OBS, INT1, CF1, INT_ALL):
+            assert serialize(together[kind]) == serialize(compute_oracle(scm, kind))
+
+    def test_int_all_alone_compiles_once(self, monkeypatch):
+        compiles = []
+        compile_plan = scm_core._compile
+
+        def counted(scm):
+            compiles.append(scm)
+            return compile_plan(scm)
+
+        monkeypatch.setattr(scm_core, "_compile", counted)
+        compute_oracle(CHAIN2, INT_ALL)
+        assert compiles == [CHAIN2]
+
+    def test_unknown_kind_refused_before_any_pass(self, no_pass):
+        with pytest.raises(KindMismatchError, match="unknown oracle kind 'INT2'"):
+            oracle_module._member_oracles(CHAIN2, (INT_ALL, "INT2"))
 
 
 class TestMarginal:

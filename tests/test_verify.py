@@ -95,18 +95,23 @@ class TestRefusesBeforeWork:
 
     def test_lowered_int_all_cap_computes_no_oracle(self, monkeypatch):
         computed = []
-        compute = oracle.compute_oracle
+        member_oracles = oracle._member_oracles
 
-        def counted(scm, kind):
-            result = compute(scm, kind)
-            computed.append(kind)
+        def counted(scm, kinds):
+            result = member_oracles(scm, kinds)
+            computed.append(kinds)
             return result
 
-        monkeypatch.setattr(oracle, "compute_oracle", counted)
+        monkeypatch.setattr(oracle, "_member_oracles", counted)
         monkeypatch.setenv("SCMLAB_INTALL_NMAX", "3")
         with pytest.raises(NTooLargeError, match="exceeds SCMLAB_INTALL_NMAX=3"):
             verify_family(Family("xor", 2))
         assert computed == []
+
+    def test_int_all_refuses_before_the_other_kinds_pass(self, no_pass, monkeypatch):
+        monkeypatch.setenv("SCMLAB_INTALL_NMAX", "3")
+        with pytest.raises(NTooLargeError, match="int_all on n=4 exceeds SCMLAB_INTALL_NMAX=3"):
+            oracle._member_oracles(build_xor_scm(HiddenString(2, "01")), (oracle.INT_ALL, oracle.INT1))
 
     def test_default_int_all_cap_refuses_xor_7_at_once(self, no_pass):
         with pytest.raises(NTooLargeError, match="int_all on n=14 exceeds SCMLAB_INTALL_NMAX=12"):
