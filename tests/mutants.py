@@ -122,6 +122,50 @@ CATALOGUE = (
         (("    _check_exact_match(oracle, build_tree_scm(tree), NotTreeLikeError)\n", ""),),
         ("tests/test_decoders.py",),
     ),
+    # the kernel's and the codec's fast paths
+    Mutant(
+        "twin subtrees shared one level too early",
+        "src/scmlab/scm_core.py",
+        (("            if budget >= last - level and (out == states or out == ones):\n",
+          "            if budget >= last - level - 1 and (out == states or out == ones):\n"),),
+        ("tests/test_kernel.py",),
+    ),
+    Mutant(
+        "a wrong do(X_v=1) world offset",
+        "src/scmlab/scm_core.py",
+        (("        one = bit << 2 * n * (bit.bit_length() - 1)\n",
+          "        one = bit << 2 * n * bit.bit_length() - n\n"),),
+        ("tests/test_kernel.py",),
+    ),
+    Mutant(
+        "a leaf of mostly one weight taken as uniform",
+        "src/scmlab/scm_core.py",
+        (("    if weights.count(weight) == len(weights):\n",
+          "    if weights.count(weight) * 2 >= len(weights):\n"),),
+        ("tests/test_kernel.py",),
+    ),
+    Mutant(
+        "the step memo keyed without the variable",
+        "src/scmlab/scm_core.py",
+        (
+            ("    found = memo.get((n, v))\n", "    found = memo.get((n, 0))\n"),
+            ("    return memo.keep((n, v), step)\n", "    return memo.keep((n, 0), step)\n"),
+        ),
+        ("tests/test_families.py",),
+    ),
+    Mutant(
+        "parse's uniform regex without its backreference",
+        "src/scmlab/oracle.py",
+        ((r'    return (re.compile(f"{outcome}({_MASS})(?:\n{outcome}\\1)*"),' + "\n",
+          r'    return (re.compile(f"{outcome}({_MASS})(?:\n{outcome}{_MASS})*"),' + "\n"),),
+        ("tests/test_codec.py",),
+    ),
+    Mutant(
+        "the body memo serves a body at another width",
+        "src/scmlab/oracle.py",
+        (("            if dist is None or dist.n_bits != n_bits:\n", "            if dist is None:\n"),),
+        ("tests/test_memos.py",),
+    ),
 )
 
 
