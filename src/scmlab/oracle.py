@@ -223,9 +223,10 @@ def oracle_indexes(family, kinds) -> dict[str, tuple[bytes, ...]]:
     one. The index holds bytes alone: each member's oracle is serialized
     and dropped before the next member is computed. The other kinds are
     collected from one `family_sweep`, computed on every call, so no call
-    reads an oracle an earlier call computed. Earlier calls still make a call cheaper through the bounded
-    memos below the oracles (each mechanism's compiled steps, the kernel's
-    mass lines, mass-text Fractions), which change no result.
+    reads an oracle an earlier call computed. Earlier calls still make a
+    call cheaper through the bounded memos below the oracles (each
+    mechanism's compiled steps, the kernel's mass lines, mass-text
+    Fractions), which change no result.
     """
     kinds = tuple(dict.fromkeys(kinds))
     index = {}

@@ -166,6 +166,37 @@ CATALOGUE = (
         (("            if dist is None or dist.n_bits != n_bits:\n", "            if dist is None:\n"),),
         ("tests/test_memos.py",),
     ),
+    # the Monte-Carlo episodes' fast paths
+    Mutant(
+        "the stream's pre-fed text without its separator",
+        "src/scmlab/learning.py",
+        (('ascii((master, label))[:-1].encode("ascii") + b", ")',
+          'ascii((master, label))[:-1].encode("ascii"))'),),
+        ("tests/test_learning.py",),
+    ),
+    Mutant(
+        "a stream's generator seeded once per call",
+        "src/scmlab/learning.py",
+        (("            self._rng = random.Random(seed)\n"
+          "        else:\n"
+          "            self._rng.seed(seed)\n",
+          "            self._rng = random.Random(seed)\n"),),
+        ("tests/test_learning.py",),
+    ),
+    Mutant(
+        "the query tally drops its count",
+        "src/scmlab/learning.py",
+        (("    total = sum([count * abs(Fraction(*answer) - Fraction(*truth))\n",
+          "    total = sum([abs(Fraction(*answer) - Fraction(*truth))\n"),),
+        ("tests/test_learning.py",),
+    ),
+    Mutant(
+        "the truth memo read at (j, i)",
+        "src/scmlab/learning.py",
+        (("        tally[answer, graph.truths(i)[j]] += 1\n",
+          "        tally[answer, graph.truths(j)[i]] += 1\n"),),
+        ("tests/test_learning.py",),
+    ),
 )
 
 

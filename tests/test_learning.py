@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scmlab import (
@@ -93,6 +93,20 @@ class TestDeriveSeed:
     def test_fits_64_bits(self):
         assert 0 <= derive_seed(123456789, "x") < 2**64
 
+    def test_a_non_ascii_label_is_escaped(self):
+        # the text is ascii(), so "é" is written \xe9 instead of failing to encode
+        want = int.from_bytes(hashlib.sha256(b"(1, '\\xe9')").digest()[:8], "big")
+        assert derive_seed(1, "é") == want
+        assert derive_seed(1, "é") != derive_seed(1, "e")
+
+    @given(st.integers(), st.text(st.characters(max_codepoint=127)), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_an_ascii_label_hashes_its_repr(self, master, label, trial):
+        text = repr((master, label, trial)).encode("ascii")
+        assert derive_seed(master, label, trial) == int.from_bytes(
+            hashlib.sha256(text).digest()[:8], "big"
+        )
+
 
 class TestSampleObs:
     def scm(self):
@@ -141,7 +155,8 @@ class TestSampleObs:
     @given(rational_laws(), st.integers(0, 2**64 - 1), st.integers(0, 40))
     @settings(max_examples=150, deadline=None)
     def test_bisect_draw_matches_the_linear_scan(self, law, seed, count):
-        assert learning._draw(learning._sampler(law), count, seed) == scan_rows(law, count, seed)
+        rows = learning._draw(learning._sampler(law), count, random.Random(seed))
+        assert rows == scan_rows(law, count, seed)
 
 
 @pytest.mark.parametrize("seed", [None, 1.5, True, "7"], ids=repr)
@@ -198,9 +213,10 @@ def test_the_harness_refuses_a_bad_argument_before_any_graph(
     name, arg, bad, no_pass, monkeypatch
 ):
     def spy(*args):
-        raise AssertionError("a graph was computed before the check")
+        raise AssertionError("a graph or stream was made before the check")
 
     monkeypatch.setattr(learning, "_graph", spy)
+    monkeypatch.setattr(learning, "_Stream", spy)
     call, _ = HARNESS_CALLS[name]
     args = {"m": 1, "n_samples": 2, "trials": 4, "seed": 7, arg: bad}
     with pytest.raises(BadRangeError) as refused:
@@ -405,12 +421,14 @@ class TestStreamSeeding:
 
     @pytest.fixture
     def seeded(self, monkeypatch):
+        # a generator is seeded through `seed` when it is made and each
+        # time a stream re-seeds it
         seeds = []
 
         class Counted(random.Random):
-            def __init__(self, seed=None):
-                seeds.append(seed)
-                super().__init__(seed)
+            def seed(self, a=None, version=2):
+                seeds.append(a)
+                super().seed(a, version)
 
         monkeypatch.setattr(learning.random, "Random", Counted)
         return seeds
@@ -459,6 +477,41 @@ class TestStreamSeeding:
         per_query_error(2, HALF, MONTE_CARLO, n_samples=n_samples, trials=30, seed=5)
         assert seeded == [derive_seed(5, "query-episode", t) for t in range(30)]
 
+    @given(
+        master=st.one_of(st.integers(max_value=-1), st.just(0), st.integers(min_value=2**64)),
+        label=st.text(max_size=8),
+        trial=st.integers(0, 10**9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_stream_seed_is_derive_seed(self, master, label, trial):
+        assert learning._Stream(master, label).seed(trial) == derive_seed(master, label, trial)
+
+    @given(
+        seed=st.one_of(st.integers(max_value=-1), st.just(0), st.integers(min_value=2**64)),
+        trials=st.integers(1, 6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_episode_seed_is_derive_seed(self, seed, trials):
+        # the graph, data and learner streams of run_nfl and the episode and
+        # data streams of per_query_error, for masters outside 0..2^64
+        with pytest.MonkeyPatch.context() as patch:
+            seeded = []
+
+            class Counted(random.Random):
+                def seed(self, a=None, version=2):
+                    seeded.append(a)
+                    super().seed(a, version)
+
+            patch.setattr(learning.random, "Random", Counted)
+            run_nfl(2, 3, "uniform-guess", MONTE_CARLO, trials=trials, seed=seed)
+            run_nfl(2, 3, "empirical-independent", MONTE_CARLO, trials=trials, seed=seed)
+            per_query_error(2, all_ones_share, MONTE_CARLO, 3, trials, seed)
+        want = []
+        for labels in (("graph", "learner"), ("graph", "data"), ("query-episode", "query-data")):
+            for trial in range(trials):
+                want += [derive_seed(seed, label, trial) for label in labels]
+        assert seeded == want
+
     def test_counts_without_data_are_unchanged(self):
         # with no samples the data stream is not seeded, and no other draw moves
         report = run_nfl(1, 0, "uniform-guess", MONTE_CARLO, trials=200, seed=7)
@@ -478,6 +531,9 @@ class TestAgainstReference:
         learner_id=st.sampled_from(sorted(LEARNERS)),
     )
     @settings(max_examples=60, deadline=None)
+    @example(m=3, n_samples=4, trials=5, seed=2**70, learner_id="uniform-guess")
+    @example(m=3, n_samples=0, trials=4, seed=-3, learner_id="constant-empty")
+    @example(m=3, n_samples=4, trials=3, seed=0, learner_id="empirical-independent")
     def test_run_nfl(self, m, n_samples, trials, seed, learner_id):
         report = run_nfl(m, n_samples, learner_id, MONTE_CARLO, trials=trials, seed=seed)
         assert report == reference_learning.run_nfl(m, n_samples, learner_id, trials, seed)
@@ -490,6 +546,9 @@ class TestAgainstReference:
         answer=st.fractions(min_value=0, max_value=1, max_denominator=16),
     )
     @settings(max_examples=60, deadline=None)
+    @example(m=3, n_samples=4, trials=6, seed=2**70, answer=Fraction(1, 3))
+    @example(m=3, n_samples=0, trials=5, seed=-3, answer=Fraction(3, 4))
+    @example(m=3, n_samples=2, trials=8, seed=31, answer=Fraction(0))
     def test_per_query_error(self, m, n_samples, trials, seed, answer):
         assert per_query_error(
             m, answer, MONTE_CARLO, n_samples=n_samples, trials=trials, seed=seed
