@@ -150,7 +150,8 @@ def sample_obs(scm: Scm, count: int, seed: int, source: str = "scm") -> Dataset:
     """
     _check_count("count", count)
     _check_seed(seed)
-    rows = _draw(_sampler(observational(scm)), count, random.Random(seed)) if count else ()
+    sampler = _sampler(observational(scm))
+    rows = _draw(sampler, count, random.Random(seed)) if count else ()
     return Dataset(scm.n, rows, seed, source)
 
 

@@ -184,6 +184,14 @@ CATALOGUE = (
         ("tests/test_learning.py",),
     ),
     Mutant(
+        "sample_obs skips the law for no rows",
+        "src/scmlab/learning.py",
+        (("    sampler = _sampler(observational(scm))\n"
+          "    rows = _draw(sampler, count, random.Random(seed)) if count else ()\n",
+          "    rows = _draw(_sampler(observational(scm)), count, random.Random(seed)) if count else ()\n"),),
+        ("tests/test_learning.py",),
+    ),
+    Mutant(
         "the query tally drops its count",
         "src/scmlab/learning.py",
         (("    total = sum([count * abs(Fraction(*answer) - Fraction(*truth))\n",

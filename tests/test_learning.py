@@ -33,7 +33,7 @@ from scmlab import (
 )
 from scmlab import catalog, gates, learning
 from scmlab.caps import all_caps
-from scmlab.errors import BadRangeError, MTooLargeError
+from scmlab.errors import BadRangeError, MTooLargeError, SupportTooLargeError
 from scmlab.families import graph_of_mask
 from scmlab.learning import Dataset
 
@@ -139,6 +139,12 @@ class TestSampleObs:
         monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "1")
         with pytest.raises(BadRangeError):
             sample_obs(NON_DYADIC, -1, seed=0)
+
+    def test_no_rows_still_compute_the_law(self, monkeypatch):
+        # only the draw is skipped for no rows: a law over the caps is refused
+        monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "1")
+        with pytest.raises(SupportTooLargeError):
+            sample_obs(NON_DYADIC, 0, seed=0)
 
     @pytest.mark.parametrize(
         "seed, count, digest",
@@ -419,10 +425,11 @@ class TestStreamSeeding:
     """An episode seeds only the streams it draws from, and every seed it
     derives is the documented one."""
 
-    @pytest.fixture
-    def seeded(self, monkeypatch):
-        # a generator is seeded through `seed` when it is made and each
-        # time a stream re-seeds it
+    @staticmethod
+    def spy(patch) -> list:
+        """The seeds every generator of `learning` takes from now on: one
+        is seeded through `seed` when it is made and each time a stream
+        re-seeds it."""
         seeds = []
 
         class Counted(random.Random):
@@ -430,8 +437,12 @@ class TestStreamSeeding:
                 seeds.append(a)
                 super().seed(a, version)
 
-        monkeypatch.setattr(learning.random, "Random", Counted)
+        patch.setattr(learning.random, "Random", Counted)
         return seeds
+
+    @pytest.fixture
+    def seeded(self, monkeypatch):
+        return self.spy(monkeypatch)
 
     @pytest.mark.parametrize("n_samples", [0, 3])
     @pytest.mark.parametrize(
@@ -495,14 +506,7 @@ class TestStreamSeeding:
         # the graph, data and learner streams of run_nfl and the episode and
         # data streams of per_query_error, for masters outside 0..2^64
         with pytest.MonkeyPatch.context() as patch:
-            seeded = []
-
-            class Counted(random.Random):
-                def seed(self, a=None, version=2):
-                    seeded.append(a)
-                    super().seed(a, version)
-
-            patch.setattr(learning.random, "Random", Counted)
+            seeded = self.spy(patch)
             run_nfl(2, 3, "uniform-guess", MONTE_CARLO, trials=trials, seed=seed)
             run_nfl(2, 3, "empirical-independent", MONTE_CARLO, trials=trials, seed=seed)
             per_query_error(2, all_ones_share, MONTE_CARLO, 3, trials, seed)
