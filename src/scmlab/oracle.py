@@ -32,6 +32,7 @@ serialize(parse(b)) == b.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import re
@@ -271,20 +272,45 @@ def _cached_index(family, caps) -> tuple[bytes, ...]:
     return tuple(shared.setdefault(data, data) for data in oracles)
 
 
+# components per block of `serialize`: each block's text is encoded and
+# written out before the next is built
+_SERIALIZE_BLOCK = 256
+
+
 def serialize(oracle: AnswerOracle) -> bytes:
     """Canonical bytes; equal oracles give equal bytes and vice versa.
 
-    Each component contributes its canonical body (`ExactDist._text`):
-    the kernel and `parse` hand it over rendered, and a dist built from
-    masses renders it through `rational.mass_line`.
+    Each component contributes its own key and its canonical body
+    (`ExactDist._text`): the kernel and `parse` hand the body over
+    rendered, and a dist built from masses renders it through
+    `rational.mass_line`. An oracle of more than one block of
+    `_SERIALIZE_BLOCK` components is written into one buffer a block at a
+    time, so its text is never held whole as a str beside its bytes. A
+    text that is not ASCII raises the error that encoding it whole raises.
     """
-    parts = [f"{oracle.kind} n={oracle.n}"]
-    append = parts.append
-    for key, dist in oracle.components:
-        append(f"\n#{key}\n")
-        append(dist._text())
-    append("\n")
-    return "".join(parts).encode("ascii")
+    head = f"{oracle.kind} n={oracle.n}"
+    components = oracle.components
+    try:
+        if len(components) <= _SERIALIZE_BLOCK:
+            return f"{head}{_block_text(components)}\n".encode("ascii")
+        out = io.BytesIO()
+        out.write(head.encode("ascii"))
+        for start in range(0, len(components), _SERIALIZE_BLOCK):
+            out.write(_block_text(components[start:start + _SERIALIZE_BLOCK]).encode("ascii"))
+    except UnicodeEncodeError:
+        # the whole text, which renders every body before it is encoded
+        f"{head}{_block_text(components)}\n".encode("ascii")
+        raise
+    out.write(b"\n")
+    return out.getvalue()
+
+
+def _block_text(components) -> str:
+    """The text of `components`: for each, LF, "#", its key, LF, its body."""
+    parts: list[str] = []
+    for key, dist in components:
+        parts += ("\n#", key, "\n", dist._text())
+    return "".join(parts)
 
 
 _HEADER_RE = re.compile(r"(OBS|INT1|CF1|INT_ALL) n=(0|[1-9][0-9]*)")
@@ -347,7 +373,12 @@ def parse(data: bytes) -> AnswerOracle:
         raise OracleFormatError(f"not ASCII: {exc}") from None
     if not text.endswith("\n"):
         raise OracleFormatError("missing trailing newline")
-    header_lines, *blocks = text[:-1].split("\n#")
+    size = len(text)
+    parts = text.split("\n#")
+    del text  # the parts hold the text from here on
+    parts[-1] = parts[-1][:-1]  # the final LF, which no separator reaches
+    header_lines, *blocks = parts
+    del parts
     header_line, *stray = header_lines.split("\n")
     header = _HEADER_RE.fullmatch(header_line)
     if not header:
@@ -359,7 +390,7 @@ def parse(data: bytes) -> AnswerOracle:
     keys = _component_keys(kind, n, len(blocks))
     # an outcome wider than the whole input fits no line, so capping the
     # width keeps the regexes small under a huge header n
-    uniform_re, block_re = _block_res(min(n_bits, len(text)))
+    uniform_re, block_re = _block_res(min(n_bits, size))
     uniform_match, block_match = uniform_re.fullmatch, block_re.fullmatch
     # components repeat bodies, and a few dozen sequences of mass texts or
     # (text, count) pairs of uniform bodies, so each is checked once;
@@ -367,7 +398,9 @@ def parse(data: bytes) -> AnswerOracle:
     dists: dict[str, ExactDist] = {}
     checked: set[tuple] = set()
     components = []
-    for block, want in zip(blocks, keys):
+    for index, want in enumerate(keys):
+        block = blocks[index]
+        blocks[index] = None  # each block is dropped once its body is cut out
         key, _, body = block.partition("\n")
         if key != want:
             raise OracleFormatError(f"component key {key!r} where {want!r} was expected")
@@ -395,7 +428,7 @@ def parse(data: bytes) -> AnswerOracle:
                         checked.add(mass_texts)
                 dist = _BODIES.keep(body, ExactDist._from_body(n_bits, body), len(body))
             dists[body] = dist
-        components.append((key, dist))
+        components.append((want, dist))
     return AnswerOracle(kind, n, tuple(components))
 
 

@@ -166,6 +166,14 @@ class ExactDist:
     first read, each mass text's Fraction from the bounded memo
     `_fraction`, so the outcomes that repeat a text share its one Fraction.
 
+    A dist has five slots and no instance dict: 72 bytes by `tracemalloc`
+    (152 with an instance dict), which is all an INT_ALL leaf costs beyond
+    its body. `_body`, `_keys` and `_ints` are None when the dist has
+    none; `mass` of a dist built from its body is unset until first read.
+    Pickle and `copy` rebuild a dist through the constructor that built it
+    (`__reduce__`), since a frozen dataclass refuses the setattr they
+    would restore its slots with.
+
     Probes read one integer view (`_int_view`), built on the first probe:
     the outcomes as ascending states in the kernel's packing, one integer
     weight each, and the least common denominator. OBS, INT1, CF1 and
@@ -175,12 +183,16 @@ class ExactDist:
     text is canonical; otherwise `==` compares masses.
     """
 
+    __slots__ = (
+        "n_bits",
+        "mass",
+        "_body",  # the canonical body, when the dist was built from it
+        "_keys",  # (sorted keys, uniform weight or None, den), when the kernel kept them
+        "_ints",  # the integer view, once a probe has built it
+    )
+
     n_bits: int
     mass: dict[str, Fraction]
-
-    _body = None  # the canonical body, when the dist was built from it
-    _keys = None  # (sorted keys, uniform weight or None, den), when the kernel kept them
-    _ints = None  # the integer view, once a probe has built it
 
     def __post_init__(self):
         total = ZERO
@@ -192,16 +204,18 @@ class ExactDist:
             total += weight
         if total != 1:
             raise ValueError(f"masses sum to {total}, expected 1")
+        for name in ("_body", "_keys", "_ints"):
+            _set(self, name, None)
 
     @classmethod
     def _from_body(cls, n_bits: int, body: str, keys: tuple | None = None) -> "ExactDist":
         """Wrap a canonical body that is valid by construction (and keys)."""
-        dist = _new(cls)
-        fields = dist.__dict__  # what the frozen dataclass's setter writes, at less cost
-        fields["n_bits"] = n_bits
-        fields["_body"] = body
-        if keys is not None:  # a None entry would cost every INT_ALL leaf 8 bytes
-            fields["_keys"] = keys
+        dist = _new(_Filling)
+        dist.n_bits = n_bits
+        dist._body = body
+        dist._keys = keys
+        dist._ints = None
+        dist.__class__ = cls
         return dist
 
     def __getattr__(self, name):
@@ -213,6 +227,11 @@ class ExactDist:
         mass = dict(zip(cells[::2], map(_fraction, cells[1::2])))
         _set(self, "mass", mass)
         return mass
+
+    def __reduce__(self):
+        if self._body is not None:
+            return self._from_body, (self.n_bits, self._body, self._keys)
+        return self.__class__, (self.n_bits, self.mass)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -281,6 +300,16 @@ class ExactDist:
     def outcomes(self) -> list[str]:
         """Positive-mass outcomes in ascending order, from the integer view."""
         return [format(1 << self.n_bits | s, "b")[1:] for s in self._int_view()[0]]
+
+
+class _Filling:
+    """An ExactDist's slots without the frozen dataclass's `__setattr__`:
+    `_from_body` fills one with plain attribute stores, then makes it an
+    ExactDist by `__class__` assignment, which checks that the two layouts
+    are the same. 0.33 us per dist, against 0.42 us for the instance dict
+    writes a dist had and 0.58 us through each slot's setter."""
+
+    __slots__ = ExactDist.__slots__
 
 
 def validate(scm: Scm) -> list[str]:
@@ -403,7 +432,9 @@ def topo_order(scm: Scm) -> list[int]:
 # leaf, whose states all carry one weight, sorts its states alone and
 # reads a memo keyed by state for that weight; any other leaf sorts
 # integer keys that carry each state's weight. OBS, INT1 and CF1 leaves
-# keep those keys for their integer view; INT_ALL leaves keep none.
+# keep those keys for their integer view; INT_ALL leaves keep none. A
+# leaf's ExactDist has slots, not an instance dict: 72 bytes beside its
+# body text (152 with an instance dict).
 #
 # Hard interventions branch off the pass as a trie (`_descend`), each law
 # keyed by its integer intervention code (`intervention_code`); the last

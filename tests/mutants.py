@@ -166,6 +166,40 @@ CATALOGUE = (
         (("            if dist is None or dist.n_bits != n_bits:\n", "            if dist is None:\n"),),
         ("tests/test_memos.py",),
     ),
+    Mutant(
+        "parse keeps the key it cut instead of the layout's",
+        "src/scmlab/oracle.py",
+        (("        components.append((want, dist))\n", "        components.append((key, dist))\n"),),
+        ("tests/test_codec.py::TestLeanRoundTrip::test_parsed_keys_are_the_layouts_strings",),
+    ),
+    Mutant(
+        "serialize drops its last partial block",
+        "src/scmlab/oracle.py",
+        (("        for start in range(0, len(components), _SERIALIZE_BLOCK):\n",
+          "        for start in range(0, len(components) - _SERIALIZE_BLOCK + 1, _SERIALIZE_BLOCK):\n"),),
+        ("tests/test_codec.py::TestLeanRoundTrip::test_block_edges_match_the_reference",),
+    ),
+    Mutant(
+        "serialize writes the layout's keys instead of the oracle's",
+        "src/scmlab/oracle.py",
+        (("    components = oracle.components\n",
+          "    components = tuple(zip([key for _, key in _layout(oracle.kind, oracle.n)],\n"
+          "                           [dist for _, dist in oracle.components]))\n"),),
+        ("tests/test_codec.py::TestLeanRoundTrip::test_an_oracle_is_written_under_its_own_keys",),
+    ),
+    Mutant(
+        "serialize raises a block's encode error",
+        "src/scmlab/oracle.py",
+        (('        f"{head}{_block_text(components)}\\n".encode("ascii")\n        raise\n',
+          "        raise\n"),),
+        ("tests/test_codec.py::TestLeanRoundTrip::test_a_non_ascii_key_fails_as_the_whole_text_does",),
+    ),
+    Mutant(
+        "a dist pickled through its slots",
+        "src/scmlab/scm_core.py",
+        (("    def __reduce__(self):\n", "    def _reduce(self):\n"),),
+        ("tests/test_probes.py::test_dists_have_slots_and_copy_whole",),
+    ),
     # the Monte-Carlo episodes' fast paths
     Mutant(
         "the stream's pre-fed text without its separator",

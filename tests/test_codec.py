@@ -339,6 +339,93 @@ class TestLazyProduct:
         assert scm_core._LINES.held == sum(map(len, scm_core._LINES.values())) <= 100
 
 
+class TestLeanRoundTrip:
+    """`serialize` writes each oracle's own keys a block of components at a
+    time, and `parse` keeps the layout's key strings."""
+
+    BLOCK = oracle_module._SERIALIZE_BLOCK
+    SCM = build_xor_scm(HiddenString(2, "10"))
+
+    def made(self, count: int, mixed: bool) -> AnswerOracle:
+        """An OBS-kind oracle of `count` components under keys no layout
+        has, each dist from the kernel or, if `mixed`, every third one
+        from the constructor."""
+        kernel = [dist for _, dist in compute_oracle(self.SCM, INT_ALL).components]
+        eager = [ExactDist(d.n_bits, dict(d.mass)) for d in kernel]
+        dists = [(eager if mixed and i % 3 == 0 else kernel)[i % len(kernel)] for i in range(count)]
+        return AnswerOracle(OBS, 4, tuple((f"part {i}", dist) for i, dist in enumerate(dists)))
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["kernel", "mixed"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, BLOCK, 2 * BLOCK + 1])
+    def test_block_edges_match_the_reference(self, offset, mixed):
+        oracle = self.made(self.BLOCK + offset, mixed)
+        data = serialize(oracle)
+        assert data == reference_codec.serialize(oracle)
+        assert data.count(b"\n#part ") == len(oracle.components)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_n0_and_every_kind_match_the_reference(self, kind):
+        for scm in (EMPTY, self.SCM):
+            oracle = compute_oracle(scm, kind)
+            assert serialize(oracle) == reference_codec.serialize(oracle)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_oracle_is_written_under_its_own_keys(self, kind):
+        # the layout's count, other keys
+        oracle = compute_oracle(self.SCM, kind)
+        renamed = AnswerOracle(kind, oracle.n, tuple(
+            (f"{key}!", dist) for key, dist in oracle.components))
+        data = serialize(renamed)
+        assert data == reference_codec.serialize(renamed) != serialize(oracle)
+        with pytest.raises(OracleFormatError, match="where .* was expected"):
+            parse(data)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("scm", [EMPTY, build_xor_scm(HiddenString(2, "10")),
+                                     build_xor_scm(HiddenString(3, "101"))], ids=["n0", "n4", "n6"])
+    def test_parsed_keys_are_the_layouts_strings(self, kind, scm):
+        parsed = parse(serialize(compute_oracle(scm, kind)))
+        layout = oracle_module._layout(kind, scm.n)
+        assert len(parsed.components) == len(layout)
+        assert all(key is want for (key, _), (_, want) in zip(parsed.components, layout))
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("#obs\n0=1/3\n1=1/3", "#do i=9 b=0\n0=1/1", "component 'obs': masses sum to 2/3, expected 1"),
+            ("#obs\n0=1/2\n1=1/2", "#do i=0 b=0\n0=2/2", "fraction '2/2' is not in lowest terms"),
+            ("#obs\n1=1/2\n0=1/2", "#do i=0 b=0\n0=1/1\n0=1/1", "outcome '0' out of order after '1'"),
+            ("#obbs\n0=1/2\n1=1/2", "#do i=0 b=0\n0=1/3", "component key 'obbs' where 'obs' was expected"),
+            ("#obs\n0=1/2\n1=1/2", "#do i=0 b=9\n0=1/3", "component key 'do i=0 b=9' where 'do i=0 b=0' was expected"),
+        ],
+        ids=["bad-sum-then-bad-key", "bad-terms-then-bad-key", "bad-order-then-bad-body",
+             "bad-key-then-bad-body", "good-then-bad-key-and-body"],
+    )
+    def test_the_earlier_components_error_is_raised(self, first, second, message):
+        data = f"INT1 n=1\n{first}\n{second}\n#do i=0 b=1\n1=1/1\n".encode()
+        for parse_fn in (parse, reference_codec.parse):
+            with pytest.raises(OracleFormatError) as excinfo:
+                parse_fn(data)
+            assert str(excinfo.value) == message
+
+    def test_a_non_ascii_key_fails_as_the_whole_text_does(self):
+        oracle = self.made(3 * self.BLOCK, False)
+        components = list(oracle.components)
+        components[2 * self.BLOCK + 5] = ("d\u00e9j\u00e0", components[5][1])
+        bad_key = AnswerOracle(OBS, 4, tuple(components))
+        with pytest.raises(UnicodeEncodeError) as want:
+            reference_codec.serialize(bad_key)
+        with pytest.raises(UnicodeEncodeError) as got:
+            serialize(bad_key)
+        assert str(got.value) == str(want.value)
+        # a body too long to write, in a later block, is raised first
+        too_long = compute_oracle(TOO_LONG, OBS).components[0][1]
+        components[0] = ("d\u00e9j\u00e0", components[0][1])
+        components[-1] = ("last", too_long)
+        with pytest.raises(OracleFormatError, match="too long to write"):
+            serialize(AnswerOracle(OBS, 4, tuple(components)))
+
+
 TOO_LONG = Scm(1, (Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 10**4400))),))
 
 

@@ -14,6 +14,7 @@ and keys, so an OBS oracle holding one serializes as the reference codec
 writes it.
 """
 
+import copy
 import dataclasses
 import itertools
 import pickle
@@ -219,6 +220,16 @@ def test_a_body_less_law_answers_every_probe():
     assert dist == ExactDist(1, dict(dist.mass))
 
 
+def mass_is_built(dist):
+    """Whether `dist.mass` is set, read from its slot, which `__getattr__`
+    does not fill."""
+    try:
+        ExactDist.mass.__get__(dist)
+    except AttributeError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("scm", FIXED_MODELS, ids=FIXED_IDS)
 def test_outcomes_build_no_masses(scm, kind):
@@ -226,7 +237,7 @@ def test_outcomes_build_no_masses(scm, kind):
     # building a Fraction for each of them
     dists = [dist for _, dist in compute_oracle(scm, kind).components]
     listed = [dist.outcomes() for dist in dists]  # INT_ALL components share dists
-    assert [("mass" in dist.__dict__) for dist in dists] == [dist._body is None for dist in dists]
+    assert [mass_is_built(dist) for dist in dists] == [dist._body is None for dist in dists]
     assert listed == [sorted(dist.mass) for dist in dists]
 
 
@@ -261,6 +272,32 @@ def test_the_public_api_does_not_depend_on_the_view(probe_first):
         assert dataclasses.replace(dist, n_bits=3).mass == eager.mass
         assert dist.p("000") == eager.p("000") and dist.outcomes() == eager.outcomes()
         assert written(serialize, pickle.loads(pickle.dumps(dist))) == written(serialize, eager)
+
+
+@pytest.mark.parametrize("probe_first", [False, True], ids=["unprobed", "probed"])
+def test_dists_have_slots_and_copy_whole(probe_first):
+    # a dist has slots and no instance dict, so pickle and copy rebuild it
+    # through its constructor; every way of making one must survive them
+    made = {
+        "kernel": compute_oracle(MIXED, INT1).components[1][1],
+        "kernel-int-all": compute_oracle(MIXED, INT_ALL).components[-1][1],
+        "parsed": parse(serialize(compute_oracle(MIXED, CF1))).components[0][1],
+        "marginal": marginal(compute_oracle(MIXED, OBS).components[0][1], (2, 0)),
+        "constructor": ExactDist(2, {"01": Fraction(1, 3), "10": Fraction(2, 3)}),
+        "body-less": compute_oracle(TOO_LONG, OBS).components[0][1],
+    }
+    for name, dist in made.items():
+        if probe_first:
+            dist.prob_bit(0, 1)
+        assert not hasattr(dist, "__dict__"), name
+        for copied in (pickle.loads(pickle.dumps(dist)), copy.copy(dist), copy.deepcopy(dist),
+                       dataclasses.replace(dist)):
+            assert copied.__class__ is ExactDist and not hasattr(copied, "__dict__"), name
+            assert copied == dist and copied.mass == dist.mass, name
+            assert copied.outcomes() == dist.outcomes(), name
+            assert written(serialize, copied) == written(serialize, dist), name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dist.n_bits = 1
 
 
 @given(small_scms())
