@@ -273,7 +273,10 @@ def _cached_index(family, caps) -> tuple[bytes, ...]:
 
 
 # components per block of `serialize`: each block's text is encoded and
-# written out before the next is built
+# written out before the next is built, about 40 KiB of xor m=4 INT_ALL
+# text. An oracle of one block, as every OBS, INT1 and CF1 oracle of the
+# sweeps is, is encoded whole without the buffer, which would cost it
+# about 1.3 us more
 _SERIALIZE_BLOCK = 256
 
 
@@ -290,10 +293,10 @@ def serialize(oracle: AnswerOracle) -> bytes:
     """
     head = f"{oracle.kind} n={oracle.n}"
     components = oracle.components
+    if len(components) <= _SERIALIZE_BLOCK:
+        return f"{head}{_block_text(components)}\n".encode("ascii")
+    out = io.BytesIO()
     try:
-        if len(components) <= _SERIALIZE_BLOCK:
-            return f"{head}{_block_text(components)}\n".encode("ascii")
-        out = io.BytesIO()
         out.write(head.encode("ascii"))
         for start in range(0, len(components), _SERIALIZE_BLOCK):
             out.write(_block_text(components[start:start + _SERIALIZE_BLOCK]).encode("ascii"))
@@ -358,6 +361,11 @@ def parse(data: bytes) -> AnswerOracle:
     passed the same checks, and its components share one distribution.
     Each checked body becomes its distribution's canonical body as it is;
     the dist holds nothing else until a probe or a read of `mass` needs it.
+    Each component is kept under the layout's key string it was checked
+    against, not the one cut from the input. The decoded text is dropped
+    once it is split into blocks, and each block once its body is cut
+    out, so beside the input bytes the call holds about one copy of the
+    text.
 
     Checked bodies outlive the call in a process-wide memo (`_BODIES`,
     where its bound is stated), which serves a later body of the same text

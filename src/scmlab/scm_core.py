@@ -306,8 +306,8 @@ class _Filling:
     """An ExactDist's slots without the frozen dataclass's `__setattr__`:
     `_from_body` fills one with plain attribute stores, then makes it an
     ExactDist by `__class__` assignment, which checks that the two layouts
-    are the same. 0.33 us per dist, against 0.42 us for the instance dict
-    writes a dist had and 0.58 us through each slot's setter."""
+    are the same: 0.33 us a dist, against 0.58 us through each slot's own
+    setter and 0.42 us for an instance dict's writes (`BENCH_25.json`)."""
 
     __slots__ = ExactDist.__slots__
 
