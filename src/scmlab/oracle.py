@@ -274,9 +274,7 @@ def _cached_index(family, caps) -> tuple[bytes, ...]:
 
 # components per block of `serialize`: each block's text is encoded and
 # written out before the next is built, about 40 KiB of xor m=4 INT_ALL
-# text. An oracle of one block, as every OBS, INT1 and CF1 oracle of the
-# sweeps is, is encoded whole without the buffer, which would cost it
-# about 1.3 us more
+# text
 _SERIALIZE_BLOCK = 256
 
 
@@ -286,15 +284,13 @@ def serialize(oracle: AnswerOracle) -> bytes:
     Each component contributes its own key and its canonical body
     (`ExactDist._text`): the kernel and `parse` hand the body over
     rendered, and a dist built from masses renders it through
-    `rational.mass_line`. An oracle of more than one block of
-    `_SERIALIZE_BLOCK` components is written into one buffer a block at a
-    time, so its text is never held whole as a str beside its bytes. A
-    text that is not ASCII raises the error that encoding it whole raises.
+    `rational.mass_line`. The text is written into one buffer a block of
+    `_SERIALIZE_BLOCK` components at a time, so it is never held whole as
+    a str beside its bytes. A text that is not ASCII raises the error that
+    encoding it whole raises.
     """
     head = f"{oracle.kind} n={oracle.n}"
     components = oracle.components
-    if len(components) <= _SERIALIZE_BLOCK:
-        return f"{head}{_block_text(components)}\n".encode("ascii")
     out = io.BytesIO()
     try:
         out.write(head.encode("ascii"))
