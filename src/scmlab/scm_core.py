@@ -172,7 +172,9 @@ class ExactDist:
     none; `mass` of a dist built from its body is unset until first read.
     Pickle and `copy` rebuild a dist through the constructor that built it
     (`__reduce__`), since a frozen dataclass refuses the setattr they
-    would restore its slots with.
+    would restore its slots with. A dist built from masses passes them as
+    integer pairs, not `Fraction`s, whose own pickling writes each as
+    text: under Python 3.10 a mass of more than 4300 digits cannot be.
 
     Probes read one integer view (`_int_view`), built on the first probe:
     the outcomes as ascending states in the kernel's packing, one integer
@@ -228,10 +230,17 @@ class ExactDist:
         _set(self, "mass", mass)
         return mass
 
+    @classmethod
+    def _from_ints(cls, n_bits: int, masses: list) -> "ExactDist":
+        """Build through the checking constructor from (outcome, numerator,
+        denominator) triples."""
+        return cls(n_bits, {outcome: Fraction(num, den) for outcome, num, den in masses})
+
     def __reduce__(self):
         if self._body is not None:
             return self._from_body, (self.n_bits, self._body, self._keys)
-        return self.__class__, (self.n_bits, self.mass)
+        masses = [(outcome, m.numerator, m.denominator) for outcome, m in self.mass.items()]
+        return self._from_ints, (self.n_bits, masses)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -464,6 +473,10 @@ def topo_order(scm: Scm) -> list[int]:
 # checks (parents, gate, arity, noise symbols, noise law) when a step is
 # first compiled, and a step whose checks raise is never kept.
 # `oracle.parse` keeps each checked body with its dist (`oracle._BODIES`).
+# Models repeat whole leaves too, so `_dist` keeps each OBS, INT1 and CF1
+# leaf by its inputs (`_LEAVES`): every pass that reaches an equal leaf
+# shares its ExactDist, body, kept keys and, once probed, integer view.
+# INT_ALL leaves bypass it.
 # Every memo here that is not an lru_cache is a `_Bounded`, whose instance
 # states its bound.
 
@@ -642,10 +655,38 @@ def _lines(*key: int) -> _Lines:
 def _dist(n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
     """The law of `states`, `n_bits`-bit outcomes of mass weight/den, whose
     positive weights sum to den: its canonical body, lines in state order,
-    and its sorted keys if `keep`. A uniform law sorts its states alone
-    and reads each line from its weight's memo; any other sorts integer
-    keys that order the states and carry their weights. A law too long to
-    write goes through the constructor."""
+    and its sorted keys if `keep` (`_render`).
+
+    A kept leaf (OBS, INT1, CF1, `marginal`) of at most `_LEAVES.limit`
+    states comes from the leaf memo `_LEAVES`, keyed by its width and its
+    states and weights in pass order; den, their sum, adds nothing to the
+    key. Every model that reaches an equal leaf shares one dist, which may
+    already carry `mass` or its integer view. An INT_ALL leaf, never kept,
+    and a larger leaf are rendered without a lookup."""
+    if not keep or len(states) > _LEAVES.limit:
+        return _render(n_bits, states, weights, den, keep)
+    key = (n_bits, *states, *weights)
+    dist = _LEAVES.get(key)
+    if dist is None:
+        dist = _LEAVES.keep(key, _render(n_bits, states, weights, den, True), len(states))
+    return dist
+
+
+# the kept leaves by their inputs, bounded in states between them: one round
+# renders 65,025 kept leaves of 206 distinct (3,384 states) in sweep and
+# 8,076 of 254 (8,633 states) in nfl_mc; verify_family plus separation_table
+# render 248,832 of 190 (378 states) on tree n=6, 4,353,013 of 382 (762
+# states) on tree n=7 and 3,080,192 of 148 (294 states) on bipartite m=4.
+# About 100 B of live memory a state (sweep: 334 KB for its 3,384), so
+# 1.6 MiB when full
+_LEAVES = _Bounded(1 << 14)
+
+
+def _render(n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
+    """`_dist` without the memo. A uniform law sorts its states alone and
+    reads each line from its weight's memo; any other sorts integer keys
+    that order the states and carry their weights. A law too long to write
+    goes through the constructor."""
     weight = weights[0]
     if weights.count(weight) == len(weights):
         lines = _lines(n_bits, den, weight)
@@ -693,6 +734,11 @@ def _laws(plan: _Plan, max_forced: int) -> dict[int, ExactDist]:
     (states, weights, den), so their leaves are equal at codes
     (b + 1) * 3^(n-1-v) apart: the mechanism subtree takes the do(b)
     subtree's ExactDist objects.
+
+    With `max_forced` at most 1 (OBS and INT1) the leaves are kept, and
+    each comes from the leaf memo (`_dist`): a law equal to one that
+    another model's pass reached is that model's ExactDist, which may
+    already carry `mass` or its integer view.
     """
     codes: list[int] = []
     dists: list[ExactDist] = []

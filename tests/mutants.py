@@ -1,9 +1,10 @@
 """A catalogue of mutants that the test suite must kill.
 
 Each mutant breaks one rule the code keeps: it names a source file, one
-or more exact snippets of it with their replacements, and the test files
-that must fail once the snippets are replaced. Run from anywhere, with
-the interpreter that runs the tests:
+or more exact snippets of it with their replacements, and the tests that
+must fail once the snippets are replaced, each a test file or a pytest
+node ID within one (`tests/test_x.py::test_name`). Run from anywhere,
+with the interpreter that runs the tests:
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME ...     # the named mutants only
@@ -43,7 +44,7 @@ class Mutant:
     name: str
     file: str  # relative to the repository root
     edits: tuple[tuple[str, str], ...]  # (exact snippet, replacement) pairs
-    tests: tuple[str, ...]  # test files that must kill it
+    tests: tuple[str, ...]  # test files or node IDs that must kill it
 
 
 CATALOGUE = (
@@ -199,6 +200,45 @@ CATALOGUE = (
         "src/scmlab/scm_core.py",
         (("    def __reduce__(self):\n", "    def _reduce(self):\n"),),
         ("tests/test_probes.py::test_dists_have_slots_and_copy_whole",),
+    ),
+    Mutant(
+        "a mass-built dist pickled through its Fractions",
+        "src/scmlab/scm_core.py",
+        (("        return self._from_ints, (self.n_bits, masses)\n",
+          "        return self.__class__, (self.n_bits, self.mass)\n"),),
+        ("tests/test_probes.py::test_dists_have_slots_and_copy_whole",),
+    ),
+    # the kernel's leaf memo
+    Mutant(
+        "the leaf memo keyed without the weights",
+        "src/scmlab/scm_core.py",
+        (("    key = (n_bits, *states, *weights)\n", "    key = (n_bits, *states)\n"),),
+        ("tests/test_memos.py::test_leaves_of_equal_states_are_kept_apart_by_width_and_weights",),
+    ),
+    Mutant(
+        "the leaf memo keyed without the width",
+        "src/scmlab/scm_core.py",
+        (("    key = (n_bits, *states, *weights)\n", "    key = (*states, *weights)\n"),),
+        ("tests/test_memos.py::test_leaves_of_equal_states_are_kept_apart_by_width_and_weights",),
+    ),
+    Mutant(
+        "INT_ALL leaves enter the leaf memo",
+        "src/scmlab/scm_core.py",
+        (("    if not keep or len(states) > _LEAVES.limit:\n",
+          "    if len(states) > _LEAVES.limit:\n"),),
+        ("tests/test_memos.py::test_no_int_all_leaf_enters_the_leaf_memo",),
+    ),
+    Mutant(
+        "a leaf above the bound reaches the leaf memo",
+        "src/scmlab/scm_core.py",
+        (("    if not keep or len(states) > _LEAVES.limit:\n", "    if not keep:\n"),),
+        ("tests/test_memos.py::test_a_leaf_above_the_bound_is_not_looked_up",),
+    ),
+    Mutant(
+        "a test starts with the leaf memo of the test before",
+        "tests/conftest.py",
+        (("    scm_core._LEAVES.clear()\n", ""),),
+        ("tests/test_memos.py::test_each_test_starts_with_an_empty_leaf_memo",),
     ),
     # the Monte-Carlo episodes' fast paths
     Mutant(

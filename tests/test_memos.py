@@ -1,11 +1,13 @@
-"""The two memos that let a round trip read each distinct body and
-mechanism once: `parse`'s memo of checked bodies, and the compiled step
-each mechanism keeps.
+"""The memos that let a sweep or a round trip read each distinct body,
+mechanism and leaf once: `parse`'s memo of checked bodies, the compiled
+step each mechanism keeps, and the kernel's memo of kept leaves.
 
 Each memo is keyed by what fully determines its value, so a warm memo
 must give what a cold one gives: from `parse`, the same oracle, bytes and
 masses (checked against the reference codec) and the same error text;
-from `_compile`, the same plan and the same errors in the same order.
+from `_compile`, the same plan and the same errors in the same order;
+from the leaf memo, the same OBS, INT1 and CF1 oracles (checked against
+the reference enumerator).
 """
 
 from fractions import Fraction
@@ -33,15 +35,18 @@ from scmlab import (
     enumerate_graphs,
     enumerate_strings,
     enumerate_trees,
+    marginal,
     parse,
     scm_to_json,
     serialize,
 )
 from scmlab import gates, oracle, scm_core
+from scmlab.catalog import Family
 from scmlab.errors import ArityMismatchError, OracleFormatError
 
 import reference_codec
 from conftest import GOLDEN, GOLDEN_BYTES, MIXED_LEAVES, mutated_golden, small_scms
+from reference_enumerator import reference_oracle
 
 KINDS = (OBS, INT1, CF1, INT_ALL)
 HALF = Fraction(1, 2)
@@ -386,3 +391,168 @@ def test_golden_files_with_warm_memos():
     }
     for name, data in golden.items():
         assert serialize(parse(data)) == data, name
+
+
+# ------------------------------------------------------------- leaf memo
+
+LEAVES = scm_core._LEAVES
+KEPT_KINDS = (OBS, INT1, CF1)
+
+
+def states_of(key: tuple) -> int:
+    """The number of states in a leaf memo key: (width, *states, *weights)."""
+    return (len(key) - 1) // 2
+
+
+def assert_leaves_sound():
+    """Every kept leaf is the dist its key renders with no memo, keys and
+    all, and `held` counts the states held, within the bound."""
+    for key, dist in LEAVES.items():
+        width, count = key[0], states_of(key)
+        states, weights = list(key[1:1 + count]), list(key[1 + count:])
+        cold = scm_core._render(width, states, weights, sum(weights), True)
+        assert dist == cold and dist.n_bits == cold.n_bits and dist._keys == cold._keys
+    assert LEAVES.held == sum(map(states_of, LEAVES)) <= LEAVES.limit
+
+
+@pytest.mark.parametrize("run", ["first", "second"])
+def test_each_test_starts_with_an_empty_leaf_memo(run):
+    assert len(LEAVES) == 0 and LEAVES.held == 0
+    compute_oracle(MIXED_LEAVES, CF1)  # what the next test must not find
+    assert len(LEAVES) == 3
+
+
+@given(small_scms())
+@settings(max_examples=100, deadline=None)
+def test_a_warm_leaf_memo_gives_the_cold_oracles(scm):
+    LEAVES.clear()
+    for graph in enumerate_graphs(2):  # leaves of other models, probed
+        for _, dist in compute_oracle(build_bipartite_scm(graph), INT1).components:
+            dist._int_view()
+    cold = {kind: compute_oracle(scm, kind) for kind in KEPT_KINDS}
+    for made in cold.values():
+        read_everything(made)  # the dists the memo serves now carry views and masses
+    for kind in KEPT_KINDS:
+        warm = compute_oracle(scm, kind)
+        reference = reference_oracle(scm, kind)
+        assert serialize(warm) == serialize(cold[kind]) == serialize(reference)
+        assert warm == cold[kind] == reference
+        for (_, w), (_, c), (_, r) in zip(warm.components, cold[kind].components,
+                                          reference.components):
+            assert w is c  # served from the memo
+            assert w.mass == r.mass
+            assert w._int_view() == r._int_view()
+    assert_leaves_sound()
+
+
+def test_leaves_of_equal_states_are_kept_apart_by_width_and_weights():
+    # each law's pass ends on the states [0, 1]: its key's width and
+    # weights alone tell them apart (the denominator is the weights' sum)
+    fair, third = NoiseDist.bernoulli(HALF), NoiseDist.bernoulli(Fraction(1, 3))
+    models = [
+        Scm(1, (Mechanism(gates.BERN_SOURCE, (), fair),)),
+        Scm(1, (Mechanism(gates.BERN_SOURCE, (), third),)),
+        Scm(2, (Mechanism(gates.CONST0, (), NoiseDist.constant()),
+                Mechanism(gates.BERN_SOURCE, (), fair))),
+    ]
+    bodies = [compute_oracle(scm, OBS).components[0][1]._body for scm in models]
+    assert bodies == ["0=1/2\n1=1/2", "0=2/3\n1=1/3", "00=1/2\n01=1/2"]
+    assert sorted(LEAVES) == [(1, 0, 1, 1, 1), (1, 0, 1, 2, 1), (2, 0, 1, 1, 1)]
+    assert_leaves_sound()
+
+
+@given(small_scms(), st.sampled_from(KINDS))
+@settings(max_examples=60, deadline=None)
+def test_every_leaf_weighs_its_denominator(scm, kind):
+    # the premise of a key without the denominator, for every caller of
+    # `_dist`: the kernel's passes and `marginal`
+    seen = []
+    render = scm_core._dist
+
+    def spy(n_bits, states, weights, den, keep):
+        seen.append(sum(weights) == den and len(states) == len(weights))
+        return render(n_bits, states, weights, den, keep)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scm_core, "_dist", spy)
+        patch.setattr(oracle, "_dist", spy)
+        for _, dist in compute_oracle(scm, kind).components:
+            marginal(dist, range(0, dist.n_bits, 2))
+    assert seen and all(seen)
+
+
+def test_no_int_all_leaf_enters_the_leaf_memo():
+    models = (MIXED_LEAVES, build_xor_scm(HiddenString(3, "101")),
+              build_tree_scm(RootedTree(3, 1, {2: 1, 3: 2})))
+    for scm in models:
+        compute_oracle(scm, INT_ALL)
+    assert len(LEAVES) == 0
+    # with every kind from one call, only the kept kinds' leaves enter
+    for scm in models:
+        oracles = oracle._member_oracles(scm, KINDS)
+        held = {id(dist) for dist in LEAVES.values()}
+        assert all(dist._keys is not None for dist in LEAVES.values())
+        assert not any(id(dist) in held for _, dist in oracles[INT_ALL].components)
+        assert serialize(oracles[INT_ALL]) == serialize(reference_oracle(scm, INT_ALL))
+    assert_leaves_sound()
+
+
+def test_a_leaf_above_the_bound_is_not_looked_up(monkeypatch):
+    monkeypatch.setattr(LEAVES, "limit", 8)
+    compute_oracle(MIXED_LEAVES, OBS)  # one leaf of 4 states
+    held = dict(LEAVES)
+    assert LEAVES.held == 4
+    fair = Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(HALF))
+    wide = Scm(4, (fair,) * 4)  # one leaf of 16 states
+    first = compute_oracle(wide, OBS).components[0][1]
+    # neither kept nor looked up, so the memo dropped nothing for it
+    assert dict(LEAVES) == held and LEAVES.held == 4
+    assert compute_oracle(wide, OBS).components[0][1] is not first
+    assert_leaves_sound()
+
+
+def sweep_bytes(families) -> list[bytes]:
+    return [data[kind] for family in families
+            for _, _, data in oracle.family_sweep(family, KEPT_KINDS) for kind in KEPT_KINDS]
+
+
+@pytest.mark.parametrize("bound", [40, None], ids=["40", "default"])
+def test_the_leaf_memo_stays_within_its_bound(bound, monkeypatch):
+    families = (Family("tree", 5), Family("bipartite", 3))
+    default = LEAVES.limit
+    monkeypatch.setattr(LEAVES, "limit", 0)  # every leaf is above it: no memo
+    cold = sweep_bytes(families)
+    assert len(LEAVES) == 0
+    monkeypatch.setattr(LEAVES, "limit", bound or default)
+    drops = []
+    clear, keep = scm_core._Bounded.clear, scm_core._Bounded.keep
+
+    def counted(memo):
+        if memo is LEAVES:
+            drops.append(memo.held)
+        clear(memo)
+
+    def checked(memo, key, value, size=1):
+        kept = keep(memo, key, value, size)
+        if memo is LEAVES:
+            assert memo.held <= memo.limit
+        return kept
+
+    monkeypatch.setattr(scm_core._Bounded, "clear", counted)
+    monkeypatch.setattr(scm_core._Bounded, "keep", checked)
+    assert sweep_bytes(families) == cold
+    assert_leaves_sound()
+    if bound is None:  # the whole sweep fits
+        assert drops == [] and LEAVES.held == sum(map(states_of, LEAVES))
+    else:  # the memo filled and dropped its leaves, more than once
+        assert len(drops) > 1 and max(drops) <= bound
+
+
+def test_family_members_share_their_leaves():
+    # every tree n=4 member has the same OBS law: one dist, probed once
+    members = [build_tree_scm(tree) for tree in enumerate_trees(4)]
+    first = compute_oracle(members[0], INT1).components[0][1]
+    first.prob_bit(0, 1)
+    for scm in members[1:]:
+        obs = compute_oracle(scm, INT1).components[0][1]
+        assert obs is first and obs._ints is not None
