@@ -223,11 +223,11 @@ def oracle_indexes(family, kinds) -> dict[str, tuple[bytes, ...]]:
     and a lowered cap refuses a cached family just as it refuses a new
     one. The index holds bytes alone: each member's oracle is serialized
     and dropped before the next member is computed. The other kinds are
-    collected from one `family_sweep`, computed on every call, so no call
-    reads an oracle an earlier call computed. Earlier calls still make a
-    call cheaper through the bounded memos below the oracles (each
-    mechanism's compiled steps, the kernel's mass lines, mass-text
-    Fractions), which change no result.
+    collected from one `family_sweep`, which assembles and serializes
+    every member's oracle on every call. Its laws may be ones an earlier
+    call computed: the kernel's bounded memos (each mechanism's compiled
+    steps, mass lines, leaves and whole passes, mass-text Fractions)
+    return what a fresh pass would and change no result.
     """
     kinds = tuple(dict.fromkeys(kinds))
     index = {}

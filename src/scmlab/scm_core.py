@@ -476,7 +476,12 @@ def topo_order(scm: Scm) -> list[int]:
 # Models repeat whole leaves too, so `_dist` keeps each OBS, INT1 and CF1
 # leaf by its inputs (`_LEAVES`): every pass that reaches an equal leaf
 # shares its ExactDist, body, kept keys and, once probed, integer view.
-# INT_ALL leaves bypass it.
+# Whole passes repeat as well: a verify sweep, a separation table, a
+# decode request and the decoder's rebuild check each run the same
+# member's plan. So `kernel_laws` keeps each OBS, INT1 and CF1 pass by its
+# plan and budget (`_PASSES`), looked up after `_compile` has run the
+# model checks, and a later call returns the objects the first returned.
+# INT_ALL leaves and passes bypass both memos.
 # Every memo here that is not an lru_cache is a `_Bounded`, whose instance
 # states its bound.
 
@@ -705,13 +710,54 @@ def _render(n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
 
 def kernel_laws(scm: Scm, max_forced: int | None, worlds: bool):
     """(laws, `cf1`) of `scm` from one compiled plan: the trie pass `_laws`
-    with budget `max_forced` (no intervention cap), or None when that is
+    with budget `max_forced`, 0 (OBS) or 1 (INT1), or None when that is
     None, and every CF1 triple from one parallel-worlds pass when `worlds`
-    is set, else None."""
+    is set, else None.
+
+    Each pass comes from the pass memo (`_held`), looked up only once
+    `_compile` has run its checks and caps, so a model they refuse is
+    refused before any lookup. A pass held from an earlier call is the
+    dict or tuple that call returned, shared by every caller, which must
+    not change it."""
     plan = _compile(scm)
-    laws = None if max_forced is None else _laws(plan, max_forced)
-    cf = tuple(_worlds(plan)) if worlds else None
+    laws = None if max_forced is None else _held(plan, max_forced)
+    cf = _held(plan, None) if worlds else None
     return laws, cf
+
+
+def _held(plan: _Plan, budget: int | None):
+    """The trie pass of `plan` with budget `budget`, 0 or 1, or its worlds
+    pass when `budget` is None, kept in `_PASSES` by (plan, budget).
+
+    An entry counts the states of its laws: with P noise points (the
+    product of the steps' branch counts), OBS has P, do(X_v=b) P over v's
+    branch count and each CF1 triple P. A pass of more states than the
+    bound is run without a lookup, so it cannot drop the memo."""
+    points = math.prod([len(step[5]) for step in plan.steps])
+    if budget is None:
+        size = plan.n * points
+    else:
+        size = points + 2 * budget * sum([points // len(step[5]) for step in plan.steps])
+    if size > _PASSES.limit:
+        return _run(plan, budget)
+    key = (plan, budget)
+    found = _PASSES.get(key)
+    return _PASSES.keep(key, _run(plan, budget), size) if found is None else found
+
+
+def _run(plan: _Plan, budget: int | None):
+    """The pass `_held` names, run."""
+    return _worlds(plan) if budget is None else _laws(plan, budget)
+
+
+# the kept passes by (plan, budget), bounded in the states of their laws:
+# one sweep round runs 4,548 trie passes over 1,137 plans and keeps 2,282
+# passes (21,312 laws, 43,326 states) whose laws are 206 distinct dists of
+# `_LEAVES`, 1.4 MB of live memory (33 B a state). A pass whose dists
+# `_LEAVES` has dropped holds them alone: the same round with no leaf memo
+# holds 10.9 MB (252 B a state), and the worst case, passes of one state,
+# about 670 B a state, so 42 MiB when full
+_PASSES = _Bounded(1 << 16)
 
 
 def _laws(plan: _Plan, max_forced: int) -> dict[int, ExactDist]:
@@ -794,7 +840,7 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists, keep
     dists.append(_dist(n, states, weights, den, keep))
 
 
-def _worlds(plan: _Plan) -> list[ExactDist]:
+def _worlds(plan: _Plan) -> tuple[ExactDist, ...]:
     """Parallel-worlds pass (Avin, Shpitser & Pearl 2005): the CF1 law of
     every variable, in index order, from one forward pass.
 
@@ -818,12 +864,12 @@ def _worlds(plan: _Plan) -> list[ExactDist]:
             den *= step_den
     top, pair = 2 * n * n, (1 << 2 * n) - 1
     facts = [(s >> top) << 2 * n for s in states]
-    return [
+    return tuple([
         _dist(3 * n,
               [f | ((s >> 2 * (n - 1 - v) * n) & pair) for f, s in zip(facts, states)],
               weights, den, True)
         for v in range(n)
-    ]
+    ])
 
 
 def _world_step(states, test, mask, bit, column, one, invert, branches) -> list[int]:

@@ -22,10 +22,15 @@ CF1, and every per-member check reads that member's in-memory oracles
 as the sweep yields them; only the bytes that the distinctness checks
 group are kept, and nothing is parsed back. The decoder's probe runs on
 the in-memory oracle: when it names the member itself, the rebuild check
-would recompute that same oracle, so the round trip counts without it.
+would read back that same oracle, so the round trip counts without it.
 Anything else goes through the public decoder on the same oracle, so a
-wrong member or a typed error comes out exactly as from the decoder. The
-cross-rung check is one integer pass per CF1 triple (`blocks_match`).
+wrong member or a typed error comes out exactly as from the decoder; its
+rebuild reads the kernel's pass memo. The members' passes stay in that
+memo while it has room, so a separation table or a decode of the same
+family after the suite reads them back. The cross-rung check is one
+integer pass (`blocks_match`) per distinct (triple, obs, do 0, do 1),
+keyed by their canonical bodies: the 46,656 triples of tree n=6 reach
+only 63.
 """
 
 from __future__ import annotations
@@ -47,17 +52,25 @@ class CheckResult:
     details: dict
 
 
-def _marginal_consistency(obs: AnswerOracle, int1: AnswerOracle, cf1: AnswerOracle) -> bool:
+def _marginal_consistency(obs: AnswerOracle, int1: AnswerOracle, cf1: AnswerOracle,
+                          seen: dict) -> bool:
     """Factual block must be the observational law; each world block must
     be the matching single-variable interventional law. Each law is read
     by its layout position: CF1 triple i, and INT1's do(X_i=0) and
-    do(X_i=1) at 1 + 2i and 2 + 2i, after obs."""
+    do(X_i=1) at 1 + 2i and 2 + 2i, after obs. `seen` holds the verdict of
+    each (triple, obs, do 0, do 1) checked so far, keyed by their
+    canonical bodies, so a repeated one is not walked again."""
     obs_dist = obs.components[0][1]
     int1_laws = [dist for _, dist in int1.components]
-    return all(
-        blocks_match(triple, (obs_dist, int1_laws[1 + 2 * i], int1_laws[2 + 2 * i]))
-        for i, (_, triple) in enumerate(cf1.components)
-    )
+    for i, (_, triple) in enumerate(cf1.components):
+        laws = (obs_dist, int1_laws[1 + 2 * i], int1_laws[2 + 2 * i])
+        key = tuple([dist._text() for dist in (triple, *laws)])
+        passed = seen.get(key)
+        if passed is None:
+            passed = seen[key] = blocks_match(triple, laws)
+        if not passed:
+            return False
+    return True
 
 
 def _obs_embeds(obs: bytes, int1: bytes) -> bool:
@@ -78,6 +91,7 @@ def verify_family(family: Family) -> list[CheckResult]:
     columns: dict[str, list[bytes]] = {kind: [] for kind in swept}
     round_trips = 0
     marginals_ok = True
+    checked: dict[tuple[str, ...], bool] = {}
     embeddings_ok = True
     for param, oracles, data in family_sweep(family, swept):
         for kind in swept:
@@ -85,7 +99,7 @@ def verify_family(family: Family) -> list[CheckResult]:
         oracle = oracles[higher_kind]
         if spec.probe(oracle) == param or spec.decode(oracle) == param:
             round_trips += 1
-        marginals_ok &= _marginal_consistency(oracles[OBS], oracles[INT1], oracles[CF1])
+        marginals_ok &= _marginal_consistency(oracles[OBS], oracles[INT1], oracles[CF1], checked)
         embeddings_ok &= _obs_embeds(data[OBS], data[INT1])
     index.update(columns)
     count = len(columns[OBS])

@@ -38,12 +38,13 @@ def acceptance() -> AcceptanceLog:
 
 @pytest.fixture(autouse=True)
 def cold_body_memo():
-    """Empty `parse`'s process-wide body memo and the kernel's leaf memo
-    before every test, so what a test sees of a parsed or computed dist (no
-    `mass` or integer view until it reads one) does not depend on the
-    tests that ran before it."""
+    """Empty `parse`'s process-wide body memo and the kernel's leaf and
+    pass memos before every test, so what a test sees of a parsed or
+    computed dist (no `mass` or integer view until it reads one) does not
+    depend on the tests that ran before it."""
     oracle._BODIES.clear()
     scm_core._LEAVES.clear()
+    scm_core._PASSES.clear()
 
 
 @pytest.fixture

@@ -240,6 +240,68 @@ CATALOGUE = (
         (("    scm_core._LEAVES.clear()\n", ""),),
         ("tests/test_memos.py::test_each_test_starts_with_an_empty_leaf_memo",),
     ),
+    # the kernel's pass memo
+    Mutant(
+        "the pass memo keyed without the budget",
+        "src/scmlab/scm_core.py",
+        (("    key = (plan, budget)\n", "    key = plan\n"),),
+        ("tests/test_memos.py::test_a_held_pass_gives_the_cold_oracles",),
+    ),
+    Mutant(
+        "INT_ALL passes enter the pass memo",
+        "src/scmlab/scm_core.py",
+        (("    return _laws(plan, plan.n)\n", "    return _held(plan, plan.n)\n"),),
+        ("tests/test_memos.py::test_no_int_all_pass_enters_the_pass_memo",),
+    ),
+    Mutant(
+        "a held pass looked up before _compile",
+        "src/scmlab/scm_core.py",
+        (("    plan = _compile(scm)\n"
+          "    laws = None if max_forced is None else _held(plan, max_forced)\n"
+          "    cf = _held(plan, None) if worlds else None\n"
+          "    return laws, cf\n",
+          "    key = (scm, max_forced, worlds)\n"
+          "    if key in _PASSES:\n"
+          "        return _PASSES[key]\n"
+          "    plan = _compile(scm)\n"
+          "    laws = None if max_forced is None else _held(plan, max_forced)\n"
+          "    cf = _held(plan, None) if worlds else None\n"
+          "    return _PASSES.setdefault(key, (laws, cf))\n"),),
+        ("tests/test_memos.py::test_a_lowered_support_cap_refuses_a_held_pass",),
+    ),
+    Mutant(
+        "the pass memo keeps without dropping",
+        "src/scmlab/scm_core.py",
+        (("    return _PASSES.keep(key, _run(plan, budget), size) if found is None else found\n",
+          "    return _PASSES.setdefault(key, _run(plan, budget)) if found is None else found\n"),),
+        ("tests/test_memos.py::test_the_pass_memo_stays_within_its_bound",),
+    ),
+    Mutant(
+        "a pass above the bound reaches the pass memo",
+        "src/scmlab/scm_core.py",
+        (("    if size > _PASSES.limit:\n        return _run(plan, budget)\n", ""),),
+        ("tests/test_memos.py::test_a_pass_above_the_bound_is_neither_kept_nor_looked_up",),
+    ),
+    Mutant(
+        "the pass memo counts one state a law",
+        "src/scmlab/scm_core.py",
+        (("        size = points + 2 * budget * sum([points // len(step[5]) for step in plan.steps])\n",
+          "        size = 1 + 2 * budget * plan.n\n"),),
+        ("tests/test_memos.py::test_the_pass_memo_stays_within_its_bound",),
+    ),
+    Mutant(
+        "a test starts with the pass memo of the test before",
+        "tests/conftest.py",
+        (("    scm_core._PASSES.clear()\n", ""),),
+        ("tests/test_memos.py::test_each_test_starts_with_an_empty_pass_memo",),
+    ),
+    Mutant(
+        "the cross-rung check keyed without the triple",
+        "src/scmlab/verify.py",
+        (("        key = tuple([dist._text() for dist in (triple, *laws)])\n",
+          "        key = tuple([dist._text() for dist in laws])\n"),),
+        ("tests/test_verify.py::TestMarginalConsistency::test_a_failing_triple_beside_checked_laws_fails",),
+    ),
     # the Monte-Carlo episodes' fast paths
     Mutant(
         "the stream's pre-fed text without its separator",

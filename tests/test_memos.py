@@ -1,15 +1,18 @@
 """The memos that let a sweep or a round trip read each distinct body,
-mechanism and leaf once: `parse`'s memo of checked bodies, the compiled
-step each mechanism keeps, and the kernel's memo of kept leaves.
+mechanism, leaf and pass once: `parse`'s memo of checked bodies, the
+compiled step each mechanism keeps, and the kernel's memos of kept leaves
+and of whole OBS, INT1 and CF1 passes.
 
 Each memo is keyed by what fully determines its value, so a warm memo
 must give what a cold one gives: from `parse`, the same oracle, bytes and
 masses (checked against the reference codec) and the same error text;
 from `_compile`, the same plan and the same errors in the same order;
-from the leaf memo, the same OBS, INT1 and CF1 oracles (checked against
-the reference enumerator).
+from the leaf and pass memos, the same OBS, INT1 and CF1 oracles (checked
+against the reference enumerator), and from the pass memo the same
+refusals before any work.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -42,7 +45,16 @@ from scmlab import (
 )
 from scmlab import gates, oracle, scm_core
 from scmlab.catalog import Family
-from scmlab.errors import ArityMismatchError, OracleFormatError
+from scmlab.decoders import graph_from_int1, string_from_cf1, tree_from_int1
+from scmlab.errors import (
+    ArityMismatchError,
+    CycleError,
+    NotBipartiteLikeError,
+    NotTreeLikeError,
+    NotXorLikeError,
+    OracleFormatError,
+    SupportTooLargeError,
+)
 
 import reference_codec
 from conftest import GOLDEN, GOLDEN_BYTES, MIXED_LEAVES, mutated_golden, small_scms
@@ -498,6 +510,7 @@ def test_no_int_all_leaf_enters_the_leaf_memo():
 
 
 def test_a_leaf_above_the_bound_is_not_looked_up(monkeypatch):
+    monkeypatch.setattr(scm_core._PASSES, "limit", 0)  # each pass runs again
     monkeypatch.setattr(LEAVES, "limit", 8)
     compute_oracle(MIXED_LEAVES, OBS)  # one leaf of 4 states
     held = dict(LEAVES)
@@ -519,6 +532,7 @@ def sweep_bytes(families) -> list[bytes]:
 @pytest.mark.parametrize("bound", [40, None], ids=["40", "default"])
 def test_the_leaf_memo_stays_within_its_bound(bound, monkeypatch):
     families = (Family("tree", 5), Family("bipartite", 3))
+    monkeypatch.setattr(scm_core._PASSES, "limit", 0)  # each pass runs again
     default = LEAVES.limit
     monkeypatch.setattr(LEAVES, "limit", 0)  # every leaf is above it: no memo
     cold = sweep_bytes(families)
@@ -556,3 +570,199 @@ def test_family_members_share_their_leaves():
     for scm in members[1:]:
         obs = compute_oracle(scm, INT1).components[0][1]
         assert obs is first and obs._ints is not None
+
+
+# ------------------------------------------------------------- pass memo
+
+PASSES = scm_core._PASSES
+
+
+def laws_of(held) -> list:
+    """The dists of a held pass: a trie pass's dict or a worlds pass's tuple."""
+    return list(held.values()) if isinstance(held, dict) else list(held)
+
+
+def states_in(held) -> int:
+    """The states of a held pass's laws, one per line of each body."""
+    return sum(dist._text().count("\n") + 1 for dist in laws_of(held))
+
+
+def assert_passes_sound():
+    """Every held pass is an OBS or INT1 trie pass or a worlds pass, equal
+    to the pass its plan runs now, and `held` counts the states held,
+    within the bound."""
+    for (plan, budget), held in PASSES.items():
+        assert budget in (None, 0, 1)
+        assert held == scm_core._run(plan, budget)
+    assert PASSES.held == sum(map(states_in, PASSES.values())) <= PASSES.limit
+
+
+@pytest.mark.parametrize("run", ["first", "second"])
+def test_each_test_starts_with_an_empty_pass_memo(run):
+    assert len(PASSES) == 0 and PASSES.held == 0
+    oracle._member_oracles(MIXED_LEAVES, KEPT_KINDS)  # what the next test must not find
+    assert sorted(budget is None for _, budget in PASSES) == [False, True]
+
+
+@given(small_scms())
+@settings(max_examples=100, deadline=None)
+def test_a_held_pass_gives_the_cold_oracles(scm):
+    cold = {}
+    for kind in KEPT_KINDS:
+        PASSES.clear()
+        cold[kind] = serialize(compute_oracle(scm, kind))
+    PASSES.clear()
+    # OBS (budget 0), INT1 (budget 1) and CF1 (worlds) are three passes
+    first = {kind: compute_oracle(scm, kind) for kind in KEPT_KINDS}
+    assert len(PASSES) == 3
+    for kind in KEPT_KINDS:
+        warm = compute_oracle(scm, kind)
+        reference = reference_oracle(scm, kind)
+        assert serialize(warm) == serialize(first[kind]) == cold[kind] == serialize(reference)
+        for (_, w), (_, f) in zip(warm.components, first[kind].components):
+            assert w is f  # served from the memo
+    assert_passes_sound()
+
+
+def test_no_int_all_pass_enters_the_pass_memo():
+    models = (MIXED_LEAVES, build_xor_scm(HiddenString(3, "101")),
+              build_tree_scm(RootedTree(3, 1, {2: 1, 3: 2})))
+    for scm in models:
+        compute_oracle(scm, INT_ALL)
+    assert len(PASSES) == 0 and PASSES.held == 0
+    for scm in models:
+        oracles = oracle._member_oracles(scm, KINDS)
+        held = {id(dist) for value in PASSES.values() for dist in laws_of(value)}
+        assert not any(id(dist) in held for _, dist in oracles[INT_ALL].components[1:])
+        assert serialize(oracles[INT_ALL]) == serialize(reference_oracle(scm, INT_ALL))
+    assert len(PASSES) == 2 * len(models)  # one trie and one worlds pass each
+    assert_passes_sound()
+
+
+def test_a_model_that_fails_to_compile_leaves_no_pass():
+    source = Mechanism(gates.BERN_SOURCE, (), FAIR)
+    bad = [
+        Scm(2, (Mechanism(gates.COPY, (1,), NoiseDist.constant()),
+                Mechanism(gates.COPY, (0,), NoiseDist.constant()))),
+        Scm(2, (source, Mechanism(gates.COPY, (0, 1), NoiseDist.constant()))),
+        Scm(2, (source, Mechanism("MAJORITY", (0,), NoiseDist.constant()))),
+        Scm(2, (source, Mechanism(gates.AND, (0,), NoiseDist((0, 1), (HALF, Fraction(1, 3)))))),
+    ]
+    compute_oracle(Scm(1, (source,)), INT1)  # a held pass the failures must not drop
+    held = dict(PASSES)
+    for scm in bad:
+        for kind in KEPT_KINDS:
+            with pytest.raises((CycleError, ArityMismatchError, ValueError)):
+                compute_oracle(scm, kind)
+    assert dict(PASSES) == held
+    assert_passes_sound()
+
+
+def test_a_lowered_support_cap_refuses_a_held_pass(monkeypatch):
+    # MIXED_LEAVES has 2 * 2 * 1 = 4 noise points; each kind alone, and all
+    # three from one call, hold their passes
+    calls = [(kind,) for kind in KEPT_KINDS] + [KEPT_KINDS]
+    held = [oracle._member_oracles(MIXED_LEAVES, kinds) for kinds in calls]
+    monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "3")
+    for kinds in calls:
+        with pytest.raises(SupportTooLargeError):
+            oracle._member_oracles(MIXED_LEAVES, kinds)
+    monkeypatch.delenv("SCMLAB_SUPPORT_CAP")
+    for kinds, oracles in zip(calls, held):  # still held
+        again = oracle._member_oracles(MIXED_LEAVES, kinds)
+        for kind in kinds:
+            for (_, dist), (_, kept) in zip(again[kind].components, oracles[kind].components):
+                assert dist is kept
+
+
+def test_a_pass_above_the_bound_is_neither_kept_nor_looked_up(monkeypatch):
+    monkeypatch.setattr(PASSES, "limit", 12)
+    compute_oracle(MIXED_LEAVES, CF1)  # 3 triples of 4 states
+    held = dict(PASSES)
+    assert PASSES.held == 12
+    looked_up = []
+    get = scm_core._Bounded.get
+
+    def spy(memo, key, default=None):
+        if memo is PASSES:
+            looked_up.append(key)
+        return get(memo, key, default)
+
+    monkeypatch.setattr(scm_core._Bounded, "get", spy)
+    first = compute_oracle(MIXED_LEAVES, INT1)  # 4 + 2 * (2 + 2 + 4) = 20 states
+    again = compute_oracle(MIXED_LEAVES, INT1)
+    assert looked_up == [] and dict(PASSES) == held and PASSES.held == 12
+    assert serialize(again) == serialize(first) == serialize(reference_oracle(MIXED_LEAVES, INT1))
+    assert_passes_sound()
+
+
+@pytest.mark.parametrize("bound", [60, None], ids=["60", "default"])
+def test_the_pass_memo_stays_within_its_bound(bound, monkeypatch):
+    families = (Family("tree", 4), Family("bipartite", 2))
+    default = PASSES.limit
+    monkeypatch.setattr(PASSES, "limit", 0)  # every pass is above it: no memo
+    cold = sweep_bytes(families)
+    assert len(PASSES) == 0
+    monkeypatch.setattr(PASSES, "limit", bound or default)
+    drops = []
+    clear, keep = scm_core._Bounded.clear, scm_core._Bounded.keep
+
+    def counted(memo):
+        if memo is PASSES:
+            drops.append(memo.held)
+        clear(memo)
+
+    def checked(memo, key, value, size=1):
+        kept = keep(memo, key, value, size)
+        if memo is PASSES:
+            assert memo.held <= memo.limit
+        return kept
+
+    monkeypatch.setattr(scm_core._Bounded, "clear", counted)
+    monkeypatch.setattr(scm_core._Bounded, "keep", checked)
+    assert sweep_bytes(families) == cold
+    assert sweep_bytes(families) == cold  # read back where still held
+    assert_passes_sound()
+    if bound is None:  # both sweeps fit
+        assert drops == [] and len(PASSES) == 2 * (64 + 16)
+    else:  # the memo filled and dropped its passes, more than once
+        assert len(drops) > 1 and max(drops) <= bound
+
+
+def test_a_rebuild_check_on_a_held_pass_rejects_a_foreign_oracle():
+    # each corrupted or foreign oracle passes its decoder's probes; the
+    # member the probes name has its pass held, and the check reads it
+    tree = RootedTree(2, 1, {2: 1})
+    int1 = compute_oracle(build_tree_scm(tree), INT1)
+    bad = [(corrupted(int1, 2, ExactDist(2, {"10": Fraction(1)})), tree_from_int1, NotTreeLikeError)]
+    xor = compute_oracle(build_xor_scm(HiddenString(1, "0")), CF1)
+    bad.append((corrupted(xor, 1, ExactDist(6, {"000000": Fraction(1)})), string_from_cf1,
+                NotXorLikeError))
+    # a copy chain rooted at node 2 pins every probed P(b_j=0 | do(a_i=0))
+    # to 1, so the graph probe names the complete graph
+    chain = compute_oracle(build_tree_scm(RootedTree(3, 2, {1: 2, 3: 1})), INT1)
+    complete = BipartiteGraph(1, frozenset({(0, 0)}))
+    compute_oracle(build_bipartite_scm(complete), INT1)
+    bad.append((chain, graph_from_int1, NotBipartiteLikeError))
+    held = {key: laws_of(value) for key, value in PASSES.items()}
+    assert len(held) == 4
+
+    def refuse(plan, budget):
+        raise AssertionError("the rebuild check ran a pass the memo holds")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scm_core, "_run", refuse)
+        for oracle_in, decode, error in bad:
+            with pytest.raises(error):
+                decode(oracle_in)
+        assert tree_from_int1(int1) == tree and string_from_cf1(xor) == HiddenString(1, "0")
+    # the foreign inputs changed nothing held
+    assert {key: laws_of(value) for key, value in PASSES.items()} == held
+    assert_passes_sound()
+
+
+def corrupted(oracle_in, index, dist):
+    """`oracle_in` with component `index`'s dist replaced."""
+    components = list(oracle_in.components)
+    components[index] = (components[index][0], dist)
+    return dataclasses.replace(oracle_in, components=tuple(components))

@@ -25,6 +25,7 @@ from scmlab import (
     separation_table,
     verify_family,
 )
+from scmlab import verify as verify_module
 from scmlab.catalog import expected_two_point, expected_uniform
 from scmlab.errors import NotTreeLikeError, NTooLargeError
 
@@ -191,6 +192,74 @@ class TestOnePassPerMember:
         assert all_passed(verify_family(family))
         assert parsed == []
 
+    @pytest.mark.parametrize("family", FAMILIES, ids=str)
+    def test_later_calls_read_the_held_passes(self, family, monkeypatch):
+        # verify, the separation table and every member's public decoder,
+        # whose rebuild check rebuilds the member's INT1 oracle: one trie
+        # pass and one worlds pass per member in all
+        passes = Counter()
+        laws, worlds = scm_core._laws, scm_core._worlds
+
+        def counted_laws(plan, budget):
+            passes["trie"] += 1
+            return laws(plan, budget)
+
+        def counted_worlds(plan):
+            passes["worlds"] += 1
+            return worlds(plan)
+
+        monkeypatch.setattr(scm_core, "_laws", counted_laws)
+        monkeypatch.setattr(scm_core, "_worlds", counted_worlds)
+        assert all_passed(verify_family(family))
+        separation_table(family)
+        for param in family.parameters():
+            assert family.spec.decode(compute_oracle(family.build(param), oracle.INT1)) == param
+        count = len(list(family.parameters()))
+        assert passes == {"trie": count, "worlds": count}
+
+
+class TestMarginalConsistency:
+    """`verify_family` walks each distinct (triple, obs, do 0, do 1) once,
+    keyed by their canonical bodies, with the verdict a walk of every
+    triple gives."""
+
+    def members(self, family):
+        return [oracles for _, oracles, _ in
+                oracle.family_sweep(family, (oracle.OBS, oracle.INT1, oracle.CF1))]
+
+    def test_each_distinct_tuple_is_walked_once(self, monkeypatch):
+        family = Family("tree", 4)
+        members = self.members(family)
+        walks = []
+        walk = verify_module.blocks_match
+
+        def counted(dist, laws):
+            walks.append((dist._text(), *[law._text() for law in laws]))
+            return walk(dist, laws)
+
+        monkeypatch.setattr(verify_module, "blocks_match", counted)
+        checked = {}
+        for oracles in members:
+            assert verify_module._marginal_consistency(
+                oracles[oracle.OBS], oracles[oracle.INT1], oracles[oracle.CF1], checked)
+        # fewer walks than the members' triples
+        assert len(walks) == len(set(walks)) == len(checked) < family.n_vars() * len(members)
+
+    def test_a_failing_triple_beside_checked_laws_fails(self):
+        family = Family("tree", 3)
+        checked = {}
+        members = self.members(family)
+        for oracles in members:
+            assert verify_module._marginal_consistency(
+                oracles[oracle.OBS], oracles[oracle.INT1], oracles[oracle.CF1], checked)
+        # a member's CF1 oracle with triple 1 in place of triple 0: its
+        # laws were checked with triple 0, and triple 1 does not match them
+        obs, int1, cf1 = (members[0][kind] for kind in (oracle.OBS, oracle.INT1, oracle.CF1))
+        swapped = dataclasses.replace(
+            cf1, components=((cf1.components[0][0], cf1.components[1][1]), *cf1.components[1:]))
+        assert not verify_module._marginal_consistency(obs, int1, swapped, {})
+        assert not verify_module._marginal_consistency(obs, int1, swapped, checked)
+
 
 # non-dyadic noise, a three-symbol law and a topological order that is not
 # the index order
@@ -227,12 +296,27 @@ class TestProbesReadKernelKeys:
                 parsed.append(dist)
             return read(dist, name)
 
+        swept = []
+        sweep = verify_module.family_sweep
+
+        def recorded(*args):
+            for member in sweep(*args):
+                swept.append(member[1])
+                yield member
+
         monkeypatch.setattr(ExactDist, "_int_view", counted_view)
         monkeypatch.setattr(ExactDist, "__getattr__", counted_read)
+        monkeypatch.setattr(verify_module, "family_sweep", recorded)
         assert all_passed(verify_family(family))
-        # each member's n CF1 triples and the 3n laws they are checked against
-        assert len(probed) >= 4 * family.n_vars() * len(list(family.parameters()))
-        assert parsed == []
+        # each member's n CF1 triples and the 2n + 1 INT1 laws they are
+        # checked against were probed, each distinct (triple, obs, do 0,
+        # do 1) once
+        checked = [dist for oracles in swept for kind in (oracle.INT1, oracle.CF1)
+                   for _, dist in oracles[kind].components]
+        assert len(swept) == len(list(family.parameters()))
+        assert len(checked) == (3 * family.n_vars() + 1) * len(swept)
+        assert all(dist._ints is not None for dist in checked)
+        assert probed and parsed == []
 
     @pytest.mark.parametrize(
         "scm", [build_xor_scm(HiddenString(3, "101")), MIXED_DAG], ids=["xor m=3", "mixed dag"]
