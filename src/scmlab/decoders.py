@@ -14,12 +14,12 @@ read. So the public decoder follows its probe with the rebuild check: it
 rebuilds the named parameter's oracle and compares it with the input,
 which compares their serialized bytes, and a returned parameter is
 always the unique family member whose oracle equals the input byte for
-byte. The rebuild reads the kernel's pass memo (`scm_core._PASSES`), so
-when the member's oracle was computed before, as in a decode round
-trip, its laws are not computed again and the comparison finds the same
-dists. A caller that already knows the input is the oracle of some member
-`p` can run the probe alone: when it returns `p`, the rebuild would
-rebuild that very oracle and could not fail.
+byte. The rebuild reads the kernel's pass memo (`scm_core._PASSES`),
+keyed by the model, so after a member's oracle was computed, as in a
+decode round trip, its rebuild neither compiles nor runs a pass and
+finds the same dists. A caller that already knows the input is the
+oracle of some member `p` can run the probe alone: when it returns `p`,
+the rebuild would rebuild that very oracle and could not fail.
 """
 
 from __future__ import annotations

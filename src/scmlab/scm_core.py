@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, and_, mul, or_, xor
 from typing import NamedTuple
 
@@ -69,7 +69,8 @@ class NoiseDist:
 
 @dataclass(frozen=True)
 class Mechanism:
-    """One structural equation: gate schema, parent indices, local noise."""
+    """One structural equation: gate schema, parent indices, local noise;
+    pickle and copy carry these alone, not the steps and hash its dict memoizes."""
 
     gate: str
     parents: tuple[int, ...]
@@ -77,6 +78,16 @@ class Mechanism:
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(int(p) for p in self.parents))
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.gate, self.parents, self.noise))
+
+    def __getstate__(self):
+        return {"gate": self.gate, "parents": self.parents, "noise": self.noise}
 
 
 @dataclass(frozen=True)
@@ -117,9 +128,9 @@ _new, _set = object.__new__, object.__setattr__  # what a frozen dataclass is bu
 
 class _Bounded(dict):
     """A memo of at most `limit` units, `held` counting the units of its
-    entries in whatever unit its owner measures: the entry that would
-    pass the limit drops every entry first, and an entry larger than the
-    limit is not kept. Each instance states its bound and the counts
+    entries in whatever unit its owner measures: an entry larger than the
+    limit is not kept and drops nothing, and one that would pass the limit
+    drops every entry first. Each instance states its bound and the counts
     behind it."""
 
     __slots__ = ("limit", "held")
@@ -134,10 +145,10 @@ class _Bounded(dict):
 
     def keep(self, key, value, size: int = 1):
         """Store `value` at `key` as `size` units, and return it."""
+        if size > self.limit:
+            return value
         if self.held + size > self.limit:
             self.clear()
-            if size > self.limit:
-                return value
         self[key] = value
         self.held += size
         return value
@@ -182,7 +193,8 @@ class ExactDist:
     `marginal` dists decode it from the sorted keys `_dist` kept (INT_ALL
     leaves keep none), any other from its body or `mass`. Two dists that
     both have a body are equal exactly when their bodies are, since the
-    text is canonical; otherwise `==` compares masses.
+    text is canonical; otherwise `==` compares masses. A hash reads the
+    canonical body, so it agrees with `==` and builds no `mass`.
     """
 
     __slots__ = (
@@ -250,6 +262,12 @@ class ExactDist:
         if self._body is not None and other._body is not None:
             return self._body == other._body
         return self.mass == other.mass
+
+    def __hash__(self):
+        try:
+            return hash((self.n_bits, self._text()))
+        except OracleFormatError:  # too long to write, so equal to no dist with a body
+            return hash((self.n_bits, frozenset(self.mass.items())))
 
     def _int_view(self) -> tuple[list[int], list[int], int]:
         """(states, weights, den): the positive-mass outcomes as ascending
@@ -469,7 +487,7 @@ def topo_order(scm: Scm) -> list[int]:
 # parents) (`families._mechanism`: 6 for the 625 tree n=5 members, 10 for
 # the 512 bipartite m=3 members), and `_compile` keeps each mechanism's
 # compiled step per (n, v) on that object (`_step`). The model checks
-# (cycle, support cap, mechanism count) run on every call, the step
+# (cycle, support cap, mechanism count) run on every compile, the step
 # checks (parents, gate, arity, noise symbols, noise law) when a step is
 # first compiled, and a step whose checks raise is never kept.
 # `oracle.parse` keeps each checked body with its dist (`oracle._BODIES`).
@@ -478,12 +496,12 @@ def topo_order(scm: Scm) -> list[int]:
 # shares its ExactDist, body, kept keys and, once probed, integer view.
 # Whole passes repeat as well: a verify sweep, a separation table, a
 # decode request and the decoder's rebuild check each run the same
-# member's plan. So `kernel_laws` keeps each OBS, INT1 and CF1 pass by its
-# plan and budget (`_PASSES`), looked up after `_compile` has run the
-# model checks, and a later call returns the objects the first returned.
-# INT_ALL leaves and passes bypass both memos.
-# Every memo here that is not an lru_cache is a `_Bounded`, whose instance
-# states its bound.
+# member. So `kernel_laws` keeps each OBS, INT1 and CF1 pass by the model,
+# (n, mechanisms, budget) (`_PASSES`), looked up before `_compile` through
+# each mechanism's cached hash. A hit checks only the support cap again,
+# the one model check that reads the environment, and a miss compiles,
+# and so checks, before it runs. INT_ALL leaves and passes bypass both
+# memos. Every memo here but the lru_caches is a `_Bounded`, stating its bound.
 
 
 # A compiled step is the tuple (place, bit, test, mask, invert, branches,
@@ -497,6 +515,7 @@ def topo_order(scm: Scm) -> list[int]:
 class _Plan(NamedTuple):
     n: int
     steps: tuple[tuple, ...]  # in topological order
+    support: int  # the noise support product the cap was checked on
 
 
 def _compile(scm: Scm) -> _Plan:
@@ -515,15 +534,19 @@ def _compile(scm: Scm) -> _Plan:
     n = scm.n
     order = topo_order(scm)
     mechanisms = scm.mechanisms
-    sizes = [len(m.noise.support) for m in mechanisms]
-    total = math.prod(sizes)
-    check("SCMLAB_SUPPORT_CAP", total, "noise support product",
-          lambda: Counter(size for size in sizes if size > 1), "noise points")
+    total = math.prod([len(m.noise.support) for m in mechanisms])
+    _check_support(scm, total)
     if total == 0:
         raise IndexError("a noise distribution has an empty support")
     if len(mechanisms) != n:
         raise ValueError(f"{len(mechanisms)} mechanisms for {n} variables")
-    return _Plan(n, tuple([_step(mechanisms[v], n, v) for v in order]))
+    return _Plan(n, tuple([_step(mechanisms[v], n, v) for v in order]), total)
+
+
+def _check_support(scm: Scm, total: int) -> None:
+    """Refuse `scm` of `total` noise points above SCMLAB_SUPPORT_CAP."""
+    check("SCMLAB_SUPPORT_CAP", total, "noise support product", lambda: Counter(
+        len(m.noise.support) for m in scm.mechanisms if len(m.noise.support) > 1), "noise points")
 
 
 # the bound of each mechanism's `_Bounded` step memo, in steps, one per
@@ -709,50 +732,52 @@ def _render(n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
 
 
 def kernel_laws(scm: Scm, max_forced: int | None, worlds: bool):
-    """(laws, `cf1`) of `scm` from one compiled plan: the trie pass `_laws`
-    with budget `max_forced`, 0 (OBS) or 1 (INT1), or None when that is
-    None, and every CF1 triple from one parallel-worlds pass when `worlds`
-    is set, else None.
+    """(laws, `cf1`) of `scm`: the trie pass `_laws` with budget
+    `max_forced`, 0 (OBS) or 1 (INT1), or None when that is None, and
+    every CF1 triple from one parallel-worlds pass when `worlds` is set,
+    else None.
 
-    Each pass comes from the pass memo (`_held`), looked up only once
-    `_compile` has run its checks and caps, so a model they refuse is
-    refused before any lookup. A pass held from an earlier call is the
-    dict or tuple that call returned, shared by every caller, which must
-    not change it."""
-    plan = _compile(scm)
-    laws = None if max_forced is None else _held(plan, max_forced)
-    cf = _held(plan, None) if worlds else None
-    return laws, cf
+    Each pass is looked up by the model before anything compiles. When all
+    are held, only the support cap, the one check that reads the
+    environment, runs again, on the total kept beside them; otherwise
+    `_compile` runs every check first, so a model it refuses leaves nothing
+    held. A held pass is shared by every caller, which must not change it."""
+    budgets = ([] if max_forced is None else [max_forced]) + ([None] if worlds else [])
+    held = [_PASSES.get((scm.n, scm.mechanisms, budget)) for budget in budgets]
+    if None in held:
+        plan = _compile(scm)
+        held = [found or _kept(scm, plan, budget) for found, budget in zip(held, budgets)]
+    else:
+        _check_support(scm, held[0][0])
+    return (None if max_forced is None else held[0][1]), (held[-1][1] if worlds else None)
 
 
-def _held(plan: _Plan, budget: int | None):
-    """The trie pass of `plan` with budget `budget`, 0 or 1, or its worlds
-    pass when `budget` is None, kept in `_PASSES` by (plan, budget).
+def _kept(scm: Scm, plan: _Plan, budget: int | None):
+    """(support total, pass): the trie pass of `plan` with budget `budget`,
+    0 or 1, or its worlds pass when `budget` is None, run and kept in
+    `_PASSES` by (n, mechanisms, budget) of `scm`, whose plan it is.
 
     An entry counts the states of its laws: with P noise points (the
     product of the steps' branch counts), OBS has P, do(X_v=b) P over v's
     branch count and each CF1 triple P. A pass of more states than the
-    bound is run without a lookup, so it cannot drop the memo."""
+    bound is not kept, so it drops nothing."""
     points = math.prod([len(step[5]) for step in plan.steps])
     if budget is None:
         size = plan.n * points
     else:
         size = points + 2 * budget * sum([points // len(step[5]) for step in plan.steps])
-    if size > _PASSES.limit:
-        return _run(plan, budget)
-    key = (plan, budget)
-    found = _PASSES.get(key)
-    return _PASSES.keep(key, _run(plan, budget), size) if found is None else found
+    entry = (plan.support, _run(plan, budget))
+    return _PASSES.keep((scm.n, scm.mechanisms, budget), entry, size)
 
 
 def _run(plan: _Plan, budget: int | None):
-    """The pass `_held` names, run."""
+    """The pass `_kept` names, run."""
     return _worlds(plan) if budget is None else _laws(plan, budget)
 
 
-# the kept passes by (plan, budget), bounded in the states of their laws:
-# one sweep round runs 4,548 trie passes over 1,137 plans and keeps 2,282
-# passes (21,312 laws, 43,326 states) whose laws are 206 distinct dists of
+# (support total, pass) by (n, mechanisms, budget), bounded in the states
+# of the laws: one sweep round looks passes up 5,701 times and keeps 2,282
+# (21,312 laws, 43,326 states) whose laws are 206 distinct dists of
 # `_LEAVES`, 1.4 MB of live memory (33 B a state). A pass whose dists
 # `_LEAVES` has dropped holds them alone: the same round with no leaf memo
 # holds 10.9 MB (252 B a state), and the worst case, passes of one state,

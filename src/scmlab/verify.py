@@ -25,9 +25,9 @@ the in-memory oracle: when it names the member itself, the rebuild check
 would read back that same oracle, so the round trip counts without it.
 Anything else goes through the public decoder on the same oracle, so a
 wrong member or a typed error comes out exactly as from the decoder; its
-rebuild reads the kernel's pass memo. The members' passes stay in that
-memo while it has room, so a separation table or a decode of the same
-family after the suite reads them back. The cross-rung check is one
+rebuild reads the kernel's pass memo (`scm_core._PASSES`), keyed by the
+model, where the members' passes stay while it has room: a separation
+table or decode of the family after the suite reads them uncompiled. The cross-rung check is one
 integer pass (`blocks_match`) per distinct (triple, obs, do 0, do 1),
 keyed by their canonical bodies: the 46,656 triples of tree n=6 reach
 only 63.

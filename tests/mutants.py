@@ -244,43 +244,47 @@ CATALOGUE = (
     Mutant(
         "the pass memo keyed without the budget",
         "src/scmlab/scm_core.py",
-        (("    key = (plan, budget)\n", "    key = plan\n"),),
+        (("    held = [_PASSES.get((scm.n, scm.mechanisms, budget)) for budget in budgets]\n",
+          "    held = [_PASSES.get((scm.n, scm.mechanisms)) for budget in budgets]\n"),
+         ("    return _PASSES.keep((scm.n, scm.mechanisms, budget), entry, size)\n",
+          "    return _PASSES.keep((scm.n, scm.mechanisms), entry, size)\n")),
         ("tests/test_memos.py::test_a_held_pass_gives_the_cold_oracles",),
     ),
     Mutant(
         "INT_ALL passes enter the pass memo",
         "src/scmlab/scm_core.py",
-        (("    return _laws(plan, plan.n)\n", "    return _held(plan, plan.n)\n"),),
+        (("    return _laws(plan, plan.n)\n", "    return _kept(scm, plan, plan.n)[1]\n"),),
         ("tests/test_memos.py::test_no_int_all_pass_enters_the_pass_memo",),
     ),
     Mutant(
+        # looked up by its mechanisms alone, a held pass serves a model
+        # whose mechanism count `_compile` would refuse
         "a held pass looked up before _compile",
         "src/scmlab/scm_core.py",
-        (("    plan = _compile(scm)\n"
-          "    laws = None if max_forced is None else _held(plan, max_forced)\n"
-          "    cf = _held(plan, None) if worlds else None\n"
-          "    return laws, cf\n",
-          "    key = (scm, max_forced, worlds)\n"
-          "    if key in _PASSES:\n"
-          "        return _PASSES[key]\n"
-          "    plan = _compile(scm)\n"
-          "    laws = None if max_forced is None else _held(plan, max_forced)\n"
-          "    cf = _held(plan, None) if worlds else None\n"
-          "    return _PASSES.setdefault(key, (laws, cf))\n"),),
+        (("    held = [_PASSES.get((scm.n, scm.mechanisms, budget)) for budget in budgets]\n",
+          "    held = [_PASSES.get((scm.mechanisms, budget)) for budget in budgets]\n"),
+         ("    return _PASSES.keep((scm.n, scm.mechanisms, budget), entry, size)\n",
+          "    return _PASSES.keep((scm.mechanisms, budget), entry, size)\n")),
+        ("tests/test_memos.py::test_a_model_that_fails_to_compile_leaves_no_pass",),
+    ),
+    Mutant(
+        "a held pass skips the support-cap re-check",
+        "src/scmlab/scm_core.py",
+        (("        _check_support(scm, held[0][0])\n", "        pass\n"),),
         ("tests/test_memos.py::test_a_lowered_support_cap_refuses_a_held_pass",),
     ),
     Mutant(
         "the pass memo keeps without dropping",
         "src/scmlab/scm_core.py",
-        (("    return _PASSES.keep(key, _run(plan, budget), size) if found is None else found\n",
-          "    return _PASSES.setdefault(key, _run(plan, budget)) if found is None else found\n"),),
+        (("    return _PASSES.keep((scm.n, scm.mechanisms, budget), entry, size)\n",
+          "    return _PASSES.setdefault((scm.n, scm.mechanisms, budget), entry)\n"),),
         ("tests/test_memos.py::test_the_pass_memo_stays_within_its_bound",),
     ),
     Mutant(
         "a pass above the bound reaches the pass memo",
         "src/scmlab/scm_core.py",
-        (("    if size > _PASSES.limit:\n        return _run(plan, budget)\n", ""),),
-        ("tests/test_memos.py::test_a_pass_above_the_bound_is_neither_kept_nor_looked_up",),
+        (("        if size > self.limit:\n            return value\n", ""),),
+        ("tests/test_memos.py::test_a_pass_above_the_bound_is_not_kept",),
     ),
     Mutant(
         "the pass memo counts one state a law",
@@ -288,6 +292,12 @@ CATALOGUE = (
         (("        size = points + 2 * budget * sum([points // len(step[5]) for step in plan.steps])\n",
           "        size = 1 + 2 * budget * plan.n\n"),),
         ("tests/test_memos.py::test_the_pass_memo_stays_within_its_bound",),
+    ),
+    Mutant(
+        "a Mechanism's copied state keeps its memo",
+        "src/scmlab/scm_core.py",
+        (("    def __getstate__(self):\n", "    def _getstate(self):\n"),),
+        ("tests/test_memos.py::test_a_copied_mechanism_carries_its_fields_alone",),
     ),
     Mutant(
         "a test starts with the pass memo of the test before",

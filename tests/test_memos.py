@@ -12,7 +12,10 @@ against the reference enumerator), and from the pass memo the same
 refusals before any work.
 """
 
+import copy
 import dataclasses
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -57,7 +60,7 @@ from scmlab.errors import (
 )
 
 import reference_codec
-from conftest import GOLDEN, GOLDEN_BYTES, MIXED_LEAVES, mutated_golden, small_scms
+from conftest import BIT_NOISES, GOLDEN, GOLDEN_BYTES, MIXED_LEAVES, mutated_golden, small_scms
 from reference_enumerator import reference_oracle
 
 KINDS = (OBS, INT1, CF1, INT_ALL)
@@ -304,6 +307,33 @@ def test_the_step_memo_stays_within_its_bound():
     assert len(source._steps) < 120  # 120 places: the memo dropped its steps
 
 
+COPIES = {
+    "pickle": lambda mech: pickle.loads(pickle.dumps(mech)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_a_copied_mechanism_carries_its_fields_alone(how):
+    # the step memo and the cached hash stay behind: a hash carried into a
+    # process of another hash seed would disagree with `==` there
+    source = Mechanism(gates.BERN_SOURCE, (), FAIR)
+    noisy = Mechanism(gates.XOR_NOISE, (0,), NoiseDist.bernoulli(Fraction(1, 3)))
+    scm = Scm(2, (source, noisy))
+    plan = scm_core._compile(scm)
+    hash(scm)
+    for mech in scm.mechanisms:
+        assert {"_steps", "_hash"} <= set(mech.__dict__)  # both memos filled
+        copied = COPIES[how](mech)
+        assert set(copied.__dict__) == {"gate", "parents", "noise"}
+        assert copied == mech
+        assert hash(copied) == hash(Mechanism(mech.gate, mech.parents, NoiseDist(
+            mech.noise.support, mech.noise.probs)))
+    copied = Scm(2, tuple(map(COPIES[how], scm.mechanisms)))
+    assert scm_core._compile(copied) == plan
+
+
 def error_of(scm: Scm):
     """The type and text of what `_compile` raises on `scm`."""
     with pytest.raises(Exception) as info:
@@ -517,9 +547,18 @@ def test_a_leaf_above_the_bound_is_not_looked_up(monkeypatch):
     assert LEAVES.held == 4
     fair = Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(HALF))
     wide = Scm(4, (fair,) * 4)  # one leaf of 16 states
+    looked_up = []
+    get = scm_core._Bounded.get
+
+    def spy(memo, key, default=None):
+        if memo is LEAVES:
+            looked_up.append(key)
+        return get(memo, key, default)
+
+    monkeypatch.setattr(scm_core._Bounded, "get", spy)
     first = compute_oracle(wide, OBS).components[0][1]
     # neither kept nor looked up, so the memo dropped nothing for it
-    assert dict(LEAVES) == held and LEAVES.held == 4
+    assert looked_up == [] and dict(LEAVES) == held and LEAVES.held == 4
     assert compute_oracle(wide, OBS).components[0][1] is not first
     assert_leaves_sound()
 
@@ -577,22 +616,26 @@ def test_family_members_share_their_leaves():
 PASSES = scm_core._PASSES
 
 
-def laws_of(held) -> list:
-    """The dists of a held pass: a trie pass's dict or a worlds pass's tuple."""
+def laws_of(entry) -> list:
+    """The dists of a memo entry's pass: a trie pass's dict or a worlds
+    pass's tuple, held beside the model's support total."""
+    _, held = entry
     return list(held.values()) if isinstance(held, dict) else list(held)
 
 
-def states_in(held) -> int:
-    """The states of a held pass's laws, one per line of each body."""
-    return sum(dist._text().count("\n") + 1 for dist in laws_of(held))
+def states_in(entry) -> int:
+    """The states of a memo entry's laws, one per line of each body."""
+    return sum(dist._text().count("\n") + 1 for dist in laws_of(entry))
 
 
 def assert_passes_sound():
     """Every held pass is an OBS or INT1 trie pass or a worlds pass, equal
-    to the pass its plan runs now, and `held` counts the states held,
-    within the bound."""
-    for (plan, budget), held in PASSES.items():
+    to the pass its model's plan runs now, beside its model's noise
+    support total, and `held` counts the states held, within the bound."""
+    for (n, mechanisms, budget), (total, held) in PASSES.items():
         assert budget in (None, 0, 1)
+        plan = scm_core._compile(Scm(n, mechanisms))
+        assert total == plan.support == math.prod(len(m.noise.support) for m in mechanisms)
         assert held == scm_core._run(plan, budget)
     assert PASSES.held == sum(map(states_in, PASSES.values())) <= PASSES.limit
 
@@ -601,7 +644,7 @@ def assert_passes_sound():
 def test_each_test_starts_with_an_empty_pass_memo(run):
     assert len(PASSES) == 0 and PASSES.held == 0
     oracle._member_oracles(MIXED_LEAVES, KEPT_KINDS)  # what the next test must not find
-    assert sorted(budget is None for _, budget in PASSES) == [False, True]
+    assert sorted(budget is None for *_, budget in PASSES) == [False, True]
 
 
 @given(small_scms())
@@ -621,6 +664,37 @@ def test_a_held_pass_gives_the_cold_oracles(scm):
         assert serialize(warm) == serialize(first[kind]) == cold[kind] == serialize(reference)
         for (_, w), (_, f) in zip(warm.components, first[kind].components):
             assert w is f  # served from the memo
+    assert_passes_sound()
+
+
+@given(small_scms(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_fresh_copy_reads_the_held_pass_and_a_changed_model_does_not(scm, data):
+    # the memo is keyed by the model's value: a copy of new objects finds
+    # the held pass without compiling, and a model that differs in one
+    # mechanism runs its own
+    PASSES.clear()  # of the examples before
+    held = oracle._member_oracles(scm, KEPT_KINDS)
+    v = data.draw(st.integers(0, scm.n - 1))
+    mech = scm.mechanisms[v]
+    noise = data.draw(st.sampled_from([x for x in BIT_NOISES if x != mech.noise]))
+    changed = Scm(scm.n, tuple(
+        Mechanism(m.gate, m.parents, noise) if i == v else m for i, m in enumerate(scm.mechanisms)
+    ))
+    calls = []
+    compile_plan, run = scm_core._compile, scm_core._run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scm_core, "_compile", lambda s: calls.append("compile") or compile_plan(s))
+        patch.setattr(scm_core, "_run", lambda plan, b: calls.append(b) or run(plan, b))
+        copied = oracle._member_oracles(fresh(scm), KEPT_KINDS)
+        assert calls == []
+        other = oracle._member_oracles(changed, KEPT_KINDS)
+        assert calls == ["compile", 1, None]  # the trie pass, then the worlds pass
+    for kind in KEPT_KINDS:
+        for (_, read), (_, kept) in zip(copied[kind].components, held[kind].components):
+            assert read is kept
+        assert serialize(copied[kind]) == serialize(reference_oracle(scm, kind))
+        assert serialize(other[kind]) == serialize(reference_oracle(changed, kind))
     assert_passes_sound()
 
 
@@ -647,8 +721,9 @@ def test_a_model_that_fails_to_compile_leaves_no_pass():
         Scm(2, (source, Mechanism(gates.COPY, (0, 1), NoiseDist.constant()))),
         Scm(2, (source, Mechanism("MAJORITY", (0,), NoiseDist.constant()))),
         Scm(2, (source, Mechanism(gates.AND, (0,), NoiseDist((0, 1), (HALF, Fraction(1, 3)))))),
+        Scm(2, (source,)),  # the mechanisms of the held model, one too few
     ]
-    compute_oracle(Scm(1, (source,)), INT1)  # a held pass the failures must not drop
+    compute_oracle(Scm(1, (source,)), INT1)  # a held pass the failures must not drop or read
     held = dict(PASSES)
     for scm in bad:
         for kind in KEPT_KINDS:
@@ -664,9 +739,13 @@ def test_a_lowered_support_cap_refuses_a_held_pass(monkeypatch):
     calls = [(kind,) for kind in KEPT_KINDS] + [KEPT_KINDS]
     held = [oracle._member_oracles(MIXED_LEAVES, kinds) for kinds in calls]
     monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "3")
+    refusal = error_of(MIXED_LEAVES)  # what `_compile` raises
+    assert refusal[0] is SupportTooLargeError
     for kinds in calls:
-        with pytest.raises(SupportTooLargeError):
-            oracle._member_oracles(MIXED_LEAVES, kinds)
+        for scm in (MIXED_LEAVES, fresh(MIXED_LEAVES)):  # a held pass either way
+            with pytest.raises(SupportTooLargeError) as info:
+                oracle._member_oracles(scm, kinds)
+            assert str(info.value) == refusal[1]
     monkeypatch.delenv("SCMLAB_SUPPORT_CAP")
     for kinds, oracles in zip(calls, held):  # still held
         again = oracle._member_oracles(MIXED_LEAVES, kinds)
@@ -675,23 +754,23 @@ def test_a_lowered_support_cap_refuses_a_held_pass(monkeypatch):
                 assert dist is kept
 
 
-def test_a_pass_above_the_bound_is_neither_kept_nor_looked_up(monkeypatch):
+def test_a_pass_above_the_bound_is_not_kept(monkeypatch):
     monkeypatch.setattr(PASSES, "limit", 12)
     compute_oracle(MIXED_LEAVES, CF1)  # 3 triples of 4 states
     held = dict(PASSES)
     assert PASSES.held == 12
-    looked_up = []
-    get = scm_core._Bounded.get
+    runs = []
+    run = scm_core._run
 
-    def spy(memo, key, default=None):
-        if memo is PASSES:
-            looked_up.append(key)
-        return get(memo, key, default)
+    def spy(plan, budget):
+        runs.append(budget)
+        return run(plan, budget)
 
-    monkeypatch.setattr(scm_core._Bounded, "get", spy)
+    monkeypatch.setattr(scm_core, "_run", spy)
     first = compute_oracle(MIXED_LEAVES, INT1)  # 4 + 2 * (2 + 2 + 4) = 20 states
     again = compute_oracle(MIXED_LEAVES, INT1)
-    assert looked_up == [] and dict(PASSES) == held and PASSES.held == 12
+    # run each time, and never kept, so the memo dropped nothing for it
+    assert runs == [1, 1] and dict(PASSES) == held and PASSES.held == 12
     assert serialize(again) == serialize(first) == serialize(reference_oracle(MIXED_LEAVES, INT1))
     assert_passes_sound()
 
@@ -747,10 +826,11 @@ def test_a_rebuild_check_on_a_held_pass_rejects_a_foreign_oracle():
     held = {key: laws_of(value) for key, value in PASSES.items()}
     assert len(held) == 4
 
-    def refuse(plan, budget):
-        raise AssertionError("the rebuild check ran a pass the memo holds")
+    def refuse(*args):
+        raise AssertionError("the rebuild check compiled or ran a pass the memo holds")
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scm_core, "_compile", refuse)
         patch.setattr(scm_core, "_run", refuse)
         for oracle_in, decode, error in bad:
             with pytest.raises(error):

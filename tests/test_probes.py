@@ -264,14 +264,30 @@ def test_the_public_api_does_not_depend_on_the_view(probe_first):
     for dist in made:
         if probe_first:
             dist.prob_bit(0, 0)
-        with pytest.raises(TypeError):
-            hash(dist)
+        assert hash(dist) == hash(eager)
         assert repr(dist) == repr(eager)
         assert pickle.loads(pickle.dumps(dist)) == dist == eager
         assert dataclasses.replace(dist) == eager
         assert dataclasses.replace(dist, n_bits=3).mass == eager.mass
         assert dist.p("000") == eager.p("000") and dist.outcomes() == eager.outcomes()
         assert written(serialize, pickle.loads(pickle.dumps(dist))) == written(serialize, eager)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("scm", FIXED_MODELS, ids=FIXED_IDS)
+def test_equal_dists_and_oracles_hash_equal(scm, kind):
+    # a dist hashes its canonical body, which `==` agrees with, so a
+    # computed, a parsed and a mass-built dist hash equal, and hashing a
+    # dist that has a body builds no masses
+    computed = compute_oracle(scm, kind)
+    parsed = computed if scm is TOO_LONG else parse(serialize(computed))  # no text to parse
+    pairs = [(dist, read) for (_, dist), (_, read) in zip(computed.components, parsed.components)]
+    assert all(hash(read) == hash(dist) for dist, read in pairs)
+    assert not any(mass_is_built(d) for pair in pairs for d in pair if d._body is not None)
+    for dist, read in pairs:
+        built = ExactDist(dist.n_bits, dict(dist.mass))
+        assert built == dist == read and hash(built) == hash(dist)
+    assert len({computed, parsed}) == 1
 
 
 @pytest.mark.parametrize("probe_first", [False, True], ids=["unprobed", "probed"])

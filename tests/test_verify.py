@@ -192,30 +192,38 @@ class TestOnePassPerMember:
         assert all_passed(verify_family(family))
         assert parsed == []
 
-    @pytest.mark.parametrize("family", FAMILIES, ids=str)
+    @pytest.mark.parametrize("family", [*FAMILIES, Family("tree", 4)], ids=str)
     def test_later_calls_read_the_held_passes(self, family, monkeypatch):
         # verify, the separation table and every member's public decoder,
         # whose rebuild check rebuilds the member's INT1 oracle: one trie
-        # pass and one worlds pass per member in all
-        passes = Counter()
-        laws, worlds = scm_core._laws, scm_core._worlds
+        # pass and one worlds pass per member in all. Each pass is looked
+        # up by its model before `_compile`, so a model is compiled at most
+        # once per pass run, and the same calls again compile nothing
+        calls = Counter()
 
-        def counted_laws(plan, budget):
-            passes["trie"] += 1
-            return laws(plan, budget)
+        def counted(name, function):
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
 
-        def counted_worlds(plan):
-            passes["worlds"] += 1
-            return worlds(plan)
+            monkeypatch.setattr(scm_core, name, call)
 
-        monkeypatch.setattr(scm_core, "_laws", counted_laws)
-        monkeypatch.setattr(scm_core, "_worlds", counted_worlds)
-        assert all_passed(verify_family(family))
-        separation_table(family)
-        for param in family.parameters():
-            assert family.spec.decode(compute_oracle(family.build(param), oracle.INT1)) == param
+        for name in ("_compile", "_laws", "_worlds"):
+            counted(name, getattr(scm_core, name))
+
+        def every_call():
+            assert all_passed(verify_family(family))
+            separation_table(family)
+            for param in family.parameters():
+                assert family.spec.decode(compute_oracle(family.build(param), oracle.INT1)) == param
+
+        every_call()
         count = len(list(family.parameters()))
-        assert passes == {"trie": count, "worlds": count}
+        assert calls["_laws"] == calls["_worlds"] == count
+        assert 0 < calls["_compile"] <= 2 * count
+        calls.clear()
+        every_call()
+        assert calls == {}
 
 
 class TestMarginalConsistency:
