@@ -17,9 +17,10 @@ always the unique family member whose oracle equals the input byte for
 byte. The rebuild reads the kernel's pass memo (`scm_core._PASSES`),
 keyed by the model, so after a member's oracle was computed, as in a
 decode round trip, its rebuild neither compiles nor runs a pass and
-finds the same dists. A caller that already knows the input is the
-oracle of some member `p` can run the probe alone: when it returns `p`,
-the rebuild would rebuild that very oracle and could not fail.
+finds the same dists, from the one worlds pass a family sweep reads. A
+caller that already knows the input is the oracle of some member `p` can
+run the probe alone: when it returns `p`, the rebuild would rebuild that
+very oracle and could not fail.
 """
 
 from __future__ import annotations

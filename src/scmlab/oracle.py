@@ -60,6 +60,7 @@ from .scm_core import (
     int_all_laws,
     intervention_code,
     kernel_laws,
+    observational,
 )
 
 OBS = "OBS"
@@ -184,9 +185,10 @@ def _member_oracles(scm: Scm, kinds) -> dict[str, AnswerOracle]:
     any kind is computed.
 
     INT_ALL comes first, from `int_all_laws`, so its caps refuse before
-    any other pass. OBS and INT1 come from one trie pass, whose budget is
-    1 if INT1 is asked for, else 0; OBS is its law at code 0. CF1's
-    parallel-worlds pass reads the same compiled plan. A call for INT_ALL
+    any other pass. INT1 and CF1 are read off the model's one
+    parallel-worlds pass (`kernel_laws`), which renders only the half
+    asked for; OBS is INT1's law at code 0 when either is asked for, and
+    otherwise comes from `observational`'s trie pass. A call for INT_ALL
     alone runs neither of those.
     """
     for kind in kinds:
@@ -194,10 +196,11 @@ def _member_oracles(scm: Scm, kinds) -> dict[str, AnswerOracle]:
     laws = {}
     if INT_ALL in kinds:
         laws[INT_ALL] = int_all_laws(scm)
-    budget = 1 if INT1 in kinds else 0 if OBS in kinds else None
-    if budget is not None or CF1 in kinds:
-        laws[OBS], laws[CF1] = kernel_laws(scm, budget, CF1 in kinds)
-        laws[INT1] = laws[OBS]
+    if INT1 in kinds or CF1 in kinds:
+        laws[INT1], laws[CF1] = kernel_laws(scm, INT1 in kinds or OBS in kinds, CF1 in kinds)
+        laws[OBS] = laws[INT1]
+    elif OBS in kinds:
+        laws[OBS] = {0: observational(scm)}
     return {kind: _assemble(kind, scm.n, laws[kind]) for kind in kinds}
 
 

@@ -463,23 +463,26 @@ def topo_order(scm: Scm) -> list[int]:
 # leaf's ExactDist has slots, not an instance dict: 72 bytes beside its
 # body text (152 with an instance dict).
 #
-# Hard interventions branch off the pass as a trie (`_descend`), each law
-# keyed by its integer intervention code (`intervention_code`); the last
-# variable's do(0) and do(1) leaves are rendered by its node. Below a
-# node, every leaf is a pure function of (level, states, weights, den), so
-# where a deterministic mechanism leaves the states as do(0) or do(1)
-# would, and the budget lets both continuations force every remaining
-# variable, the two subtrees are equal leaf for leaf: one is descended and
-# the other copied from it, sharing its ExactDist objects.
+# OBS alone and INT_ALL branch hard interventions off the pass as a trie
+# (`_descend`), each law keyed by its integer intervention code
+# (`intervention_code`); the last variable's do(0) and do(1) leaves are
+# rendered by its node. Below a node, every leaf is a pure function of
+# (level, states, weights, den), so where a deterministic mechanism leaves
+# the states as do(0) or do(1) would, and the budget lets both
+# continuations force every remaining variable, the two subtrees are equal
+# leaf for leaf: one is descended and the other copied from it, sharing
+# its ExactDist objects.
 #
-# CF1 takes one more pass, over parallel worlds (Avin, Shpitser & Pearl
-# 2005; `_worlds`): a state packs 2n+1 worlds of n bits each, the factual
-# world and do(X_v=b) for every v and b, all on one noise draw. Each step
-# evaluates its gate in every world at once with shifts and bit
+# INT1 and CF1 come from one pass over parallel worlds (Avin, Shpitser &
+# Pearl 2005; `_worlds`): a state packs 2n+1 worlds of n bits each, the
+# factual world and do(X_v=b) for every v and b, all on one noise draw.
+# Each step evaluates its gate in every world at once with shifts and bit
 # operations on the packed state, then sets the variable in the world
 # that forces it to 1 and leaves it 0 in the one that forces 0. Variable
-# i's triple (factual, do(X_i=0), do(X_i=1)) is read off the final states;
-# `cf1` returns every triple and `counterfactual_triple` the i-th.
+# i's triple (factual, do(X_i=0), do(X_i=1)) is read off the final states
+# (`_triples`), and so is every INT1 law (`_int1_laws`): OBS is the
+# factual world, and do(X_v=b) is v's do(b) world, where only v's own
+# noise branches meet, so the law reads v's first branch alone.
 #
 # Family members share almost all their mechanisms, and a decode round
 # trip rebuilds and re-reads them, so two memos keep the shared parts.
@@ -496,12 +499,13 @@ def topo_order(scm: Scm) -> list[int]:
 # shares its ExactDist, body, kept keys and, once probed, integer view.
 # Whole passes repeat as well: a verify sweep, a separation table, a
 # decode request and the decoder's rebuild check each run the same
-# member. So `kernel_laws` keeps each OBS, INT1 and CF1 pass by the model,
-# (n, mechanisms, budget) (`_PASSES`), looked up before `_compile` through
-# each mechanism's cached hash. A hit checks only the support cap again,
-# the one model check that reads the environment, and a miss compiles,
-# and so checks, before it runs. INT_ALL leaves and passes bypass both
-# memos. Every memo here but the lru_caches is a `_Bounded`, stating its bound.
+# member. So `kernel_laws` keeps each model's worlds pass by (n,
+# mechanisms) (`_PASSES`), looked up before `_compile` through each
+# mechanism's cached hash, and renders its INT1 laws and CF1 triples each
+# on first request. A hit checks only the support cap again, the one model
+# check that reads the environment, and a miss compiles, and so checks,
+# before it runs. OBS alone and INT_ALL bypass it, INT_ALL the leaf memo
+# too. Every memo here but the lru_caches is a `_Bounded`, stating its bound.
 
 
 # A compiled step is the tuple (place, bit, test, mask, invert, branches,
@@ -731,57 +735,55 @@ def _render(n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
     return ExactDist._from_body(n_bits, body, (keys, lines.weight, den) if keep else None)
 
 
-def kernel_laws(scm: Scm, max_forced: int | None, worlds: bool):
-    """(laws, `cf1`) of `scm`: the trie pass `_laws` with budget
-    `max_forced`, 0 (OBS) or 1 (INT1), or None when that is None, and
-    every CF1 triple from one parallel-worlds pass when `worlds` is set,
-    else None.
+def kernel_laws(scm: Scm, int1: bool, cf1: bool):
+    """(INT1 laws, CF1 triples) of `scm`, each None unless asked for:
+    the laws keyed by `intervention_code`, OBS at 0, and the triples in
+    variable order, both read off the model's one parallel-worlds pass.
 
-    Each pass is looked up by the model before anything compiles. When all
-    are held, only the support cap, the one check that reads the
-    environment, runs again, on the total kept beside them; otherwise
-    `_compile` runs every check first, so a model it refuses leaves nothing
-    held. A held pass is shared by every caller, which must not change it."""
-    budgets = ([] if max_forced is None else [max_forced]) + ([None] if worlds else [])
-    held = [_PASSES.get((scm.n, scm.mechanisms, budget)) for budget in budgets]
-    if None in held:
+    The pass is looked up by the model before anything compiles. When it
+    is held, only the support cap, the one check that reads the
+    environment, runs again, on the total kept beside it; otherwise
+    `_compile` runs every check first, so a model it refuses leaves
+    nothing held. Every caller shares what a held pass returns."""
+    key = (scm.n, scm.mechanisms)
+    held = _PASSES.get(key)
+    if held is None:
         plan = _compile(scm)
-        held = [found or _kept(scm, plan, budget) for found, budget in zip(held, budgets)]
+        held = _Pass(plan, *_worlds(plan))
+        _PASSES.keep(key, held, (3 * plan.n + 2) * len(held.states))
     else:
-        _check_support(scm, held[0][0])
-    return (None if max_forced is None else held[0][1]), (held[-1][1] if worlds else None)
+        _check_support(scm, held.support)
+    return held.read(int1, cf1)
 
 
-def _kept(scm: Scm, plan: _Plan, budget: int | None):
-    """(support total, pass): the trie pass of `plan` with budget `budget`,
-    0 or 1, or its worlds pass when `budget` is None, run and kept in
-    `_PASSES` by (n, mechanisms, budget) of `scm`, whose plan it is.
+class _Pass:
+    """A model's worlds pass as `_PASSES` holds it: the support total the
+    cap was checked on, and its INT1 laws and CF1 triples, each rendered
+    on first read from the steps and final states, dropped once both are."""
 
-    An entry counts the states of its laws: with P noise points (the
-    product of the steps' branch counts), OBS has P, do(X_v=b) P over v's
-    branch count and each CF1 triple P. A pass of more states than the
-    bound is not kept, so it drops nothing."""
-    points = math.prod([len(step[5]) for step in plan.steps])
-    if budget is None:
-        size = plan.n * points
-    else:
-        size = points + 2 * budget * sum([points // len(step[5]) for step in plan.steps])
-    entry = (plan.support, _run(plan, budget))
-    return _PASSES.keep((scm.n, scm.mechanisms, budget), entry, size)
+    __slots__ = ("support", "steps", "states", "weights", "den", "int1", "cf1")
+
+    def __init__(self, plan: _Plan, states, weights, den):
+        self.support, self.steps = plan.support, plan.steps
+        self.states, self.weights, self.den = states, weights, den
+        self.int1 = self.cf1 = None
+
+    def read(self, int1: bool, cf1: bool):
+        if int1 and self.int1 is None:
+            self.int1 = _int1_laws(self.steps, self.states, self.weights, self.den)
+        if cf1 and self.cf1 is None:
+            self.cf1 = _triples(len(self.steps), self.states, self.weights, self.den)
+        if self.int1 is not None and self.cf1 is not None:
+            self.steps = self.states = self.weights = None
+        return (self.int1 if int1 else None), (self.cf1 if cf1 else None)
 
 
-def _run(plan: _Plan, budget: int | None):
-    """The pass `_kept` names, run."""
-    return _worlds(plan) if budget is None else _laws(plan, budget)
-
-
-# (support total, pass) by (n, mechanisms, budget), bounded in the states
-# of the laws: one sweep round looks passes up 5,701 times and keeps 2,282
-# (21,312 laws, 43,326 states) whose laws are 206 distinct dists of
-# `_LEAVES`, 1.4 MB of live memory (33 B a state). A pass whose dists
-# `_LEAVES` has dropped holds them alone: the same round with no leaf memo
-# holds 10.9 MB (252 B a state), and the worst case, passes of one state,
-# about 670 B a state, so 42 MiB when full
+# one `_Pass` by (n, mechanisms), bounded in states: with P noise points
+# an entry counts (3n+2)P, which bounds its P final states, 2n+1 INT1 laws
+# and n triples. One sweep round looks passes up 4,564 times and keeps
+# 1,145 (55,042 states): 958 KB of live memory, its dists shared with
+# `_LEAVES` (144 B a state with no leaf memo). One-variable models hold
+# the most, 262 B a state, so 16 MiB when full
 _PASSES = _Bounded(1 << 16)
 
 
@@ -806,10 +808,10 @@ def _laws(plan: _Plan, max_forced: int) -> dict[int, ExactDist]:
     (b + 1) * 3^(n-1-v) apart: the mechanism subtree takes the do(b)
     subtree's ExactDist objects.
 
-    With `max_forced` at most 1 (OBS and INT1) the leaves are kept, and
-    each comes from the leaf memo (`_dist`): a law equal to one that
-    another model's pass reached is that model's ExactDist, which may
-    already carry `mass` or its integer view.
+    With `max_forced` at most 1 (OBS, or INT_ALL of n <= 1) the leaves
+    are kept, and each comes from the leaf memo (`_dist`): a law equal to
+    one that another model's pass reached is that model's ExactDist, which
+    may already carry `mass` or its integer view.
     """
     codes: list[int] = []
     dists: list[ExactDist] = []
@@ -865,19 +867,17 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists, keep
     dists.append(_dist(n, states, weights, den, keep))
 
 
-def _worlds(plan: _Plan) -> tuple[ExactDist, ...]:
-    """Parallel-worlds pass (Avin, Shpitser & Pearl 2005): the CF1 law of
-    every variable, in index order, from one forward pass.
+def _worlds(plan: _Plan):
+    """Parallel-worlds pass (Avin, Shpitser & Pearl 2005): (states,
+    weights, den) after every step.
 
     A state packs 2n+1 worlds over one noise draw, each n bits wide with
     variable v at bit n-1-v: the factual world in the highest n bits, then
-    do(X_v=0) and do(X_v=1) for each variable v in turn. Variable v's
-    triple is the factual world followed by its two do() worlds, a 3n-bit
-    outcome. Distinct noise branches set different factual bits, so
-    states never collide, in the pass or in a triple.
+    do(X_v=0) and do(X_v=1) for each variable v in turn. Distinct noise
+    branches set different factual bits, so states never collide.
     """
     n = plan.n
-    repunit = sum(1 << (w * n) for w in range(2 * n + 1))
+    repunit = int("1".rjust(n, "0") * (2 * n + 1), 2)  # bit 0 of each world
     states, weights, den = [0], [1], 1
     for _, bit, test, mask, invert, branches, step_den in plan.steps:
         # the variable's bit in its do(X_v=1) world, 2(n-1-v) worlds up
@@ -887,6 +887,12 @@ def _worlds(plan: _Plan) -> tuple[ExactDist, ...]:
         if len(branches) > 1:  # one branch is (flip, 1) over 1
             weights = [w for _, num in branches for w in _scaled(weights, num)]
             den *= step_den
+    return states, weights, den
+
+
+def _triples(n: int, states, weights, den: int) -> tuple[ExactDist, ...]:
+    """The CF1 triple of every variable, in index order, off the final
+    states: the factual world, then v's two do() worlds, 3n bits."""
     top, pair = 2 * n * n, (1 << 2 * n) - 1
     facts = [(s >> top) << 2 * n for s in states]
     return tuple([
@@ -895,6 +901,33 @@ def _worlds(plan: _Plan) -> tuple[ExactDist, ...]:
               weights, den, True)
         for v in range(n)
     ])
+
+
+def _int1_laws(steps, states, weights, den: int) -> dict[int, ExactDist]:
+    """Every INT1 law, by `intervention_code`, off the final states of the
+    worlds pass of `steps`. Only v's own branches meet in its do() worlds,
+    and the pass concatenates one block of states per branch, so v's digit
+    has the stride S of the state count before its step: its first branch
+    is the first S states of every k*S, for k branches. Its numerator
+    divided out, their weights are those of a pass with v forced."""
+    n = len(steps)
+    top, world = 2 * n * n, (1 << n) - 1
+    laws = {0: _dist(n, [s >> top for s in states], weights, den, True)}
+    stride = 1
+    for place, bit, _, _, _, branches, step_den in steps:
+        at = 2 * n * (bit.bit_length() - 1)  # v's do(X_v=1) world; do(X_v=0) is n bits up
+        picked, kept, rest = states, weights, den
+        if len(branches) > 1:
+            first = (True,) * stride + (False,) * (len(branches) - 1) * stride
+            picked = list(itertools.compress(states, itertools.cycle(first)))
+            kept = list(itertools.compress(weights, itertools.cycle(first)))
+            num = branches[0][1]
+            kept = kept if num == 1 else [w // num for w in kept]
+            rest = den // step_den
+            stride *= len(branches)
+        laws[place] = _dist(n, [(s >> at + n) & world for s in picked], kept, rest, True)
+        laws[2 * place] = _dist(n, [(s >> at) & world for s in picked], kept, rest, True)
+    return laws
 
 
 def _world_step(states, test, mask, bit, column, one, invert, branches) -> list[int]:
@@ -915,26 +948,27 @@ def _world_step(states, test, mask, bit, column, one, invert, branches) -> list[
         low = mask & -mask
         shifts.append(low.bit_length() - at)  # > 0: the parent bit is higher
         mask ^= low
+    # what each branch xors in: the do(X_v=1) bit, and the complement if inverted
+    toggles = [one ^ column if invert ^ flip else one for flip, _ in branches]
     if not shifts:  # a CONST gate, or a test of no parents
-        fixed = column if test == gates.ALL else 0  # AND of nothing is 1
-        out = [s ^ fixed for s in states] if fixed else states
-    else:
-        combine = {gates.ANY: or_, gates.ALL: and_, gates.XOR: xor}[test]
-        acc = None
-        for d in shifts:
-            moved = [s >> d for s in states] if d >= 0 else [s << -d for s in states]
-            acc = moved if acc is None else list(map(combine, acc, moved))
-        out = [s ^ (a & column) for s, a in zip(states, acc)]
-    next_states: list[int] = []
-    for flip, _ in branches:
-        toggle = one ^ column if invert ^ flip else one
-        next_states += [s ^ toggle for s in out]
-    return next_states
+        if test == gates.ALL:  # AND of nothing is 1
+            toggles = [toggle ^ column for toggle in toggles]
+        return [s ^ toggle for toggle in toggles for s in states]
+    if len(shifts) == 1 and shifts[0] > 0:  # ANY, ALL and XOR of one parent are it
+        return [s ^ (s >> shifts[0] & column) ^ toggle for toggle in toggles for s in states]
+    combine = {gates.ANY: or_, gates.ALL: and_, gates.XOR: xor}[test]
+    acc = None
+    for d in shifts:
+        moved = [s >> d for s in states] if d > 0 else [s << -d for s in states]
+        acc = moved if acc is None else list(map(combine, acc, moved))
+    out = [s ^ (a & column) for s, a in zip(states, acc)]
+    return [s ^ toggle for toggle in toggles for s in out]
+
 
 
 def observational(scm: Scm) -> ExactDist:
-    """Exact joint distribution of the n variables."""
-    return kernel_laws(scm, 0, False)[0][0]
+    """Exact joint distribution of the n variables, from the trie pass."""
+    return _laws(_compile(scm), 0)[0]
 
 
 def apply_do(scm: Scm, intervention: Intervention) -> Scm:
@@ -976,8 +1010,9 @@ def counterfactual_triple(scm: Scm, i: int) -> ExactDist:
 def cf1(scm: Scm) -> tuple[ExactDist, ...]:
     """`counterfactual_triple` for every variable, from one compiled plan
     and one parallel-worlds pass over 2n+1 worlds: the factual world and
-    do(X_v=b) for every v and b, all on the same noise draw."""
-    return kernel_laws(scm, None, True)[1]
+    do(X_v=b) for every v and b, all on the same noise draw: the pass
+    `kernel_laws` holds, whose INT1 laws this renders none of."""
+    return kernel_laws(scm, False, True)[1]
 
 
 def all_interventions(n: int):

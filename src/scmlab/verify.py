@@ -17,20 +17,21 @@ read.
 The suite walks the family once. INT_ALL, when the rung pair asks for
 it, is read first from its memoized index (shared with the gap tables),
 so its cap refuses before any other work. Then one `oracle.family_sweep`
-builds, compiles and runs the kernel once per member for OBS, INT1 and
-CF1, and every per-member check reads that member's in-memory oracles
-as the sweep yields them; only the bytes that the distinctness checks
-group are kept, and nothing is parsed back. The decoder's probe runs on
-the in-memory oracle: when it names the member itself, the rebuild check
-would read back that same oracle, so the round trip counts without it.
-Anything else goes through the public decoder on the same oracle, so a
-wrong member or a typed error comes out exactly as from the decoder; its
-rebuild reads the kernel's pass memo (`scm_core._PASSES`), keyed by the
-model, where the members' passes stay while it has room: a separation
-table or decode of the family after the suite reads them uncompiled. The cross-rung check is one
-integer pass (`blocks_match`) per distinct (triple, obs, do 0, do 1),
-keyed by their canonical bodies: the 46,656 triples of tree n=6 reach
-only 63.
+builds and compiles each member once and reads its OBS, INT1 and CF1 off
+one parallel-worlds pass, and every per-member check reads that member's
+in-memory oracles as the sweep yields them; only the bytes that the
+distinctness checks group are kept, and nothing is parsed back. The
+decoder's probe runs on the in-memory oracle: when it names the member
+itself, the rebuild check would read back that same oracle, so the round
+trip counts without it. Anything else goes through the public decoder on
+the same oracle, so a wrong member or a typed error comes out exactly as
+from the decoder; its rebuild reads the kernel's pass memo
+(`scm_core._PASSES`), keyed by the model, where the members' passes stay
+while it has room: a separation table or decode of the family after the
+suite reads them uncompiled, and a decode before it leaves the pass
+whose CF1 triples the suite reads. The cross-rung check is one integer
+pass (`blocks_match`) per distinct (triple, obs, do 0, do 1), keyed by
+their canonical bodies: the 46,656 triples of tree n=6 reach only 63.
 """
 
 from __future__ import annotations

@@ -62,24 +62,24 @@ CATALOGUE = (
         ("tests/test_verify.py",),
     ),
     Mutant(
+        # the worlds pass, or OBS's trie pass, before INT_ALL's caps
         "the trie pass runs before int_all_laws",
         "src/scmlab/oracle.py",
         ((
             "    laws = {}\n"
             "    if INT_ALL in kinds:\n"
             "        laws[INT_ALL] = int_all_laws(scm)\n"
-            "    budget = 1 if INT1 in kinds else 0 if OBS in kinds else None\n"
-            "    if budget is not None or CF1 in kinds:\n"
-            "        laws[OBS], laws[CF1] = kernel_laws(scm, budget, CF1 in kinds)\n"
-            "        laws[INT1] = laws[OBS]\n",
+            "    if INT1 in kinds or CF1 in kinds:\n",
             "    laws = {}\n"
-            "    budget = 1 if INT1 in kinds else 0 if OBS in kinds else None\n"
-            "    if budget is not None or CF1 in kinds:\n"
-            "        laws[OBS], laws[CF1] = kernel_laws(scm, budget, CF1 in kinds)\n"
-            "        laws[INT1] = laws[OBS]\n"
+            "    if INT1 in kinds or CF1 in kinds:\n",
+        ), (
+            "    elif OBS in kinds:\n"
+            "        laws[OBS] = {0: observational(scm)}\n",
+            "    elif OBS in kinds:\n"
+            "        laws[OBS] = {0: observational(scm)}\n"
             "    if INT_ALL in kinds:\n"
             "        laws[INT_ALL] = int_all_laws(scm)\n",
-        ),),
+        )),
         ("tests/test_verify.py",),
     ),
     Mutant(
@@ -242,18 +242,17 @@ CATALOGUE = (
     ),
     # the kernel's pass memo
     Mutant(
-        "the pass memo keyed without the budget",
+        # one entry for every model of n variables
+        "the pass memo keyed without the mechanisms",
         "src/scmlab/scm_core.py",
-        (("    held = [_PASSES.get((scm.n, scm.mechanisms, budget)) for budget in budgets]\n",
-          "    held = [_PASSES.get((scm.n, scm.mechanisms)) for budget in budgets]\n"),
-         ("    return _PASSES.keep((scm.n, scm.mechanisms, budget), entry, size)\n",
-          "    return _PASSES.keep((scm.n, scm.mechanisms), entry, size)\n")),
-        ("tests/test_memos.py::test_a_held_pass_gives_the_cold_oracles",),
+        (("    key = (scm.n, scm.mechanisms)\n", "    key = scm.n\n"),),
+        ("tests/test_memos.py::test_a_fresh_copy_reads_the_held_pass_and_a_changed_model_does_not",),
     ),
     Mutant(
         "INT_ALL passes enter the pass memo",
         "src/scmlab/scm_core.py",
-        (("    return _laws(plan, plan.n)\n", "    return _kept(scm, plan, plan.n)[1]\n"),),
+        (("    return _laws(plan, plan.n)\n",
+          "    return _PASSES.keep((scm.n, scm.mechanisms, plan.n), _laws(plan, plan.n))\n"),),
         ("tests/test_memos.py::test_no_int_all_pass_enters_the_pass_memo",),
     ),
     Mutant(
@@ -261,23 +260,20 @@ CATALOGUE = (
         # whose mechanism count `_compile` would refuse
         "a held pass looked up before _compile",
         "src/scmlab/scm_core.py",
-        (("    held = [_PASSES.get((scm.n, scm.mechanisms, budget)) for budget in budgets]\n",
-          "    held = [_PASSES.get((scm.mechanisms, budget)) for budget in budgets]\n"),
-         ("    return _PASSES.keep((scm.n, scm.mechanisms, budget), entry, size)\n",
-          "    return _PASSES.keep((scm.mechanisms, budget), entry, size)\n")),
+        (("    key = (scm.n, scm.mechanisms)\n", "    key = scm.mechanisms\n"),),
         ("tests/test_memos.py::test_a_model_that_fails_to_compile_leaves_no_pass",),
     ),
     Mutant(
         "a held pass skips the support-cap re-check",
         "src/scmlab/scm_core.py",
-        (("        _check_support(scm, held[0][0])\n", "        pass\n"),),
+        (("        _check_support(scm, held.support)\n", "        pass\n"),),
         ("tests/test_memos.py::test_a_lowered_support_cap_refuses_a_held_pass",),
     ),
     Mutant(
         "the pass memo keeps without dropping",
         "src/scmlab/scm_core.py",
-        (("    return _PASSES.keep((scm.n, scm.mechanisms, budget), entry, size)\n",
-          "    return _PASSES.setdefault((scm.n, scm.mechanisms, budget), entry)\n"),),
+        (("        _PASSES.keep(key, held, (3 * plan.n + 2) * len(held.states))\n",
+          "        _PASSES.setdefault(key, held)\n"),),
         ("tests/test_memos.py::test_the_pass_memo_stays_within_its_bound",),
     ),
     Mutant(
@@ -289,9 +285,24 @@ CATALOGUE = (
     Mutant(
         "the pass memo counts one state a law",
         "src/scmlab/scm_core.py",
-        (("        size = points + 2 * budget * sum([points // len(step[5]) for step in plan.steps])\n",
-          "        size = 1 + 2 * budget * plan.n\n"),),
+        (("        _PASSES.keep(key, held, (3 * plan.n + 2) * len(held.states))\n",
+          "        _PASSES.keep(key, held, 3 * plan.n + 1)\n"),),
         ("tests/test_memos.py::test_the_pass_memo_stays_within_its_bound",),
+    ),
+    Mutant(
+        "a do(X_v) world read off with the stride of the step after v",
+        "src/scmlab/scm_core.py",
+        (("            first = (True,) * stride",
+          "            stride *= len(branches)\n            first = (True,) * stride"),
+         ("            rest = den // step_den\n            stride *= len(branches)\n",
+          "            rest = den // step_den\n")),
+        ("tests/test_kernel.py::test_int1_and_cf1_from_one_held_pass_match_reference",),
+    ),
+    Mutant(
+        "an INT1-only request renders the CF1 triples",
+        "src/scmlab/scm_core.py",
+        (("        if cf1 and self.cf1 is None:\n", "        if self.cf1 is None:\n"),),
+        ("tests/test_verify.py::TestOnePassPerMember::test_one_kind_renders_only_its_own_leaves",),
     ),
     Mutant(
         "a Mechanism's copied state keeps its memo",

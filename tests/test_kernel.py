@@ -25,6 +25,7 @@ from scmlab import (
     build_tree_scm,
     build_xor_scm,
     gates,
+    oracle,
     scm_core,
 )
 from scmlab.errors import SupportTooLargeError
@@ -473,6 +474,86 @@ def test_every_counterfactual_triple_matches_reference(name):
         assert outcome(lambda: as_oracle([counterfactual_triple(scm, i)])) == outcome(
             lambda: as_oracle([reference_enumerator.counterfactual_triple(scm, i)])
         )
+
+
+# a law of three symbols, two of them 0: a noise-reading gate merges it to
+# the branches 0 (2/3) and 1 (1/3)
+TWO_OF_THREE = NoiseDist((0, 1, 0), (Fraction(1, 6), Fraction(1, 3), HALF))
+NON_READING = (gates.AND, gates.OR, gates.PARITY, gates.CONST0, gates.CONST1)
+
+
+@st.composite
+def placed_readers(draw) -> Scm:
+    """Chains whose topological order is their build order (each variable
+    after the first lists the one built before it), with noise-reading
+    variables first, in the middle or last in that order, drawing two
+    branches from a two- or three-symbol law. Every other gate reads no
+    noise, and any law it draws, three-symbol ones included, merges to one
+    branch."""
+    n = draw(st.integers(2, 6))
+    where = draw(st.sampled_from([0, n // 2, n - 1]))
+    readers = {where} | draw(st.sets(st.integers(0, n - 1), max_size=2))
+    label = draw(st.permutations(range(n)))
+    mechanisms = [None] * n
+    for pos in range(n):
+        earlier = [label[q] for q in range(pos)]
+        if pos in readers:
+            gate = gates.BERN_SOURCE if pos == 0 else gates.XOR_NOISE
+            noise = draw(st.sampled_from(READ_NOISES[2:] + (TWO_OF_THREE,)))
+        else:
+            gate = draw(st.sampled_from(NON_READING + ((gates.COPY, gates.NEG) if pos else ())))
+            noise = draw(st.sampled_from(OTHER_NOISES))
+        if gate == gates.BERN_SOURCE or pos == 0:
+            parents = ()
+        elif gate in (gates.COPY, gates.NEG):
+            parents = (earlier[-1],)
+        else:
+            extra = draw(st.lists(st.sampled_from(earlier[:-1]), unique=True)) if pos > 1 else []
+            parents = (earlier[-1], *extra)
+        mechanisms[label[pos]] = Mechanism(gate, parents, noise)
+    scm = Scm(n, tuple(mechanisms))
+    assert topo_order(scm) == list(label)
+    return scm
+
+
+@st.composite
+def seven_sources(draw) -> Scm:
+    """Seven independent sources, as the empirical learner fits them: each
+    a Bernoulli of its count of ones in 8 rows."""
+    counts = draw(st.lists(st.integers(0, 8), min_size=7, max_size=7))
+    return Scm(7, tuple(
+        Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(k, 8))) for k in counts
+    ))
+
+
+ONE_PASS_ORDERS = ["INT1 then CF1", "CF1 then INT1", "one call"]
+
+
+def check_one_held_pass(scm: Scm, order: str) -> None:
+    """INT1 and CF1 of `scm`, in `order`, are the reference's bytes, and
+    both come from the one entry the pass memo holds for it."""
+    scm_core._PASSES.clear()
+    kinds = (INT1, CF1)
+    if order == "one call":
+        got = oracle._member_oracles(scm, kinds)
+    else:
+        got = {kind: compute_oracle(scm, kind) for kind in order.split(" then ")}
+    assert {kind: serialize(got[kind]) for kind in kinds} == {
+        kind: serialize(reference_oracle(scm, kind)) for kind in kinds}
+    assert list(scm_core._PASSES) == [(scm.n, scm.mechanisms)]
+
+
+@pytest.mark.parametrize("order", ONE_PASS_ORDERS)
+@given(st.one_of(placed_readers(), seven_sources()))
+@settings(max_examples=60, deadline=None)
+def test_int1_and_cf1_from_one_held_pass_match_reference(order, scm):
+    check_one_held_pass(scm, order)
+
+
+@pytest.mark.parametrize("order", ONE_PASS_ORDERS)
+@pytest.mark.parametrize("name", ["n=0", "n=1", "n=1, constant"])
+def test_one_held_pass_of_zero_or_one_variable_matches_reference(order, name):
+    check_one_held_pass(WORLDS_MODELS[name], order)
 
 
 WIDE = Scm(30, tuple(Mechanism(gates.BERN_SOURCE, (), FAIR) for _ in range(30)))

@@ -1,7 +1,7 @@
 """The memos that let a sweep or a round trip read each distinct body,
 mechanism, leaf and pass once: `parse`'s memo of checked bodies, the
 compiled step each mechanism keeps, and the kernel's memos of kept leaves
-and of whole OBS, INT1 and CF1 passes.
+and of whole parallel-worlds passes, which serve INT1 and CF1.
 
 Each memo is keyed by what fully determines its value, so a warm memo
 must give what a cold one gives: from `parse`, the same oracle, bytes and
@@ -617,34 +617,52 @@ PASSES = scm_core._PASSES
 
 
 def laws_of(entry) -> list:
-    """The dists of a memo entry's pass: a trie pass's dict or a worlds
-    pass's tuple, held beside the model's support total."""
-    _, held = entry
-    return list(held.values()) if isinstance(held, dict) else list(held)
+    """The dists a memo entry holds: its INT1 laws and CF1 triples, each
+    once they are rendered."""
+    return [*(entry.int1 or {}).values(), *(entry.cf1 or ())]
 
 
 def states_in(entry) -> int:
-    """The states of a memo entry's laws, one per line of each body."""
-    return sum(dist._text().count("\n") + 1 for dist in laws_of(entry))
+    """The states a memo entry holds: a line of each law's body, and the
+    pass's final states until both halves are rendered."""
+    lines = sum(dist._text().count("\n") + 1 for dist in laws_of(entry))
+    return lines + (0 if entry.states is None else len(entry.states))
 
 
 def assert_passes_sound():
-    """Every held pass is an OBS or INT1 trie pass or a worlds pass, equal
-    to the pass its model's plan runs now, beside its model's noise
-    support total, and `held` counts the states held, within the bound."""
-    for (n, mechanisms, budget), (total, held) in PASSES.items():
-        assert budget in (None, 0, 1)
-        plan = scm_core._compile(Scm(n, mechanisms))
-        assert total == plan.support == math.prod(len(m.noise.support) for m in mechanisms)
-        assert held == scm_core._run(plan, budget)
-    assert PASSES.held == sum(map(states_in, PASSES.values())) <= PASSES.limit
+    """Every held entry is its model's worlds pass, beside the model's
+    noise support total: each half it has rendered is the reference's
+    oracle, and it keeps its steps and final states exactly until both
+    halves are rendered. `held` counts each entry as (3n+2) states a noise
+    point, which bounds the states it holds, within the memo's bound."""
+    counted = 0
+    for (n, mechanisms), entry in PASSES.items():
+        scm = Scm(n, mechanisms)
+        plan = scm_core._compile(scm)
+        assert entry.support == plan.support == math.prod(len(m.noise.support) for m in mechanisms)
+        states, weights, den = scm_core._worlds(plan)
+        for kind, laws in ((INT1, entry.int1), (CF1, entry.cf1)):
+            if laws is not None:
+                dists = [laws[law] for law, _ in oracle._layout(kind, n)]
+                assert len(laws) == len(dists)
+                assert dists == [dist for _, dist in reference_oracle(scm, kind).components]
+        if entry.int1 is None or entry.cf1 is None:
+            assert (entry.steps, entry.states, entry.weights, entry.den) == (
+                plan.steps, states, weights, den)
+        else:
+            assert entry.steps is entry.states is entry.weights is None
+        size = (3 * n + 2) * len(states)
+        assert states_in(entry) <= size
+        counted += size
+    assert PASSES.held == counted <= PASSES.limit
 
 
 @pytest.mark.parametrize("run", ["first", "second"])
 def test_each_test_starts_with_an_empty_pass_memo(run):
     assert len(PASSES) == 0 and PASSES.held == 0
     oracle._member_oracles(MIXED_LEAVES, KEPT_KINDS)  # what the next test must not find
-    assert sorted(budget is None for *_, budget in PASSES) == [False, True]
+    assert [(key, entry.int1 is not None, entry.cf1 is not None) for key, entry in PASSES.items()] \
+        == [((3, MIXED_LEAVES.mechanisms), True, True)]
 
 
 @given(small_scms())
@@ -655,15 +673,17 @@ def test_a_held_pass_gives_the_cold_oracles(scm):
         PASSES.clear()
         cold[kind] = serialize(compute_oracle(scm, kind))
     PASSES.clear()
-    # OBS (budget 0), INT1 (budget 1) and CF1 (worlds) are three passes
+    # INT1 and CF1 read one entry; OBS alone runs the trie and holds no pass
     first = {kind: compute_oracle(scm, kind) for kind in KEPT_KINDS}
-    assert len(PASSES) == 3
+    assert list(PASSES) == [(scm.n, scm.mechanisms)]
     for kind in KEPT_KINDS:
         warm = compute_oracle(scm, kind)
         reference = reference_oracle(scm, kind)
         assert serialize(warm) == serialize(first[kind]) == cold[kind] == serialize(reference)
         for (_, w), (_, f) in zip(warm.components, first[kind].components):
-            assert w is f  # served from the memo
+            assert w is f  # served from the pass memo, and OBS from the leaf memo
+    # the trie's OBS leaf is the one read off the worlds pass
+    assert first[OBS].components[0][1] is first[INT1].components[0][1]
     assert_passes_sound()
 
 
@@ -682,14 +702,14 @@ def test_a_fresh_copy_reads_the_held_pass_and_a_changed_model_does_not(scm, data
         Mechanism(m.gate, m.parents, noise) if i == v else m for i, m in enumerate(scm.mechanisms)
     ))
     calls = []
-    compile_plan, run = scm_core._compile, scm_core._run
+    compile_plan, worlds = scm_core._compile, scm_core._worlds
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scm_core, "_compile", lambda s: calls.append("compile") or compile_plan(s))
-        patch.setattr(scm_core, "_run", lambda plan, b: calls.append(b) or run(plan, b))
+        patch.setattr(scm_core, "_worlds", lambda plan: calls.append("worlds") or worlds(plan))
         copied = oracle._member_oracles(fresh(scm), KEPT_KINDS)
         assert calls == []
         other = oracle._member_oracles(changed, KEPT_KINDS)
-        assert calls == ["compile", 1, None]  # the trie pass, then the worlds pass
+        assert calls == ["compile", "worlds"]  # one pass for every kind
     for kind in KEPT_KINDS:
         for (_, read), (_, kept) in zip(copied[kind].components, held[kind].components):
             assert read is kept
@@ -709,7 +729,7 @@ def test_no_int_all_pass_enters_the_pass_memo():
         held = {id(dist) for value in PASSES.values() for dist in laws_of(value)}
         assert not any(id(dist) in held for _, dist in oracles[INT_ALL].components[1:])
         assert serialize(oracles[INT_ALL]) == serialize(reference_oracle(scm, INT_ALL))
-    assert len(PASSES) == 2 * len(models)  # one trie and one worlds pass each
+    assert len(PASSES) == len(models)  # one worlds pass each
     assert_passes_sound()
 
 
@@ -734,8 +754,9 @@ def test_a_model_that_fails_to_compile_leaves_no_pass():
 
 
 def test_a_lowered_support_cap_refuses_a_held_pass(monkeypatch):
-    # MIXED_LEAVES has 2 * 2 * 1 = 4 noise points; each kind alone, and all
-    # three from one call, hold their passes
+    # MIXED_LEAVES has 2 * 2 * 1 = 4 noise points; INT1 alone, CF1 alone and
+    # all three from one call read its one held pass, and OBS alone, which
+    # holds none, compiles again
     calls = [(kind,) for kind in KEPT_KINDS] + [KEPT_KINDS]
     held = [oracle._member_oracles(MIXED_LEAVES, kinds) for kinds in calls]
     monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "3")
@@ -747,7 +768,7 @@ def test_a_lowered_support_cap_refuses_a_held_pass(monkeypatch):
                 oracle._member_oracles(scm, kinds)
             assert str(info.value) == refusal[1]
     monkeypatch.delenv("SCMLAB_SUPPORT_CAP")
-    for kinds, oracles in zip(calls, held):  # still held
+    for kinds, oracles in zip(calls, held):  # still held, OBS alone in the leaf memo
         again = oracle._member_oracles(MIXED_LEAVES, kinds)
         for kind in kinds:
             for (_, dist), (_, kept) in zip(again[kind].components, oracles[kind].components):
@@ -755,23 +776,26 @@ def test_a_lowered_support_cap_refuses_a_held_pass(monkeypatch):
 
 
 def test_a_pass_above_the_bound_is_not_kept(monkeypatch):
-    monkeypatch.setattr(PASSES, "limit", 12)
-    compute_oracle(MIXED_LEAVES, CF1)  # 3 triples of 4 states
+    monkeypatch.setattr(PASSES, "limit", 44)
+    compute_oracle(MIXED_LEAVES, CF1)  # (3 * 3 + 2) * 4 noise points
     held = dict(PASSES)
-    assert PASSES.held == 12
+    assert PASSES.held == 44
     runs = []
-    run = scm_core._run
+    worlds = scm_core._worlds
 
-    def spy(plan, budget):
-        runs.append(budget)
-        return run(plan, budget)
+    def spy(plan):
+        runs.append(plan.n)
+        return worlds(plan)
 
-    monkeypatch.setattr(scm_core, "_run", spy)
-    first = compute_oracle(MIXED_LEAVES, INT1)  # 4 + 2 * (2 + 2 + 4) = 20 states
-    again = compute_oracle(MIXED_LEAVES, INT1)
+    monkeypatch.setattr(scm_core, "_worlds", spy)
+    wide = Scm(4, (Mechanism(gates.BERN_SOURCE, (), FAIR),) * 4)  # (3 * 4 + 2) * 16 = 224
+    first = {kind: compute_oracle(wide, kind) for kind in (INT1, CF1)}
+    again = {kind: compute_oracle(wide, kind) for kind in (INT1, CF1)}
     # run each time, and never kept, so the memo dropped nothing for it
-    assert runs == [1, 1] and dict(PASSES) == held and PASSES.held == 12
-    assert serialize(again) == serialize(first) == serialize(reference_oracle(MIXED_LEAVES, INT1))
+    assert runs == [4] * 4 and dict(PASSES) == held and PASSES.held == 44
+    for kind in (INT1, CF1):
+        assert serialize(again[kind]) == serialize(first[kind]) == serialize(
+            reference_oracle(wide, kind))
     assert_passes_sound()
 
 
@@ -803,7 +827,7 @@ def test_the_pass_memo_stays_within_its_bound(bound, monkeypatch):
     assert sweep_bytes(families) == cold  # read back where still held
     assert_passes_sound()
     if bound is None:  # both sweeps fit
-        assert drops == [] and len(PASSES) == 2 * (64 + 16)
+        assert drops == [] and len(PASSES) == 64 + 16
     else:  # the memo filled and dropped its passes, more than once
         assert len(drops) > 1 and max(drops) <= bound
 
@@ -831,7 +855,7 @@ def test_a_rebuild_check_on_a_held_pass_rejects_a_foreign_oracle():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scm_core, "_compile", refuse)
-        patch.setattr(scm_core, "_run", refuse)
+        patch.setattr(scm_core, "_worlds", refuse)
         for oracle_in, decode, error in bad:
             with pytest.raises(error):
                 decode(oracle_in)

@@ -162,20 +162,29 @@ class TestOnePassPerMember:
 
     @pytest.mark.parametrize("family", [*FAMILIES, Family("xor", 2)], ids=str)
     def test_verify_family_runs_one_worlds_pass_per_member(self, family, monkeypatch):
-        # every CF1 triple of a member comes from one parallel-worlds pass
-        # over all of its variables, not one pass per variable
+        # every INT1 law and CF1 triple of a member comes from one
+        # parallel-worlds pass over all of its variables, not one pass per
+        # variable or per kind, and no trie pass runs
         passes = []
         worlds = scm_core._worlds
 
         def counted(plan):
-            triples = worlds(plan)
-            passes.append((plan.n, len(triples)))
-            return triples
+            passes.append(plan.n)
+            return worlds(plan)
+
+        budgets = []
+        laws = scm_core._laws
+
+        def trie(plan, max_forced):
+            budgets.append(max_forced)
+            return laws(plan, max_forced)
 
         monkeypatch.setattr(scm_core, "_worlds", counted)
+        monkeypatch.setattr(scm_core, "_laws", trie)
         assert all_passed(verify_family(family))
         n = family.n_vars()
-        assert passes == [(n, n)] * len(list(family.parameters()))
+        assert passes == [n] * len(list(family.parameters()))
+        assert set(budgets) <= {n}  # INT_ALL's trie, for xor
 
     @pytest.mark.parametrize("family", [*FAMILIES, Family("xor", 2)], ids=str)
     def test_verify_family_parses_nothing(self, family, monkeypatch):
@@ -195,35 +204,80 @@ class TestOnePassPerMember:
     @pytest.mark.parametrize("family", [*FAMILIES, Family("tree", 4)], ids=str)
     def test_later_calls_read_the_held_passes(self, family, monkeypatch):
         # verify, the separation table and every member's public decoder,
-        # whose rebuild check rebuilds the member's INT1 oracle: one trie
-        # pass and one worlds pass per member in all. Each pass is looked
-        # up by its model before `_compile`, so a model is compiled at most
-        # once per pass run, and the same calls again compile nothing
-        calls = Counter()
+        # whose rebuild check rebuilds the member's INT1 oracle: each member
+        # compiles once and runs one worlds pass, which serves its OBS, INT1
+        # and CF1, and no trie pass runs. The pass is looked up by its model
+        # before `_compile`, so the same calls again compile and run nothing
+        self.count_calls(family, False, monkeypatch)
+
+    @pytest.mark.parametrize("family", [*FAMILIES, Family("tree", 4)], ids=str)
+    def test_a_decode_before_verify_runs_the_same_one_pass(self, family, monkeypatch):
+        # the decodes render INT1 first, verify then reads CF1 off the same
+        # held pass, as a sweep that decodes before it verifies does
+        self.count_calls(family, True, monkeypatch)
+
+    def count_calls(self, family, decode_first, monkeypatch):
+        members = Counter(family.spec.build(param) for param in family.parameters())
+        calls = {name: Counter() for name in ("_compile", "_worlds", "_laws")}
 
         def counted(name, function):
-            def call(*args):
-                calls[name] += 1
-                return function(*args)
+            def call(first, *args):
+                calls[name][first] += 1
+                return function(first, *args)
 
             monkeypatch.setattr(scm_core, name, call)
 
-        for name in ("_compile", "_laws", "_worlds"):
+        for name in calls:
             counted(name, getattr(scm_core, name))
 
-        def every_call():
-            assert all_passed(verify_family(family))
-            separation_table(family)
+        def decode_all():
             for param in family.parameters():
                 assert family.spec.decode(compute_oracle(family.build(param), oracle.INT1)) == param
 
+        def every_call():
+            if decode_first:
+                decode_all()
+            assert all_passed(verify_family(family))
+            separation_table(family)
+            if not decode_first:
+                decode_all()
+
         every_call()
-        count = len(list(family.parameters()))
-        assert calls["_laws"] == calls["_worlds"] == count
-        assert 0 < calls["_compile"] <= 2 * count
-        calls.clear()
+        assert calls["_compile"] == members
+        assert sum(calls["_worlds"].values()) == len(members) and not calls["_laws"]
+        for counter in calls.values():
+            counter.clear()
         every_call()
-        assert calls == {}
+        assert not any(calls.values())
+
+    @pytest.mark.parametrize("family", [*FAMILIES, Family("xor", 2)], ids=str)
+    def test_one_kind_renders_only_its_own_leaves(self, family, monkeypatch):
+        # an INT1 request renders no 3n-bit triple and a CF1 request no
+        # n-bit law, whichever comes first; the other kind then renders its
+        # own leaves from the held pass, and a repeat renders nothing
+        widths = []
+        render = scm_core._dist
+
+        def spy(n_bits, *args):
+            widths.append(n_bits)
+            return render(n_bits, *args)
+
+        monkeypatch.setattr(scm_core, "_dist", spy)
+        n = family.n_vars()
+        wide = {oracle.INT1: n, oracle.CF1: 3 * n}
+        for order in ((oracle.INT1, oracle.CF1), (oracle.CF1, oracle.INT1)):
+            scm_core._PASSES.clear()
+            for param in family.parameters():
+                scm = family.build(param)
+                for kind in order:
+                    widths.clear()
+                    compute_oracle(scm, kind)
+                    assert widths and set(widths) == {wide[kind]}
+                for kind in order:
+                    widths.clear()
+                    compute_oracle(scm, kind)
+                    assert widths == []
+            assert len(scm_core._PASSES) == len(list(family.parameters()))
 
 
 class TestMarginalConsistency:
