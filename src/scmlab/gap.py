@@ -27,7 +27,7 @@ from fractions import Fraction
 from .catalog import Family
 from .errors import BadRangeError, LengthMismatchError, NotMemberError, ScmLabError
 from .families import BIPARTITE, BipartiteGraph, ClassSpec, class_membership
-from .oracle import INT1, KINDS, d_int, family_sweep, oracle_indexes
+from .oracle import INT1, KINDS, d_int, entry_bytes, family_columns, family_sweep
 from .prufer import BitBudget, ceil_log2
 from .rational import HALF
 from .scm_core import Scm
@@ -92,11 +92,11 @@ def _check_kinds(lower_kind: str, higher_kind: str) -> None:
 
 
 def _grouped(family: Family, lower_kind: str, higher_kind: str):
-    """Group parameters by lower-oracle bytes; count higher-oracle bytes
-    within each group. Returns {lower_bytes: Counter(higher_bytes)}."""
+    """Group parameters by lower oracle; count higher oracles within each
+    group. Returns {lower entry: Counter(higher entry)} of column entries."""
     _check_kinds(lower_kind, higher_kind)
-    index = oracle_indexes(family, (lower_kind, higher_kind))
-    groups: dict[bytes, Counter] = {}
+    index = family_columns(family, (lower_kind, higher_kind))
+    groups: dict = {}
     for lower, higher in zip(index[lower_kind], index[higher_kind]):
         groups.setdefault(lower, Counter())[higher] += 1
     return groups
@@ -109,12 +109,12 @@ def ambiguity_classes(
     groups = _grouped(family, lower_kind, higher_kind)
     classes = []
     total = 0
-    for lower_bytes, inner in groups.items():
+    for lower, inner in groups.items():
         member_count = sum(inner.values())
         total += member_count
         classes.append(
             AmbiguityClass(
-                hashlib.sha256(lower_bytes).hexdigest(),
+                hashlib.sha256(entry_bytes(lower_kind, family.n_vars(), lower)).hexdigest(),
                 member_count,
                 len(inner),
             )
@@ -301,7 +301,7 @@ def pairwise_separation_check(m: int, epsilon) -> SeparationCheck:
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise BadRangeError(f"epsilon must be nonnegative, got {epsilon}")
-    oracles = [member[INT1] for _, member, _ in family_sweep(Family(BIPARTITE, m), (INT1,))]
+    oracles = [member[INT1] for _, member, _ in family_sweep(Family(BIPARTITE, m), (INT1,), ())]
     pair_count = math.comb(len(oracles), 2)
     best = min(itertools.starmap(d_int, itertools.combinations(oracles, 2)))
     if best < HALF:

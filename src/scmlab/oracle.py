@@ -57,6 +57,7 @@ from .scm_core import (
     _Bounded,
     _dist,
     _fraction,
+    _PASSES,
     int_all_laws,
     intervention_code,
     kernel_laws,
@@ -187,9 +188,10 @@ def _member_oracles(scm: Scm, kinds) -> dict[str, AnswerOracle]:
     INT_ALL comes first, from `int_all_laws`, so its caps refuse before
     any other pass. INT1 and CF1 are read off the model's one
     parallel-worlds pass (`kernel_laws`), which renders only the half
-    asked for; OBS is INT1's law at code 0 when either is asked for, and
-    otherwise comes from `observational`'s trie pass. A call for INT_ALL
-    alone runs neither of those.
+    asked for; OBS is INT1's law at code 0 when either is asked for or
+    the model's pass is held (`_PASSES`), and otherwise comes from
+    `observational`'s trie pass, a third of a cold worlds pass. A call
+    for INT_ALL alone runs neither of those.
     """
     for kind in kinds:
         _check_kind(kind)
@@ -199,8 +201,9 @@ def _member_oracles(scm: Scm, kinds) -> dict[str, AnswerOracle]:
     if INT1 in kinds or CF1 in kinds:
         laws[INT1], laws[CF1] = kernel_laws(scm, INT1 in kinds or OBS in kinds, CF1 in kinds)
         laws[OBS] = laws[INT1]
-    elif OBS in kinds:
-        laws[OBS] = {0: observational(scm)}
+    elif OBS in kinds:  # a held pass's INT1 law at code 0, else the trie pass
+        held = (scm.n, scm.mechanisms) in _PASSES
+        laws[OBS] = kernel_laws(scm, True, False)[0] if held else {0: observational(scm)}
     return {kind: _assemble(kind, scm.n, laws[kind]) for kind in kinds}
 
 
@@ -217,50 +220,81 @@ def oracle_index(family, kind: str) -> tuple[bytes, ...]:
 
 
 def oracle_indexes(family, kinds) -> dict[str, tuple[bytes, ...]]:
-    """`oracle_index` of `family` for each of `kinds`: the one place family
-    oracles are computed for grouping.
-
-    Every oracle comes from `_member_oracles`. INT_ALL comes first, so its
-    caps refuse before any other work: 3^n components per oracle, seconds
-    for xor m=4, so its index is memoized per snapshot of the active caps,
-    and a lowered cap refuses a cached family just as it refuses a new
-    one. The index holds bytes alone: each member's oracle is serialized
-    and dropped before the next member is computed. The other kinds are
-    collected from one `family_sweep`, which assembles and serializes
-    every member's oracle on every call. Its laws may be ones an earlier
-    call computed: the kernel's bounded memos (each mechanism's compiled
-    steps, mass lines, leaves and whole passes, mass-text Fractions)
-    return what a fresh pass would and change no result.
-    """
-    kinds = tuple(dict.fromkeys(kinds))
-    index = {}
-    if INT_ALL in kinds:
-        index[INT_ALL] = _cached_index(family, snapshot())
-    swept = tuple([kind for kind in kinds if kind != INT_ALL])
-    if swept:
-        columns: list[list[bytes]] = [[] for _ in swept]
-        for _, _, data in family_sweep(family, swept):
-            for column, kind in zip(columns, swept):
-                column.append(data[kind])
-        index.update(zip(swept, map(tuple, columns)))
+    """`oracle_index` of `family` for each of `kinds`: the bytes of each
+    `family_columns` entry, each distinct entry serialized once."""
+    n = family.n_vars()
+    index = family_columns(family, kinds)
+    for kind in index.keys() - {INT_ALL}:
+        written = {entry: entry_bytes(kind, n, entry) for entry in set(index[kind])}
+        index[kind] = tuple([written[entry] for entry in index[kind]])
     return index
 
 
-def family_sweep(family, kinds):
-    """Yield (param, oracles, data) for each member of `family`, in
-    `family.parameters()` order: its oracle and its serialized oracle for
-    each of `kinds` (OBS, INT1 or CF1), both keyed by kind. One build,
-    one compiled plan and one kernel pass per member serve all the kinds
-    (`_member_oracles`), and equal bytes across the sweep share one bytes
-    object."""
-    shared: dict[bytes, bytes] = {}
+def family_columns(family, kinds) -> dict[str, tuple]:
+    """The column of `family` for each of `kinds`: one entry per member,
+    in `family.parameters()` order, equal exactly when the oracles are.
+    INT_ALL comes first, so its caps refuse before any other work, as its
+    bytes, memoized per caps snapshot (3^n components an oracle). Any
+    other kind's entry is its body tuple, read from `_COLUMNS` when every
+    kind asked for is held under the active caps, else from one
+    `family_sweep`, which keeps them: a changed cap sweeps or refuses."""
+    kinds = tuple(dict.fromkeys(kinds))
+    caps = snapshot()
+    columns = {INT_ALL: _cached_index(family, caps)} if INT_ALL in kinds else {}
+    swept = tuple([kind for kind in kinds if kind != INT_ALL])
+    held = [_COLUMNS.get((family, kind, caps)) for kind in swept]
+    if None in held:
+        lists: dict[str, list] = {kind: [] for kind in swept}
+        for _, _, bodies in family_sweep(family, swept):
+            for kind, column in lists.items():
+                column.append(bodies[kind])
+        held = keep_columns(family, lists, caps)
+    columns.update(zip(swept, held))
+    return columns
+
+
+# the body-tuple columns `verify_family` groups (OBS and INT1 for tree and
+# bipartite, the gap table's rungs) or a gap table swept, by (family, kind,
+# caps snapshot), bounded in members: tree n=7 keeps 235,298 (21.5 MiB live,
+# 20.6 of it INT1's distinct tuples) and bipartite m=4 131,072 (14.0 MiB); a
+# tuple of k bodies takes 64 + 8k B, 184 B at n=7, so 46 MiB when full
+_COLUMNS = _Bounded(1 << 18)
+
+
+def keep_columns(family, columns: dict, caps: tuple) -> list[tuple]:
+    """Keep `columns` (kind -> body tuples) of `family` swept under `caps`."""
+    return [_COLUMNS.keep((family, kind, caps), tuple(column), len(column))
+            for kind, column in columns.items()]
+
+
+def entry_bytes(kind: str, n: int, entry) -> bytes:
+    """The serialized `kind` oracle on n variables of a column entry."""
+    if kind == INT_ALL:
+        return entry
+    dists = [ExactDist._from_body(component_bits(kind, n), body) for body in entry]
+    return serialize(AnswerOracle(kind, n, tuple(zip([key for _, key in _layout(kind, n)], dists))))
+
+
+def _bodies(oracle: AnswerOracle) -> tuple[str, ...]:
+    """Each component's canonical body (`ExactDist._text`), in order: within
+    one kind and n, equal exactly when the bytes are (no body holds "#")."""
+    return tuple([dist._text() for _, dist in oracle.components])
+
+
+def family_sweep(family, kinds, grouped=None):
+    """Yield (param, oracles, bodies) for each member of `family`, in
+    `family.parameters()` order: its oracle for each of `kinds` (OBS, INT1
+    or CF1) and its `_bodies` for each of `grouped` (default `kinds`). One
+    build, plan and kernel pass per member serve all the kinds
+    (`_member_oracles`); equal body tuples share one object."""
+    shared: dict[tuple, tuple] = {}
     for param in family.parameters():
         oracles = _member_oracles(family.build(param), kinds)
-        data = {}
-        for kind in kinds:
-            text = serialize(oracles[kind])
-            data[kind] = shared.setdefault(text, text)
-        yield param, oracles, data
+        bodies = {}
+        for kind in kinds if grouped is None else grouped:
+            texts = _bodies(oracles[kind])
+            bodies[kind] = shared.setdefault(texts, texts)
+        yield param, oracles, bodies
 
 
 @lru_cache(maxsize=16)

@@ -15,32 +15,32 @@ decoder, split into its probe and the full decoder, with the kind they
 read.
 
 The suite walks the family once. INT_ALL, when the rung pair asks for
-it, is read first from its memoized index (shared with the gap tables),
-so its cap refuses before any other work. Then one `oracle.family_sweep`
-builds and compiles each member once and reads its OBS, INT1 and CF1 off
-one parallel-worlds pass, and every per-member check reads that member's
-in-memory oracles as the sweep yields them; only the bytes that the
-distinctness checks group are kept, and nothing is parsed back. The
-decoder's probe runs on the in-memory oracle: when it names the member
-itself, the rebuild check would read back that same oracle, so the round
-trip counts without it. Anything else goes through the public decoder on
-the same oracle, so a wrong member or a typed error comes out exactly as
-from the decoder; its rebuild reads the kernel's pass memo
-(`scm_core._PASSES`), keyed by the model, where the members' passes stay
-while it has room: a separation table or decode of the family after the
-suite reads them uncompiled, and a decode before it leaves the pass
-whose CF1 triples the suite reads. The cross-rung check is one integer
-pass (`blocks_match`) per distinct (triple, obs, do 0, do 1), keyed by
-their canonical bodies: the 46,656 triples of tree n=6 reach only 63.
+it, is read first from its memoized index, so its cap refuses before any
+other work. Then one `oracle.family_sweep` builds and compiles each
+member once and reads its OBS, INT1 and CF1 off one parallel-worlds
+pass, and every per-member check reads that member's in-memory oracles.
+Nothing is serialized per member or parsed back: the distinctness checks
+group each member's tuple of component bodies, equal exactly when the
+bytes are, and leave the columns in `oracle._COLUMNS` for the gap tables.
+The embedding check serializes one (OBS, INT1) pair per distinct (OBS
+body, INT1 obs body). When the decoder's probe names the member itself,
+the rebuild check would read back that same oracle, so the round trip
+counts without it; anything else goes through the public decoder, so a
+wrong member or a typed error comes out exactly as from the decoder. The
+cross-rung check is one integer pass (`blocks_match`) per distinct
+(triple, obs, do 0, do 1) dists, which members share: the 46,656
+triples of tree n=6 reach only 63.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .caps import snapshot
 from .catalog import Family
 from .oracle import (
-    CF1, INT1, INT_ALL, OBS, AnswerOracle, blocks_match, family_sweep, oracle_index, serialize,
+    CF1, INT1, INT_ALL, OBS, AnswerOracle, blocks_match, family_sweep, keep_columns,
+    oracle_index, serialize,
 )
 
 
@@ -59,17 +59,18 @@ def _marginal_consistency(obs: AnswerOracle, int1: AnswerOracle, cf1: AnswerOrac
     be the matching single-variable interventional law. Each law is read
     by its layout position: CF1 triple i, and INT1's do(X_i=0) and
     do(X_i=1) at 1 + 2i and 2 + 2i, after obs. `seen` holds the verdict of
-    each (triple, obs, do 0, do 1) checked so far, keyed by their
-    canonical bodies, so a repeated one is not walked again."""
+    each (triple, obs, do 0, do 1) checked so far, keyed by the ids of the
+    dists, which members share and which it holds beside the verdict."""
     obs_dist = obs.components[0][1]
-    int1_laws = [dist for _, dist in int1.components]
+    laws = int1.components
     for i, (_, triple) in enumerate(cf1.components):
-        laws = (obs_dist, int1_laws[1 + 2 * i], int1_laws[2 + 2 * i])
-        key = tuple([dist._text() for dist in (triple, *laws)])
-        passed = seen.get(key)
-        if passed is None:
-            passed = seen[key] = blocks_match(triple, laws)
-        if not passed:
+        do0, do1 = laws[1 + 2 * i][1], laws[2 + 2 * i][1]
+        key = (id(triple), id(obs_dist), id(do0), id(do1))
+        held = seen.get(key)
+        if held is None:
+            held = seen[key] = (blocks_match(triple, (obs_dist, do0, do1)),
+                                (triple, obs_dist, do0, do1))
+        if not held[0]:
             return False
     return True
 
@@ -85,25 +86,28 @@ def verify_family(family: Family) -> list[CheckResult]:
     spec = family.spec
     lower_kind, higher_kind = spec.rungs
     n = family.n_vars()
+    caps = snapshot()
     grouped = (*spec.also_identical, lower_kind, higher_kind)
     # INT_ALL, the costliest kind, is read first, so its cap refuses before any work
     index = {INT_ALL: oracle_index(family, INT_ALL)} if INT_ALL in grouped else {}
-    swept = (OBS, INT1, CF1)
-    columns: dict[str, list[bytes]] = {kind: [] for kind in swept}
-    round_trips = 0
-    marginals_ok = True
-    checked: dict[tuple[str, ...], bool] = {}
-    embeddings_ok = True
-    for param, oracles, data in family_sweep(family, swept):
-        for kind in swept:
-            columns[kind].append(data[kind])
+    columns: dict[str, list[tuple]] = {kind: [] for kind in (OBS, INT1, CF1) if kind in grouped}
+    count = round_trips = 0
+    marginals_ok = embeddings_ok = True
+    checked: dict[tuple, tuple] = {}  # by (triple, obs, do 0, do 1) ids
+    embedded: dict[tuple, bool] = {}  # by (OBS body, INT1 obs body), which fix the verdict
+    sweep = family_sweep(family, (OBS, INT1, CF1), tuple(columns))
+    for count, (param, oracles, bodies) in enumerate(sweep, 1):
+        for kind, column in columns.items():
+            column.append(bodies[kind])
         oracle = oracles[higher_kind]
         if spec.probe(oracle) == param or spec.decode(oracle) == param:
             round_trips += 1
         marginals_ok &= _marginal_consistency(oracles[OBS], oracles[INT1], oracles[CF1], checked)
-        embeddings_ok &= _obs_embeds(data[OBS], data[INT1])
-    index.update(columns)
-    count = len(columns[OBS])
+        key = (oracles[OBS].components[0][1]._text(), oracles[INT1].components[0][1]._text())
+        if key not in embedded:
+            embedded[key] = _obs_embeds(serialize(oracles[OBS]), serialize(oracles[INT1]))
+        embeddings_ok &= embedded[key]
+    index.update(zip(columns, keep_columns(family, columns, caps)))
     results = []
 
     def check(name: str, passed: bool, **details) -> None:
@@ -112,7 +116,7 @@ def verify_family(family: Family) -> list[CheckResult]:
     for kind in (*spec.also_identical, lower_kind):
         distinct = set(index[kind])
         if kind == OBS:
-            expected = serialize(AnswerOracle(OBS, n, (("obs", spec.obs_law(n)),)))
+            expected = (spec.obs_law(n)._text(),)
             check(spec.obs_check, distinct == {expected}, distinct_laws=len(distinct))
         else:
             name = f"{kind.lower().replace('_', '-')}-identical"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from scmlab import Mechanism, NoiseDist, Scm
-from scmlab import gates, oracle, scm_core
+from scmlab import decoders, gates, oracle, scm_core
 
 # one "PASS <name>: ..." or "FAIL <name>: ..." line per acceptance
 # criterion, echoed into the terminal summary so a plain pytest run
@@ -38,13 +38,16 @@ def acceptance() -> AcceptanceLog:
 
 @pytest.fixture(autouse=True)
 def cold_body_memo():
-    """Empty `parse`'s process-wide body memo and the kernel's leaf and
-    pass memos before every test, so what a test sees of a parsed or
-    computed dist (no `mass` or integer view until it reads one) does not
-    depend on the tests that ran before it."""
+    """Empty `parse`'s process-wide body memo, the kernel's leaf and pass
+    memos, the family column memo and the decoders' probe facts before
+    every test, so what a test sees of a parsed or computed dist (no
+    `mass` or integer view until it reads one) and what a gap table
+    sweeps do not depend on the tests that ran before it."""
     oracle._BODIES.clear()
     scm_core._LEAVES.clear()
     scm_core._PASSES.clear()
+    oracle._COLUMNS.clear()
+    decoders._FACTS.clear()
 
 
 @pytest.fixture

@@ -54,8 +54,8 @@ CATALOGUE = (
         (
             ("    index = {INT_ALL: oracle_index(family, INT_ALL)} if INT_ALL in grouped else {}\n",
              "    index = {}\n"),
-            ("    index.update(columns)\n",
-             "    index.update(columns)\n"
+            ("    index.update(zip(columns, keep_columns(family, columns, caps)))\n",
+             "    index.update(zip(columns, keep_columns(family, columns, caps)))\n"
              "    if INT_ALL in grouped:\n"
              "        index[INT_ALL] = oracle_index(family, INT_ALL)\n"),
         ),
@@ -73,10 +73,8 @@ CATALOGUE = (
             "    laws = {}\n"
             "    if INT1 in kinds or CF1 in kinds:\n",
         ), (
-            "    elif OBS in kinds:\n"
-            "        laws[OBS] = {0: observational(scm)}\n",
-            "    elif OBS in kinds:\n"
-            "        laws[OBS] = {0: observational(scm)}\n"
+            "        laws[OBS] = kernel_laws(scm, True, False)[0] if held else {0: observational(scm)}\n",
+            "        laws[OBS] = kernel_laws(scm, True, False)[0] if held else {0: observational(scm)}\n"
             "    if INT_ALL in kinds:\n"
             "        laws[INT_ALL] = int_all_laws(scm)\n",
         )),
@@ -317,11 +315,50 @@ CATALOGUE = (
         ("tests/test_memos.py::test_each_test_starts_with_an_empty_pass_memo",),
     ),
     Mutant(
+        "a test starts with the column memo of the test before",
+        "tests/conftest.py",
+        (("    oracle._COLUMNS.clear()\n", ""),),
+        ("tests/test_memos.py::test_each_test_starts_with_empty_column_and_fact_memos",),
+    ),
+    Mutant(
+        "a test starts with the probe facts of the test before",
+        "tests/conftest.py",
+        (("    decoders._FACTS.clear()\n", ""),),
+        ("tests/test_memos.py::test_each_test_starts_with_empty_column_and_fact_memos",),
+    ),
+    Mutant(
         "the cross-rung check keyed without the triple",
         "src/scmlab/verify.py",
-        (("        key = tuple([dist._text() for dist in (triple, *laws)])\n",
-          "        key = tuple([dist._text() for dist in laws])\n"),),
+        (("        key = (id(triple), id(obs_dist), id(do0), id(do1))\n",
+          "        key = (id(obs_dist), id(do0), id(do1))\n"),),
         ("tests/test_verify.py::TestMarginalConsistency::test_a_failing_triple_beside_checked_laws_fails",),
+    ),
+    Mutant(
+        "the embedding memo keyed by the OBS body alone",
+        "src/scmlab/verify.py",
+        (("        key = (oracles[OBS].components[0][1]._text(), oracles[INT1].components[0][1]._text())\n",
+          "        key = oracles[OBS].components[0][1]._text()\n"),),
+        ("tests/test_verify.py::TestObsEmbeds::test_an_int1_leading_with_another_law_fails",),
+    ),
+    # the family column memo and the decoders' probe facts
+    Mutant(
+        "a held column read under another caps snapshot",
+        "src/scmlab/oracle.py",
+        (("    held = [_COLUMNS.get((family, kind, caps)) for kind in swept]\n",
+          "    held = [next((column for (f, k, _), column in _COLUMNS.items()\n"
+          "                  if (f, k) == (family, kind)), None) for kind in swept]\n"),),
+        ("tests/test_oracle.py::TestOracleIndex::test_a_changed_or_lowered_cap_sweeps_again_or_refuses",),
+    ),
+    Mutant(
+        "probe facts keyed without the outcome width",
+        "src/scmlab/decoders.py",
+        (
+            ("    fact = None if body is None else _FACTS.get((dist.n_bits, body))\n",
+             "    fact = None if body is None else _FACTS.get(body)\n"),
+            ("            _FACTS.keep((dist.n_bits, body), fact, len(body))\n",
+             "            _FACTS.keep(body, fact, len(body))\n"),
+        ),
+        ("tests/test_memos.py::test_probe_facts_are_kept_apart_by_width",),
     ),
     # the Monte-Carlo episodes' fast paths
     Mutant(

@@ -46,7 +46,7 @@ from scmlab import (
     scm_to_json,
     serialize,
 )
-from scmlab import gates, oracle, scm_core
+from scmlab import decoders, gates, oracle, scm_core
 from scmlab.catalog import Family
 from scmlab.decoders import graph_from_int1, string_from_cf1, tree_from_int1
 from scmlab.errors import (
@@ -563,9 +563,9 @@ def test_a_leaf_above_the_bound_is_not_looked_up(monkeypatch):
     assert_leaves_sound()
 
 
-def sweep_bytes(families) -> list[bytes]:
-    return [data[kind] for family in families
-            for _, _, data in oracle.family_sweep(family, KEPT_KINDS) for kind in KEPT_KINDS]
+def sweep_bodies(families) -> list[tuple]:
+    return [bodies[kind] for family in families
+            for _, _, bodies in oracle.family_sweep(family, KEPT_KINDS) for kind in KEPT_KINDS]
 
 
 @pytest.mark.parametrize("bound", [40, None], ids=["40", "default"])
@@ -574,7 +574,7 @@ def test_the_leaf_memo_stays_within_its_bound(bound, monkeypatch):
     monkeypatch.setattr(scm_core._PASSES, "limit", 0)  # each pass runs again
     default = LEAVES.limit
     monkeypatch.setattr(LEAVES, "limit", 0)  # every leaf is above it: no memo
-    cold = sweep_bytes(families)
+    cold = sweep_bodies(families)
     assert len(LEAVES) == 0
     monkeypatch.setattr(LEAVES, "limit", bound or default)
     drops = []
@@ -593,7 +593,7 @@ def test_the_leaf_memo_stays_within_its_bound(bound, monkeypatch):
 
     monkeypatch.setattr(scm_core._Bounded, "clear", counted)
     monkeypatch.setattr(scm_core._Bounded, "keep", checked)
-    assert sweep_bytes(families) == cold
+    assert sweep_bodies(families) == cold
     assert_leaves_sound()
     if bound is None:  # the whole sweep fits
         assert drops == [] and LEAVES.held == sum(map(states_of, LEAVES))
@@ -754,9 +754,8 @@ def test_a_model_that_fails_to_compile_leaves_no_pass():
 
 
 def test_a_lowered_support_cap_refuses_a_held_pass(monkeypatch):
-    # MIXED_LEAVES has 2 * 2 * 1 = 4 noise points; INT1 alone, CF1 alone and
-    # all three from one call read its one held pass, and OBS alone, which
-    # holds none, compiles again
+    # MIXED_LEAVES has 2 * 2 * 1 = 4 noise points; INT1 alone, CF1 alone,
+    # all three from one call and OBS alone read its one held pass
     calls = [(kind,) for kind in KEPT_KINDS] + [KEPT_KINDS]
     held = [oracle._member_oracles(MIXED_LEAVES, kinds) for kinds in calls]
     monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "3")
@@ -768,11 +767,43 @@ def test_a_lowered_support_cap_refuses_a_held_pass(monkeypatch):
                 oracle._member_oracles(scm, kinds)
             assert str(info.value) == refusal[1]
     monkeypatch.delenv("SCMLAB_SUPPORT_CAP")
-    for kinds, oracles in zip(calls, held):  # still held, OBS alone in the leaf memo
+    for kinds, oracles in zip(calls, held):  # still held
         again = oracle._member_oracles(MIXED_LEAVES, kinds)
         for kind in kinds:
             for (_, dist), (_, kept) in zip(again[kind].components, oracles[kind].components):
                 assert dist is kept
+
+
+def test_obs_alone_reads_a_held_pass(monkeypatch):
+    # OBS alone runs the budget-0 trie while no pass is held, and holds
+    # none; once a pass is held it reads INT1's law at code 0 off it: the
+    # same bytes, the same dist, no trie pass, and the support cap still
+    # refuses it with `_compile`'s text
+    members = [*map(build_tree_scm, enumerate_trees(3)), MIXED_LEAVES]
+    budgets = []
+    laws = scm_core._laws
+
+    def trie(plan, max_forced):
+        budgets.append(max_forced)
+        return laws(plan, max_forced)
+
+    monkeypatch.setattr(scm_core, "_laws", trie)
+    cold = [serialize(compute_oracle(scm, OBS)) for scm in members]
+    assert budgets == [0] * len(members) and len(PASSES) == 0
+    held = [compute_oracle(scm, INT1) for scm in members]
+    budgets.clear()
+    for scm, data, int1 in zip(members, cold, held):
+        for copy_of in (scm, fresh(scm)):
+            warm = compute_oracle(copy_of, OBS)
+            assert serialize(warm) == data
+            assert warm.components[0][1] is int1.components[0][1]
+    assert budgets == []
+    monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "1")
+    for scm in members:
+        with pytest.raises(SupportTooLargeError) as info:
+            compute_oracle(scm, OBS)
+        assert str(info.value) == error_of(scm)[1]
+    assert budgets == []
 
 
 def test_a_pass_above_the_bound_is_not_kept(monkeypatch):
@@ -804,7 +835,7 @@ def test_the_pass_memo_stays_within_its_bound(bound, monkeypatch):
     families = (Family("tree", 4), Family("bipartite", 2))
     default = PASSES.limit
     monkeypatch.setattr(PASSES, "limit", 0)  # every pass is above it: no memo
-    cold = sweep_bytes(families)
+    cold = sweep_bodies(families)
     assert len(PASSES) == 0
     monkeypatch.setattr(PASSES, "limit", bound or default)
     drops = []
@@ -823,8 +854,8 @@ def test_the_pass_memo_stays_within_its_bound(bound, monkeypatch):
 
     monkeypatch.setattr(scm_core._Bounded, "clear", counted)
     monkeypatch.setattr(scm_core._Bounded, "keep", checked)
-    assert sweep_bytes(families) == cold
-    assert sweep_bytes(families) == cold  # read back where still held
+    assert sweep_bodies(families) == cold
+    assert sweep_bodies(families) == cold  # read back where still held
     assert_passes_sound()
     if bound is None:  # both sweeps fit
         assert drops == [] and len(PASSES) == 64 + 16
@@ -870,3 +901,62 @@ def corrupted(oracle_in, index, dist):
     components = list(oracle_in.components)
     components[index] = (components[index][0], dist)
     return dataclasses.replace(oracle_in, components=tuple(components))
+
+
+# ------------------------------------------------------------ probe facts
+
+FACTS = decoders._FACTS
+
+
+def cold_fact(dist: ExactDist) -> tuple:
+    zeros, den = oracle.zero_weights(dist)
+    return (frozenset([p for p, z in enumerate(zeros) if z == den]),
+            {p: Fraction(z, den) for p, z in enumerate(zeros) if 2 * z != den != z})
+
+
+@pytest.mark.parametrize("run", ["first", "second"])
+def test_each_test_starts_with_empty_column_and_fact_memos(run):
+    assert len(oracle._COLUMNS) == len(FACTS) == 0
+    family = Family("tree", 2)
+    # what the next test must not find
+    for param in family.parameters():
+        family.spec.probe(compute_oracle(family.build(param), INT1))
+    oracle.family_columns(family, (OBS, INT1))
+    assert len(oracle._COLUMNS) == 2 and len(FACTS) == 3
+
+
+@pytest.mark.parametrize("family", [Family("tree", 4), Family("bipartite", 2)], ids=str)
+def test_each_distinct_law_is_walked_once(family, monkeypatch):
+    walks = []
+    walk = decoders.zero_weights
+
+    def counted(dist):
+        walks.append((dist.n_bits, dist._text()))
+        return walk(dist)
+
+    monkeypatch.setattr(decoders, "zero_weights", counted)
+    for param in family.parameters():
+        assert family.spec.probe(compute_oracle(family.build(param), INT1)) == param
+    assert len(walks) == len(set(walks)) == len(FACTS) < len(list(family.parameters()))
+    for (width, body), fact in FACTS.items():
+        assert fact == cold_fact(ExactDist._from_body(width, body))
+    assert FACTS.held == sum(len(body) for _, body in FACTS) <= FACTS.limit
+
+
+def test_probe_facts_are_kept_apart_by_width():
+    # every dist the package builds has a body whose outcomes fix its
+    # width, so this pair, one body read at 2 and at 3 bits, is built by
+    # hand: the fact of each is its own
+    narrow, wide = (ExactDist._from_body(bits, "00=1/2\n11=1/2") for bits in (2, 3))
+    assert decoders._zero_fact(narrow) == cold_fact(narrow) == (frozenset(), {})
+    assert decoders._zero_fact(wide) == cold_fact(wide) == (frozenset({0}), {})
+
+
+def test_a_dist_without_a_body_is_walked_each_time():
+    # a law built from masses renders no body to key by, and a mass too
+    # long to write has none at all
+    law = ExactDist(2, {"00": Fraction(1, 3), "01": Fraction(2, 3)})
+    long = ExactDist(1, {"0": Fraction(1, 10**4400), "1": 1 - Fraction(1, 10**4400)})
+    for dist in (law, long, law):
+        assert decoders._zero_fact(dist) == cold_fact(dist)
+    assert len(FACTS) == 0

@@ -21,6 +21,7 @@ from scmlab import (
     NoiseDist,
     RootedTree,
     Scm,
+    all_passed,
     build_tree_scm,
     build_xor_scm,
     compute_oracle,
@@ -44,6 +45,7 @@ from scmlab.errors import (
     KindMismatchError,
     LengthMismatchError,
     OracleFormatError,
+    SupportTooLargeError,
 )
 from scmlab.oracle import component_bits, family_sweep, intervention_key
 from scmlab.rational import frac_parse
@@ -414,10 +416,10 @@ class TestOracleIndex:
         separation_table(family)
         assert calls.count(INT_ALL) == 4
 
-    @pytest.mark.parametrize("family", [Family("tree", 3), Family("bipartite", 2)], ids=str)
-    def test_separation_work_does_not_depend_on_earlier_calls(self, family, monkeypatch):
-        # the gap table computes the same oracles cold and after a verify:
-        # one (OBS, INT1) pass per member, in member order
+    FAMILIES = [Family("tree", 3), Family("bipartite", 2)]
+
+    @pytest.fixture
+    def member_calls(self, monkeypatch) -> list:
         calls = []
         member_oracles = oracle_module._member_oracles
 
@@ -426,13 +428,116 @@ class TestOracleIndex:
             return member_oracles(scm, kinds)
 
         monkeypatch.setattr(oracle_module, "_member_oracles", counting)
-        separation_table(family)
-        cold = list(calls)
+        return calls
+
+    @staticmethod
+    def members(family) -> list:
+        return [family.build(param) for param in family.parameters()]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=str)
+    def test_a_cold_table_sweeps_each_member_once(self, family, member_calls):
+        # one (OBS, INT1) pass per member, in member order, and a repeat
+        # reads the columns the first one kept
+        rows = separation_table(family)
+        assert member_calls == [((OBS, INT1), scm) for scm in self.members(family)]
+        member_calls.clear()
+        assert separation_table(family) == rows
+        assert member_calls == []
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=str)
+    def test_a_table_after_verify_sweeps_nothing(self, family, member_calls):
+        cold = separation_table(family)
+        oracle_module._COLUMNS.clear()
         verify_family(family)
-        calls.clear()
+        member_calls.clear()
+        assert separation_table(family) == cold
+        assert member_calls == []
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=str)
+    def test_a_changed_or_lowered_cap_sweeps_again_or_refuses(self, family, member_calls,
+                                                              monkeypatch):
+        rows = separation_table(family)
+        verify_family(family)
+        member_calls.clear()
+        # a cap the walk never reaches still changes the snapshot
+        monkeypatch.setenv("SCMLAB_NFL_MMAX", "2")
+        assert separation_table(family) == rows
+        assert member_calls == [((OBS, INT1), scm) for scm in self.members(family)]
+        monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "1")  # below every member's two noise points
+        with pytest.raises(SupportTooLargeError, match="exceeds SCMLAB_SUPPORT_CAP=1"):
+            separation_table(family)
+        with pytest.raises(SupportTooLargeError, match="exceeds SCMLAB_SUPPORT_CAP=1"):
+            verify_family(family)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=str)
+    def test_verify_after_a_table_walks_each_member_once(self, family, member_calls):
         separation_table(family)
-        members = [family.build(param) for param in family.parameters()]
-        assert calls == cold == [((OBS, INT1), scm) for scm in members]
+        member_calls.clear()
+        assert all_passed(verify_family(family))
+        assert member_calls == [((OBS, INT1, CF1), scm) for scm in self.members(family)]
+
+
+class TestBodyColumns:
+    """Family columns hold each member's tuple of component bodies, not its
+    bytes: within one kind and n, two oracles have equal body tuples
+    exactly when they serialize to equal bytes, so the tuples group the
+    members as the bytes do."""
+
+    KINDS = (OBS, INT1, CF1)
+
+    @staticmethod
+    def assert_same_groups(pairs):
+        """`pairs` of (body tuple, bytes) of oracles of one kind and n:
+        equal tuples exactly when equal bytes."""
+        pairs = set(pairs)
+        assert len({bodies for bodies, _ in pairs}) == len({data for _, data in pairs}) == len(pairs)
+
+    @pytest.mark.parametrize("family", [
+        *[Family("tree", n) for n in (1, 2, 3, 4, 5)],
+        *[Family("bipartite", m) for m in (1, 2, 3)],
+        *[Family("xor", m) for m in (1, 2, 3, 4)],
+    ], ids=str)
+    def test_body_tuples_group_as_bytes(self, family):
+        n = family.n_vars()
+        rows = {kind: [] for kind in self.KINDS}
+        for _, oracles, bodies in family_sweep(family, self.KINDS):
+            for kind in self.KINDS:
+                rows[kind].append((bodies[kind], serialize(oracles[kind])))
+        columns = oracle_module.family_columns(family, self.KINDS)
+        for kind in self.KINDS:
+            self.assert_same_groups(rows[kind])
+            assert columns[kind] == tuple([bodies for bodies, _ in rows[kind]])
+            assert oracle_index(family, kind) == tuple([data for _, data in rows[kind]])
+            for bodies, data in rows[kind]:
+                assert oracle_module.entry_bytes(kind, n, bodies) == data
+
+    @given(st.lists(small_scms(max_n=3), min_size=1, max_size=5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_hypothesis_models_group_as_bytes(self, models, data):
+        # beside each model: a copy of each oracle whose dists are built
+        # from masses (equal bytes), and one with two components swapped
+        # (other bytes when their bodies differ); n=0 has one body, "=1/1"
+        models = [Scm(0, ()), *models]
+        for kind in self.KINDS:
+            oracles = [compute_oracle(scm, kind) for scm in models]
+            for made in list(oracles):
+                rebuilt = tuple([(key, ExactDist(dist.n_bits, dict(dist.mass)))
+                                 for key, dist in made.components])
+                oracles.append(AnswerOracle(kind, made.n, rebuilt))
+                if len(rebuilt) > 1:
+                    i, j = data.draw(st.lists(st.integers(0, len(rebuilt) - 1), min_size=2,
+                                              max_size=2, unique=True))
+                    dists = [dist for _, dist in rebuilt]
+                    dists[i], dists[j] = dists[j], dists[i]
+                    swapped = tuple(zip([key for key, _ in rebuilt], dists))
+                    oracles.append(AnswerOracle(kind, made.n, swapped))
+            by_n: dict = {}
+            for made in oracles:
+                bodies = oracle_module._bodies(made)
+                assert oracle_module.entry_bytes(kind, made.n, bodies) == serialize(made)
+                by_n.setdefault(made.n, []).append((bodies, serialize(made)))
+            for pairs in by_n.values():
+                self.assert_same_groups(pairs)
 
 
 class TestOneOraclePath:

@@ -323,6 +323,32 @@ class TestMarginalConsistency:
         assert not verify_module._marginal_consistency(obs, int1, swapped, checked)
 
 
+class TestObsEmbeds:
+    """The embedding check compares bytes once per distinct (OBS body,
+    INT1 obs body): a member whose INT1 oracle leads with another law
+    fails it, even when its OBS oracle is every member's."""
+
+    def test_an_int1_leading_with_another_law_fails(self, monkeypatch):
+        family = Family("tree", 3)
+        last = list(family.parameters())[-1]
+        sweep = verify_module.family_sweep
+
+        def corrupted(*args):
+            # the last member's INT1 oracle with its do(X_0=0) law at "obs"
+            for param, oracles, bodies in sweep(*args):
+                if param == last:
+                    int1 = oracles[oracle.INT1]
+                    (key, _), (do_key, do_law), *rest = int1.components
+                    components = ((key, do_law), (do_key, do_law), *rest)
+                    oracles = {**oracles, oracle.INT1: dataclasses.replace(int1, components=components)}
+                yield param, oracles, bodies
+
+        monkeypatch.setattr(verify_module, "family_sweep", corrupted)
+        results = {r.name: r.passed for r in verify_family(family)}
+        assert results == {name: name != "observational-component-embeds"
+                           for name in TWO_POINT_CHECKS}
+
+
 # non-dyadic noise, a three-symbol law and a topological order that is not
 # the index order
 HALF = Fraction(1, 2)
