@@ -10,7 +10,7 @@ An oracle is the complete exact answer set for one query class:
   empty set included, so OBS is literally a component.
 
 Every oracle of every kind is computed in one place, `_member_oracles`:
-`compute_oracle`, the family sweeps, the INT_ALL index and the decoders'
+`compute_oracle`, the family sweeps (INT_ALL indexes too) and the decoders'
 rebuild check all call it. Each component sits at the slot its kind's
 layout (`_layout`) gives it, one memo of layouts serving every kind.
 
@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import lt
+from operator import itemgetter, lt
 from typing import NoReturn
 
 from .caps import snapshot, work_text
@@ -57,7 +57,6 @@ from .scm_core import (
     _Bounded,
     _dist,
     _fraction,
-    _PASSES,
     int_all_laws,
     intervention_code,
     kernel_laws,
@@ -188,10 +187,9 @@ def _member_oracles(scm: Scm, kinds) -> dict[str, AnswerOracle]:
     INT_ALL comes first, from `int_all_laws`, so its caps refuse before
     any other pass. INT1 and CF1 are read off the model's one
     parallel-worlds pass (`kernel_laws`), which renders only the half
-    asked for; OBS is INT1's law at code 0 when either is asked for or
-    the model's pass is held (`_PASSES`), and otherwise comes from
-    `observational`'s trie pass, a third of a cold worlds pass. A call
-    for INT_ALL alone runs neither of those.
+    asked for; OBS is INT1's law at code 0 when either is asked for, and
+    `observational` alone otherwise. A call for INT_ALL alone runs
+    neither of those.
     """
     for kind in kinds:
         _check_kind(kind)
@@ -201,9 +199,8 @@ def _member_oracles(scm: Scm, kinds) -> dict[str, AnswerOracle]:
     if INT1 in kinds or CF1 in kinds:
         laws[INT1], laws[CF1] = kernel_laws(scm, INT1 in kinds or OBS in kinds, CF1 in kinds)
         laws[OBS] = laws[INT1]
-    elif OBS in kinds:  # a held pass's INT1 law at code 0, else the trie pass
-        held = (scm.n, scm.mechanisms) in _PASSES
-        laws[OBS] = kernel_laws(scm, True, False)[0] if held else {0: observational(scm)}
+    elif OBS in kinds:
+        laws[OBS] = {0: observational(scm)}
     return {kind: _assemble(kind, scm.n, laws[kind]) for kind in kinds}
 
 
@@ -232,39 +229,46 @@ def oracle_indexes(family, kinds) -> dict[str, tuple[bytes, ...]]:
 
 def family_columns(family, kinds) -> dict[str, tuple]:
     """The column of `family` for each of `kinds`: one entry per member,
-    in `family.parameters()` order, equal exactly when the oracles are.
-    INT_ALL comes first, so its caps refuse before any other work, as its
-    bytes, memoized per caps snapshot (3^n components an oracle). Any
-    other kind's entry is its body tuple, read from `_COLUMNS` when every
-    kind asked for is held under the active caps, else from one
-    `family_sweep`, which keeps them: a changed cap sweeps or refuses."""
+    in `family.parameters()` order, equal exactly when the oracles are:
+    an INT_ALL oracle's bytes, any other kind's body tuple. INT_ALL is
+    swept first and alone, so its caps refuse before any other work. A
+    sweep's columns are read from `_COLUMNS` when all are held under the
+    active caps, else swept and kept: a changed cap sweeps or refuses."""
     kinds = tuple(dict.fromkeys(kinds))
     caps = snapshot()
-    columns = {INT_ALL: _cached_index(family, caps)} if INT_ALL in kinds else {}
-    swept = tuple([kind for kind in kinds if kind != INT_ALL])
-    held = [_COLUMNS.get((family, kind, caps)) for kind in swept]
-    if None in held:
-        lists: dict[str, list] = {kind: [] for kind in swept}
-        for _, _, bodies in family_sweep(family, swept):
-            for kind, column in lists.items():
-                column.append(bodies[kind])
-        held = keep_columns(family, lists, caps)
-    columns.update(zip(swept, held))
+    columns = {}
+    for swept in ([INT_ALL] if INT_ALL in kinds else [], [k for k in kinds if k != INT_ALL]):
+        held = [_COLUMNS.get((family, kind, caps)) for kind in swept]
+        if None in held:
+            lists: dict[str, list] = {kind: [] for kind in swept}
+            for entries in map(itemgetter(2), family_sweep(family, swept)):  # no oracle kept
+                for kind, column in lists.items():
+                    column.append(entries[kind])
+            held = keep_columns(family, lists, caps)
+        columns.update(zip(swept, held))
     return columns
 
 
-# the body-tuple columns `verify_family` groups (OBS and INT1 for tree and
-# bipartite, the gap table's rungs) or a gap table swept, by (family, kind,
-# caps snapshot), bounded in members: tree n=7 keeps 235,298 (21.5 MiB live,
-# 20.6 of it INT1's distinct tuples) and bipartite m=4 131,072 (14.0 MiB); a
-# tuple of k bodies takes 64 + 8k B, 184 B at n=7, so 46 MiB when full
-_COLUMNS = _Bounded(1 << 18)
+# the columns `verify_family` groups (INT_ALL, OBS and INT1 for xor; OBS and
+# INT1 for tree and bipartite, the gap table's rungs) or a gap table swept,
+# by (family, kind, caps snapshot), bounded in bytes (`_column_bytes`): tree
+# n=7's two columns count 16.0 MB (21.5 MiB live, the tuple headers beside
+# the pointers), bipartite m=4's 11.0 MB and xor m=5's INT_ALL index 18.5
+# MB, each kept; tree n=6's INT_ALL index, 202 MB, is returned but not kept
+_COLUMNS = _Bounded(1 << 25)
 
 
 def keep_columns(family, columns: dict, caps: tuple) -> list[tuple]:
-    """Keep `columns` (kind -> body tuples) of `family` swept under `caps`."""
-    return [_COLUMNS.keep((family, kind, caps), tuple(column), len(column))
+    """Keep `columns` (kind -> entries) of `family` swept under `caps`."""
+    return [_COLUMNS.keep((family, kind, caps), tuple(column), _column_bytes(kind, column))
             for kind, column in columns.items()]
+
+
+def _column_bytes(kind: str, column) -> int:
+    """`_COLUMNS`'s size of `column`: 8 B a member slot, and each distinct
+    entry once, an INT_ALL entry's bytes or a body tuple's 8 B pointers."""
+    width = 1 if kind == INT_ALL else 8
+    return 8 * len(column) + width * sum(map(len, set(column)))
 
 
 def entry_bytes(kind: str, n: int, entry) -> bytes:
@@ -282,31 +286,21 @@ def _bodies(oracle: AnswerOracle) -> tuple[str, ...]:
 
 
 def family_sweep(family, kinds, grouped=None):
-    """Yield (param, oracles, bodies) for each member of `family`, in
-    `family.parameters()` order: its oracle for each of `kinds` (OBS, INT1
-    or CF1) and its `_bodies` for each of `grouped` (default `kinds`). One
-    build, plan and kernel pass per member serve all the kinds
-    (`_member_oracles`); equal body tuples share one object."""
-    shared: dict[tuple, tuple] = {}
+    """Yield (param, oracles, entries) for each member of `family`, in
+    `family.parameters()` order: its oracle for each of `kinds` and, for
+    each of `grouped` (default `kinds`), its INT_ALL bytes or `_bodies`.
+    One build, plan and kernel pass per member serve all the kinds
+    (`_member_oracles`); equal entries share one object, and each member's
+    oracles are dropped before the next member's are computed."""
+    shared: dict = {}
     for param in family.parameters():
         oracles = _member_oracles(family.build(param), kinds)
-        bodies = {}
+        entries = {}
         for kind in kinds if grouped is None else grouped:
-            texts = _bodies(oracles[kind])
-            bodies[kind] = shared.setdefault(texts, texts)
-        yield param, oracles, bodies
-
-
-@lru_cache(maxsize=16)
-def _cached_index(family, caps) -> tuple[bytes, ...]:
-    """The INT_ALL index of `family` under the caps snapshot `caps`, one
-    member's oracle alive at a time."""
-    shared: dict[bytes, bytes] = {}
-    oracles = (
-        serialize(compute_oracle(family.build(param), INT_ALL))
-        for param in family.parameters()
-    )
-    return tuple(shared.setdefault(data, data) for data in oracles)
+            entry = serialize(oracles[kind]) if kind == INT_ALL else _bodies(oracles[kind])
+            entries[kind] = shared.setdefault(entry, entry)
+        yield param, oracles, entries
+        del oracles
 
 
 # components per block of `serialize`: each block's text is encoded and

@@ -468,10 +468,9 @@ def topo_order(scm: Scm) -> list[int]:
 # (`intervention_code`); the last variable's do(0) and do(1) leaves are
 # rendered by its node. Below a node, every leaf is a pure function of
 # (level, states, weights, den), so where a deterministic mechanism leaves
-# the states as do(0) or do(1) would, and the budget lets both
-# continuations force every remaining variable, the two subtrees are equal
-# leaf for leaf: one is descended and the other copied from it, sharing
-# its ExactDist objects.
+# the states as do(0) or do(1) would in a pass that forces (INT_ALL), the
+# two subtrees are equal leaf for leaf: one is descended and the other
+# copied from it, sharing its ExactDist objects.
 #
 # INT1 and CF1 come from one pass over parallel worlds (Avin, Shpitser &
 # Pearl 2005; `_worlds`): a state packs 2n+1 worlds of n bits each, the
@@ -504,8 +503,9 @@ def topo_order(scm: Scm) -> list[int]:
 # mechanism's cached hash, and renders its INT1 laws and CF1 triples each
 # on first request. A hit checks only the support cap again, the one model
 # check that reads the environment, and a miss compiles, and so checks,
-# before it runs. OBS alone and INT_ALL bypass it, INT_ALL the leaf memo
-# too. Every memo here but the lru_caches is a `_Bounded`, stating its bound.
+# before it runs. `observational` reads a held pass, else runs the trie;
+# INT_ALL bypasses both this memo and the leaf memo. Every memo here but
+# the lru_caches is a `_Bounded`, stating its bound.
 
 
 # A compiled step is the tuple (place, bit, test, mask, invert, branches,
@@ -787,9 +787,9 @@ class _Pass:
 _PASSES = _Bounded(1 << 16)
 
 
-def _laws(plan: _Plan, max_forced: int) -> dict[int, ExactDist]:
-    """The joint under every hard intervention on at most `max_forced`
-    variables, keyed by its `intervention_code`.
+def _laws(plan: _Plan, forcing: bool) -> dict[int, ExactDist]:
+    """The joint under every hard intervention if `forcing` (INT_ALL), else
+    the observational joint alone, keyed by its `intervention_code`.
 
     The interventions form a trie in topological order: at each variable
     a node branches into its mechanism, do 0 and do 1, so interventions
@@ -799,27 +799,26 @@ def _laws(plan: _Plan, max_forced: int) -> dict[int, ExactDist]:
 
     Some subtrees are equal and are descended once. Below a node, each
     leaf is a function of the level, states, weights and denominator
-    alone. Take a node whose budget lets every remaining variable be
-    forced, so that its mechanism subtree and its do(b) subtree hold the
-    same interventions on the remaining variables. If its step is
-    deterministic (one noise branch, which compiles to weight 1 over 1)
-    and yields the states do(b) yields, both subtrees start from the same
-    (states, weights, den), so their leaves are equal at codes
+    alone. In a forcing pass, a node's mechanism subtree and its do(b)
+    subtree hold the same interventions on the remaining variables. If
+    its step is deterministic (one noise branch, which compiles to weight
+    1 over 1) and yields the states do(b) yields, both subtrees start from
+    the same (states, weights, den), so their leaves are equal at codes
     (b + 1) * 3^(n-1-v) apart: the mechanism subtree takes the do(b)
     subtree's ExactDist objects.
 
-    With `max_forced` at most 1 (OBS, or INT_ALL of n <= 1) the leaves
-    are kept, and each comes from the leaf memo (`_dist`): a law equal to
-    one that another model's pass reached is that model's ExactDist, which
-    may already carry `mass` or its integer view.
+    The OBS leaf, and INT_ALL's of n <= 1, are kept, and each comes from
+    the leaf memo (`_dist`): a law equal to one that another model's pass
+    reached is that model's ExactDist, which may already carry `mass` or
+    its integer view.
     """
     codes: list[int] = []
     dists: list[ExactDist] = []
-    _descend(plan, 0, [0], [1], 1, 0, max_forced, codes, dists, max_forced <= 1)
+    _descend(plan, 0, [0], [1], 1, 0, forcing, codes, dists, not forcing or plan.n <= 1)
     return dict(zip(codes, dists))
 
 
-def _descend(plan, level, states, weights, den, code, budget, codes, dists, keep) -> None:
+def _descend(plan, level, states, weights, den, code, forcing, codes, dists, keep) -> None:
     """Run the mechanisms from `level` on, branching off the do() subtries;
     `code` sums the digits forced so far. Each leaf appends its code to
     `codes` and its law (with its keys if `keep`) to `dists`; the last
@@ -828,7 +827,7 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists, keep
     last = len(steps)
     for level in range(level, last):
         place, bit, test, mask, invert, branches, step_den = steps[level]
-        if budget:
+        if forcing:
             zeros_at = len(codes)
             ones = [s | bit for s in states]
             if level + 1 == last:
@@ -838,13 +837,13 @@ def _descend(plan, level, states, weights, den, code, budget, codes, dists, keep
                 ones_at = zeros_at + 1
             else:
                 _descend(plan, level + 1, states, weights, den,
-                         code + place, budget - 1, codes, dists, keep)
+                         code + place, True, codes, dists, keep)
                 ones_at = len(codes)
                 _descend(plan, level + 1, ones, weights, den,
-                         code + 2 * place, budget - 1, codes, dists, keep)
+                         code + 2 * place, True, codes, dists, keep)
         if len(branches) == 1:  # (flip, 1) over 1: the weights stay as they are
             out = _extend(states, test, mask, invert ^ branches[0][0], bit)
-            if budget >= last - level and (out == states or out == ones):
+            if forcing and (out == states or out == ones):
                 # this mechanism subtree equals the do(b) one (see _laws):
                 # its leaves again, the digit off the code
                 start, stop, digit = (
@@ -967,8 +966,12 @@ def _world_step(states, test, mask, bit, column, one, invert, branches) -> list[
 
 
 def observational(scm: Scm) -> ExactDist:
-    """Exact joint distribution of the n variables, from the trie pass."""
-    return _laws(_compile(scm), 0)[0]
+    """Exact joint distribution of the n variables: INT1's law at code 0
+    of the model's held worlds pass (`kernel_laws`, which checks the
+    support cap again), else the trie pass's, which holds nothing."""
+    if (scm.n, scm.mechanisms) in _PASSES:
+        return kernel_laws(scm, True, False)[0][0]
+    return _laws(_compile(scm), False)[0]
 
 
 def apply_do(scm: Scm, intervention: Intervention) -> Scm:
@@ -1050,7 +1053,7 @@ def int_all_laws(scm: Scm) -> dict[int, ExactDist]:
     factors = Counter(len(step[5]) + 2 for step in plan.steps)
     lines = math.prod(base**exp for base, exp in factors.items())
     check("SCMLAB_INTALL_LINE_CAP", lines, "int_all output", lambda: factors, "mass lines")
-    return _laws(plan, plan.n)
+    return _laws(plan, True)
 
 
 def int_all(scm: Scm) -> tuple[tuple[Intervention, ExactDist], ...]:

@@ -15,10 +15,11 @@ decoder, split into its probe and the full decoder, with the kind they
 read.
 
 The suite walks the family once. INT_ALL, when the rung pair asks for
-it, is read first from its memoized index, so its cap refuses before any
-other work. Then one `oracle.family_sweep` builds and compiles each
-member once and reads its OBS, INT1 and CF1 off one parallel-worlds
-pass, and every per-member check reads that member's in-memory oracles.
+it, is read first from its column in `oracle._COLUMNS`, or swept on its
+own, so its cap refuses before any other work. Then one
+`oracle.family_sweep` builds and compiles each member once and reads its
+OBS, INT1 and CF1 off one parallel-worlds pass, and every per-member
+check reads that member's in-memory oracles.
 Nothing is serialized per member or parsed back: the distinctness checks
 group each member's tuple of component bodies, equal exactly when the
 bytes are, and leave the columns in `oracle._COLUMNS` for the gap tables.
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 from .caps import snapshot
 from .catalog import Family
 from .oracle import (
-    CF1, INT1, INT_ALL, OBS, AnswerOracle, blocks_match, family_sweep, keep_columns,
-    oracle_index, serialize,
+    CF1, INT1, INT_ALL, OBS, AnswerOracle, blocks_match, family_columns, family_sweep,
+    keep_columns, serialize,
 )
 
 
@@ -89,7 +90,7 @@ def verify_family(family: Family) -> list[CheckResult]:
     caps = snapshot()
     grouped = (*spec.also_identical, lower_kind, higher_kind)
     # INT_ALL, the costliest kind, is read first, so its cap refuses before any work
-    index = {INT_ALL: oracle_index(family, INT_ALL)} if INT_ALL in grouped else {}
+    index = family_columns(family, (INT_ALL,)) if INT_ALL in grouped else {}
     columns: dict[str, list[tuple]] = {kind: [] for kind in (OBS, INT1, CF1) if kind in grouped}
     count = round_trips = 0
     marginals_ok = embeddings_ok = True

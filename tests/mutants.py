@@ -12,6 +12,9 @@ with the interpreter that runs the tests:
 The tree (`src`, `tests`, `pyproject.toml`) is copied once to a temporary
 directory. One mutant at a time is applied there, `python -m pytest -q -x`
 runs on its test files, one process at a time, and the file is restored.
+The runs select the hypothesis profile "mutants" (`tests/conftest.py`),
+which skips the shrink phase: a kill needs one failing example, not a
+minimal one.
 Each mutant is reported as:
 
 * killed: the tests ran and failed;
@@ -52,12 +55,12 @@ CATALOGUE = (
         "verify reads INT_ALL after the sweep",
         "src/scmlab/verify.py",
         (
-            ("    index = {INT_ALL: oracle_index(family, INT_ALL)} if INT_ALL in grouped else {}\n",
+            ("    index = family_columns(family, (INT_ALL,)) if INT_ALL in grouped else {}\n",
              "    index = {}\n"),
             ("    index.update(zip(columns, keep_columns(family, columns, caps)))\n",
              "    index.update(zip(columns, keep_columns(family, columns, caps)))\n"
              "    if INT_ALL in grouped:\n"
-             "        index[INT_ALL] = oracle_index(family, INT_ALL)\n"),
+             "        index.update(family_columns(family, (INT_ALL,)))\n"),
         ),
         ("tests/test_verify.py",),
     ),
@@ -73,8 +76,8 @@ CATALOGUE = (
             "    laws = {}\n"
             "    if INT1 in kinds or CF1 in kinds:\n",
         ), (
-            "        laws[OBS] = kernel_laws(scm, True, False)[0] if held else {0: observational(scm)}\n",
-            "        laws[OBS] = kernel_laws(scm, True, False)[0] if held else {0: observational(scm)}\n"
+            "        laws[OBS] = {0: observational(scm)}\n",
+            "        laws[OBS] = {0: observational(scm)}\n"
             "    if INT_ALL in kinds:\n"
             "        laws[INT_ALL] = int_all_laws(scm)\n",
         )),
@@ -123,10 +126,10 @@ CATALOGUE = (
     ),
     # the kernel's and the codec's fast paths
     Mutant(
-        "twin subtrees shared one level too early",
+        "a twin subtree's codes shifted by the other digit",
         "src/scmlab/scm_core.py",
-        (("            if budget >= last - level and (out == states or out == ones):\n",
-          "            if budget >= last - level - 1 and (out == states or out == ones):\n"),),
+        (("                    (zeros_at, ones_at, place) if out == states\n",
+          "                    (zeros_at, ones_at, 2 * place) if out == states\n"),),
         ("tests/test_kernel.py",),
     ),
     Mutant(
@@ -249,8 +252,8 @@ CATALOGUE = (
     Mutant(
         "INT_ALL passes enter the pass memo",
         "src/scmlab/scm_core.py",
-        (("    return _laws(plan, plan.n)\n",
-          "    return _PASSES.keep((scm.n, scm.mechanisms, plan.n), _laws(plan, plan.n))\n"),),
+        (("    return _laws(plan, True)\n",
+          "    return _PASSES.keep((scm.n, scm.mechanisms, plan.n), _laws(plan, True))\n"),),
         ("tests/test_memos.py::test_no_int_all_pass_enters_the_pass_memo",),
     ),
     Mutant(
@@ -260,6 +263,12 @@ CATALOGUE = (
         "src/scmlab/scm_core.py",
         (("    key = (scm.n, scm.mechanisms)\n", "    key = scm.mechanisms\n"),),
         ("tests/test_memos.py::test_a_model_that_fails_to_compile_leaves_no_pass",),
+    ),
+    Mutant(
+        "observational runs the trie beside a held pass",
+        "src/scmlab/scm_core.py",
+        (("    if (scm.n, scm.mechanisms) in _PASSES:\n", "    if False:\n"),),
+        ("tests/test_memos.py::test_obs_alone_reads_a_held_pass",),
     ),
     Mutant(
         "a held pass skips the support-cap re-check",
@@ -344,10 +353,31 @@ CATALOGUE = (
     Mutant(
         "a held column read under another caps snapshot",
         "src/scmlab/oracle.py",
-        (("    held = [_COLUMNS.get((family, kind, caps)) for kind in swept]\n",
-          "    held = [next((column for (f, k, _), column in _COLUMNS.items()\n"
-          "                  if (f, k) == (family, kind)), None) for kind in swept]\n"),),
+        (("        held = [_COLUMNS.get((family, kind, caps)) for kind in swept]\n",
+          "        held = [next((column for (f, k, _), column in _COLUMNS.items()\n"
+          "                      if (f, k) == (family, kind)), None) for kind in swept]\n"),),
         ("tests/test_oracle.py::TestOracleIndex::test_a_changed_or_lowered_cap_sweeps_again_or_refuses",),
+    ),
+    Mutant(
+        "an INT_ALL column read under another caps snapshot",
+        "src/scmlab/oracle.py",
+        (("        held = [_COLUMNS.get((family, kind, caps)) for kind in swept]\n",
+          "        held = [_COLUMNS.get((family, kind, caps)) if kind != INT_ALL else\n"
+          "                next((column for (f, k, _), column in _COLUMNS.items()\n"
+          "                      if (f, k) == (family, kind)), None) for kind in swept]\n"),),
+        ("tests/test_oracle.py::TestOracleIndex::"
+         "test_a_changed_or_lowered_cap_sweeps_int_all_again_or_refuses",),
+    ),
+    Mutant(
+        "an INT_ALL column sized in members instead of bytes",
+        "src/scmlab/oracle.py",
+        (("    width = 1 if kind == INT_ALL else 8\n"
+          "    return 8 * len(column) + width * sum(",
+          "    if kind == INT_ALL:\n"
+          "        return len(column)\n"
+          "    width = 8\n"
+          "    return 8 * len(column) + width * sum("),),
+        ("tests/test_memos.py::test_an_index_above_the_bound_is_returned_but_not_kept",),
     ),
     Mutant(
         "probe facts keyed without the outcome width",
@@ -431,7 +461,8 @@ def run(mutant: Mutant, tree: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--hypothesis-profile", "mutants", *mutant.tests],
             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     finally:

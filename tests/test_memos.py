@@ -9,7 +9,8 @@ masses (checked against the reference codec) and the same error text;
 from `_compile`, the same plan and the same errors in the same order;
 from the leaf and pass memos, the same OBS, INT1 and CF1 oracles (checked
 against the reference enumerator), and from the pass memo the same
-refusals before any work.
+refusals before any work. The family column memo and the probe facts
+above the oracles are bounded and cleared the same way.
 """
 
 import copy
@@ -775,35 +776,37 @@ def test_a_lowered_support_cap_refuses_a_held_pass(monkeypatch):
 
 
 def test_obs_alone_reads_a_held_pass(monkeypatch):
-    # OBS alone runs the budget-0 trie while no pass is held, and holds
-    # none; once a pass is held it reads INT1's law at code 0 off it: the
-    # same bytes, the same dist, no trie pass, and the support cap still
-    # refuses it with `_compile`'s text
+    # OBS alone runs the trie with no variable forced while no pass is
+    # held, and holds none; once a pass is held it reads INT1's law at code
+    # 0 off it: the same bytes, the same dist, no trie pass, and the
+    # support cap still refuses it with `_compile`'s text
     members = [*map(build_tree_scm, enumerate_trees(3)), MIXED_LEAVES]
-    budgets = []
+    modes = []
     laws = scm_core._laws
 
-    def trie(plan, max_forced):
-        budgets.append(max_forced)
-        return laws(plan, max_forced)
+    def trie(plan, forcing):
+        modes.append(forcing)
+        return laws(plan, forcing)
 
     monkeypatch.setattr(scm_core, "_laws", trie)
     cold = [serialize(compute_oracle(scm, OBS)) for scm in members]
-    assert budgets == [0] * len(members) and len(PASSES) == 0
+    assert modes == [False] * len(members) and len(PASSES) == 0
     held = [compute_oracle(scm, INT1) for scm in members]
-    budgets.clear()
+    modes.clear()
     for scm, data, int1 in zip(members, cold, held):
         for copy_of in (scm, fresh(scm)):
             warm = compute_oracle(copy_of, OBS)
             assert serialize(warm) == data
             assert warm.components[0][1] is int1.components[0][1]
-    assert budgets == []
+            assert scm_core.observational(copy_of) is int1.components[0][1]
+    assert modes == []
     monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "1")
     for scm in members:
-        with pytest.raises(SupportTooLargeError) as info:
-            compute_oracle(scm, OBS)
-        assert str(info.value) == error_of(scm)[1]
-    assert budgets == []
+        for obs_alone in (lambda: compute_oracle(scm, OBS), lambda: scm_core.observational(scm)):
+            with pytest.raises(SupportTooLargeError) as info:
+                obs_alone()
+            assert str(info.value) == error_of(scm)[1]
+    assert modes == []
 
 
 def test_a_pass_above_the_bound_is_not_kept(monkeypatch):
@@ -903,6 +906,35 @@ def corrupted(oracle_in, index, dist):
     return dataclasses.replace(oracle_in, components=tuple(components))
 
 
+# ------------------------------------------------------ family column memo
+
+
+def stated_bytes(kind: str, column) -> int:
+    """What the family column memo counts for `column`: 8 B a member slot
+    and each distinct entry once, an INT_ALL entry's bytes or a body
+    tuple's 8 B pointers."""
+    width = 1 if kind == INT_ALL else 8
+    return 8 * len(column) + width * sum(len(entry) for entry in set(column))
+
+
+def test_an_index_above_the_bound_is_returned_but_not_kept(monkeypatch):
+    # xor m=2's INT_ALL index (one 3,710-byte oracle for four members)
+    # counts 3,742 B and tree n=3's (nine distinct 706-byte oracles) 6,426
+    # B: under a bound between them the first is kept, and the second is
+    # returned whole and drops nothing
+    COLUMNS = oracle._COLUMNS
+    monkeypatch.setattr(COLUMNS, "limit", 6000)
+    small, large = Family("xor", 2), Family("tree", 3)
+    kept = oracle.family_columns(small, (INT_ALL, OBS, INT1))
+    index = oracle.oracle_index(large, INT_ALL)
+    assert index == tuple([serialize(compute_oracle(large.build(param), INT_ALL))
+                           for param in large.parameters()])
+    assert stated_bytes(INT_ALL, index) > COLUMNS.limit
+    assert [key[:2] for key in COLUMNS] == [(small, INT_ALL), (small, OBS), (small, INT1)]
+    assert COLUMNS.held == sum(stated_bytes(kind, kept[kind]) for kind in kept) <= COLUMNS.limit
+    assert oracle.oracle_index(small, INT_ALL) is kept[INT_ALL]
+
+
 # ------------------------------------------------------------ probe facts
 
 FACTS = decoders._FACTS
@@ -922,7 +954,8 @@ def test_each_test_starts_with_empty_column_and_fact_memos(run):
     for param in family.parameters():
         family.spec.probe(compute_oracle(family.build(param), INT1))
     oracle.family_columns(family, (OBS, INT1))
-    assert len(oracle._COLUMNS) == 2 and len(FACTS) == 3
+    oracle.oracle_index(family, INT_ALL)
+    assert len(oracle._COLUMNS) == 3 and len(FACTS) == 3
 
 
 @pytest.mark.parametrize("family", [Family("tree", 4), Family("bipartite", 2)], ids=str)

@@ -1,7 +1,6 @@
 """Oracle computation, the canonical byte grammar, and the metrics."""
 
 import itertools
-import sys
 from fractions import Fraction
 
 import pytest
@@ -44,6 +43,7 @@ from scmlab.errors import (
     BadPositionError,
     KindMismatchError,
     LengthMismatchError,
+    NTooLargeError,
     OracleFormatError,
     SupportTooLargeError,
 )
@@ -368,12 +368,6 @@ class TestDInt:
 
 
 class TestOracleIndex:
-    @pytest.fixture(autouse=True)
-    def cold_index(self):
-        oracle_module._cached_index.cache_clear()
-        yield
-        oracle_module._cached_index.cache_clear()
-
     @pytest.mark.parametrize(
         "family",
         [Family("tree", 3), Family("bipartite", 2), Family("xor", 2)],
@@ -394,27 +388,11 @@ class TestOracleIndex:
         family = Family("xor", 2)
         assert oracle_index(family, INT_ALL) is oracle_index(family, INT_ALL)
 
-    @staticmethod
-    def _count_computations(monkeypatch) -> list:
-        calls = []
-
-        def counting(scm, kind, *args, **kwargs):
-            calls.append(kind)
-            return compute_oracle(scm, kind, *args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("scmlab") and getattr(
-                module, "compute_oracle", None
-            ) is compute_oracle:
-                monkeypatch.setattr(module, "compute_oracle", counting)
-        return calls
-
-    def test_xor_int_all_computed_once_across_verify_and_gaps(self, monkeypatch):
-        calls = self._count_computations(monkeypatch)
+    def test_xor_int_all_computed_once_across_verify_and_gaps(self, member_calls):
         family = Family("xor", 2)
         verify_family(family)
         separation_table(family)
-        assert calls.count(INT_ALL) == 4
+        assert [kinds for kinds, _ in member_calls].count((INT_ALL,)) == 4
 
     FAMILIES = [Family("tree", 3), Family("bipartite", 2)]
 
@@ -468,6 +446,23 @@ class TestOracleIndex:
             separation_table(family)
         with pytest.raises(SupportTooLargeError, match="exceeds SCMLAB_SUPPORT_CAP=1"):
             verify_family(family)
+
+    def test_a_changed_or_lowered_cap_sweeps_int_all_again_or_refuses(self, member_calls,
+                                                                      monkeypatch):
+        family = Family("xor", 2)
+        index = oracle_index(family, INT_ALL)
+        rows = separation_table(family)
+        member_calls.clear()
+        monkeypatch.setenv("SCMLAB_NFL_MMAX", "2")  # a cap the walk never reaches
+        assert oracle_index(family, INT_ALL) == index
+        assert member_calls == [((INT_ALL,), scm) for scm in self.members(family)]
+        monkeypatch.setenv("SCMLAB_INTALL_NMAX", "3")  # below xor m=2's four variables
+        for call in (lambda: oracle_index(family, INT_ALL), lambda: separation_table(family),
+                     lambda: verify_family(family)):
+            with pytest.raises(NTooLargeError, match="exceeds SCMLAB_INTALL_NMAX=3"):
+                call()
+        monkeypatch.delenv("SCMLAB_INTALL_NMAX")
+        assert separation_table(family) == rows
 
     @pytest.mark.parametrize("family", FAMILIES, ids=str)
     def test_verify_after_a_table_walks_each_member_once(self, family, member_calls):
@@ -554,9 +549,7 @@ class TestOneOraclePath:
             return member_oracles(scm, kinds)
 
         monkeypatch.setattr(oracle_module, "_member_oracles", counting)
-        oracle_module._cached_index.cache_clear()
-        yield calls
-        oracle_module._cached_index.cache_clear()
+        return calls
 
     @pytest.mark.parametrize("kind", [OBS, INT1, CF1, INT_ALL])
     def test_compute_oracle(self, calls, kind):

@@ -172,19 +172,19 @@ class TestOnePassPerMember:
             passes.append(plan.n)
             return worlds(plan)
 
-        budgets = []
+        modes = []
         laws = scm_core._laws
 
-        def trie(plan, max_forced):
-            budgets.append(max_forced)
-            return laws(plan, max_forced)
+        def trie(plan, forcing):
+            modes.append(forcing)
+            return laws(plan, forcing)
 
         monkeypatch.setattr(scm_core, "_worlds", counted)
         monkeypatch.setattr(scm_core, "_laws", trie)
         assert all_passed(verify_family(family))
         n = family.n_vars()
         assert passes == [n] * len(list(family.parameters()))
-        assert set(budgets) <= {n}  # INT_ALL's trie, for xor
+        assert set(modes) <= {True}  # INT_ALL's trie, for xor
 
     @pytest.mark.parametrize("family", [*FAMILIES, Family("xor", 2)], ids=str)
     def test_verify_family_parses_nothing(self, family, monkeypatch):
