@@ -120,15 +120,15 @@ def _build_layout(kind: str, n: int) -> tuple[tuple, ...]:
     return tuple(zip(codes, keys))
 
 
-# An INT_ALL layout holds about 190 bytes of RSS per component: 10 MiB at
-# n=10, 32 MiB at n=11 and 99 MiB at n=12, the default INT_ALL cap. The
-# cache keeps one layout per (kind, n), so the INT_ALL tables it holds, up
-# to n=10, take about 15 MiB at most; a larger one is built per call, in
-# under a second against seconds to compute that oracle, and is freed with
-# it. A family sweep reads the same small layout for each of its thousands
-# of oracles.
-_TABLE_CACHE_NMAX = 10
-_layouts = lru_cache(maxsize=32)(_build_layout)
+# the layouts by (kind, n), bounded in components between them. An INT_ALL
+# layout holds about 190 bytes of RSS a component: 10 MiB at n=10, 32 MiB
+# at n=11 and 99 MiB at n=12, the default INT_ALL cap. Every layout of
+# n <= 10 together is 88,760 components (88,573 of them INT_ALL's), so all
+# are kept; a table of n=11 (177,147) or more is built per call, in under a
+# second against seconds to compute that oracle, and freed with it. A
+# family sweep reads the same small layout for each of its thousands of
+# oracles.
+_LAYOUTS = _Bounded(1 << 17)
 
 
 def _layout(kind: str, n: int) -> tuple[tuple, ...]:
@@ -137,11 +137,13 @@ def _layout(kind: str, n: int) -> tuple[tuple, ...]:
     returns for the kind: the `intervention_code` for OBS, INT1 and
     INT_ALL, the variable for CF1. `_member_oracles` reads the laws
     through the layout and `parse` walks its keys. Every layout comes from
-    one memo (`_layouts`) except an INT_ALL table above
-    `_TABLE_CACHE_NMAX`, which is built per call."""
-    if kind == INT_ALL and n > _TABLE_CACHE_NMAX:
-        return _build_layout(kind, n)
-    return _layouts(kind, n)
+    one memo (`_LAYOUTS`), which returns a table above its bound without
+    keeping it."""
+    layout = _LAYOUTS.get((kind, n))
+    if layout is None:
+        layout = _build_layout(kind, n)
+        _LAYOUTS.keep((kind, n), layout, len(layout))
+    return layout
 
 
 def _component_keys(kind: str, n: int, count: int):

@@ -177,10 +177,10 @@ class ExactDist:
     first read, each mass text's Fraction from the bounded memo
     `_fraction`, so the outcomes that repeat a text share its one Fraction.
 
-    A dist has five slots and no instance dict: 72 bytes by `tracemalloc`
-    (152 with an instance dict), which is all an INT_ALL leaf costs beyond
-    its body. `_body`, `_keys` and `_ints` are None when the dist has
-    none; `mass` of a dist built from its body is unset until first read.
+    A dist has four slots and no instance dict: 64 bytes by `tracemalloc`
+    (152 with an instance dict), which is all a leaf costs beyond its body.
+    `_body` and `_ints` are None when the dist has none; `mass` of a dist
+    built from its body is unset until first read.
     Pickle and `copy` rebuild a dist through the constructor that built it
     (`__reduce__`), since a frozen dataclass refuses the setattr they
     would restore its slots with. A dist built from masses passes them as
@@ -189,9 +189,10 @@ class ExactDist:
 
     Probes read one integer view (`_int_view`), built on the first probe:
     the outcomes as ascending states in the kernel's packing, one integer
-    weight each, and the least common denominator. OBS, INT1, CF1 and
-    `marginal` dists decode it from the sorted keys `_dist` kept (INT_ALL
-    leaves keep none), any other from its body or `mass`. Two dists that
+    weight each, and the least common denominator, decoded from the body,
+    or from `mass` for a dist built from masses. Models that reach an equal
+    OBS, INT1 or CF1 leaf share one dist (`_LEAVES`), so each distinct
+    leaf's view is built once however many models probe it. Two dists that
     both have a body are equal exactly when their bodies are, since the
     text is canonical; otherwise `==` compares masses. A hash reads the
     canonical body, so it agrees with `==` and builds no `mass`.
@@ -201,7 +202,6 @@ class ExactDist:
         "n_bits",
         "mass",
         "_body",  # the canonical body, when the dist was built from it
-        "_keys",  # (sorted keys, uniform weight or None, den), when the kernel kept them
         "_ints",  # the integer view, once a probe has built it
     )
 
@@ -218,16 +218,15 @@ class ExactDist:
             total += weight
         if total != 1:
             raise ValueError(f"masses sum to {total}, expected 1")
-        for name in ("_body", "_keys", "_ints"):
+        for name in ("_body", "_ints"):
             _set(self, name, None)
 
     @classmethod
-    def _from_body(cls, n_bits: int, body: str, keys: tuple | None = None) -> "ExactDist":
-        """Wrap a canonical body that is valid by construction (and keys)."""
+    def _from_body(cls, n_bits: int, body: str) -> "ExactDist":
+        """Wrap a canonical body that is valid by construction."""
         dist = _new(_Filling)
         dist.n_bits = n_bits
         dist._body = body
-        dist._keys = keys
         dist._ints = None
         dist.__class__ = cls
         return dist
@@ -250,7 +249,7 @@ class ExactDist:
 
     def __reduce__(self):
         if self._body is not None:
-            return self._from_body, (self.n_bits, self._body, self._keys)
+            return self._from_body, (self.n_bits, self._body)
         masses = [(outcome, m.numerator, m.denominator) for outcome, m in self.mass.items()]
         return self._from_ints, (self.n_bits, masses)
 
@@ -275,24 +274,15 @@ class ExactDist:
         weight / den, built once; den is the least common one."""
         view = self._ints
         if view is None:
-            if self._keys is not None:
-                keys, weight, den = self._keys
-                if weight is None:  # each key is state * (den + 1) + weight
-                    states, weights = map(list, zip(*map(divmod, keys, itertools.repeat(den + 1))))
-                else:
-                    states, weights = keys, [weight] * len(keys)
-                g = math.gcd(den, *weights)  # to the least den, as a body in lowest terms has
-                weights, den = [w // g for w in weights], den // g
+            if self._body is not None:
+                cells = self._body.replace("\n", "=").split("=")
+                outcomes, masses = cells[::2], list(map(_fraction, cells[1::2]))
             else:
-                if self._body is not None:
-                    cells = self._body.replace("\n", "=").split("=")
-                    outcomes, masses = cells[::2], list(map(_fraction, cells[1::2]))
-                else:
-                    outcomes = sorted(self.mass)
-                    masses = list(map(self.mass.__getitem__, outcomes))
-                den = math.lcm(*[m.denominator for m in masses])
-                weights = [m.numerator * (den // m.denominator) for m in masses]
-                states = [int(o, 2) for o in outcomes] if self.n_bits else [0]
+                outcomes = sorted(self.mass)
+                masses = list(map(self.mass.__getitem__, outcomes))
+            den = math.lcm(*[m.denominator for m in masses])
+            weights = [m.numerator * (den // m.denominator) for m in masses]
+            states = [int(o, 2) for o in outcomes] if self.n_bits else [0]
             view = (states, weights, den)
             _set(self, "_ints", view)
         return view
@@ -458,10 +448,9 @@ def topo_order(scm: Scm) -> list[int]:
 # when its `mass` is read, one per mass text (`_fraction`). A uniform
 # leaf, whose states all carry one weight, sorts its states alone and
 # reads a memo keyed by state for that weight; any other leaf sorts
-# integer keys that carry each state's weight. OBS, INT1 and CF1 leaves
-# keep those keys for their integer view; INT_ALL leaves keep none. A
-# leaf's ExactDist has slots, not an instance dict: 72 bytes beside its
-# body text (152 with an instance dict).
+# integer keys that carry each state's weight. A leaf's ExactDist holds
+# its body and, once probed, its integer view, in slots, not an instance
+# dict: 64 bytes beside its body text (152 with an instance dict).
 #
 # OBS alone and INT_ALL branch hard interventions off the pass as a trie
 # (`_descend`), each law keyed by its integer intervention code
@@ -495,7 +484,7 @@ def topo_order(scm: Scm) -> list[int]:
 # `oracle.parse` keeps each checked body with its dist (`oracle._BODIES`).
 # Models repeat whole leaves too, so `_dist` keeps each OBS, INT1 and CF1
 # leaf by its inputs (`_LEAVES`): every pass that reaches an equal leaf
-# shares its ExactDist, body, kept keys and, once probed, integer view.
+# shares its ExactDist, body and, once probed, integer view.
 # Whole passes repeat as well: a verify sweep, a separation table, a
 # decode request and the decoder's rebuild check each run the same
 # member. So `kernel_laws` keeps each model's worlds pass by (n,
@@ -686,8 +675,8 @@ def _lines(*key: int) -> _Lines:
 
 def _dist(n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
     """The law of `states`, `n_bits`-bit outcomes of mass weight/den, whose
-    positive weights sum to den: its canonical body, lines in state order,
-    and its sorted keys if `keep` (`_render`).
+    positive weights sum to den: its canonical body, lines in state order
+    (`_render`), kept in the leaf memo if `keep`.
 
     A kept leaf (OBS, INT1, CF1, `marginal`) of at most `_LEAVES.limit`
     states comes from the leaf memo `_LEAVES`, keyed by its width and its
@@ -696,11 +685,11 @@ def _dist(n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
     already carry `mass` or its integer view. An INT_ALL leaf, never kept,
     and a larger leaf are rendered without a lookup."""
     if not keep or len(states) > _LEAVES.limit:
-        return _render(n_bits, states, weights, den, keep)
+        return _render(n_bits, states, weights, den)
     key = (n_bits, *states, *weights)
     dist = _LEAVES.get(key)
     if dist is None:
-        dist = _LEAVES.keep(key, _render(n_bits, states, weights, den, True), len(states))
+        dist = _LEAVES.keep(key, _render(n_bits, states, weights, den), len(states))
     return dist
 
 
@@ -714,7 +703,7 @@ def _dist(n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
 _LEAVES = _Bounded(1 << 14)
 
 
-def _render(n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
+def _render(n_bits: int, states, weights, den: int) -> ExactDist:
     """`_dist` without the memo. A uniform law sorts its states alone and
     reads each line from its weight's memo; any other sorts integer keys
     that order the states and carry their weights. A law too long to write
@@ -732,7 +721,7 @@ def _render(n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
         pairs = sorted(zip(states, weights))
         top = 1 << n_bits  # keeps each state's leading zeros
         return ExactDist(n_bits, {format(top | s, "b")[1:]: Fraction(w, den) for s, w in pairs})
-    return ExactDist._from_body(n_bits, body, (keys, lines.weight, den) if keep else None)
+    return ExactDist._from_body(n_bits, body)
 
 
 def kernel_laws(scm: Scm, int1: bool, cf1: bool):
@@ -807,21 +796,21 @@ def _laws(plan: _Plan, forcing: bool) -> dict[int, ExactDist]:
     (b + 1) * 3^(n-1-v) apart: the mechanism subtree takes the do(b)
     subtree's ExactDist objects.
 
-    The OBS leaf, and INT_ALL's of n <= 1, are kept, and each comes from
-    the leaf memo (`_dist`): a law equal to one that another model's pass
-    reached is that model's ExactDist, which may already carry `mass` or
-    its integer view.
+    The OBS leaf is kept, and comes from the leaf memo (`_dist`): a law
+    equal to one that another model's pass reached is that model's
+    ExactDist, which may already carry `mass` or its integer view. No
+    INT_ALL leaf is kept.
     """
     codes: list[int] = []
     dists: list[ExactDist] = []
-    _descend(plan, 0, [0], [1], 1, 0, forcing, codes, dists, not forcing or plan.n <= 1)
+    _descend(plan, 0, [0], [1], 1, 0, forcing, codes, dists)
     return dict(zip(codes, dists))
 
 
-def _descend(plan, level, states, weights, den, code, forcing, codes, dists, keep) -> None:
+def _descend(plan, level, states, weights, den, code, forcing, codes, dists) -> None:
     """Run the mechanisms from `level` on, branching off the do() subtries;
     `code` sums the digits forced so far. Each leaf appends its code to
-    `codes` and its law (with its keys if `keep`) to `dists`; the last
+    `codes` and its law to `dists`, kept unless `forcing`; the last
     level's do() leaves are appended here, not from a call of their own."""
     steps, n = plan.steps, plan.n
     last = len(steps)
@@ -832,15 +821,15 @@ def _descend(plan, level, states, weights, den, code, forcing, codes, dists, kee
             ones = [s | bit for s in states]
             if level + 1 == last:
                 codes += (code + place, code + 2 * place)
-                dists += (_dist(n, states, weights, den, keep),
-                          _dist(n, ones, weights, den, keep))
+                dists += (_dist(n, states, weights, den, False),
+                          _dist(n, ones, weights, den, False))
                 ones_at = zeros_at + 1
             else:
                 _descend(plan, level + 1, states, weights, den,
-                         code + place, True, codes, dists, keep)
+                         code + place, True, codes, dists)
                 ones_at = len(codes)
                 _descend(plan, level + 1, ones, weights, den,
-                         code + 2 * place, True, codes, dists, keep)
+                         code + 2 * place, True, codes, dists)
         if len(branches) == 1:  # (flip, 1) over 1: the weights stay as they are
             out = _extend(states, test, mask, invert ^ branches[0][0], bit)
             if forcing and (out == states or out == ones):
@@ -863,7 +852,7 @@ def _descend(plan, level, states, weights, den, code, forcing, codes, dists, kee
             states, weights = next_states, next_weights
             den *= step_den
     codes.append(code)
-    dists.append(_dist(n, states, weights, den, keep))
+    dists.append(_dist(n, states, weights, den, not forcing))
 
 
 def _worlds(plan: _Plan):

@@ -110,13 +110,15 @@ CATALOGUE = (
     Mutant(
         "_layout caches INT_ALL tables above n=10",
         "src/scmlab/oracle.py",
-        ((
-            "    if kind == INT_ALL and n > _TABLE_CACHE_NMAX:\n"
-            "        return _build_layout(kind, n)\n"
-            "    return _layouts(kind, n)\n",
-            "    return _layouts(kind, n)\n",
-        ),),
-        ("tests/test_codec.py",),
+        (("_LAYOUTS = _Bounded(1 << 17)\n", "_LAYOUTS = _Bounded(1 << 18)\n"),),
+        ("tests/test_codec.py::TestKeyTable::test_every_table_up_to_n10_fits_and_n11_does_not",),
+    ),
+    Mutant(
+        "a layout above the bound is kept",
+        "src/scmlab/oracle.py",
+        (("        _LAYOUTS.keep((kind, n), layout, len(layout))\n",
+          "        _LAYOUTS.keep((kind, n), layout)\n"),),
+        ("tests/test_codec.py::TestKeyTable::test_tables_above_the_cache_limit_are_not_kept",),
     ),
     Mutant(
         "a public decoder skips its rebuild check",
@@ -228,6 +230,12 @@ CATALOGUE = (
         (("    if not keep or len(states) > _LEAVES.limit:\n",
           "    if len(states) > _LEAVES.limit:\n"),),
         ("tests/test_memos.py::test_no_int_all_leaf_enters_the_leaf_memo",),
+    ),
+    Mutant(
+        "a kept leaf bypasses _LEAVES",
+        "src/scmlab/scm_core.py",
+        (("    dist = _LEAVES.get(key)\n", "    dist = None\n"),),
+        ("tests/test_verify.py::TestViewsBuiltOnce::test_verify_and_decode_build_each_view_once",),
     ),
     Mutant(
         "a leaf above the bound reaches the leaf memo",

@@ -216,38 +216,48 @@ class TestKeyTable:
         keys = [key for key, _ in compute_oracle(scm, INT_ALL).components]
         assert keys == [intervention_key(iv) for iv in all_interventions(n)]
 
-    def test_cache_is_bounded(self):
-        # one memo holds every kind's layouts; more are asked for than it keeps
-        cache = oracle_module._layouts
-        asked = [(kind, n) for kind in KINDS for n in range(9)]
+    def test_cache_is_bounded(self, monkeypatch):
+        # one memo holds every kind's layouts, each counted in components;
+        # more are asked for than it keeps, so it drops them and starts again
+        layouts = oracle_module._LAYOUTS
+        monkeypatch.setattr(layouts, "limit", 100)
+        layouts.clear()
+        asked = [(kind, n) for kind in KINDS for n in range(5)]
         for kind, n in asked:
             oracle_module._layout(kind, n)
-        info = cache.cache_info()
-        assert info.maxsize is not None
-        assert 0 < info.currsize <= info.maxsize < len(asked)
+            assert layouts.held == sum(map(len, layouts.values())) <= layouts.limit
+        assert 0 < len(layouts) < len(asked)
+
+    def test_every_table_up_to_n10_fits_and_n11_does_not(self):
+        # the bound keeps every layout of every kind up to n=10 together,
+        # and no INT_ALL table of n=11 (3^11 components) or more
+        sizes = {OBS: lambda n: 1, INT1: lambda n: 2 * n + 1, CF1: lambda n: n,
+                 INT_ALL: lambda n: 3**n}
+        held = sum(sizes[kind](n) for kind in KINDS for n in range(11))
+        assert held == 88_760 <= oracle_module._LAYOUTS.limit < 3**11
 
     def test_tables_above_the_cache_limit_are_not_kept(self, monkeypatch):
-        monkeypatch.setattr(oracle_module, "_TABLE_CACHE_NMAX", 2)
-        cache = oracle_module._layouts
-        cache.cache_clear()
-        table = oracle_module._layout(INT_ALL, 3)
+        layouts = oracle_module._LAYOUTS
+        monkeypatch.setattr(layouts, "limit", 26)
+        layouts.clear()
+        table = oracle_module._layout(INT_ALL, 3)  # 27 components
         assert [key for _, key in table] == [
             intervention_key(iv) for iv in all_interventions(3)
         ]
-        assert cache.cache_info().currsize == 0
+        assert len(layouts) == 0 and layouts.held == 0
         oracle_module._layout(INT_ALL, 2)
-        assert cache.cache_info().currsize == 1
-        # the limit is INT_ALL's alone
+        assert len(layouts) == 1 and layouts.held == 9
+        # the limit counts components of every kind alike
         oracle_module._layout(INT1, 3)
-        assert cache.cache_info().currsize == 2
+        assert len(layouts) == 2 and layouts.held == 16
 
     def test_parse_builds_no_table_for_a_wrong_component_count(self):
-        cache = oracle_module._layouts
-        cache.cache_clear()
+        layouts = oracle_module._LAYOUTS
+        layouts.clear()
         data = b"INT_ALL n=9\n#do S= x=\n" + b"0" * 9 + b"=1/1\n"
         with pytest.raises(OracleFormatError, match=r"1 components, expected 3\^9 = 19683"):
             parse(data)
-        assert cache.cache_info().currsize == 0
+        assert len(layouts) == 0
 
 
 class TestComponentCount:

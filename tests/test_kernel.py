@@ -324,15 +324,12 @@ def check_view(dist, mass, label) -> None:
 def test_masses_and_integer_views_match_reference(monkeypatch, name, kind, factor):
     # kernel dists, parsed dists and marginals hold text and integers; their
     # `mass`, states and least denominators are the reference's, also when
-    # every noisy step's weights are not in lowest terms (factor 3), which
-    # the view of the keys the kernel kept must reduce by their gcd
+    # every noisy step's weights are not in lowest terms (factor 3)
     scm = TEXT_MODELS[name]
     want = reference_oracle(scm, kind).components
     if factor > 1:
         monkeypatch.setattr(scm_core, "_compile", _unreduced(scm_core._compile, factor))
     computed = compute_oracle(scm, kind)
-    # OBS, INT1 and CF1 leaves keep their keys; INT_ALL leaves keep none
-    assert {dist._keys is None for _, dist in computed.components} == {kind == INT_ALL}
     for oracle in (computed, parse(serialize(computed))):
         for (key, dist), (_, ref) in zip(oracle.components, want):
             assert dist.mass == ref.mass, key
@@ -340,7 +337,6 @@ def test_masses_and_integer_views_match_reference(monkeypatch, name, kind, facto
             k = dist.n_bits
             for positions in (tuple(reversed(range(k))), (k - 1,), ()):
                 got, expected = marginal(dist, positions), reference_probes.marginal(ref, positions)
-                assert got._keys is not None
                 assert got.mass == expected.mass, (key, positions)
                 check_view(got, expected.mass, (key, positions))
 

@@ -448,13 +448,13 @@ def states_of(key: tuple) -> int:
 
 
 def assert_leaves_sound():
-    """Every kept leaf is the dist its key renders with no memo, keys and
-    all, and `held` counts the states held, within the bound."""
+    """Every kept leaf is the dist its key renders with no memo, and
+    `held` counts the states held, within the bound."""
     for key, dist in LEAVES.items():
         width, count = key[0], states_of(key)
         states, weights = list(key[1:1 + count]), list(key[1 + count:])
-        cold = scm_core._render(width, states, weights, sum(weights), True)
-        assert dist == cold and dist.n_bits == cold.n_bits and dist._keys == cold._keys
+        cold = scm_core._render(width, states, weights, sum(weights))
+        assert dist == cold and dist.n_bits == cold.n_bits
     assert LEAVES.held == sum(map(states_of, LEAVES)) <= LEAVES.limit
 
 
@@ -525,8 +525,10 @@ def test_every_leaf_weighs_its_denominator(scm, kind):
 
 
 def test_no_int_all_leaf_enters_the_leaf_memo():
+    # n <= 1 included: its INT_ALL leaves are rendered like any other's
     models = (MIXED_LEAVES, build_xor_scm(HiddenString(3, "101")),
-              build_tree_scm(RootedTree(3, 1, {2: 1, 3: 2})))
+              build_tree_scm(RootedTree(3, 1, {2: 1, 3: 2})),
+              Scm(1, (Mechanism(gates.BERN_SOURCE, (), FAIR),)), Scm(0, ()))
     for scm in models:
         compute_oracle(scm, INT_ALL)
     assert len(LEAVES) == 0
@@ -534,7 +536,6 @@ def test_no_int_all_leaf_enters_the_leaf_memo():
     for scm in models:
         oracles = oracle._member_oracles(scm, KINDS)
         held = {id(dist) for dist in LEAVES.values()}
-        assert all(dist._keys is not None for dist in LEAVES.values())
         assert not any(id(dist) in held for _, dist in oracles[INT_ALL].components)
         assert serialize(oracles[INT_ALL]) == serialize(reference_oracle(scm, INT_ALL))
     assert_leaves_sound()

@@ -6,12 +6,11 @@
 distribution's integer view; `reference_probes.py` keeps the Fraction
 implementations they replaced, and the INT1 probes built on its
 `prob_bit`. Both must agree on kernel dists, which decode the view from
-the sorted keys the kernel kept (INT_ALL leaves keep none and read their
-body), on parsed and constructor-built dists, on a law whose mass is too
-long to write, which has no canonical body, on dists of no positions,
-and on leaves of unequal weights. A marginal carries its canonical body
-and keys, so an OBS oracle holding one serializes as the reference codec
-writes it.
+their body, on parsed and constructor-built dists, on a law whose mass is
+too long to write, which has no canonical body and decodes `mass`, on
+dists of no positions, and on leaves of unequal weights. A marginal
+carries its canonical body, so an OBS oracle holding one serializes as
+the reference codec writes it.
 """
 
 import copy
@@ -82,13 +81,8 @@ FIXED_IDS = ["mixed-denominators", "too-long", "mixed-leaves", "no-variables"]
 def sources(scm: Scm, kind: str) -> list[list[ExactDist]]:
     """The components of the `kind` oracle of `scm`, unread: from the
     kernel, rebuilt by the public constructor, and parsed from the
-    oracle's bytes where they can be written. A kernel dist with a body
-    holds the sorted keys it was rendered from, unless it is an INT_ALL
-    leaf of a trie pass that forces two or more variables."""
-    kernel = [dist for _, dist in compute_oracle(scm, kind).components]
-    keeps = kind != INT_ALL or scm.n < 2
-    assert all((d._keys is not None) == (keeps and d._body is not None) for d in kernel)
-    groups = [kernel]
+    oracle's bytes where they can be written."""
+    groups = [[dist for _, dist in compute_oracle(scm, kind).components]]
     groups.append([ExactDist(d.n_bits, dict(d.mass)) for _, d in compute_oracle(scm, kind).components])
     try:
         data = serialize(compute_oracle(scm, kind))

@@ -23,6 +23,7 @@ from scmlab import (
     oracle,
     scm_core,
     separation_table,
+    serialize,
     verify_family,
 )
 from scmlab import verify as verify_module
@@ -363,25 +364,25 @@ MIXED_DAG = Scm(
 )
 
 
-class TestProbesReadKernelKeys:
-    """The kernel's OBS, INT1 and CF1 leaves keep the sorted keys they were
-    rendered from, and a probe decodes its integer view from them, so
-    verify parses no body back; INT_ALL leaves, never probed, keep none."""
+class TestViewsBuiltOnce:
+    """What keeps verify's probes cheap: models that reach an equal leaf
+    share one dist (`scm_core._LEAVES`), and the decoders' facts are kept
+    by body (`decoders._FACTS`), so each distinct law's integer view is
+    built once, from its body, and no `mass` is built."""
 
     @pytest.mark.parametrize("family", [Family("tree", 5), Family("bipartite", 3)], ids=str)
-    def test_verify_family_parses_no_kernel_body(self, family, monkeypatch):
-        probed, parsed = [], []
+    def test_verify_and_decode_build_each_view_once(self, family, monkeypatch):
+        built, masses = [], []
         view, read = ExactDist._int_view, ExactDist.__getattr__
 
         def counted_view(dist):
-            probed.append(dist)
-            if dist._ints is None and dist._keys is None:  # a view from the body
-                parsed.append(dist)
+            if dist._ints is None:
+                built.append((dist.n_bits, dist._body))
             return view(dist)
 
         def counted_read(dist, name):
-            if name == "mass":  # masses from the body
-                parsed.append(dist)
+            if name == "mass":
+                masses.append(dist)
             return read(dist, name)
 
         swept = []
@@ -404,21 +405,23 @@ class TestProbesReadKernelKeys:
         assert len(swept) == len(list(family.parameters()))
         assert len(checked) == (3 * family.n_vars() + 1) * len(swept)
         assert all(dist._ints is not None for dist in checked)
-        assert probed and parsed == []
+        for param in family.parameters():  # a decode round trip of every member
+            data = serialize(compute_oracle(family.build(param), family.spec.rungs[1]))
+            assert family.spec.decode(oracle.parse(data)) == param
+        assert built and None not in {body for _, body in built}
+        assert len(built) == len(set(built))
+        assert masses == []
 
     @pytest.mark.parametrize(
         "scm", [build_xor_scm(HiddenString(3, "101")), MIXED_DAG], ids=["xor m=3", "mixed dag"]
     )
-    def test_only_probed_kinds_keep_keys(self, scm):
-        for _, dist in compute_oracle(scm, oracle.INT_ALL).components:
-            assert dist._keys is None and dist._ints is None
-        kernel = [dist for kind in (oracle.OBS, oracle.INT1, oracle.CF1)
-                  for _, dist in compute_oracle(scm, kind).components]
-        assert all(dist._keys is not None and dist._ints is None for dist in kernel)
-        # a marginal probes its dist, and keeps its own keys unprobed
+    def test_a_view_is_built_on_the_first_probe(self, scm):
+        kernel = [dist for kind in oracle.KINDS for _, dist in compute_oracle(scm, kind).components]
+        assert all(dist._ints is None for dist in kernel)
+        # a marginal probes its dist, and leaves its own view unbuilt
         marginals = [marginal(dist, range(dist.n_bits - 1, -1, -2)) for dist in kernel]
         assert all(dist._ints is not None for dist in kernel)
-        assert all(dist._keys is not None and dist._ints is None for dist in marginals)
+        assert all(dist._ints is None for dist in marginals)
         for dist in marginals:
             dist.prob_bit(0, 1)
             assert dist._ints is not None
