@@ -10,9 +10,11 @@ An oracle is the complete exact answer set for one query class:
   empty set included, so OBS is literally a component.
 
 Every oracle of every kind is computed in one place, `_member_oracles`:
-`compute_oracle`, the family sweeps (INT_ALL indexes too) and the decoders'
-rebuild check all call it. Each component sits at the slot its kind's
-layout (`_layout`) gives it, one memo of layouts serving every kind.
+`compute_oracle`, the family sweeps and the decoders' rebuild check all
+call it. Each component sits at the slot its kind's layout (`_layout`)
+gives it, one memo of layouts serving every kind. A family's column of
+any kind (`family_columns`) holds each member's tuple of component
+bodies, equal texts shared, and `oracle_index` writes its bytes.
 
 Serialization is canonical: one byte string per oracle, equal bytes iff
 equal oracles. The grammar (golden-tested) is
@@ -223,19 +225,19 @@ def oracle_indexes(family, kinds) -> dict[str, tuple[bytes, ...]]:
     `family_columns` entry, each distinct entry serialized once."""
     n = family.n_vars()
     index = family_columns(family, kinds)
-    for kind in index.keys() - {INT_ALL}:
-        written = {entry: entry_bytes(kind, n, entry) for entry in set(index[kind])}
-        index[kind] = tuple([written[entry] for entry in index[kind]])
+    for kind, column in index.items():
+        written = {entry: entry_bytes(kind, n, entry) for entry in set(column)}
+        index[kind] = tuple([written[entry] for entry in column])
     return index
 
 
 def family_columns(family, kinds) -> dict[str, tuple]:
     """The column of `family` for each of `kinds`: one entry per member,
-    in `family.parameters()` order, equal exactly when the oracles are:
-    an INT_ALL oracle's bytes, any other kind's body tuple. INT_ALL is
-    swept first and alone, so its caps refuse before any other work. A
-    sweep's columns are read from `_COLUMNS` when all are held under the
-    active caps, else swept and kept: a changed cap sweeps or refuses."""
+    in `family.parameters()` order, its oracle's tuple of component bodies
+    (`family_sweep`), equal exactly when the oracles are. INT_ALL is swept
+    first and alone, so its caps refuse before any other work. A sweep's
+    columns are read from `_COLUMNS` when all are held under the active
+    caps, else swept and kept: a changed cap sweeps or refuses."""
     kinds = tuple(dict.fromkeys(kinds))
     caps = snapshot()
     columns = {}
@@ -254,31 +256,29 @@ def family_columns(family, kinds) -> dict[str, tuple]:
 # the columns `verify_family` groups (INT_ALL, OBS and INT1 for xor; OBS and
 # INT1 for tree and bipartite, the gap table's rungs) or a gap table swept,
 # by (family, kind, caps snapshot), bounded in bytes (`_column_bytes`): tree
-# n=7's two columns count 16.0 MB (21.5 MiB live, the tuple headers beside
-# the pointers), bipartite m=4's 11.0 MB and xor m=5's INT_ALL index 18.5
-# MB, each kept; tree n=6's INT_ALL index, 202 MB, is returned but not kept
+# n=7's two columns count 16.0 MB (19.8 MiB live), bipartite m=4's 11.0 MB,
+# and the INT_ALL columns of xor m=5 17.2 MB and bipartite m=3 9.0 MB, each
+# kept; tree n=6's INT_ALL column, 45.4 MB, is returned but not kept
 _COLUMNS = _Bounded(1 << 25)
 
 
 def keep_columns(family, columns: dict, caps: tuple) -> list[tuple]:
     """Keep `columns` (kind -> entries) of `family` swept under `caps`."""
-    return [_COLUMNS.keep((family, kind, caps), tuple(column), _column_bytes(kind, column))
+    return [_COLUMNS.keep((family, kind, caps), tuple(column), _column_bytes(column))
             for kind, column in columns.items()]
 
 
-def _column_bytes(kind: str, column) -> int:
-    """`_COLUMNS`'s size of `column`: 8 B a member slot, and each distinct
-    entry once, an INT_ALL entry's bytes or a body tuple's 8 B pointers."""
-    width = 1 if kind == INT_ALL else 8
-    return 8 * len(column) + width * sum(map(len, set(column)))
+def _column_bytes(column) -> int:
+    """`_COLUMNS`'s size of `column`, of any kind: 8 B a member slot, 8 B a
+    pointer of each distinct entry, and each distinct body text once."""
+    entries = set(column)
+    return 8 * len(column) + 8 * sum(map(len, entries)) + sum(map(len, set().union(*entries)))
 
 
 def entry_bytes(kind: str, n: int, entry) -> bytes:
-    """The serialized `kind` oracle on n variables of a column entry."""
-    if kind == INT_ALL:
-        return entry
-    dists = [ExactDist._from_body(component_bits(kind, n), body) for body in entry]
-    return serialize(AnswerOracle(kind, n, tuple(zip([key for _, key in _layout(kind, n)], dists))))
+    """`serialize`'s bytes of the `kind` oracle on n variables of `entry`."""
+    text = "".join([f"\n#{key}\n{body}" for (_, key), body in zip(_layout(kind, n), entry)])
+    return f"{kind} n={n}{text}\n".encode("ascii")
 
 
 def _bodies(oracle: AnswerOracle) -> tuple[str, ...]:
@@ -290,16 +290,16 @@ def _bodies(oracle: AnswerOracle) -> tuple[str, ...]:
 def family_sweep(family, kinds, grouped=None):
     """Yield (param, oracles, entries) for each member of `family`, in
     `family.parameters()` order: its oracle for each of `kinds` and, for
-    each of `grouped` (default `kinds`), its INT_ALL bytes or `_bodies`.
-    One build, plan and kernel pass per member serve all the kinds
-    (`_member_oracles`); equal entries share one object, and each member's
+    each of `grouped` (default `kinds`), its `_bodies`. One build, plan and
+    kernel pass per member serve all the kinds (`_member_oracles`); equal
+    body texts share one str, equal entries one tuple, and each member's
     oracles are dropped before the next member's are computed."""
-    shared: dict = {}
+    shared: dict = {}  # texts and entries: a str never equals a tuple
     for param in family.parameters():
         oracles = _member_oracles(family.build(param), kinds)
         entries = {}
         for kind in kinds if grouped is None else grouped:
-            entry = serialize(oracles[kind]) if kind == INT_ALL else _bodies(oracles[kind])
+            entry = tuple([shared.setdefault(body, body) for body in _bodies(oracles[kind])])
             entries[kind] = shared.setdefault(entry, entry)
         yield param, oracles, entries
         del oracles

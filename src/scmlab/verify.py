@@ -19,10 +19,10 @@ it, is read first from its column in `oracle._COLUMNS`, or swept on its
 own, so its cap refuses before any other work. Then one
 `oracle.family_sweep` builds and compiles each member once and reads its
 OBS, INT1 and CF1 off one parallel-worlds pass, and every per-member
-check reads that member's in-memory oracles.
-Nothing is serialized per member or parsed back: the distinctness checks
-group each member's tuple of component bodies, equal exactly when the
-bytes are, and leave the columns in `oracle._COLUMNS` for the gap tables.
+check reads that member's in-memory oracles. Nothing is serialized per
+member or parsed back: the distinctness checks, INT_ALL's too, group
+each member's tuple of component bodies, equal exactly when the bytes
+are, and leave the columns in `oracle._COLUMNS` for the gap tables.
 The embedding check serializes one (OBS, INT1) pair per distinct (OBS
 body, INT1 obs body). When the decoder's probe names the member itself,
 the rebuild check would read back that same oracle, so the round trip

@@ -62,7 +62,8 @@ CATALOGUE = (
              "    if INT_ALL in grouped:\n"
              "        index.update(family_columns(family, (INT_ALL,)))\n"),
         ),
-        ("tests/test_verify.py",),
+        ("tests/test_verify.py::TestRefusesBeforeWork::test_lowered_int_all_cap_computes_no_oracle",
+         "tests/test_verify.py::TestRefusesBeforeWork::test_default_int_all_cap_refuses_xor_7_at_once"),
     ),
     Mutant(
         # the worlds pass, or OBS's trie pass, before INT_ALL's caps
@@ -81,7 +82,7 @@ CATALOGUE = (
             "    if INT_ALL in kinds:\n"
             "        laws[INT_ALL] = int_all_laws(scm)\n",
         )),
-        ("tests/test_verify.py",),
+        ("tests/test_verify.py::TestRefusesBeforeWork::test_int_all_refuses_before_the_other_kinds_pass",),
     ),
     Mutant(
         "the one-symbol fork comes back",
@@ -99,13 +100,15 @@ CATALOGUE = (
             "    else:\n"
             "        branches, den = _noise_branches(mech, row, v)\n",
         ),),
-        ("tests/test_kernel.py",),
+        ("tests/test_kernel.py::test_unvalidated_scm_fails_like_reference",
+         "tests/test_kernel.py::test_a_noise_law_that_is_not_a_distribution_is_refused_before_any_work"),
     ),
     Mutant(
         "class_membership without validate",
         "src/scmlab/families.py",
         (("    violations = validate(scm)\n", "    violations = []\n"),),
-        ("tests/test_gap.py", "tests/test_families.py"),
+        ("tests/test_gap.py::TestGenericClassEncoding::test_invalid_model_is_no_member",
+         "tests/test_families.py::TestClassMembership::test_validate_issues_come_first"),
     ),
     Mutant(
         "_layout caches INT_ALL tables above n=10",
@@ -124,7 +127,7 @@ CATALOGUE = (
         "a public decoder skips its rebuild check",
         "src/scmlab/decoders.py",
         (("    _check_exact_match(oracle, build_tree_scm(tree), NotTreeLikeError)\n", ""),),
-        ("tests/test_decoders.py",),
+        ("tests/test_decoders.py::TestTreeDecoder::test_rejects_corrupted_unprobed_component",),
     ),
     # the kernel's and the codec's fast paths
     Mutant(
@@ -132,21 +135,24 @@ CATALOGUE = (
         "src/scmlab/scm_core.py",
         (("                    (zeros_at, ones_at, place) if out == states\n",
           "                    (zeros_at, ones_at, 2 * place) if out == states\n"),),
-        ("tests/test_kernel.py",),
+        ("tests/test_kernel.py::test_shared_dist_counts",
+         "tests/test_kernel.py::test_reversed_chain_matches_reference"),
     ),
     Mutant(
         "a wrong do(X_v=1) world offset",
         "src/scmlab/scm_core.py",
         (("        one = bit << 2 * n * (bit.bit_length() - 1)\n",
           "        one = bit << 2 * n * bit.bit_length() - n\n"),),
-        ("tests/test_kernel.py",),
+        ("tests/test_kernel.py::test_every_counterfactual_triple_matches_reference",
+         "tests/test_kernel.py::test_reversed_chain_matches_reference"),
     ),
     Mutant(
         "a leaf of mostly one weight taken as uniform",
         "src/scmlab/scm_core.py",
         (("    if weights.count(weight) == len(weights):\n",
           "    if weights.count(weight) * 2 >= len(weights):\n"),),
-        ("tests/test_kernel.py",),
+        ("tests/test_kernel.py::test_masses_and_integer_views_match_reference",
+         "tests/test_kernel.py::test_a_uniform_weight_not_in_lowest_terms_matches_reference"),
     ),
     Mutant(
         "the step memo keyed without the variable",
@@ -155,20 +161,22 @@ CATALOGUE = (
             ("    found = memo.get((n, v))\n", "    found = memo.get((n, 0))\n"),
             ("    return memo.keep((n, v), step)\n", "    return memo.keep((n, 0), step)\n"),
         ),
-        ("tests/test_families.py",),
+        ("tests/test_families.py::TestBuilders::test_all_trees_share_the_two_point_law",
+         "tests/test_families.py::TestBuilders::test_xor_observational_is_uniform"),
     ),
     Mutant(
         "parse's uniform regex without its backreference",
         "src/scmlab/oracle.py",
         ((r'    return (re.compile(f"{outcome}({_MASS})(?:\n{outcome}\\1)*"),' + "\n",
           r'    return (re.compile(f"{outcome}({_MASS})(?:\n{outcome}{_MASS})*"),' + "\n"),),
-        ("tests/test_codec.py",),
+        ("tests/test_codec.py::test_hand_built_uniform_bodies",
+         "tests/test_codec.py::test_hand_built_oracle_out_of_order_with_distinct_equal_masses"),
     ),
     Mutant(
         "the body memo serves a body at another width",
         "src/scmlab/oracle.py",
         (("            if dist is None or dist.n_bits != n_bits:\n", "            if dist is None:\n"),),
-        ("tests/test_memos.py",),
+        ("tests/test_memos.py::test_a_body_is_served_only_at_its_width",),
     ),
     Mutant(
         "parse keeps the key it cut instead of the layout's",
@@ -379,13 +387,31 @@ CATALOGUE = (
     Mutant(
         "an INT_ALL column sized in members instead of bytes",
         "src/scmlab/oracle.py",
-        (("    width = 1 if kind == INT_ALL else 8\n"
-          "    return 8 * len(column) + width * sum(",
-          "    if kind == INT_ALL:\n"
-          "        return len(column)\n"
-          "    width = 8\n"
-          "    return 8 * len(column) + width * sum("),),
+        (("tuple(column), _column_bytes(column))\n",
+          "tuple(column),\n"
+          "                          len(column) if kind == INT_ALL else _column_bytes(column))\n"),),
         ("tests/test_memos.py::test_an_index_above_the_bound_is_returned_but_not_kept",),
+    ),
+    Mutant(
+        "a column sized without its body texts",
+        "src/scmlab/oracle.py",
+        (("    return 8 * len(column) + 8 * sum(map(len, entries)) + sum(map(len, set().union(*entries)))\n",
+          "    return 8 * len(column) + 8 * sum(map(len, entries))\n"),),
+        ("tests/test_memos.py::test_an_index_above_the_bound_is_returned_but_not_kept",),
+    ),
+    Mutant(
+        "a sweep that does not share equal body texts",
+        "src/scmlab/oracle.py",
+        (("            entry = tuple([shared.setdefault(body, body) for body in _bodies(oracles[kind])])\n",
+          "            entry = _bodies(oracles[kind])\n"),),
+        ("tests/test_oracle.py::TestBodyColumns::test_a_sweep_shares_equal_body_texts",),
+    ),
+    Mutant(
+        "a column entry written without its final LF",
+        "src/scmlab/oracle.py",
+        (('    return f"{kind} n={n}{text}\\n".encode("ascii")\n',
+          '    return f"{kind} n={n}{text}".encode("ascii")\n'),),
+        ("tests/test_oracle.py::TestBodyColumns::test_hypothesis_models_group_as_bytes",),
     ),
     Mutant(
         "probe facts keyed without the outcome width",
@@ -404,7 +430,8 @@ CATALOGUE = (
         "src/scmlab/learning.py",
         (('ascii((master, label))[:-1].encode("ascii") + b", ")',
           'ascii((master, label))[:-1].encode("ascii"))'),),
-        ("tests/test_learning.py",),
+        ("tests/test_learning.py::TestStreamSeeding::test_run_nfl",
+         "tests/test_learning.py::TestStreamSeeding::test_per_query_error"),
     ),
     Mutant(
         "a stream's generator seeded once per call",
@@ -413,7 +440,8 @@ CATALOGUE = (
           "        else:\n"
           "            self._rng.seed(seed)\n",
           "            self._rng = random.Random(seed)\n"),),
-        ("tests/test_learning.py",),
+        ("tests/test_learning.py::TestMonteCarlo::test_deterministic_across_runs",
+         "tests/test_learning.py::TestStreamSeeding::test_run_nfl"),
     ),
     Mutant(
         "sample_obs skips the law for no rows",
@@ -421,21 +449,23 @@ CATALOGUE = (
         (("    sampler = _sampler(observational(scm))\n"
           "    rows = _draw(sampler, count, random.Random(seed)) if count else ()\n",
           "    rows = _draw(_sampler(observational(scm)), count, random.Random(seed)) if count else ()\n"),),
-        ("tests/test_learning.py",),
+        ("tests/test_learning.py::TestSampleObs::test_no_rows_still_compute_the_law",),
     ),
     Mutant(
         "the query tally drops its count",
         "src/scmlab/learning.py",
         (("    total = sum([count * abs(Fraction(*answer) - Fraction(*truth))\n",
           "    total = sum([abs(Fraction(*answer) - Fraction(*truth))\n"),),
-        ("tests/test_learning.py",),
+        ("tests/test_learning.py::TestPerQueryError::test_mc_constant_hits_quarter_exactly",
+         "tests/test_learning.py::TestAgainstReference::test_per_query_error"),
     ),
     Mutant(
         "the truth memo read at (j, i)",
         "src/scmlab/learning.py",
         (("        tally[answer, graph.truths(i)[j]] += 1\n",
           "        tally[answer, graph.truths(j)[i]] += 1\n"),),
-        ("tests/test_learning.py",),
+        ("tests/test_learning.py::TestPerQueryError::test_mc_pinned_with_a_data_reading_predictor",
+         "tests/test_learning.py::TestAgainstReference::test_per_query_error"),
     ),
 )
 

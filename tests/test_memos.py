@@ -910,30 +910,34 @@ def corrupted(oracle_in, index, dist):
 # ------------------------------------------------------ family column memo
 
 
-def stated_bytes(kind: str, column) -> int:
-    """What the family column memo counts for `column`: 8 B a member slot
-    and each distinct entry once, an INT_ALL entry's bytes or a body
-    tuple's 8 B pointers."""
-    width = 1 if kind == INT_ALL else 8
-    return 8 * len(column) + width * sum(len(entry) for entry in set(column))
+def stated_bytes(column) -> int:
+    """What the family column memo counts for `column`, of any kind: 8 B a
+    member slot, 8 B a pointer of each distinct entry (a tuple of
+    component bodies), and each distinct body text's characters once."""
+    entries = set(column)
+    texts = {body for entry in entries for body in entry}
+    return 8 * len(column) + 8 * sum(len(entry) for entry in entries) + sum(map(len, texts))
 
 
 def test_an_index_above_the_bound_is_returned_but_not_kept(monkeypatch):
-    # xor m=2's INT_ALL index (one 3,710-byte oracle for four members)
-    # counts 3,742 B and tree n=3's (nine distinct 706-byte oracles) 6,426
-    # B: under a bound between them the first is kept, and the second is
-    # returned whole and drops nothing
+    # xor m=2's three columns (one entry each, for four members) count
+    # 2,919 B (81 bodies), 199 B and 831 B, and tree n=4's INT_ALL column
+    # (64 distinct entries of 81 bodies) 43,217 B: under a bound between
+    # them the first are kept, and the second is returned whole, in bytes,
+    # and drops nothing
     COLUMNS = oracle._COLUMNS
     monkeypatch.setattr(COLUMNS, "limit", 6000)
-    small, large = Family("xor", 2), Family("tree", 3)
+    small, large = Family("xor", 2), Family("tree", 4)
     kept = oracle.family_columns(small, (INT_ALL, OBS, INT1))
     index = oracle.oracle_index(large, INT_ALL)
     assert index == tuple([serialize(compute_oracle(large.build(param), INT_ALL))
                            for param in large.parameters()])
-    assert stated_bytes(INT_ALL, index) > COLUMNS.limit
+    column = [entries[INT_ALL] for _, _, entries in oracle.family_sweep(large, (INT_ALL,))]
+    assert stated_bytes(column) == 43217 > COLUMNS.limit
     assert [key[:2] for key in COLUMNS] == [(small, INT_ALL), (small, OBS), (small, INT1)]
-    assert COLUMNS.held == sum(stated_bytes(kind, kept[kind]) for kind in kept) <= COLUMNS.limit
-    assert oracle.oracle_index(small, INT_ALL) is kept[INT_ALL]
+    assert [stated_bytes(kept[kind]) for kind in kept] == [2919, 199, 831]
+    assert COLUMNS.held == sum(stated_bytes(kept[kind]) for kind in kept) <= COLUMNS.limit
+    assert oracle.family_columns(small, (INT_ALL,))[INT_ALL] is kept[INT_ALL]
 
 
 # ------------------------------------------------------------ probe facts

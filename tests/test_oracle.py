@@ -384,9 +384,13 @@ class TestOracleIndex:
             if a == b:
                 assert a is b
 
-    def test_int_all_memoized(self):
+    def test_int_all_memoized(self, member_calls):
+        # the second request writes its bytes from the held column
         family = Family("xor", 2)
-        assert oracle_index(family, INT_ALL) is oracle_index(family, INT_ALL)
+        index = oracle_index(family, INT_ALL)
+        member_calls.clear()
+        assert oracle_index(family, INT_ALL) == index
+        assert member_calls == []
 
     def test_xor_int_all_computed_once_across_verify_and_gaps(self, member_calls):
         family = Family("xor", 2)
@@ -473,12 +477,13 @@ class TestOracleIndex:
 
 
 class TestBodyColumns:
-    """Family columns hold each member's tuple of component bodies, not its
-    bytes: within one kind and n, two oracles have equal body tuples
-    exactly when they serialize to equal bytes, so the tuples group the
-    members as the bytes do."""
+    """Family columns of every kind, INT_ALL included, hold each member's
+    tuple of component bodies, not its bytes: within one kind and n, two
+    oracles have equal body tuples exactly when they serialize to equal
+    bytes, so the tuples group the members as the bytes do. Every tier-1
+    family below is within the INT_ALL caps."""
 
-    KINDS = (OBS, INT1, CF1)
+    KINDS = (OBS, INT1, CF1, INT_ALL)
 
     @staticmethod
     def assert_same_groups(pairs):
@@ -503,8 +508,29 @@ class TestBodyColumns:
             self.assert_same_groups(rows[kind])
             assert columns[kind] == tuple([bodies for bodies, _ in rows[kind]])
             assert oracle_index(family, kind) == tuple([data for _, data in rows[kind]])
-            for bodies, data in rows[kind]:
+            for bodies, data in set(rows[kind]):
                 assert oracle_module.entry_bytes(kind, n, bodies) == data
+
+    @pytest.mark.parametrize("family", [
+        Family("tree", 3), Family("bipartite", 2), Family("xor", 2),
+    ], ids=str)
+    def test_a_sweep_shares_equal_body_texts(self, family, monkeypatch):
+        # with no leaf memo each member's pass renders texts of its own, so
+        # one str per distinct text comes from the sweep alone: across the
+        # members and the kinds of one sweep (INT_ALL's, then the rest), and
+        # in the columns it keeps
+        monkeypatch.setattr(scm_core._LEAVES, "limit", 0)
+        for kinds in ((INT_ALL,), (OBS, INT1, CF1)):
+            columns = oracle_module.family_columns(family, kinds)
+            texts: dict = {}
+            entries: dict = {}
+            for kind in kinds:
+                for entry in columns[kind]:
+                    assert type(entry) is tuple and entries.setdefault(entry, entry) is entry
+                    for body in entry:
+                        assert type(body) is str and texts.setdefault(body, body) is body
+            # texts repeat across the members' slots, so the check has teeth
+            assert len(texts) < sum([len(entry) for kind in kinds for entry in columns[kind]])
 
     @given(st.lists(small_scms(max_n=3), min_size=1, max_size=5), st.data())
     @settings(max_examples=80, deadline=None)
