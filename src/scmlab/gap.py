@@ -301,7 +301,7 @@ def pairwise_separation_check(m: int, epsilon) -> SeparationCheck:
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise BadRangeError(f"epsilon must be nonnegative, got {epsilon}")
-    oracles = [member[INT1] for _, member, _ in family_sweep(Family(BIPARTITE, m), (INT1,), ())]
+    oracles = [member[INT1] for _, member in family_sweep(Family(BIPARTITE, m), (INT1,), {})]
     pair_count = math.comb(len(oracles), 2)
     best = min(itertools.starmap(d_int, itertools.combinations(oracles, 2)))
     if best < HALF:

@@ -10,11 +10,15 @@ An oracle is the complete exact answer set for one query class:
   empty set included, so OBS is literally a component.
 
 Every oracle of every kind is computed in one place, `_member_oracles`:
-`compute_oracle`, the family sweeps and the decoders' rebuild check all
+`compute_oracle`, the family sweep and the decoders' rebuild check all
 call it. Each component sits at the slot its kind's layout (`_layout`)
 gives it, one memo of layouts serving every kind. A family's column of
-any kind (`family_columns`) holds each member's tuple of component
-bodies, equal texts shared, and `oracle_index` writes its bytes.
+any kind holds each member's tuple of component bodies, equal texts
+shared. One walk, `family_sweep`, owns the columns: it reads each held
+one from the family column memo, sweeps and keeps the rest (INT_ALL's
+first, alone), and yields each member's oracles to a caller that checks
+them, as `verify_family` does. `family_columns` drains it for the gap
+tables, and `oracle_index` writes a column's bytes.
 
 Serialization is canonical: one byte string per oracle, equal bytes iff
 equal oracles. The grammar (golden-tested) is
@@ -42,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter, lt
+from operator import lt
 from typing import NoReturn
 
 from .caps import snapshot, work_text
@@ -215,57 +219,33 @@ def _assemble(kind: str, n: int, laws) -> AnswerOracle:
 
 def oracle_index(family, kind: str) -> tuple[bytes, ...]:
     """Serialized `kind` oracle of every member of `family` (a
-    `catalog.Family`), in `family.parameters()` order; equal oracles share
-    one bytes object. `oracle_indexes` with one kind."""
-    return oracle_indexes(family, (kind,))[kind]
-
-
-def oracle_indexes(family, kinds) -> dict[str, tuple[bytes, ...]]:
-    """`oracle_index` of `family` for each of `kinds`: the bytes of each
-    `family_columns` entry, each distinct entry serialized once."""
+    `catalog.Family`), in `family.parameters()` order: the bytes of each
+    entry of its `family_columns` column, each distinct entry written once,
+    so equal oracles share one bytes object."""
+    column = family_columns(family, (kind,))[kind]
     n = family.n_vars()
-    index = family_columns(family, kinds)
-    for kind, column in index.items():
-        written = {entry: entry_bytes(kind, n, entry) for entry in set(column)}
-        index[kind] = tuple([written[entry] for entry in column])
-    return index
+    written = {entry: entry_bytes(kind, n, entry) for entry in set(column)}
+    return tuple([written[entry] for entry in column])
 
 
 def family_columns(family, kinds) -> dict[str, tuple]:
-    """The column of `family` for each of `kinds`: one entry per member,
-    in `family.parameters()` order, its oracle's tuple of component bodies
-    (`family_sweep`), equal exactly when the oracles are. INT_ALL is swept
-    first and alone, so its caps refuse before any other work. A sweep's
-    columns are read from `_COLUMNS` when all are held under the active
-    caps, else swept and kept: a changed cap sweeps or refuses."""
-    kinds = tuple(dict.fromkeys(kinds))
-    caps = snapshot()
-    columns = {}
-    for swept in ([INT_ALL] if INT_ALL in kinds else [], [k for k in kinds if k != INT_ALL]):
-        held = [_COLUMNS.get((family, kind, caps)) for kind in swept]
-        if None in held:
-            lists: dict[str, list] = {kind: [] for kind in swept}
-            for entries in map(itemgetter(2), family_sweep(family, swept)):  # no oracle kept
-                for kind, column in lists.items():
-                    column.append(entries[kind])
-            held = keep_columns(family, lists, caps)
-        columns.update(zip(swept, held))
+    """The column of `family` for each of `kinds`: one entry per member, in
+    `family.parameters()` order, its oracle's tuple of component bodies,
+    equal exactly when the oracles are. `family_sweep` drained, with no
+    kind yielded."""
+    columns = dict.fromkeys(kinds)
+    list(family_sweep(family, (), columns))  # yields nothing
     return columns
 
 
-# the columns `verify_family` groups (INT_ALL, OBS and INT1 for xor; OBS and
-# INT1 for tree and bipartite, the gap table's rungs) or a gap table swept,
-# by (family, kind, caps snapshot), bounded in bytes (`_column_bytes`): tree
-# n=7's two columns count 16.0 MB (19.8 MiB live), bipartite m=4's 11.0 MB,
-# and the INT_ALL columns of xor m=5 17.2 MB and bipartite m=3 9.0 MB, each
-# kept; tree n=6's INT_ALL column, 45.4 MB, is returned but not kept
+# the family columns `family_sweep` swept (INT_ALL, OBS and INT1 for an xor
+# verify; OBS and INT1 for a tree or bipartite verify or gap table, the gap
+# table's rungs), by (family, kind, caps snapshot), bounded in bytes
+# (`_column_bytes`): tree n=7's two columns count 16.0 MB (19.8 MiB live),
+# bipartite m=4's 11.0 MB, and the INT_ALL columns of xor m=5 17.2 MB and
+# bipartite m=3 9.0 MB, each kept; tree n=6's INT_ALL column, 45.4 MB, is
+# returned but not kept. Only `family_sweep` reads or keeps them.
 _COLUMNS = _Bounded(1 << 25)
-
-
-def keep_columns(family, columns: dict, caps: tuple) -> list[tuple]:
-    """Keep `columns` (kind -> entries) of `family` swept under `caps`."""
-    return [_COLUMNS.keep((family, kind, caps), tuple(column), _column_bytes(column))
-            for kind, column in columns.items()]
 
 
 def _column_bytes(column) -> int:
@@ -287,22 +267,41 @@ def _bodies(oracle: AnswerOracle) -> tuple[str, ...]:
     return tuple([dist._text() for _, dist in oracle.components])
 
 
-def family_sweep(family, kinds, grouped=None):
-    """Yield (param, oracles, entries) for each member of `family`, in
-    `family.parameters()` order: its oracle for each of `kinds` and, for
-    each of `grouped` (default `kinds`), its `_bodies`. One build, plan and
-    kernel pass per member serve all the kinds (`_member_oracles`); equal
-    body texts share one str, equal entries one tuple, and each member's
+def family_sweep(family, kinds, columns: dict):
+    """Yield (param, oracles) for each member of `family`, in
+    `family.parameters()` order, `oracles` holding its oracle of each of
+    `kinds`. Only once the walk is drained does each key of `columns` hold
+    that kind's column (see `family_columns`): read from `_COLUMNS` when
+    held under the one `snapshot()` taken at the start, else swept and
+    kept. A missing INT_ALL column is swept first, in a walk of its own
+    that yields nothing, so its caps refuse before any other work and no
+    member's INT_ALL oracle is held beside its worlds pass; every other
+    missing column comes from the walk that serves `kinds`, and no member
+    is walked when there is nothing to compute. Within a walk equal body
+    texts share one str and equal entries one tuple, and each member's
     oracles are dropped before the next member's are computed."""
-    shared: dict = {}  # texts and entries: a str never equals a tuple
-    for param in family.parameters():
-        oracles = _member_oracles(family.build(param), kinds)
-        entries = {}
-        for kind in kinds if grouped is None else grouped:
-            entry = tuple([shared.setdefault(body, body) for body in _bodies(oracles[kind])])
-            entries[kind] = shared.setdefault(entry, entry)
-        yield param, oracles, entries
-        del oracles
+    caps = snapshot()
+    for kind in columns:
+        columns[kind] = _COLUMNS.get((family, kind, caps))
+    missing = [kind for kind, column in columns.items() if column is None and kind != INT_ALL]
+    walks = [((INT_ALL,), ())] if INT_ALL in columns and columns[INT_ALL] is None else []
+    if kinds or missing:
+        walks.append((missing, kinds))
+    for swept, yielded in walks:
+        asked = tuple(dict.fromkeys([*yielded, *swept]))
+        shared: dict = {}  # texts and entries: a str never equals a tuple
+        lists: dict[str, list] = {kind: [] for kind in swept}
+        for param in family.parameters():
+            oracles = _member_oracles(family.build(param), asked)
+            for kind, column in lists.items():
+                entry = tuple([shared.setdefault(body, body) for body in _bodies(oracles[kind])])
+                column.append(shared.setdefault(entry, entry))
+            if yielded:
+                yield param, oracles
+            del oracles
+        del shared  # before the columns are sized: held, it raises tree n=7's peak 5 MiB
+        for kind, column in lists.items():
+            columns[kind] = _COLUMNS.keep((family, kind, caps), tuple(column), _column_bytes(column))
 
 
 # components per block of `serialize`: each block's text is encoded and

@@ -14,35 +14,30 @@ check, the kinds that must be identical beyond the lower rung, and its
 decoder, split into its probe and the full decoder, with the kind they
 read.
 
-The suite walks the family once. INT_ALL, when the rung pair asks for
-it, is read first from its column in `oracle._COLUMNS`, or swept on its
-own, so its cap refuses before any other work. Then one
-`oracle.family_sweep` builds and compiles each member once and reads its
-OBS, INT1 and CF1 off one parallel-worlds pass, and every per-member
-check reads that member's in-memory oracles. Nothing is serialized per
-member or parsed back: the distinctness checks, INT_ALL's too, group
-each member's tuple of component bodies, equal exactly when the bytes
-are, and leave the columns in `oracle._COLUMNS` for the gap tables.
-The embedding check serializes one (OBS, INT1) pair per distinct (OBS
-body, INT1 obs body). When the decoder's probe names the member itself,
-the rebuild check would read back that same oracle, so the round trip
-counts without it; anything else goes through the public decoder, so a
-wrong member or a typed error comes out exactly as from the decoder. The
-cross-rung check is one integer pass (`blocks_match`) per distinct
-(triple, obs, do 0, do 1) dists, which members share: the 46,656
-triples of tree n=6 reach only 63.
+The suite walks the family once, through `oracle.family_sweep`: each
+member is built and compiled once, its OBS, INT1 and CF1 are read off one
+parallel-worlds pass, and every per-member check reads that member's
+in-memory oracles. The distinctness checks group the columns the sweep
+fills, each member's tuple of component bodies, equal exactly when the
+bytes are; the sweep owns the rule for getting them, so a column a gap
+table or an earlier suite left is read, not swept again, and a cap
+refuses before any other work. Nothing is serialized per member or parsed
+back. The embedding check serializes one (OBS, INT1) pair per distinct
+(OBS body, INT1 obs body). When the decoder's probe names the member
+itself, the rebuild check would read back that same oracle, so the round
+trip counts without it; anything else goes through the public decoder, so
+a wrong member or a typed error comes out exactly as from the decoder.
+The cross-rung check is one integer pass (`blocks_match`) per distinct
+(triple, obs, do 0, do 1) dists, which members share: the 46,656 triples
+of tree n=6 reach only 63.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .caps import snapshot
 from .catalog import Family
-from .oracle import (
-    CF1, INT1, INT_ALL, OBS, AnswerOracle, blocks_match, family_columns, family_sweep,
-    keep_columns, serialize,
-)
+from .oracle import CF1, INT1, OBS, AnswerOracle, blocks_match, family_sweep, serialize
 
 
 @dataclass(frozen=True)
@@ -83,23 +78,18 @@ def _obs_embeds(obs: bytes, int1: bytes) -> bool:
 
 
 def verify_family(family: Family) -> list[CheckResult]:
-    """Run the family's full suite; exhaustive over its parameter space."""
+    """Run the family's full suite, exhaustive over its parameter space:
+    one `family_sweep` for OBS, INT1 and CF1 serves every per-member check
+    and fills the columns the distinctness checks group."""
     spec = family.spec
     lower_kind, higher_kind = spec.rungs
     n = family.n_vars()
-    caps = snapshot()
-    grouped = (*spec.also_identical, lower_kind, higher_kind)
-    # INT_ALL, the costliest kind, is read first, so its cap refuses before any work
-    index = family_columns(family, (INT_ALL,)) if INT_ALL in grouped else {}
-    columns: dict[str, list[tuple]] = {kind: [] for kind in (OBS, INT1, CF1) if kind in grouped}
+    columns = dict.fromkeys((*spec.also_identical, lower_kind, higher_kind))
     count = round_trips = 0
     marginals_ok = embeddings_ok = True
     checked: dict[tuple, tuple] = {}  # by (triple, obs, do 0, do 1) ids
     embedded: dict[tuple, bool] = {}  # by (OBS body, INT1 obs body), which fix the verdict
-    sweep = family_sweep(family, (OBS, INT1, CF1), tuple(columns))
-    for count, (param, oracles, bodies) in enumerate(sweep, 1):
-        for kind, column in columns.items():
-            column.append(bodies[kind])
+    for count, (param, oracles) in enumerate(family_sweep(family, (OBS, INT1, CF1), columns), 1):
         oracle = oracles[higher_kind]
         if spec.probe(oracle) == param or spec.decode(oracle) == param:
             round_trips += 1
@@ -108,21 +98,20 @@ def verify_family(family: Family) -> list[CheckResult]:
         if key not in embedded:
             embedded[key] = _obs_embeds(serialize(oracles[OBS]), serialize(oracles[INT1]))
         embeddings_ok &= embedded[key]
-    index.update(zip(columns, keep_columns(family, columns, caps)))
     results = []
 
     def check(name: str, passed: bool, **details) -> None:
         results.append(CheckResult(name, passed, {"parameters": count, **details}))
 
     for kind in (*spec.also_identical, lower_kind):
-        distinct = set(index[kind])
+        distinct = set(columns[kind])
         if kind == OBS:
             expected = (spec.obs_law(n)._text(),)
             check(spec.obs_check, distinct == {expected}, distinct_laws=len(distinct))
         else:
             name = f"{kind.lower().replace('_', '-')}-identical"
             check(name, len(distinct) == 1, distinct_oracles=len(distinct))
-    distinct = set(index[higher_kind])
+    distinct = set(columns[higher_kind])
     name = f"{higher_kind.lower().replace('_', '-')}-all-distinct"
     check(name, len(distinct) == count, distinct_oracles=len(distinct))
     check("decoder-round-trip", round_trips == count, recovered=round_trips)

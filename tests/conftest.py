@@ -4,16 +4,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 
 from scmlab import Mechanism, NoiseDist, Scm
 from scmlab import decoders, gates, oracle, scm_core
 
 # the profile `tests/mutants.py` runs its mutants under (`--hypothesis-profile
-# mutants`): no shrink phase, since one failing example kills a mutant; the
-# tier-1 runs keep hypothesis's default profile
-settings.register_profile("mutants", phases=[phase for phase in Phase if phase != Phase.shrink])
+# mutants`): no shrink phase, since one failing example kills a mutant, and
+# no deadline or too-slow health check, since two mutants run at once and a
+# slowed example must not count as a kill; the tier-1 runs keep hypothesis's
+# default profile
+settings.register_profile("mutants", phases=[phase for phase in Phase if phase != Phase.shrink],
+                          deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 # one "PASS <name>: ..." or "FAIL <name>: ..." line per acceptance
 # criterion, echoed into the terminal summary so a plain pytest run

@@ -9,12 +9,18 @@ with the interpreter that runs the tests:
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME ...     # the named mutants only
 
-The tree (`src`, `tests`, `pyproject.toml`) is copied once to a temporary
-directory. One mutant at a time is applied there, `python -m pytest -q -x`
-runs on its test files, one process at a time, and the file is restored.
+The tree (`src`, `tests`, `pyproject.toml`) is copied once per worker to
+a temporary directory, `min(2, os.cpu_count())` workers in all, and
+compiled there once to bytecode that is checked against each module's
+source hash, so a run compiles only the file its mutant changed (and the
+test modules pytest rewrites). Each worker runs one mutant at a time in
+its own copy: the mutant is applied, `python -m pytest -q -x` runs on its
+test files, and the file is restored.
 The runs select the hypothesis profile "mutants" (`tests/conftest.py`),
-which skips the shrink phase: a kill needs one failing example, not a
-minimal one.
+which skips the shrink phase, since a kill needs one failing example, not
+a minimal one, and has no deadline or too-slow health check, so a run
+slowed by its neighbour cannot count as a kill. Verdicts are printed in
+catalogue order.
 Each mutant is reported as:
 
 * killed: the tests ran and failed;
@@ -30,12 +36,16 @@ this file has no `test_` prefix, so pytest does not collect it.
 
 from __future__ import annotations
 
+import compileall
 import os
+import py_compile
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,18 +62,18 @@ class Mutant:
 
 CATALOGUE = (
     Mutant(
-        "verify reads INT_ALL after the sweep",
-        "src/scmlab/verify.py",
+        # one walk for every kind: each member's INT_ALL oracle is held
+        # beside its worlds pass
+        "the INT_ALL column swept in the main walk",
+        "src/scmlab/oracle.py",
         (
-            ("    index = family_columns(family, (INT_ALL,)) if INT_ALL in grouped else {}\n",
-             "    index = {}\n"),
-            ("    index.update(zip(columns, keep_columns(family, columns, caps)))\n",
-             "    index.update(zip(columns, keep_columns(family, columns, caps)))\n"
-             "    if INT_ALL in grouped:\n"
-             "        index.update(family_columns(family, (INT_ALL,)))\n"),
+            ("    missing = [kind for kind, column in columns.items() if column is None and kind != INT_ALL]\n",
+             "    missing = [kind for kind, column in columns.items() if column is None]\n"),
+            ("    walks = [((INT_ALL,), ())] if INT_ALL in columns and columns[INT_ALL] is None else []\n",
+             "    walks = []\n"),
         ),
-        ("tests/test_verify.py::TestRefusesBeforeWork::test_lowered_int_all_cap_computes_no_oracle",
-         "tests/test_verify.py::TestRefusesBeforeWork::test_default_int_all_cap_refuses_xor_7_at_once"),
+        ("tests/test_oracle.py::TestOracleIndex::test_xor_int_all_computed_once_across_verify_and_gaps",
+         "tests/test_oracle.py::TestOracleIndex::test_xor_int_all_computed_once_across_gaps_and_verify"),
     ),
     Mutant(
         # the worlds pass, or OBS's trie pass, before INT_ALL's caps
@@ -369,20 +379,28 @@ CATALOGUE = (
     Mutant(
         "a held column read under another caps snapshot",
         "src/scmlab/oracle.py",
-        (("        held = [_COLUMNS.get((family, kind, caps)) for kind in swept]\n",
-          "        held = [next((column for (f, k, _), column in _COLUMNS.items()\n"
-          "                      if (f, k) == (family, kind)), None) for kind in swept]\n"),),
+        (("        columns[kind] = _COLUMNS.get((family, kind, caps))\n",
+          "        columns[kind] = next((column for (f, k, _), column in _COLUMNS.items()\n"
+          "                              if (f, k) == (family, kind)), None)\n"),),
         ("tests/test_oracle.py::TestOracleIndex::test_a_changed_or_lowered_cap_sweeps_again_or_refuses",),
     ),
     Mutant(
         "an INT_ALL column read under another caps snapshot",
         "src/scmlab/oracle.py",
-        (("        held = [_COLUMNS.get((family, kind, caps)) for kind in swept]\n",
-          "        held = [_COLUMNS.get((family, kind, caps)) if kind != INT_ALL else\n"
-          "                next((column for (f, k, _), column in _COLUMNS.items()\n"
-          "                      if (f, k) == (family, kind)), None) for kind in swept]\n"),),
+        (("        columns[kind] = _COLUMNS.get((family, kind, caps))\n",
+          "        columns[kind] = _COLUMNS.get((family, kind, caps)) if kind != INT_ALL else \\\n"
+          "            next((column for (f, k, _), column in _COLUMNS.items()\n"
+          "                  if (f, k) == (family, kind)), None)\n"),),
         ("tests/test_oracle.py::TestOracleIndex::"
          "test_a_changed_or_lowered_cap_sweeps_int_all_again_or_refuses",),
+    ),
+    Mutant(
+        # every column of the call swept whenever one is missing
+        "a held column swept again",
+        "src/scmlab/oracle.py",
+        (("    missing = [kind for kind, column in columns.items() if column is None and kind != INT_ALL]\n",
+          "    missing = [kind for kind in columns if kind != INT_ALL]\n"),),
+        ("tests/test_oracle.py::TestOracleIndex::test_a_held_column_is_read_and_only_the_missing_one_swept",),
     ),
     Mutant(
         "an INT_ALL column sized in members instead of bytes",
@@ -471,9 +489,14 @@ CATALOGUE = (
 
 
 def _copy_tree(target: Path) -> None:
+    """Copy the tree to `target` and compile it once to bytecode checked by
+    source hash: each run imports a module from it unless its source has
+    changed, as a mutated file has, and writes no bytecode of its own."""
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, target / part, ignore=ignore)
+        compileall.compile_dir(target / part, quiet=1,
+                               invalidation_mode=py_compile.PycInvalidationMode.CHECKED_HASH)
     shutil.copy2(ROOT / "pyproject.toml", target / "pyproject.toml")
 
 
@@ -517,14 +540,25 @@ def main(argv: list[str]) -> int:
     chosen = [mutant for mutant in CATALOGUE if not argv or mutant.name in argv]
     start = time.perf_counter()
     verdicts = []
+    workers = min(2, os.cpu_count() or 1)
     with tempfile.TemporaryDirectory(prefix="scmlab-mutants-") as tmp:
-        tree = Path(tmp)
-        _copy_tree(tree)
-        for mutant in chosen:
-            began = time.perf_counter()
-            verdict = run(mutant, tree)
-            verdicts.append(verdict)
-            print(f"{verdict:9} {time.perf_counter() - began:6.1f} s  {mutant.name}", flush=True)
+        trees: queue.SimpleQueue = queue.SimpleQueue()  # the copies no worker is using
+        for k in range(workers):
+            _copy_tree(Path(tmp) / str(k))
+            trees.put(Path(tmp) / str(k))
+
+        def timed(mutant: Mutant) -> tuple[str, float]:
+            tree = trees.get()
+            try:
+                began = time.perf_counter()
+                return run(mutant, tree), time.perf_counter() - began
+            finally:
+                trees.put(tree)
+
+        with ThreadPoolExecutor(workers) as pool:
+            for mutant, (verdict, seconds) in zip(chosen, pool.map(timed, chosen)):
+                verdicts.append(verdict)
+                print(f"{verdict:9} {seconds:6.1f} s  {mutant.name}", flush=True)
     killed = verdicts.count("killed")
     print(f"{killed} of {len(verdicts)} killed in {time.perf_counter() - start:.1f} s")
     return 0 if killed == len(verdicts) else 1

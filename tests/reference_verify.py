@@ -1,15 +1,18 @@
 """Plain reference for the family verification suite.
 
-It computes each family's index bytes, parses every oracle back from
-them, runs the public decoder (probe and rebuild check) on each parsed
-oracle, and compares each CF1 block's `marginal` with its law by `==`.
-It does each member's work more than once on purpose: `verify_family`,
+It serializes each member's oracle of each kind, computed one model and
+one kind at a time (`compute_oracle`, with no family column), parses
+every oracle back from those bytes, runs the public decoder (probe and
+rebuild check) on each parsed oracle, and compares each CF1 block's
+`marginal` with its law by `==`. It does each member's work more than once on purpose: `verify_family`,
 which reads each member's in-memory oracles from one sweep, must return
 the same `CheckResult`s for every family and raise the same errors.
 """
 
 from scmlab.catalog import Family
-from scmlab.oracle import CF1, INT1, OBS, AnswerOracle, marginal, oracle_indexes, parse, serialize
+from scmlab.oracle import (
+    CF1, INT1, OBS, AnswerOracle, compute_oracle, marginal, parse, serialize,
+)
 from scmlab.verify import CheckResult
 
 
@@ -33,7 +36,9 @@ def reference_verify(family: Family) -> list[CheckResult]:
     spec = family.spec
     lower_kind, higher_kind = spec.rungs
     n = family.n_vars()
-    index = oracle_indexes(family, (lower_kind, higher_kind, *spec.also_identical, OBS, INT1, CF1))
+    members = [family.build(param) for param in family.parameters()]
+    index = {kind: [serialize(compute_oracle(scm, kind)) for scm in members]
+             for kind in dict.fromkeys((lower_kind, higher_kind, *spec.also_identical, OBS, INT1, CF1))}
     obs, int1, cf1 = index[OBS], index[INT1], index[CF1]
     count = len(obs)
     results = []

@@ -566,8 +566,8 @@ def test_a_leaf_above_the_bound_is_not_looked_up(monkeypatch):
 
 
 def sweep_bodies(families) -> list[tuple]:
-    return [bodies[kind] for family in families
-            for _, _, bodies in oracle.family_sweep(family, KEPT_KINDS) for kind in KEPT_KINDS]
+    return [oracle._bodies(oracles[kind]) for family in families
+            for _, oracles in oracle.family_sweep(family, KEPT_KINDS, {}) for kind in KEPT_KINDS]
 
 
 @pytest.mark.parametrize("bound", [40, None], ids=["40", "default"])
@@ -932,7 +932,7 @@ def test_an_index_above_the_bound_is_returned_but_not_kept(monkeypatch):
     index = oracle.oracle_index(large, INT_ALL)
     assert index == tuple([serialize(compute_oracle(large.build(param), INT_ALL))
                            for param in large.parameters()])
-    column = [entries[INT_ALL] for _, _, entries in oracle.family_sweep(large, (INT_ALL,))]
+    column = oracle.family_columns(large, (INT_ALL,))[INT_ALL]  # swept again: not kept
     assert stated_bytes(column) == 43217 > COLUMNS.limit
     assert [key[:2] for key in COLUMNS] == [(small, INT_ALL), (small, OBS), (small, INT1)]
     assert [stated_bytes(kept[kind]) for kind in kept] == [2919, 199, 831]

@@ -475,6 +475,34 @@ class TestOracleIndex:
         assert all_passed(verify_family(family))
         assert member_calls == [((OBS, INT1, CF1), scm) for scm in self.members(family)]
 
+    @pytest.mark.parametrize("family", FAMILIES, ids=str)
+    def test_verify_after_a_table_keeps_the_tables_columns(self, family):
+        # verify reads the OBS and INT1 columns the table kept, and keeps
+        # no new tuples in their place
+        separation_table(family)
+        held = dict(oracle_module._COLUMNS)
+        assert [key[1] for key in held] == [OBS, INT1]
+        assert all_passed(verify_family(family))
+        assert all(oracle_module._COLUMNS[key] is column for key, column in held.items())
+
+    def test_a_held_column_is_read_and_only_the_missing_one_swept(self, member_calls):
+        family = Family("tree", 3)
+        obs = oracle_module.family_columns(family, (OBS,))[OBS]
+        member_calls.clear()
+        columns = oracle_module.family_columns(family, (OBS, INT1))
+        assert member_calls == [((INT1,), scm) for scm in self.members(family)]
+        assert columns[OBS] is obs
+        assert columns[INT1] == oracle_module.family_columns(Family("tree", 3), (INT1,))[INT1]
+
+    def test_xor_int_all_computed_once_across_gaps_and_verify(self, member_calls):
+        family = Family("xor", 2)
+        rows = separation_table(family)
+        assert all_passed(verify_family(family))
+        assert separation_table(family) == rows
+        members = self.members(family)
+        assert [call for call in member_calls if INT_ALL in call[0]] == [
+            ((INT_ALL,), scm) for scm in members]
+
 
 class TestBodyColumns:
     """Family columns of every kind, INT_ALL included, hold each member's
@@ -500,9 +528,9 @@ class TestBodyColumns:
     def test_body_tuples_group_as_bytes(self, family):
         n = family.n_vars()
         rows = {kind: [] for kind in self.KINDS}
-        for _, oracles, bodies in family_sweep(family, self.KINDS):
+        for _, oracles in family_sweep(family, self.KINDS, {}):
             for kind in self.KINDS:
-                rows[kind].append((bodies[kind], serialize(oracles[kind])))
+                rows[kind].append((oracle_module._bodies(oracles[kind]), serialize(oracles[kind])))
         columns = oracle_module.family_columns(family, self.KINDS)
         for kind in self.KINDS:
             self.assert_same_groups(rows[kind])
@@ -589,7 +617,7 @@ class TestOneOraclePath:
 
     def test_family_sweep(self, calls):
         family = Family("tree", 3)
-        list(family_sweep(family, (OBS, CF1)))
+        list(family_sweep(family, (OBS, CF1), {}))
         assert calls == [((OBS, CF1), family.build(param)) for param in family.parameters()]
 
     @pytest.mark.parametrize("family, kind, decode", [

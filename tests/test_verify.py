@@ -287,8 +287,8 @@ class TestMarginalConsistency:
     triple gives."""
 
     def members(self, family):
-        return [oracles for _, oracles, _ in
-                oracle.family_sweep(family, (oracle.OBS, oracle.INT1, oracle.CF1))]
+        return [oracles for _, oracles in
+                oracle.family_sweep(family, (oracle.OBS, oracle.INT1, oracle.CF1), {})]
 
     def test_each_distinct_tuple_is_walked_once(self, monkeypatch):
         family = Family("tree", 4)
@@ -336,13 +336,13 @@ class TestObsEmbeds:
 
         def corrupted(*args):
             # the last member's INT1 oracle with its do(X_0=0) law at "obs"
-            for param, oracles, bodies in sweep(*args):
+            for param, oracles in sweep(*args):
                 if param == last:
                     int1 = oracles[oracle.INT1]
                     (key, _), (do_key, do_law), *rest = int1.components
                     components = ((key, do_law), (do_key, do_law), *rest)
                     oracles = {**oracles, oracle.INT1: dataclasses.replace(int1, components=components)}
-                yield param, oracles, bodies
+                yield param, oracles
 
         monkeypatch.setattr(verify_module, "family_sweep", corrupted)
         results = {r.name: r.passed for r in verify_family(family)}
