@@ -554,7 +554,7 @@ def d_int(a: AnswerOracle, b: AnswerOracle) -> Fraction:
 def marginal(dist: ExactDist, positions) -> ExactDist:
     """Exact marginal onto `positions`, keeping the given order, summed in
     integers over the dist's integer view, each position's bit moved to its
-    place in the key; the result carries its body and keys, as a leaf does."""
+    place in the key; the result carries its canonical body, as a leaf does."""
     positions = tuple(int(p) for p in positions)
     for p in positions:
         dist._check_position(p)

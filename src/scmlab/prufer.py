@@ -2,10 +2,15 @@
 
 Encoding runs the classic elimination on the underlying unrooted tree:
 repeatedly delete the smallest-labeled leaf and record its neighbor,
-stopping when two nodes remain. The root label travels alongside the
-sequence so rooted trees round-trip exactly. For n <= 2 the sequence is
-empty, which is why decode takes n explicitly. `tree_bit_budget` prices
-the codec in exact bits; it is the tree family's constructive encoder.
+stopping when two nodes remain. Elimination never removes n, the largest
+label, so both directions work on the tree rooted at n, where each
+removed leaf's neighbor is its parent: encode re-roots its input at n,
+decode re-roots what it builds at the given root, and `_rerooted`
+reverses the one path between the two roots. The root label travels
+alongside the sequence so rooted trees round-trip exactly. For n <= 2
+the sequence is empty, which is why decode takes n explicitly.
+`tree_bit_budget` prices the codec in exact bits; it is the tree
+family's constructive encoder.
 """
 
 from __future__ import annotations
@@ -46,33 +51,45 @@ def tree_bit_budget(n: int) -> BitBudget:
     return BitBudget(components, sequence_bits + root_bits, idealized)
 
 
+def _rerooted(parent: dict[int, int], root: int) -> dict[int, int]:
+    """Re-root the tree of `parent` at `root` in place, by reversing the one
+    path from `root` up to the old root; return `parent`."""
+    child, node = root, parent.pop(root, 0)
+    while node:
+        above = parent.get(node, 0)
+        parent[node] = child
+        child, node = node, above
+    return parent
+
+
 def prufer_encode(tree: RootedTree) -> tuple[tuple[int, ...], int]:
-    """Return (sequence, root); the sequence has length max(n - 2, 0)."""
+    """Return (sequence, root); the sequence has length max(n - 2, 0).
+    Each removed leaf's neighbor is its parent in the tree rooted at n."""
     tree.check()
     n = tree.n
-    if n <= 2:
-        return (), tree.root
-    adjacency: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for child, parent in tree.parent.items():
-        adjacency[child].add(parent)
-        adjacency[parent].add(child)
-    leaves = [v for v in adjacency if len(adjacency[v]) == 1]
-    heapq.heapify(leaves)
+    parent = _rerooted(dict(tree.parent), n)
+    degree = [1] * (n + 1)
+    for p in parent.values():
+        degree[p] += 1
+    leaves = [v for v in range(1, n + 1) if degree[v] == 1]  # ascending, so a heap
     sequence = []
     for _ in range(n - 2):
         leaf = heapq.heappop(leaves)
-        neighbor = next(iter(adjacency[leaf]))
-        sequence.append(neighbor)
-        adjacency[neighbor].discard(leaf)
-        adjacency[leaf].clear()
-        if len(adjacency[neighbor]) == 1:
-            heapq.heappush(leaves, neighbor)
+        p = parent[leaf]
+        sequence.append(p)
+        degree[p] -= 1
+        if degree[p] == 1:
+            heapq.heappush(leaves, p)
     return tuple(sequence), tree.root
 
 
 def prufer_decode(sequence, root: int, n: int) -> RootedTree:
-    """Rebuild the tree on nodes 1..n and orient every edge away from root."""
-    sequence = tuple(int(s) for s in sequence)
+    """Rebuild the tree on nodes 1..n rooted at `root`: each popped leaf
+    hangs from its label in the tree rooted at n, the last leaf from n,
+    and re-rooting reverses the path from `root` to n."""
+    sequence = tuple(sequence)
+    if any(type(x) is not int for x in (n, root, *sequence)):  # a bool is no label
+        raise InvalidSequenceError(f"n={n!r}, root={root!r} and labels {sequence!r} must be ints")
     if n < 1:
         raise InvalidSequenceError(f"n must be at least 1, got {n}")
     if len(sequence) != max(n - 2, 0):
@@ -85,35 +102,16 @@ def prufer_decode(sequence, root: int, n: int) -> RootedTree:
         raise InvalidSequenceError(f"sequence labels {sequence} outside 1..{n}")
     if n == 1:
         return RootedTree(1, root, {})
-    degree = [0] * (n + 1)
-    for v in range(1, n + 1):
-        degree[v] = 1
+    degree = [1] * (n + 1)
     for s in sequence:
         degree[s] += 1
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
+    leaves = [v for v in range(1, n + 1) if degree[v] == 1]  # ascending, so a heap
+    parent = {}
     for s in sequence:
         leaf = heapq.heappop(leaves)
-        edges.append((leaf, s))
+        parent[leaf] = s
         degree[s] -= 1
         if degree[s] == 1:
             heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    adjacency: dict[int, list[int]] = {w: [] for w in range(1, n + 1)}
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    parent: dict[int, int] = {}
-    stack = [root]
-    seen = {root}
-    while stack:
-        node = stack.pop()
-        for neighbor in adjacency[node]:
-            if neighbor not in seen:
-                seen.add(neighbor)
-                parent[neighbor] = node
-                stack.append(neighbor)
-    return RootedTree(n, root, parent)  # a tree by construction from the checked inputs
+    parent[leaves[0]] = n  # n, never a popped leaf, is the other one left
+    return RootedTree(n, root, _rerooted(parent, root))  # a tree, built from checked inputs

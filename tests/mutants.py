@@ -12,10 +12,14 @@ with the interpreter that runs the tests:
 The tree (`src`, `tests`, `pyproject.toml`) is copied once per worker to
 a temporary directory, `min(2, os.cpu_count())` workers in all, and
 compiled there once to bytecode that is checked against each module's
-source hash, so a run compiles only the file its mutant changed (and the
-test modules pytest rewrites). Each worker runs one mutant at a time in
-its own copy: the mutant is applied, `python -m pytest -q -x` runs on its
-test files, and the file is restored.
+source hash, so a run compiles only the file its mutant changed. The
+test modules pytest rewrites are rewritten once per copy, since the runs
+keep pytest's rewritten bytecode. pytest checks that bytecode against the
+file's size and mtime in seconds, so a mutated file is given an mtime of
+its mutant's own, and the restored file its original one. Each worker
+runs one mutant at a time in its own copy: the mutant is applied,
+`python -m pytest -q -x` runs on its test files with hypothesis's plugin
+alone (no other installed plugin is loaded), and the file is restored.
 The runs select the hypothesis profile "mutants" (`tests/conftest.py`),
 which skips the shrink phase, since a kill needs one failing example, not
 a minimal one, and has no deadline or too-slow health check, so a run
@@ -485,13 +489,57 @@ CATALOGUE = (
         ("tests/test_learning.py::TestPerQueryError::test_mc_pinned_with_a_data_reading_predictor",
          "tests/test_learning.py::TestAgainstReference::test_per_query_error"),
     ),
+    # the Prüfer codec: both directions on the tree rooted at n
+    Mutant(
+        "the re-root loop stops one edge short",
+        "src/scmlab/prufer.py",
+        (("    while node:\n", "    while parent.get(node, 0):\n"),),
+        ("tests/test_prufer.py::test_path_example",
+         "tests/test_prufer.py::test_codec_matches_reference_on_every_tree_up_to_n6"),
+    ),
+    Mutant(
+        "decode keeps the tree rooted at n",
+        "src/scmlab/prufer.py",
+        (("    return RootedTree(n, root, _rerooted(parent, root))",
+          "    return RootedTree(n, root, parent)"),),
+        ("tests/test_prufer.py::test_rooting_changes_only_orientation",
+         "tests/test_prufer.py::test_codec_matches_reference_on_every_tree_up_to_n6"),
+    ),
+    Mutant(
+        "encode records the leaf instead of its parent",
+        "src/scmlab/prufer.py",
+        (("        sequence.append(p)\n", "        sequence.append(leaf)\n"),),
+        ("tests/test_prufer.py::test_path_example",
+         "tests/test_prufer.py::test_codec_matches_reference_on_every_tree_up_to_n6"),
+    ),
+    Mutant(
+        "encode re-roots its input's own parent map",
+        "src/scmlab/prufer.py",
+        (("_rerooted(dict(tree.parent), n)", "_rerooted(tree.parent, n)"),),
+        ("tests/test_prufer.py::test_path_example",
+         "tests/test_prufer.py::test_codec_matches_reference_on_every_tree_up_to_n6"),
+    ),
+    Mutant(
+        "decode takes a value that is not an int",
+        "src/scmlab/prufer.py",
+        (("    if any(type(x) is not int for x in (n, root, *sequence)):  # a bool is no label\n"
+          "        raise InvalidSequenceError(f\"n={n!r}, root={root!r} and labels {sequence!r} must be ints\")\n",
+          ""),),
+        ("tests/test_prufer.py::test_a_value_that_is_not_an_int_is_refused_first",),
+    ),
+    Mutant(
+        "decode takes a bool for an int",
+        "src/scmlab/prufer.py",
+        (("type(x) is not int for x", "not isinstance(x, int) for x"),),
+        ("tests/test_prufer.py::test_a_value_that_is_not_an_int_is_refused_first",),
+    ),
 )
 
 
 def _copy_tree(target: Path) -> None:
     """Copy the tree to `target` and compile it once to bytecode checked by
     source hash: each run imports a module from it unless its source has
-    changed, as a mutated file has, and writes no bytecode of its own."""
+    changed, as a mutated file has, which it compiles again."""
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, target / part, ignore=ignore)
@@ -518,16 +566,21 @@ def run(mutant: Mutant, tree: Path) -> str:
     mutated = _mutated(original, mutant)
     if mutated is None:
         return "stale"
+    stamp = path.stat()
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+    env.pop("PYTHONDONTWRITEBYTECODE", None)  # keep pytest's rewritten test modules
     path.write_text(mutated)
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
+        # pytest reads a rewritten module back by size and mtime: each text gets its own mtime
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns + (1 + CATALOGUE.index(mutant)) * 10**9))
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--hypothesis-profile", "mutants", *mutant.tests],
+             "-p", "_hypothesis_pytestplugin", "--hypothesis-profile", "mutants", *mutant.tests],
             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     finally:
         path.write_text(original)
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
     return {0: "survived", 1: "killed"}.get(done.returncode, "broken")
 
 

@@ -1,8 +1,10 @@
 """Sequence codec for rooted labeled trees."""
 
 import itertools
+import re
 
 import pytest
+import reference_prufer
 
 from scmlab import RootedTree, enumerate_trees, prufer_decode, prufer_encode
 from scmlab.errors import InvalidSequenceError
@@ -64,3 +66,44 @@ def test_invalid_inputs_rejected():
         prufer_decode((), 3, 2)  # root out of range
     with pytest.raises(InvalidSequenceError):
         prufer_decode((), 1, 0)  # no nodes
+
+
+@pytest.mark.parametrize(
+    "sequence, root, n",
+    [
+        pytest.param((2.7,), 1, 3, id="float-label"),
+        pytest.param(("2",), 1, 3, id="str-label"),
+        pytest.param((), True, 2, id="bool-root"),
+        pytest.param((), 1.5, 2, id="float-root"),
+        pytest.param((2,), 1, 3.0, id="float-n"),
+    ],
+)
+def test_a_value_that_is_not_an_int_is_refused_first(sequence, root, n):
+    with pytest.raises(InvalidSequenceError, match="must be ints"):
+        prufer_decode(sequence, root, n)
+    # before the length check too
+    with pytest.raises(InvalidSequenceError, match="must be ints"):
+        prufer_decode((*sequence, 1), root, n)
+
+
+@pytest.mark.parametrize(
+    "sequence, root, n",
+    [((1,), 1, 2), ((5,), 1, 3), ((), 3, 2), ((), 1, 0), ((), 0, 0), ((9, 9), 9, 3), ((0, 1), 1, 4)],
+)
+def test_int_inputs_get_the_reference_error(sequence, root, n):
+    with pytest.raises(InvalidSequenceError) as expected:
+        reference_prufer.prufer_decode(sequence, root, n)
+    with pytest.raises(InvalidSequenceError, match=f"^{re.escape(str(expected.value))}$"):
+        prufer_decode(sequence, root, n)
+
+
+def test_codec_matches_reference_on_every_tree_up_to_n6():
+    trees = 0
+    for n in range(1, 7):
+        for root in range(1, n + 1):
+            for sequence in itertools.product(range(1, n + 1), repeat=max(n - 2, 0)):
+                tree = prufer_decode(sequence, root, n)
+                assert tree.parent == reference_prufer.prufer_decode(sequence, root, n).parent
+                assert prufer_encode(tree) == reference_prufer.prufer_encode(tree) == (sequence, root)
+                trees += 1
+    assert trees == 8477
