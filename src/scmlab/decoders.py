@@ -27,7 +27,6 @@ very oracle and could not fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     AmbiguousParentError,
@@ -45,8 +44,8 @@ from .families import (
     build_tree_scm,
     build_xor_scm,
 )
-from .oracle import CF1, INT1, AnswerOracle, agreement, compute_oracle, zero_weights
-from .rational import ONE, ZERO
+from .oracle import CF1, INT1, AnswerOracle, compute_oracle, marginal
+from .rational import HALF, ONE, ZERO
 from .scm_core import ExactDist, Scm, _Bounded
 
 
@@ -122,14 +121,14 @@ _FACTS = _Bounded(1 << 16)
 
 def _zero_fact(dist: ExactDist) -> tuple[frozenset, dict]:
     """(pinned, odd): the positions of `dist` at 0 with probability 1, and
-    each position at neither 1 nor 1/2, with its value; one `zero_weights`
-    walk per law with a body while `_FACTS` keeps it."""
+    each position at neither 1 nor 1/2, with its value; one `prob_bit` of
+    each position per law with a body while `_FACTS` keeps it."""
     body = dist._body
     fact = None if body is None else _FACTS.get((dist.n_bits, body))
     if fact is None:
-        zeros, den = zero_weights(dist)
-        fact = (frozenset([p for p, z in enumerate(zeros) if z == den]),
-                {p: Fraction(z, den) for p, z in enumerate(zeros) if z != den and 2 * z != den})
+        zeros = [dist.prob_bit(p, 0) for p in range(dist.n_bits)]
+        fact = (frozenset([p for p, z in enumerate(zeros) if z == ONE]),
+                {p: z for p, z in enumerate(zeros) if z not in (ONE, HALF)})
         if body is not None:
             _FACTS.keep((dist.n_bits, body), fact, len(body))
     return fact
@@ -235,9 +234,8 @@ def string_probe(oracle: AnswerOracle) -> HiddenString:
     bits = []
     for t in range(m):
         dist = _component(oracle, 2 * t, f"cf i={2 * t}", 3 * n)
-        y_world0 = n + 2 * t + 1
-        y_world1 = 2 * n + 2 * t + 1
-        agree = agreement(dist, y_world0, y_world1)
+        pair = marginal(dist, (n + 2 * t + 1, 2 * n + 2 * t + 1))  # Y_t in each world
+        agree = pair.p("00") + pair.p("11")
         if agree == ONE:
             bits.append("0")
         elif agree == ZERO:

@@ -48,9 +48,7 @@ from .caps import check, snapshot
 from .catalog import Family
 from .errors import BadRangeError, ScmLabError
 from .families import BIPARTITE, graph_of_mask
-from .oracle import (
-    INT1, OBS, AnswerOracle, compute_oracle, oracle_index, parse, serialize, zero_weights,
-)
+from .oracle import INT1, OBS, AnswerOracle, compute_oracle, oracle_index, parse, serialize
 from .rational import HALF, ONE, ZERO
 from .scm_core import ExactDist, NoiseDist, Mechanism, Scm, observational
 from . import gates
@@ -170,17 +168,17 @@ class _Graph:
         return _sampler(self.oracle.component("obs"))
 
     def truths(self, i: int) -> tuple[tuple[int, int], ...]:
-        """P(b_j = 0 | do(a_i = 0)) for each j < m, from one walk of the
-        do(a_i = 0) law, as (numerator, denominator) in lowest terms. A
+        """P(b_j = 0 | do(a_i = 0)) for each j < m, each one `prob_bit` of
+        the do(a_i = 0) law, as (numerator, denominator) in lowest terms. A
         Fraction hashes in Python: a tally keyed by two int pairs updates
         in about 0.7 us, one keyed by two Fractions in 5.8 us (Python 3.11,
         Xeon). A row is read when first asked for, so a cold graph costs
         no more probes than the episodes that query it."""
         row = self._truths.get(i)
         if row is None:
-            zeros, den = zero_weights(self.oracle.component(f"do i={1 + i} b=0"))
+            law = self.oracle.component(f"do i={1 + i} b=0")
             m = self.oracle.n // 2
-            row = tuple([_pair(Fraction(zeros[1 + m + j], den)) for j in range(m)])
+            row = tuple([_pair(law.prob_bit(1 + m + j, 0)) for j in range(m)])
             self._truths[i] = row
         return row
 

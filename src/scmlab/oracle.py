@@ -553,68 +553,25 @@ def d_int(a: AnswerOracle, b: AnswerOracle) -> Fraction:
 
 def marginal(dist: ExactDist, positions) -> ExactDist:
     """Exact marginal onto `positions`, keeping the given order, summed in
-    integers over the dist's integer view, each position's bit moved to its
-    place in the key; the result carries its canonical body, as a leaf does."""
-    positions = tuple(int(p) for p in positions)
+    integers over the dist's integer view; the result carries its canonical
+    body, as a leaf does. Each state's key is one shifted and masked block
+    when `positions` is an ascending run of consecutive positions, as a CF1
+    world block is, and otherwise has each position's bit moved to its
+    place."""
+    positions = tuple(positions)
     for p in positions:
         dist._check_position(p)
-    moves = [(dist.n_bits - 1 - p, len(positions) - 1 - k) for k, p in enumerate(positions)]
+    width = len(positions)
     states, weights, den = dist._int_view()
     acc: dict[int, int] = {}
-    for state, w in zip(states, weights):
-        key = sum([(state >> source & 1) << target for source, target in moves])
-        acc[key] = acc.get(key, 0) + w
-    return _dist(len(positions), list(acc), list(acc.values()), den, True)
-
-
-def agreement(dist: ExactDist, i: int, j: int) -> Fraction:
-    """Exact probability that positions `i` and `j` of `dist` hold the same
-    bit, summed in integers over the dist's integer view."""
-    dist._check_position(i)
-    dist._check_position(j)
-    i, j = dist.n_bits - 1 - i, dist.n_bits - 1 - j  # the positions' bits in a state
-    states, weights, den = dist._int_view()
-    return Fraction(sum([w for s, w in zip(states, weights) if not (s >> i ^ s >> j) & 1]), den)
-
-
-def zero_weights(dist: ExactDist) -> tuple[list[int], int]:
-    """(zeros, den): zeros[p] / den is the exact probability that position
-    p of `dist` holds 0, den less the weight of p's ones, every position
-    from one walk of the set bits of the dist's integer view."""
-    states, weights, den = dist._int_view()
-    ones = [0] * dist.n_bits
-    for state, w in zip(states, weights):
-        while state:  # position p is bit n_bits-1-p, so ones[-(bit + 1)]
-            ones[-(state & -state).bit_length()] += w
-            state &= state - 1
-    return [den - k for k in ones], den
-
-
-def blocks_match(dist: ExactDist, laws) -> bool:
-    """Whether the marginal of `dist` on each block of its positions is the
-    matching law of `laws`: the blocks lie left to right from position 0,
-    each as wide as its law, so `blocks_match(triple, (p, q))` is
-    `marginal(triple, range(k)) == p and marginal(triple, range(k, k + l))
-    == q` for k-bit p and l-bit q.
-
-    One walk of the dist's integer view per block sums its shifted and
-    masked states, compared with its law's view: the same support, and at
-    each state acc * law_den == weight * den. Nothing is rendered.
-    """
-    bounds = list(itertools.accumulate([law.n_bits for law in laws], initial=0))
-    if bounds[-1] > dist.n_bits:
-        dist._check_position(bounds[-1] - 1)
-    states, weights, den = dist._int_view()
-    for start, stop, law in zip(bounds, bounds[1:], laws):
-        shift, mask = dist.n_bits - stop, (1 << (stop - start)) - 1
-        acc: dict[int, int] = {}
+    if width and positions == tuple(range(positions[0], positions[0] + width)):
+        shift, mask = dist.n_bits - 1 - positions[-1], (1 << width) - 1
         for state, w in zip(states, weights):
             key = state >> shift & mask
             acc[key] = acc.get(key, 0) + w
-        law_states, law_weights, law_den = law._int_view()
-        if len(acc) != len(law_states):
-            return False
-        for state, w in zip(law_states, law_weights):
-            if acc.get(state, 0) * law_den != w * den:
-                return False
-    return True
+    else:
+        moves = [(dist.n_bits - 1 - p, width - 1 - k) for k, p in enumerate(positions)]
+        for state, w in zip(states, weights):
+            key = sum([(state >> source & 1) << target for source, target in moves])
+            acc[key] = acc.get(key, 0) + w
+    return _dist(width, list(acc), list(acc.values()), den, True)

@@ -302,13 +302,15 @@ class ExactDist:
         return self.mass.get(outcome, ZERO)
 
     def _check_position(self, position: int) -> None:
+        if type(position) is not int:  # a bool or a float is no position
+            raise BadPositionError(f"position must be an int, got {position!r}")
         if not 0 <= position < self.n_bits:
             raise BadPositionError(f"position {position} outside [0, {self.n_bits})")
 
     def prob_bit(self, position: int, bit: int) -> Fraction:
         """Exact marginal probability that `position` carries `bit` (0 or 1)."""
         self._check_position(position)
-        if bit not in (0, 1):
+        if type(bit) is not int or bit not in (0, 1):
             raise BadRangeError(f"bit must be 0 or 1, got {bit!r}")
         shift = self.n_bits - 1 - position
         states, weights, den = self._int_view()

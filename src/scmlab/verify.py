@@ -27,9 +27,10 @@ back. The embedding check serializes one (OBS, INT1) pair per distinct
 itself, the rebuild check would read back that same oracle, so the round
 trip counts without it; anything else goes through the public decoder, so
 a wrong member or a typed error comes out exactly as from the decoder.
-The cross-rung check is one integer pass (`blocks_match`) per distinct
-(triple, obs, do 0, do 1) dists, which members share: the 46,656 triples
-of tree n=6 reach only 63.
+The cross-rung check compares each CF1 triple's three world blocks,
+`marginal(triple, range(k * n, k * n + n))` for k = 0, 1, 2, with the
+obs, do 0 and do 1 laws, once per distinct (triple, obs, do 0, do 1)
+dists, which members share: the 46,656 triples of tree n=6 reach only 63.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import Family
-from .oracle import CF1, INT1, OBS, AnswerOracle, blocks_match, family_sweep, serialize
+from .oracle import CF1, INT1, OBS, AnswerOracle, family_sweep, marginal, serialize
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,15 @@ def _marginal_consistency(obs: AnswerOracle, int1: AnswerOracle, cf1: AnswerOrac
     do(X_i=1) at 1 + 2i and 2 + 2i, after obs. `seen` holds the verdict of
     each (triple, obs, do 0, do 1) checked so far, keyed by the ids of the
     dists, which members share and which it holds beside the verdict."""
-    obs_dist = obs.components[0][1]
+    obs_dist, n = obs.components[0][1], obs.n
     laws = int1.components
     for i, (_, triple) in enumerate(cf1.components):
         do0, do1 = laws[1 + 2 * i][1], laws[2 + 2 * i][1]
         key = (id(triple), id(obs_dist), id(do0), id(do1))
         held = seen.get(key)
         if held is None:
-            held = seen[key] = (blocks_match(triple, (obs_dist, do0, do1)),
+            held = seen[key] = (all(marginal(triple, range(k * n, k * n + n)) == law
+                                    for k, law in enumerate((obs_dist, do0, do1))),
                                 (triple, obs_dist, do0, do1))
         if not held[0]:
             return False

@@ -373,6 +373,13 @@ CATALOGUE = (
         ("tests/test_verify.py::TestMarginalConsistency::test_a_failing_triple_beside_checked_laws_fails",),
     ),
     Mutant(
+        "the cross-rung check compares the factual block only",
+        "src/scmlab/verify.py",
+        (("for k, law in enumerate((obs_dist, do0, do1))", "for k, law in enumerate((obs_dist,))"),),
+        ("tests/test_probes.py::test_cross_rung_check_on_unwritable_and_mixed_laws",
+         "tests/test_verify.py::TestMarginalConsistency::test_a_failing_triple_beside_checked_laws_fails"),
+    ),
+    Mutant(
         "the embedding memo keyed by the OBS body alone",
         "src/scmlab/verify.py",
         (("        key = (oracles[OBS].components[0][1]._text(), oracles[INT1].components[0][1]._text())\n",
@@ -496,6 +503,48 @@ CATALOGUE = (
         (("    while node:\n", "    while parent.get(node, 0):\n"),),
         ("tests/test_prufer.py::test_path_example",
          "tests/test_prufer.py::test_codec_matches_reference_on_every_tree_up_to_n6"),
+    ),
+    # the probes: `marginal`, `prob_bit` and the decoders' reads of them
+    Mutant(
+        "the one-block marginal shifted by one bit",
+        "src/scmlab/oracle.py",
+        (("shift, mask = dist.n_bits - 1 - positions[-1], (1 << width) - 1",
+          "shift, mask = dist.n_bits - positions[-1], (1 << width) - 1"),),
+        ("tests/test_probes.py::test_probes_match_the_reference_on_fixed_positions",
+         "tests/test_probes.py::test_probes_match_the_reference"),
+    ),
+    Mutant(
+        "marginal coerces a float position",
+        "src/scmlab/oracle.py",
+        (("    positions = tuple(positions)\n", "    positions = tuple(int(p) for p in positions)\n"),),
+        ("tests/test_probes.py::test_probes_refuse_a_position_or_bit_that_is_not_an_int",),
+    ),
+    Mutant(
+        "a probe takes a position that is not an int",
+        "src/scmlab/scm_core.py",
+        (("        if type(position) is not int:  # a bool or a float is no position\n"
+          "            raise BadPositionError(f\"position must be an int, got {position!r}\")\n", ""),),
+        ("tests/test_probes.py::test_probes_refuse_a_position_or_bit_that_is_not_an_int",),
+    ),
+    Mutant(
+        "prob_bit takes a bool for a bit",
+        "src/scmlab/scm_core.py",
+        (("if type(bit) is not int or bit not in (0, 1):", "if bit not in (0, 1):"),),
+        ("tests/test_probes.py::test_probes_refuse_a_position_or_bit_that_is_not_an_int",),
+    ),
+    Mutant(
+        "a probe fact counts 1/2 as odd",
+        "src/scmlab/decoders.py",
+        (("if z not in (ONE, HALF)})", "if z != ONE})"),),
+        ("tests/test_probes.py::test_int1_probes_match_the_reference",
+         "tests/test_memos.py::test_each_distinct_law_is_walked_once"),
+    ),
+    Mutant(
+        "string_probe reads \"01\" for agreement",
+        "src/scmlab/decoders.py",
+        (("agree = pair.p(\"00\") + pair.p(\"11\")", "agree = pair.p(\"01\") + pair.p(\"11\")"),),
+        ("tests/test_probes.py::test_cf1_agreement_sum_matches_the_reference",
+         "tests/test_decoders.py::TestStringDecoder"),
     ),
     Mutant(
         "decode keeps the tree rooted at n",

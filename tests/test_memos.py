@@ -946,9 +946,22 @@ FACTS = decoders._FACTS
 
 
 def cold_fact(dist: ExactDist) -> tuple:
-    zeros, den = oracle.zero_weights(dist)
-    return (frozenset([p for p, z in enumerate(zeros) if z == den]),
-            {p: Fraction(z, den) for p, z in enumerate(zeros) if 2 * z != den != z})
+    zeros = [dist.prob_bit(p, 0) for p in range(dist.n_bits)]
+    return (frozenset([p for p, z in enumerate(zeros) if z == 1]),
+            {p: z for p, z in enumerate(zeros) if z not in (1, HALF)})
+
+
+def recorded_walks(monkeypatch) -> list:
+    """The (dist, position, bit) of each `prob_bit` walk from here on."""
+    walks = []
+    walk = ExactDist.prob_bit
+
+    def counted(dist, position, bit):
+        walks.append((dist, position, bit))
+        return walk(dist, position, bit)
+
+    monkeypatch.setattr(ExactDist, "prob_bit", counted)
+    return walks
 
 
 @pytest.mark.parametrize("run", ["first", "second"])
@@ -965,17 +978,14 @@ def test_each_test_starts_with_empty_column_and_fact_memos(run):
 
 @pytest.mark.parametrize("family", [Family("tree", 4), Family("bipartite", 2)], ids=str)
 def test_each_distinct_law_is_walked_once(family, monkeypatch):
-    walks = []
-    walk = decoders.zero_weights
-
-    def counted(dist):
-        walks.append((dist.n_bits, dist._text()))
-        return walk(dist)
-
-    monkeypatch.setattr(decoders, "zero_weights", counted)
+    walks = recorded_walks(monkeypatch)
     for param in family.parameters():
         assert family.spec.probe(compute_oracle(family.build(param), INT1)) == param
-    assert len(walks) == len(set(walks)) == len(FACTS) < len(list(family.parameters()))
+    # one walk of each position of each distinct law, at bit 0
+    walked = [(dist.n_bits, dist._text(), position, bit) for dist, position, bit in walks]
+    assert len(walked) == len(set(walked)) == sum(width for width, _ in FACTS)
+    assert {(width, body) for width, body, _, _ in walked} == set(FACTS)
+    assert len(FACTS) < len(list(family.parameters()))
     for (width, body), fact in FACTS.items():
         assert fact == cold_fact(ExactDist._from_body(width, body))
     assert FACTS.held == sum(len(body) for _, body in FACTS) <= FACTS.limit
@@ -990,11 +1000,14 @@ def test_probe_facts_are_kept_apart_by_width():
     assert decoders._zero_fact(wide) == cold_fact(wide) == (frozenset({0}), {})
 
 
-def test_a_dist_without_a_body_is_walked_each_time():
+def test_a_dist_without_a_body_is_walked_each_time(monkeypatch):
     # a law built from masses renders no body to key by, and a mass too
     # long to write has none at all
     law = ExactDist(2, {"00": Fraction(1, 3), "01": Fraction(2, 3)})
     long = ExactDist(1, {"0": Fraction(1, 10**4400), "1": 1 - Fraction(1, 10**4400)})
-    for dist in (law, long, law):
-        assert decoders._zero_fact(dist) == cold_fact(dist)
+    dists = (law, long, law)
+    facts = [cold_fact(dist) for dist in dists]
+    walks = recorded_walks(monkeypatch)
+    assert [decoders._zero_fact(dist) for dist in dists] == facts
+    assert walks == [(dist, p, 0) for dist in dists for p in range(dist.n_bits)]
     assert len(FACTS) == 0

@@ -1,11 +1,14 @@
 """The integer probes against their Fraction reference.
 
-`prob_bit`, `marginal`, `agreement` (the CF1 decoder's probe),
-`zero_weights` (the INT1 decoders' probe), `tv`, `blocks_match`
-(verify's cross-rung check), `outcomes` and `==` read each
-distribution's integer view; `reference_probes.py` keeps the Fraction
-implementations they replaced, and the INT1 probes built on its
-`prob_bit`. Both must agree on kernel dists, which decode the view from
+`prob_bit`, `marginal`, `tv`, `outcomes` and `==` read each
+distribution's integer view, and the decoders' probes and verify's
+cross-rung check read `prob_bit` and `marginal`: the INT1 decoders' fact
+of each do(X_v=0) law (`_zero_fact`), the CF1 decoder's agreement of two
+positions (the mass of "00" and "11" in their pair marginal) and each
+CF1 world block's marginal (`_marginal_consistency`).
+`reference_probes.py` keeps the Fraction implementations the integer
+probes replaced, and the INT1 probes built on its `prob_bit`. Both must
+agree on kernel dists, which decode the view from
 their body, on parsed and constructor-built dists, on a law whose mass is
 too long to write, which has no canonical body and decodes `mass`, on
 dists of no positions, and on leaves of unequal weights. A marginal
@@ -50,8 +53,8 @@ from scmlab.errors import (
     OracleFormatError,
 )
 from scmlab.catalog import Family
-from scmlab.decoders import descendants_from_int1, graph_probe
-from scmlab.oracle import agreement, blocks_match, zero_weights
+from scmlab.decoders import _zero_fact, descendants_from_int1, graph_probe
+from scmlab.verify import _marginal_consistency
 
 import reference_codec
 import reference_probes as ref
@@ -125,18 +128,22 @@ def check_prob_bits(dist: ExactDist) -> None:
     for position, bit in itertools.product(range(dist.n_bits), (2, -1, None)):
         with pytest.raises(BadRangeError):
             dist.prob_bit(position, bit)
-    zeros, den = zero_weights(dist)
-    assert len(zeros) == dist.n_bits
-    assert [Fraction(z, den) for z in zeros] == [
-        ref.prob_bit(dist, position, 0) for position in range(dist.n_bits)
-    ]
+    # the INT1 decoders' fact: the positions at 0 with probability 1, and
+    # each at neither 1 nor 1/2 with its value
+    zeros = [ref.prob_bit(dist, position, 0) for position in range(dist.n_bits)]
+    assert _zero_fact(dist) == (
+        frozenset([p for p, z in enumerate(zeros) if z == 1]),
+        {p: z for p, z in enumerate(zeros) if z not in (1, Fraction(1, 2))},
+    )
+    # the CF1 decoder's agreement of two positions
     for i, j in itertools.combinations_with_replacement(range(dist.n_bits), 2):
-        got = agreement(dist, i, j)
-        assert type(got) is Fraction
-        assert got == ref.agreement(dist, i, j) == agreement(dist, j, i)
-    for probe in (agreement, ref.agreement):
+        for pair in (marginal(dist, (i, j)), marginal(dist, (j, i))):
+            got = pair.p("00") + pair.p("11")
+            assert type(got) is Fraction
+            assert got == ref.agreement(dist, i, j)
+    for probe in (marginal, ref.marginal):
         with pytest.raises(BadPositionError):
-            probe(dist, 0, dist.n_bits)
+            probe(dist, (0, dist.n_bits))
 
 
 def check_pair(p: ExactDist, q: ExactDist) -> None:
@@ -172,11 +179,15 @@ def check_oracle(scm: Scm, kind: str, draw_positions, draw_pairs) -> None:
 @given(small_scms(), st.sampled_from(KINDS), st.data())
 @settings(max_examples=100, deadline=None)
 def test_probes_match_the_reference(scm, kind, data):
-    # positions may be empty, repeated, out of order and non-contiguous
+    # positions may be empty, repeated, out of order and non-contiguous, or
+    # an ascending run, which `marginal` reads as one block of each state:
+    # at the start, in the middle or at the end, of one position or none
     def draw_positions(n_bits):
         if not n_bits:
             return ()
-        return data.draw(st.lists(st.integers(0, n_bits - 1), max_size=n_bits + 2))
+        run = st.tuples(st.integers(0, n_bits), st.integers(0, n_bits)).map(
+            lambda ends: tuple(range(min(ends), max(ends))))
+        return data.draw(st.one_of(st.lists(st.integers(0, n_bits - 1), max_size=n_bits + 2), run))
 
     def draw_pairs(dists):
         pick = st.sampled_from(dists)
@@ -185,7 +196,9 @@ def test_probes_match_the_reference(scm, kind, data):
     check_oracle(scm, kind, draw_positions, draw_pairs)
 
 
-POSITIONS = [(), (0,), (2,), (0, 1, 2), (2, 1, 0), (0, 2), (1, 1), (2, 0, 2, 1), (1, 2)]
+# the empty tuple, one position, runs at the start, the end (of 3 bits) and
+# the middle (of more), and reversed, gapped and repeated positions
+POSITIONS = [(), (0,), (2,), (0, 1, 2), (1, 2), (2, 3), (2, 1, 0), (0, 2), (1, 1), (2, 0, 2, 1)]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -214,6 +227,31 @@ def test_a_body_less_law_answers_every_probe():
     assert dist == ExactDist(1, dict(dist.mass))
 
 
+@pytest.mark.parametrize(
+    "probe, error",
+    [
+        (lambda dist: marginal(dist, [0.7]), BadPositionError),
+        (lambda dist: marginal(dist, ["1"]), BadPositionError),
+        (lambda dist: marginal(dist, [True]), BadPositionError),
+        (lambda dist: dist.prob_bit(0.5, 0), BadPositionError),
+        (lambda dist: dist.prob_bit("1", 0), BadPositionError),
+        (lambda dist: dist.prob_bit(True, 0), BadPositionError),
+        (lambda dist: dist.prob_bit(0, True), BadRangeError),
+        (lambda dist: dist.prob_bit(0, 1.0), BadRangeError),
+    ],
+    ids=["marginal-float", "marginal-str", "marginal-bool", "prob_bit-float-position",
+         "prob_bit-str-position", "prob_bit-bool-position", "prob_bit-bool-bit",
+         "prob_bit-float-bit"],
+)
+def test_probes_refuse_a_position_or_bit_that_is_not_an_int(probe, error):
+    # no coercion: 0.7 is not position 0, nor True position 1 or bit 1,
+    # and the refusal comes before the dist's view is built
+    dist = ExactDist._from_body(2, "00=1/2\n11=1/2")
+    with pytest.raises(error):
+        probe(dist)
+    assert dist._ints is None
+
+
 def mass_is_built(dist):
     """Whether `dist.mass` is set, read from its slot, which `__getattr__`
     does not fill."""
@@ -239,7 +277,7 @@ def test_marginal_bodies_are_in_lowest_terms():
     # e.g. the x1 marginal of OBS sums 1/4 + 1/12 + 1/8 + 1/24 into 1/2
     oracle = compute_oracle(MIXED, INT1)
     for _, dist in oracle.components:
-        for positions in POSITIONS:
+        for positions in [p for p in POSITIONS if all(k < dist.n_bits for k in p)]:
             got = marginal(dist, positions)
             assert written(serialize, got) == written(reference_codec.serialize, got)
             reparsed = parse(written(serialize, got))
@@ -342,25 +380,32 @@ def test_cf1_agreement_sum_matches_the_reference(scm):
         assert decoded.bits == "".join(bits)
 
 
-def check_blocks(triple: ExactDist, laws) -> None:
-    """`blocks_match` decides what `marginal(...) ==` decides block by
-    block, or raises what `marginal` raises."""
-    bounds = list(itertools.accumulate([law.n_bits for law in laws], initial=0))
+def check_cross_rung(triple: ExactDist, obs: ExactDist, do0: ExactDist, do1: ExactDist) -> None:
+    """`_marginal_consistency` on one CF1 triple and the obs, do 0 and do 1
+    laws it is checked against decides what the reference marginals and
+    `==` decide block by block, or raises what the reference `marginal`
+    raises."""
+    n = obs.n_bits
+    oracles = (
+        AnswerOracle(OBS, n, (("obs", obs),)),
+        AnswerOracle(INT1, n, (("obs", obs), ("do i=0 b=0", do0), ("do i=0 b=1", do1))),
+        AnswerOracle(CF1, n, (("cf i=0", triple),)),
+    )
     try:
         want = all(
-            marginal(triple, range(start, stop)) == law
-            for (start, stop), law in zip(zip(bounds, bounds[1:]), laws)
+            ref.equal(ref.marginal(triple, range(k * n, k * n + n)), law)
+            for k, law in enumerate((obs, do0, do1))
         )
     except BadPositionError:
         with pytest.raises(BadPositionError):
-            blocks_match(triple, laws)
+            _marginal_consistency(*oracles, {})
     else:
-        assert blocks_match(triple, laws) == want
+        assert _marginal_consistency(*oracles, {}) == want
 
 
 @given(small_scms(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_blocks_match_agrees_with_marginals(scm, data):
+def test_cross_rung_check_agrees_with_reference_marginals(scm, data):
     n = scm.n
     triples, int1s = sources(scm, CF1), sources(scm, INT1)
     for i in range(n):
@@ -369,28 +414,28 @@ def test_blocks_match_agrees_with_marginals(scm, data):
         obs, do0, do1 = (
             data.draw(st.sampled_from(int1s))[index] for index in (0, 1 + 2 * i, 2 + 2 * i)
         )
-        assert blocks_match(triple, (obs, do0, do1))
         for laws in [
             (obs, do0, do1), (obs, do1, do0), (do0, obs, do1), (do1, do0, obs),
-            (obs,), (obs, do1), (marginal(obs, (0,)),),
-            (obs, do0, do1, obs), (triple, obs), (obs, triple),
+            (marginal(obs, (0,)), do0, do1), (obs, do0, triple), (triple, do0, do1),
         ]:
-            check_blocks(triple, laws)
+            check_cross_rung(triple, *laws)
+        check_cross_rung(obs, obs, do0, do1)  # a triple too narrow for its blocks
 
 
 @pytest.mark.parametrize(
     "scm", [MIXED, TOO_LONG, MIXED_LEAVES], ids=["mixed", "too-long", "mixed-leaves"]
 )
-def test_blocks_match_on_unwritable_and_mixed_laws(scm):
-    n = scm.n
-    int1 = compute_oracle(scm, INT1)
-    for i, (_, triple) in enumerate(compute_oracle(scm, CF1).components):
+def test_cross_rung_check_on_unwritable_and_mixed_laws(scm):
+    obs, int1, cf1 = (compute_oracle(scm, kind) for kind in (OBS, INT1, CF1))
+    assert _marginal_consistency(obs, int1, cf1, {})
+    # each do(X_i=0) law in the place of do(X_i=1) and back
+    head, *laws = int1.components
+    swapped = [law for zero, one in zip(laws[::2], laws[1::2]) for law in (one, zero)]
+    assert not _marginal_consistency(obs, dataclasses.replace(int1, components=(head, *swapped)), cf1, {})
+    for i, (_, triple) in enumerate(cf1.components):
         do0, do1 = int1.component(f"do i={i} b=0"), int1.component(f"do i={i} b=1")
-        assert blocks_match(triple, (int1.component("obs"), do0, do1))
-        check_blocks(triple, (int1.component("obs"), do1, do0))
-        check_blocks(triple, (do0, do0, do1))
-    with pytest.raises(BadPositionError):
-        blocks_match(triple, (triple, marginal(triple, range(n))))
+        check_cross_rung(triple, obs.components[0][1], do1, do0)
+        check_cross_rung(triple, do0, do0, do1)
 
 
 # every tree member up to n=4 and bipartite member up to m=2

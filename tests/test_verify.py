@@ -282,9 +282,9 @@ class TestOnePassPerMember:
 
 
 class TestMarginalConsistency:
-    """`verify_family` walks each distinct (triple, obs, do 0, do 1) once,
-    keyed by their canonical bodies, with the verdict a walk of every
-    triple gives."""
+    """`verify_family` marginalizes each distinct (triple, obs, do 0, do 1)
+    once, keyed by the ids of the dists, with the verdict the marginals of
+    every triple give."""
 
     def members(self, family):
         return [oracles for _, oracles in
@@ -294,19 +294,23 @@ class TestMarginalConsistency:
         family = Family("tree", 4)
         members = self.members(family)
         walks = []
-        walk = verify_module.blocks_match
+        walk = verify_module.marginal
 
-        def counted(dist, laws):
-            walks.append((dist._text(), *[law._text() for law in laws]))
-            return walk(dist, laws)
+        def counted(dist, positions):
+            walks.append((dist._text(), tuple(positions)))
+            return walk(dist, positions)
 
-        monkeypatch.setattr(verify_module, "blocks_match", counted)
+        monkeypatch.setattr(verify_module, "marginal", counted)
         checked = {}
         for oracles in members:
             assert verify_module._marginal_consistency(
                 oracles[oracle.OBS], oracles[oracle.INT1], oracles[oracle.CF1], checked)
-        # fewer walks than the members' triples
-        assert len(walks) == len(set(walks)) == len(checked) < family.n_vars() * len(members)
+        # each distinct tuple's triple walked once per world block, in
+        # fewer walks than the members' triples have blocks
+        n = family.n_vars()
+        assert len(walks) == len(set(walks)) == 3 * len(checked) < 3 * n * len(members)
+        assert {positions for _, positions in walks} == {
+            tuple(range(k * n, k * n + n)) for k in range(3)}
 
     def test_a_failing_triple_beside_checked_laws_fails(self):
         family = Family("tree", 3)
@@ -397,14 +401,18 @@ class TestViewsBuiltOnce:
         monkeypatch.setattr(ExactDist, "__getattr__", counted_read)
         monkeypatch.setattr(verify_module, "family_sweep", recorded)
         assert all_passed(verify_family(family))
-        # each member's n CF1 triples and the 2n + 1 INT1 laws they are
-        # checked against were probed, each distinct (triple, obs, do 0,
-        # do 1) once
-        checked = [dist for oracles in swept for kind in (oracle.INT1, oracle.CF1)
-                   for _, dist in oracles[kind].components]
+        # each member's n CF1 triples were marginalized, each distinct
+        # (triple, obs, do 0, do 1) once, and the do(X_v=0) laws its
+        # decoder's probe reads were probed: every node's in a tree, each
+        # a_i's in a layer graph
+        n = family.n_vars()
+        read = range(n) if family.kind == "tree" else range(1, family.size + 1)
+        probed = [dist for oracles in swept for dist in
+                  (*[triple for _, triple in oracles[oracle.CF1].components],
+                   *[oracles[oracle.INT1].components[1 + 2 * v][1] for v in read])]
         assert len(swept) == len(list(family.parameters()))
-        assert len(checked) == (3 * family.n_vars() + 1) * len(swept)
-        assert all(dist._ints is not None for dist in checked)
+        assert len(probed) == (n + len(read)) * len(swept)
+        assert all(dist._ints is not None for dist in probed)
         for param in family.parameters():  # a decode round trip of every member
             data = serialize(compute_oracle(family.build(param), family.spec.rungs[1]))
             assert family.spec.decode(oracle.parse(data)) == param
