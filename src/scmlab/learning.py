@@ -19,20 +19,23 @@ or a constant predictor that ignores the dataset.
 Within one call each stream keeps one sha256, fed the text before the
 trial index once, and one mt19937 generator: each trial copies the hash,
 feeds it the index, and re-seeds the generator with the seed that gives,
-which is `derive_seed(master, label, trial)`. So the rng an episode
-yields is valid only until the next episode.
+which is `derive_seed(master, label, trial)`, in one call of the C
+seeder. So the rng an episode yields is valid only until the next
+episode.
 One generator, `_episodes`, drives the Monte-Carlo loops of `run_nfl`
 and `per_query_error`: it refuses a bad `trials`, `seed` or `n_samples`
-before any stream is built or graph computed, takes one caps snapshot,
-and reads each graph's INT1 oracle, its bytes and, once an episode reads
-its data, its observational law's integer CDF from one memo per graph
-and snapshot; `per_query_error` reads each row of a graph's query truths
-from that memo too, once, and sums the exact error once per distinct
-(answer, truth) pair.
+before any stream is built or graph computed, and looks up the graph
+table of m under one caps snapshot once. Episodes and the learners read
+graphs from that table by mask: each graph's INT1 oracle, its bytes and,
+once an episode reads its data, its observational law's integer CDF,
+each computed once per graph and snapshot. `per_query_error` reads each
+row of a graph's query truths from the table's graph too, once, and sums
+the exact error once per distinct (answer, truth) pair.
 """
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import math
 import random
@@ -50,7 +53,7 @@ from .errors import BadRangeError, ScmLabError
 from .families import BIPARTITE, graph_of_mask
 from .oracle import INT1, OBS, AnswerOracle, compute_oracle, oracle_index, parse, serialize
 from .rational import HALF, ONE, ZERO
-from .scm_core import ExactDist, NoiseDist, Mechanism, Scm, observational
+from .scm_core import ExactDist, NoiseDist, Mechanism, Scm, _Bounded, observational
 from . import gates
 
 PRNG_ID = "mt19937+sha256-stream"
@@ -67,14 +70,23 @@ def derive_seed(master: int, *labels) -> int:
     return int.from_bytes(hashlib.sha256(text).digest()[:8], "big")
 
 
+class _Generator(random.Random):
+    """The generator of a stream: a `random.Random` whose `seed` is the C
+    MT19937 seeder that `random.Random.seed` calls after its type checks,
+    so an int seed gives the state `random.Random(seed)` starts from. It
+    leaves `gauss_next` as it was, which no episode reads."""
+
+    seed = _random.Random.seed
+
+
 class _Stream:
     """One labelled stream of a Monte-Carlo call.
 
     `seed(trial)` is `derive_seed(master, label, trial)`: the sha256 is
     fed the text before the trial once, and each trial copies it and
     feeds `b"%d)" % trial`. `rng(seed)` re-seeds the stream's one
-    generator, made on its first call, and returns it; the generator is
-    valid only until the next call.
+    `_Generator`, made on its first call, with one call of the C seeder
+    and returns it; the generator is valid only until the next call.
     """
 
     def __init__(self, master: int, label: str):
@@ -88,7 +100,7 @@ class _Stream:
 
     def rng(self, seed: int) -> random.Random:
         if self._rng is None:
-            self._rng = random.Random(seed)
+            self._rng = _Generator(seed)
         else:
             self._rng.seed(seed)
         return self._rng
@@ -187,19 +199,48 @@ def _pair(value: Fraction) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-@lru_cache(maxsize=1024)  # every graph up to m=3 (2 + 16 + 512)
-def _graph(m: int, mask: int, caps) -> _Graph:
-    return _Graph(compute_oracle(Family(BIPARTITE, m).build(graph_of_mask(m, mask)), INT1))
+class _Table(_Bounded):
+    """The graphs of one m under one caps snapshot, by mask: `table[mask]`
+    computes a graph from the table's one `Family` when first read. A
+    table holds at most min(2^(m*m), 1,024) graphs and drops them all when
+    full, so no table of m <= 3 ever drops one."""
+
+    __slots__ = ("m", "caps", "family")
+
+    def __init__(self, m: int, caps):
+        super().__init__(min(1 << (m * m), 1 << 10))
+        self.m, self.caps, self.family = m, caps, Family(BIPARTITE, m)
+
+    def __missing__(self, mask: int) -> _Graph:
+        scm = self.family.build(graph_of_mask(self.m, mask))
+        return self.keep(mask, _Graph(compute_oracle(scm, INT1)))
+
+
+# the graph tables by (m, caps snapshot), each counted as the graphs it may
+# hold, so together they hold at most 1,024: every graph up to m=3 (2 + 16 +
+# 512) under one snapshot
+_TABLES = _Bounded(1 << 10)
+
+
+def _table(m: int, caps) -> _Table:
+    """The graph table of m under the caps snapshot `caps`."""
+    table = _TABLES.get((m, caps))
+    if table is None:
+        table = _Table(m, caps)
+        _TABLES.keep((m, caps), table, table.limit)
+    return table
 
 
 def _episodes(m: int, n_samples: int, trials: int, seed: int, labels, reads: bool):
-    """An iterator of (trial, rng, graph, dataset, caps), one per
-    Monte-Carlo episode. It is returned once `trials` is an int >= 1,
+    """An iterator of (trial, rng, graph, dataset, table), one per
+    Monte-Carlo episode, `table` being the graph table of m under the
+    caps snapshot of the call. It is returned once `trials` is an int >= 1,
     `seed` an int and `n_samples` an int >= 0 (a bool is none of them),
     and before that no stream is built. The hidden graph is drawn
     uniformly from the stream rng (seed, labels[0], trial), and its
     `n_samples` rows from the stream (seed, labels[1], trial). The rng is
-    the graph stream's one generator, valid until the next episode.
+    the graph stream's one generator, valid until the next episode. The
+    table is looked up once, and each episode reads its graph by mask.
 
     A stream whose draws nothing reads is never seeded. Unless `reads`
     says the caller reads the dataset, the dataset is None and its seed
@@ -210,7 +251,7 @@ def _episodes(m: int, n_samples: int, trials: int, seed: int, labels, reads: boo
         raise BadRangeError(f"monte-carlo mode needs trials >= 1, got {trials!r}")
     _check_seed(seed)
     _check_count("n_samples", n_samples)
-    caps = snapshot()
+    table = _table(m, snapshot())
     graphs, data = (_Stream(seed, label) for label in labels)
     count, source = 1 << (m * m), f"bipartite m={m}"
 
@@ -218,12 +259,12 @@ def _episodes(m: int, n_samples: int, trials: int, seed: int, labels, reads: boo
         dataset = None
         for trial in range(trials):
             rng = graphs.rng(graphs.seed(trial))
-            graph = _graph(m, rng.randrange(count), caps)
+            graph = table[rng.randrange(count)]
             if reads:
                 data_seed = data.seed(trial)
                 rows = _draw(graph.sampler, n_samples, data.rng(data_seed)) if n_samples else ()
                 dataset = Dataset(graph.oracle.n, rows, data_seed, source)
-            yield trial, rng, graph, dataset, caps
+            yield trial, rng, graph, dataset, table
 
     return episodes()
 
@@ -260,7 +301,8 @@ def _independent_fit_bytes(n: int, count: int, ones: tuple[int, ...], caps) -> b
 class _Learner:
     """Base of the built-in learners. `predict_bytes` is each learner's
     one prediction path: the serialized INT1 oracle it predicts, read
-    from memos keyed by the cap snapshot `caps`. `predict` parses it.
+    from the graph table of m under one caps snapshot, `table`, or from
+    memos keyed by that snapshot, `table.caps`. `predict` parses it.
     `draws` says whether the prediction reads its rng stream and
     `reads_data` whether it reads the dataset; Monte-Carlo episodes seed
     no stream the learner does not read, and hand it no dataset (None)
@@ -270,7 +312,7 @@ class _Learner:
     reads_data = False
 
     def predict(self, dataset: Dataset, m: int, rng: random.Random) -> AnswerOracle:
-        return parse(self.predict_bytes(dataset, m, rng, snapshot()))
+        return parse(self.predict_bytes(dataset, _table(m, snapshot()), rng))
 
 
 class UniformGuessLearner(_Learner):
@@ -279,8 +321,8 @@ class UniformGuessLearner(_Learner):
     id = "uniform-guess"
     draws = True
 
-    def predict_bytes(self, dataset: Dataset, m: int, rng: random.Random, caps) -> bytes:
-        return _graph(m, rng.randrange(1 << (m * m)), caps).data
+    def predict_bytes(self, dataset: Dataset, table: _Table, rng: random.Random) -> bytes:
+        return table[rng.randrange(1 << (table.m * table.m))].data
 
     def exact_rate(self, m: int, n_samples: int) -> Fraction:
         # a guess matches a truth exactly when both land in the same class
@@ -294,12 +336,12 @@ class ConstantEmptyLearner(_Learner):
 
     id = "constant-empty"
 
-    def predict_bytes(self, dataset: Dataset, m: int, rng: random.Random, caps) -> bytes:
-        return _graph(m, 0, caps).data
+    def predict_bytes(self, dataset: Dataset, table: _Table, rng: random.Random) -> bytes:
+        return table[0].data
 
     def exact_rate(self, m: int, n_samples: int) -> Fraction:
         count = 1 << (m * m)
-        return Fraction(_int1_counts(m)[_graph(m, 0, snapshot()).data], count)
+        return Fraction(_int1_counts(m)[_table(m, snapshot())[0].data], count)
 
 
 class EmpiricalIndependentLearner(_Learner):
@@ -308,12 +350,12 @@ class EmpiricalIndependentLearner(_Learner):
     id = "empirical-independent"
     reads_data = True
 
-    def predict_bytes(self, dataset: Dataset, m: int, rng: random.Random, caps) -> bytes:
+    def predict_bytes(self, dataset: Dataset, table: _Table, rng: random.Random) -> bytes:
         rows = Counter(dataset.rows)
         ones = tuple(
             sum(k for row, k in rows.items() if row[i] == "1") for i in range(dataset.n)
         )
-        return _independent_fit_bytes(dataset.n, len(dataset.rows), ones, caps)
+        return _independent_fit_bytes(dataset.n, len(dataset.rows), ones, table.caps)
 
     def exact_rate(self, m: int, n_samples: int) -> Fraction:
         # Rows are i.i.d. over {all-zeros, all-ones} with probability 1/2
@@ -395,9 +437,9 @@ def run_nfl(
         successes = 0
         episodes = _episodes(m, n_samples, trials, seed, ("graph", "data"), learner.reads_data)
         guesses = _Stream(seed, "learner") if learner.draws else None
-        for trial, _, graph, dataset, caps in episodes:
+        for trial, _, graph, dataset, table in episodes:
             learner_rng = guesses.rng(guesses.seed(trial)) if guesses else None
-            if learner.predict_bytes(dataset, m, learner_rng, caps) == graph.data:
+            if learner.predict_bytes(dataset, table, learner_rng) == graph.data:
                 successes += 1
         rate = Fraction(successes, trials)
     else:

@@ -554,7 +554,9 @@ def d_int(a: AnswerOracle, b: AnswerOracle) -> Fraction:
 def marginal(dist: ExactDist, positions) -> ExactDist:
     """Exact marginal onto `positions`, keeping the given order, summed in
     integers over the dist's integer view; the result carries its canonical
-    body, as a leaf does. Each state's key is one shifted and masked block
+    body, as a leaf does, and stays out of the leaf memo, whose keys hold
+    states in a pass's order, not in the order a marginal sums them. Each
+    state's key is one shifted and masked block
     when `positions` is an ascending run of consecutive positions, as a CF1
     world block is, and otherwise has each position's bit moved to its
     place."""
@@ -574,4 +576,4 @@ def marginal(dist: ExactDist, positions) -> ExactDist:
         for state, w in zip(states, weights):
             key = sum([(state >> source & 1) << target for source, target in moves])
             acc[key] = acc.get(key, 0) + w
-    return _dist(width, list(acc), list(acc.values()), den, True)
+    return _dist(width, list(acc), list(acc.values()), den, False)

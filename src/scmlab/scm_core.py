@@ -680,12 +680,12 @@ def _dist(n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
     positive weights sum to den: its canonical body, lines in state order
     (`_render`), kept in the leaf memo if `keep`.
 
-    A kept leaf (OBS, INT1, CF1, `marginal`) of at most `_LEAVES.limit`
-    states comes from the leaf memo `_LEAVES`, keyed by its width and its
-    states and weights in pass order; den, their sum, adds nothing to the
-    key. Every model that reaches an equal leaf shares one dist, which may
-    already carry `mass` or its integer view. An INT_ALL leaf, never kept,
-    and a larger leaf are rendered without a lookup."""
+    A kept leaf (OBS, INT1, CF1) of at most `_LEAVES.limit` states comes
+    from the leaf memo `_LEAVES`, keyed by its width and its states and
+    weights in pass order; den, their sum, adds nothing to the key. Every
+    model that reaches an equal leaf shares one dist, which may already
+    carry `mass` or its integer view. An INT_ALL leaf and a `marginal`,
+    never kept, and a larger leaf are rendered without a lookup."""
     if not keep or len(states) > _LEAVES.limit:
         return _render(n_bits, states, weights, den)
     key = (n_bits, *states, *weights)

@@ -254,6 +254,13 @@ CATALOGUE = (
         ("tests/test_memos.py::test_no_int_all_leaf_enters_the_leaf_memo",),
     ),
     Mutant(
+        "a marginal enters the leaf memo",
+        "src/scmlab/oracle.py",
+        (("    return _dist(width, list(acc), list(acc.values()), den, False)\n",
+          "    return _dist(width, list(acc), list(acc.values()), den, True)\n"),),
+        ("tests/test_memos.py::test_no_marginal_enters_the_leaf_memo",),
+    ),
+    Mutant(
         "a kept leaf bypasses _LEAVES",
         "src/scmlab/scm_core.py",
         (("    dist = _LEAVES.get(key)\n", "    dist = None\n"),),
@@ -465,12 +472,43 @@ CATALOGUE = (
     Mutant(
         "a stream's generator seeded once per call",
         "src/scmlab/learning.py",
-        (("            self._rng = random.Random(seed)\n"
+        (("            self._rng = _Generator(seed)\n"
           "        else:\n"
           "            self._rng.seed(seed)\n",
-          "            self._rng = random.Random(seed)\n"),),
+          "            self._rng = _Generator(seed)\n"),),
         ("tests/test_learning.py::TestMonteCarlo::test_deterministic_across_runs",
          "tests/test_learning.py::TestStreamSeeding::test_run_nfl"),
+    ),
+    Mutant(
+        "the graph table keyed without the caps snapshot",
+        "src/scmlab/learning.py",
+        (("    table = _TABLES.get((m, caps))\n", "    table = _TABLES.get(m)\n"),
+         ("        _TABLES.keep((m, caps), table, table.limit)\n",
+          "        _TABLES.keep(m, table, table.limit)\n")),
+        ("tests/test_learning.py::TestLearnerRegistry::test_a_lowered_cap_reads_a_fresh_table",),
+    ),
+    Mutant(
+        "a table slot filled from another mask",
+        "src/scmlab/learning.py",
+        (("        scm = self.family.build(graph_of_mask(self.m, mask))\n",
+          "        scm = self.family.build(graph_of_mask(self.m, mask ^ 1))\n"),),
+        ("tests/test_learning.py::TestLearnerRegistry::test_graph_cache_reads_each_graphs_own_law",
+         "tests/test_learning.py::TestAgainstReference::test_per_query_error"),
+    ),
+    Mutant(
+        "a table that holds no graph",
+        "src/scmlab/learning.py",
+        (("        return self.keep(mask, _Graph(compute_oracle(scm, INT1)))\n",
+          "        return _Graph(compute_oracle(scm, INT1))\n"),),
+        ("tests/test_learning.py::TestLearnerRegistry::test_graph_cache_reads_each_graphs_own_law",
+         "tests/test_learning.py::TestLearnerRegistry::test_learners_that_read_no_data_build_no_sampler"),
+    ),
+    Mutant(
+        "each graph table counted as one graph",
+        "src/scmlab/learning.py",
+        (("        _TABLES.keep((m, caps), table, table.limit)\n",
+          "        _TABLES.keep((m, caps), table)\n"),),
+        ("tests/test_learning.py::TestLearnerRegistry::test_the_tables_hold_at_most_1024_graphs",),
     ),
     Mutant(
         "sample_obs skips the law for no rows",

@@ -32,7 +32,7 @@ from scmlab import (
     serialize,
 )
 from scmlab import catalog, gates, learning
-from scmlab.caps import all_caps
+from scmlab.caps import all_caps, snapshot
 from scmlab.errors import BadRangeError, MTooLargeError, SupportTooLargeError
 from scmlab.families import graph_of_mask
 from scmlab.learning import Dataset
@@ -221,7 +221,7 @@ def test_the_harness_refuses_a_bad_argument_before_any_graph(
     def spy(*args):
         raise AssertionError("a graph or stream was made before the check")
 
-    monkeypatch.setattr(learning, "_graph", spy)
+    monkeypatch.setattr(learning, "_table", spy)
     monkeypatch.setattr(learning, "_Stream", spy)
     call, _ = HARNESS_CALLS[name]
     args = {"m": 1, "n_samples": 2, "trials": 4, "seed": 7, arg: bad}
@@ -279,32 +279,76 @@ class TestLearnerRegistry:
         row = dataclasses.replace(catalog.FAMILIES["bipartite"], build=edge_count_law)
         monkeypatch.setitem(catalog.FAMILIES, "bipartite", row)
         caps = tuple(all_caps().items())
-        learning._graph.cache_clear()
+        learning._TABLES.clear()
         try:
             for mask in range(16):
                 scm = edge_count_law(graph_of_mask(2, mask))
-                graph = learning._graph(2, mask, caps)
+                graph = learning._table(2, caps)[mask]
                 assert graph.data == serialize(compute_oracle(scm, INT1))
                 # the sampler is built on the graph's first draw, once
                 assert "sampler" not in vars(graph)
                 assert graph.sampler == learning._sampler(observational(scm))
-                assert learning._graph(2, mask, caps).sampler is graph.sampler
+                assert learning._table(2, caps)[mask].sampler is graph.sampler
         finally:
-            learning._graph.cache_clear()
+            learning._TABLES.clear()
 
     def test_learners_that_read_no_data_build_no_sampler(self):
-        learning._graph.cache_clear()
+        learning._TABLES.clear()
         try:
             for learner_id in ("uniform-guess", "constant-empty"):
                 run_nfl(2, 4, learner_id, MONTE_CARLO, trials=40, seed=7)
             caps = tuple(all_caps().items())
-            graphs = [learning._graph(2, mask, caps) for mask in range(16)]
-            assert learning._graph.cache_info().currsize == 16
+            table = learning._table(2, caps)
+            graphs = [table[mask] for mask in range(16)]
+            assert list(learning._TABLES) == [(2, caps)] and len(table) == 16
             assert not any("sampler" in vars(graph) for graph in graphs)
             run_nfl(2, 4, "empirical-independent", MONTE_CARLO, trials=40, seed=7)
             assert any("sampler" in vars(graph) for graph in graphs)
         finally:
-            learning._graph.cache_clear()
+            learning._TABLES.clear()
+
+    def test_the_tables_hold_at_most_1024_graphs(self, monkeypatch):
+        # each table counts as the graphs it may hold: every graph of m <= 3
+        # under one snapshot fits, a second snapshot's m=3 table drops them,
+        # and an m=4 table holds at most 1,024 of its 65,536
+        learning._TABLES.clear()
+        try:
+            caps = snapshot()
+            tables = [learning._table(m, caps) for m in (1, 2, 3)]
+            assert [table.limit for table in tables] == [2, 16, 512]
+            assert learning._TABLES.held == 530 and len(learning._TABLES) == 3
+            assert all(learning._table(m, caps) is table for m, table in zip((1, 2, 3), tables))
+            monkeypatch.setenv("SCMLAB_TREE_NMAX", "6")
+            learning._table(3, snapshot())
+            assert list(learning._TABLES) == [(3, snapshot())] and learning._TABLES.held == 512
+            assert learning._table(4, snapshot()).limit == 1024
+            assert list(learning._TABLES) == [(4, snapshot())] and learning._TABLES.held == 1024
+        finally:
+            learning._TABLES.clear()
+
+    def test_a_lowered_cap_reads_a_fresh_table(self, monkeypatch):
+        # a table is keyed by its caps snapshot, so under a lowered cap no
+        # graph held under the old snapshot is read: each is computed again,
+        # or refused
+        learning._TABLES.clear()
+        try:
+            held = learning._table(2, snapshot())
+            graphs = [held[mask] for mask in range(16)]
+            before = run_nfl(2, 0, "uniform-guess", MONTE_CARLO, trials=40, seed=7)
+            monkeypatch.setenv("SCMLAB_TREE_NMAX", "6")  # a cap no episode reads
+            after = run_nfl(2, 0, "uniform-guess", MONTE_CARLO, trials=40, seed=7)
+            assert after.successes == before.successes
+            fresh = learning._table(2, snapshot())
+            assert fresh is not held and len(fresh) > 0 and len(held) == 16
+            assert not any(graph is graphs[mask] for mask, graph in fresh.items())
+            monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "1")
+            for learner_id in LEARNERS:
+                with pytest.raises(SupportTooLargeError):
+                    run_nfl(2, 0, learner_id, MONTE_CARLO, trials=1, seed=7)
+            with pytest.raises(SupportTooLargeError):
+                run_nfl(2, 0, "constant-empty", EXACT)
+        finally:
+            learning._TABLES.clear()
 
 
 class TestExactRates:
@@ -427,17 +471,17 @@ class TestStreamSeeding:
 
     @staticmethod
     def spy(patch) -> list:
-        """The seeds every generator of `learning` takes from now on: one
-        is seeded through `seed` when it is made and each time a stream
-        re-seeds it."""
+        """The seeds every stream generator of `learning` takes from now
+        on: one is seeded through `seed` when it is made and each time a
+        stream re-seeds it."""
         seeds = []
 
-        class Counted(random.Random):
-            def seed(self, a=None, version=2):
+        class Counted(learning._Generator):
+            def seed(self, a):
                 seeds.append(a)
-                super().seed(a, version)
+                super().seed(a)
 
-        patch.setattr(learning.random, "Random", Counted)
+        patch.setattr(learning, "_Generator", Counted)
         return seeds
 
     @pytest.fixture
@@ -487,6 +531,25 @@ class TestStreamSeeding:
         # a constant answer reads no dataset, so no data stream is seeded
         per_query_error(2, HALF, MONTE_CARLO, n_samples=n_samples, trials=30, seed=5)
         assert seeded == [derive_seed(5, "query-episode", t) for t in range(30)]
+
+    @given(seed=st.integers(0, 2**64 - 1))
+    @example(seed=0)
+    @example(seed=1)
+    @example(seed=2**32 - 1)
+    @example(seed=2**32)
+    @example(seed=2**63 - 1)
+    @example(seed=2**64 - 1)
+    @settings(max_examples=100, deadline=None)
+    def test_a_stream_generator_draws_as_random_random(self, seed):
+        # a stream's generator, made on its first call and re-seeded on each
+        # later one, starts where random.Random(seed) does
+        stream = learning._Stream(5, "graph")
+        for each in (seed, seed ^ 1, seed):
+            rng, want = stream.rng(each), random.Random(each)
+            for bound in (2, 16, 512, 3, 2**64, 10**30):
+                assert rng.getrandbits(32) == want.getrandbits(32)
+                assert rng.getrandbits(70) == want.getrandbits(70)
+                assert rng.randrange(bound) == want.randrange(bound)
 
     @given(
         master=st.one_of(st.integers(max_value=-1), st.just(0), st.integers(min_value=2**64)),

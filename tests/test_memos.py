@@ -541,6 +541,21 @@ def test_no_int_all_leaf_enters_the_leaf_memo():
     assert_leaves_sound()
 
 
+def test_no_marginal_enters_the_leaf_memo():
+    # a marginal sums its states in an order of its own, so it is rendered
+    # apart from the kernel's leaves and drops none of them
+    for scm in (MIXED_LEAVES, build_xor_scm(HiddenString(3, "101")),
+                build_tree_scm(RootedTree(3, 1, {2: 1, 3: 2}))):
+        for kind in KEPT_KINDS:
+            made = compute_oracle(scm, kind)
+            held = dict(LEAVES)
+            for _, dist in made.components:
+                marginal(dist, range(dist.n_bits // 3))
+                marginal(dist, range(0, dist.n_bits, 2))
+            assert LEAVES.keys() == held.keys() and all(LEAVES[key] is held[key] for key in held)
+    assert_leaves_sound()
+
+
 def test_a_leaf_above_the_bound_is_not_looked_up(monkeypatch):
     monkeypatch.setattr(scm_core._PASSES, "limit", 0)  # each pass runs again
     monkeypatch.setattr(LEAVES, "limit", 8)
