@@ -304,6 +304,18 @@ def family_sweep(family, kinds, columns: dict):
             columns[kind] = _COLUMNS.keep((family, kind, caps), tuple(column), _column_bytes(column))
 
 
+# each canonical component body the process has written or checked, mapped
+# to a dist that holds it, bounded in characters of body text. It has two
+# producers: `serialize` keeps each body held by a dist it writes (a kernel
+# leaf's, a parsed dist's or a marginal's, each canonical by construction),
+# and `parse` each body it has checked. The bound holds one whole intall
+# round: its distinct bodies count 1.20-1.27 M characters (seeds 1 and 2,
+# rounds 0-2), xor m=4's INT_ALL oracle alone 6,561 bodies of 889,439
+# characters and a random DAG's of n=8 92-161 k. A sweep round's decode
+# requests read 108 distinct bodies of 15,796 characters (`BENCH_19.json`
+# memo_traffic).
+_BODIES = _Bounded(1 << 21)
+
 # components per block of `serialize`: each block's text is encoded and
 # written out before the next is built, about 40 KiB of xor m=4 INT_ALL
 # text
@@ -316,10 +328,12 @@ def serialize(oracle: AnswerOracle) -> bytes:
     Each component contributes its own key and its canonical body
     (`ExactDist._text`): the kernel and `parse` hand the body over
     rendered, and a dist built from masses renders it through
-    `rational.mass_line`. The text is written into one buffer a block of
-    `_SERIALIZE_BLOCK` components at a time, so it is never held whole as
-    a str beside its bytes. A text that is not ASCII raises the error that
-    encoding it whole raises.
+    `rational.mass_line`. Each body a dist holds enters `parse`'s memo
+    (`_BODIES`, see `_block_text`), so `parse` reads these bytes back
+    without checking their bodies again. The text is written into one
+    buffer a block of `_SERIALIZE_BLOCK` components at a time, so it is
+    never held whole as a str beside its bytes. A text that is not ASCII
+    raises the error that encoding it whole raises.
     """
     head = f"{oracle.kind} n={oracle.n}"
     components = oracle.components
@@ -337,10 +351,17 @@ def serialize(oracle: AnswerOracle) -> bytes:
 
 
 def _block_text(components) -> str:
-    """The text of `components`: for each, LF, "#", its key, LF, its body."""
+    """The text of `components`: for each, LF, "#", its key, LF, its body.
+    Each body a dist holds (`_body`, canonical by construction) that
+    `_BODIES` does not hold enters it with that dist, counted once however
+    many components repeat it; a body rendered from masses is not kept."""
     parts: list[str] = []
+    held = _BODIES
     for key, dist in components:
-        parts += ("\n#", key, "\n", dist._text())
+        body = dist._text()
+        parts += ("\n#", key, "\n", body)
+        if body not in held and dist._body is not None:
+            held.keep(body, dist, len(body))
     return "".join(parts)
 
 
@@ -360,13 +381,6 @@ def _block_res(n_bits: int) -> tuple[re.Pattern, re.Pattern]:
     line = outcome + _MASS
     return (re.compile(f"{outcome}({_MASS})(?:\n{outcome}\\1)*"),
             re.compile(f"{line}(?:\n{line})*"))
-
-
-# each component body `parse` has checked, mapped to the ExactDist it built
-# from that text, bounded in characters of body text: a sweep round's decode
-# requests parse 108 distinct bodies of 15,796 characters (`BENCH_19.json`
-# memo_traffic), which the bound holds four times over
-_BODIES = _Bounded(1 << 16)
 
 
 def parse(data: bytes) -> AnswerOracle:
@@ -395,13 +409,19 @@ def parse(data: bytes) -> AnswerOracle:
     out, so beside the input bytes the call holds about one copy of the
     text.
 
-    Checked bodies outlive the call in a process-wide memo (`_BODIES`,
-    where its bound is stated), which serves a later body of the same text
-    at the same outcome width its dist without any check, with the integer
-    view or `mass` a probe or read has built on it. Validity depends only
-    on the text and the width, and a valid body's outcomes fix the width,
-    so every input is accepted or rejected, with the same error text, as
-    under an empty memo; a rejected body is never kept.
+    Bodies outlive the call in a process-wide memo (`_BODIES`, where its
+    bound is stated), which has two producers: `parse` keeps each body it
+    has checked, and `serialize` each body held by a dist it writes (a
+    kernel leaf's, a parsed dist's or a marginal's, valid by
+    construction). The memo serves a later body of the same text at the
+    same outcome width its dist without any check, with the integer view
+    or `mass` a probe or read has built on it, so an oracle this process
+    wrote parses back to the writer's dists, unchecked again. Validity
+    depends only on the text and the width, and a valid body's outcomes
+    fix the width, so every input is accepted or rejected, with the same
+    error text, as under an empty memo; a rejected body is never kept.
+    The header, the component count and every key are checked on every
+    call.
     """
     try:
         text = data.decode("ascii")
@@ -463,6 +483,8 @@ def parse(data: bytes) -> AnswerOracle:
                         _check_masses(key, Counter(mass_texts).items())
                         checked.add(mass_texts)
                 dist = _BODIES.keep(body, ExactDist._from_body(n_bits, body), len(body))
+            else:
+                body = dist._body  # the held text, so no copy cut from the input stays alive
             dists[body] = dist
         components.append((want, dist))
     return AnswerOracle(kind, n, tuple(components))

@@ -193,6 +193,43 @@ CATALOGUE = (
         ("tests/test_memos.py::test_a_body_is_served_only_at_its_width",),
     ),
     Mutant(
+        "a body stored before its checks",
+        "src/scmlab/oracle.py",
+        (("            if dist is None or dist.n_bits != n_bits:\n",
+          "            if dist is None or dist.n_bits != n_bits:\n"
+          "                _BODIES.keep(body, ExactDist._from_body(n_bits, body), len(body))\n"),),
+        ("tests/test_memos.py::test_a_rejected_body_is_not_stored",),
+    ),
+    # the bodies serialize keeps for parse
+    Mutant(
+        "serialize keeps a body under another dist",
+        "src/scmlab/oracle.py",
+        (("            held.keep(body, dist, len(body))\n",
+          "            held.keep(body, components[0][1], len(body))\n"),),
+        ("tests/test_memos.py::test_a_body_repeated_across_slots_is_counted_once",
+         "tests/test_memos.py::test_parse_reads_back_the_dists_serialize_wrote"),
+    ),
+    Mutant(
+        "serialize counts a repeated body twice",
+        "src/scmlab/oracle.py",
+        (("        if body not in held and dist._body is not None:\n",
+          "        if dist._body is not None:\n"),),
+        ("tests/test_memos.py::test_a_body_repeated_across_slots_is_counted_once",),
+    ),
+    Mutant(
+        "serialize keeps a body rendered from masses",
+        "src/scmlab/oracle.py",
+        (("        if body not in held and dist._body is not None:\n",
+          "        if body not in held:\n"),),
+        ("tests/test_memos.py::test_a_dist_built_from_masses_never_enters_the_memo",),
+    ),
+    Mutant(
+        "the body memo too small for one xor m=4 oracle",
+        "src/scmlab/oracle.py",
+        (("_BODIES = _Bounded(1 << 21)\n", "_BODIES = _Bounded(1 << 16)\n"),),
+        ("tests/test_memos.py::test_a_whole_xor_m4_int_all_oracle_is_held",),
+    ),
+    Mutant(
         "parse keeps the key it cut instead of the layout's",
         "src/scmlab/oracle.py",
         (("        components.append((want, dist))\n", "        components.append((key, dist))\n"),),
@@ -332,6 +369,28 @@ CATALOGUE = (
         (("        _PASSES.keep(key, held, (3 * plan.n + 2) * len(held.states))\n",
           "        _PASSES.keep(key, held, 3 * plan.n + 1)\n"),),
         ("tests/test_memos.py::test_the_pass_memo_stays_within_its_bound",),
+    ),
+    Mutant(
+        "AND of no parents as 0 in the worlds pass",
+        "src/scmlab/scm_core.py",
+        (("        if test == gates.ALL:  # AND of nothing is 1\n"
+          "            toggles = [toggle ^ column for toggle in toggles]\n", ""),),
+        ("tests/test_kernel.py::test_every_counterfactual_triple_matches_reference",
+         "tests/test_kernel.py::test_int1_and_cf1_from_one_held_pass_match_reference"),
+    ),
+    Mutant(
+        "AND combined as OR in the worlds pass",
+        "src/scmlab/scm_core.py",
+        (("    combine = {gates.ANY: or_, gates.ALL: and_, gates.XOR: xor}[test]\n",
+          "    combine = {gates.ANY: or_, gates.ALL: or_, gates.XOR: xor}[test]\n"),),
+        ("tests/test_kernel.py::test_every_counterfactual_triple_matches_reference",
+         "tests/test_kernel.py::test_masses_and_integer_views_match_reference"),
+    ),
+    Mutant(
+        "apply_do takes a variable listed twice",
+        "src/scmlab/scm_core.py",
+        (("    if len(forced) != len(intervention.assignments):\n", "    if False:\n"),),
+        ("tests/test_scm_core.py::TestApplyDo::test_a_variable_listed_twice_is_rejected",),
     ),
     Mutant(
         "a do(X_v) world read off with the stride of the step after v",
@@ -509,6 +568,20 @@ CATALOGUE = (
         (("        _TABLES.keep((m, caps), table, table.limit)\n",
           "        _TABLES.keep((m, caps), table)\n"),),
         ("tests/test_learning.py::TestLearnerRegistry::test_the_tables_hold_at_most_1024_graphs",),
+    ),
+    Mutant(
+        "the seed check reduced to is None",
+        "src/scmlab/learning.py",
+        (("    if type(seed) is not int:  # None seeds from OS entropy, derive_seed runs 1.5 as 1\n",
+          "    if seed is None:\n"),),
+        ("tests/test_learning.py::test_a_seed_that_is_not_an_int_is_refused",),
+    ),
+    Mutant(
+        "the empirical learner handed no dataset",
+        "src/scmlab/learning.py",
+        (("    reads_data = True\n", "    reads_data = False\n"),),
+        ("tests/test_learning.py::TestMonteCarlo::test_pinned_success_counts",
+         "tests/test_learning.py::TestAgainstReference::test_run_nfl"),
     ),
     Mutant(
         "sample_obs skips the law for no rows",

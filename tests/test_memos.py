@@ -121,12 +121,17 @@ def test_a_warm_parse_is_a_cold_parse(scm, kind):
     assert_memo_sound()
 
 
-# golden files plus the kinds and sizes they lack, as in test_codec
-SEEDS = GOLDEN_BYTES + [
-    serialize(compute_oracle(build_xor_scm(HiddenString(2, "10")), INT_ALL)),
-    serialize(compute_oracle(MIXED_LEAVES, INT1)),
-    serialize(compute_oracle(Scm(0, ()), INT_ALL)),
-]
+# the model and kind of each seed: the golden files, by name, plus the
+# kinds and sizes they lack, as in test_codec
+SEED_MODELS = (
+    (build_bipartite_scm(BipartiteGraph(2, frozenset({(0, 0)}))), INT1),
+    (build_tree_scm(RootedTree(3, 1, {2: 1, 3: 2})), INT1),
+    (build_xor_scm(HiddenString(2, "10")), CF1),
+    (build_xor_scm(HiddenString(2, "10")), INT_ALL),
+    (MIXED_LEAVES, INT1),
+    (Scm(0, ()), INT_ALL),
+)
+SEEDS = GOLDEN_BYTES + [serialize(compute_oracle(scm, kind)) for scm, kind in SEED_MODELS[3:]]
 
 
 @given(mutated_golden(SEEDS))
@@ -138,6 +143,10 @@ def test_warm_and_cold_verdicts_agree_on_mutants(data):
         parse(seed)
     assert outcome(data) == cold
     assert outcome(data) == cold  # and again, with its own bodies held too
+    oracle._BODIES.clear()
+    # every seed body held as serialize keeps it, with the dist that wrote it
+    assert [serialize(compute_oracle(scm, kind)) for scm, kind in SEED_MODELS] == SEEDS
+    assert outcome(data) == cold
     assert_memo_sound()
 
 
@@ -225,6 +234,117 @@ def test_a_body_longer_than_the_bound_is_not_kept(monkeypatch):
     assert serialize(parse(data)) == data
     assert "0=1/2\n1=1/2" not in oracle._BODIES
     assert_memo_sound()
+
+
+# the random DAG shapes of the intall benchmark: a source, then the rest of
+# the kinds of its size in any order, each variable's parents drawn from the
+# variables before it; each kind's gates and noise laws
+INTALL_KINDS = {
+    6: ("source", "xor", "three", "det", "det"),
+    7: ("source", "xor", "xor", "three", "det", "det"),
+    8: ("source", "xor", "xor", "three", "det", "det", "det"),
+}
+BIASED = st.sampled_from((NoiseDist.bernoulli(Fraction(1, 3)), NoiseDist.bernoulli(Fraction(3, 4))))
+INTALL_MECHANISMS = {
+    "source": ((gates.BERN_SOURCE,), BIASED),
+    "xor": ((gates.XOR_NOISE,), BIASED),
+    "three": ((gates.AND, gates.OR, gates.PARITY),
+              st.just(NoiseDist((0, 1, 2), (Fraction(1, 6), Fraction(1, 3), HALF)))),
+    "det": ((gates.AND, gates.OR, gates.PARITY, gates.COPY, gates.NEG), st.just(NoiseDist.constant())),
+}
+
+
+@st.composite
+def intall_dags(draw) -> Scm:
+    n = draw(st.integers(6, 8))
+    mechanisms = []
+    for v, kind in enumerate(("source", *draw(st.permutations(INTALL_KINDS[n])))):
+        gate_menu, noises = INTALL_MECHANISMS[kind]
+        gate = draw(st.sampled_from(gate_menu))
+        if gate == gates.BERN_SOURCE:
+            arity = 0
+        elif gate in (gates.COPY, gates.NEG):
+            arity = 1
+        else:
+            arity = draw(st.integers(1, min(3, v)))
+        parents = tuple(sorted(draw(st.permutations(range(v)))[:arity]))
+        mechanisms.append(Mechanism(gate, parents, draw(noises)))
+    return Scm(n, tuple(mechanisms))
+
+
+def assert_read_back(written):
+    """`serialize` keeps each body of `written` with the first dist that
+    holds it, within the bound; `parse` of its bytes returns those dists,
+    equal to what the reference codec and a cold parse make of them."""
+    oracle._BODIES.clear()
+    data = serialize(written)
+    assert_memo_sound()
+    writers = {}
+    for _, dist in written.components:
+        writers.setdefault(dist._body, dist)
+    assert oracle._BODIES == writers
+    parsed = parse(data)
+    assert all(dist is writers[dist._body] for _, dist in parsed.components)
+    reference = reference_codec.parse(data)
+    assert parsed == reference
+    oracle._BODIES.clear()
+    assert parse(data) == reference
+
+
+@given(small_scms(), st.sampled_from(KINDS))
+@settings(max_examples=120, deadline=None)
+def test_parse_reads_back_the_dists_serialize_wrote(scm, kind):
+    assert_read_back(compute_oracle(scm, kind))
+
+
+@given(intall_dags())
+@settings(max_examples=10, deadline=None)
+def test_parse_reads_back_an_intall_dags_int_all_oracle(scm):
+    assert_read_back(compute_oracle(scm, INT_ALL))
+
+
+def test_a_whole_xor_m4_int_all_oracle_is_held():
+    written = compute_oracle(build_xor_scm(HiddenString(4, "1011")), INT_ALL)
+    assert len({dist._body for _, dist in written.components}) == 3**8
+    assert_read_back(written)
+
+
+def test_a_body_repeated_across_slots_is_counted_once():
+    written = compute_oracle(MIXED_LEAVES, INT_ALL)
+    bodies = {dist._body for _, dist in written.components}
+    assert len(bodies) < len(written.components)  # the slots repeat bodies
+    serialize(written)
+    serialize(written)
+    assert set(oracle._BODIES) == bodies
+    assert oracle._BODIES.held == sum(map(len, bodies))
+    assert_memo_sound()
+
+
+def test_a_dist_built_from_masses_never_enters_the_memo():
+    kernel = compute_oracle(Scm(1, (Mechanism(gates.BERN_SOURCE, (), FAIR),)), INT1)
+    from_masses = ExactDist(1, {"0": HALF, "1": HALF})
+    mixed = dataclasses.replace(kernel, components=(("obs", from_masses), *kernel.components[1:]))
+    data = serialize(mixed)
+    assert data == reference_codec.serialize(mixed)
+    assert from_masses._body is None
+    assert list(oracle._BODIES) == ["0=1/1", "1=1/1"]  # the two do laws the kernel wrote
+    parsed = parse(data).components[0][1]
+    assert parsed is not from_masses and parsed == from_masses
+    assert oracle._BODIES["0=1/2\n1=1/2"] is parsed  # checked, then kept by parse
+    assert_memo_sound()
+
+
+def test_a_written_body_is_served_only_at_its_width():
+    # CF1 n=1's body has 3-bit outcomes: OBS n=3 reads back the writer's dist
+    written = compute_oracle(Scm(1, (Mechanism(gates.BERN_SOURCE, (), FAIR),)), CF1)
+    body = serialize(written).decode().split("\n", 2)[2][:-1]
+    assert parse(f"OBS n=3\n#obs\n{body}\n".encode()).components[0][1] is written.components[0][1]
+    for n in (1, 2, 4):
+        data = f"OBS n={n}\n#obs\n{body}\n".encode()
+        warm = outcome(data)
+        oracle._BODIES.clear()
+        assert warm[0] is OracleFormatError and outcome(data) == warm
+        serialize(written)
 
 
 # ------------------------------------------------------------- step memo

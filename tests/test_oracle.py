@@ -621,10 +621,13 @@ class TestOneOraclePath:
         assert calls == [((OBS, CF1), family.build(param)) for param in family.parameters()]
 
     @pytest.mark.parametrize("family, kind, decode", [
-        (Family("tree", 3), INT1, tree_from_int1),
-        (Family("bipartite", 1), INT1, graph_from_int1),
-        (Family("xor", 2), CF1, string_from_cf1),
-    ], ids=str)
+        pytest.param(family, kind, decode, id=decode.__name__)  # no address in the node ID
+        for family, kind, decode in [
+            (Family("tree", 3), INT1, tree_from_int1),
+            (Family("bipartite", 1), INT1, graph_from_int1),
+            (Family("xor", 2), CF1, string_from_cf1),
+        ]
+    ])
     def test_rebuild_check(self, calls, family, kind, decode):
         for param in family.parameters():
             scm = family.build(param)
