@@ -131,13 +131,26 @@ def _sampler(dist: ExactDist) -> _Sampler:
     return _Sampler(tuple(dist.outcomes()), tuple(accumulate(weights)), den)
 
 
+def _below(getrandbits, n: int) -> int:
+    """`randrange(n)` of the generator whose `getrandbits` is given, for an
+    int n >= 1: CPython's own rule (`_randbelow_with_getrandbits`, the same
+    on 3.10 to 3.13), `getrandbits(k)` for k = n.bit_length() until the draw
+    is below n. One Python frame around the C `getrandbits`, where
+    `random.Random.randrange` takes two."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _draw(sampler: _Sampler, count: int, rng: random.Random) -> tuple[str, ...]:
-    """`count` rows, one `rng.randrange(denominator)` each. Callers seed
-    no stream for no rows."""
+    """`count` rows, one `rng.randrange(denominator)` each (`_below`).
+    Callers seed no stream for no rows."""
     outcomes, cumulative, denominator = sampler
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     return tuple(
-        [outcomes[bisect_right(cumulative, randrange(denominator))] for _ in range(count)]
+        [outcomes[bisect_right(cumulative, _below(getrandbits, denominator))] for _ in range(count)]
     )
 
 
@@ -259,7 +272,7 @@ def _episodes(m: int, n_samples: int, trials: int, seed: int, labels, reads: boo
         dataset = None
         for trial in range(trials):
             rng = graphs.rng(graphs.seed(trial))
-            graph = table[rng.randrange(count)]
+            graph = table[_below(rng.getrandbits, count)]
             if reads:
                 data_seed = data.seed(trial)
                 rows = _draw(graph.sampler, n_samples, data.rng(data_seed)) if n_samples else ()
@@ -322,7 +335,7 @@ class UniformGuessLearner(_Learner):
     draws = True
 
     def predict_bytes(self, dataset: Dataset, table: _Table, rng: random.Random) -> bytes:
-        return table[rng.randrange(1 << (table.m * table.m))].data
+        return table[_below(rng.getrandbits, 1 << (table.m * table.m))].data
 
     def exact_rate(self, m: int, n_samples: int) -> Fraction:
         # a guess matches a truth exactly when both land in the same class
@@ -482,8 +495,8 @@ def per_query_error(
     labels = ("query-episode", "query-data")
     tally = Counter()  # episodes per distinct (answer, truth), each a _pair
     for _, rng, graph, dataset, _ in _episodes(m, n_samples, trials, seed, labels, reads):
-        i = rng.randrange(m)
-        j = rng.randrange(m)
+        i = _below(rng.getrandbits, m)
+        j = _below(rng.getrandbits, m)
         answer = _pair(Fraction(predictor(dataset))) if reads else constant
         tally[answer, graph.truths(i)[j]] += 1
     total = sum([count * abs(Fraction(*answer) - Fraction(*truth))

@@ -61,8 +61,8 @@ from .scm_core import (
     Intervention,
     Scm,
     _Bounded,
-    _dist,
     _fraction,
+    _render,
     int_all_laws,
     intervention_code,
     kernel_laws,
@@ -308,7 +308,8 @@ def family_sweep(family, kinds, columns: dict):
 # to a dist that holds it, bounded in characters of body text. It has two
 # producers: `serialize` keeps each body held by a dist it writes (a kernel
 # leaf's, a parsed dist's or a marginal's, each canonical by construction),
-# and `parse` each body it has checked. The bound holds one whole intall
+# by `_Bounded.keep`'s rule written out in its loop (`_block_text`), and
+# `parse` each body it has checked, through `keep`. The bound holds one whole intall
 # round: its distinct bodies count 1.20-1.27 M characters (seeds 1 and 2,
 # rounds 0-2), xor m=4's INT_ALL oracle alone 6,561 bodies of 889,439
 # characters and a random DAG's of n=8 92-161 k. A sweep round's decode
@@ -329,8 +330,9 @@ def serialize(oracle: AnswerOracle) -> bytes:
     (`ExactDist._text`): the kernel and `parse` hand the body over
     rendered, and a dist built from masses renders it through
     `rational.mass_line`. Each body a dist holds enters `parse`'s memo
-    (`_BODIES`, see `_block_text`), so `parse` reads these bytes back
-    without checking their bodies again. The text is written into one
+    (`_BODIES`) in the writing loop itself, with no call per body (see
+    `_block_text`), so `parse` reads these bytes back without checking
+    their bodies again. The text is written into one
     buffer a block of `_SERIALIZE_BLOCK` components at a time, so it is
     never held whole as a str beside its bytes. A text that is not ASCII
     raises the error that encoding it whole raises.
@@ -354,14 +356,25 @@ def _block_text(components) -> str:
     """The text of `components`: for each, LF, "#", its key, LF, its body.
     Each body a dist holds (`_body`, canonical by construction) that
     `_BODIES` does not hold enters it with that dist, counted once however
-    many components repeat it; a body rendered from masses is not kept."""
+    many components repeat it, by `_Bounded.keep`'s rule written out here
+    so that no body costs a call: a body longer than the bound is not
+    kept, and one that would pass it empties the memo first. A dist built
+    from masses renders its body (`_text`), which is never kept."""
     parts: list[str] = []
     held = _BODIES
+    limit = held.limit
     for key, dist in components:
-        body = dist._text()
+        body = dist._body
+        if body is None:
+            body = dist._text()
+        elif body not in held:
+            size = len(body)
+            if size <= limit:
+                if held.held + size > limit:
+                    held.clear()
+                held[body] = dist
+                held.held += size
         parts += ("\n#", key, "\n", body)
-        if body not in held and dist._body is not None:
-            held.keep(body, dist, len(body))
     return "".join(parts)
 
 
@@ -598,4 +611,4 @@ def marginal(dist: ExactDist, positions) -> ExactDist:
         for state, w in zip(states, weights):
             key = sum([(state >> source & 1) << target for source, target in moves])
             acc[key] = acc.get(key, 0) + w
-    return _dist(width, list(acc), list(acc.values()), den, False)
+    return _render(width, list(acc), list(acc.values()), den)

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add, and_, mul, or_, xor
+from operator import and_, or_, xor
 from typing import NamedTuple
 
 from . import gates
@@ -445,19 +445,24 @@ def topo_order(scm: Scm) -> list[int]:
 # distribution does not compile, a law of one fixed symbol included, so
 # every pass's weights are positive and sum to its denominator, and every
 # leaf is a law by construction.
-# A leaf's final states become its canonical body text at once, its lines
-# read from memos shared by every pass (`_Lines`); Fractions appear only
-# when its `mass` is read, one per mass text (`_fraction`). A uniform
-# leaf, whose states all carry one weight, sorts its states alone and
-# reads a memo keyed by state for that weight; any other leaf sorts
-# integer keys that carry each state's weight. A leaf's ExactDist holds
-# its body and, once probed, its integer view, in slots, not an instance
-# dict: 64 bytes beside its body text (152 with an instance dict).
+# A leaf's final states become its canonical body text at once (`_renders`),
+# each line its state's outcome text and its weight's mass text, read from
+# two memos shared by every pass: outcome texts by (width, state), mass
+# texts "=num/den" in lowest terms by (den, weight) (`_OUTCOMES`,
+# `_MASSES`). Fractions appear only when its `mass` is read, one per mass
+# text (`_fraction`). A uniform leaf, whose states all carry one weight,
+# sorts its states alone and joins their outcome texts with its one mass
+# text; any other leaf sorts the positions of its states and joins outcome
+# and mass line by line. A leaf's ExactDist holds its body and, once
+# probed, its integer view, in slots, not an instance dict: 64 bytes beside
+# its body text (152 with an instance dict).
 #
 # OBS alone and INT_ALL branch hard interventions off the pass as a trie
 # (`_descend`), each law keyed by its integer intervention code
 # (`intervention_code`); the last variable's do(0) and do(1) leaves are
-# rendered by its node. Below a node, every leaf is a pure function of
+# rendered by its node from one sort: no state there carries the
+# variable's bit, so the do(1) states are the do(0) states with that bit
+# or-ed in, in the same order. Below a node, every leaf is a pure function of
 # (level, states, weights, den), so where a deterministic mechanism leaves
 # the states as do(0) or do(1) would in a pass that forces (INT_ALL), the
 # two subtrees are equal leaf for leaf: one is descended and the other
@@ -628,65 +633,76 @@ def _scaled(weights: list[int], k: int) -> list[int]:
     return weights if k == 1 else [w * k for w in weights]
 
 
-class _Lines(dict):
-    """The canonical mass lines of states whose outcomes are `width` bits
-    wide, each with mass weight/den. Without a `weight`, a line is keyed
-    by state * (den + 1) + weight: the weights of a law lie in 1..den, so
-    the key orders lines by state and decodes back to the pair. A memo
-    for one `weight`, which serves the leaves whose states all carry it,
-    is keyed by the state alone.
+class _Texts(dict):
+    """The texts of one key of a `_Family`, made by its `make` from that
+    key and an item on the item's first read: an outcome memo holds one
+    width's outcome texts by state, a mass memo one den's mass texts by
+    weight. A memo joins its family with its first text, and each text it
+    adds counts one there."""
 
-    Each memo is a pure function of its (width, den, weight) and its key,
-    so one memo per (width, den) or (width, den, weight) in `_LINES`
-    serves every kernel pass, where leaves and models repeat their lines.
-    A memo joins `_LINES` with its first line, and each line it adds
-    counts one there."""
+    __slots__ = ("family", "key")
 
-    __slots__ = ("key", "width", "den", "weight")
-
-    def __init__(self, width: int, den: int, weight: int | None = None):
+    def __init__(self, family: "_Family", key: int):
         super().__init__()
-        self.key = (width, den) if weight is None else (width, den, weight)
-        self.width, self.den, self.weight = width, den, weight
+        self.family, self.key = family, key
 
-    def __missing__(self, key: int) -> str:
-        if self.weight is None:
-            state, weight = divmod(key, self.den + 1)
-        else:
-            state, weight = key, self.weight
-        g = math.gcd(weight, self.den)
-        outcome = format(state, f"0{self.width}b") if self.width else ""
-        line = mass_line(outcome, weight // g, self.den // g)
-        _LINES.keep(self.key, self)
-        if _LINES.held == 1:  # the line dropped every memo: this one starts again
+    def __missing__(self, item: int) -> str:
+        family = self.family
+        text = family.make(self.key, item)
+        family.keep(self.key, self)
+        if family.held == 1:  # the text dropped every memo: this one starts again
             self.clear()
-        self[key] = line
-        return line
+        self[item] = text
+        return text
 
 
-# the line memos by (width, den) or (width, den, weight), bounded in lines
-# between them: about 150 B of RSS a line, so 10 MiB when full
-_LINES = _Bounded(1 << 16)
+class _Family(_Bounded):
+    """The `_Texts` memos of one kind by their key, bounded in texts
+    between them."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, limit: int, make):
+        super().__init__(limit)
+        self.make = make
 
 
-def _lines(*key: int) -> _Lines:
-    """The memo of (width, den), or of (width, den, weight)."""
-    memo = _LINES.get(key)
-    return _Lines(*key) if memo is None else memo
+def _outcome_text(width: int, state: int) -> str:
+    return format(1 << width | state, "b")[1:]  # the top bit keeps the leading zeros
 
 
-def _dist(n_bits: int, states, weights, den: int, keep: bool) -> ExactDist:
+def _mass_text(den: int, weight: int) -> str:
+    """"=num/den" in lowest terms; a fraction too long to write raises
+    OracleFormatError, and is not kept."""
+    g = math.gcd(weight, den)
+    return mass_line("", weight // g, den // g)
+
+
+# a line is its state's outcome text and its weight's mass text, whatever
+# the pass, den or weight of its leaf: the outcome texts by (width, state)
+# and the mass texts by (den, weight), each a memo of memos bounded in texts.
+# One intall round (seed 1, round 0) renders 111,066 lines of 17,088 leaves
+# from 448 outcome texts and 65 mass texts, where memos of whole lines per
+# (width, den) and (width, den, weight) built 9,157; a sweep round makes 744
+# and 5, an nfl_mc round 160 and 82. About 140 B of live memory a 16-bit
+# outcome text, so 8.6 MiB when full
+_OUTCOMES = _Family(1 << 16, _outcome_text)
+_MASSES = _Family(1 << 12, _mass_text)
+
+
+def _dist(n_bits: int, states, weights, den: int) -> ExactDist:
     """The law of `states`, `n_bits`-bit outcomes of mass weight/den, whose
     positive weights sum to den: its canonical body, lines in state order
-    (`_render`), kept in the leaf memo if `keep`.
+    (`_render`), kept in the leaf memo.
 
     A kept leaf (OBS, INT1, CF1) of at most `_LEAVES.limit` states comes
     from the leaf memo `_LEAVES`, keyed by its width and its states and
     weights in pass order; den, their sum, adds nothing to the key. Every
     model that reaches an equal leaf shares one dist, which may already
-    carry `mass` or its integer view. An INT_ALL leaf and a `marginal`,
-    never kept, and a larger leaf are rendered without a lookup."""
-    if not keep or len(states) > _LEAVES.limit:
+    carry `mass` or its integer view. A larger leaf is rendered without a
+    lookup. The leaves that are never kept do not come here: an INT_ALL
+    leaf is rendered by `_descend` (`_renders`), a `marginal` by `_render`."""
+    if len(states) > _LEAVES.limit:
         return _render(n_bits, states, weights, den)
     key = (n_bits, *states, *weights)
     dist = _LEAVES.get(key)
@@ -706,24 +722,51 @@ _LEAVES = _Bounded(1 << 14)
 
 
 def _render(n_bits: int, states, weights, den: int) -> ExactDist:
-    """`_dist` without the memo. A uniform law sorts its states alone and
-    reads each line from its weight's memo; any other sorts integer keys
-    that order the states and carry their weights. A law too long to write
-    goes through the constructor."""
+    """`_dist` without the memo: the law of `states` itself, the one law
+    `_renders` is asked for."""
+    return _renders(n_bits, states, weights, den, (0,))[0]
+
+
+def _renders(n_bits: int, states, weights, den: int, bits) -> list[ExactDist]:
+    """The law of `states` with each of `bits` or-ed into every state, in
+    the order of `bits`, from one sort: no state carries any of them, so
+    each law's states keep the sorted order of `states`. Each line is its
+    state's outcome text (`_OUTCOMES`) and its weight's mass text
+    (`_MASSES`). A uniform law, whose states all carry one weight, sorts
+    its states alone and joins their outcome texts with its one mass text;
+    any other sorts the positions of its states and joins outcome and mass
+    line by line. A law too long to write goes through the constructor."""
+    texts = _OUTCOMES.get(n_bits)
+    if texts is None:
+        texts = _Texts(_OUTCOMES, n_bits)
+    masses = _MASSES.get(den)
+    if masses is None:
+        masses = _Texts(_MASSES, den)
+    dists = []
     weight = weights[0]
-    if weights.count(weight) == len(weights):
-        lines = _lines(n_bits, den, weight)
-        keys = sorted(states)
-    else:
-        lines = _lines(n_bits, den)
-        keys = sorted(map(add, map(mul, states, itertools.repeat(den + 1)), weights))
     try:
-        body = "\n".join(map(lines.__getitem__, keys))
+        if weights.count(weight) == len(weights):
+            keys = sorted(states)
+            mass = masses[weight]
+            glue = mass + "\n"
+            for bit in bits:
+                outcomes = map(texts.__getitem__, map(bit.__or__, keys) if bit else keys)
+                dists.append(ExactDist._from_body(n_bits, glue.join(outcomes) + mass))
+        else:
+            order = sorted(range(len(states)), key=states.__getitem__)
+            keys = list(map(states.__getitem__, order))
+            # each line's outcome text and mass text, and LF between lines
+            pieces = ["\n"] * (3 * len(keys) - 1)
+            pieces[1::3] = map(masses.__getitem__, map(weights.__getitem__, order))
+            for bit in bits:
+                pieces[::3] = map(texts.__getitem__, map(bit.__or__, keys) if bit else keys)
+                dists.append(ExactDist._from_body(n_bits, "".join(pieces)))
     except OracleFormatError:  # serialize raises it again, when asked for the text
         pairs = sorted(zip(states, weights))
         top = 1 << n_bits  # keeps each state's leading zeros
-        return ExactDist(n_bits, {format(top | s, "b")[1:]: Fraction(w, den) for s, w in pairs})
-    return ExactDist._from_body(n_bits, body)
+        return [ExactDist(n_bits, {format(top | bit | s, "b")[1:]: Fraction(w, den) for s, w in pairs})
+                for bit in bits]
+    return dists
 
 
 def kernel_laws(scm: Scm, int1: bool, cf1: bool):
@@ -813,7 +856,8 @@ def _descend(plan, level, states, weights, den, code, forcing, codes, dists) -> 
     """Run the mechanisms from `level` on, branching off the do() subtries;
     `code` sums the digits forced so far. Each leaf appends its code to
     `codes` and its law to `dists`, kept unless `forcing`; the last
-    level's do() leaves are appended here, not from a call of their own."""
+    level's do() leaves are appended here, not from a call of their own,
+    both rendered from one sort of its states (`_renders`)."""
     steps, n = plan.steps, plan.n
     last = len(steps)
     for level in range(level, last):
@@ -823,8 +867,7 @@ def _descend(plan, level, states, weights, den, code, forcing, codes, dists) -> 
             ones = [s | bit for s in states]
             if level + 1 == last:
                 codes += (code + place, code + 2 * place)
-                dists += (_dist(n, states, weights, den, False),
-                          _dist(n, ones, weights, den, False))
+                dists += _renders(n, states, weights, den, (0, bit))
                 ones_at = zeros_at + 1
             else:
                 _descend(plan, level + 1, states, weights, den,
@@ -854,7 +897,10 @@ def _descend(plan, level, states, weights, den, code, forcing, codes, dists) -> 
             states, weights = next_states, next_weights
             den *= step_den
     codes.append(code)
-    dists.append(_dist(n, states, weights, den, not forcing))
+    if forcing:  # no INT_ALL leaf is kept
+        dists += _renders(n, states, weights, den, (0,))
+    else:
+        dists.append(_dist(n, states, weights, den))
 
 
 def _worlds(plan: _Plan):
@@ -888,7 +934,7 @@ def _triples(n: int, states, weights, den: int) -> tuple[ExactDist, ...]:
     return tuple([
         _dist(3 * n,
               [f | ((s >> 2 * (n - 1 - v) * n) & pair) for f, s in zip(facts, states)],
-              weights, den, True)
+              weights, den)
         for v in range(n)
     ])
 
@@ -902,7 +948,7 @@ def _int1_laws(steps, states, weights, den: int) -> dict[int, ExactDist]:
     divided out, their weights are those of a pass with v forced."""
     n = len(steps)
     top, world = 2 * n * n, (1 << n) - 1
-    laws = {0: _dist(n, [s >> top for s in states], weights, den, True)}
+    laws = {0: _dist(n, [s >> top for s in states], weights, den)}
     stride = 1
     for place, bit, _, _, _, branches, step_den in steps:
         at = 2 * n * (bit.bit_length() - 1)  # v's do(X_v=1) world; do(X_v=0) is n bits up
@@ -915,8 +961,8 @@ def _int1_laws(steps, states, weights, den: int) -> dict[int, ExactDist]:
             kept = kept if num == 1 else [w // num for w in kept]
             rest = den // step_den
             stride *= len(branches)
-        laws[place] = _dist(n, [(s >> at + n) & world for s in picked], kept, rest, True)
-        laws[2 * place] = _dist(n, [(s >> at) & world for s in picked], kept, rest, True)
+        laws[place] = _dist(n, [(s >> at + n) & world for s in picked], kept, rest)
+        laws[2 * place] = _dist(n, [(s >> at) & world for s in picked], kept, rest)
     return laws
 
 

@@ -200,28 +200,39 @@ CATALOGUE = (
           "                _BODIES.keep(body, ExactDist._from_body(n_bits, body), len(body))\n"),),
         ("tests/test_memos.py::test_a_rejected_body_is_not_stored",),
     ),
-    # the bodies serialize keeps for parse
+    # the bodies serialize keeps for parse, by `_Bounded.keep`'s rule inline
     Mutant(
         "serialize keeps a body under another dist",
         "src/scmlab/oracle.py",
-        (("            held.keep(body, dist, len(body))\n",
-          "            held.keep(body, components[0][1], len(body))\n"),),
+        (("                held[body] = dist\n",
+          "                held[body] = components[0][1]\n"),),
         ("tests/test_memos.py::test_a_body_repeated_across_slots_is_counted_once",
          "tests/test_memos.py::test_parse_reads_back_the_dists_serialize_wrote"),
     ),
     Mutant(
         "serialize counts a repeated body twice",
         "src/scmlab/oracle.py",
-        (("        if body not in held and dist._body is not None:\n",
-          "        if dist._body is not None:\n"),),
+        (("        elif body not in held:\n", "        else:\n"),),
         ("tests/test_memos.py::test_a_body_repeated_across_slots_is_counted_once",),
     ),
     Mutant(
         "serialize keeps a body rendered from masses",
         "src/scmlab/oracle.py",
-        (("        if body not in held and dist._body is not None:\n",
-          "        if body not in held:\n"),),
+        (("            body = dist._text()\n        elif body not in held:\n",
+          "            body = dist._text()\n        if body not in held:\n"),),
         ("tests/test_memos.py::test_a_dist_built_from_masses_never_enters_the_memo",),
+    ),
+    Mutant(
+        "serialize's body feed never clears at its bound",
+        "src/scmlab/oracle.py",
+        (("                if held.held + size > limit:\n                    held.clear()\n", ""),),
+        ("tests/test_memos.py::test_the_memo_stays_within_its_bound",),
+    ),
+    Mutant(
+        "serialize keeps a body longer than the bound",
+        "src/scmlab/oracle.py",
+        (("            if size <= limit:\n", "            if True:\n"),),
+        ("tests/test_memos.py::test_serialize_keeps_no_body_longer_than_the_bound",),
     ),
     Mutant(
         "the body memo too small for one xor m=4 oracle",
@@ -270,6 +281,37 @@ CATALOGUE = (
           "        return self.__class__, (self.n_bits, self.mass)\n"),),
         ("tests/test_probes.py::test_dists_have_slots_and_copy_whole",),
     ),
+    # the kernel's text memos and its last level's do() pair
+    Mutant(
+        # the memo of the first width serves every width
+        "an outcome memo keyed without its width",
+        "src/scmlab/scm_core.py",
+        (("    texts = _OUTCOMES.get(n_bits)\n", "    texts = next(iter(_OUTCOMES.values()), None)\n"),),
+        ("tests/test_codec.py::TestLazyProduct::test_text_memos_stay_within_their_bounds",),
+    ),
+    Mutant(
+        "a mass text not reduced to lowest terms",
+        "src/scmlab/scm_core.py",
+        (("    g = math.gcd(weight, den)\n", "    g = 1\n"),),
+        ("tests/test_codec.py::TestLazyProduct::test_text_memos_stay_within_their_bounds",
+         "tests/test_kernel.py::test_a_uniform_weight_not_in_lowest_terms_matches_reference"),
+    ),
+    Mutant(
+        "a text memo keeps its texts when its text dropped every memo",
+        "src/scmlab/scm_core.py",
+        (("        if family.held == 1:  # the text dropped every memo: this one starts again\n"
+          "            self.clear()\n", ""),),
+        ("tests/test_codec.py::TestLazyProduct::test_text_memos_stay_within_their_bounds",),
+    ),
+    Mutant(
+        "the do(1) leaf rendered from the unshifted keys",
+        "src/scmlab/scm_core.py",
+        (("                outcomes = map(texts.__getitem__, map(bit.__or__, keys) if bit else keys)\n",
+          "                outcomes = map(texts.__getitem__, keys)\n"),
+         ("                pieces[::3] = map(texts.__getitem__, map(bit.__or__, keys) if bit else keys)\n",
+          "                pieces[::3] = map(texts.__getitem__, keys)\n")),
+        ("tests/test_kernel.py::test_the_last_levels_do_pair_equals_two_renders",),
+    ),
     # the kernel's leaf memo
     Mutant(
         "the leaf memo keyed without the weights",
@@ -286,15 +328,13 @@ CATALOGUE = (
     Mutant(
         "INT_ALL leaves enter the leaf memo",
         "src/scmlab/scm_core.py",
-        (("    if not keep or len(states) > _LEAVES.limit:\n",
-          "    if len(states) > _LEAVES.limit:\n"),),
+        (("    if forcing:  # no INT_ALL leaf is kept\n", "    if False:\n"),),
         ("tests/test_memos.py::test_no_int_all_leaf_enters_the_leaf_memo",),
     ),
     Mutant(
         "a marginal enters the leaf memo",
         "src/scmlab/oracle.py",
-        (("    return _dist(width, list(acc), list(acc.values()), den, False)\n",
-          "    return _dist(width, list(acc), list(acc.values()), den, True)\n"),),
+        (("    _fraction,\n    _render,\n", "    _fraction,\n    _dist as _render,\n"),),
         ("tests/test_memos.py::test_no_marginal_enters_the_leaf_memo",),
     ),
     Mutant(
@@ -306,7 +346,7 @@ CATALOGUE = (
     Mutant(
         "a leaf above the bound reaches the leaf memo",
         "src/scmlab/scm_core.py",
-        (("    if not keep or len(states) > _LEAVES.limit:\n", "    if not keep:\n"),),
+        (("    if len(states) > _LEAVES.limit:\n", "    if False:\n"),),
         ("tests/test_memos.py::test_a_leaf_above_the_bound_is_not_looked_up",),
     ),
     Mutant(
@@ -520,6 +560,13 @@ CATALOGUE = (
         ("tests/test_memos.py::test_probe_facts_are_kept_apart_by_width",),
     ),
     # the Monte-Carlo episodes' fast paths
+    Mutant(
+        # (n - 1).bit_length() draws fewer bits than randrange for a power of 2
+        "a draw below n reads the bits of n - 1",
+        "src/scmlab/learning.py",
+        (("    k = n.bit_length()\n", "    k = (n - 1).bit_length()\n"),),
+        ("tests/test_learning.py::TestStreamSeeding::test_a_draw_below_n_is_randrange",),
+    ),
     Mutant(
         "the stream's pre-fed text without its separator",
         "src/scmlab/learning.py",

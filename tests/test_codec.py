@@ -336,27 +336,58 @@ class TestLazyProduct:
             assert fresh(make) == eager
             assert list(map(repr, fresh(make))) == list(map(repr, eager))
 
-    def test_line_memo_stays_within_its_bound(self, monkeypatch):
-        # every xor leaf is uniform, read from a memo keyed by state for its
-        # (width, den, weight); the mixed sources' leaves are uniform only
-        # where every third-weighted source is forced, and read the
-        # (width, den) memo elsewhere
+    def test_text_memos_stay_within_their_bounds(self, monkeypatch):
+        # every xor leaf is uniform: its outcome texts joined by its one mass
+        # text; the mixed sources' leaves are uniform only where every
+        # third-weighted source is forced, and join outcome and mass line by
+        # line elsewhere
         third, half = NoiseDist.bernoulli(Fraction(1, 3)), NoiseDist.bernoulli(Fraction(1, 2))
         mixed = Scm(5, tuple(Mechanism(gates.BERN_SOURCE, (), noise)
                              for noise in (third, half, third, half, half)))
         scms = (build_xor_scm(HiddenString(4, "1011")), mixed)
         want = [serialize(compute_oracle(scm, INT_ALL)) for scm in scms]
+        memos = (scm_core._OUTCOMES, scm_core._MASSES)
 
-        # from an empty memo, both memo kinds: (width, den) and (width, den, weight)
-        monkeypatch.setattr(scm_core, "_LINES", scm_core._Bounded(scm_core._LINES.limit))
+        def assert_sound():
+            # each family holds one memo per width or den, counting its texts
+            outcomes, masses = memos
+            for memo in memos:
+                assert memo.held == sum(map(len, memo.values())) <= memo.limit
+                assert all(texts.key == key for key, texts in memo.items())
+            for width, texts in outcomes.items():
+                assert all(text == format(1 << width | state, "b")[1:] for state, text in texts.items())
+            for den, texts in masses.items():  # in lowest terms
+                for weight, text in texts.items():
+                    mass = Fraction(weight, den)
+                    assert text == f"={mass.numerator}/{mass.denominator}"
+
+        # from empty memos: texts of both widths, and masses of both dens
+        for memo in memos:
+            memo.clear()
         assert [serialize(compute_oracle(scm, INT_ALL)) for scm in scms] == want
-        assert {len(key) for key in scm_core._LINES} == {2, 3}
-        assert sum(map(len, scm_core._LINES.values())) <= scm_core._LINES.limit
-        # a small bound, from an empty memo: each oracle overflows it many times
-        monkeypatch.setattr(scm_core._LINES, "limit", 100)
-        scm_core._LINES.clear()
-        assert [serialize(compute_oracle(scm, INT_ALL)) for scm in scms] == want
-        assert scm_core._LINES.held == sum(map(len, scm_core._LINES.values())) <= 100
+        assert_sound()
+        assert set(scm_core._OUTCOMES) == {5, 8}
+        assert set(scm_core._MASSES) >= {16, 72}
+        # small bounds, from empty memos: each oracle overflows both many times
+        # (the mixed model has 32 outcome texts, xor m=4 256, and each 9 or more
+        # mass texts)
+        drops = {id(memo): 0 for memo in memos}
+        clear = scm_core._Bounded.clear
+
+        def counted(memo):
+            if id(memo) in drops:
+                drops[id(memo)] += 1
+            clear(memo)
+
+        monkeypatch.setattr(scm_core._Bounded, "clear", counted)
+        for memo, bound in zip(memos, (16, 3)):
+            monkeypatch.setattr(memo, "limit", bound)
+            memo.clear()
+        for scm, data in zip(scms, want):
+            before = dict(drops)
+            assert serialize(compute_oracle(scm, INT_ALL)) == data
+            assert_sound()
+            assert all(drops[key] > before[key] + 1 for key in drops)
 
 
 class TestLeanRoundTrip:

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scmlab import (
@@ -28,7 +28,7 @@ from scmlab import (
     oracle,
     scm_core,
 )
-from scmlab.errors import SupportTooLargeError
+from scmlab.errors import OracleFormatError, SupportTooLargeError
 from scmlab.oracle import (
     CF1,
     INT1,
@@ -226,15 +226,16 @@ def refuse_fractions(monkeypatch):
 
 @pytest.fixture
 def leaf_weights(monkeypatch):
-    """The (weights, den) of every leaf the kernel renders, in order."""
+    """The (weights, den) of every leaf the kernel renders, in order: one
+    entry a law, so the two of the last level's do() pair each count."""
     seen = []
-    render = scm_core._dist
+    render = scm_core._renders
 
-    def spy(n_bits, states, weights, den, keep):
-        seen.append((list(weights), den))
-        return render(n_bits, states, weights, den, keep)
+    def spy(n_bits, states, weights, den, bits):
+        seen.extend([(list(weights), den)] * len(bits))
+        return render(n_bits, states, weights, den, bits)
 
-    monkeypatch.setattr(scm_core, "_dist", spy)
+    monkeypatch.setattr(scm_core, "_renders", spy)
     return seen
 
 
@@ -304,6 +305,60 @@ def test_int_all_descends_once_per_node_above_the_last_level(monkeypatch):
     assert serialize(compute_oracle(scm, INT_ALL)) == serialize(reference_oracle(scm, INT_ALL))
     assert len(calls) == 27
     assert max(calls) == scm.n - 1
+
+
+def check_do_pairs(scm: Scm) -> list:
+    """Each do() pair the last level of `scm`'s INT_ALL pass renders from
+    one sort of the do(0) states, the do(1) states being the same with
+    the variable's bit or-ed in, in the same order, equals two `_render`
+    calls and the laws the constructor checks."""
+    pairs = []
+    render = scm_core._renders
+
+    def spy(n_bits, states, weights, den, bits):
+        dists = render(n_bits, states, weights, den, bits)
+        if len(bits) == 2:
+            pairs.append((n_bits, list(states), list(weights), den, bits[1], dists))
+        return dists
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scm_core, "_renders", spy)
+        scm_core.int_all_laws(scm)
+    assert bool(pairs) == (scm.n > 0)
+    for n_bits, states, weights, den, bit, dists in pairs:
+        assert not any(s & bit for s in states)
+        ones = [s | bit for s in states]
+        twins = [scm_core._render(n_bits, states, weights, den),
+                 scm_core._render(n_bits, ones, weights, den)]
+        assert [dist._body for dist in dists] == [twin._body for twin in twins]
+        assert dists == twins
+        for dist, law in zip(dists, (states, ones)):
+            assert dist.mass == {format(1 << n_bits | s, "b")[1:]: Fraction(w, den)
+                                 for s, w in zip(law, weights)}
+    return pairs
+
+
+@given(dag_scms())
+@example(Scm(0, ()))
+@example(MIXED_LEAVES)  # pairs of weights that differ
+@example(build_xor_scm(HiddenString(2, "10")))  # pairs of one weight
+@settings(max_examples=80, deadline=None)
+def test_the_last_levels_do_pair_equals_two_renders(scm):
+    check_do_pairs(scm)
+    assert serialize(compute_oracle(scm, INT_ALL)) == serialize(reference_oracle(scm, INT_ALL))
+
+
+def test_a_do_pair_too_long_to_write_takes_the_constructor():
+    # past the interpreter's 4300-digit limit for int-to-text conversion;
+    # a plain test, since hypothesis cannot print this model
+    scm = Scm(2, (
+        Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 10**4400))),
+        Mechanism(gates.COPY, (0,), CONST),
+    ))
+    pairs = check_do_pairs(scm)
+    assert any(dist._body is None for *_, dists in pairs for dist in dists)
+    with pytest.raises(OracleFormatError, match="too long to write"):
+        serialize(compute_oracle(scm, INT_ALL))
 
 
 def least_den(mass) -> int:

@@ -551,6 +551,30 @@ class TestStreamSeeding:
                 assert rng.getrandbits(70) == want.getrandbits(70)
                 assert rng.randrange(bound) == want.randrange(bound)
 
+    # every bound the Monte-Carlo harness draws below: the query indices' m
+    # and the graph counts 2^(m*m) for m = 1 to 4, the observational laws'
+    # denominator of every graph table (2), and the denominators `sample_obs`
+    # draws below for other models
+    BOUNDS = (1, 2, 3, 4, 16, 512, 65536, 6, 72, 2**64, 10**30)
+
+    def test_the_harness_draws_below_these_bounds(self):
+        for m in (1, 2, 3):
+            table = learning._table(m, snapshot())
+            dens = {table[mask].sampler.denominator for mask in range(1 << m * m)}
+            assert {m, 1 << m * m} | dens <= set(self.BOUNDS)
+
+    @given(seed=st.integers(0, 2**64 - 1), bound=st.sampled_from(BOUNDS))
+    @example(seed=0, bound=1)
+    @example(seed=2**64 - 1, bound=3)
+    @settings(max_examples=200, deadline=None)
+    def test_a_draw_below_n_is_randrange(self, seed, bound):
+        # CPython's rule, one frame around getrandbits: the same draws, and
+        # the generator left where randrange leaves it
+        rng, want = random.Random(seed), random.Random(seed)
+        for _ in range(6):
+            assert learning._below(rng.getrandbits, bound) == want.randrange(bound)
+        assert rng.getstate() == want.getstate()
+
     @given(
         master=st.one_of(st.integers(max_value=-1), st.just(0), st.integers(min_value=2**64)),
         label=st.text(max_size=8),

@@ -236,6 +236,18 @@ def test_a_body_longer_than_the_bound_is_not_kept(monkeypatch):
     assert_memo_sound()
 
 
+def test_serialize_keeps_no_body_longer_than_the_bound(monkeypatch):
+    # serialize's own feed: a body past the bound is written, not kept, and
+    # drops nothing
+    monkeypatch.setattr(oracle._BODIES, "limit", 10)
+    fixed = Scm(1, (Mechanism(gates.BERN_SOURCE, (), NoiseDist.constant(1)),))
+    fair = Scm(1, (Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 2))),))
+    assert serialize(compute_oracle(fixed, OBS)) == b"OBS n=1\n#obs\n1=1/1\n"
+    assert serialize(compute_oracle(fair, OBS)) == b"OBS n=1\n#obs\n0=1/2\n1=1/2\n"
+    assert list(oracle._BODIES) == ["1=1/1"] and oracle._BODIES.held == 5
+    assert_memo_sound()
+
+
 # the random DAG shapes of the intall benchmark: a source, then the rest of
 # the kinds of its size in any order, each variable's parents drawn from the
 # variables before it; each kind's gates and noise laws
@@ -628,17 +640,22 @@ def test_leaves_of_equal_states_are_kept_apart_by_width_and_weights():
 @settings(max_examples=60, deadline=None)
 def test_every_leaf_weighs_its_denominator(scm, kind):
     # the premise of a key without the denominator, for every caller of
-    # `_dist`: the kernel's passes and `marginal`
+    # `_dist` (the kernel's OBS, INT1 and CF1 passes), and of every leaf
+    # rendered, INT_ALL's and `marginal`'s included
     seen = []
-    render = scm_core._dist
+    keep, render = scm_core._dist, scm_core._renders
 
-    def spy(n_bits, states, weights, den, keep):
+    def kept(n_bits, states, weights, den):
         seen.append(sum(weights) == den and len(states) == len(weights))
-        return render(n_bits, states, weights, den, keep)
+        return keep(n_bits, states, weights, den)
+
+    def rendered(n_bits, states, weights, den, bits):
+        seen.append(sum(weights) == den and len(states) == len(weights))
+        return render(n_bits, states, weights, den, bits)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scm_core, "_dist", spy)
-        patch.setattr(oracle, "_dist", spy)
+        patch.setattr(scm_core, "_dist", kept)
+        patch.setattr(scm_core, "_renders", rendered)
         for _, dist in compute_oracle(scm, kind).components:
             marginal(dist, range(0, dist.n_bits, 2))
     assert seen and all(seen)
