@@ -36,6 +36,16 @@ def _fraction_text(num: int, den: int) -> str:
         ) from None
 
 
+def frac_repr(x: Fraction) -> str:
+    """`repr(x)`, or for a number past the interpreter's digit limit for
+    int-to-text conversion a placeholder naming its type and size."""
+    try:
+        return repr(x)
+    except ValueError:
+        return (f"<Fraction too long to write: {x.numerator.bit_length()}-bit "
+                f"numerator, {x.denominator.bit_length()}-bit denominator>")
+
+
 # digits without leading zeros, so every value has exactly one spelling
 _FRACTION_RE = re.compile(r"(0|[1-9][0-9]*)/(0|[1-9][0-9]*)")
 

@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import and_, or_, xor
 from typing import NamedTuple
 
@@ -33,7 +33,7 @@ from .errors import (
     CycleError,
     OracleFormatError,
 )
-from .rational import ONE, ZERO, frac_parse, mass_line
+from .rational import ONE, ZERO, frac_parse, frac_repr, mass_line
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,13 @@ class NoiseDist:
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(int(s) for s in self.support))
         object.__setattr__(self, "probs", tuple(Fraction(p) for p in self.probs))
+
+    def __repr__(self):  # the dataclass's, with a mass too long to write as a placeholder
+        probs = ", ".join(map(frac_repr, self.probs)) + "," * (len(self.probs) == 1)
+        return f"{type(self).__qualname__}(support={self.support!r}, probs=({probs}))"
+
+    def _repr_pretty_(self, printer, cycle):  # pretty printers walk a dataclass's fields otherwise
+        printer.text(repr(self))
 
     @staticmethod
     def constant(symbol: int = 0) -> "NoiseDist":
@@ -459,14 +466,8 @@ def topo_order(scm: Scm) -> list[int]:
 #
 # OBS alone and INT_ALL branch hard interventions off the pass as a trie
 # (`_descend`), each law keyed by its integer intervention code
-# (`intervention_code`); the last variable's do(0) and do(1) leaves are
-# rendered by its node from one sort: no state there carries the
-# variable's bit, so the do(1) states are the do(0) states with that bit
-# or-ed in, in the same order. Below a node, every leaf is a pure function of
-# (level, states, weights, den), so where a deterministic mechanism leaves
-# the states as do(0) or do(1) would in a pass that forces (INT_ALL), the
-# two subtrees are equal leaf for leaf: one is descended and the other
-# copied from it, sharing its ExactDist objects.
+# (`intervention_code`). INT_ALL descends once each pair of subtrees whose
+# leaves are equal, or differ by one bit no later step reads (`_laws`).
 #
 # INT1 and CF1 come from one pass over parallel worlds (Avin, Shpitser &
 # Pearl 2005; `_worlds`): a state packs 2n+1 worlds of n bits each, the
@@ -728,9 +729,9 @@ def _render(n_bits: int, states, weights, den: int) -> ExactDist:
 
 
 def _renders(n_bits: int, states, weights, den: int, bits) -> list[ExactDist]:
-    """The law of `states` with each of `bits` or-ed into every state, in
-    the order of `bits`, from one sort: no state carries any of them, so
-    each law's states keep the sorted order of `states`. Each line is its
+    """The law of `states` with each mask of `bits` or-ed into every state,
+    in the order of `bits`, from one sort: no state carries a bit of any,
+    so each law's states keep the sorted order of `states`. Each line is its
     state's outcome text (`_OUTCOMES`) and its weight's mass text
     (`_MASSES`). A uniform law, whose states all carry one weight, sorts
     its states alone and joins their outcome texts with its one mass text;
@@ -831,62 +832,78 @@ def _laws(plan: _Plan, forcing: bool) -> dict[int, ExactDist]:
     (b + 1) * 3^(n-1-v) to the code. A leaf's states become its ExactDist
     at once and are dropped.
 
-    Some subtrees are equal and are descended once. Below a node, each
-    leaf is a function of the level, states, weights and denominator
-    alone. In a forcing pass, a node's mechanism subtree and its do(b)
-    subtree hold the same interventions on the remaining variables. If
-    its step is deterministic (one noise branch, which compiles to weight
-    1 over 1) and yields the states do(b) yields, both subtrees start from
-    the same (states, weights, den), so their leaves are equal at codes
+    Two kinds of subtree pairs are descended once. Below a node, each leaf
+    is a function of the level, states, weights and denominator alone. In
+    a forcing pass, a node's mechanism subtree and its do(b) subtree hold
+    the same interventions on the remaining variables. If its step is
+    deterministic (one noise branch, which compiles to weight 1 over 1)
+    and yields the states do(b) yields, their leaves are equal at codes
     (b + 1) * 3^(n-1-v) apart: the mechanism subtree takes the do(b)
-    subtree's ExactDist objects.
+    subtree's ExactDist objects. If no later step reads the variable's bit
+    (`later`), and only its own step sets it, each do(1) state is its do(0)
+    twin's with the bit or-ed in, in the same sorted order: the do(0)
+    subtree alone is descended, each of its leaves standing for every
+    (code offset, or-mask) pair carried down, rendered from one sort
+    (`_renders`), each distinct mask once. The last level is the base
+    case, its leaves appended by its node.
 
     The OBS leaf is kept, and comes from the leaf memo (`_dist`): a law
     equal to one that another model's pass reached is that model's
     ExactDist, which may already carry `mass` or its integer view. No
     INT_ALL leaf is kept.
     """
+    # in a forcing pass, the state bits that the steps after each level read
+    later = [reduce(or_, [step[3] for step in plan.steps[k + 1:]], 0)
+             for k in range(len(plan.steps))] if forcing else None
     codes: list[int] = []
     dists: list[ExactDist] = []
-    _descend(plan, 0, [0], [1], 1, 0, forcing, codes, dists)
+    _descend(plan, 0, [0], [1], 1, 0, later, codes, dists, ([0], [0], [0]))
     return dict(zip(codes, dists))
 
 
-def _descend(plan, level, states, weights, den, code, forcing, codes, dists) -> None:
-    """Run the mechanisms from `level` on, branching off the do() subtries;
-    `code` sums the digits forced so far. Each leaf appends its code to
-    `codes` and its law to `dists`, kept unless `forcing`; the last
-    level's do() leaves are appended here, not from a call of their own,
-    both rendered from one sort of its states (`_renders`)."""
+def _descend(plan, level, states, weights, den, code, later, codes, dists, pairs) -> None:
+    """Run the mechanisms from `level` on, branching off the do() subtries
+    if `later` (a forcing pass), `code` the digits forced so far. Each leaf
+    appends, for each i, the law of its states or-ed with masks[picks[i]]
+    at code + offsets[i] (`pairs`), kept unless forcing."""
     steps, n = plan.steps, plan.n
     last = len(steps)
     for level in range(level, last):
         place, bit, test, mask, invert, branches, step_den = steps[level]
-        if forcing:
-            zeros_at = len(codes)
-            ones = [s | bit for s in states]
-            if level + 1 == last:
-                codes += (code + place, code + 2 * place)
-                dists += _renders(n, states, weights, den, (0, bit))
-                ones_at = zeros_at + 1
-            else:
-                _descend(plan, level + 1, states, weights, den,
-                         code + place, True, codes, dists)
-                ones_at = len(codes)
-                _descend(plan, level + 1, ones, weights, den,
-                         code + 2 * place, True, codes, dists)
         if len(branches) == 1:  # (flip, 1) over 1: the weights stay as they are
             out = _extend(states, test, mask, invert ^ branches[0][0], bit)
-            if forcing and (out == states or out == ones):
-                # this mechanism subtree equals the do(b) one (see _laws):
-                # its leaves again, the digit off the code
-                start, stop, digit = (
-                    (zeros_at, ones_at, place) if out == states
-                    else (ones_at, len(codes), 2 * place)
-                )
-                codes += map((-digit).__add__, codes[start:stop])
-                dists += dists[start:stop]
-                return
+        if later is not None:
+            # the b whose do(b) subtree this mechanism subtree equals (see _laws)
+            twin = (None if len(branches) > 1 else 0 if out == states
+                    else 1 if all(map(bit.__and__, out)) else None)
+            if bit & later[level]:
+                zeros_at = len(codes)
+                _descend(plan, level + 1, states, weights, den, code + place,
+                         later, codes, dists, pairs)
+                ones_at = len(codes)
+                _descend(plan, level + 1, [s | bit for s in states], weights, den, code + 2 * place,
+                         later, codes, dists, pairs)
+                if twin is not None:  # its leaves again, the digit off the code
+                    start, stop = (zeros_at, ones_at) if twin == 0 else (ones_at, len(codes))
+                    codes += map((-(twin + 1) * place).__add__, codes[start:stop])
+                    dists += dists[start:stop]
+                    return
+            else:  # do(1)'s leaves are do(0)'s with the bit or-ed in
+                offsets, masks, picks = pairs
+                high = [*map(len(masks).__add__, picks)]  # the do(1) pairs' picks
+                down = ([*map(place.__add__, offsets), *map((2 * place).__add__, offsets)],
+                        [*masks, *map(bit.__or__, masks)], picks + high)
+                if twin is not None:  # and this mechanism subtree's are do(twin)'s
+                    down[0].extend(offsets)
+                    down[2].extend(high if twin else picks)
+                if level + 1 < last:
+                    _descend(plan, level + 1, states, weights, den, code, later, codes, dists, down)
+                else:
+                    codes += map(code.__add__, down[0])
+                    dists += map(_renders(n, states, weights, den, down[1]).__getitem__, down[2])
+                if twin is not None:
+                    return
+        if len(branches) == 1:
             states = out
         else:
             next_states: list[int] = []
@@ -896,10 +913,11 @@ def _descend(plan, level, states, weights, den, code, forcing, codes, dists) -> 
                 next_weights += _scaled(weights, k)
             states, weights = next_states, next_weights
             den *= step_den
-    codes.append(code)
-    if forcing:  # no INT_ALL leaf is kept
-        dists += _renders(n, states, weights, den, (0,))
+    if later is not None:  # no INT_ALL leaf is kept
+        codes += map(code.__add__, pairs[0])
+        dists += map(_renders(n, states, weights, den, pairs[1]).__getitem__, pairs[2])
     else:
+        codes.append(code)
         dists.append(_dist(n, states, weights, den))
 
 
@@ -1097,13 +1115,10 @@ def int_all(scm: Scm) -> tuple[tuple[Intervention, ExactDist], ...]:
     """Exact joint under every one of the 3^n hard interventions, in
     `all_interventions` order.
 
-    The kernel keys each law by its `intervention_code` and descends a
-    do() subtree once where a deterministic mechanism already yields the
-    forced bit on every state it reaches (`_laws`); the interventions of
-    the twin subtree then hold the same ExactDist objects. That is exact:
-    each law below is a function of the states, weights and denominator
-    the two subtrees start from, and those are equal. Each law holds its
-    canonical body alone, and its `mass` is built from that text on first
-    read."""
+    The kernel keys each law by its `intervention_code` and descends
+    once each pair of subtrees whose laws are equal or differ by one
+    unread bit (`_laws`); the interventions of two equal subtrees hold
+    the same ExactDist objects. Each law holds its canonical body alone,
+    and its `mass` is built from that text on first read."""
     laws, n = int_all_laws(scm), scm.n
     return tuple([(iv, laws[intervention_code(n, iv.assignments)]) for iv in all_interventions(n)])

@@ -147,10 +147,40 @@ CATALOGUE = (
     Mutant(
         "a twin subtree's codes shifted by the other digit",
         "src/scmlab/scm_core.py",
-        (("                    (zeros_at, ones_at, place) if out == states\n",
-          "                    (zeros_at, ones_at, 2 * place) if out == states\n"),),
+        (("                    codes += map((-(twin + 1) * place).__add__, codes[start:stop])\n",
+          "                    codes += map((-(2 - twin) * place).__add__, codes[start:stop])\n"),),
         ("tests/test_kernel.py::test_shared_dist_counts",
          "tests/test_kernel.py::test_reversed_chain_matches_reference"),
+    ),
+    # the do() pair of a variable no later step reads, descended once
+    Mutant(
+        # a step after the next one reads its bit
+        "a level merged although a later step reads its bit",
+        "src/scmlab/scm_core.py",
+        (("    later = [reduce(or_, [step[3] for step in plan.steps[k + 1:]], 0)\n",
+          "    later = [reduce(or_, [step[3] for step in plan.steps[k + 2:]], 0)\n"),),
+        ("tests/test_kernel.py::test_only_the_do_pairs_of_unread_variables_are_merged",),
+    ),
+    Mutant(
+        "a do(1) half rendered without its mask",
+        "src/scmlab/scm_core.py",
+        (("                        [*masks, *map(bit.__or__, masks)], picks + high)\n",
+          "                        [*masks, *masks], picks + high)\n"),),
+        ("tests/test_kernel.py::test_a_render_of_k_masks_equals_k_renders",),
+    ),
+    Mutant(
+        "a do(1) half keyed at its do(0) codes",
+        "src/scmlab/scm_core.py",
+        (("                down = ([*map(place.__add__, offsets), *map((2 * place).__add__, offsets)],\n",
+          "                down = ([*map(place.__add__, offsets), *map(place.__add__, offsets)],\n"),),
+        ("tests/test_kernel.py::test_kernel_bytes_match_reference",),
+    ),
+    Mutant(
+        "a merged twin takes the other half's laws",
+        "src/scmlab/scm_core.py",
+        (("                    down[2].extend(high if twin else picks)\n",
+          "                    down[2].extend(picks if twin else high)\n"),),
+        ("tests/test_kernel.py::test_only_the_do_pairs_of_unread_variables_are_merged",),
     ),
     Mutant(
         "a wrong do(X_v=1) world offset",
@@ -281,7 +311,15 @@ CATALOGUE = (
           "        return self.__class__, (self.n_bits, self.mass)\n"),),
         ("tests/test_probes.py::test_dists_have_slots_and_copy_whole",),
     ),
-    # the kernel's text memos and its last level's do() pair
+    Mutant(
+        # a tuple of one is "(x,)"
+        "a one-mass law's repr without its trailing comma",
+        "src/scmlab/scm_core.py",
+        (('        probs = ", ".join(map(frac_repr, self.probs)) + "," * (len(self.probs) == 1)\n',
+          '        probs = ", ".join(map(frac_repr, self.probs))\n'),),
+        ("tests/test_scm_core.py::TestNoiseDist::test_repr_is_the_generated_one",),
+    ),
+    # the kernel's text memos and the merged do() pairs' renders
     Mutant(
         # the memo of the first width serves every width
         "an outcome memo keyed without its width",
@@ -310,7 +348,7 @@ CATALOGUE = (
           "                outcomes = map(texts.__getitem__, keys)\n"),
          ("                pieces[::3] = map(texts.__getitem__, map(bit.__or__, keys) if bit else keys)\n",
           "                pieces[::3] = map(texts.__getitem__, keys)\n")),
-        ("tests/test_kernel.py::test_the_last_levels_do_pair_equals_two_renders",),
+        ("tests/test_kernel.py::test_a_render_of_k_masks_equals_k_renders",),
     ),
     # the kernel's leaf memo
     Mutant(
@@ -328,7 +366,12 @@ CATALOGUE = (
     Mutant(
         "INT_ALL leaves enter the leaf memo",
         "src/scmlab/scm_core.py",
-        (("    if forcing:  # no INT_ALL leaf is kept\n", "    if False:\n"),),
+        (("        dists += map(_renders(n, states, weights, den, pairs[1]).__getitem__, pairs[2])\n",
+          "        dists += map([_dist(n, [s | m for s in states], weights, den)\n"
+          "                      for m in pairs[1]].__getitem__, pairs[2])\n"),
+         ("                    dists += map(_renders(n, states, weights, den, down[1]).__getitem__, down[2])\n",
+          "                    dists += map([_dist(n, [s | m for s in states], weights, den)\n"
+          "                                  for m in down[1]].__getitem__, down[2])\n")),
         ("tests/test_memos.py::test_no_int_all_leaf_enters_the_leaf_memo",),
     ),
     Mutant(

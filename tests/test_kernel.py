@@ -8,7 +8,11 @@ same exception type; caps must refuse before the pass starts.
 """
 
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -290,52 +294,80 @@ def test_a_uniform_weight_not_in_lowest_terms_matches_reference(
     )
 
 
-def test_int_all_descends_once_per_node_above_the_last_level(monkeypatch):
-    # the last level's do(0) and do(1) leaves are appended by their node,
-    # so xor m=2 (n=4) takes 3^3 calls where one per leaf took 3^4 = 81
-    calls = []
-    descend = scm_core._descend
+def test_int_all_descends_a_merged_do_pair_once(monkeypatch):
+    # xor m=2 "10" is x0, y0 = x0 xor noise, x1, y1, every step noisy, so
+    # no twin: only y0 reads a variable, x0. Level 0 (x0) is read later,
+    # so its one node calls its do(0) and do(1) subtrees apart: 2 calls at
+    # level 1. No later step reads levels 1-3, so each of their nodes makes
+    # one call for its do() pair and goes on with its mechanism: 3 nodes at
+    # level 1 make 3 calls at level 2, their 6 nodes 6 calls at level 3, and
+    # the 12 nodes there append their leaves themselves. With the root's
+    # call, 1 + 2 + 3 + 6 = 12 calls, where one call per node above the
+    # last level took 3^3 = 27; each last-level node renders its do() pair
+    # and its mechanism leaf, 24 renders for the 81 laws
+    calls, renders = [], []
+    descend, render = scm_core._descend, scm_core._renders
 
     def count(*args):
         calls.append(args[1])
         return descend(*args)
 
+    def count_renders(n_bits, states, weights, den, bits):
+        renders.append(len(bits))
+        return render(n_bits, states, weights, den, bits)
+
     monkeypatch.setattr(scm_core, "_descend", count)
+    monkeypatch.setattr(scm_core, "_renders", count_renders)
     scm = build_xor_scm(HiddenString(2, "10"))
     assert serialize(compute_oracle(scm, INT_ALL)) == serialize(reference_oracle(scm, INT_ALL))
-    assert len(calls) == 27
-    assert max(calls) == scm.n - 1
+    assert sorted(Counter(calls).items()) == [(0, 1), (1, 2), (2, 3), (3, 6)]
+    assert len(renders) == 24 and sum(renders) == 81
 
 
-def check_do_pairs(scm: Scm) -> list:
-    """Each do() pair the last level of `scm`'s INT_ALL pass renders from
-    one sort of the do(0) states, the do(1) states being the same with
-    the variable's bit or-ed in, in the same order, equals two `_render`
-    calls and the laws the constructor checks."""
-    pairs = []
+def check_mask_renders(scm: Scm) -> list:
+    """Each render of several or-masks that `scm`'s INT_ALL pass makes from
+    one sort of a leaf's states, no state carrying any mask bit, renders
+    each mask once, and each of its laws equals a `_render` call of the
+    states with that mask or-ed in and the law the constructor checks. A
+    law takes the constructor exactly when a mass is too long to write."""
+    seen = []
     render = scm_core._renders
 
     def spy(n_bits, states, weights, den, bits):
         dists = render(n_bits, states, weights, den, bits)
-        if len(bits) == 2:
-            pairs.append((n_bits, list(states), list(weights), den, bits[1], dists))
+        if len(bits) > 1:
+            seen.append((n_bits, list(states), list(weights), den, list(bits), dists))
         return dists
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scm_core, "_renders", spy)
         scm_core.int_all_laws(scm)
-    assert bool(pairs) == (scm.n > 0)
-    for n_bits, states, weights, den, bit, dists in pairs:
-        assert not any(s & bit for s in states)
-        ones = [s | bit for s in states]
-        twins = [scm_core._render(n_bits, states, weights, den),
-                 scm_core._render(n_bits, ones, weights, den)]
-        assert [dist._body for dist in dists] == [twin._body for twin in twins]
-        assert dists == twins
-        for dist, law in zip(dists, (states, ones)):
+    assert bool(seen) == (scm.n > 0)
+    limit = 10 ** sys.get_int_max_str_digits()
+    for n_bits, states, weights, den, bits, dists in seen:
+        assert len(set(bits)) == len(bits) == len(dists)
+        writable = all(max(Fraction(w, den).as_integer_ratio()) < limit for w in weights)
+        for bit, dist in zip(bits, dists):
+            assert not any(s & bit for s in states)
+            law = [s | bit for s in states]
+            alone = scm_core._render(n_bits, law, weights, den)
+            assert dist._body == alone._body
+            assert (dist._body is not None) == writable
+            assert dist == alone
             assert dist.mass == {format(1 << n_bits | s, "b")[1:]: Fraction(w, den)
                                  for s, w in zip(law, weights)}
-    return pairs
+    return seen
+
+
+@given(dag_scms())
+@example(Scm(0, ()))
+@example(MIXED_LEAVES)  # masks of weights that differ
+@example(build_xor_scm(HiddenString(2, "10")))  # one weight, merged above the last level
+@settings(max_examples=80, deadline=None)
+def test_a_render_of_k_masks_equals_k_renders(scm):
+    check_mask_renders(scm)
+    want = outcome(lambda: reference_oracle(scm, INT_ALL))
+    assert outcome(lambda: compute_oracle(scm, INT_ALL)) == want
 
 
 @given(dag_scms())
@@ -344,21 +376,64 @@ def check_do_pairs(scm: Scm) -> list:
 @example(build_xor_scm(HiddenString(2, "10")))  # pairs of one weight
 @settings(max_examples=80, deadline=None)
 def test_the_last_levels_do_pair_equals_two_renders(scm):
-    check_do_pairs(scm)
+    # no step after the last reads its bit, so its node renders the do(0)
+    # and do(1) leaves of every mask carried down in one call: the masks
+    # come in pairs m, m | bit, and each pair's laws are two renders
+    seen = check_mask_renders(scm)
+    if scm.n:
+        bit = 1 << (scm.n - 1 - topo_order(scm)[-1])
+        pairs = [bits for *_, bits, _ in seen if any(b & bit for b in bits)]
+        assert pairs
+        for bits in pairs:
+            assert Counter(b & ~bit for b in bits if b & bit) == Counter(b for b in bits if not b & bit)
     assert serialize(compute_oracle(scm, INT_ALL)) == serialize(reference_oracle(scm, INT_ALL))
 
 
 def test_a_do_pair_too_long_to_write_takes_the_constructor():
-    # past the interpreter's 4300-digit limit for int-to-text conversion;
-    # a plain test, since hypothesis cannot print this model
+    # past the interpreter's 4300-digit limit for int-to-text conversion
     scm = Scm(2, (
         Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 10**4400))),
         Mechanism(gates.COPY, (0,), CONST),
     ))
-    pairs = check_do_pairs(scm)
-    assert any(dist._body is None for *_, dists in pairs for dist in dists)
+    seen = check_mask_renders(scm)
+    assert any(dist._body is None for *_, dists in seen for dist in dists)
     with pytest.raises(OracleFormatError, match="too long to write"):
         serialize(compute_oracle(scm, INT_ALL))
+
+
+def unread_bits(scm: Scm) -> int:
+    """The state bits (variable v at bit n-1-v) of the variables that no
+    mechanism after them in topological order reads; a constant gate reads
+    none of its parents."""
+    order = topo_order(scm)
+    unread = 0
+    for k, v in enumerate(order):
+        readers = [scm.mechanisms[u] for u in order[k + 1:] if v in scm.mechanisms[u].parents]
+        if all(gates.spec(reader.gate).test == gates.CONST for reader in readers):
+            unread |= 1 << (scm.n - 1 - v)
+    return unread
+
+
+@given(dag_scms())
+@example(build_xor_scm(HiddenString(2, "10")))
+@example(COPY_AND)  # read above its last level, a twin at it
+@settings(max_examples=100, deadline=None)
+def test_only_the_do_pairs_of_unread_variables_are_merged(scm):
+    # a merged level's bit is in the masks of every leaf below it, and in
+    # no other mask: so the masks rendered or-ed together are the merged
+    # levels' bits, and those must be the variables no later step reads
+    masks = []
+    render = scm_core._renders
+
+    def spy(n_bits, states, weights, den, bits):
+        masks.extend(bits)
+        return render(n_bits, states, weights, den, bits)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scm_core, "_renders", spy)
+        data = outcome(lambda: compute_oracle(scm, INT_ALL))
+    assert data == outcome(lambda: reference_oracle(scm, INT_ALL))
+    assert reduce(or_, masks, 0) == unread_bits(scm)
 
 
 def least_den(mass) -> int:

@@ -1,10 +1,12 @@
 """Core SCM machinery: validation, ordering, and the three exact
 distribution operators."""
 
+from dataclasses import make_dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scmlab import (
     EMPTY_INTERVENTION,
@@ -61,6 +63,38 @@ class TestNoiseDist:
         d = NoiseDist([0, 1], ["1/3", "2/3"])
         assert d.probs == (Fraction(1, 3), Fraction(2, 3))
         assert isinstance(d.support, tuple)
+
+    @given(st.lists(st.integers(-3, 3), max_size=4), st.lists(st.fractions(), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_repr_is_the_generated_one(self, support, probs):
+        # the repr a dataclass of the same two fields generates, for any
+        # law, valid or not, of any length
+        plain = make_dataclass("NoiseDist", ["support", "probs"])
+        noise = NoiseDist(support, probs)
+        assert repr(noise) == repr(plain(noise.support, noise.probs))
+
+    @given(small_scms())
+    @settings(max_examples=50, deadline=None)
+    def test_a_models_repr_reads_back(self, scm):
+        names = {"Scm": Scm, "Mechanism": Mechanism, "NoiseDist": NoiseDist, "Fraction": Fraction}
+        assert eval(repr(scm), names) == scm
+
+    def test_a_mass_too_long_to_write_is_a_placeholder(self):
+        # past the interpreter's 4300-digit limit for int-to-text conversion,
+        # where the generated repr raised
+        noise = NoiseDist.bernoulli(Fraction(1, 10**4400))
+        with pytest.raises(ValueError):
+            repr(noise.probs)
+        text = repr(noise)
+        assert text == (
+            "NoiseDist(support=(0, 1), probs=("
+            "<Fraction too long to write: 14617-bit numerator, 14617-bit denominator>, "
+            "<Fraction too long to write: 1-bit numerator, 14617-bit denominator>))"
+        )
+        scm = Scm(1, (Mechanism(gates.BERN_SOURCE, (), noise),))
+        assert repr(scm) == (
+            f"Scm(n=1, mechanisms=(Mechanism(gate='BERN_SOURCE', parents=(), noise={text}),))"
+        )
 
 
 class TestExactDist:
