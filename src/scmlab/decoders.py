@@ -116,7 +116,7 @@ def _pinned(oracle: AnswerOracle, variables, targets: range, error_cls: type, qu
 # each law's probe fact by (width, body), bounded in characters of body
 # text: tree n=7's verify reads 823,543 facts of 127 laws (2,909 characters)
 # and bipartite m=4's 262,144 of 64 (1,728); the bound holds 20 times that
-_FACTS = _Bounded(1 << 16)
+_FACTS = _Bounded(1 << 16, name="decoders._FACTS")
 
 
 def _zero_fact(dist: ExactDist) -> tuple[frozenset, dict]:

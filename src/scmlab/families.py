@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import gates
 from .caps import check
 from .errors import BadRangeError, InvalidTreeError, LengthMismatchError
 from .rational import HALF
-from .scm_core import Mechanism, NoiseDist, Scm, validate
+from .scm_core import Mechanism, NoiseDist, Scm, _Bounded, validate
 
 TREE = "tree"
 BIPARTITE = "bipartite"
@@ -40,15 +39,14 @@ _NOISE = {gates.BERN_SOURCE: FAIR_BIT, gates.XOR_NOISE: FAIR_BIT,
           gates.COPY: NO_NOISE, gates.AND: NO_NOISE}
 
 
-@lru_cache(maxsize=256)
-def _mechanism(gate: str, parents: tuple[int, ...]) -> Mechanism:
-    """The one Mechanism of `gate` on `parents` with that gate's family
-    noise, shared by every member that has it, so the kernel's
-    per-mechanism step memo (`scm_core._step`) serves them all. Tree n=5
-    members draw on 6 and bipartite m=3 members on 10; every member the
-    default caps let the kernel compile (tree n <= 7, bipartite m <= 3,
-    xor m <= 12) draws on 28 between them."""
-    return Mechanism(gate, parents, _NOISE[gate])
+# the one Mechanism of each (gate, parents) with that gate's family noise,
+# in mechanisms, shared by every member that has it, so the kernel's
+# per-mechanism step memo (`scm_core._step`) serves them all. Tree n=5
+# members draw on 6 and bipartite m=3 members on 10; every member the
+# default caps let the kernel compile (tree n <= 7, bipartite m <= 3, xor
+# m <= 12) draws on 28 between them; three rounds of sweep draw on 17, of
+# nfl_mc on 10 and of intall on 5
+_MECHANISMS = _Bounded(256, lambda key: Mechanism(*key, _NOISE[key[0]]), "families._MECHANISMS")
 
 
 @dataclass(frozen=True)
@@ -150,9 +148,9 @@ def build_tree_scm(tree: RootedTree) -> Scm:
     mechanisms = []
     for v in range(1, tree.n + 1):
         if v == tree.root:
-            mechanisms.append(_mechanism(gates.BERN_SOURCE, ()))
+            mechanisms.append(_MECHANISMS[gates.BERN_SOURCE, ()])
         else:
-            mechanisms.append(_mechanism(gates.COPY, (tree.parent[v] - 1,)))
+            mechanisms.append(_MECHANISMS[gates.COPY, (tree.parent[v] - 1,)])
     return Scm(tree.n, tuple(mechanisms))
 
 
@@ -164,11 +162,11 @@ def build_bipartite_scm(graph: BipartiteGraph) -> Scm:
     """
     graph.check()
     m = graph.m
-    mechanisms = [_mechanism(gates.BERN_SOURCE, ())]
-    mechanisms += [_mechanism(gates.COPY, (0,))] * m
+    mechanisms = [_MECHANISMS[gates.BERN_SOURCE, ()]]
+    mechanisms += [_MECHANISMS[gates.COPY, (0,)]] * m
     for j in range(m):
         parents = (0,) + tuple(1 + i for i in graph.neighbors_of_b(j))
-        mechanisms.append(_mechanism(gates.AND, parents))
+        mechanisms.append(_MECHANISMS[gates.AND, parents])
     return Scm(len(mechanisms), tuple(mechanisms))
 
 
@@ -176,13 +174,13 @@ def build_xor_scm(hidden: HiddenString) -> Scm:
     """Module t: X_t fair; Y_t fresh-fair (s_t=0) or X_t xor fresh-fair (s_t=1)."""
     hidden.check()
     mechanisms = []
-    source = _mechanism(gates.BERN_SOURCE, ())
+    source = _MECHANISMS[gates.BERN_SOURCE, ()]
     for t in range(hidden.m):
         mechanisms.append(source)
         if hidden.bits[t] == "0":
             mechanisms.append(source)
         else:
-            mechanisms.append(_mechanism(gates.XOR_NOISE, (2 * t,)))
+            mechanisms.append(_MECHANISMS[gates.XOR_NOISE, (2 * t,)])
     return Scm(2 * hidden.m, tuple(mechanisms))
 
 

@@ -43,7 +43,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -214,25 +214,23 @@ def _pair(value: Fraction) -> tuple[int, int]:
 
 class _Table(_Bounded):
     """The graphs of one m under one caps snapshot, by mask: `table[mask]`
-    computes a graph from the table's one `Family` when first read. A
-    table holds at most min(2^(m*m), 1,024) graphs and drops them all when
-    full, so no table of m <= 3 ever drops one."""
+    computes a graph from the table's one `Family` when first read (its
+    maker). A table holds at most min(2^(m*m), 1,024) graphs and drops them
+    all when full, so no table of m <= 3 ever drops one."""
 
-    __slots__ = ("m", "caps", "family")
+    __slots__ = ("m", "caps")
 
     def __init__(self, m: int, caps):
-        super().__init__(min(1 << (m * m), 1 << 10))
-        self.m, self.caps, self.family = m, caps, Family(BIPARTITE, m)
-
-    def __missing__(self, mask: int) -> _Graph:
-        scm = self.family.build(graph_of_mask(self.m, mask))
-        return self.keep(mask, _Graph(compute_oracle(scm, INT1)))
+        family = Family(BIPARTITE, m)
+        super().__init__(min(1 << (m * m), 1 << 10), lambda mask: _Graph(
+            compute_oracle(family.build(graph_of_mask(m, mask)), INT1)))
+        self.m, self.caps = m, caps
 
 
 # the graph tables by (m, caps snapshot), each counted as the graphs it may
 # hold, so together they hold at most 1,024: every graph up to m=3 (2 + 16 +
 # 512) under one snapshot
-_TABLES = _Bounded(1 << 10)
+_TABLES = _Bounded(1 << 10, name="learning._TABLES")
 
 
 def _table(m: int, caps) -> _Table:
@@ -304,11 +302,10 @@ def _independent_fit_oracle(n: int, count: int, ones: tuple[int, ...]) -> Answer
     return compute_oracle(Scm(n, mechanisms), INT1)
 
 
-@lru_cache(maxsize=256)
-def _independent_fit_bytes(n: int, count: int, ones: tuple[int, ...], caps) -> bytes:
-    """The fit's INT1 bytes by sufficient statistic; episodes and the
-    exact rate both read this memo."""
-    return serialize(_independent_fit_oracle(n, count, ones))
+# the fits' INT1 bytes by (n, count, ones, caps snapshot), in fits, which
+# episodes and the exact rate both read: three rounds of nfl_mc make 17
+_FIT_BYTES = _Bounded(256, lambda key: serialize(_independent_fit_oracle(*key[:3])),
+                      "learning._FIT_BYTES")
 
 
 class _Learner:
@@ -368,7 +365,7 @@ class EmpiricalIndependentLearner(_Learner):
         ones = tuple(
             sum(k for row, k in rows.items() if row[i] == "1") for i in range(dataset.n)
         )
-        return _independent_fit_bytes(dataset.n, len(dataset.rows), ones, table.caps)
+        return _FIT_BYTES[dataset.n, len(dataset.rows), ones, table.caps]
 
     def exact_rate(self, m: int, n_samples: int) -> Fraction:
         # Rows are i.i.d. over {all-zeros, all-ones} with probability 1/2
@@ -381,7 +378,7 @@ class EmpiricalIndependentLearner(_Learner):
         caps = snapshot()
         rate = ZERO
         for k in range(n_samples + 1):
-            predicted = _independent_fit_bytes(n, n_samples, (k,) * n, caps)
+            predicted = _FIT_BYTES[n, n_samples, (k,) * n, caps]
             weight = Fraction(math.comb(n_samples, k), 2**n_samples)
             rate += weight * Fraction(truth_counts[predicted], count)
         return rate

@@ -45,7 +45,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import lt
 from typing import NoReturn
 
@@ -60,8 +59,8 @@ from .scm_core import (
     ExactDist,
     Intervention,
     Scm,
+    _FRACTIONS,
     _Bounded,
-    _fraction,
     _render,
     int_all_laws,
     intervention_code,
@@ -134,7 +133,7 @@ def _build_layout(kind: str, n: int) -> tuple[tuple, ...]:
 # second against seconds to compute that oracle, and freed with it. A
 # family sweep reads the same small layout for each of its thousands of
 # oracles.
-_LAYOUTS = _Bounded(1 << 17)
+_LAYOUTS = _Bounded(1 << 17, name="oracle._LAYOUTS")
 
 
 def _layout(kind: str, n: int) -> tuple[tuple, ...]:
@@ -245,7 +244,7 @@ def family_columns(family, kinds) -> dict[str, tuple]:
 # bipartite m=4's 11.0 MB, and the INT_ALL columns of xor m=5 17.2 MB and
 # bipartite m=3 9.0 MB, each kept; tree n=6's INT_ALL column, 45.4 MB, is
 # returned but not kept. Only `family_sweep` reads or keeps them.
-_COLUMNS = _Bounded(1 << 25)
+_COLUMNS = _Bounded(1 << 25, name="oracle._COLUMNS")
 
 
 def _column_bytes(column) -> int:
@@ -308,14 +307,14 @@ def family_sweep(family, kinds, columns: dict):
 # to a dist that holds it, bounded in characters of body text. It has two
 # producers: `serialize` keeps each body held by a dist it writes (a kernel
 # leaf's, a parsed dist's or a marginal's, each canonical by construction),
-# by `_Bounded.keep`'s rule written out in its loop (`_block_text`), and
-# `parse` each body it has checked, through `keep`. The bound holds one whole intall
+# counted by one `keep_run` a block (`_block_text`), and `parse` each body
+# it has checked, through `keep`. The bound holds one whole intall
 # round: its distinct bodies count 1.20-1.27 M characters (seeds 1 and 2,
 # rounds 0-2), xor m=4's INT_ALL oracle alone 6,561 bodies of 889,439
 # characters and a random DAG's of n=8 92-161 k. A sweep round's decode
 # requests read 108 distinct bodies of 15,796 characters (`BENCH_19.json`
 # memo_traffic).
-_BODIES = _Bounded(1 << 21)
+_BODIES = _Bounded(1 << 21, name="oracle._BODIES")
 
 # components per block of `serialize`: each block's text is encoded and
 # written out before the next is built, about 40 KiB of xor m=4 INT_ALL
@@ -330,7 +329,7 @@ def serialize(oracle: AnswerOracle) -> bytes:
     (`ExactDist._text`): the kernel and `parse` hand the body over
     rendered, and a dist built from masses renders it through
     `rational.mass_line`. Each body a dist holds enters `parse`'s memo
-    (`_BODIES`) in the writing loop itself, with no call per body (see
+    (`_BODIES`) with one call a block and none per body (see
     `_block_text`), so `parse` reads these bytes back without checking
     their bodies again. The text is written into one
     buffer a block of `_SERIALIZE_BLOCK` components at a time, so it is
@@ -355,26 +354,23 @@ def serialize(oracle: AnswerOracle) -> bytes:
 def _block_text(components) -> str:
     """The text of `components`: for each, LF, "#", its key, LF, its body.
     Each body a dist holds (`_body`, canonical by construction) that
-    `_BODIES` does not hold enters it with that dist, counted once however
-    many components repeat it, by `_Bounded.keep`'s rule written out here
-    so that no body costs a call: a body longer than the bound is not
-    kept, and one that would pass it empties the memo first. A dist built
-    from masses renders its body (`_text`), which is never kept."""
-    parts: list[str] = []
-    held = _BODIES
-    limit = held.limit
-    for key, dist in components:
-        body = dist._body
-        if body is None:
-            body = dist._text()
-        elif body not in held:
-            size = len(body)
-            if size <= limit:
-                if held.held + size > limit:
-                    held.clear()
+    `_BODIES` does not hold enters it with that dist, once however many
+    components repeat it, and the block's new bodies are counted by one
+    `keep_run`: no body costs a call. A dist built from masses renders its
+    body (`_text`), which is never kept."""
+    parts, new, held = [], [], _BODIES
+    try:
+        for key, dist in components:
+            body = dist._body
+            if body is None:
+                body = dist._text()
+            elif body not in held:
                 held[body] = dist
-                held.held += size
-        parts += ("\n#", key, "\n", body)
+                new.append(body)
+            parts += ("\n#", key, "\n", body)
+    finally:  # a body too long to write raises: those stored before it count
+        if new:
+            held.keep_run(new, len)
     return "".join(parts)
 
 
@@ -385,7 +381,6 @@ _MASS = "[1-9][0-9]*/[1-9][0-9]*"
 _MASS_RE = re.compile(f"([01]*)=({_MASS})")
 
 
-@lru_cache(maxsize=32)
 def _block_res(n_bits: int) -> tuple[re.Pattern, re.Pattern]:
     """Two patterns of one or more mass lines of width `n_bits`, joined by
     LF: lines that all repeat the first line's mass text, its one group,
@@ -394,6 +389,10 @@ def _block_res(n_bits: int) -> tuple[re.Pattern, re.Pattern]:
     line = outcome + _MASS
     return (re.compile(f"{outcome}({_MASS})(?:\n{outcome}\\1)*"),
             re.compile(f"{line}(?:\n{line})*"))
+
+
+# `parse`'s two patterns by outcome width, in widths: 3 rounds of any workload read <= 3
+_BLOCK_RES = _Bounded(32, _block_res, "oracle._BLOCK_RES")
 
 
 def parse(data: bytes) -> AnswerOracle:
@@ -459,7 +458,7 @@ def parse(data: bytes) -> AnswerOracle:
     keys = _component_keys(kind, n, len(blocks))
     # an outcome wider than the whole input fits no line, so capping the
     # width keeps the regexes small under a huge header n
-    uniform_re, block_re = _block_res(min(n_bits, size))
+    uniform_re, block_re = _BLOCK_RES[min(n_bits, size)]
     uniform_match, block_match = uniform_re.fullmatch, block_re.fullmatch
     # components repeat bodies, and a few dozen sequences of mass texts or
     # (text, count) pairs of uniform bodies, so each is checked once;
@@ -506,11 +505,11 @@ def parse(data: bytes) -> AnswerOracle:
 def _check_masses(key: str, counts) -> None:
     """Check one component's fraction texts in integers, given as (text,
     count) pairs of distinct texts: lowest terms once per text (read
-    through the memo `mass` reads, `scm_core._fraction`), and their sum
+    through the memo `mass` reads, `scm_core._FRACTIONS`), and their sum
     against 1 weighted by their counts."""
     total_num, total_den = 0, 1
     for frac_text, count in counts:
-        weight = _fraction(frac_text)
+        weight = _FRACTIONS[frac_text]
         den = weight.denominator
         if den != total_den:
             common = math.lcm(total_den, den)

@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import and_, or_, xor
 from typing import NamedTuple
 
@@ -137,14 +137,23 @@ class _Bounded(dict):
     """A memo of at most `limit` units, `held` counting the units of its
     entries in whatever unit its owner measures: an entry larger than the
     limit is not kept and drops nothing, and one that would pass the limit
-    drops every entry first. Each instance states its bound and the counts
-    behind it."""
+    drops every entry first (`keep`). With a maker, `memo[key]` keeps
+    `make(key)` as one unit on a miss. A process-wide memo is made with its
+    qualified name ("module._NAME"), under which `MEMOS` lists it. Each
+    instance states its bound and the counts behind it."""
 
-    __slots__ = ("limit", "held")
+    __slots__ = ("limit", "held", "make")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, make=None, name: str | None = None):
         super().__init__()
-        self.limit, self.held = limit, 0
+        self.limit, self.held, self.make = limit, 0, make
+        if name is not None:
+            MEMOS[name] = self
+
+    def __missing__(self, key):
+        if self.make is None:
+            raise KeyError(key)
+        return self.keep(key, self.make(key))
 
     def clear(self) -> None:
         super().clear()
@@ -160,11 +169,23 @@ class _Bounded(dict):
         self.held += size
         return value
 
+    def keep_run(self, keys: list, size) -> None:
+        """Count `keys`, new entries just stored, as `size(key)` units each: a
+        run that fits drops nothing, and any other is taken out and kept one by one."""
+        run = sum(map(size, keys))
+        if self.held + run <= self.limit:
+            self.held += run
+        else:
+            for key, value in [(key, self.pop(key)) for key in keys]:
+                self.keep(key, value, size(key))
 
-# the Fraction of a mass text, for `oracle.parse`'s checks and for `mass`:
-# an INT_ALL oracle of the intall benchmark holds 7 to 24 distinct texts, and
-# the 45 oracles of three of its rounds 39 to 44 together, so none is evicted
-_fraction = lru_cache(maxsize=256)(frac_parse)
+
+MEMOS: dict[str, _Bounded] = {}  # every process-wide memo by its qualified name
+
+# the Fraction of a mass text, for `oracle.parse`'s checks and for `mass`,
+# in texts: an intall INT_ALL oracle holds 7 to 24 distinct texts, the 45 of
+# three intall rounds 39 to 44 together, three sweep rounds 3 and nfl_mc 1
+_FRACTIONS = _Bounded(256, frac_parse, "scm_core._FRACTIONS")
 
 
 @dataclass(frozen=True)
@@ -182,7 +203,7 @@ class ExactDist:
     "<bits>=<num>/<den>" lines in ascending order joined by LF, which
     `serialize` copies out as it is. `mass` is built from that text on
     first read, each mass text's Fraction from the bounded memo
-    `_fraction`, so the outcomes that repeat a text share its one Fraction.
+    `_FRACTIONS`, so the outcomes that repeat a text share its one Fraction.
 
     A dist has four slots and no instance dict: 64 bytes by `tracemalloc`
     (152 with an instance dict), which is all a leaf costs beyond its body.
@@ -244,7 +265,7 @@ class ExactDist:
         if name != "mass" or self._body is None:
             raise AttributeError(name)
         cells = self._body.replace("\n", "=").split("=")
-        mass = dict(zip(cells[::2], map(_fraction, cells[1::2])))
+        mass = dict(zip(cells[::2], map(_FRACTIONS.__getitem__, cells[1::2])))
         _set(self, "mass", mass)
         return mass
 
@@ -283,7 +304,7 @@ class ExactDist:
         if view is None:
             if self._body is not None:
                 cells = self._body.replace("\n", "=").split("=")
-                outcomes, masses = cells[::2], list(map(_fraction, cells[1::2]))
+                outcomes, masses = cells[::2], list(map(_FRACTIONS.__getitem__, cells[1::2]))
             else:
                 outcomes = sorted(self.mass)
                 masses = list(map(self.mass.__getitem__, outcomes))
@@ -457,7 +478,7 @@ def topo_order(scm: Scm) -> list[int]:
 # two memos shared by every pass: outcome texts by (width, state), mass
 # texts "=num/den" in lowest terms by (den, weight) (`_OUTCOMES`,
 # `_MASSES`). Fractions appear only when its `mass` is read, one per mass
-# text (`_fraction`). A uniform leaf, whose states all carry one weight,
+# text (`_FRACTIONS`). A uniform leaf, whose states all carry one weight,
 # sorts its states alone and joins their outcome texts with its one mass
 # text; any other leaf sorts the positions of its states and joins outcome
 # and mass line by line. A leaf's ExactDist holds its body and, once
@@ -483,7 +504,7 @@ def topo_order(scm: Scm) -> list[int]:
 # Family members share almost all their mechanisms, and a decode round
 # trip rebuilds and re-reads them, so two memos keep the shared parts.
 # The family builders hand out one Mechanism object per distinct (gate,
-# parents) (`families._mechanism`: 6 for the 625 tree n=5 members, 10 for
+# parents) (`families._MECHANISMS`: 6 for the 625 tree n=5 members, 10 for
 # the 512 bipartite m=3 members), and `_compile` keeps each mechanism's
 # compiled step per (n, v) on that object (`_step`). The model checks
 # (cycle, support cap, mechanism count) run on every compile, the step
@@ -501,8 +522,8 @@ def topo_order(scm: Scm) -> list[int]:
 # on first request. A hit checks only the support cap again, the one model
 # check that reads the environment, and a miss compiles, and so checks,
 # before it runs. `observational` reads a held pass, else runs the trie;
-# INT_ALL bypasses both this memo and the leaf memo. Every memo here but
-# the lru_caches is a `_Bounded`, stating its bound.
+# INT_ALL bypasses both this memo and the leaf memo. Every memo here is a
+# `_Bounded`, stating its bound, and each process-wide one is in `MEMOS`.
 
 
 # A compiled step is the tuple (place, bit, test, mask, invert, branches,
@@ -635,37 +656,26 @@ def _scaled(weights: list[int], k: int) -> list[int]:
 
 
 class _Texts(dict):
-    """The texts of one key of a `_Family`, made by its `make` from that
-    key and an item on the item's first read: an outcome memo holds one
-    width's outcome texts by state, a mass memo one den's mass texts by
-    weight. A memo joins its family with its first text, and each text it
-    adds counts one there."""
+    """The texts of one key of a family memo (`_OUTCOMES`, `_MASSES`), made
+    by `make` from that key and an item on the item's first read: an
+    outcome memo holds one width's outcome texts by state, a mass memo one
+    den's mass texts by weight. A memo joins its family with its first
+    text, and each text it adds counts one there."""
 
-    __slots__ = ("family", "key")
+    __slots__ = ("family", "key", "make")
 
-    def __init__(self, family: "_Family", key: int):
+    def __init__(self, family: _Bounded, key: int, make):
         super().__init__()
-        self.family, self.key = family, key
+        self.family, self.key, self.make = family, key, make
 
     def __missing__(self, item: int) -> str:
         family = self.family
-        text = family.make(self.key, item)
+        text = self.make(self.key, item)
         family.keep(self.key, self)
         if family.held == 1:  # the text dropped every memo: this one starts again
             self.clear()
         self[item] = text
         return text
-
-
-class _Family(_Bounded):
-    """The `_Texts` memos of one kind by their key, bounded in texts
-    between them."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, limit: int, make):
-        super().__init__(limit)
-        self.make = make
 
 
 def _outcome_text(width: int, state: int) -> str:
@@ -687,8 +697,8 @@ def _mass_text(den: int, weight: int) -> str:
 # (width, den) and (width, den, weight) built 9,157; a sweep round makes 744
 # and 5, an nfl_mc round 160 and 82. About 140 B of live memory a 16-bit
 # outcome text, so 8.6 MiB when full
-_OUTCOMES = _Family(1 << 16, _outcome_text)
-_MASSES = _Family(1 << 12, _mass_text)
+_OUTCOMES = _Bounded(1 << 16, name="scm_core._OUTCOMES")
+_MASSES = _Bounded(1 << 12, name="scm_core._MASSES")
 
 
 def _dist(n_bits: int, states, weights, den: int) -> ExactDist:
@@ -719,7 +729,7 @@ def _dist(n_bits: int, states, weights, den: int) -> ExactDist:
 # states) on tree n=7 and 3,080,192 of 148 (294 states) on bipartite m=4.
 # About 100 B of live memory a state (sweep: 334 KB for its 3,384), so
 # 1.6 MiB when full
-_LEAVES = _Bounded(1 << 14)
+_LEAVES = _Bounded(1 << 14, name="scm_core._LEAVES")
 
 
 def _render(n_bits: int, states, weights, den: int) -> ExactDist:
@@ -737,12 +747,8 @@ def _renders(n_bits: int, states, weights, den: int, bits) -> list[ExactDist]:
     its states alone and joins their outcome texts with its one mass text;
     any other sorts the positions of its states and joins outcome and mass
     line by line. A law too long to write goes through the constructor."""
-    texts = _OUTCOMES.get(n_bits)
-    if texts is None:
-        texts = _Texts(_OUTCOMES, n_bits)
-    masses = _MASSES.get(den)
-    if masses is None:
-        masses = _Texts(_MASSES, den)
+    texts = _OUTCOMES.get(n_bits) or _Texts(_OUTCOMES, n_bits, _outcome_text)
+    masses = _MASSES.get(den) or _Texts(_MASSES, den, _mass_text)
     dists = []
     weight = weights[0]
     try:
@@ -819,7 +825,7 @@ class _Pass:
 # 1,145 (55,042 states): 958 KB of live memory, its dists shared with
 # `_LEAVES` (144 B a state with no leaf memo). One-variable models hold
 # the most, 262 B a state, so 16 MiB when full
-_PASSES = _Bounded(1 << 16)
+_PASSES = _Bounded(1 << 16, name="scm_core._PASSES")
 
 
 def _laws(plan: _Plan, forcing: bool) -> dict[int, ExactDist]:

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 
 from scmlab import Mechanism, NoiseDist, Scm
-from scmlab import decoders, gates, oracle, scm_core
+from scmlab import gates, scm_core
 
 # the profile `tests/mutants.py` runs its mutants under (`--hypothesis-profile
 # mutants`): no shrink phase, since one failing example kills a mutant, and
@@ -46,17 +46,14 @@ def acceptance() -> AcceptanceLog:
 
 
 @pytest.fixture(autouse=True)
-def cold_body_memo():
-    """Empty `parse`'s process-wide body memo, the kernel's leaf and pass
-    memos, the family column memo and the decoders' probe facts before
-    every test, so what a test sees of a parsed or computed dist (no
-    `mass` or integer view until it reads one) and what a gap table
-    sweeps do not depend on the tests that ran before it."""
-    oracle._BODIES.clear()
-    scm_core._LEAVES.clear()
-    scm_core._PASSES.clear()
-    oracle._COLUMNS.clear()
-    decoders._FACTS.clear()
+def cold_memos():
+    """Empty every process-wide memo (`scm_core.MEMOS`) before every test,
+    so what a test sees of a parsed or computed dist (no `mass` or integer
+    view until it reads one), what a gap table sweeps and which graphs,
+    fits and texts are held do not depend on the tests that ran before
+    it."""
+    for memo in scm_core.MEMOS.values():
+        memo.clear()
 
 
 @pytest.fixture

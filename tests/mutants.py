@@ -64,6 +64,14 @@ class Mutant:
     tests: tuple[str, ...]  # test files or node IDs that must kill it
 
 
+def _fixture_skips(memo: str) -> tuple[tuple[str, str], ...]:
+    """The edit that makes the conftest fixture leave `memo` as the test
+    before left it."""
+    return (("    for memo in scm_core.MEMOS.values():\n        memo.clear()\n",
+             "    for name, memo in scm_core.MEMOS.items():\n"
+             f"        if name != {memo!r}:\n            memo.clear()\n"),)
+
+
 CATALOGUE = (
     Mutant(
         # one walk for every kind: each member's INT_ALL oracle is held
@@ -118,6 +126,13 @@ CATALOGUE = (
          "tests/test_kernel.py::test_a_noise_law_that_is_not_a_distribution_is_refused_before_any_work"),
     ),
     Mutant(
+        "the repeated-edge check off",
+        "src/scmlab/jsonio.py",
+        (("    if len(graph.edges) != len(edges):\n"
+          "        raise ValueError(f\"edges {edges!r} repeat an edge\")\n", ""),),
+        ("tests/test_jsonio.py::TestParamCodec::test_graph_edges_in_any_order_but_each_once",),
+    ),
+    Mutant(
         "class_membership without validate",
         "src/scmlab/families.py",
         (("    violations = validate(scm)\n", "    violations = []\n"),),
@@ -127,7 +142,7 @@ CATALOGUE = (
     Mutant(
         "_layout caches INT_ALL tables above n=10",
         "src/scmlab/oracle.py",
-        (("_LAYOUTS = _Bounded(1 << 17)\n", "_LAYOUTS = _Bounded(1 << 18)\n"),),
+        (("_LAYOUTS = _Bounded(1 << 17, ", "_LAYOUTS = _Bounded(1 << 18, "),),
         ("tests/test_codec.py::TestKeyTable::test_every_table_up_to_n10_fits_and_n11_does_not",),
     ),
     Mutant(
@@ -209,6 +224,20 @@ CATALOGUE = (
          "tests/test_families.py::TestBuilders::test_xor_observational_is_uniform"),
     ),
     Mutant(
+        "the step-memo bound ignored",
+        "src/scmlab/scm_core.py",
+        (('mech.__dict__["_steps"] = _Bounded(_STEPS_MAX)', 'mech.__dict__["_steps"] = _Bounded(1 << 30)'),),
+        ("tests/test_memos.py::test_the_step_memo_stays_within_its_bound",),
+    ),
+    Mutant(
+        # an extra mechanism past the n variables is ordered as a variable
+        "the topo_order slice dropped",
+        "src/scmlab/scm_core.py",
+        (("    parents = [set(m.parents) for m in scm.mechanisms[:n]]\n",
+          "    parents = [set(m.parents) for m in scm.mechanisms]\n"),),
+        ("tests/test_scm_core.py::TestValidate::test_more_mechanisms_than_variables",),
+    ),
+    Mutant(
         "parse's uniform regex without its backreference",
         "src/scmlab/oracle.py",
         ((r'    return (re.compile(f"{outcome}({_MASS})(?:\n{outcome}\\1)*"),' + "\n",
@@ -230,44 +259,53 @@ CATALOGUE = (
           "                _BODIES.keep(body, ExactDist._from_body(n_bits, body), len(body))\n"),),
         ("tests/test_memos.py::test_a_rejected_body_is_not_stored",),
     ),
-    # the bodies serialize keeps for parse, by `_Bounded.keep`'s rule inline
+    # the bodies serialize keeps for parse, one `_Bounded.keep_run` a block
     Mutant(
         "serialize keeps a body under another dist",
         "src/scmlab/oracle.py",
-        (("                held[body] = dist\n",
-          "                held[body] = components[0][1]\n"),),
+        (("                held[body] = dist\n", "                held[body] = components[0][1]\n"),),
         ("tests/test_memos.py::test_a_body_repeated_across_slots_is_counted_once",
          "tests/test_memos.py::test_parse_reads_back_the_dists_serialize_wrote"),
     ),
     Mutant(
         "serialize counts a repeated body twice",
         "src/scmlab/oracle.py",
-        (("        elif body not in held:\n", "        else:\n"),),
+        (("            elif body not in held:\n", "            else:\n"),),
         ("tests/test_memos.py::test_a_body_repeated_across_slots_is_counted_once",),
     ),
     Mutant(
         "serialize keeps a body rendered from masses",
         "src/scmlab/oracle.py",
-        (("            body = dist._text()\n        elif body not in held:\n",
-          "            body = dist._text()\n        if body not in held:\n"),),
+        (("                body = dist._text()\n            elif body not in held:\n",
+          "                body = dist._text()\n            if body not in held:\n"),),
         ("tests/test_memos.py::test_a_dist_built_from_masses_never_enters_the_memo",),
     ),
     Mutant(
         "serialize's body feed never clears at its bound",
         "src/scmlab/oracle.py",
-        (("                if held.held + size > limit:\n                    held.clear()\n", ""),),
+        (("            held.keep_run(new, len)\n", "            held.held += sum(map(len, new))\n"),),
         ("tests/test_memos.py::test_the_memo_stays_within_its_bound",),
     ),
     Mutant(
         "serialize keeps a body longer than the bound",
         "src/scmlab/oracle.py",
-        (("            if size <= limit:\n", "            if True:\n"),),
+        # each body counted as at most the bound
+        (("            held.keep_run(new, len)\n",
+          "            held.keep_run(new, lambda body: min(len(body), held.limit))\n"),),
         ("tests/test_memos.py::test_serialize_keeps_no_body_longer_than_the_bound",),
+    ),
+    Mutant(
+        # the run is counted only when no body of the block raised
+        "a block that raises leaves its stored bodies uncounted",
+        "src/scmlab/oracle.py",
+        (("    finally:  # a body too long to write raises: those stored before it count\n",
+          "    except OracleFormatError:\n        raise\n    else:\n"),),
+        ("tests/test_memos.py::test_a_serialize_that_raises_leaves_the_memo_sound",),
     ),
     Mutant(
         "the body memo too small for one xor m=4 oracle",
         "src/scmlab/oracle.py",
-        (("_BODIES = _Bounded(1 << 21)\n", "_BODIES = _Bounded(1 << 16)\n"),),
+        (("_BODIES = _Bounded(1 << 21, ", "_BODIES = _Bounded(1 << 16, "),),
         ("tests/test_memos.py::test_a_whole_xor_m4_int_all_oracle_is_held",),
     ),
     Mutant(
@@ -324,7 +362,7 @@ CATALOGUE = (
         # the memo of the first width serves every width
         "an outcome memo keyed without its width",
         "src/scmlab/scm_core.py",
-        (("    texts = _OUTCOMES.get(n_bits)\n", "    texts = next(iter(_OUTCOMES.values()), None)\n"),),
+        (("    texts = _OUTCOMES.get(n_bits) or", "    texts = next(iter(_OUTCOMES.values()), None) or"),),
         ("tests/test_codec.py::TestLazyProduct::test_text_memos_stay_within_their_bounds",),
     ),
     Mutant(
@@ -377,7 +415,7 @@ CATALOGUE = (
     Mutant(
         "a marginal enters the leaf memo",
         "src/scmlab/oracle.py",
-        (("    _fraction,\n    _render,\n", "    _fraction,\n    _dist as _render,\n"),),
+        (("    _Bounded,\n    _render,\n", "    _Bounded,\n    _dist as _render,\n"),),
         ("tests/test_memos.py::test_no_marginal_enters_the_leaf_memo",),
     ),
     Mutant(
@@ -395,7 +433,7 @@ CATALOGUE = (
     Mutant(
         "a test starts with the leaf memo of the test before",
         "tests/conftest.py",
-        (("    scm_core._LEAVES.clear()\n", ""),),
+        _fixture_skips("scm_core._LEAVES"),
         ("tests/test_memos.py::test_each_test_starts_with_an_empty_leaf_memo",),
     ),
     # the kernel's pass memo
@@ -499,20 +537,42 @@ CATALOGUE = (
     Mutant(
         "a test starts with the pass memo of the test before",
         "tests/conftest.py",
-        (("    scm_core._PASSES.clear()\n", ""),),
+        _fixture_skips("scm_core._PASSES"),
         ("tests/test_memos.py::test_each_test_starts_with_an_empty_pass_memo",),
     ),
     Mutant(
         "a test starts with the column memo of the test before",
         "tests/conftest.py",
-        (("    oracle._COLUMNS.clear()\n", ""),),
+        _fixture_skips("oracle._COLUMNS"),
         ("tests/test_memos.py::test_each_test_starts_with_empty_column_and_fact_memos",),
     ),
     Mutant(
         "a test starts with the probe facts of the test before",
         "tests/conftest.py",
-        (("    decoders._FACTS.clear()\n", ""),),
+        _fixture_skips("decoders._FACTS"),
         ("tests/test_memos.py::test_each_test_starts_with_empty_column_and_fact_memos",),
+    ),
+    # the memo registry and the one memo type
+    Mutant(
+        "a memo left out of the registry",
+        "src/scmlab/scm_core.py",
+        (('_LEAVES = _Bounded(1 << 14, name="scm_core._LEAVES")\n', "_LEAVES = _Bounded(1 << 14)\n"),),
+        ("tests/test_registry.py::test_every_memo_is_registered_under_its_qualified_name",),
+    ),
+    Mutant(
+        "a run keep that skips the clear at the bound",
+        "src/scmlab/scm_core.py",
+        # a run that fits alone is stored beside what the memo holds
+        (("        if self.held + run <= self.limit:\n", "        if run <= self.limit:\n"),),
+        ("tests/test_registry.py::test_a_run_is_kept_by_the_keep_rule",
+         "tests/test_memos.py::test_the_memo_stays_within_its_bound"),
+    ),
+    Mutant(
+        "a maker whose result is not kept",
+        "src/scmlab/scm_core.py",
+        (("        return self.keep(key, self.make(key))\n", "        return self.make(key)\n"),),
+        ("tests/test_registry.py::test_a_maker_memo_keeps_what_it_makes",
+         "tests/test_learning.py::TestExactRates::test_exact_rate_and_episodes_share_one_fit_memo"),
     ),
     Mutant(
         "the cross-rung check keyed without the triple",
@@ -639,18 +699,23 @@ CATALOGUE = (
     Mutant(
         "a table slot filled from another mask",
         "src/scmlab/learning.py",
-        (("        scm = self.family.build(graph_of_mask(self.m, mask))\n",
-          "        scm = self.family.build(graph_of_mask(self.m, mask ^ 1))\n"),),
+        (("graph_of_mask(m, mask)", "graph_of_mask(m, mask ^ 1)"),),
         ("tests/test_learning.py::TestLearnerRegistry::test_graph_cache_reads_each_graphs_own_law",
          "tests/test_learning.py::TestAgainstReference::test_per_query_error"),
     ),
     Mutant(
         "a table that holds no graph",
         "src/scmlab/learning.py",
-        (("        return self.keep(mask, _Graph(compute_oracle(scm, INT1)))\n",
-          "        return _Graph(compute_oracle(scm, INT1))\n"),),
+        (("        super().__init__(min(1 << (m * m), 1 << 10), lambda mask",
+          "        super().__init__(0, lambda mask"),),
         ("tests/test_learning.py::TestLearnerRegistry::test_graph_cache_reads_each_graphs_own_law",
          "tests/test_learning.py::TestLearnerRegistry::test_learners_that_read_no_data_build_no_sampler"),
+    ),
+    Mutant(
+        "the sampler built eagerly",
+        "src/scmlab/learning.py",
+        (("        self._truths = {}\n", "        self._truths = {}\n        self.sampler\n"),),
+        ("tests/test_learning.py::TestLearnerRegistry::test_learners_that_read_no_data_build_no_sampler",),
     ),
     Mutant(
         "each graph table counted as one graph",

@@ -279,76 +279,60 @@ class TestLearnerRegistry:
         row = dataclasses.replace(catalog.FAMILIES["bipartite"], build=edge_count_law)
         monkeypatch.setitem(catalog.FAMILIES, "bipartite", row)
         caps = tuple(all_caps().items())
-        learning._TABLES.clear()
-        try:
-            for mask in range(16):
-                scm = edge_count_law(graph_of_mask(2, mask))
-                graph = learning._table(2, caps)[mask]
-                assert graph.data == serialize(compute_oracle(scm, INT1))
-                # the sampler is built on the graph's first draw, once
-                assert "sampler" not in vars(graph)
-                assert graph.sampler == learning._sampler(observational(scm))
-                assert learning._table(2, caps)[mask].sampler is graph.sampler
-        finally:
-            learning._TABLES.clear()
+        for mask in range(16):
+            scm = edge_count_law(graph_of_mask(2, mask))
+            graph = learning._table(2, caps)[mask]
+            assert graph.data == serialize(compute_oracle(scm, INT1))
+            # the sampler is built on the graph's first draw, once
+            assert "sampler" not in vars(graph)
+            assert graph.sampler == learning._sampler(observational(scm))
+            assert learning._table(2, caps)[mask].sampler is graph.sampler
 
     def test_learners_that_read_no_data_build_no_sampler(self):
-        learning._TABLES.clear()
-        try:
-            for learner_id in ("uniform-guess", "constant-empty"):
-                run_nfl(2, 4, learner_id, MONTE_CARLO, trials=40, seed=7)
-            caps = tuple(all_caps().items())
-            table = learning._table(2, caps)
-            graphs = [table[mask] for mask in range(16)]
-            assert list(learning._TABLES) == [(2, caps)] and len(table) == 16
-            assert not any("sampler" in vars(graph) for graph in graphs)
-            run_nfl(2, 4, "empirical-independent", MONTE_CARLO, trials=40, seed=7)
-            assert any("sampler" in vars(graph) for graph in graphs)
-        finally:
-            learning._TABLES.clear()
+        for learner_id in ("uniform-guess", "constant-empty"):
+            run_nfl(2, 4, learner_id, MONTE_CARLO, trials=40, seed=7)
+        caps = tuple(all_caps().items())
+        table = learning._table(2, caps)
+        graphs = [table[mask] for mask in range(16)]
+        assert list(learning._TABLES) == [(2, caps)] and len(table) == 16
+        assert not any("sampler" in vars(graph) for graph in graphs)
+        run_nfl(2, 4, "empirical-independent", MONTE_CARLO, trials=40, seed=7)
+        assert any("sampler" in vars(graph) for graph in graphs)
 
     def test_the_tables_hold_at_most_1024_graphs(self, monkeypatch):
         # each table counts as the graphs it may hold: every graph of m <= 3
         # under one snapshot fits, a second snapshot's m=3 table drops them,
         # and an m=4 table holds at most 1,024 of its 65,536
-        learning._TABLES.clear()
-        try:
-            caps = snapshot()
-            tables = [learning._table(m, caps) for m in (1, 2, 3)]
-            assert [table.limit for table in tables] == [2, 16, 512]
-            assert learning._TABLES.held == 530 and len(learning._TABLES) == 3
-            assert all(learning._table(m, caps) is table for m, table in zip((1, 2, 3), tables))
-            monkeypatch.setenv("SCMLAB_TREE_NMAX", "6")
-            learning._table(3, snapshot())
-            assert list(learning._TABLES) == [(3, snapshot())] and learning._TABLES.held == 512
-            assert learning._table(4, snapshot()).limit == 1024
-            assert list(learning._TABLES) == [(4, snapshot())] and learning._TABLES.held == 1024
-        finally:
-            learning._TABLES.clear()
+        caps = snapshot()
+        tables = [learning._table(m, caps) for m in (1, 2, 3)]
+        assert [table.limit for table in tables] == [2, 16, 512]
+        assert learning._TABLES.held == 530 and len(learning._TABLES) == 3
+        assert all(learning._table(m, caps) is table for m, table in zip((1, 2, 3), tables))
+        monkeypatch.setenv("SCMLAB_TREE_NMAX", "6")
+        learning._table(3, snapshot())
+        assert list(learning._TABLES) == [(3, snapshot())] and learning._TABLES.held == 512
+        assert learning._table(4, snapshot()).limit == 1024
+        assert list(learning._TABLES) == [(4, snapshot())] and learning._TABLES.held == 1024
 
     def test_a_lowered_cap_reads_a_fresh_table(self, monkeypatch):
         # a table is keyed by its caps snapshot, so under a lowered cap no
         # graph held under the old snapshot is read: each is computed again,
         # or refused
-        learning._TABLES.clear()
-        try:
-            held = learning._table(2, snapshot())
-            graphs = [held[mask] for mask in range(16)]
-            before = run_nfl(2, 0, "uniform-guess", MONTE_CARLO, trials=40, seed=7)
-            monkeypatch.setenv("SCMLAB_TREE_NMAX", "6")  # a cap no episode reads
-            after = run_nfl(2, 0, "uniform-guess", MONTE_CARLO, trials=40, seed=7)
-            assert after.successes == before.successes
-            fresh = learning._table(2, snapshot())
-            assert fresh is not held and len(fresh) > 0 and len(held) == 16
-            assert not any(graph is graphs[mask] for mask, graph in fresh.items())
-            monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "1")
-            for learner_id in LEARNERS:
-                with pytest.raises(SupportTooLargeError):
-                    run_nfl(2, 0, learner_id, MONTE_CARLO, trials=1, seed=7)
+        held = learning._table(2, snapshot())
+        graphs = [held[mask] for mask in range(16)]
+        before = run_nfl(2, 0, "uniform-guess", MONTE_CARLO, trials=40, seed=7)
+        monkeypatch.setenv("SCMLAB_TREE_NMAX", "6")  # a cap no episode reads
+        after = run_nfl(2, 0, "uniform-guess", MONTE_CARLO, trials=40, seed=7)
+        assert after.successes == before.successes
+        fresh = learning._table(2, snapshot())
+        assert fresh is not held and len(fresh) > 0 and len(held) == 16
+        assert not any(graph is graphs[mask] for mask, graph in fresh.items())
+        monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "1")
+        for learner_id in LEARNERS:
             with pytest.raises(SupportTooLargeError):
-                run_nfl(2, 0, "constant-empty", EXACT)
-        finally:
-            learning._TABLES.clear()
+                run_nfl(2, 0, learner_id, MONTE_CARLO, trials=1, seed=7)
+        with pytest.raises(SupportTooLargeError):
+            run_nfl(2, 0, "constant-empty", EXACT)
 
 
 class TestExactRates:
@@ -371,14 +355,15 @@ class TestExactRates:
             report = run_nfl(2, 6, learner_id, EXACT)
             assert report.success_rate <= report.bound, learner_id
 
-    def test_exact_rate_and_episodes_share_one_fit_memo(self):
-        fits = learning._independent_fit_bytes
-        fits.cache_clear()
+    def test_exact_rate_and_episodes_share_one_fit_memo(self, monkeypatch):
+        fits, made = learning._FIT_BYTES, []  # empty, as every memo is when a test starts
+        make = fits.make
+        monkeypatch.setattr(fits, "make", lambda key: made.append(key) or make(key))
         run_nfl(2, 4, "empirical-independent", EXACT)
-        assert fits.cache_info().currsize == 5
+        assert len(fits) == fits.held == len(made) == 5
         # episode rows are all zeros or all ones, so every fit is one of those five
         run_nfl(2, 4, "empirical-independent", MONTE_CARLO, trials=30, seed=3)
-        assert fits.cache_info().misses == 5
+        assert len(made) == 5
 
     def test_pinned_reports(self):
         # exact mode reads neither trials nor seed, and reports neither

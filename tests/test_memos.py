@@ -226,9 +226,13 @@ def test_the_memo_stays_within_its_bound(bound, monkeypatch):
 def test_a_body_longer_than_the_bound_is_not_kept(monkeypatch):
     monkeypatch.setattr(oracle._BODIES, "limit", 12)
     data = b"INT1 n=1\n#obs\n0=1/2\n1=1/2\n#do i=0 b=0\n0=1/1\n#do i=0 b=1\n1=1/1\n"
-    assert serialize(parse(data)) == data
+    parsed = parse(data)
     # "0=1/2\n1=1/2" (11 characters) was kept, then dropped for "0=1/1" and "1=1/1"
     assert list(oracle._BODIES) == ["0=1/1", "1=1/1"]
+    # serialize's one run for the block keeps the one body the memo did not
+    # hold when the block began, which drops the other two
+    assert serialize(parsed) == data
+    assert list(oracle._BODIES) == ["0=1/2\n1=1/2"]
     monkeypatch.setattr(oracle._BODIES, "limit", 10)
     oracle._BODIES.clear()
     assert serialize(parse(data)) == data
@@ -329,6 +333,19 @@ def test_a_body_repeated_across_slots_is_counted_once():
     serialize(written)
     assert set(oracle._BODIES) == bodies
     assert oracle._BODIES.held == sum(map(len, bodies))
+    assert_memo_sound()
+
+
+def test_a_serialize_that_raises_leaves_the_memo_sound():
+    # the block's last body is too long to write: the bodies written before
+    # it in the block are kept and counted, as if it had not been there
+    too_long = ExactDist(1, {"0": Fraction(1, 10**4400), "1": 1 - Fraction(1, 10**4400)})
+    written = compute_oracle(MIXED_LEAVES, INT_ALL)
+    bodies = {dist._body for _, dist in written.components[:9]}
+    raising = dataclasses.replace(written, components=(*written.components[:9], ("last", too_long)))
+    with pytest.raises(OracleFormatError, match="too long to write"):
+        serialize(raising)
+    assert set(oracle._BODIES) == bodies
     assert_memo_sound()
 
 
