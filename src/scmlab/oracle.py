@@ -33,7 +33,9 @@ with component keys "obs", "do i=<i> b=<b>", "cf i=<i>", or
 (empty for a model with no variables), fractions in lowest terms with an
 explicit denominator, LF endings, one trailing LF, ASCII throughout.
 parse() is strict and rejects anything non-canonical, so
-serialize(parse(b)) == b.
+serialize(parse(b)) == b. An oracle this process computed or parsed is
+read back from the bytes `serialize` wrote for it by one comparison
+(`_WRITTEN`); any other input is checked in full.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .scm_core import (
     Scm,
     _FRACTIONS,
     _Bounded,
+    _new,
     _render,
     int_all_laws,
     intervention_code,
@@ -213,7 +216,7 @@ def _member_oracles(scm: Scm, kinds) -> dict[str, AnswerOracle]:
 
 def _assemble(kind: str, n: int, laws) -> AnswerOracle:
     """The `kind` oracle whose component at each layout slot is laws[law]."""
-    return AnswerOracle(kind, n, tuple([(key, laws[law]) for law, key in _layout(kind, n)]))
+    return _canonical(kind, n, tuple([(key, laws[law]) for law, key in _layout(kind, n)]))
 
 
 def oracle_index(family, kind: str) -> tuple[bytes, ...]:
@@ -303,18 +306,12 @@ def family_sweep(family, kinds, columns: dict):
             columns[kind] = _COLUMNS.keep((family, kind, caps), tuple(column), _column_bytes(column))
 
 
-# each canonical component body the process has written or checked, mapped
-# to a dist that holds it, bounded in characters of body text. It has two
-# producers: `serialize` keeps each body held by a dist it writes (a kernel
-# leaf's, a parsed dist's or a marginal's, each canonical by construction),
-# counted by one `keep_run` a block (`_block_text`), and `parse` each body
-# it has checked, through `keep`. The bound holds one whole intall
-# round: its distinct bodies count 1.20-1.27 M characters (seeds 1 and 2,
-# rounds 0-2), xor m=4's INT_ALL oracle alone 6,561 bodies of 889,439
-# characters and a random DAG's of n=8 92-161 k. A sweep round's decode
-# requests read 108 distinct bodies of 15,796 characters (`BENCH_19.json`
-# memo_traffic).
-_BODIES = _Bounded(1 << 21, name="oracle._BODIES")
+# the last oracle `serialize` wrote of each header line (kind and n) and
+# byte length that its producer marked (`_canonical`), as (bytes, mark),
+# bounded in bytes: one xor m=4 INT_ALL oracle (1,060,038 bytes) beside an
+# intall random DAG's of n=8 (439-444 kB). Every intall and sweep decode
+# request parses the bytes it has just written, so one entry serves it.
+_WRITTEN = _Bounded(1 << 21, name="oracle._WRITTEN")
 
 # components per block of `serialize`: each block's text is encoded and
 # written out before the next is built, about 40 KiB of xor m=4 INT_ALL
@@ -328,53 +325,61 @@ def serialize(oracle: AnswerOracle) -> bytes:
     Each component contributes its own key and its canonical body
     (`ExactDist._text`): the kernel and `parse` hand the body over
     rendered, and a dist built from masses renders it through
-    `rational.mass_line`. Each body a dist holds enters `parse`'s memo
-    (`_BODIES`) with one call a block and none per body (see
-    `_block_text`), so `parse` reads these bytes back without checking
-    their bodies again. The text is written into one
-    buffer a block of `_SERIALIZE_BLOCK` components at a time, so it is
-    never held whole as a str beside its bytes. A text that is not ASCII
-    raises the error that encoding it whole raises.
+    `rational.mass_line`. The text is written into one buffer a block of
+    `_SERIALIZE_BLOCK` components at a time, so it is never held whole as
+    a str beside its bytes. A text that is not ASCII raises the error that
+    encoding it whole raises.
+
+    `_WRITTEN` keeps the bytes with the components, for `parse` to read
+    back by one comparison, when `_assemble` or `parse` made the oracle:
+    their mark (`_canonical`) names its kind, n and components, so every
+    key is the layout's. The write loop also sees each dist hold its
+    canonical body at the kind's width; the bound holds, and a serialize
+    that raises keeps nothing.
     """
-    head = f"{oracle.kind} n={oracle.n}"
-    components = oracle.components
+    kind, n, components = oracle.kind, oracle.n, oracle.components
+    head = f"{kind} n={n}"
+    mark = getattr(oracle, "_canonical", None)
+    width = component_bits(kind, n) if mark == (kind, n, components) else None
     out = io.BytesIO()
     try:
         out.write(head.encode("ascii"))
         for start in range(0, len(components), _SERIALIZE_BLOCK):
-            out.write(_block_text(components[start:start + _SERIALIZE_BLOCK]).encode("ascii"))
+            text, width = _block_text(components[start:start + _SERIALIZE_BLOCK], width)
+            out.write(text.encode("ascii"))
     except UnicodeEncodeError:
         # the whole text, which renders every body before it is encoded
-        f"{head}{_block_text(components)}\n".encode("ascii")
+        f"{head}{_block_text(components, None)[0]}\n".encode("ascii")
         raise
     out.write(b"\n")
-    return out.getvalue()
+    data = out.getvalue()
+    if width is not None:
+        key = (data[:len(head) + 1], len(data))  # its header line, as `_HEAD_RE` reads it
+        if _WRITTEN.pop(key, None) is not None:  # replaced: `held` counts each oracle once
+            _WRITTEN.held -= len(data)
+        _WRITTEN.keep(key, (data, mark), len(data))
+    return data
 
 
-def _block_text(components) -> str:
-    """The text of `components`: for each, LF, "#", its key, LF, its body.
-    Each body a dist holds (`_body`, canonical by construction) that
-    `_BODIES` does not hold enters it with that dist, once however many
-    components repeat it, and the block's new bodies are counted by one
-    `keep_run`: no body costs a call. A dist built from masses renders its
-    body (`_text`), which is never kept."""
-    parts, new, held = [], [], _BODIES
-    try:
-        for key, dist in components:
-            body = dist._body
-            if body is None:
-                body = dist._text()
-            elif body not in held:
-                held[body] = dist
-                new.append(body)
-            parts += ("\n#", key, "\n", body)
-    finally:  # a body too long to write raises: those stored before it count
-        if new:
-            held.keep_run(new, len)
-    return "".join(parts)
+def _block_text(components, width):
+    """The text of `components`, for each LF, "#", its key, LF, its body,
+    and `width` if every dist holds its canonical body (`_body`) at that
+    outcome width, else None. A dist built from masses renders its body
+    (`_text`)."""
+    parts = []
+    for key, dist in components:
+        body = dist._body
+        if body is None:
+            body, width = dist._text(), None
+        elif dist.n_bits != width:
+            width = None
+        parts += ("\n#", key, "\n", body)
+    return "".join(parts), width
 
 
 _HEADER_RE = re.compile(r"(OBS|INT1|CF1|INT_ALL) n=(0|[1-9][0-9]*)")
+# a header line and its LF at the start of the bytes: `_WRITTEN`'s key
+_HEAD_RE = re.compile(_HEADER_RE.pattern.encode("ascii") + b"\n")
 # no leading zeros and no zero mass, so each line has one spelling; the
 # outcome is empty only in an oracle of n=0
 _MASS = "[1-9][0-9]*/[1-9][0-9]*"
@@ -421,20 +426,19 @@ def parse(data: bytes) -> AnswerOracle:
     out, so beside the input bytes the call holds about one copy of the
     text.
 
-    Bodies outlive the call in a process-wide memo (`_BODIES`, where its
-    bound is stated), which has two producers: `parse` keeps each body it
-    has checked, and `serialize` each body held by a dist it writes (a
-    kernel leaf's, a parsed dist's or a marginal's, valid by
-    construction). The memo serves a later body of the same text at the
-    same outcome width its dist without any check, with the integer view
-    or `mass` a probe or read has built on it, so an oracle this process
-    wrote parses back to the writer's dists, unchecked again. Validity
-    depends only on the text and the width, and a valid body's outcomes
-    fix the width, so every input is accepted or rejected, with the same
-    error text, as under an empty memo; a rejected body is never kept.
-    The header, the component count and every key are checked on every
-    call.
+    Input equal to the bytes `serialize` last kept in `_WRITTEN` for its
+    header's kind and n and its length returns the components kept with
+    them, the writer's own dists, after the header check and one byte
+    comparison: they are what the checks below make of those bytes, since
+    `serialize` keeps only an oracle `_assemble` or this function made.
+    Any other input takes the checks, and a body repeated within the call
+    is checked once; no body outlives the call. The oracle returned
+    carries the mark (`_canonical`) that lets `serialize` keep it again.
     """
+    head = _HEAD_RE.match(data) if type(data) is bytes else None  # other types fail as before
+    written = _WRITTEN.get((head[0], len(data))) if head else None
+    if written is not None and written[0] == data:
+        return _canonical(*written[1])
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -474,32 +478,37 @@ def parse(data: bytes) -> AnswerOracle:
             raise OracleFormatError(f"component key {key!r} where {want!r} was expected")
         dist = dists.get(body)
         if dist is None:
-            dist = _BODIES.get(body)
-            if dist is None or dist.n_bits != n_bits:
-                uniform = uniform_match(body)
-                lines = body.split("\n") if uniform else ()
-                if uniform and all(map(lt, lines, lines[1:])):
-                    copies = (uniform[1], len(lines))  # one mass text, on every line
-                    if copies not in checked:
-                        _check_masses(key, (copies,))
-                        checked.add(copies)
-                else:
-                    if not block_match(body):
-                        _reject_lines(key, block.split("\n")[1:], n_bits)
-                    cells = body.replace("\n", "=").split("=")
-                    outcomes = cells[::2]
-                    if not all(map(lt, outcomes, outcomes[1:])):
-                        _reject_lines(key, block.split("\n")[1:], n_bits)
-                    mass_texts = tuple(cells[1::2])
-                    if mass_texts not in checked:
-                        _check_masses(key, Counter(mass_texts).items())
-                        checked.add(mass_texts)
-                dist = _BODIES.keep(body, ExactDist._from_body(n_bits, body), len(body))
+            uniform = uniform_match(body)
+            lines = body.split("\n") if uniform else ()
+            if uniform and all(map(lt, lines, lines[1:])):
+                copies = (uniform[1], len(lines))  # one mass text, on every line
+                if copies not in checked:
+                    _check_masses(key, (copies,))
+                    checked.add(copies)
             else:
-                body = dist._body  # the held text, so no copy cut from the input stays alive
-            dists[body] = dist
+                if not block_match(body):
+                    _reject_lines(key, block.split("\n")[1:], n_bits)
+                cells = body.replace("\n", "=").split("=")
+                outcomes = cells[::2]
+                if not all(map(lt, outcomes, outcomes[1:])):
+                    _reject_lines(key, block.split("\n")[1:], n_bits)
+                mass_texts = tuple(cells[1::2])
+                if mass_texts not in checked:
+                    _check_masses(key, Counter(mass_texts).items())
+                    checked.add(mass_texts)
+            dist = dists[body] = ExactDist._from_body(n_bits, body)
         components.append((want, dist))
-    return AnswerOracle(kind, n, tuple(components))
+    return _canonical(kind, n, tuple(components))
+
+
+def _canonical(kind: str, n: int, components: tuple) -> AnswerOracle:
+    """The oracle of `components`, marked (`_canonical`) as one whose keys
+    are the layout's of `kind` and `n`, for `serialize` to read. Only
+    `_assemble` and `parse` make it, filling fields and mark in one dict
+    update, faster than the frozen dataclass's `__init__`."""
+    made = _new(AnswerOracle)
+    vars(made).update(kind=kind, n=n, components=components, _canonical=(kind, n, components))
+    return made
 
 
 def _check_masses(key: str, counts) -> None:

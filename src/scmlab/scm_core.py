@@ -169,16 +169,6 @@ class _Bounded(dict):
         self.held += size
         return value
 
-    def keep_run(self, keys: list, size) -> None:
-        """Count `keys`, new entries just stored, as `size(key)` units each: a
-        run that fits drops nothing, and any other is taken out and kept one by one."""
-        run = sum(map(size, keys))
-        if self.held + run <= self.limit:
-            self.held += run
-        else:
-            for key, value in [(key, self.pop(key)) for key in keys]:
-                self.keep(key, value, size(key))
-
 
 MEMOS: dict[str, _Bounded] = {}  # every process-wide memo by its qualified name
 
@@ -510,7 +500,8 @@ def topo_order(scm: Scm) -> list[int]:
 # (cycle, support cap, mechanism count) run on every compile, the step
 # checks (parents, gate, arity, noise symbols, noise law) when a step is
 # first compiled, and a step whose checks raise is never kept.
-# `oracle.parse` keeps each checked body with its dist (`oracle._BODIES`).
+# `oracle.parse` reads back the last oracle `serialize` wrote of its size
+# (`oracle._WRITTEN`).
 # Models repeat whole leaves too, so `_dist` keeps each OBS, INT1 and CF1
 # leaf by its inputs (`_LEAVES`): every pass that reaches an equal leaf
 # shares its ExactDist, body and, once probed, integer view.

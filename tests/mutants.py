@@ -245,67 +245,75 @@ CATALOGUE = (
         ("tests/test_codec.py::test_hand_built_uniform_bodies",
          "tests/test_codec.py::test_hand_built_oracle_out_of_order_with_distinct_equal_masses"),
     ),
+    # the oracles serialize keeps for parse to read back (`_WRITTEN`): one
+    # mutant per condition of keeping one, and per rule of the memo
+    Mutant(
+        "serialize keeps an oracle no producer marked",
+        "src/scmlab/oracle.py",
+        (('    mark = getattr(oracle, "_canonical", None)\n', "    mark = (kind, n, components)\n"),),
+        ("tests/test_memos.py::test_no_oracle_outside_the_mark_is_served[user-built]",),
+    ),
+    Mutant(
+        "serialize keeps an oracle changed since its mark",
+        "src/scmlab/oracle.py",
+        (("    width = component_bits(kind, n) if mark == (kind, n, components) else None\n",
+          "    width = component_bits(kind, n) if mark is not None and mark[2] is components else None\n"),),
+        ("tests/test_memos.py::test_no_oracle_outside_the_mark_is_served[tampered]",),
+    ),
     Mutant(
         "the body memo serves a body at another width",
         "src/scmlab/oracle.py",
-        (("            if dist is None or dist.n_bits != n_bits:\n", "            if dist is None:\n"),),
+        (("        elif dist.n_bits != width:\n", "        elif False:\n"),),
         ("tests/test_memos.py::test_a_body_is_served_only_at_its_width",),
-    ),
-    Mutant(
-        "a body stored before its checks",
-        "src/scmlab/oracle.py",
-        (("            if dist is None or dist.n_bits != n_bits:\n",
-          "            if dist is None or dist.n_bits != n_bits:\n"
-          "                _BODIES.keep(body, ExactDist._from_body(n_bits, body), len(body))\n"),),
-        ("tests/test_memos.py::test_a_rejected_body_is_not_stored",),
-    ),
-    # the bodies serialize keeps for parse, one `_Bounded.keep_run` a block
-    Mutant(
-        "serialize keeps a body under another dist",
-        "src/scmlab/oracle.py",
-        (("                held[body] = dist\n", "                held[body] = components[0][1]\n"),),
-        ("tests/test_memos.py::test_a_body_repeated_across_slots_is_counted_once",
-         "tests/test_memos.py::test_parse_reads_back_the_dists_serialize_wrote"),
-    ),
-    Mutant(
-        "serialize counts a repeated body twice",
-        "src/scmlab/oracle.py",
-        (("            elif body not in held:\n", "            else:\n"),),
-        ("tests/test_memos.py::test_a_body_repeated_across_slots_is_counted_once",),
     ),
     Mutant(
         "serialize keeps a body rendered from masses",
         "src/scmlab/oracle.py",
-        (("                body = dist._text()\n            elif body not in held:\n",
-          "                body = dist._text()\n            if body not in held:\n"),),
+        (("            body, width = dist._text(), None\n", "            body = dist._text()\n"),),
         ("tests/test_memos.py::test_a_dist_built_from_masses_never_enters_the_memo",),
-    ),
-    Mutant(
-        "serialize's body feed never clears at its bound",
-        "src/scmlab/oracle.py",
-        (("            held.keep_run(new, len)\n", "            held.held += sum(map(len, new))\n"),),
-        ("tests/test_memos.py::test_the_memo_stays_within_its_bound",),
     ),
     Mutant(
         "serialize keeps a body longer than the bound",
         "src/scmlab/oracle.py",
-        # each body counted as at most the bound
-        (("            held.keep_run(new, len)\n",
-          "            held.keep_run(new, lambda body: min(len(body), held.limit))\n"),),
-        ("tests/test_memos.py::test_serialize_keeps_no_body_longer_than_the_bound",),
+        # each oracle counted as at most the bound
+        (("        _WRITTEN.keep(key, (data, mark), len(data))\n",
+          "        _WRITTEN.keep(key, (data, mark), min(len(data), _WRITTEN.limit))\n"),),
+        ("tests/test_memos.py::test_serialize_keeps_no_body_longer_than_the_bound",
+         "tests/test_memos.py::test_a_body_longer_than_the_bound_is_not_kept"),
     ),
     Mutant(
-        # the run is counted only when no body of the block raised
-        "a block that raises leaves its stored bodies uncounted",
+        "parse serves a held oracle of the same length",
         "src/scmlab/oracle.py",
-        (("    finally:  # a body too long to write raises: those stored before it count\n",
-          "    except OracleFormatError:\n        raise\n    else:\n"),),
-        ("tests/test_memos.py::test_a_serialize_that_raises_leaves_the_memo_sound",),
+        (("    if written is not None and written[0] == data:\n",
+          "    if written is not None and len(written[0]) == len(data):\n"),),
+        ("tests/test_memos.py::test_an_oracle_of_equal_length_and_other_bytes_is_checked",
+         "tests/test_memos.py::test_warm_and_cold_verdicts_agree_on_mutants"),
+    ),
+    Mutant(
+        "serialize keeps a body under another dist",
+        "src/scmlab/oracle.py",
+        (("        _WRITTEN.keep(key, (data, mark), len(data))\n",
+          "        _WRITTEN.keep(key, (data, (kind, n, components[::-1])), len(data))\n"),),
+        ("tests/test_memos.py::test_parse_reads_back_the_dists_serialize_wrote",),
+    ),
+    Mutant(
+        "serialize counts a repeated body twice",
+        "src/scmlab/oracle.py",
+        (("        if _WRITTEN.pop(key, None) is not None:  # replaced: `held` counts each oracle once\n"
+          "            _WRITTEN.held -= len(data)\n", ""),),
+        ("tests/test_memos.py::test_a_body_repeated_across_slots_is_counted_once",),
+    ),
+    Mutant(
+        "serialize's body feed never clears at its bound",
+        "src/scmlab/oracle.py",
+        (("        _WRITTEN.keep(key, (data, mark), len(data))\n",
+          "        _WRITTEN[key] = (data, mark)\n        _WRITTEN.held += len(data)\n"),),
+        ("tests/test_memos.py::test_the_memo_stays_within_its_bound",),
     ),
     Mutant(
         "the body memo too small for one xor m=4 oracle",
         "src/scmlab/oracle.py",
-        (("_BODIES = _Bounded(1 << 21, ", "_BODIES = _Bounded(1 << 16, "),),
+        (("_WRITTEN = _Bounded(1 << 21, ", "_WRITTEN = _Bounded(1 << 20, "),),
         ("tests/test_memos.py::test_a_whole_xor_m4_int_all_oracle_is_held",),
     ),
     Mutant(
@@ -324,15 +332,16 @@ CATALOGUE = (
     Mutant(
         "serialize writes the layout's keys instead of the oracle's",
         "src/scmlab/oracle.py",
-        (("    components = oracle.components\n",
-          "    components = tuple(zip([key for _, key in _layout(oracle.kind, oracle.n)],\n"
+        (("    kind, n, components = oracle.kind, oracle.n, oracle.components\n",
+          "    kind, n = oracle.kind, oracle.n\n"
+          "    components = tuple(zip([key for _, key in _layout(kind, n)],\n"
           "                           [dist for _, dist in oracle.components]))\n"),),
         ("tests/test_codec.py::TestLeanRoundTrip::test_an_oracle_is_written_under_its_own_keys",),
     ),
     Mutant(
         "serialize raises a block's encode error",
         "src/scmlab/oracle.py",
-        (('        f"{head}{_block_text(components)}\\n".encode("ascii")\n        raise\n',
+        (('        f"{head}{_block_text(components, None)[0]}\\n".encode("ascii")\n        raise\n',
           "        raise\n"),),
         ("tests/test_codec.py::TestLeanRoundTrip::test_a_non_ascii_key_fails_as_the_whole_text_does",),
     ),
@@ -341,6 +350,20 @@ CATALOGUE = (
         "src/scmlab/scm_core.py",
         (("    def __reduce__(self):\n", "    def _reduce(self):\n"),),
         ("tests/test_probes.py::test_dists_have_slots_and_copy_whole",),
+    ),
+    # probes read the integer view, not `mass`
+    Mutant(
+        "outcomes() read through mass",
+        "src/scmlab/scm_core.py",
+        (('        return [format(1 << self.n_bits | s, "b")[1:] for s in self._int_view()[0]]\n',
+          "        return sorted(self.mass)\n"),),
+        ("tests/test_probes.py::test_outcomes_build_no_masses",),
+    ),
+    Mutant(
+        "a probe's shift counted from the low bit",
+        "src/scmlab/scm_core.py",
+        (("        shift = self.n_bits - 1 - position\n", "        shift = position\n"),),
+        ("tests/test_probes.py::test_probes_match_the_reference_on_fixed_positions",),
     ),
     Mutant(
         "a mass-built dist pickled through its Fractions",
@@ -415,7 +438,7 @@ CATALOGUE = (
     Mutant(
         "a marginal enters the leaf memo",
         "src/scmlab/oracle.py",
-        (("    _Bounded,\n    _render,\n", "    _Bounded,\n    _dist as _render,\n"),),
+        (("    _new,\n    _render,\n", "    _new,\n    _dist as _render,\n"),),
         ("tests/test_memos.py::test_no_marginal_enters_the_leaf_memo",),
     ),
     Mutant(
@@ -562,8 +585,8 @@ CATALOGUE = (
     Mutant(
         "a run keep that skips the clear at the bound",
         "src/scmlab/scm_core.py",
-        # a run that fits alone is stored beside what the memo holds
-        (("        if self.held + run <= self.limit:\n", "        if run <= self.limit:\n"),),
+        # an entry that fits alone is stored beside what the memo holds
+        (("        if self.held + size > self.limit:\n", "        if size > self.limit:\n"),),
         ("tests/test_registry.py::test_a_run_is_kept_by_the_keep_rule",
          "tests/test_memos.py::test_the_memo_stays_within_its_bound"),
     ),

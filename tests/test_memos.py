@@ -1,11 +1,13 @@
-"""The memos that let a sweep or a round trip read each distinct body,
-mechanism, leaf and pass once: `parse`'s memo of checked bodies, the
-compiled step each mechanism keeps, and the kernel's memos of kept leaves
-and of whole parallel-worlds passes, which serve INT1 and CF1.
+"""The memos that let a sweep or a round trip read each distinct oracle,
+mechanism, leaf and pass once: the oracles `serialize` keeps for `parse`
+to read back, the compiled step each mechanism keeps, and the kernel's
+memos of kept leaves and of whole parallel-worlds passes, which serve
+INT1 and CF1.
 
 Each memo is keyed by what fully determines its value, so a warm memo
 must give what a cold one gives: from `parse`, the same oracle, bytes and
-masses (checked against the reference codec) and the same error text;
+masses (checked against the reference codec) and the same error text,
+and no oracle outside its producers' mark is ever served;
 from `_compile`, the same plan and the same errors in the same order;
 from the leaf and pass memos, the same OBS, INT1 and CF1 oracles (checked
 against the reference enumerator), and from the pass memo the same
@@ -28,6 +30,7 @@ from scmlab import (
     INT1,
     INT_ALL,
     OBS,
+    AnswerOracle,
     BipartiteGraph,
     ExactDist,
     HiddenString,
@@ -78,15 +81,29 @@ def outcome(data: bytes):
     return serialize(parsed), [dist.mass for _, dist in parsed.components]
 
 
+WRITTEN = oracle._WRITTEN
+
+
+def key(data: bytes) -> tuple:
+    """The read-back memo's key of `data`: its header line and length."""
+    return data[:data.index(b"\n") + 1], len(data)
+
+
 def assert_memo_sound():
-    """Every body the memo holds is valid at its dist's width (the
-    reference codec accepts it as the one component of an OBS oracle of
-    that width), its dist holds that body, and `held` counts the
-    characters held, within the bound."""
-    for body, dist in oracle._BODIES.items():
-        reference_codec.parse(f"OBS n={dist.n_bits}\n#obs\n{body}\n".encode())
-        assert dist._body == body
-    assert oracle._BODIES.held == sum(map(len, oracle._BODIES)) <= oracle._BODIES.limit
+    """Every oracle the read-back memo holds is kept under its header line
+    and byte length with its kind, n and the components of those bytes:
+    the reference codec accepts them, each key is the layout's, and each
+    dist holds its canonical body at the kind's width. `held` counts the
+    bytes held, within the bound."""
+    for at, (data, (kind, n, components)) in WRITTEN.items():
+        assert at == key(data) and data.startswith(f"{kind} n={n}\n".encode())
+        reference = reference_codec.parse(data)
+        assert (reference.kind, reference.n) == (kind, n)
+        assert [name for name, _ in components] == [name for _, name in oracle._layout(kind, n)]
+        width = oracle.component_bits(kind, n)
+        assert all(dist._body is not None and dist.n_bits == width for _, dist in components)
+        assert oracle.entry_bytes(kind, n, [dist._body for _, dist in components]) == data
+    assert WRITTEN.held == sum(len(data) for data, _ in WRITTEN.values()) <= WRITTEN.limit
 
 
 def read_everything(parsed):
@@ -97,27 +114,29 @@ def read_everything(parsed):
 
 
 def test_each_test_starts_with_an_empty_memo():
-    assert len(oracle._BODIES) == 0 and oracle._BODIES.held == 0
+    assert len(WRITTEN) == 0 and WRITTEN.held == 0
 
 
-# ------------------------------------------------------------- body memo
+# ------------------------------------------------------------ read-back memo
 
 
 @given(small_scms(), st.sampled_from(KINDS))
 @settings(max_examples=120, deadline=None)
 def test_a_warm_parse_is_a_cold_parse(scm, kind):
-    data = serialize(compute_oracle(scm, kind))
-    oracle._BODIES.clear()
-    cold = parse(data)
-    read_everything(cold)  # the dists the memo serves now carry views and masses
+    written = compute_oracle(scm, kind)
+    data = serialize(written)
+    read_everything(written)  # the dists a read-back serves carry views and masses
     warm = parse(data)
+    WRITTEN.clear()
+    cold = parse(data)
     reference = reference_codec.parse(data)
-    assert serialize(warm) == reference_codec.serialize(warm) == data
+    assert serialize(warm) == serialize(cold) == reference_codec.serialize(warm) == data
     assert warm == cold == reference
-    for (_, w), (_, c), (_, r) in zip(warm.components, cold.components, reference.components):
-        assert w is c  # served from the memo
-        assert w.mass == r.mass
-        assert w._int_view() == ExactDist._from_body(w.n_bits, w._body)._int_view()
+    for (_, w), (_, c), (_, r), (_, d) in zip(
+            warm.components, cold.components, reference.components, written.components):
+        assert w is d and c is not d  # served from the memo, then checked afresh
+        assert w.mass == c.mass == r.mass
+        assert w._int_view() == c._int_view()
     assert_memo_sound()
 
 
@@ -137,33 +156,45 @@ SEEDS = GOLDEN_BYTES + [serialize(compute_oracle(scm, kind)) for scm, kind in SE
 @given(mutated_golden(SEEDS))
 @settings(max_examples=300, deadline=None)
 def test_warm_and_cold_verdicts_agree_on_mutants(data):
-    oracle._BODIES.clear()
+    WRITTEN.clear()
     cold = outcome(data)
-    for seed in SEEDS:  # every body the mutant was made from is now held
-        parse(seed)
+    WRITTEN.clear()
+    for seed in SEEDS:  # every seed held, read back from the oracle parse made of it
+        assert serialize(parse(seed)) == seed
+    assert len(WRITTEN) == len(SEEDS)
     assert outcome(data) == cold
-    assert outcome(data) == cold  # and again, with its own bodies held too
-    oracle._BODIES.clear()
-    # every seed body held as serialize keeps it, with the dist that wrote it
+    assert outcome(data) == cold  # and again, with the mutant itself held if it parsed
+    WRITTEN.clear()
+    # every seed held as serialize keeps a computed oracle
     assert [serialize(compute_oracle(scm, kind)) for scm, kind in SEED_MODELS] == SEEDS
     assert outcome(data) == cold
     assert_memo_sound()
 
 
 def test_a_body_is_served_only_at_its_width():
+    # a body read back at one width is served to no other oracle: OBS n=3,
+    # of CF1 n=1's width, checks it and gets its own dist
     body = "000=1/2\n111=1/2"
     cf1 = parse(f"CF1 n=1\n#cf i=0\n{body}\n".encode())
-    # OBS n=3 has CF1 n=1's width, 3 bits: the checked dist is served
-    assert parse(f"OBS n=3\n#obs\n{body}\n".encode()).components[0][1] is cf1.components[0][1]
-    # at any other width the text is rejected as a cold memo rejects it
+    serialize(cf1)
+    obs = parse(f"OBS n=3\n#obs\n{body}\n".encode()).components[0][1]
+    assert obs == cf1.components[0][1] and obs is not cf1.components[0][1]
+    # at any other width the text is rejected as under an empty memo
     for n in (0, 1, 2, 4):
         data = f"OBS n={n}\n#obs\n{body}\n".encode()
         warm = outcome(data)
-        oracle._BODIES.clear()
+        WRITTEN.clear()
         assert warm[0] is OracleFormatError and outcome(data) == warm
-        parse(f"CF1 n=1\n#cf i=0\n{body}\n".encode())
+        serialize(cf1)
+    # an oracle `_assemble` marked with a dist of another width is written
+    # but not kept, and its bytes get the cold verdict
+    for n in (2, 4):
+        data = serialize(oracle._assemble(OBS, n, {0: cf1.components[0][1]}))
+        assert data == f"OBS n={n}\n#obs\n{body}\n".encode()
+        assert key(data) not in WRITTEN
+        assert outcome(data) == (OracleFormatError, f"outcome '000' has length 3, expected {n}")
     # the empty outcome of n=0 likewise
-    parse(b"OBS n=0\n#obs\n=1/1\n")
+    serialize(parse(b"OBS n=0\n#obs\n=1/1\n"))
     assert outcome(b"OBS n=1\n#obs\n=1/1\n") == (
         OracleFormatError, "outcome '' has length 0, expected 1"
     )
@@ -185,14 +216,23 @@ def test_a_rejected_body_is_not_stored(body):
     data = f"INT1 n=1\n#obs\n0=1/2\n1=1/2\n#do i=0 b=0\n{body}\n#do i=0 b=1\n1=1/1\n".encode()
     cold = outcome(data)
     assert cold[0] is OracleFormatError
-    assert body not in oracle._BODIES
-    assert list(oracle._BODIES) == ["0=1/2\n1=1/2"]  # the valid body before it is kept
+    assert len(WRITTEN) == 0
+    # beside the valid oracle of the same layout, held, it is rejected alike
+    valid = b"INT1 n=1\n#obs\n0=1/2\n1=1/2\n#do i=0 b=0\n0=1/1\n#do i=0 b=1\n1=1/1\n"
+    assert serialize(parse(valid)) == valid
+    assert list(WRITTEN) == [key(valid)]
     assert outcome(data) == cold
+    assert list(WRITTEN) == [key(valid)]
 
 
-def distinct_bodies():
-    """Oracles of many distinct bodies: every tree n=3 and bipartite m=2
-    INT1 oracle, every xor m=3 CF1 oracle and the mixed model's four."""
+def distinct_oracles():
+    """Many distinct oracles of many kinds, sizes and lengths: every tree
+    n=3 and bipartite m=2 INT1 oracle, every oracle of every xor m <= 2
+    member, every xor m=3 CF1 oracle and the mixed model's four."""
+    for m in (1, 2):
+        for hidden in enumerate_strings(m):
+            for kind in KINDS:
+                yield serialize(compute_oracle(build_xor_scm(hidden), kind))
     for tree in enumerate_trees(3):
         yield serialize(compute_oracle(build_tree_scm(tree), INT1))
     for graph in enumerate_graphs(2):
@@ -206,49 +246,49 @@ def distinct_bodies():
 @pytest.mark.parametrize("bound", [300, 2_000, None], ids=["300", "2000", "default"])
 def test_the_memo_stays_within_its_bound(bound, monkeypatch):
     if bound is not None:
-        monkeypatch.setattr(oracle._BODIES, "limit", bound)
+        monkeypatch.setattr(WRITTEN, "limit", bound)
     drops = []
     clear = scm_core._Bounded.clear
 
     def counted(memo):
-        if memo is oracle._BODIES:
+        if memo is WRITTEN:
             drops.append(memo.held)
         clear(memo)
 
     monkeypatch.setattr(scm_core._Bounded, "clear", counted)
-    for data in distinct_bodies():
+    for data in distinct_oracles():  # each written by serialize as it is yielded
         assert parse(data) == reference_codec.parse(data)
         assert_memo_sound()
-    if bound is not None:  # the memo filled and dropped its bodies, more than once
+    if bound is not None:  # the memo filled and dropped its oracles, more than once
         assert len(drops) > 1 and max(drops) <= bound
 
 
 def test_a_body_longer_than_the_bound_is_not_kept(monkeypatch):
-    monkeypatch.setattr(oracle._BODIES, "limit", 12)
-    data = b"INT1 n=1\n#obs\n0=1/2\n1=1/2\n#do i=0 b=0\n0=1/1\n#do i=0 b=1\n1=1/1\n"
-    parsed = parse(data)
-    # "0=1/2\n1=1/2" (11 characters) was kept, then dropped for "0=1/1" and "1=1/1"
-    assert list(oracle._BODIES) == ["0=1/1", "1=1/1"]
-    # serialize's one run for the block keeps the one body the memo did not
-    # hold when the block began, which drops the other two
-    assert serialize(parsed) == data
-    assert list(oracle._BODIES) == ["0=1/2\n1=1/2"]
-    monkeypatch.setattr(oracle._BODIES, "limit", 10)
-    oracle._BODIES.clear()
-    assert serialize(parse(data)) == data
-    assert "0=1/2\n1=1/2" not in oracle._BODIES
+    # an oracle longer than the bound is written, not kept, and drops nothing
+    obs = b"OBS n=1\n#obs\n0=1/2\n1=1/2\n"
+    int1 = b"INT1 n=1\n#obs\n0=1/2\n1=1/2\n#do i=0 b=0\n0=1/1\n#do i=0 b=1\n1=1/1\n"
+    monkeypatch.setattr(WRITTEN, "limit", len(int1) - 1)
+    kept = parse(obs)
+    assert serialize(kept) == obs
+    parsed = parse(int1)
+    assert serialize(parsed) == int1
+    assert list(WRITTEN) == [key(obs)] and WRITTEN.held == len(obs)
+    again = parse(int1)  # checked afresh
+    assert again == parsed and again.components[0][1] is not parsed.components[0][1]
+    assert parse(obs).components is kept.components
     assert_memo_sound()
 
 
 def test_serialize_keeps_no_body_longer_than_the_bound(monkeypatch):
-    # serialize's own feed: a body past the bound is written, not kept, and
-    # drops nothing
-    monkeypatch.setattr(oracle._BODIES, "limit", 10)
+    # serialize's own feed: an oracle past the bound is written, not kept,
+    # and drops nothing
     fixed = Scm(1, (Mechanism(gates.BERN_SOURCE, (), NoiseDist.constant(1)),))
     fair = Scm(1, (Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 2))),))
+    monkeypatch.setattr(WRITTEN, "limit", len(b"OBS n=1\n#obs\n1=1/1\n"))
     assert serialize(compute_oracle(fixed, OBS)) == b"OBS n=1\n#obs\n1=1/1\n"
     assert serialize(compute_oracle(fair, OBS)) == b"OBS n=1\n#obs\n0=1/2\n1=1/2\n"
-    assert list(oracle._BODIES) == ["1=1/1"] and oracle._BODIES.held == 5
+    assert list(WRITTEN) == [key(b"OBS n=1\n#obs\n1=1/1\n")] and WRITTEN.held == 19
+    assert parse(b"OBS n=1\n#obs\n0=1/2\n1=1/2\n") == compute_oracle(fair, OBS)
     assert_memo_sound()
 
 
@@ -289,22 +329,23 @@ def intall_dags(draw) -> Scm:
 
 
 def assert_read_back(written):
-    """`serialize` keeps each body of `written` with the first dist that
-    holds it, within the bound; `parse` of its bytes returns those dists,
-    equal to what the reference codec and a cold parse make of them."""
-    oracle._BODIES.clear()
+    """`serialize` keeps `written`'s bytes with its components, within the
+    bound; `parse` of the bytes returns those components, the same
+    objects, equal to what the reference codec and a cold parse make of
+    them."""
+    WRITTEN.clear()
     data = serialize(written)
+    assert WRITTEN == {key(data): (data, (written.kind, written.n, written.components))}
     assert_memo_sound()
-    writers = {}
-    for _, dist in written.components:
-        writers.setdefault(dist._body, dist)
-    assert oracle._BODIES == writers
     parsed = parse(data)
-    assert all(dist is writers[dist._body] for _, dist in parsed.components)
+    assert parsed.components is written.components
     reference = reference_codec.parse(data)
     assert parsed == reference
-    oracle._BODIES.clear()
-    assert parse(data) == reference
+    for memo in scm_core.MEMOS.values():
+        memo.clear()
+    cold = parse(data)
+    assert cold == reference
+    assert all(c is not w for (_, c), (_, w) in zip(cold.components, written.components))
 
 
 @given(small_scms(), st.sampled_from(KINDS))
@@ -326,54 +367,147 @@ def test_a_whole_xor_m4_int_all_oracle_is_held():
 
 
 def test_a_body_repeated_across_slots_is_counted_once():
+    # an oracle written again, or another of the same kind, n and length
+    # written under its key, is held once: `held` stays the sum of the
+    # sizes held
     written = compute_oracle(MIXED_LEAVES, INT_ALL)
-    bodies = {dist._body for _, dist in written.components}
-    assert len(bodies) < len(written.components)  # the slots repeat bodies
-    serialize(written)
-    serialize(written)
-    assert set(oracle._BODIES) == bodies
-    assert oracle._BODIES.held == sum(map(len, bodies))
+    data = serialize(written)
+    assert serialize(written) == serialize(parse(data)) == data
+    assert len(WRITTEN) == 1 and WRITTEN.held == len(data)
+    obs = serialize(compute_oracle(MIXED_LEAVES, OBS))
+    WRITTEN.clear()
+    assert serialize(parse(obs)) == obs
+    cold = parse(data)  # checked afresh: other dists, the same bytes
+    assert serialize(cold) == data
+    assert parse(data).components is cold.components
+    assert serialize(written) == data  # the computed oracle again, in place of the parsed one
+    assert parse(data).components is written.components
+    assert len(WRITTEN) == 2 and WRITTEN.held == len(data) + len(obs)
     assert_memo_sound()
 
 
 def test_a_serialize_that_raises_leaves_the_memo_sound():
-    # the block's last body is too long to write: the bodies written before
-    # it in the block are kept and counted, as if it had not been there
+    # a marked oracle whose last dist is too long to write raises and is
+    # not kept; what was kept before stays, counted as it was
     too_long = ExactDist(1, {"0": Fraction(1, 10**4400), "1": 1 - Fraction(1, 10**4400)})
-    written = compute_oracle(MIXED_LEAVES, INT_ALL)
-    bodies = {dist._body for _, dist in written.components[:9]}
-    raising = dataclasses.replace(written, components=(*written.components[:9], ("last", too_long)))
+    kernel = compute_oracle(Scm(1, (Mechanism(gates.BERN_SOURCE, (), FAIR),)), INT1)
+    data = serialize(kernel)
+    laws = {code: dist for (code, _), (_, dist) in zip(oracle._layout(INT1, 1), kernel.components)}
+    laws[oracle._layout(INT1, 1)[-1][0]] = too_long
     with pytest.raises(OracleFormatError, match="too long to write"):
-        serialize(raising)
-    assert set(oracle._BODIES) == bodies
+        serialize(oracle._assemble(INT1, 1, laws))
+    assert WRITTEN == {key(data): (data, (INT1, 1, kernel.components))}
+    assert WRITTEN.held == len(data)
     assert_memo_sound()
 
 
 def test_a_dist_built_from_masses_never_enters_the_memo():
+    # not when a user builds the oracle, nor when `_assemble` marks it
     kernel = compute_oracle(Scm(1, (Mechanism(gates.BERN_SOURCE, (), FAIR),)), INT1)
     from_masses = ExactDist(1, {"0": HALF, "1": HALF})
     mixed = dataclasses.replace(kernel, components=(("obs", from_masses), *kernel.components[1:]))
-    data = serialize(mixed)
-    assert data == reference_codec.serialize(mixed)
-    assert from_masses._body is None
-    assert list(oracle._BODIES) == ["0=1/1", "1=1/1"]  # the two do laws the kernel wrote
-    parsed = parse(data).components[0][1]
-    assert parsed is not from_masses and parsed == from_masses
-    assert oracle._BODIES["0=1/2\n1=1/2"] is parsed  # checked, then kept by parse
-    assert_memo_sound()
+    laws = {code: dist for (code, _), (_, dist) in zip(oracle._layout(INT1, 1), mixed.components)}
+    for written in (mixed, oracle._assemble(INT1, 1, laws)):
+        assert written == mixed
+        data = serialize(written)
+        assert data == reference_codec.serialize(mixed)
+        assert from_masses._body is None
+        assert len(WRITTEN) == 0
+        parsed = parse(data).components[0][1]
+        assert parsed is not from_masses and parsed == from_masses
+        assert parsed._body == "0=1/2\n1=1/2"  # checked, from its body
 
 
 def test_a_written_body_is_served_only_at_its_width():
-    # CF1 n=1's body has 3-bit outcomes: OBS n=3 reads back the writer's dist
+    # CF1 n=1's body has 3-bit outcomes: its bytes read back the writer's
+    # dist, and no other oracle's do, OBS n=3's included
     written = compute_oracle(Scm(1, (Mechanism(gates.BERN_SOURCE, (), FAIR),)), CF1)
-    body = serialize(written).decode().split("\n", 2)[2][:-1]
-    assert parse(f"OBS n=3\n#obs\n{body}\n".encode()).components[0][1] is written.components[0][1]
+    data = serialize(written)
+    assert parse(data).components[0][1] is written.components[0][1]
+    body = data.decode().split("\n", 2)[2][:-1]
+    served = parse(f"OBS n=3\n#obs\n{body}\n".encode()).components[0][1]
+    assert served == written.components[0][1] and served is not written.components[0][1]
     for n in (1, 2, 4):
         data = f"OBS n={n}\n#obs\n{body}\n".encode()
         warm = outcome(data)
-        oracle._BODIES.clear()
+        WRITTEN.clear()
         assert warm[0] is OracleFormatError and outcome(data) == warm
         serialize(written)
+
+
+# oracles no read-back may serve, each with its bytes, or None if
+# `serialize` writes none: what a cold parse makes of them is what any
+# parse makes of them, whatever the memo holds
+def user_built_oracles():
+    kernel = compute_oracle(MIXED_LEAVES, INT1)
+    (obs_key, obs), (do_key, do), *rest = kernel.components
+    yield "from masses", AnswerOracle(INT1, 3, ((obs_key, ExactDist(3, dict(obs.mass))), (do_key, do), *rest))
+    yield "reordered", AnswerOracle(INT1, 3, ((do_key, do), (obs_key, obs), *rest))
+    yield "renamed", AnswerOracle(INT1, 3, (("observed", obs), (do_key, do), *rest))
+    yield "other width", AnswerOracle(INT1, 2, kernel.components[:5])
+    yield "bool n", AnswerOracle(OBS, True, ((obs_key, compute_oracle(Scm(1, (Mechanism(
+        gates.BERN_SOURCE, (), FAIR),)), OBS).components[0][1]),))
+    yield "unknown kind", AnswerOracle("INT2", 3, kernel.components)
+    yield "a user's copy", AnswerOracle(INT1, 3, kernel.components)
+
+
+def tampered_oracles():
+    """Marked oracles changed after their mark with `object.__setattr__`,
+    as no public call can: their components, or their kind and n."""
+    kernel = compute_oracle(MIXED_LEAVES, INT1)
+    swapped = copy.copy(kernel)
+    (obs_key, obs), (do_key, do), *rest = kernel.components
+    object.__setattr__(swapped, "components", ((do_key, do), (obs_key, obs), *rest))
+    yield "reordered after its mark", swapped
+    empty = compute_oracle(Scm(0, ()), OBS)  # "obs", of width 0, as INT_ALL n=0's one key is not
+    retyped = copy.copy(empty)
+    object.__setattr__(retyped, "kind", INT_ALL)
+    yield "kind changed after its mark", retyped
+    fair = compute_oracle(Scm(1, (Mechanism(gates.BERN_SOURCE, (), FAIR),)), OBS)
+    resized = copy.copy(fair)
+    object.__setattr__(resized, "n", 2)  # "obs" is OBS n=2's key too; the width is not
+    yield "n changed after its mark", resized
+
+
+@pytest.mark.parametrize("make", [user_built_oracles, tampered_oracles], ids=["user-built", "tampered"])
+def test_no_oracle_outside_the_mark_is_served(make):
+    for name, written in make():
+        WRITTEN.clear()
+        data = serialize(written)
+        assert len(WRITTEN) == 0, name
+        warm = outcome(data)
+        WRITTEN.clear()
+        assert outcome(data) == warm, name  # the cold verdict, and its error text
+        try:
+            reference = reference_codec.parse(data)
+        except OracleFormatError:
+            assert warm[0] is OracleFormatError, name
+            continue
+        assert warm[0] == data and parse(data) == reference, name
+        # a user's valid oracle reads back dists of its own, not the user's
+        parsed = parse(data)
+        assert all(p is not w for (_, p), (_, w) in zip(parsed.components, written.components)), name
+
+
+def test_an_oracle_of_equal_length_and_other_bytes_is_checked():
+    # two CF1 oracles of one length: held, each is served only its own bytes
+    left = serialize(compute_oracle(build_xor_scm(HiddenString(2, "10")), CF1))
+    right = serialize(compute_oracle(build_xor_scm(HiddenString(2, "01")), CF1))
+    assert len(left) == len(right) and left != right
+    WRITTEN.clear()
+    written = compute_oracle(build_xor_scm(HiddenString(2, "10")), CF1)
+    assert serialize(written) == left
+    parsed = parse(right)
+    assert serialize(parsed) == right and parsed == reference_codec.parse(right)
+    assert all(p is not w for (_, p), (_, w) in zip(parsed.components, written.components))
+    # a byte changed in place, at the held length, gets the cold verdict
+    bad = left.replace(b"=1/16\n", b"=1/17\n", 1)
+    assert len(bad) == len(left) and outcome(bad)[0] is OracleFormatError
+    WRITTEN.clear()
+    assert serialize(written) == left
+    warm = outcome(bad)
+    WRITTEN.clear()
+    assert outcome(bad) == warm
 
 
 # ------------------------------------------------------------- step memo

@@ -39,7 +39,7 @@ from scmlab.errors import OracleFormatError
 from scmlab.learning import EXACT, LEARNERS, MONTE_CARLO
 from scmlab.rational import HALF, frac_parse
 
-from conftest import MIXED_LEAVES
+from conftest import GOLDEN_BYTES, MIXED_LEAVES
 
 MEMOS = scm_core.MEMOS
 
@@ -91,32 +91,33 @@ def test_a_maker_memo_keeps_what_it_makes(monkeypatch):
     assert list(fractions) == ["1/4"] and fractions.held == 1
     # a memo without a maker is a dict on a miss
     with pytest.raises(KeyError):
-        oracle._BODIES["0=1/1"]
-    assert len(oracle._BODIES) == 0
+        oracle._WRITTEN[(b"INT1 n=1\n", 20)]
+    assert len(oracle._WRITTEN) == 0
 
 
 def test_a_run_is_kept_by_the_keep_rule():
     memo = scm_core._Bounded(10)
 
-    def run(**sizes):  # new entries the caller stores, then counts in one call
-        memo.update(sizes)
-        memo.keep_run(list(sizes), sizes.get)
+    def run(**sizes):  # entries kept one after another, each by `keep`
+        for key, size in sizes.items():
+            assert memo.keep(key, size, size) == size
 
-    run(a=4, b=4)  # fits: counted at once
+    run(a=4, b=4)  # fits: kept beside each other
     assert dict(memo) == {"a": 4, "b": 4} and memo.held == 8
     run(c=3)  # passes the limit beside what is held: drops it first
     assert dict(memo) == {"c": 3} and memo.held == 3
-    run(d=11, e=2, f=6)  # d alone is past the limit, and f drops c and e
+    run(d=11, e=2, f=6)  # d alone is past the limit and drops nothing, and f drops c and e
     assert dict(memo) == {"f": 6} and memo.held == 6
     run()
     assert dict(memo) == {"f": 6} and memo.held == 6
 
 
 def requests() -> list:
-    """The fixed request set, each result a comparable value: two INT_ALL
-    round trips, a tree n=3 verify and gap table, one INT1 decode, short
-    Monte-Carlo runs of every learner and the query error."""
-    results = []
+    """The fixed request set, each result a comparable value: a parse of
+    bytes no `serialize` wrote, two INT_ALL round trips, a tree n=3 verify
+    and gap table, one INT1 decode, short Monte-Carlo runs of every
+    learner and the query error."""
+    results = [parse(GOLDEN_BYTES[0])]
     for scm in (build_xor_scm(HiddenString(2, "10")), MIXED_LEAVES):
         data = serialize(compute_oracle(scm, INT_ALL))
         results += [data, serialize(parse(data))]
