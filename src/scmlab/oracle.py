@@ -33,8 +33,8 @@ with component keys "obs", "do i=<i> b=<b>", "cf i=<i>", or
 (empty for a model with no variables), fractions in lowest terms with an
 explicit denominator, LF endings, one trailing LF, ASCII throughout.
 parse() is strict and rejects anything non-canonical, so
-serialize(parse(b)) == b. An oracle this process computed or parsed is
-read back from the bytes `serialize` wrote for it by one comparison
+serialize(parse(b)) == b. The last oracle `serialize` wrote of those this
+process computed or parsed is read back from its bytes by one comparison
 (`_WRITTEN`); any other input is checked in full.
 """
 
@@ -59,7 +59,6 @@ from .errors import (
 from .rational import ZERO
 from .scm_core import (
     ExactDist,
-    Intervention,
     Scm,
     _FRACTIONS,
     _Bounded,
@@ -91,13 +90,6 @@ class AnswerOracle:
             if k == key:
                 return dist
         raise KeyError(key)
-
-
-def intervention_key(iv: Intervention) -> str:
-    """Canonical INT_ALL component key, e.g. "do S=0,2 x=10" or "do S= x="."""
-    targets = ",".join([str(v) for v, _ in iv.assignments])
-    bits = "".join(["1" if b else "0" for _, b in iv.assignments])
-    return f"do S={targets} x={bits}"
 
 
 def _build_layout(kind: str, n: int) -> tuple[tuple, ...]:
@@ -306,11 +298,10 @@ def family_sweep(family, kinds, columns: dict):
             columns[kind] = _COLUMNS.keep((family, kind, caps), tuple(column), _column_bytes(column))
 
 
-# the last oracle `serialize` wrote of each header line (kind and n) and
-# byte length that its producer marked (`_canonical`), as (bytes, mark),
-# bounded in bytes: one xor m=4 INT_ALL oracle (1,060,038 bytes) beside an
-# intall random DAG's of n=8 (439-444 kB). Every intall and sweep decode
-# request parses the bytes it has just written, so one entry serves it.
+# the last oracle `serialize` wrote that its producer marked (`_canonical`),
+# one entry at its byte length, (bytes, mark), bounded in bytes: one xor
+# m=4 INT_ALL oracle is 1,060,038. Every intall and sweep decode request
+# parses the bytes it has just written, so that one oracle serves it.
 _WRITTEN = _Bounded(1 << 21, name="oracle._WRITTEN")
 
 # components per block of `serialize`: each block's text is encoded and
@@ -330,12 +321,13 @@ def serialize(oracle: AnswerOracle) -> bytes:
     a str beside its bytes. A text that is not ASCII raises the error that
     encoding it whole raises.
 
-    `_WRITTEN` keeps the bytes with the components, for `parse` to read
-    back by one comparison, when `_assemble` or `parse` made the oracle:
-    their mark (`_canonical`) names its kind, n and components, so every
-    key is the layout's. The write loop also sees each dist hold its
-    canonical body at the kind's width; the bound holds, and a serialize
-    that raises keeps nothing.
+    `_WRITTEN` then holds these bytes with the components, and nothing
+    else, for `parse` to read back by one comparison, when `_assemble` or
+    `parse` made the oracle: their mark (`_canonical`) names its kind, n
+    and components, so every key is the layout's. The write loop also sees
+    each dist hold its canonical body at the kind's width; bytes past the
+    bound leave `_WRITTEN` empty. Any other serialize, one that raises
+    included, leaves `_WRITTEN` as it was.
     """
     kind, n, components = oracle.kind, oracle.n, oracle.components
     head = f"{kind} n={n}"
@@ -354,10 +346,8 @@ def serialize(oracle: AnswerOracle) -> bytes:
     out.write(b"\n")
     data = out.getvalue()
     if width is not None:
-        key = (data[:len(head) + 1], len(data))  # its header line, as `_HEAD_RE` reads it
-        if _WRITTEN.pop(key, None) is not None:  # replaced: `held` counts each oracle once
-            _WRITTEN.held -= len(data)
-        _WRITTEN.keep(key, (data, mark), len(data))
+        _WRITTEN.clear()
+        _WRITTEN.keep(len(data), (data, mark), len(data))
     return data
 
 
@@ -378,8 +368,6 @@ def _block_text(components, width):
 
 
 _HEADER_RE = re.compile(r"(OBS|INT1|CF1|INT_ALL) n=(0|[1-9][0-9]*)")
-# a header line and its LF at the start of the bytes: `_WRITTEN`'s key
-_HEAD_RE = re.compile(_HEADER_RE.pattern.encode("ascii") + b"\n")
 # no leading zeros and no zero mass, so each line has one spelling; the
 # outcome is empty only in an oracle of n=0
 _MASS = "[1-9][0-9]*/[1-9][0-9]*"
@@ -389,15 +377,11 @@ _MASS_RE = re.compile(f"([01]*)=({_MASS})")
 def _block_res(n_bits: int) -> tuple[re.Pattern, re.Pattern]:
     """Two patterns of one or more mass lines of width `n_bits`, joined by
     LF: lines that all repeat the first line's mass text, its one group,
-    and lines of any masses."""
+    and lines of any masses. `re`'s own cache keeps both compiled."""
     outcome = f"[01]{{{n_bits}}}="
     line = outcome + _MASS
     return (re.compile(f"{outcome}({_MASS})(?:\n{outcome}\\1)*"),
             re.compile(f"{line}(?:\n{line})*"))
-
-
-# `parse`'s two patterns by outcome width, in widths: 3 rounds of any workload read <= 3
-_BLOCK_RES = _Bounded(32, _block_res, "oracle._BLOCK_RES")
 
 
 def parse(data: bytes) -> AnswerOracle:
@@ -426,17 +410,15 @@ def parse(data: bytes) -> AnswerOracle:
     out, so beside the input bytes the call holds about one copy of the
     text.
 
-    Input equal to the bytes `serialize` last kept in `_WRITTEN` for its
-    header's kind and n and its length returns the components kept with
-    them, the writer's own dists, after the header check and one byte
+    Input equal to the bytes `serialize` last kept in `_WRITTEN` returns
+    the components kept with them, the writer's own dists, after one byte
     comparison: they are what the checks below make of those bytes, since
     `serialize` keeps only an oracle `_assemble` or this function made.
     Any other input takes the checks, and a body repeated within the call
     is checked once; no body outlives the call. The oracle returned
     carries the mark (`_canonical`) that lets `serialize` keep it again.
     """
-    head = _HEAD_RE.match(data) if type(data) is bytes else None  # other types fail as before
-    written = _WRITTEN.get((head[0], len(data))) if head else None
+    written = _WRITTEN.get(len(data)) if type(data) is bytes else None  # other types fail as before
     if written is not None and written[0] == data:
         return _canonical(*written[1])
     try:
@@ -462,7 +444,7 @@ def parse(data: bytes) -> AnswerOracle:
     keys = _component_keys(kind, n, len(blocks))
     # an outcome wider than the whole input fits no line, so capping the
     # width keeps the regexes small under a huge header n
-    uniform_re, block_re = _BLOCK_RES[min(n_bits, size)]
+    uniform_re, block_re = _block_res(min(n_bits, size))
     uniform_match, block_match = uniform_re.fullmatch, block_re.fullmatch
     # components repeat bodies, and a few dozen sequences of mass texts or
     # (text, count) pairs of uniform bodies, so each is checked once;

@@ -500,7 +500,7 @@ def topo_order(scm: Scm) -> list[int]:
 # (cycle, support cap, mechanism count) run on every compile, the step
 # checks (parents, gate, arity, noise symbols, noise law) when a step is
 # first compiled, and a step whose checks raise is never kept.
-# `oracle.parse` reads back the last oracle `serialize` wrote of its size
+# `oracle.parse` reads back the one oracle `serialize` last kept
 # (`oracle._WRITTEN`).
 # Models repeat whole leaves too, so `_dist` keeps each OBS, INT1 and CF1
 # leaf by its inputs (`_LEAVES`): every pass that reaches an equal leaf

@@ -153,6 +153,14 @@ CATALOGUE = (
         ("tests/test_codec.py::TestKeyTable::test_tables_above_the_cache_limit_are_not_kept",),
     ),
     Mutant(
+        # the laws compared in order, their keys, kind and n not
+        "the rebuild check ignores the keys",
+        "src/scmlab/decoders.py",
+        (("    if compute_oracle(scm, oracle.kind) != oracle:\n",
+          "    if [d for _, d in compute_oracle(scm, oracle.kind).components] != [d for _, d in oracle.components]:\n"),),
+        ("tests/test_decoders.py::TestRebuildVerdict::test_on_corrupted_components",),
+    ),
+    Mutant(
         "a public decoder skips its rebuild check",
         "src/scmlab/decoders.py",
         (("    _check_exact_match(oracle, build_tree_scm(tree), NotTreeLikeError)\n", ""),),
@@ -230,6 +238,24 @@ CATALOGUE = (
         ("tests/test_memos.py::test_the_step_memo_stays_within_its_bound",),
     ),
     Mutant(
+        # the trie pass's parity test of a gate that reads noise 1
+        "the trie pass's flipped parity unflipped",
+        "src/scmlab/scm_core.py",
+        (("        return [s if (s & mask).bit_count() & 1 else s | bit for s in states]\n",
+          "        return [s | bit if (s & mask).bit_count() & 1 else s for s in states]\n"),),
+        ("tests/test_gates.py::test_noise_reading_gates",
+         "tests/test_kernel.py::test_extend_sets_the_bit_where_the_gate_gives_1"),
+    ),
+    Mutant(
+        # no gate row is ALL with an inversion or a noise read, so only a
+        # direct test of `_extend` reaches this branch
+        "ALL with a flip sets the bit where every parent is 1",
+        "src/scmlab/scm_core.py",
+        (("            return [s if (s & mask) == mask else s | bit for s in states]\n",
+          "            return [s | bit if (s & mask) == mask else s for s in states]\n"),),
+        ("tests/test_kernel.py::test_extend_sets_the_bit_where_the_gate_gives_1",),
+    ),
+    Mutant(
         # an extra mechanism past the n variables is ordered as a variable
         "the topo_order slice dropped",
         "src/scmlab/scm_core.py",
@@ -245,8 +271,8 @@ CATALOGUE = (
         ("tests/test_codec.py::test_hand_built_uniform_bodies",
          "tests/test_codec.py::test_hand_built_oracle_out_of_order_with_distinct_equal_masses"),
     ),
-    # the oracles serialize keeps for parse to read back (`_WRITTEN`): one
-    # mutant per condition of keeping one, and per rule of the memo
+    # the one oracle serialize keeps for parse to read back (`_WRITTEN`):
+    # one mutant per condition of keeping it, and per rule of the memo
     Mutant(
         "serialize keeps an oracle no producer marked",
         "src/scmlab/oracle.py",
@@ -275,9 +301,9 @@ CATALOGUE = (
     Mutant(
         "serialize keeps a body longer than the bound",
         "src/scmlab/oracle.py",
-        # each oracle counted as at most the bound
-        (("        _WRITTEN.keep(key, (data, mark), len(data))\n",
-          "        _WRITTEN.keep(key, (data, mark), min(len(data), _WRITTEN.limit))\n"),),
+        # the oracle counted as at most the bound
+        (("        _WRITTEN.keep(len(data), (data, mark), len(data))\n",
+          "        _WRITTEN.keep(len(data), (data, mark), min(len(data), _WRITTEN.limit))\n"),),
         ("tests/test_memos.py::test_serialize_keeps_no_body_longer_than_the_bound",
          "tests/test_memos.py::test_a_body_longer_than_the_bound_is_not_kept"),
     ),
@@ -292,23 +318,32 @@ CATALOGUE = (
     Mutant(
         "serialize keeps a body under another dist",
         "src/scmlab/oracle.py",
-        (("        _WRITTEN.keep(key, (data, mark), len(data))\n",
-          "        _WRITTEN.keep(key, (data, (kind, n, components[::-1])), len(data))\n"),),
+        (("        _WRITTEN.keep(len(data), (data, mark), len(data))\n",
+          "        _WRITTEN.keep(len(data), (data, (kind, n, components[::-1])), len(data))\n"),),
         ("tests/test_memos.py::test_parse_reads_back_the_dists_serialize_wrote",),
     ),
     Mutant(
         "serialize counts a repeated body twice",
         "src/scmlab/oracle.py",
-        (("        if _WRITTEN.pop(key, None) is not None:  # replaced: `held` counts each oracle once\n"
-          "            _WRITTEN.held -= len(data)\n", ""),),
+        # the held entry dropped and `held` left as it was, so an oracle
+        # written again is counted twice
+        (("        _WRITTEN.clear()\n", "        dict.clear(_WRITTEN)\n"),),
         ("tests/test_memos.py::test_a_body_repeated_across_slots_is_counted_once",),
     ),
     Mutant(
         "serialize's body feed never clears at its bound",
         "src/scmlab/oracle.py",
-        (("        _WRITTEN.keep(key, (data, mark), len(data))\n",
-          "        _WRITTEN[key] = (data, mark)\n        _WRITTEN.held += len(data)\n"),),
+        # stored without `keep`, so an oracle past the bound is held
+        (("        _WRITTEN.keep(len(data), (data, mark), len(data))\n",
+          "        _WRITTEN[len(data)] = (data, mark)\n        _WRITTEN.held += len(data)\n"),),
         ("tests/test_memos.py::test_the_memo_stays_within_its_bound",),
+    ),
+    Mutant(
+        "a second oracle held beside the last",
+        "src/scmlab/oracle.py",
+        (("        _WRITTEN.clear()\n", ""),),
+        ("tests/test_memos.py::test_a_body_repeated_across_slots_is_counted_once",
+         "tests/test_memos.py::test_the_memo_stays_within_its_bound"),
     ),
     Mutant(
         "the body memo too small for one xor m=4 oracle",
@@ -814,6 +849,12 @@ CATALOGUE = (
         (("        if type(position) is not int:  # a bool or a float is no position\n"
           "            raise BadPositionError(f\"position must be an int, got {position!r}\")\n", ""),),
         ("tests/test_probes.py::test_probes_refuse_a_position_or_bit_that_is_not_an_int",),
+    ),
+    Mutant(
+        "prob_bit takes a bit other than 0 or 1",
+        "src/scmlab/scm_core.py",
+        (("if type(bit) is not int or bit not in (0, 1):", "if type(bit) is not int:"),),
+        ("tests/test_probes.py::test_probes_match_the_reference",),
     ),
     Mutant(
         "prob_bit takes a bool for a bit",

@@ -11,10 +11,17 @@ import math
 import re
 from fractions import Fraction
 
-from scmlab import AnswerOracle, ExactDist, all_interventions
+from scmlab import AnswerOracle, ExactDist, Intervention, all_interventions
 from scmlab.errors import KindMismatchError, OracleFormatError
-from scmlab.oracle import CF1, INT1, INT_ALL, OBS, component_bits, intervention_key
+from scmlab.oracle import CF1, INT1, INT_ALL, OBS, component_bits
 from scmlab.rational import frac_parse, frac_str
+
+
+def intervention_key(iv: Intervention) -> str:
+    """Canonical INT_ALL component key, e.g. "do S=0,2 x=10" or "do S= x="."""
+    targets = ",".join([str(v) for v, _ in iv.assignments])
+    bits = "".join(["1" if b else "0" for _, b in iv.assignments])
+    return f"do S={targets} x={bits}"
 
 
 def serialize(oracle: AnswerOracle) -> bytes:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from scmlab import gates
 from scmlab.errors import ArityMismatchError, SupportTooLargeError
-from scmlab.oracle import CF1, INT1, INT_ALL, OBS, AnswerOracle, intervention_key
+from scmlab.oracle import CF1, INT1, INT_ALL, OBS, AnswerOracle
 from scmlab.scm_core import (
     ExactDist,
     Intervention,
@@ -21,6 +21,8 @@ from scmlab.scm_core import (
     apply_do,
     topo_order,
 )
+
+from reference_codec import intervention_key
 
 SUPPORT_CAP = 2**24
 

@@ -28,10 +28,10 @@ from scmlab import (
 from scmlab import gates, observational, scm_core
 from scmlab import oracle as oracle_module
 from scmlab.errors import OracleFormatError
-from scmlab.oracle import intervention_key
 from scmlab.scm_core import intervention_code
 
 import reference_codec
+from reference_codec import intervention_key
 from conftest import GOLDEN_BYTES, mutated_golden, small_scms
 from reference_enumerator import reference_oracle
 

@@ -784,3 +784,25 @@ def test_interventional_caps_the_mutilated_support(monkeypatch):
     monkeypatch.setenv("SCMLAB_SUPPORT_CAP", "2")
     dist = interventional(scm, Intervention.of({0: 1}))
     assert dist.p("10") == HALF
+
+
+# each parent test of `gates`, read one state at a time from the state's
+# parent bits and the mask of every parent
+GATE_TESTS = {
+    gates.CONST: lambda parents, mask: 0,
+    gates.ANY: lambda parents, mask: parents != 0,
+    gates.ALL: lambda parents, mask: parents == mask,
+    gates.XOR: lambda parents, mask: parents.bit_count() & 1,
+}
+
+
+@pytest.mark.parametrize("flip", [0, 1])
+@pytest.mark.parametrize("test", list(GATE_TESTS), ids=["CONST", "ANY", "ALL", "XOR"])
+def test_extend_sets_the_bit_where_the_gate_gives_1(test, flip):
+    # every (test, flip) pair, ALL with a flip included, which no gate row
+    # reaches (no ALL gate inverts its output or reads noise), on every
+    # state of four bits and every parent mask, the empty one included
+    bit, states = 1 << 4, list(range(16))
+    for mask in range(16):
+        want = [s | bit if bool(GATE_TESTS[test](s & mask, mask)) ^ flip else s for s in states]
+        assert scm_core._extend(states, test, mask, flip, bit) == want, mask

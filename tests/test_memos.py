@@ -1,6 +1,6 @@
 """The memos that let a sweep or a round trip read each distinct oracle,
-mechanism, leaf and pass once: the oracles `serialize` keeps for `parse`
-to read back, the compiled step each mechanism keeps, and the kernel's
+mechanism, leaf and pass once: the one oracle `serialize` keeps for
+`parse` to read back, the compiled step each mechanism keeps, and the kernel's
 memos of kept leaves and of whole parallel-worlds passes, which serve
 INT1 and CF1.
 
@@ -84,19 +84,20 @@ def outcome(data: bytes):
 WRITTEN = oracle._WRITTEN
 
 
-def key(data: bytes) -> tuple:
-    """The read-back memo's key of `data`: its header line and length."""
-    return data[:data.index(b"\n") + 1], len(data)
+def held() -> list[bytes]:
+    """The bytes of each oracle the read-back memo holds."""
+    return [data for data, _ in WRITTEN.values()]
 
 
 def assert_memo_sound():
-    """Every oracle the read-back memo holds is kept under its header line
-    and byte length with its kind, n and the components of those bytes:
-    the reference codec accepts them, each key is the layout's, and each
-    dist holds its canonical body at the kind's width. `held` counts the
-    bytes held, within the bound."""
+    """The read-back memo holds one oracle at most, kept at its byte length
+    with its kind, n and the components of those bytes: the reference
+    codec accepts them, each key is the layout's, and each dist holds its
+    canonical body at the kind's width. `held` is that oracle's length,
+    within the bound."""
+    assert len(WRITTEN) <= 1
     for at, (data, (kind, n, components)) in WRITTEN.items():
-        assert at == key(data) and data.startswith(f"{kind} n={n}\n".encode())
+        assert at == len(data) and data.startswith(f"{kind} n={n}\n".encode())
         reference = reference_codec.parse(data)
         assert (reference.kind, reference.n) == (kind, n)
         assert [name for name, _ in components] == [name for _, name in oracle._layout(kind, n)]
@@ -158,16 +159,14 @@ SEEDS = GOLDEN_BYTES + [serialize(compute_oracle(scm, kind)) for scm, kind in SE
 def test_warm_and_cold_verdicts_agree_on_mutants(data):
     WRITTEN.clear()
     cold = outcome(data)
-    WRITTEN.clear()
-    for seed in SEEDS:  # every seed held, read back from the oracle parse made of it
-        assert serialize(parse(seed)) == seed
-    assert len(WRITTEN) == len(SEEDS)
-    assert outcome(data) == cold
-    assert outcome(data) == cold  # and again, with the mutant itself held if it parsed
-    WRITTEN.clear()
-    # every seed held as serialize keeps a computed oracle
-    assert [serialize(compute_oracle(scm, kind)) for scm, kind in SEED_MODELS] == SEEDS
-    assert outcome(data) == cold
+    for seed in SEEDS:  # each seed held, read back from the oracle parse made of it
+        assert serialize(parse(seed)) == seed and held() == [seed]
+        assert outcome(data) == cold
+        assert outcome(data) == cold  # and again, with the mutant itself held if it parsed
+    # each seed held as serialize keeps a computed oracle
+    for (scm, kind), seed in zip(SEED_MODELS, SEEDS, strict=True):
+        assert serialize(compute_oracle(scm, kind)) == seed and held() == [seed]
+        assert outcome(data) == cold
     assert_memo_sound()
 
 
@@ -191,7 +190,7 @@ def test_a_body_is_served_only_at_its_width():
     for n in (2, 4):
         data = serialize(oracle._assemble(OBS, n, {0: cf1.components[0][1]}))
         assert data == f"OBS n={n}\n#obs\n{body}\n".encode()
-        assert key(data) not in WRITTEN
+        assert data not in held()
         assert outcome(data) == (OracleFormatError, f"outcome '000' has length 3, expected {n}")
     # the empty outcome of n=0 likewise
     serialize(parse(b"OBS n=0\n#obs\n=1/1\n"))
@@ -220,9 +219,9 @@ def test_a_rejected_body_is_not_stored(body):
     # beside the valid oracle of the same layout, held, it is rejected alike
     valid = b"INT1 n=1\n#obs\n0=1/2\n1=1/2\n#do i=0 b=0\n0=1/1\n#do i=0 b=1\n1=1/1\n"
     assert serialize(parse(valid)) == valid
-    assert list(WRITTEN) == [key(valid)]
+    assert held() == [valid]
     assert outcome(data) == cold
-    assert list(WRITTEN) == [key(valid)]
+    assert held() == [valid]
 
 
 def distinct_oracles():
@@ -257,37 +256,43 @@ def test_the_memo_stays_within_its_bound(bound, monkeypatch):
 
     monkeypatch.setattr(scm_core._Bounded, "clear", counted)
     for data in distinct_oracles():  # each written by serialize as it is yielded
+        assert held() == ([data] if len(data) <= WRITTEN.limit else [])
         assert parse(data) == reference_codec.parse(data)
         assert_memo_sound()
-    if bound is not None:  # the memo filled and dropped its oracles, more than once
-        assert len(drops) > 1 and max(drops) <= bound
+    assert len(drops) > 1 and max(drops) <= WRITTEN.limit  # each write dropped the last
+    if bound is not None:  # some oracles were too long to keep
+        assert 0 in drops
 
 
 def test_a_body_longer_than_the_bound_is_not_kept(monkeypatch):
-    # an oracle longer than the bound is written, not kept, and drops nothing
+    # an oracle longer than the bound is written, not kept, and drops the
+    # oracle held before it, which is no longer the last written
     obs = b"OBS n=1\n#obs\n0=1/2\n1=1/2\n"
     int1 = b"INT1 n=1\n#obs\n0=1/2\n1=1/2\n#do i=0 b=0\n0=1/1\n#do i=0 b=1\n1=1/1\n"
     monkeypatch.setattr(WRITTEN, "limit", len(int1) - 1)
     kept = parse(obs)
     assert serialize(kept) == obs
+    assert held() == [obs] and WRITTEN.held == len(obs)
+    assert parse(obs).components is kept.components
     parsed = parse(int1)
     assert serialize(parsed) == int1
-    assert list(WRITTEN) == [key(obs)] and WRITTEN.held == len(obs)
+    assert held() == [] and WRITTEN.held == 0
     again = parse(int1)  # checked afresh
     assert again == parsed and again.components[0][1] is not parsed.components[0][1]
-    assert parse(obs).components is kept.components
+    assert parse(obs).components[0][1] is not kept.components[0][1]
     assert_memo_sound()
 
 
 def test_serialize_keeps_no_body_longer_than_the_bound(monkeypatch):
-    # serialize's own feed: an oracle past the bound is written, not kept,
-    # and drops nothing
+    # a computed oracle at the bound is kept, and one past it is written,
+    # not kept, and leaves the memo empty
     fixed = Scm(1, (Mechanism(gates.BERN_SOURCE, (), NoiseDist.constant(1)),))
     fair = Scm(1, (Mechanism(gates.BERN_SOURCE, (), NoiseDist.bernoulli(Fraction(1, 2))),))
     monkeypatch.setattr(WRITTEN, "limit", len(b"OBS n=1\n#obs\n1=1/1\n"))
     assert serialize(compute_oracle(fixed, OBS)) == b"OBS n=1\n#obs\n1=1/1\n"
+    assert held() == [b"OBS n=1\n#obs\n1=1/1\n"] and WRITTEN.held == 19
     assert serialize(compute_oracle(fair, OBS)) == b"OBS n=1\n#obs\n0=1/2\n1=1/2\n"
-    assert list(WRITTEN) == [key(b"OBS n=1\n#obs\n1=1/1\n")] and WRITTEN.held == 19
+    assert held() == [] and WRITTEN.held == 0
     assert parse(b"OBS n=1\n#obs\n0=1/2\n1=1/2\n") == compute_oracle(fair, OBS)
     assert_memo_sound()
 
@@ -335,7 +340,7 @@ def assert_read_back(written):
     them."""
     WRITTEN.clear()
     data = serialize(written)
-    assert WRITTEN == {key(data): (data, (written.kind, written.n, written.components))}
+    assert WRITTEN == {len(data): (data, (written.kind, written.n, written.components))}
     assert_memo_sound()
     parsed = parse(data)
     assert parsed.components is written.components
@@ -367,22 +372,25 @@ def test_a_whole_xor_m4_int_all_oracle_is_held():
 
 
 def test_a_body_repeated_across_slots_is_counted_once():
-    # an oracle written again, or another of the same kind, n and length
-    # written under its key, is held once: `held` stays the sum of the
-    # sizes held
+    # an oracle written again, or another of the same bytes written after
+    # it, is held once, and another oracle written after it is held in its
+    # place: `held` stays the length of the one oracle held
     written = compute_oracle(MIXED_LEAVES, INT_ALL)
     data = serialize(written)
     assert serialize(written) == serialize(parse(data)) == data
-    assert len(WRITTEN) == 1 and WRITTEN.held == len(data)
+    assert held() == [data] and WRITTEN.held == len(data)
     obs = serialize(compute_oracle(MIXED_LEAVES, OBS))
+    assert held() == [obs] and WRITTEN.held == len(obs)
     WRITTEN.clear()
-    assert serialize(parse(obs)) == obs
+    kept = parse(obs)
+    assert serialize(kept) == obs
     cold = parse(data)  # checked afresh: other dists, the same bytes
     assert serialize(cold) == data
     assert parse(data).components is cold.components
     assert serialize(written) == data  # the computed oracle again, in place of the parsed one
     assert parse(data).components is written.components
-    assert len(WRITTEN) == 2 and WRITTEN.held == len(data) + len(obs)
+    assert held() == [data] and WRITTEN.held == len(data)
+    assert parse(obs).components is not kept.components  # no longer held: checked afresh
     assert_memo_sound()
 
 
@@ -396,7 +404,7 @@ def test_a_serialize_that_raises_leaves_the_memo_sound():
     laws[oracle._layout(INT1, 1)[-1][0]] = too_long
     with pytest.raises(OracleFormatError, match="too long to write"):
         serialize(oracle._assemble(INT1, 1, laws))
-    assert WRITTEN == {key(data): (data, (INT1, 1, kernel.components))}
+    assert WRITTEN == {len(data): (data, (INT1, 1, kernel.components))}
     assert WRITTEN.held == len(data)
     assert_memo_sound()
 
@@ -416,6 +424,21 @@ def test_a_dist_built_from_masses_never_enters_the_memo():
         parsed = parse(data).components[0][1]
         assert parsed is not from_masses and parsed == from_masses
         assert parsed._body == "0=1/2\n1=1/2"  # checked, from its body
+
+
+def test_an_unmarked_serialize_leaves_the_held_oracle():
+    # a user's oracle, or one with a dist built from masses, is written
+    # and the oracle held before it stays, counted as it was
+    kernel = compute_oracle(MIXED_LEAVES, INT1)
+    data = serialize(kernel)
+    from_masses = ExactDist(3, dict(kernel.components[0][1].mass))
+    for name, written in [*user_built_oracles(),
+                          ("from masses, marked", oracle._assemble(OBS, 3, {0: from_masses}))]:
+        serialize(kernel)
+        serialize(written)
+        assert WRITTEN == {len(data): (data, (INT1, 3, kernel.components))}, name
+        assert parse(data).components is kernel.components, name
+    assert_memo_sound()
 
 
 def test_a_written_body_is_served_only_at_its_width():

@@ -47,11 +47,12 @@ from scmlab.errors import (
     OracleFormatError,
     SupportTooLargeError,
 )
-from scmlab.oracle import component_bits, family_sweep, intervention_key
+from scmlab.oracle import component_bits, family_sweep
 from scmlab.rational import frac_parse
 from scmlab.scm_core import Intervention
 
 from conftest import GOLDEN, exact_dists, mutated_golden, small_scms
+from reference_codec import intervention_key
 
 HALF = Fraction(1, 2)
 

@@ -91,7 +91,7 @@ def test_a_maker_memo_keeps_what_it_makes(monkeypatch):
     assert list(fractions) == ["1/4"] and fractions.held == 1
     # a memo without a maker is a dict on a miss
     with pytest.raises(KeyError):
-        oracle._WRITTEN[(b"INT1 n=1\n", 20)]
+        oracle._WRITTEN[20]
     assert len(oracle._WRITTEN) == 0
 
 
