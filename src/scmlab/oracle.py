@@ -34,8 +34,9 @@ with component keys "obs", "do i=<i> b=<b>", "cf i=<i>", or
 explicit denominator, LF endings, one trailing LF, ASCII throughout.
 parse() is strict and rejects anything non-canonical, so
 serialize(parse(b)) == b. The last oracle `serialize` wrote of those this
-process computed or parsed is read back from its bytes by one comparison
-(`_WRITTEN`); any other input is checked in full.
+process computed or parsed holds its bytes: `parse` reads it back by one
+comparison and `serialize` returns them (`_WRITTEN`); any other input is
+checked in full.
 """
 
 from __future__ import annotations
@@ -90,6 +91,9 @@ class AnswerOracle:
             if k == key:
                 return dist
         raise KeyError(key)
+
+    def __getstate__(self):  # a pickle or copy carries no bytes `serialize` held
+        return {name: value for name, value in vars(self).items() if name != "_bytes"}
 
 
 def _build_layout(kind: str, n: int) -> tuple[tuple, ...]:
@@ -299,9 +303,10 @@ def family_sweep(family, kinds, columns: dict):
 
 
 # the last oracle `serialize` wrote that its producer marked (`_canonical`),
-# one entry at its byte length, (bytes, mark), bounded in bytes: one xor
-# m=4 INT_ALL oracle is 1,060,038. Every intall and sweep decode request
-# parses the bytes it has just written, so that one oracle serves it.
+# one entry at its byte length, holding its bytes (`_bytes`), bounded in
+# bytes: one xor m=4 INT_ALL oracle is 1,060,038. Every intall and sweep
+# decode request parses the bytes it has just written, and intall writes
+# what it read back again, so that one oracle serves both.
 _WRITTEN = _Bounded(1 << 21, name="oracle._WRITTEN")
 
 # components per block of `serialize`: each block's text is encoded and
@@ -321,18 +326,22 @@ def serialize(oracle: AnswerOracle) -> bytes:
     a str beside its bytes. A text that is not ASCII raises the error that
     encoding it whole raises.
 
-    `_WRITTEN` then holds these bytes with the components, and nothing
-    else, for `parse` to read back by one comparison, when `_assemble` or
-    `parse` made the oracle: their mark (`_canonical`) names its kind, n
-    and components, so every key is the layout's. The write loop also sees
-    each dist hold its canonical body at the kind's width; bytes past the
-    bound leave `_WRITTEN` empty. Any other serialize, one that raises
+    `_WRITTEN` then holds the oracle, and nothing else, and the oracle
+    holds its bytes for `parse` to read back by one comparison and
+    `serialize` to return (the oracle held before gives its bytes up),
+    when `_assemble` or `parse` made it: their mark (`_canonical`) names
+    its kind, n and components, so every key is the layout's, and an
+    oracle changed since its mark is written anew. The write loop also
+    sees each dist hold its canonical body at the kind's width; bytes past
+    the bound leave `_WRITTEN` empty. Any other serialize, one that raises
     included, leaves `_WRITTEN` as it was.
     """
     kind, n, components = oracle.kind, oracle.n, oracle.components
+    marked = _marked(oracle)
+    if marked and "_bytes" in vars(oracle):
+        return oracle._bytes
     head = f"{kind} n={n}"
-    mark = getattr(oracle, "_canonical", None)
-    width = component_bits(kind, n) if mark == (kind, n, components) else None
+    width = component_bits(kind, n) if marked else None
     out = io.BytesIO()
     try:
         out.write(head.encode("ascii"))
@@ -346,9 +355,19 @@ def serialize(oracle: AnswerOracle) -> bytes:
     out.write(b"\n")
     data = out.getvalue()
     if width is not None:
+        for held in _WRITTEN.values():  # an oracle holds its bytes while it is kept
+            vars(held).pop("_bytes", None)
         _WRITTEN.clear()
-        _WRITTEN.keep(len(data), (data, mark), len(data))
+        _WRITTEN.keep(len(data), oracle, len(data))
+        if _WRITTEN:  # within the bound
+            vars(oracle)["_bytes"] = data
     return data
+
+
+def _marked(oracle: AnswerOracle) -> bool:
+    """Whether `oracle` has the kind, n and components its producer's mark
+    (`_canonical`) names, so that its keys are the layout's."""
+    return getattr(oracle, "_canonical", None) == (oracle.kind, oracle.n, oracle.components)
 
 
 def _block_text(components, width):
@@ -410,17 +429,17 @@ def parse(data: bytes) -> AnswerOracle:
     out, so beside the input bytes the call holds about one copy of the
     text.
 
-    Input equal to the bytes `serialize` last kept in `_WRITTEN` returns
-    the components kept with them, the writer's own dists, after one byte
-    comparison: they are what the checks below make of those bytes, since
-    `serialize` keeps only an oracle `_assemble` or this function made.
-    Any other input takes the checks, and a body repeated within the call
-    is checked once; no body outlives the call. The oracle returned
-    carries the mark (`_canonical`) that lets `serialize` keep it again.
+    Input equal to the bytes of the oracle `serialize` last kept in
+    `_WRITTEN` returns that oracle, unless it changed since its mark, after
+    one byte comparison: its components are what the checks below make of
+    those bytes, since `serialize` keeps only an oracle `_assemble` or this
+    function made. Any other input takes the checks, and a body repeated
+    within the call is checked once; no body outlives the call. The oracle
+    returned carries the mark (`_canonical`) that lets `serialize` keep it.
     """
-    written = _WRITTEN.get(len(data)) if type(data) is bytes else None  # other types fail as before
-    if written is not None and written[0] == data:
-        return _canonical(*written[1])
+    held = _WRITTEN.get(len(data)) if type(data) is bytes else None  # other types fail as before
+    if held is not None and held._bytes == data and _marked(held):
+        return held
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import and_, or_, xor
+from operator import and_, itemgetter, or_, xor
 from typing import NamedTuple
 
 from . import gates
@@ -468,12 +468,12 @@ def topo_order(scm: Scm) -> list[int]:
 # two memos shared by every pass: outcome texts by (width, state), mass
 # texts "=num/den" in lowest terms by (den, weight) (`_OUTCOMES`,
 # `_MASSES`). Fractions appear only when its `mass` is read, one per mass
-# text (`_FRACTIONS`). A uniform leaf, whose states all carry one weight,
-# sorts its states alone and joins their outcome texts with its one mass
-# text; any other leaf sorts the positions of its states and joins outcome
-# and mass line by line. A leaf's ExactDist holds its body and, once
-# probed, its integer view, in slots, not an instance dict: 64 bytes beside
-# its body text (152 with an instance dict).
+# text (`_FRACTIONS`). A uniform leaf, whose lines have one length, joins
+# its body once and writes every or-mask's law from it column by column;
+# any other leaf joins outcome and mass line by line, every mask's law
+# from one gather. A leaf's ExactDist holds its body and, once probed,
+# its integer view, in slots, not an instance dict: 64 bytes beside its
+# body text (152 with an instance dict).
 #
 # OBS alone and INT_ALL branch hard interventions off the pass as a trie
 # (`_descend`), each law keyed by its integer intervention code
@@ -500,8 +500,8 @@ def topo_order(scm: Scm) -> list[int]:
 # (cycle, support cap, mechanism count) run on every compile, the step
 # checks (parents, gate, arity, noise symbols, noise law) when a step is
 # first compiled, and a step whose checks raise is never kept.
-# `oracle.parse` reads back the one oracle `serialize` last kept
-# (`oracle._WRITTEN`).
+# `oracle.parse` reads back the one oracle `serialize` last kept, and
+# `serialize` writes it again from the bytes it holds (`oracle._WRITTEN`).
 # Models repeat whole leaves too, so `_dist` keeps each OBS, INT1 and CF1
 # leaf by its inputs (`_LEAVES`): every pass that reaches an equal leaf
 # shares its ExactDist, body and, once probed, integer view.
@@ -732,39 +732,49 @@ def _render(n_bits: int, states, weights, den: int) -> ExactDist:
 def _renders(n_bits: int, states, weights, den: int, bits) -> list[ExactDist]:
     """The law of `states` with each mask of `bits` or-ed into every state,
     in the order of `bits`, from one sort: no state carries a bit of any,
-    so each law's states keep the sorted order of `states`. Each line is its
-    state's outcome text (`_OUTCOMES`) and its weight's mass text
-    (`_MASSES`). A uniform law, whose states all carry one weight, sorts
-    its states alone and joins their outcome texts with its one mass text;
-    any other sorts the positions of its states and joins outcome and mass
-    line by line. A law too long to write goes through the constructor."""
+    so each law's states keep the sorted order of `states`. Each line is
+    its state's outcome text (`_OUTCOMES`) and its weight's mass text
+    (`_MASSES`); the laws are one text, "#" between them, cut by one split.
+    `bits` is a binary counter, as `_descend` builds it: bits[0] is 0,
+    each bits[2^j] is one bit, and bits[i] is the or of bits[2^j] over the
+    set bits j of i. A uniform law, whose states all carry one weight, has
+    lines of one length: it sorts its states alone and joins its mask-0
+    body once, then for each j doubles the laws so far and sets bits[2^j]'s
+    outcome column in the new half by one strided slice assignment. Any
+    other law sorts the positions of its states, and every mask's outcome
+    texts are read in one gather. A law too long to write goes through the
+    constructor."""
     texts = _OUTCOMES.get(n_bits) or _Texts(_OUTCOMES, n_bits, _outcome_text)
     masses = _MASSES.get(den) or _Texts(_MASSES, den, _mass_text)
-    dists = []
+    laws = len(bits)
     weight = weights[0]
     try:
         if weights.count(weight) == len(weights):
-            keys = sorted(states)
             mass = masses[weight]
-            glue = mass + "\n"
-            for bit in bits:
-                outcomes = map(texts.__getitem__, map(bit.__or__, keys) if bit else keys)
-                dists.append(ExactDist._from_body(n_bits, glue.join(outcomes) + mass))
+            text = (mass + "\n").join(map(texts.__getitem__, sorted(states))) + mass
+            if laws > 1:
+                line = n_bits + len(mass) + 1
+                laid = bytearray(text.encode())
+                for j in range(laws.bit_length() - 1):  # laws 2^j to 2^(j+1) carry bits[2^j]
+                    column = len(laid) + 1 + n_bits - bits[1 << j].bit_length()
+                    laid += b"#" + laid
+                    laid[column::line] = b"1" * (len(states) << j)
+                text = laid.decode()
         else:
             order = sorted(range(len(states)), key=states.__getitem__)
             keys = list(map(states.__getitem__, order))
-            # each line's outcome text and mass text, and LF between lines
-            pieces = ["\n"] * (3 * len(keys) - 1)
+            # each line's outcome text, mass text and LF, "#" after each law but the last
+            pieces = ["\n"] * (3 * len(keys) - 1) + ["#"]
             pieces[1::3] = map(masses.__getitem__, map(weights.__getitem__, order))
-            for bit in bits:
-                pieces[::3] = map(texts.__getitem__, map(bit.__or__, keys) if bit else keys)
-                dists.append(ExactDist._from_body(n_bits, "".join(pieces)))
+            pieces = (pieces * laws)[:-1]
+            pieces[::3] = itemgetter(*[bit | key for bit in bits for key in keys])(texts)
+            text = "".join(pieces)
     except OracleFormatError:  # serialize raises it again, when asked for the text
         pairs = sorted(zip(states, weights))
         top = 1 << n_bits  # keeps each state's leading zeros
         return [ExactDist(n_bits, {format(top | bit | s, "b")[1:]: Fraction(w, den) for s, w in pairs})
                 for bit in bits]
-    return dists
+    return [ExactDist._from_body(n_bits, body) for body in text.split("#")]
 
 
 def kernel_laws(scm: Scm, int1: bool, cf1: bool):

@@ -276,14 +276,16 @@ CATALOGUE = (
     Mutant(
         "serialize keeps an oracle no producer marked",
         "src/scmlab/oracle.py",
-        (('    mark = getattr(oracle, "_canonical", None)\n', "    mark = (kind, n, components)\n"),),
+        (('    return getattr(oracle, "_canonical", None) == (oracle.kind, oracle.n, oracle.components)\n',
+          '    return getattr(oracle, "_canonical", (oracle.kind, oracle.n, oracle.components)) == (\n'
+          "        oracle.kind, oracle.n, oracle.components)\n"),),
         ("tests/test_memos.py::test_no_oracle_outside_the_mark_is_served[user-built]",),
     ),
     Mutant(
         "serialize keeps an oracle changed since its mark",
         "src/scmlab/oracle.py",
-        (("    width = component_bits(kind, n) if mark == (kind, n, components) else None\n",
-          "    width = component_bits(kind, n) if mark is not None and mark[2] is components else None\n"),),
+        (('    return getattr(oracle, "_canonical", None) == (oracle.kind, oracle.n, oracle.components)\n',
+          '    return hasattr(oracle, "_canonical")\n'),),
         ("tests/test_memos.py::test_no_oracle_outside_the_mark_is_served[tampered]",),
     ),
     Mutant(
@@ -302,24 +304,26 @@ CATALOGUE = (
         "serialize keeps a body longer than the bound",
         "src/scmlab/oracle.py",
         # the oracle counted as at most the bound
-        (("        _WRITTEN.keep(len(data), (data, mark), len(data))\n",
-          "        _WRITTEN.keep(len(data), (data, mark), min(len(data), _WRITTEN.limit))\n"),),
+        (("        _WRITTEN.keep(len(data), oracle, len(data))\n",
+          "        _WRITTEN.keep(len(data), oracle, min(len(data), _WRITTEN.limit))\n"),),
         ("tests/test_memos.py::test_serialize_keeps_no_body_longer_than_the_bound",
          "tests/test_memos.py::test_a_body_longer_than_the_bound_is_not_kept"),
     ),
     Mutant(
         "parse serves a held oracle of the same length",
         "src/scmlab/oracle.py",
-        (("    if written is not None and written[0] == data:\n",
-          "    if written is not None and len(written[0]) == len(data):\n"),),
+        (("    if held is not None and held._bytes == data and _marked(held):\n",
+          "    if held is not None and len(held._bytes) == len(data) and _marked(held):\n"),),
         ("tests/test_memos.py::test_an_oracle_of_equal_length_and_other_bytes_is_checked",
          "tests/test_memos.py::test_warm_and_cold_verdicts_agree_on_mutants"),
     ),
     Mutant(
         "serialize keeps a body under another dist",
         "src/scmlab/oracle.py",
-        (("        _WRITTEN.keep(len(data), (data, mark), len(data))\n",
-          "        _WRITTEN.keep(len(data), (data, (kind, n, components[::-1])), len(data))\n"),),
+        # the oracle kept in the writer's place: one marked with other components
+        (("        _WRITTEN.keep(len(data), oracle, len(data))\n",
+          "        oracle = _canonical(kind, n, components[::-1])\n"
+          "        _WRITTEN.keep(len(data), oracle, len(data))\n"),),
         ("tests/test_memos.py::test_parse_reads_back_the_dists_serialize_wrote",),
     ),
     Mutant(
@@ -334,8 +338,8 @@ CATALOGUE = (
         "serialize's body feed never clears at its bound",
         "src/scmlab/oracle.py",
         # stored without `keep`, so an oracle past the bound is held
-        (("        _WRITTEN.keep(len(data), (data, mark), len(data))\n",
-          "        _WRITTEN[len(data)] = (data, mark)\n        _WRITTEN.held += len(data)\n"),),
+        (("        _WRITTEN.keep(len(data), oracle, len(data))\n",
+          "        _WRITTEN[len(data)] = oracle\n        _WRITTEN.held += len(data)\n"),),
         ("tests/test_memos.py::test_the_memo_stays_within_its_bound",),
     ),
     Mutant(
@@ -344,6 +348,31 @@ CATALOGUE = (
         (("        _WRITTEN.clear()\n", ""),),
         ("tests/test_memos.py::test_a_body_repeated_across_slots_is_counted_once",
          "tests/test_memos.py::test_the_memo_stays_within_its_bound"),
+    ),
+    Mutant(
+        "the held bytes are returned for an oracle changed since its mark",
+        "src/scmlab/oracle.py",
+        (('    if marked and "_bytes" in vars(oracle):\n', '    if "_bytes" in vars(oracle):\n'),),
+        ("tests/test_memos.py::test_an_oracle_changed_while_held_is_written_anew_and_not_served",),
+    ),
+    Mutant(
+        "parse serves a held oracle changed since its mark",
+        "src/scmlab/oracle.py",
+        (("    if held is not None and held._bytes == data and _marked(held):\n",
+          "    if held is not None and held._bytes == data:\n"),),
+        ("tests/test_memos.py::test_an_oracle_changed_while_held_is_written_anew_and_not_served",),
+    ),
+    Mutant(
+        "an oracle dropped from the memo keeps its bytes",
+        "src/scmlab/oracle.py",
+        (('            vars(held).pop("_bytes", None)\n', "            pass\n"),),
+        ("tests/test_memos.py::test_a_body_repeated_across_slots_is_counted_once",),
+    ),
+    Mutant(
+        "a pickle carries the held bytes",
+        "src/scmlab/oracle.py",
+        (("    def __getstate__(self):", "    def _getstate(self):"),),
+        ("tests/test_memos.py::test_a_copy_or_pickle_of_a_held_oracle_writes_its_bytes_and_carries_none",),
     ),
     Mutant(
         "the body memo too small for one xor m=4 oracle",
@@ -421,7 +450,9 @@ CATALOGUE = (
         "an outcome memo keyed without its width",
         "src/scmlab/scm_core.py",
         (("    texts = _OUTCOMES.get(n_bits) or", "    texts = next(iter(_OUTCOMES.values()), None) or"),),
-        ("tests/test_codec.py::TestLazyProduct::test_text_memos_stay_within_their_bounds",),
+        # test_codec.py computes oracles of several widths as it is imported,
+        # which a uniform leaf's column layout refuses under this mutant
+        ("tests/test_kernel.py::test_a_render_of_k_masks_equals_k_renders",),
     ),
     Mutant(
         "a mass text not reduced to lowest terms",
@@ -440,10 +471,20 @@ CATALOGUE = (
     Mutant(
         "the do(1) leaf rendered from the unshifted keys",
         "src/scmlab/scm_core.py",
-        (("                outcomes = map(texts.__getitem__, map(bit.__or__, keys) if bit else keys)\n",
-          "                outcomes = map(texts.__getitem__, keys)\n"),
-         ("                pieces[::3] = map(texts.__getitem__, map(bit.__or__, keys) if bit else keys)\n",
-          "                pieces[::3] = map(texts.__getitem__, keys)\n")),
+        (('                    laid[column::line] = b"1" * (len(states) << j)\n',
+          '                    laid[column::line] = b"0" * (len(states) << j)\n'),
+         ("            pieces[::3] = itemgetter(*[bit | key for bit in bits for key in keys])(texts)\n",
+          "            pieces[::3] = itemgetter(*[key for bit in bits for key in keys])(texts)\n")),
+        ("tests/test_kernel.py::test_a_render_of_k_masks_equals_k_renders",),
+    ),
+    Mutant(
+        # the laws 0 to 2^j, which lack bits[2^j], get its column
+        "the column runs start at law 0, not at law 2^j",
+        "src/scmlab/scm_core.py",
+        (("                    column = len(laid) + 1 + n_bits - bits[1 << j].bit_length()\n",
+          "                    column = n_bits - bits[1 << j].bit_length()\n"),
+         ('                    laid[column::line] = b"1" * (len(states) << j)\n',
+          '                    laid[column:len(laid) // 2:line] = b"1" * (len(states) << j)\n')),
         ("tests/test_kernel.py::test_a_render_of_k_masks_equals_k_renders",),
     ),
     # the kernel's leaf memo

@@ -363,11 +363,45 @@ def check_mask_renders(scm: Scm) -> list:
 @example(Scm(0, ()))
 @example(MIXED_LEAVES)  # masks of weights that differ
 @example(build_xor_scm(HiddenString(2, "10")))  # one weight, merged above the last level
+@example(build_xor_scm(HiddenString(4, "1011")))  # one weight, up to 32 masks: runs of up to 16 laws
 @settings(max_examples=80, deadline=None)
 def test_a_render_of_k_masks_equals_k_renders(scm):
     check_mask_renders(scm)
     want = outcome(lambda: reference_oracle(scm, INT_ALL))
     assert outcome(lambda: compute_oracle(scm, INT_ALL)) == want
+
+
+@st.composite
+def xor_members(draw, max_m: int = 3) -> Scm:
+    m = draw(st.integers(1, max_m))
+    bits = draw(st.lists(st.sampled_from("01"), min_size=m, max_size=m))
+    return build_xor_scm(HiddenString(m, "".join(bits)))
+
+
+@given(st.one_of(dag_scms(), xor_members()))
+@example(build_xor_scm(HiddenString(4, "1011")))
+@settings(max_examples=100, deadline=None)
+def test_every_mask_list_is_a_binary_counter(scm):
+    # `_renders` writes a uniform leaf's laws column by column on this:
+    # bits[0] is 0, each bits[2^j] one bit of its own, and bits[i] the or
+    # of bits[2^j] over the set bits j of i
+    seen = []
+    render = scm_core._renders
+
+    def spy(n_bits, states, weights, den, bits):
+        seen.append(list(bits))
+        return render(n_bits, states, weights, den, bits)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scm_core, "_renders", spy)
+        scm_core.int_all_laws(scm)
+    assert seen
+    for bits in seen:
+        powers = [bits[1 << j] for j in range(len(bits).bit_length() - 1)]
+        assert len(bits) == 1 << len(powers)
+        assert reduce(or_, powers, 0).bit_count() == len(powers) == sum(p.bit_count() for p in powers)
+        assert bits == [reduce(or_, [p for j, p in enumerate(powers) if i >> j & 1], 0)
+                        for i in range(len(bits))]
 
 
 @given(dag_scms())

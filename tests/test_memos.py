@@ -86,17 +86,24 @@ WRITTEN = oracle._WRITTEN
 
 def held() -> list[bytes]:
     """The bytes of each oracle the read-back memo holds."""
-    return [data for data, _ in WRITTEN.values()]
+    return [written._bytes for written in WRITTEN.values()]
+
+
+def holds(written, data: bytes) -> bool:
+    """Whether the read-back memo holds `written` alone, with `data`."""
+    return len(WRITTEN) == 1 and WRITTEN.get(len(data)) is written and written._bytes == data
 
 
 def assert_memo_sound():
-    """The read-back memo holds one oracle at most, kept at its byte length
-    with its kind, n and the components of those bytes: the reference
-    codec accepts them, each key is the layout's, and each dist holds its
-    canonical body at the kind's width. `held` is that oracle's length,
-    within the bound."""
+    """The read-back memo holds one oracle at most, kept at its byte length,
+    holding those bytes, unchanged since its mark, its kind, n and
+    components those of the bytes: the reference codec accepts them, each
+    key is the layout's, and each dist holds its canonical body at the
+    kind's width. `held` is that oracle's length, within the bound."""
     assert len(WRITTEN) <= 1
-    for at, (data, (kind, n, components)) in WRITTEN.items():
+    for at, written in WRITTEN.items():
+        data, (kind, n, components) = written._bytes, written._canonical
+        assert (written.kind, written.n, written.components) == (kind, n, components)
         assert at == len(data) and data.startswith(f"{kind} n={n}\n".encode())
         reference = reference_codec.parse(data)
         assert (reference.kind, reference.n) == (kind, n)
@@ -104,7 +111,7 @@ def assert_memo_sound():
         width = oracle.component_bits(kind, n)
         assert all(dist._body is not None and dist.n_bits == width for _, dist in components)
         assert oracle.entry_bytes(kind, n, [dist._body for _, dist in components]) == data
-    assert WRITTEN.held == sum(len(data) for data, _ in WRITTEN.values()) <= WRITTEN.limit
+    assert WRITTEN.held == sum(map(len, held())) <= WRITTEN.limit
 
 
 def read_everything(parsed):
@@ -340,7 +347,7 @@ def assert_read_back(written):
     them."""
     WRITTEN.clear()
     data = serialize(written)
-    assert WRITTEN == {len(data): (data, (written.kind, written.n, written.components))}
+    assert holds(written, data)
     assert_memo_sound()
     parsed = parse(data)
     assert parsed.components is written.components
@@ -381,6 +388,7 @@ def test_a_body_repeated_across_slots_is_counted_once():
     assert held() == [data] and WRITTEN.held == len(data)
     obs = serialize(compute_oracle(MIXED_LEAVES, OBS))
     assert held() == [obs] and WRITTEN.held == len(obs)
+    assert "_bytes" not in vars(written)  # an oracle gives its bytes up with its entry
     WRITTEN.clear()
     kept = parse(obs)
     assert serialize(kept) == obs
@@ -404,7 +412,7 @@ def test_a_serialize_that_raises_leaves_the_memo_sound():
     laws[oracle._layout(INT1, 1)[-1][0]] = too_long
     with pytest.raises(OracleFormatError, match="too long to write"):
         serialize(oracle._assemble(INT1, 1, laws))
-    assert WRITTEN == {len(data): (data, (INT1, 1, kernel.components))}
+    assert holds(kernel, data)
     assert WRITTEN.held == len(data)
     assert_memo_sound()
 
@@ -436,7 +444,7 @@ def test_an_unmarked_serialize_leaves_the_held_oracle():
                           ("from masses, marked", oracle._assemble(OBS, 3, {0: from_masses}))]:
         serialize(kernel)
         serialize(written)
-        assert WRITTEN == {len(data): (data, (INT1, 3, kernel.components))}, name
+        assert holds(kernel, data), name
         assert parse(data).components is kernel.components, name
     assert_memo_sound()
 
@@ -498,6 +506,7 @@ def test_no_oracle_outside_the_mark_is_served(make):
         WRITTEN.clear()
         data = serialize(written)
         assert len(WRITTEN) == 0, name
+        assert data == reference_codec.serialize(written), name
         warm = outcome(data)
         WRITTEN.clear()
         assert outcome(data) == warm, name  # the cold verdict, and its error text
@@ -510,6 +519,32 @@ def test_no_oracle_outside_the_mark_is_served(make):
         # a user's valid oracle reads back dists of its own, not the user's
         parsed = parse(data)
         assert all(p is not w for (_, p), (_, w) in zip(parsed.components, written.components)), name
+
+
+def test_an_oracle_changed_while_held_is_written_anew_and_not_served():
+    # changed with `object.__setattr__`, as no public call can: its held
+    # bytes are no longer its own, so neither call may use them
+    written = compute_oracle(MIXED_LEAVES, INT1)
+    data = serialize(written)
+    (obs_key, obs), (do_key, do), *rest = written.components
+    object.__setattr__(written, "components", ((do_key, do), (obs_key, obs), *rest))
+    parsed = parse(data)
+    assert parsed is not written and parsed == reference_codec.parse(data)
+    assert serialize(written) == reference_codec.serialize(written) != data
+
+
+def test_a_copy_or_pickle_of_a_held_oracle_writes_its_bytes_and_carries_none():
+    written = compute_oracle(build_xor_scm(HiddenString(2, "10")), INT_ALL)
+    unwritten = pickle.dumps(written)
+    data = serialize(written)
+    assert holds(written, data)
+    assert pickle.dumps(written) == unwritten  # the held bytes stay out of a pickle
+    for make in (copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))):
+        twin = make(written)
+        assert "_bytes" not in vars(twin) and twin == written
+        assert serialize(twin) == data
+        assert holds(twin, data) and "_bytes" not in vars(written)  # kept in the held one's place
+        assert serialize(written) == data and holds(written, data)
 
 
 def test_an_oracle_of_equal_length_and_other_bytes_is_checked():
