@@ -57,11 +57,10 @@ from .errors import (
     LengthMismatchError,
     OracleFormatError,
 )
-from .rational import ZERO
+from .rational import ZERO, frac_parse
 from .scm_core import (
     ExactDist,
     Scm,
-    _FRACTIONS,
     _Bounded,
     _new,
     _render,
@@ -514,12 +513,11 @@ def _canonical(kind: str, n: int, components: tuple) -> AnswerOracle:
 
 def _check_masses(key: str, counts) -> None:
     """Check one component's fraction texts in integers, given as (text,
-    count) pairs of distinct texts: lowest terms once per text (read
-    through the memo `mass` reads, `scm_core._FRACTIONS`), and their sum
-    against 1 weighted by their counts."""
+    count) pairs of distinct texts: lowest terms once per text
+    (`frac_parse`), and their sum against 1 weighted by their counts."""
     total_num, total_den = 0, 1
     for frac_text, count in counts:
-        weight = _FRACTIONS[frac_text]
+        weight = frac_parse(frac_text)
         den = weight.denominator
         if den != total_den:
             common = math.lcm(total_den, den)

@@ -172,11 +172,6 @@ class _Bounded(dict):
 
 MEMOS: dict[str, _Bounded] = {}  # every process-wide memo by its qualified name
 
-# the Fraction of a mass text, for `oracle.parse`'s checks and for `mass`,
-# in texts: an intall INT_ALL oracle holds 7 to 24 distinct texts, the 45 of
-# three intall rounds 39 to 44 together, three sweep rounds 3 and nfl_mc 1
-_FRACTIONS = _Bounded(256, frac_parse, "scm_core._FRACTIONS")
-
 
 @dataclass(frozen=True)
 class ExactDist:
@@ -192,8 +187,8 @@ class ExactDist:
     `_from_body`: the dist holds only the canonical component body, its
     "<bits>=<num>/<den>" lines in ascending order joined by LF, which
     `serialize` copies out as it is. `mass` is built from that text on
-    first read, each mass text's Fraction from the bounded memo
-    `_FRACTIONS`, so the outcomes that repeat a text share its one Fraction.
+    first read, each distinct mass text of the body parsed once
+    (`_masses`), so the outcomes that repeat a text share its one Fraction.
 
     A dist has four slots and no instance dict: 64 bytes by `tracemalloc`
     (152 with an instance dict), which is all a leaf costs beyond its body.
@@ -254,10 +249,17 @@ class ExactDist:
         # dist built from its body, before its first read
         if name != "mass" or self._body is None:
             raise AttributeError(name)
+        _set(self, "mass", dict(zip(*self._masses())))
+        return self.mass
+
+    def _masses(self) -> tuple:
+        """The positive-mass outcomes in ascending order and their masses,
+        from the body each distinct mass text parsed once, else from `mass`."""
+        if self._body is None:
+            return tuple(zip(*sorted(self.mass.items())))
         cells = self._body.replace("\n", "=").split("=")
-        mass = dict(zip(cells[::2], map(_FRACTIONS.__getitem__, cells[1::2])))
-        _set(self, "mass", mass)
-        return mass
+        fractions = _Bounded(len(cells), frac_parse)  # this body's, dropped on return
+        return cells[::2], list(map(fractions.__getitem__, cells[1::2]))
 
     @classmethod
     def _from_ints(cls, n_bits: int, masses: list) -> "ExactDist":
@@ -286,18 +288,20 @@ class ExactDist:
         except OracleFormatError:  # too long to write, so equal to no dist with a body
             return hash((self.n_bits, frozenset(self.mass.items())))
 
+    def __repr__(self):  # the dataclass's, with a mass too long to write as a placeholder
+        mass = ", ".join([f"{outcome!r}: {frac_repr(m)}" for outcome, m in self.mass.items()])
+        return f"{type(self).__qualname__}(n_bits={self.n_bits!r}, mass={{{mass}}})"
+
+    def _repr_pretty_(self, printer, cycle):  # pretty printers walk a dataclass's fields otherwise
+        printer.text(repr(self))
+
     def _int_view(self) -> tuple[list[int], list[int], int]:
         """(states, weights, den): the positive-mass outcomes as ascending
         states, position p at bit n_bits-1-p, and integers with mass ==
         weight / den, built once; den is the least common one."""
         view = self._ints
         if view is None:
-            if self._body is not None:
-                cells = self._body.replace("\n", "=").split("=")
-                outcomes, masses = cells[::2], list(map(_FRACTIONS.__getitem__, cells[1::2]))
-            else:
-                outcomes = sorted(self.mass)
-                masses = list(map(self.mass.__getitem__, outcomes))
+            outcomes, masses = self._masses()
             den = math.lcm(*[m.denominator for m in masses])
             weights = [m.numerator * (den // m.denominator) for m in masses]
             states = [int(o, 2) for o in outcomes] if self.n_bits else [0]
@@ -309,11 +313,8 @@ class ExactDist:
         """The canonical body; a dist built from masses renders it anew."""
         if self._body is not None:
             return self._body
-        mass = self.mass
-        return "\n".join([
-            mass_line(outcome, mass[outcome].numerator, mass[outcome].denominator)
-            for outcome in sorted(mass)
-        ])
+        return "\n".join([mass_line(outcome, mass.numerator, mass.denominator)
+                          for outcome, mass in zip(*self._masses())])
 
     def p(self, outcome: str) -> Fraction:
         """Exact probability of one outcome (0 if absent)."""
@@ -467,9 +468,9 @@ def topo_order(scm: Scm) -> list[int]:
 # each line its state's outcome text and its weight's mass text, read from
 # two memos shared by every pass: outcome texts by (width, state), mass
 # texts "=num/den" in lowest terms by (den, weight) (`_OUTCOMES`,
-# `_MASSES`). Fractions appear only when its `mass` is read, one per mass
-# text (`_FRACTIONS`). A uniform leaf, whose lines have one length, joins
-# its body once and writes every or-mask's law from it column by column;
+# `_MASSES`). Fractions appear only once its `mass` or integer view is
+# read. A uniform leaf, whose lines have one length, joins its body once
+# and writes every or-mask's law from it column by column;
 # any other leaf joins outcome and mass line by line, every mask's law
 # from one gather. A leaf's ExactDist holds its body and, once probed,
 # its integer view, in slots, not an instance dict: 64 bytes beside its

@@ -264,6 +264,14 @@ CATALOGUE = (
         ("tests/test_scm_core.py::TestValidate::test_more_mechanisms_than_variables",),
     ),
     Mutant(
+        # the check parses each distinct text once, and weighs each by its own
+        "the mass check reads the first text's Fraction for every text",
+        "src/scmlab/oracle.py",
+        (("        weight = frac_parse(frac_text)\n", "        weight = frac_parse(next(iter(counts))[0])\n"),),
+        ("tests/test_codec.py::test_hand_built_uniform_bodies",
+         "tests/test_codec.py::test_hand_built_oracle_out_of_order_with_distinct_equal_masses"),
+    ),
+    Mutant(
         "parse's uniform regex without its backreference",
         "src/scmlab/oracle.py",
         ((r'    return (re.compile(f"{outcome}({_MASS})(?:\n{outcome}\\1)*"),' + "\n",
@@ -437,6 +445,22 @@ CATALOGUE = (
         ("tests/test_probes.py::test_dists_have_slots_and_copy_whole",),
     ),
     Mutant(
+        # each distinct mass text is parsed once, and each line reads its own
+        "every line of a body reads its first line's mass",
+        "src/scmlab/scm_core.py",
+        (("        return cells[::2], list(map(fractions.__getitem__, cells[1::2]))\n",
+          "        return cells[::2], [fractions[cells[1]]] * len(cells[1::2])\n"),),
+        ("tests/test_probes.py::test_probes_match_the_reference_on_fixed_positions",
+         "tests/test_scm_core.py::TestObservational::test_biased_source"),
+    ),
+    Mutant(
+        "a dist's repr writes its masses through Fraction's own",
+        "src/scmlab/scm_core.py",
+        (('        mass = ", ".join([f"{outcome!r}: {frac_repr(m)}" for outcome, m in self.mass.items()])\n',
+          '        mass = ", ".join([f"{outcome!r}: {m!r}" for outcome, m in self.mass.items()])\n'),),
+        ("tests/test_codec.py::test_a_mass_too_long_to_write_is_a_placeholder_in_a_repr",),
+    ),
+    Mutant(
         # a tuple of one is "(x,)"
         "a one-mass law's repr without its trailing comma",
         "src/scmlab/scm_core.py",
@@ -450,9 +474,20 @@ CATALOGUE = (
         "an outcome memo keyed without its width",
         "src/scmlab/scm_core.py",
         (("    texts = _OUTCOMES.get(n_bits) or", "    texts = next(iter(_OUTCOMES.values()), None) or"),),
-        # test_codec.py computes oracles of several widths as it is imported,
-        # which a uniform leaf's column layout refuses under this mutant
+        # a uniform leaf's column layout refuses outcome texts of another
+        # width; test_codec.py and test_memos.py build their seed oracles
+        # on first use, so their runs read killed under it, not broken
         ("tests/test_kernel.py::test_a_render_of_k_masks_equals_k_renders",),
+    ),
+    Mutant(
+        # a width cap that only outcomes of more than 16 bits reach; the
+        # probes read the short texts back as the same integers, so
+        # bipartite m=3's verify still passes, and only its CF1 bytes differ
+        "outcome texts zero-padded to at most 16 bits",
+        "src/scmlab/scm_core.py",
+        (('    return format(1 << width | state, "b")[1:]  # the top bit keeps the leading zeros\n',
+          '    return format(state, f"0{min(width, 16)}b") if width else ""\n'),),
+        ("tests/test_oracle.py::TestBodyColumns::test_every_entry_is_the_reference_enumerators_bytes",),
     ),
     Mutant(
         "a mass text not reduced to lowest terms",

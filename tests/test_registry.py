@@ -75,20 +75,20 @@ def test_no_functools_cache_is_left():
             assert not isinstance(each, functools._lru_cache_wrapper), qualified
 
 
-def test_a_maker_memo_keeps_what_it_makes(monkeypatch):
-    fractions, made = scm_core._FRACTIONS, []
-    monkeypatch.setattr(fractions, "make", lambda text: made.append(text) or frac_parse(text))
+def test_a_maker_memo_keeps_what_it_makes():
+    made = []
+    fractions = scm_core._Bounded(2, lambda text: made.append(text) or frac_parse(text))
     third = fractions["1/3"]
     assert third == Fraction(1, 3) and fractions["1/3"] is third
     assert made == ["1/3"] and dict(fractions) == {"1/3": third} and fractions.held == 1
     # a maker that raises keeps nothing
     with pytest.raises(OracleFormatError):
         fractions["2/4"]
-    assert list(fractions) == ["1/3"] and fractions.held == 1
+    assert made == ["1/3", "2/4"] and list(fractions) == ["1/3"] and fractions.held == 1
     # at its bound the memo drops every entry before it keeps the next
-    monkeypatch.setattr(fractions, "limit", 2)
     assert [fractions[text] for text in ("1/2", "1/4")] == [HALF, Fraction(1, 4)]
     assert list(fractions) == ["1/4"] and fractions.held == 1
+    assert made == ["1/3", "2/4", "1/2", "1/4"]
     # a memo without a maker is a dict on a miss
     with pytest.raises(KeyError):
         oracle._WRITTEN[20]
